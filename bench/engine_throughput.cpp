@@ -17,16 +17,10 @@
 //   native — the whole-program native backend (rt::NativeMachine): the
 //            complete emitted OpenMP C compiled once (a warmup run
 //            populates the content-addressed cache) and executed as one
-//            fused binary — no interpreter anywhere in the timed run
-//   interp — fast with compiled_kernels off: the kernel layer's
-//            contribution in isolation (the A/B the oracle pins
-//            bit-identical)
-//   slow   — threads = 1, plan cache off, kernels off: every step
-//            replans its clause and runs ranks serially through the
-//            tree-walking interpreter.
+//            fused binary
 //
 // Results and all deterministic statistics must agree between the
-// four; the benchmark fails loudly if they do not, or if the fast
+// three; the benchmark fails loudly if they do not, or if the fast
 // configuration fails to exercise the fused kernel path. Output is both
 // a human table and a machine-readable JSON record (positional argument
 // overrides the path, default BENCH_engine.json) so successive PRs can
@@ -163,9 +157,9 @@ int main(int argc, char** argv) {
   std::printf(
       "=== execution-engine throughput: relaxation, n=%lld, T=%lld ===\n",
       (long long)n, (long long)steps);
-  std::printf("%6s %10s %10s %10s %10s %10s %9s %9s %9s %12s %7s\n", "P",
-              "fast-ms", "jit-ms", "native-ms", "interp-ms", "slow-ms",
-              "jit-spd", "nat-spd", "eng-spd", "iters/sec", "fused%");
+  std::printf("%6s %10s %10s %10s %9s %9s %12s %7s\n", "P", "fast-ms",
+              "jit-ms", "native-ms", "jit-spd", "nat-spd", "iters/sec",
+              "fused%");
 
   std::string json = "{\n  \"bench\": \"engine_throughput\",\n";
   json += cat("  \"n\": ", n, ",\n  \"steps\": ", steps,
@@ -182,13 +176,6 @@ int main(int argc, char** argv) {
     rt::EngineOptions jite = fast;
     jite.jit = true;
     jite.jit_sync = true;  // deterministic swap; warmup absorbs compiles
-    rt::EngineOptions interp = fast;
-    interp.compiled_kernels = false;
-    rt::EngineOptions slow;
-    slow.threads = 1;
-    slow.cache_plans = false;
-    slow.compiled_kernels = false;
-    slow.jit = false;
 
     RunResult f = run_engine(p, n, fast);
     run_engine(p, n, jite);  // warmup: compile into the .so cache
@@ -196,11 +183,8 @@ int main(int argc, char** argv) {
     auto native_ctx = std::make_shared<rt::EngineContext>();
     run_native(p, n, native_ctx);  // warmup: compile the driver module
     NativeRun nat = run_native(p, n, native_ctx);
-    RunResult i = run_engine(p, n, interp);
-    RunResult s = run_engine(p, n, slow);
 
-    if (f.a != i.a || f.b != i.b || f.a != s.a || f.b != s.b ||
-        f.a != j.a || f.b != j.b || f.a != nat.a || f.b != nat.b) {
+    if (f.a != j.a || f.b != j.b || f.a != nat.a || f.b != nat.b) {
       std::printf("  !! RESULT MISMATCH at P=%lld\n", (long long)procs);
       ok = false;
     }
@@ -226,24 +210,11 @@ int main(int argc, char** argv) {
                   (long long)procs, nat.error.c_str());
       ok = false;
     }
-    if (!stats_equal(f.stats, i.stats) || !stats_equal(f.stats, s.stats)) {
-      std::printf(
-          "  !! STATS MISMATCH at P=%lld\n    fast:   %s\n    interp: "
-          "%s\n    slow:   %s\n",
-          (long long)procs, f.stats.str().c_str(), i.stats.str().c_str(),
-          s.stats.str().c_str());
-      ok = false;
-    }
-    // The block relaxation is fully affine: kernels on must route the
-    // bulk of the elements through the fused loop, kernels off none.
+    // The block relaxation is fully affine: the bulk of the elements
+    // must go through the fused loop.
     if (f.paths.fused == 0 || f.paths.interp != 0) {
       std::printf("  !! FUSED PATH NOT EXERCISED at P=%lld (%s)\n",
                   (long long)procs, f.paths.str().c_str());
-      ok = false;
-    }
-    if (i.paths.fused != 0 || i.paths.generic != 0) {
-      std::printf("  !! INTERP CONFIG RAN KERNELS at P=%lld (%s)\n",
-                  (long long)procs, i.paths.str().c_str());
       ok = false;
     }
     // Aggregation bound: per clause step at most P*(P-1) bulk messages,
@@ -253,8 +224,6 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    double kern_spd = f.wall_ms > 0.0 ? i.wall_ms / f.wall_ms : 0.0;
-    double eng_spd = f.wall_ms > 0.0 ? s.wall_ms / f.wall_ms : 0.0;
     double jit_spd = j.wall_ms > 0.0 ? f.wall_ms / j.wall_ms : 0.0;
     double nat_spd = nat.wall_ms > 0.0 ? j.wall_ms / nat.wall_ms : 0.0;
     double nips = nat.wall_ms > 0.0
@@ -269,17 +238,14 @@ int main(int argc, char** argv) {
                       ? static_cast<double>(j.stats.iterations) /
                             (j.wall_ms / 1000.0)
                       : 0.0;
-    i64 total = f.paths.fused + f.paths.generic + f.paths.interp;
+    i64 total = f.paths.fused + f.paths.generic;
     double fused_pct =
         total > 0 ? 100.0 * static_cast<double>(f.paths.fused) /
                         static_cast<double>(total)
                   : 0.0;
-    std::printf(
-        "%6lld %10.1f %10.1f %10.1f %10.1f %10.1f %8.2fx %8.2fx %8.2fx "
-        "%12s %6.1f%%\n",
-        (long long)procs, f.wall_ms, j.wall_ms, nat.wall_ms, i.wall_ms,
-        s.wall_ms, jit_spd, nat_spd, eng_spd,
-        with_commas((i64)ips).c_str(), fused_pct);
+    std::printf("%6lld %10.1f %10.1f %10.1f %8.2fx %8.2fx %12s %6.1f%%\n",
+                (long long)procs, f.wall_ms, j.wall_ms, nat.wall_ms, jit_spd,
+                nat_spd, with_commas((i64)ips).c_str(), fused_pct);
 
     if (procs == 4) {
       // The headline records: bytecode vs per-clause JIT vs the
@@ -302,13 +268,10 @@ int main(int argc, char** argv) {
     json += cat("    {\"procs\": ", procs, ", \"wall_ms_fast\": ",
                 f.wall_ms, ", \"wall_ms_jit\": ", j.wall_ms,
                 ", \"wall_ms_native\": ", nat.wall_ms,
-                ", \"wall_ms_interp\": ", i.wall_ms,
-                ", \"wall_ms_slow\": ", s.wall_ms,
                 ", \"jit_speedup\": ", jit_spd,
                 ", \"native_speedup_vs_jit\": ", nat_spd,
                 ", \"native_iters_per_sec\": ", nips,
-                ", \"kernel_speedup\": ", kern_spd,
-                ", \"speedup\": ", eng_spd, ", \"iters_per_sec\": ", ips,
+                ", \"iters_per_sec\": ", ips,
                 ", \"jit_iters_per_sec\": ", jips,
                 ", \"messages\": ", f.stats.messages,
                 ", \"bulk_messages\": ", f.stats.bulk_messages,
@@ -320,7 +283,7 @@ int main(int argc, char** argv) {
                 ", \"sim_time\": ", f.stats.sim_time, "}");
   }
   json += cat("\n  ],\n", jit_record,
-              "  \"schema\": \"engine_throughput/v3\"\n}\n");
+              "  \"schema\": \"engine_throughput/v4\"\n}\n");
 
   if (std::FILE* out = std::fopen(json_path, "w")) {
     std::fputs(json.c_str(), out);
@@ -336,9 +299,8 @@ int main(int argc, char** argv) {
       "(jit off);\njit = fast + per-clause native codegen, steady state "
       "after a warmup run\n(jit-spd isolates that layer); native = the "
       "whole emitted OpenMP C program\ncompiled and run as one binary "
-      "(nat-spd = jit-ms / native-ms); interp =\nfast with kernels off; "
-      "slow = serial ranks, plans rebuilt every step,\ninterpreter. "
-      "Results are verified identical; only wall clock differs.\n"
+      "(nat-spd = jit-ms / native-ms).\nResults are verified identical; "
+      "only wall clock differs.\n"
       "Compare iters/sec across builds for engine-to-engine speedups.\n");
   return ok ? 0 : 1;
 }

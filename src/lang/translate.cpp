@@ -155,13 +155,23 @@ class SubscriptLowering {
       case AExpr::Kind::Mul:
         return fn::mul(walk(e->lhs), walk(e->rhs));
       case AExpr::Kind::IntDiv:
-        return fn::intdiv(walk(e->lhs), walk(e->rhs));
+        return fn::intdiv(walk(e->lhs), divisor(e, "div"));
       case AExpr::Kind::Mod:
-        return fn::mod(walk(e->lhs), walk(e->rhs));
+        return fn::mod(walk(e->lhs), divisor(e, "mod"));
       case AExpr::Kind::RealDiv:
         err_at("'/' in a subscript; use 'div'", e->line, e->col);
     }
     throw InternalError("subscript lowering: bad kind");
+  }
+
+  // The right operand of a `div` / `mod`; a constant zero is a user
+  // error, reported at the operator.
+  fn::SymPtr divisor(const AExprPtr& e, const char* op) {
+    fn::SymPtr d = walk(e->rhs);
+    if (fn::is_constant(d) && fn::eval(d, 0) == 0)
+      err_at(cat("'", op, "' by constant zero in a subscript"), e->line,
+             e->col);
+    return d;
   }
 
   const std::vector<std::string>& loop_vars_;

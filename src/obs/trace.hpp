@@ -82,7 +82,7 @@ enum class EventKind : std::uint8_t {
                   //   (a0 = schedules cached)
   SchedHit,       // control lane: step replayed through a schedule
   SchedFallback,  // control lane: schedules enabled but the step ran the
-                  //   tagged path (a0 = 1 armed fault, 0 caching off)
+                  //   tagged path (a0 = 1: a fault was armed)
   JitBuild,       // control lane: a clause plan armed native compilation
                   //   (a0 = 1 synchronous, 0 background worker)
   JitSwap,        // control lane: jitted function pointers swapped into

@@ -1,12 +1,13 @@
 // Rank worker of the multi-process backend.
 //
-// The worker runs the tagged interpreter path of the SPMD template —
-// the same phase structure as DistMachine::run_clause, with the in-
-// process channel array replaced by the mmap'd rings. The engine's
-// bit-identity invariant (every engine configuration produces identical
-// stores, DistStats, and message matrices; pinned by the conformance
-// oracle) is what makes this sufficient: a worker that reproduces the
-// interpreter's observables reproduces every configuration's.
+// The worker runs the tagged path of the SPMD template with tree-walking
+// clause evaluation — the same phase structure as DistMachine::run_clause
+// (which runs compiled clause kernels), with the in-process channel array
+// replaced by the mmap'd rings. The engine's bit-identity invariant
+// (every engine configuration produces identical stores, DistStats, and
+// message matrices; pinned by the conformance oracle) is what makes this
+// sufficient: a worker that reproduces the tagged path's observables
+// reproduces every configuration's.
 //
 // Per clause step, rank p:
 //   0. computes its outgoing halo values (push model: the owner
@@ -360,13 +361,7 @@ class Worker {
 
   // ---- clause steps --------------------------------------------------
 
-  const ClausePlan& plan_for(const Clause& clause,
-                             std::optional<ClausePlan>& uncached) {
-    if (!job_.engine.cache_plans) {
-      uncached.emplace(ClausePlan::build(clause, program_.arrays,
-                                         job_.build));
-      return *uncached;
-    }
+  const ClausePlan& plan_for(const Clause& clause) {
     auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
     if (fresh) ki->second = clause.str();
     return cache_.get(ki->second, clause, program_.arrays, job_.build);
@@ -387,8 +382,7 @@ class Worker {
       if (f.step == step_ && f.kind != FaultPlan::Kind::None)
         active_faults.push_back(&f);
 
-    std::optional<ClausePlan> uncached;
-    const ClausePlan& plan = plan_for(clause, uncached);
+    const ClausePlan& plan = plan_for(clause);
     const decomp::ArrayDesc& lhs = plan.lhs_desc();
     const int nrefs = static_cast<int>(clause.refs.size());
 
@@ -588,7 +582,6 @@ class Worker {
     std::vector<Channel> in_ch(static_cast<std::size_t>(procs_));
     for (i64 src = 0; src < procs_; ++src) {
       Channel& ch = in_ch[static_cast<std::size_t>(src)];
-      ch.keyed = job_.engine.keyed_channels;
       if (src == p) continue;
       InFrame f = take_frame(src, FrameKind::Clause);
       for (const Slot& s : f.payload)

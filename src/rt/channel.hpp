@@ -22,59 +22,34 @@ namespace vcal::rt {
 // rank and consumed only by its destination rank, so the phase loops
 // parallelize without locks.
 //
-// Two matching representations exist (EngineOptions::keyed_channels):
-// the bulk form sorts once and matches receives by binary search; the
-// keyed form builds a tag -> slot hash index in arrival order. Both
-// produce identical counters, so the conformance oracle can pin one
-// against the other. Fault injection perturbs a packed channel in place;
-// a perturbed bulk channel loses its sort order and falls back to linear
-// matching, the way a real receive polls an unordered network.
+// pack() sorts the channel once and receives match by binary search.
+// Fault injection perturbs a packed channel in place; a perturbed
+// channel loses its sort order and falls back to first-match lookup,
+// the way a real receive polls an unordered network.
 struct Channel {
   std::vector<std::pair<i64, double>> msgs;
   std::vector<char> taken;
-  std::unordered_map<i64, std::size_t> index;  // keyed matching only
   // Recording metadata for the communication-schedule inspector: the
   // (ref ordinal, source-local offset) behind each in-flight value.
   // Maintained only while a schedule is being recorded; pack() keeps it
   // in tandem with msgs through the sort/dedup permutation.
   std::vector<std::pair<std::int32_t, i64>> meta;
-  // Lazy tag -> first-occurrence index for the perturbed (unsorted,
-  // non-keyed) fallback, built once on the first fallback consume
-  // instead of re-scanning the whole channel per receive.
+  // Lazy tag -> first-occurrence index for the perturbed (unsorted)
+  // fallback, built once on the first fallback consume instead of
+  // re-scanning the whole channel per receive.
   std::unordered_map<i64, std::size_t> lazy;
   bool lazy_built = false;
-  bool keyed = false;
-  bool sorted = false;  // binary search valid (bulk mode, unperturbed)
+  bool sorted = false;  // binary search valid (packed, unperturbed)
   i64 consumed = 0;
   std::size_t last_k = 0;  // slot of the last successful consume
 
   void push(i64 tag, double value) { msgs.emplace_back(tag, value); }
 
   // Dedups by tag — a resend of the same (ref, loop tuple) overwrites
-  // the earlier value, mirroring keyed-mailbox semantics — then freezes
-  // the matching structure: sort (bulk) or hash index (keyed).
+  // the earlier value, mirroring keyed-mailbox semantics — then sorts
+  // for binary-search matching.
   void pack() {
-    const bool rec = !meta.empty();
-    if (keyed) {
-      std::vector<std::pair<i64, double>> out;
-      std::vector<std::pair<std::int32_t, i64>> mout;
-      out.reserve(msgs.size());
-      if (rec) mout.reserve(meta.size());
-      index.reserve(msgs.size());
-      for (std::size_t i = 0; i < msgs.size(); ++i) {
-        const auto& m = msgs[i];
-        auto [it, fresh] = index.try_emplace(m.first, out.size());
-        if (fresh) {
-          out.push_back(m);
-          if (rec) mout.push_back(meta[i]);
-        } else {
-          out[it->second] = m;
-          if (rec) mout[it->second] = meta[i];
-        }
-      }
-      msgs = std::move(out);
-      if (rec) meta = std::move(mout);
-    } else if (!rec) {
+    if (meta.empty()) {
       std::stable_sort(
           msgs.begin(), msgs.end(),
           [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -86,7 +61,6 @@ struct Channel {
           msgs[w++] = msgs[i];
       }
       msgs.resize(w);
-      sorted = true;
     } else {
       // Recording: run the identical stable sort + keep-last dedup
       // through an index permutation so meta stays in tandem — the
@@ -112,8 +86,8 @@ struct Channel {
       }
       msgs = std::move(out);
       meta = std::move(mout);
-      sorted = true;
     }
+    sorted = true;
     taken.assign(msgs.size(), 0);
   }
 
@@ -121,11 +95,7 @@ struct Channel {
   // message is in flight.
   const double* consume(i64 tag) {
     std::size_t k = msgs.size();
-    if (keyed) {
-      auto it = index.find(tag);
-      if (it == index.end()) return nullptr;
-      k = it->second;
-    } else if (sorted) {
+    if (sorted) {
       auto it = std::lower_bound(
           msgs.begin(), msgs.end(), tag,
           [](const auto& m, i64 t) { return m.first < t; });
@@ -167,7 +137,6 @@ struct Channel {
     msgs.erase(msgs.begin() + static_cast<std::ptrdiff_t>(k));
     taken.erase(taken.begin() + static_cast<std::ptrdiff_t>(k));
     lazy_built = false;
-    if (keyed) reindex();
     return true;
   }
 
@@ -179,8 +148,7 @@ struct Channel {
     taken.push_back(0);
     // The appended copy breaks the sort order; receives fall back to
     // first-match linear scan, so the original is consumed and the copy
-    // surfaces in the pairing check. The keyed index still names the
-    // original, with the same effect.
+    // surfaces in the pairing check.
     sorted = false;
     lazy_built = false;
     return true;
@@ -191,14 +159,7 @@ struct Channel {
     std::reverse(msgs.begin(), msgs.end());
     sorted = false;
     lazy_built = false;
-    if (keyed) reindex();
     return true;
-  }
-
-  void reindex() {
-    index.clear();
-    for (std::size_t i = 0; i < msgs.size(); ++i)
-      index.try_emplace(msgs[i].first, i);
   }
 };
 

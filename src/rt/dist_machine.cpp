@@ -263,54 +263,44 @@ void DistMachine::run_clause(const Clause& clause) {
   // until a redistribution bumps the epoch. The cache key (the clause's
   // printed form) is memoized per program step, so repeat executions
   // look it up without rebuilding the string.
-  const std::string* key = nullptr;
-  std::optional<ClausePlan> uncached;
-  if (!engine_.cache_plans) {
-    uncached.emplace(ClausePlan::build(clause, program_.arrays, opts_));
-  } else {
-    auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
-    if (fresh) ki->second = clause.str();
-    key = &ki->second;
-  }
-  const ClausePlan& plan =
-      uncached ? *uncached
-               : plans_->get(*key, clause, program_.arrays, opts_);
+  auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
+  if (fresh) ki->second = clause.str();
+  const std::string& key = ki->second;
+  const ClausePlan& plan = plans_->get(key, clause, program_.arrays, opts_);
 
-  // Kernel path: bytecode RHS/guard plus affine subscript strides (see
-  // spmd/kernel.hpp). Observably identical to the interpreter; kaff
-  // additionally enables the strided-run analysis in both phases.
-  const spmd::ClauseKernel* kern =
-      engine_.compiled_kernels ? &plan.kernel() : nullptr;
-  const bool kaff = kern != nullptr && kern->affine();
+  // Kernel path: bytecode RHS/guard and subscript records (see
+  // spmd/kernel.hpp); kaff additionally enables the strided-run
+  // analysis in both phases.
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const bool kaff = kern.affine();
 
   // JIT dispatch: poll the per-key state once per execution (arming
-  // counter, compile status, pointer swap). Requires the cached affine
-  // kernel path; armed faults keep the fully observable bytecode.
+  // counter, compile status, pointer swap). Requires an affine kernel;
+  // armed faults keep the fully observable bytecode.
   spmd::JitState* js = nullptr;
   const spmd::JitFns* jfns = nullptr;
-  if (engine_.jit && kaff && key && !fault_armed)
-    jfns = jit_poll(*key, clause, *kern, &js, step_id);
+  if (engine_.jit && kaff && !fault_armed)
+    jfns = jit_poll(key, clause, kern, &js, step_id);
 
   // Communication-schedule dispatch (inspector–executor): replay when a
   // schedule exists for this plan at the current epoch; record one on
   // the second clean execution (the first proves the pattern repeats;
   // single-shot clauses never pay the inspector); otherwise run the
-  // tagged path. Armed faults and uncached plans always fall back.
+  // tagged path. Armed faults always fall back.
   spmd::CommSchedule* rec = nullptr;
   std::unique_ptr<spmd::CommSchedule> rec_owner;
   if (engine_.comm_schedules) {
-    if (!engine_.cache_plans || fault_armed) {
+    if (fault_armed) {
       ++comm_.sched_fallbacks;
-      VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id,
-                 fault_armed ? 1 : 0);
+      VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id, 1);
     } else {
       if (auto* cs = static_cast<spmd::CommSchedule*>(
-              plans_->find_schedule(*key))) {
+              plans_->find_schedule(key))) {
         run_clause_scheduled(clause, plan, *cs, js, jfns);
         return;
       }
       auto [si, first] =
-          key_seen_.try_emplace(*key, KeySeen{plans_->epoch(), 0});
+          key_seen_.try_emplace(key, KeySeen{plans_->epoch(), 0});
       if (!first && si->second.epoch != plans_->epoch())
         si->second = KeySeen{plans_->epoch(), 0};
       if (si->second.seen >= 1) {
@@ -364,7 +354,6 @@ void DistMachine::run_clause(const Clause& clause) {
   // In-flight messages: one bulk channel per (src, dst) rank pair.
   std::vector<Channel> channels(
       static_cast<std::size_t>(procs * procs));
-  for (Channel& ch : channels) ch.keyed = engine_.keyed_channels;
   auto channel = [&](i64 src, i64 dst) -> Channel& {
     return channels[static_cast<std::size_t>(src * procs + dst)];
   };
@@ -408,82 +397,30 @@ void DistMachine::run_clause(const Clause& clause) {
       const decomp::ArrayDesc& rd = plan.ref_desc(r);
       const std::vector<double>& row = ref_row(r, p);
       const spmd::IterationSpace& space = plan.reside_space(p, r);
-      if (!kaff) {
-        space.for_each(
-            [&](const std::vector<i64>& vals) {
-              plan.ref_index_into(r, vals, ridx);
-              if (!rd.in_bounds(ridx))
-                throw RuntimeFault("read out of bounds on " +
-                                   clause.refs[static_cast<std::size_t>(r)]
-                                       .array);
-              i64 local = rd.local_linear(ridx);
-              double value = read_row(row, local, r);
-              i64 tag = plan.message_tag(r, vals);
-              if (lhs.is_replicated()) {
-                // Every rank computes every index: broadcast to the others.
-                for (i64 dst = 0; dst < procs; ++dst) {
-                  if (dst == p) continue;
-                  if (halo_covers(rd, dst, ridx))
-                    continue;  // receiver reads its halo copy
-                  Channel& ch = channel(p, dst);
-                  ch.push(tag, value);
-                  if (rec)
-                    ch.meta.emplace_back(static_cast<std::int32_t>(r), local);
-                  ++rc.sends;
-                  ++matrix_row[static_cast<std::size_t>(dst)];
-                }
-              } else {
-                plan.lhs_index_into(vals, out_idx);
-                if (!lhs.in_bounds(out_idx)) return;  // nobody computes this
-                i64 dst = lhs.owner(out_idx);
-                if (dst == p) return;  // Modify ∩ Reside: local update later
-                if (halo_covers(rd, dst, ridx))
-                  return;  // receiver reads its halo copy
-                Channel& ch = channel(p, dst);
-                ch.push(tag, value);
-                if (rec)
-                  ch.meta.emplace_back(static_cast<std::int32_t>(r), local);
-                ++rc.sends;
-                ++matrix_row[static_cast<std::size_t>(dst)];
-              }
-            },
-            &es);
-        pc.interp += space.count();
-      } else {
-        spmd::ArrayAddr ref_addr = spmd::make_local_addr(rd, p);
-        const std::vector<spmd::AffineSub>& rsubs = kern->ref_subs(r);
-        const std::vector<spmd::AffineSub>& lsubs = kern->lhs_subs();
-        g0r.resize(rsubs.size());
-        dgr.resize(rsubs.size());
-        // Per-element send decision through the kernel's affine
-        // subscripts; same routing, counters, and exceptions as the
-        // interpreter body above.
-        auto emit = [&](const std::vector<i64>& vals) {
-          spmd::ClauseKernel::subs_into(rsubs, vals.data(), ridx);
-          if (!rd.in_bounds(ridx))
-            throw RuntimeFault("read out of bounds on " +
-                               clause.refs[static_cast<std::size_t>(r)]
-                                   .array);
-          i64 local = rd.local_linear(ridx);
-          double value = read_row(row, local, r);
-          i64 tag = kern->tag(r, vals.data());
-          if (lhs.is_replicated()) {
-            for (i64 dst = 0; dst < procs; ++dst) {
-              if (dst == p) continue;
-              if (halo_covers(rd, dst, ridx)) continue;
-              Channel& ch = channel(p, dst);
-              ch.push(tag, value);
-              if (rec)
-                ch.meta.emplace_back(static_cast<std::int32_t>(r), local);
-              ++rc.sends;
-              ++matrix_row[static_cast<std::size_t>(dst)];
-            }
-          } else {
-            spmd::ClauseKernel::subs_into(lsubs, vals.data(), out_idx);
-            if (!lhs.in_bounds(out_idx)) return;
-            i64 dst = lhs.owner(out_idx);
-            if (dst == p) return;
-            if (halo_covers(rd, dst, ridx)) return;
+      const spmd::SubRecords& rsubs = kern.ref_subs(r);
+      const spmd::SubRecords& lsubs = kern.lhs_subs();
+      spmd::ArrayAddr ref_addr;
+      if (kaff) {
+        ref_addr = spmd::make_local_addr(rd, p);
+        g0r.resize(rsubs.affine.size());
+        dgr.resize(rsubs.affine.size());
+      }
+      // Per-element send decision: route each resident operand to the
+      // rank that computes the element reading it.
+      auto emit = [&](const std::vector<i64>& vals) {
+        spmd::ClauseKernel::subs_into(rsubs, vals.data(), ridx);
+        if (!rd.in_bounds(ridx))
+          throw RuntimeFault("read out of bounds on " +
+                             clause.refs[static_cast<std::size_t>(r)].array);
+        i64 local = rd.local_linear(ridx);
+        double value = read_row(row, local, r);
+        i64 tag = kern.tag(r, vals.data());
+        if (lhs.is_replicated()) {
+          // Every rank computes every index: broadcast to the others.
+          for (i64 dst = 0; dst < procs; ++dst) {
+            if (dst == p) continue;
+            if (halo_covers(rd, dst, ridx))
+              continue;  // receiver reads its halo copy
             Channel& ch = channel(p, dst);
             ch.push(tag, value);
             if (rec)
@@ -491,53 +428,66 @@ void DistMachine::run_clause(const Clause& clause) {
             ++rc.sends;
             ++matrix_row[static_cast<std::size_t>(dst)];
           }
-        };
-        space.for_each_run(
-            [&](std::vector<i64>& vals, const gen::Piece& run) {
-              // Elements whose LHS target this rank itself owns send
-              // nothing (Modify ∩ Reside); when a strided-run proof
-              // covers both sides — ref in bounds, stored here, and LHS
-              // in bounds, owned here — the whole subrange is skipped
-              // without touching it. Run edges and unprovable runs go
-              // element at a time.
-              i64 k0 = 0, k1 = -1;
-              if (!lhs.is_replicated()) {
-                spmd::StridedRun rr, lr;
-                spmd::fill_progression(rsubs, vals, inner, run, g0r.data(),
-                                 dgr.data());
-                bool ok = spmd::strided_run(ref_addr, g0r.data(),
-                                            dgr.data(), run.count, &rr);
-                if (ok) {
-                  spmd::fill_progression(lsubs, vals, inner, run, g0l.data(),
-                                   dgl.data());
-                  ok = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                         run.count, &lr);
-                }
-                if (ok) {
-                  k0 = std::max(rr.k_lo, lr.k_lo);
-                  k1 = std::min(rr.k_hi, lr.k_hi);
-                }
-                if (k1 < k0) {
-                  k0 = 0;
-                  k1 = -1;
-                }
+        } else {
+          spmd::ClauseKernel::subs_into(lsubs, vals.data(), out_idx);
+          if (!lhs.in_bounds(out_idx)) return;  // nobody computes this
+          i64 dst = lhs.owner(out_idx);
+          if (dst == p) return;  // Modify ∩ Reside: local update later
+          if (halo_covers(rd, dst, ridx))
+            return;  // receiver reads its halo copy
+          Channel& ch = channel(p, dst);
+          ch.push(tag, value);
+          if (rec)
+            ch.meta.emplace_back(static_cast<std::int32_t>(r), local);
+          ++rc.sends;
+          ++matrix_row[static_cast<std::size_t>(dst)];
+        }
+      };
+      space.for_each_run(
+          [&](std::vector<i64>& vals, const gen::Piece& run) {
+            // Elements whose LHS target this rank itself owns send
+            // nothing (Modify ∩ Reside); when a strided-run proof covers
+            // both sides — ref in bounds, stored here, and LHS in
+            // bounds, owned here — the whole subrange is skipped without
+            // touching it. Run edges, unprovable runs and non-affine
+            // clauses go element at a time.
+            i64 k0 = 0, k1 = -1;
+            if (kaff && !lhs.is_replicated()) {
+              spmd::StridedRun rr, lr;
+              spmd::fill_progression(rsubs.affine, vals, inner, run,
+                                     g0r.data(), dgr.data());
+              bool ok = spmd::strided_run(ref_addr, g0r.data(), dgr.data(),
+                                          run.count, &rr);
+              if (ok) {
+                spmd::fill_progression(lsubs.affine, vals, inner, run,
+                                       g0l.data(), dgl.data());
+                ok = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
+                                       run.count, &lr);
               }
-              for (i64 k = 0; k < k0; ++k) {
-                vals[static_cast<std::size_t>(inner)] =
-                    run.start + k * run.stride;
-                emit(vals);
+              if (ok) {
+                k0 = std::max(rr.k_lo, lr.k_lo);
+                k1 = std::min(rr.k_hi, lr.k_hi);
               }
-              for (i64 k = k1 + 1; k < run.count; ++k) {
-                vals[static_cast<std::size_t>(inner)] =
-                    run.start + k * run.stride;
-                emit(vals);
+              if (k1 < k0) {
+                k0 = 0;
+                k1 = -1;
               }
-              const i64 skipped = k1 >= k0 ? k1 - k0 + 1 : 0;
-              pc.fused += skipped;
-              pc.generic += run.count - skipped;
-            },
-            &es);
-      }
+            }
+            for (i64 k = 0; k < k0; ++k) {
+              vals[static_cast<std::size_t>(inner)] =
+                  run.start + k * run.stride;
+              emit(vals);
+            }
+            for (i64 k = k1 + 1; k < run.count; ++k) {
+              vals[static_cast<std::size_t>(inner)] =
+                  run.start + k * run.stride;
+              emit(vals);
+            }
+            const i64 skipped = k1 >= k0 ? k1 - k0 + 1 : 0;
+            pc.fused += skipped;
+            pc.generic += run.count - skipped;
+          },
+          &es);
       rc.iterations += es.loop_iters;
       rc.tests += es.tests;
     }
@@ -588,117 +538,11 @@ void DistMachine::run_clause(const Clause& clause) {
   // ---- Phase 2: receive and update (Modify_p) -------------------------
   // Rank p consumes only channels destined to it and writes only its own
   // local LHS buffer; all other reads are pre-clause values.
-  auto phase2_interp = [&](i64 p) {
-    RankCounters& rc = counters[static_cast<std::size_t>(p)];
-    std::vector<double> ref_values(clause.refs.size());
-    std::vector<i64> ridx, out_idx;  // per-rank scratch
-    std::vector<const std::vector<double>*> rows(
-        static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      rows[static_cast<std::size_t>(r)] = &ref_row(r, p);
-    std::vector<double>& out_row =
-        store_.local_row_mut(clause.lhs_array, p);
-    gen::EnumStats es;
-    const spmd::IterationSpace& space = plan.modify_space(p);
-    space.for_each(
-        [&](const std::vector<i64>& vals) {
-          plan.lhs_index_into(vals, out_idx);
-          if (!lhs.in_bounds(out_idx))
-            throw RuntimeFault("write out of bounds on " +
-                               clause.lhs_array);
-          for (int r = 0; r < nrefs; ++r) {
-            const decomp::ArrayDesc& rd = plan.ref_desc(r);
-            plan.ref_index_into(r, vals, ridx);
-            if (!rd.in_bounds(ridx))
-              throw RuntimeFault(
-                  "read out of bounds on " +
-                  clause.refs[static_cast<std::size_t>(r)].array);
-            const std::vector<double>& row =
-                *rows[static_cast<std::size_t>(r)];
-            if (rd.is_replicated()) {
-              i64 local = rd.local_linear(ridx);
-              ref_values[static_cast<std::size_t>(r)] =
-                  read_row(row, local, r);
-              ++rc.local_reads;
-              if (rec) rec->note_local(p, r, local);
-              continue;
-            }
-            i64 src = rd.owner(ridx);
-            if (src == p) {
-              i64 local = rd.local_linear(ridx);
-              ref_values[static_cast<std::size_t>(r)] =
-                  read_row(row, local, r);
-              ++rc.local_reads;
-              if (rec) rec->note_local(p, r, local);
-            } else if (halo_covers(rd, p, ridx)) {
-              // Overlapped decomposition: the value is already cached in
-              // this rank's halo region.
-              const auto& cache =
-                  halos.at(rd.name())[static_cast<std::size_t>(p)];
-              auto hit = cache.find(ridx[0]);
-              require(hit != cache.end(),
-                      "halo cache missing a covered element");
-              ref_values[static_cast<std::size_t>(r)] = hit->second;
-              ++rc.halo_reads;
-              if (rec) rec->note_halo(p, r, ridx[0]);
-            } else {
-              // Blocking receive from the in-flight bulk message.
-              i64 tag = plan.message_tag(r, vals);
-              Channel& ch = channel(src, p);
-              const double* value = ch.consume(tag);
-              if (value == nullptr) {
-                std::string elem =
-                    clause.refs[static_cast<std::size_t>(r)].array + "[";
-                for (std::size_t d = 0; d < ridx.size(); ++d)
-                  elem += cat(d ? ", " : "", ridx[d]);
-                elem += "]";
-                std::string diag = cat(
-                    "deadlock: rank ", p, " blocked on pending receive of ",
-                    elem, " (tag ", tag, ") from rank ", src,
-                    ", which never sent it — inconsistent schedules or a "
-                    "lost message");
-                if (tr) {
-                  diag += cat("; last traced event on rank ", p, ": ",
-                              tr->last_event_str(p));
-                  tr->record(p, obs::EventKind::RecvWait, step_id, src, tag);
-                }
-                throw DeadlockError(diag);
-              }
-              ref_values[static_cast<std::size_t>(r)] = *value;
-              ++rc.receives;
-              ++rc.remote_reads;
-              if (rec)
-                rec->note_remote(p, r, src, static_cast<i64>(ch.last_k));
-            }
-          }
-          if (rec) {
-            // Record before the guard: replay evaluates guards live, so
-            // guarded-off elements must still carry their operand
-            // offsets. -1 encodes "the tagged path would fault on an
-            // in-range-guarded write".
-            i64 rslot = lhs.local_linear(out_idx);
-            if (!in_range(rslot, 0, static_cast<i64>(out_row.size()) - 1))
-              rslot = -1;
-            rec->note_element(p, rslot, vals.data());
-          }
-          if (clause.guard && !clause.guard->holds(ref_values, vals)) return;
-          double value = prog::eval(clause.rhs, ref_values, vals);
-          i64 slot = lhs.local_linear(out_idx);
-          if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
-            throw RuntimeFault("local write out of bounds on " +
-                               clause.lhs_array);
-          out_row[static_cast<std::size_t>(slot)] = value;
-        },
-        &es);
-    rc.iterations += es.loop_iters;
-    rc.tests += es.tests;
-    pcs[static_cast<std::size_t>(p)].interp += space.count();
-  };
-
-  // Kernel phase 2: same element order, counters, and exceptions as
-  // phase2_interp, with provably-local subranges of each innermost run
-  // fused into one strided loop over the local rows.
-  auto phase2_kernel = [&](i64 p) {
+  // Provably-local subranges of each innermost run of an affine clause
+  // fuse into one strided loop over the local rows; every other element
+  // goes through the per-element body.
+  auto phase2 = [&](i64 p) {
+    VCAL_TRACE(tr, p, obs::EventKind::ClauseBegin, step_id);
     RankCounters& rc = counters[static_cast<std::size_t>(p)];
     PathCounters& pc = pcs[static_cast<std::size_t>(p)];
     std::vector<double> ref_values(clause.refs.size());
@@ -709,41 +553,53 @@ void DistMachine::run_clause(const Clause& clause) {
       rows[static_cast<std::size_t>(r)] = &ref_row(r, p);
     std::vector<double>& out_row =
         store_.local_row_mut(clause.lhs_array, p);
-    std::vector<double> stack(static_cast<std::size_t>(kern->stack_need()));
-    const spmd::CompiledGuard* guard = kern->guard();
-    const spmd::CompiledExpr& rhs = kern->rhs();
-    spmd::ArrayAddr lhs_addr = spmd::make_local_addr(lhs, p);
-    std::vector<spmd::ArrayAddr> raddrs;
-    raddrs.reserve(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      raddrs.push_back(spmd::make_local_addr(plan.ref_desc(r), p));
-    std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<i64> dgl(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<std::vector<i64>> g0s(static_cast<std::size_t>(nrefs));
-    std::vector<std::vector<i64>> dgs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r) {
-      g0s[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-      dgs[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-    }
-    std::vector<spmd::StridedRun> rruns(static_cast<std::size_t>(nrefs));
-    std::vector<i64> raddr(static_cast<std::size_t>(nrefs));
-    std::vector<i64> rstride(static_cast<std::size_t>(nrefs));
-    std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      row_ptrs[static_cast<std::size_t>(r)] =
-          rows[static_cast<std::size_t>(r)]->data();
+    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
+    const spmd::CompiledGuard* guard = kern.guard();
+    const spmd::CompiledExpr& rhs = kern.rhs();
 
-    // Element-at-a-time body: the interpreter's phase 2 verbatim, with
-    // subscripts/tags/guard/RHS routed through the kernel.
+    // Strided-run scratch: addressing, progressions, and fused-loop
+    // cursors — only affine clauses ever fuse.
+    spmd::ArrayAddr lhs_addr;
+    std::vector<spmd::ArrayAddr> raddrs;
+    std::vector<i64> g0l, dgl;
+    std::vector<std::vector<i64>> g0s, dgs;
+    std::vector<spmd::StridedRun> rruns;
+    std::vector<i64> raddr, rstride;
+    std::vector<const double*> row_ptrs;
+    if (kaff) {
+      const auto n = static_cast<std::size_t>(nrefs);
+      lhs_addr = spmd::make_local_addr(lhs, p);
+      g0l.resize(static_cast<std::size_t>(lhs.ndims()));
+      dgl.resize(static_cast<std::size_t>(lhs.ndims()));
+      raddrs.reserve(n);
+      g0s.resize(n);
+      dgs.resize(n);
+      for (int r = 0; r < nrefs; ++r) {
+        const decomp::ArrayDesc& rd = plan.ref_desc(r);
+        raddrs.push_back(spmd::make_local_addr(rd, p));
+        g0s[static_cast<std::size_t>(r)].resize(
+            static_cast<std::size_t>(rd.ndims()));
+        dgs[static_cast<std::size_t>(r)].resize(
+            static_cast<std::size_t>(rd.ndims()));
+      }
+      rruns.resize(n);
+      raddr.resize(n);
+      rstride.resize(n);
+      row_ptrs.resize(n);
+      for (int r = 0; r < nrefs; ++r)
+        row_ptrs[static_cast<std::size_t>(r)] =
+            rows[static_cast<std::size_t>(r)]->data();
+    }
+
+    // Element-at-a-time body: owner test, local/halo/remote operand
+    // fetch, guard, RHS, and the local write.
     auto element = [&](const std::vector<i64>& vals) {
-      spmd::ClauseKernel::subs_into(kern->lhs_subs(), vals.data(), out_idx);
+      spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
       if (!lhs.in_bounds(out_idx))
         throw RuntimeFault("write out of bounds on " + clause.lhs_array);
       for (int r = 0; r < nrefs; ++r) {
         const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        spmd::ClauseKernel::subs_into(kern->ref_subs(r), vals.data(), ridx);
+        spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
         if (!rd.in_bounds(ridx))
           throw RuntimeFault(
               "read out of bounds on " +
@@ -764,6 +620,8 @@ void DistMachine::run_clause(const Clause& clause) {
           ++rc.local_reads;
           if (rec) rec->note_local(p, r, local);
         } else if (halo_covers(rd, p, ridx)) {
+          // Overlapped decomposition: the value is already cached in
+          // this rank's halo region.
           const auto& cache =
               halos.at(rd.name())[static_cast<std::size_t>(p)];
           auto hit = cache.find(ridx[0]);
@@ -773,7 +631,8 @@ void DistMachine::run_clause(const Clause& clause) {
           ++rc.halo_reads;
           if (rec) rec->note_halo(p, r, ridx[0]);
         } else {
-          i64 tag = kern->tag(r, vals.data());
+          // Blocking receive from the in-flight bulk message.
+          i64 tag = kern.tag(r, vals.data());
           Channel& ch = channel(src, p);
           const double* value = ch.consume(tag);
           if (value == nullptr) {
@@ -801,7 +660,10 @@ void DistMachine::run_clause(const Clause& clause) {
         }
       }
       if (rec) {
-        // Pre-guard, as in phase2_interp: -1 marks a guarded OOB write.
+        // Record before the guard: replay evaluates guards live, so
+        // guarded-off elements must still carry their operand offsets.
+        // -1 encodes "the tagged path would fault on an in-range-guarded
+        // write".
         i64 rslot = lhs.local_linear(out_idx);
         if (!in_range(rslot, 0, static_cast<i64>(out_row.size()) - 1))
           rslot = -1;
@@ -823,15 +685,18 @@ void DistMachine::run_clause(const Clause& clause) {
     space.for_each_run(
         [&](std::vector<i64>& vals, const gen::Piece& run) {
           spmd::StridedRun lrun;
-          spmd::fill_progression(kern->lhs_subs(), vals, inner, run, g0l.data(),
-                           dgl.data());
-          bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                        run.count, &lrun);
+          bool fuse = kaff;
+          if (fuse) {
+            spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
+                                   g0l.data(), dgl.data());
+            fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
+                                     run.count, &lrun);
+          }
           i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
           for (int r = 0; fuse && r < nrefs; ++r) {
             auto ur = static_cast<std::size_t>(r);
-            spmd::fill_progression(kern->ref_subs(r), vals, inner, run,
-                             g0s[ur].data(), dgs[ur].data());
+            spmd::fill_progression(kern.ref_subs(r).affine, vals, inner, run,
+                                   g0s[ur].data(), dgs[ur].data());
             fuse = spmd::strided_run(raddrs[ur], g0s[ur].data(),
                                      dgs[ur].data(), run.count, &rruns[ur]);
             if (fuse) {
@@ -914,14 +779,6 @@ void DistMachine::run_clause(const Clause& clause) {
         &es);
     rc.iterations += es.loop_iters;
     rc.tests += es.tests;
-  };
-
-  auto phase2 = [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::ClauseBegin, step_id);
-    if (kaff)
-      phase2_kernel(p);
-    else
-      phase2_interp(p);
     VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
   };
 
@@ -991,7 +848,7 @@ void DistMachine::run_clause(const Clause& clause) {
                          [static_cast<std::size_t>(d)];
     rec->seal();
     ++comm_.sched_builds;
-    plans_->attach_schedule(*key, std::move(rec_owner));
+    plans_->attach_schedule(key, std::move(rec_owner));
     VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
                plans_->schedules());
   }
@@ -1021,9 +878,7 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
   const int nrefs = sched.nrefs;
   const int nloops = sched.nloops;
 
-  const spmd::ClauseKernel* kern =
-      engine_.compiled_kernels ? &plan.kernel() : nullptr;
-  const bool kaff = kern != nullptr && kern->affine();
+  const spmd::ClauseKernel& kern = plan.kernel();
 
   // Copy-in snapshot when the clause reads its own target: packing and
   // local gathers must observe pre-clause values.
@@ -1121,8 +976,8 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
     std::vector<double>& out_row =
         store_.local_row_mut(clause.lhs_array, p);
     rs.refs.resize(static_cast<std::size_t>(nrefs));
-    const spmd::CompiledGuard* guard = kaff ? kern->guard() : nullptr;
-    if (kaff) rs.stack.resize(static_cast<std::size_t>(kern->stack_need()));
+    const spmd::CompiledGuard* guard = kern.guard();
+    rs.stack.resize(static_cast<std::size_t>(kern.stack_need()));
 
     // Jitted replay: execute the flattened segment program instead of
     // the per-element dispatch — constant-stride runs go through the
@@ -1182,17 +1037,10 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
               break;
           }
         }
-        double value;
-        if (kaff) {
-          if (guard && !guard->holds(rs.refs.data(), vals, rs.stack.data()))
-            continue;
-          value = kern->rhs().eval(rs.refs.data(), vals, rs.stack.data());
-        } else {
-          rs.vals.assign(vals, vals + nloops);
-          if (clause.guard && !clause.guard->holds(rs.refs, rs.vals))
-            continue;
-          value = prog::eval(clause.rhs, rs.refs, rs.vals);
-        }
+        if (guard && !guard->holds(rs.refs.data(), vals, rs.stack.data()))
+          continue;
+        const double value =
+            kern.rhs().eval(rs.refs.data(), vals, rs.stack.data());
         const i64 slot = rv.lhs_slot[static_cast<std::size_t>(e)];
         if (slot < 0)
           throw RuntimeFault("local write out of bounds on " +

@@ -103,8 +103,8 @@ class DistMachine {
   const spmd::PlanCache& plan_cache() const noexcept { return *plans_; }
 
   /// Per-element execution-path tally (fused kernel loop / per-element
-  /// kernel / interpreter / schedule replay) accumulated over the run.
-  /// Reporting only — never part of DistStats.
+  /// kernel / schedule replay / jit) accumulated over the run; `interp`
+  /// stays 0 here. Reporting only — never part of DistStats.
   const PathCounters& path_counters() const noexcept { return paths_; }
 
   /// Communication-schedule accounting: inspector builds, replayed
@@ -234,7 +234,6 @@ class DistMachine {
   std::vector<RankCounters> sched_counters_;
   std::vector<PathCounters> sched_pcs_;
   struct ReplayScratch {
-    std::vector<i64> vals;
     std::vector<double> refs;
     std::vector<double> stack;
     std::vector<const std::vector<double>*> rows;

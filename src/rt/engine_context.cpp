@@ -35,6 +35,7 @@ spmd::PlanCache* EngineContext::acquire_plans(const std::string& scope) {
     }
   }
   if (!cache) cache = std::make_unique<spmd::PlanCache>();
+  cache->restart_epochs();
   spmd::PlanCache* raw = cache.get();
   live_plans_.emplace(raw, Lease{std::move(cache), scope});
   return raw;

@@ -18,8 +18,9 @@
 //     alive past the machines so served traces can be inspected after
 //     a request completes;
 //   - a pool of PlanCaches leased to machines by scope (the compile
-//     fingerprint): two concurrent executions of the same program get
-//     two caches (PlanCache is single-machine by contract), but a
+//     fingerprint plus the target): two concurrent executions of the
+//     same program get two caches (PlanCache is single-machine by
+//     contract), but a
 //     release returns the warm cache to the pool so the session's next
 //     request for that program starts with every plan built;
 //   - a MetricsRegistry accumulating whatever the owner records across
@@ -65,11 +66,13 @@ class EngineContext {
   i64 trace_lanes() const;
 
   /// Leases a PlanCache to one machine. A non-empty scope names the
-  /// program family (the serve layer passes the compile-cache
-  /// fingerprint): release() parks the cache for warm reuse by the
+  /// program family and machine kind (the serve layer passes the
+  /// compile-cache fingerprint plus the target): release() parks the cache for warm reuse by the
   /// next machine with the same scope, and concurrent leases of one
   /// scope get distinct caches (a PlanCache serves one machine at a
-  /// time). An empty scope is a private cache destroyed on release.
+  /// time). Every lease starts at epoch 0 (PlanCache::restart_epochs),
+  /// so a warm cache never serves a later-epoch plan to the start of a
+  /// run. An empty scope is a private cache destroyed on release.
   spmd::PlanCache* acquire_plans(const std::string& scope);
   void release_plans(spmd::PlanCache* cache) noexcept;
 

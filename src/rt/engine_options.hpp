@@ -5,7 +5,9 @@
 // counters, per-rank counters, and message matrices are bit-identical
 // for every setting (the determinism tests in rt_test.cpp pin this).
 // They exist so benchmarks can isolate each mechanism's contribution and
-// so tests can force the serial path.
+// so tests can force the serial path. Clause plans are always cached
+// (invalidated when a redistribution changes a decomposition) and
+// clauses always run through their compiled kernels.
 #pragma once
 
 #include <string>
@@ -20,8 +22,9 @@ namespace vcal::rt {
 struct PathCounters {
   i64 fused = 0;    // elements covered by a fused strided kernel loop
   i64 generic = 0;  // kernel path, element at a time (run edges,
-                    // non-affine or unprovable runs)
-  i64 interp = 0;   // tree-walking interpreter elements
+                    // non-affine clauses, unprovable runs)
+  i64 interp = 0;   // tree-walking elements: always 0 on dist and
+                    // shared, which run every clause through its kernel
   i64 sched = 0;    // elements replayed through a compiled
                     // communication schedule (inspector–executor)
   i64 jit = 0;      // elements executed through jitted native code
@@ -49,7 +52,7 @@ struct CommStats {
   i64 sched_builds = 0;     // inspector passes run (schedules compiled)
   i64 sched_hits = 0;       // steps replayed through a schedule
   i64 sched_fallbacks = 0;  // steps forced back to the tagged path
-                            // (armed fault or plan caching off)
+                            // by an armed fault
   i64 packed_values = 0;    // elements packed positionally on replay
   i64 packed_bytes = 0;     // bytes of packed payload on replay
   i64 unpacked_values = 0;  // remote operands consumed by offset
@@ -65,30 +68,12 @@ struct EngineOptions {
   /// pool of k lanes.
   int threads = 0;
 
-  /// Reuse clause plans across repeated executions of the same clause
-  /// (invalidated when a redistribution changes a decomposition).
-  bool cache_plans = true;
-
-  /// Match in-flight messages with a per-channel hash index keyed on the
-  /// message tag instead of the packed sorted-vector + binary-search
-  /// representation (distributed target only). Counters and results are
-  /// identical either way; the conformance oracle runs both to pin the
-  /// two matching paths against each other.
-  bool keyed_channels = false;
-
-  /// Execute clauses through their compiled kernels (postfix-bytecode
-  /// RHS/guard evaluation, affine subscript/tag strides, fused strided
-  /// loops over local storage) instead of the tree-walking interpreter.
-  /// Results, counters, and exceptions are bit-identical either way; the
-  /// conformance oracle pins the two paths against each other.
-  bool compiled_kernels = true;
-
   /// Compile communication schedules (inspector–executor): once a
   /// clause's message pattern has been observed at the current
   /// decomposition epoch, subsequent steps pack values positionally
   /// into reused buffers and receivers consume by recorded offset —
   /// no tags, no sorting, no hashing. Falls back to the tagged path
-  /// when plan caching is off or a fault is armed for the step.
+  /// when a fault is armed for the step.
   /// Results, counters, and exceptions are bit-identical either way;
   /// the conformance oracle pins both paths against each other.
   bool comm_schedules = true;
@@ -111,7 +96,7 @@ struct EngineOptions {
   /// pointers. Results are bit-identical to the bytecode kernel (the
   /// conformance oracle's `jit` axis pins this); without a detected
   /// compiler — or on any compile/dlopen failure — the bytecode kernel
-  /// keeps running. Requires cache_plans and compiled_kernels.
+  /// keeps running. Applies to affine clauses only.
   bool jit = true;
 
   /// Clean executions of a cached plan before its compile is armed

@@ -56,7 +56,7 @@ void NativeMachine::run() {
   auto fallback = [&](const std::string& why) {
     native_ = false;
     if (error_.empty()) error_ = why;
-    SeqExecutor seq(program_, /*compiled_kernels=*/true, ctx_);
+    SeqExecutor seq(program_, /*reference=*/false, ctx_);
     for (const auto& [name, data] : stores_) seq.load(name, data);
     seq.run();
     for (auto& [name, data] : stores_) data = seq.result(name);

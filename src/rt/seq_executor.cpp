@@ -35,18 +35,18 @@ void for_each_tuple(const Clause& clause, F&& body) {
 
 }  // namespace
 
-SeqExecutor::SeqExecutor(spmd::Program program, bool compiled_kernels,
+SeqExecutor::SeqExecutor(spmd::Program program, bool reference,
                          std::shared_ptr<EngineContext> ctx)
     : SeqExecutor(
           std::make_shared<const spmd::Program>(std::move(program)),
-          compiled_kernels, std::move(ctx)) {}
+          reference, std::move(ctx)) {}
 
 SeqExecutor::SeqExecutor(std::shared_ptr<const spmd::Program> program,
-                         bool compiled_kernels,
+                         bool reference,
                          std::shared_ptr<EngineContext> ctx,
                          std::shared_ptr<spmd::KernelCache> kernels)
     : program_(std::move(program)),
-      compiled_kernels_(compiled_kernels),
+      reference_(reference),
       ctx_(std::move(ctx)),
       shared_kernels_(std::move(kernels)) {
   program_->validate();
@@ -88,13 +88,12 @@ void SeqExecutor::run_clause(const Clause& clause) {
   if (lhs_read && clause.ord == prog::Ordering::Par)
     snap = store_.snapshot(clause.lhs_array);
 
-  // Compile (or fetch) the clause's kernel: bytecode guard/RHS always,
-  // affine subscript records when every subscript qualifies. A shared
-  // cache (serve layer) is preferred; `pinned` keeps its entry alive
-  // for the duration of this clause.
+  // Compile (or fetch) the clause's kernel unless in reference mode. A
+  // shared cache (serve layer) is preferred; `pinned` keeps its entry
+  // alive for the duration of this clause.
   const spmd::ClauseKernel* kern = nullptr;
   std::shared_ptr<const spmd::ClauseKernel> pinned;
-  if (compiled_kernels_) {
+  if (!reference_) {
     if (shared_kernels_) {
       pinned = shared_kernels_->get(clause);
       kern = pinned.get();
@@ -106,14 +105,13 @@ void SeqExecutor::run_clause(const Clause& clause) {
       kern = &it->second;
     }
   }
-  const bool kaff = kern != nullptr && kern->affine();
   std::vector<double> stack(
       kern ? static_cast<std::size_t>(kern->stack_need()) : 0);
 
   std::vector<double> ref_values(clause.refs.size());
   std::vector<i64> out_idx, idx;  // scratch, reused across elements
   for_each_tuple(clause, [&](const std::vector<i64>& vals) {
-    if (kaff)
+    if (kern)
       spmd::ClauseKernel::subs_into(kern->lhs_subs(), vals.data(), out_idx);
     else
       prog::eval_subs_into(clause.lhs_subs, vals, out_idx);
@@ -121,7 +119,7 @@ void SeqExecutor::run_clause(const Clause& clause) {
     for (std::size_t r = 0; r < clause.refs.size(); ++r) {
       const prog::ArrayRef& ref = clause.refs[r];
       const decomp::ArrayDesc& rd = program_->arrays.at(ref.array);
-      if (kaff)
+      if (kern)
         spmd::ClauseKernel::subs_into(kern->ref_subs(static_cast<int>(r)),
                                       vals.data(), idx);
       else

@@ -8,10 +8,10 @@
 // no sequential meaning).
 //
 // Clause bodies evaluate through compiled kernels (bytecode RHS/guard,
-// affine subscripts; see spmd/kernel.hpp) unless constructed with
-// compiled_kernels = false, which keeps the tree-walking interpreter.
-// Results are bit-identical either way; the conformance oracle pins the
-// two against each other.
+// subscript records; see spmd/kernel.hpp) unless constructed in
+// reference mode, which walks the prog::Expr / fn::Sym trees directly.
+// Reference mode is the conformance oracle's independent ground truth:
+// no other executor keeps a tree-walking path.
 #pragma once
 
 #include <memory>
@@ -30,7 +30,7 @@ class SeqExecutor {
   /// `ctx` (may be null) pins the EngineContext whose tracer this
   /// executor is attached to — the sequential path uses no plan cache
   /// or JIT, but a served execution must keep the tracer's owner alive.
-  explicit SeqExecutor(spmd::Program program, bool compiled_kernels = true,
+  explicit SeqExecutor(spmd::Program program, bool reference = false,
                        std::shared_ptr<EngineContext> ctx = nullptr);
 
   /// Shares an already-validated program instead of copying it (the
@@ -40,7 +40,7 @@ class SeqExecutor {
   /// serve layer passes its compile-cache entry's KernelCache so warm
   /// requests skip kernel builds along with parse/rewrite/plan.
   explicit SeqExecutor(std::shared_ptr<const spmd::Program> program,
-                       bool compiled_kernels = true,
+                       bool reference = false,
                        std::shared_ptr<EngineContext> ctx = nullptr,
                        std::shared_ptr<spmd::KernelCache> kernels = nullptr);
 
@@ -63,7 +63,7 @@ class SeqExecutor {
 
   std::shared_ptr<const spmd::Program> program_;
   DenseStore store_;
-  bool compiled_kernels_;
+  bool reference_;
   std::shared_ptr<EngineContext> ctx_;  // may be null (no tracer owner)
   obs::Tracer* tracer_ = nullptr;  // optional attached sink, not owned
   // Kernels memoized per clause (step addresses are stable for the

@@ -93,10 +93,10 @@ void SharedMachine::run() {
   // The plan-cache key (the clause's printed form) is memoized per
   // program step, so repeat executions look plans and gather schedules
   // up without rebuilding the string.
-  auto key_for = [&](const Clause& clause) -> const std::string* {
+  auto key_for = [&](const Clause& clause) -> const std::string& {
     auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
     if (fresh) ki->second = clause.str();
-    return &ki->second;
+    return ki->second;
   };
 
   for (const spmd::Step& step : program_.steps) {
@@ -107,21 +107,16 @@ void SharedMachine::run() {
         pending.reset();
         pending_exists = true;  // unanalyzable: barrier stays
       } else {
-        const std::string* key =
-            engine_.cache_plans ? key_for(*clause) : nullptr;
-        ClausePlan plan =
-            key ? plans_->get(*key, *clause, program_.arrays, opts_)
-                : ClausePlan::build(*clause, program_.arrays, opts_);
+        const std::string& key = key_for(*clause);
+        ClausePlan plan = plans_->get(key, *clause, program_.arrays, opts_);
         resolve_pending(&plan);
         // JIT dispatch: poll the per-key state once per execution
-        // (arming counter, compile status, pointer swap). Requires the
-        // cached affine kernel path.
+        // (arming counter, compile status, pointer swap). Requires an
+        // affine kernel.
         spmd::JitState* js = nullptr;
         const spmd::JitFns* jfns = nullptr;
-        const spmd::ClauseKernel* kern =
-            engine_.compiled_kernels ? &plan.kernel() : nullptr;
-        if (engine_.jit && kern && kern->affine() && key)
-          jfns = jit_poll(*key, *clause, *kern, &js);
+        if (engine_.jit && plan.kernel().affine())
+          jfns = jit_poll(key, *clause, plan.kernel(), &js);
         // Gather-schedule dispatch (see comm_schedule.hpp): replay when
         // a schedule exists for this plan at the current epoch; record
         // one on the second clean execution; otherwise enumerate.
@@ -129,17 +124,13 @@ void SharedMachine::run() {
         std::unique_ptr<spmd::GatherSchedule> rec_owner;
         bool replayed = false;
         if (engine_.comm_schedules) {
-          if (!key) {
-            ++comm_.sched_fallbacks;
-            VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, trace_step_,
-                       0);
-          } else if (auto* gs = static_cast<spmd::GatherSchedule*>(
-                         plans_->find_schedule(*key))) {
+          if (auto* gs = static_cast<spmd::GatherSchedule*>(
+                  plans_->find_schedule(key))) {
             run_clause_gathered(*clause, plan, *gs, js, jfns);
             replayed = true;
           } else {
             auto [si, first] = key_seen_.try_emplace(
-                *key, KeySeen{plans_->epoch(), 0});
+                key, KeySeen{plans_->epoch(), 0});
             if (!first && si->second.epoch != plans_->epoch())
               si->second = KeySeen{plans_->epoch(), 0};
             if (si->second.seen >= 1) {
@@ -158,7 +149,7 @@ void SharedMachine::run() {
           run_clause(*clause, plan, rec, rec ? nullptr : jfns);
           if (rec) {
             ++comm_.sched_builds;
-            plans_->attach_schedule(*key, std::move(rec_owner));
+            plans_->attach_schedule(key, std::move(rec_owner));
             VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, trace_step_ - 1,
                        plans_->schedules());
           }
@@ -241,12 +232,12 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
   const int nrefs = static_cast<int>(clause.refs.size());
   const int inner = static_cast<int>(clause.loops.size()) - 1;
 
-  // Kernel path: bytecode RHS/guard plus affine subscript strides (see
+  // Kernel path: bytecode RHS/guard and subscript records (see
   // spmd/kernel.hpp). Shared memory addresses every array densely, so
-  // the strided-run analysis only has to prove bounds, not residency.
-  const spmd::ClauseKernel* kern =
-      engine_.compiled_kernels ? &plan.kernel() : nullptr;
-  const bool kaff = kern != nullptr && kern->affine();
+  // the strided-run analysis of affine clauses only has to prove
+  // bounds, not residency.
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const bool kaff = kern.affine();
 
   bool lhs_read = false;
   for (const prog::ArrayRef& r : clause.refs)
@@ -274,77 +265,54 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
                     : &store_.dense(clause.refs[r].array);
     std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
     const spmd::IterationSpace& space = plan.modify_space(p);
-    if (!kaff) {
-      space.for_each(
-          [&](const std::vector<i64>& vals) {
-            plan.lhs_index_into(vals, out_idx);
-            if (!lhs.in_bounds(out_idx))
-              throw RuntimeFault("write out of bounds on " +
-                                 clause.lhs_array);
-            for (std::size_t r = 0; r < clause.refs.size(); ++r) {
-              const decomp::ArrayDesc& rd =
-                  plan.ref_desc(static_cast<int>(r));
-              plan.ref_index_into(static_cast<int>(r), vals, idx);
-              if (!rd.in_bounds(idx))
-                throw RuntimeFault("read out of bounds on " +
-                                   clause.refs[r].array);
-              i64 off = rd.dense_linear(idx);
-              ref_values[r] = (*rows[r])[static_cast<std::size_t>(off)];
-              if (rec) rec->note_off(p, off);
-            }
-            if (rec)
-              // Pre-guard: replay evaluates guards live, so guarded-off
-              // elements still carry their operand offsets.
-              rec->note_element(p, lhs.dense_linear(out_idx), vals.data());
-            if (clause.guard && !clause.guard->holds(ref_values, vals))
-              return;
-            out_buf[static_cast<std::size_t>(lhs.dense_linear(out_idx))] =
-                prog::eval(clause.rhs, ref_values, vals);
-          },
-          &rank_stats[static_cast<std::size_t>(p)]);
-      pcs[static_cast<std::size_t>(p)].interp += space.count();
-      VCAL_TRACE(tr, p, obs::EventKind::KernelPath, step_id, 0, 0,
-                 pcs[static_cast<std::size_t>(p)].interp);
-      VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
-      return;
-    }
-
     PathCounters& pc = pcs[static_cast<std::size_t>(p)];
-    std::vector<double> stack(static_cast<std::size_t>(kern->stack_need()));
-    const spmd::CompiledGuard* guard = kern->guard();
-    const spmd::CompiledExpr& rhs = kern->rhs();
-    spmd::ArrayAddr lhs_addr = spmd::make_dense_addr(lhs);
-    std::vector<spmd::ArrayAddr> raddrs;
-    raddrs.reserve(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      raddrs.push_back(spmd::make_dense_addr(plan.ref_desc(r)));
-    std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<i64> dgl(static_cast<std::size_t>(lhs.ndims()));
-    std::vector<std::vector<i64>> g0s(static_cast<std::size_t>(nrefs));
-    std::vector<std::vector<i64>> dgs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r) {
-      g0s[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-      dgs[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(plan.ref_desc(r).ndims()));
-    }
-    std::vector<spmd::StridedRun> rruns(static_cast<std::size_t>(nrefs));
-    std::vector<i64> raddr(static_cast<std::size_t>(nrefs));
-    std::vector<i64> rstride(static_cast<std::size_t>(nrefs));
-    std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      row_ptrs[static_cast<std::size_t>(r)] =
-          rows[static_cast<std::size_t>(r)]->data();
+    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
+    const spmd::CompiledGuard* guard = kern.guard();
+    const spmd::CompiledExpr& rhs = kern.rhs();
 
-    // Element-at-a-time body: the interpreter branch verbatim, with
-    // subscripts/guard/RHS routed through the kernel.
+    // Strided-run scratch: addressing, progressions, and fused-loop
+    // cursors — only affine clauses ever fuse.
+    spmd::ArrayAddr lhs_addr;
+    std::vector<spmd::ArrayAddr> raddrs;
+    std::vector<i64> g0l, dgl;
+    std::vector<std::vector<i64>> g0s, dgs;
+    std::vector<spmd::StridedRun> rruns;
+    std::vector<i64> raddr, rstride;
+    std::vector<const double*> row_ptrs;
+    if (kaff) {
+      const auto n = static_cast<std::size_t>(nrefs);
+      lhs_addr = spmd::make_dense_addr(lhs);
+      g0l.resize(static_cast<std::size_t>(lhs.ndims()));
+      dgl.resize(static_cast<std::size_t>(lhs.ndims()));
+      raddrs.reserve(n);
+      g0s.resize(n);
+      dgs.resize(n);
+      for (int r = 0; r < nrefs; ++r) {
+        const decomp::ArrayDesc& rd = plan.ref_desc(r);
+        raddrs.push_back(spmd::make_dense_addr(rd));
+        g0s[static_cast<std::size_t>(r)].resize(
+            static_cast<std::size_t>(rd.ndims()));
+        dgs[static_cast<std::size_t>(r)].resize(
+            static_cast<std::size_t>(rd.ndims()));
+      }
+      rruns.resize(n);
+      raddr.resize(n);
+      rstride.resize(n);
+      row_ptrs.resize(n);
+      for (int r = 0; r < nrefs; ++r)
+        row_ptrs[static_cast<std::size_t>(r)] =
+            rows[static_cast<std::size_t>(r)]->data();
+    }
+
+    // Element-at-a-time body: bounds checks, dense operand reads, guard,
+    // RHS, and the dense write.
     auto element = [&](const std::vector<i64>& vals) {
-      spmd::ClauseKernel::subs_into(kern->lhs_subs(), vals.data(), out_idx);
+      spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
       if (!lhs.in_bounds(out_idx))
         throw RuntimeFault("write out of bounds on " + clause.lhs_array);
       for (int r = 0; r < nrefs; ++r) {
         const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        spmd::ClauseKernel::subs_into(kern->ref_subs(r), vals.data(), idx);
+        spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), idx);
         if (!rd.in_bounds(idx))
           throw RuntimeFault("read out of bounds on " +
                              clause.refs[static_cast<std::size_t>(r)].array);
@@ -355,6 +323,8 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
         if (rec) rec->note_off(p, off);
       }
       if (rec)
+        // Pre-guard: replay evaluates guards live, so guarded-off
+        // elements still carry their operand offsets.
         rec->note_element(p, lhs.dense_linear(out_idx), vals.data());
       if (guard &&
           !guard->holds(ref_values.data(), vals.data(), stack.data()))
@@ -366,14 +336,17 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
     space.for_each_run(
         [&](std::vector<i64>& vals, const gen::Piece& run) {
           spmd::StridedRun lrun;
-          spmd::fill_progression(kern->lhs_subs(), vals, inner, run,
-                                 g0l.data(), dgl.data());
-          bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                        run.count, &lrun);
+          bool fuse = kaff;
+          if (fuse) {
+            spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
+                                   g0l.data(), dgl.data());
+            fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
+                                     run.count, &lrun);
+          }
           i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
           for (int r = 0; fuse && r < nrefs; ++r) {
             auto ur = static_cast<std::size_t>(r);
-            spmd::fill_progression(kern->ref_subs(r), vals, inner, run,
+            spmd::fill_progression(kern.ref_subs(r).affine, vals, inner, run,
                                    g0s[ur].data(), dgs[ur].data());
             fuse = spmd::strided_run(raddrs[ur], g0s[ur].data(),
                                      dgs[ur].data(), run.count, &rruns[ur]);
@@ -499,9 +472,7 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
   const i64 procs = plan.procs();
   const int nrefs = sched.nrefs;
   const int nloops = sched.nloops;
-  const spmd::ClauseKernel* kern =
-      engine_.compiled_kernels ? &plan.kernel() : nullptr;
-  const bool kaff = kern != nullptr && kern->affine();
+  const spmd::ClauseKernel& kern = plan.kernel();
 
   bool lhs_read = false;
   for (const prog::ArrayRef& r : clause.refs)
@@ -515,7 +486,6 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
     const spmd::GatherSchedule::RankGather& rg =
         sched.ranks[static_cast<std::size_t>(p)];
     std::vector<double> ref_values(static_cast<std::size_t>(nrefs));
-    std::vector<i64> vvals;  // interpreter-path loop tuple
     std::vector<const std::vector<double>*> rows(
         static_cast<std::size_t>(nrefs));
     for (int r = 0; r < nrefs; ++r)
@@ -525,9 +495,8 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
               ? &*snap
               : &store_.dense(clause.refs[static_cast<std::size_t>(r)].array);
     std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
-    std::vector<double> stack;
-    const spmd::CompiledGuard* guard = kaff ? kern->guard() : nullptr;
-    if (kaff) stack.resize(static_cast<std::size_t>(kern->stack_need()));
+    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
+    const spmd::CompiledGuard* guard = kern.guard();
     PathCounters& pc = pcs[static_cast<std::size_t>(p)];
 
     // Jitted replay: execute the flattened segment program instead of
@@ -567,19 +536,11 @@ void SharedMachine::run_clause_gathered(const Clause& clause,
           ref_values[static_cast<std::size_t>(r)] =
               (*rows[static_cast<std::size_t>(r)])
                   [static_cast<std::size_t>(offs[r])];
-        double value;
-        if (kaff) {
-          if (guard && !guard->holds(ref_values.data(), vals, stack.data()))
-            continue;
-          value = kern->rhs().eval(ref_values.data(), vals, stack.data());
-        } else {
-          vvals.assign(vals, vals + nloops);
-          if (clause.guard && !clause.guard->holds(ref_values, vvals))
-            continue;
-          value = prog::eval(clause.rhs, ref_values, vvals);
-        }
+        if (guard && !guard->holds(ref_values.data(), vals, stack.data()))
+          continue;
         out_buf[static_cast<std::size_t>(
-            rg.lhs_slot[static_cast<std::size_t>(e)])] = value;
+            rg.lhs_slot[static_cast<std::size_t>(e)])] =
+            kern.rhs().eval(ref_values.data(), vals, stack.data());
       }
       pc.sched += rg.n;
     }
@@ -618,11 +579,7 @@ void SharedMachine::run_clause_sequential(const Clause& clause) {
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = trace_step_;
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
-  std::optional<ClausePlan> uncached;
-  if (!engine_.cache_plans)
-    uncached.emplace(ClausePlan::build(clause, program_.arrays, opts_));
-  const ClausePlan& plan =
-      uncached ? *uncached : plans_->get(clause, program_.arrays, opts_);
+  const ClausePlan& plan = plans_->get(clause, program_.arrays, opts_);
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
 
   std::vector<double> ref_values(clause.refs.size());

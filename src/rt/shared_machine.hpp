@@ -72,8 +72,8 @@ class SharedMachine {
   const spmd::PlanCache& plan_cache() const noexcept { return *plans_; }
 
   /// Per-element execution-path tally (fused kernel loop / per-element
-  /// kernel / interpreter / schedule replay) accumulated over the run.
-  /// Reporting only — never part of SharedStats.
+  /// kernel / schedule replay / jit) accumulated over the run; `interp`
+  /// stays 0 here. Reporting only — never part of SharedStats.
   const PathCounters& path_counters() const noexcept { return paths_; }
 
   /// Gather-schedule accounting: inspector builds, replayed steps,

@@ -33,7 +33,7 @@
 
 namespace vcal::serve {
 
-constexpr std::uint32_t kProtocolVersion = 1;
+constexpr std::uint32_t kProtocolVersion = 2;
 
 enum class MsgType : std::uint32_t {
   Hello = 1,       // client -> server: protocol version

@@ -410,9 +410,13 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
     return res;
   }
 
-  // The compile fingerprint names the plan-cache lease scope, so every
-  // served execution of one program shares (serially) one warm cache.
-  const std::string scope = hex_key(out.entry->key);
+  // The compile fingerprint and the target name the plan-cache lease
+  // scope, so every served execution of one program on one machine kind
+  // shares (serially) one warm cache. The target keeps dist and shared
+  // apart: their cache entries carry different schedule types.
+  const std::string scope =
+      hex_key(out.entry->key) + "/" +
+      std::to_string(static_cast<int>(req.target));
   try {
     auto load_inputs = [&](auto& machine) {
       for (const RunRequest::Input& in : req.inputs) {
@@ -462,8 +466,8 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
         // sequential target the compiled clause kernel IS the plan.
         auto program = std::shared_ptr<const spmd::Program>(
             out.entry, &out.entry->program);
-        rt::SeqExecutor m(program, req.engine.compiled_kernels,
-                          session.ctx, out.entry->kernels);
+        rt::SeqExecutor m(program, /*reference=*/false, session.ctx,
+                          out.entry->kernels);
         spmd::KernelCache::Counters k0 = out.entry->kernels->counters();
         load_inputs(m);
         m.run();

@@ -27,8 +27,8 @@
 // epoch and ride in that plan's cache entry (spmd::CachedSchedule), so a
 // redistribute's epoch bump invalidates them with the plan. Recording
 // happens on the second clean execution of a clause (the first proves
-// the pattern; single-shot clauses never pay the inspector); any armed
-// fault or `cache_plans == false` falls back to the tagged path.
+// the pattern; single-shot clauses never pay the inspector); only an
+// armed fault falls back to the tagged path.
 //
 // GatherSchedule is the shared-memory sibling: the same source-offset
 // lists turn each virtual processor's operand reads into a flat gather

@@ -318,9 +318,9 @@ JitPoll JitState::poll(const prog::Clause& clause, const ClauseKernel& kern,
     ++seen_;
     if (status_ == Status::Idle && seen_ >= cfg.threshold) {
       if (!kern.affine()) {
-        // Non-affine clauses run the per-element interpreter path; there
-        // is no fused/replay loop to compile. Silent: never armed, so
-        // never a fallback.
+        // Non-affine clauses run the per-element kernel path; there is
+        // no fused/replay loop to compile. Silent: never armed, so never
+        // a fallback.
         status_ = Status::Ineligible;
       } else {
         source_ = jit_source(clause);

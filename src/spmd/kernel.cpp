@@ -83,9 +83,10 @@ ClauseKernel ClauseKernel::compile(const prog::Clause& clause) {
   k.stack_need_ = std::max(need, 1);
 
   auto lower = [&](const std::vector<prog::Subscript>& subs) {
-    std::vector<AffineSub> out;
-    out.reserve(subs.size());
-    for (const prog::Subscript& s : subs) {
+    SubRecords out;
+    out.affine.reserve(subs.size());
+    for (std::size_t d = 0; d < subs.size(); ++d) {
+      const prog::Subscript& s = subs[d];
       AffineSub a;
       if (s.loop_index < 0) {
         a.c = fn::eval(s.expr, 0);
@@ -98,11 +99,13 @@ ClauseKernel ClauseKernel::compile(const prog::Clause& clause) {
           a.a = f.affine_a();
           a.c = f.affine_c();
         } else {
-          // AffineMod / Monotone / Opaque: no affine fast path.
+          // AffineMod / Monotone / Opaque: a generic record; the clause
+          // keeps the kernel path but not the strided-run analysis.
+          out.generic.push_back({d, s.loop_index, s.expr});
           k.affine_ = false;
         }
       }
-      out.push_back(a);
+      out.affine.push_back(a);
     }
     return out;
   };

@@ -4,27 +4,30 @@
 // generator functions; this layer removes the interpreter tax that was
 // still paid on every *generated* index. A ClauseKernel is built once per
 // clause (and memoized next to its ClausePlan, so it shares the
-// redistribute-epoch invalidation) and provides:
+// redistribute-epoch invalidation) and is total: every clause compiles,
+// and every executor runs every clause through it. It provides:
 //
 //   1. RHS expressions and guards lowered to a flat postfix bytecode
 //      array evaluated on a small caller-owned value stack — no
 //      shared_ptr tree recursion in the inner loop. Operand order is the
 //      tree's left-then-right order, so doubles combine in exactly the
-//      interpreter's order and results are bit-identical.
-//   2. Affine subscript specialization: when every subscript classifies
-//      as Constant or Affine (the paper's Table I classes, via
-//      fn::classify), subscripts become {loop, a, c} records and the
-//      message tag becomes a dot product with precomputed weights.
-//   3. Strided-local run analysis: for an innermost-loop arithmetic
-//      progression of global indices, the maximal k-subrange that is
-//      in-bounds, owned by a given rank, and advances its local address
-//      by a constant stride. Executors fuse that subrange into a single
-//      strided loop over the local Store row; everything outside it
-//      falls back to the per-element interpreter-identical path.
+//      reference interpreter's order and results are bit-identical.
+//   2. Subscript records: a Constant or Affine dimension (the paper's
+//      Table I classes, via fn::classify) becomes an {loop, a, c}
+//      record; any other dimension (AffineMod, Monotone, Opaque) becomes
+//      a generic record evaluated with fn::eval. The message tag is a
+//      dot product with precomputed weights for every clause.
+//   3. Strided-local run analysis (affine clauses only): for an
+//      innermost-loop arithmetic progression of global indices, the
+//      maximal k-subrange that is in-bounds, owned by a given rank, and
+//      advances its local address by a constant stride. Executors fuse
+//      that subrange into a single strided loop over the local Store
+//      row; everything outside it runs element at a time.
 //
-// Everything here is observably equivalent to the interpreter: same
-// results bit-for-bit, same counters, same exceptions in the same order.
-// EngineOptions::compiled_kernels turns the whole layer off.
+// Everything here is observably equivalent to the reference interpreter
+// (prog::eval / prog::eval_subs_into, kept by SeqExecutor's reference
+// mode): same results bit-for-bit, same counters, same exceptions in the
+// same order.
 #pragma once
 
 #include <memory>
@@ -34,6 +37,7 @@
 #include <vector>
 
 #include "decomp/array_desc.hpp"
+#include "fn/sym.hpp"
 #include "gen/schedule.hpp"
 #include "vcal/clause.hpp"
 
@@ -147,6 +151,23 @@ struct AffineSub {
   }
 };
 
+/// One non-affine subscript dimension (AffineMod, Monotone or Opaque in
+/// its loop variable): fn::eval(expr, vals[loop]), exactly as
+/// prog::eval_subs_into computes it — same values, same exceptions.
+struct GenericSub {
+  std::size_t dim = 0;  // subscript position it fills
+  int loop = 0;
+  fn::SymPtr expr;
+};
+
+/// The lowered subscripts of one array access. Every dimension has an
+/// affine record; a non-affine dimension's record is a placeholder that
+/// its generic record overwrites. `generic` is empty in affine clauses.
+struct SubRecords {
+  std::vector<AffineSub> affine;
+  std::vector<GenericSub> generic;
+};
+
 /// Precomputed local addressing for one (array, rank) pair: the grid
 /// coordinates of the rank and the row-major weights of the image the
 /// executor addresses (the rank's local block, or the full dense image
@@ -206,15 +227,17 @@ inline void fill_progression(const std::vector<AffineSub>& subs,
 bool strided_run(const ArrayAddr& aa, const i64* g0, const i64* dg,
                  i64 count, StridedRun* out);
 
-/// The compiled form of one clause. Compilation never fails: the RHS and
-/// guard always lower to bytecode; affine() reports whether the
-/// subscript/tag specializations are usable too.
+/// The compiled form of one clause. Compilation never fails and covers
+/// every clause: the RHS and guard always lower to bytecode and every
+/// subscript to a record, so subs_into(), tag(), rhs() and guard() are
+/// valid for all clauses. affine() only gates the strided-run analysis
+/// (fill_progression / strided_run over the affine records) and the JIT.
 class ClauseKernel {
  public:
   static ClauseKernel compile(const prog::Clause& clause);
 
   /// True when every subscript (LHS and refs) is Constant or Affine in
-  /// its loop variable, making lhs_subs/ref_subs/tag valid.
+  /// its loop variable, so the affine records alone describe the clause.
   bool affine() const noexcept { return affine_; }
 
   const CompiledExpr& rhs() const noexcept { return rhs_; }
@@ -233,18 +256,20 @@ class ClauseKernel {
     return static_cast<int>(n);
   }
 
-  const std::vector<AffineSub>& lhs_subs() const noexcept {
-    return lhs_subs_;
-  }
-  const std::vector<AffineSub>& ref_subs(int r) const {
+  const SubRecords& lhs_subs() const noexcept { return lhs_subs_; }
+  const SubRecords& ref_subs(int r) const {
     return ref_subs_[static_cast<std::size_t>(r)];
   }
 
-  /// eval_subs_into with the affine records; only valid when affine().
-  static void subs_into(const std::vector<AffineSub>& subs, const i64* vals,
+  /// prog::eval_subs_into through the records: the affine records
+  /// first, then the generic ones over their placeholders.
+  static void subs_into(const SubRecords& subs, const i64* vals,
                         std::vector<i64>& out) {
-    out.resize(subs.size());
-    for (std::size_t d = 0; d < subs.size(); ++d) out[d] = subs[d].at(vals);
+    out.resize(subs.affine.size());
+    for (std::size_t d = 0; d < subs.affine.size(); ++d)
+      out[d] = subs.affine[d].at(vals);
+    for (const GenericSub& g : subs.generic)
+      out[g.dim] = fn::eval(g.expr, vals[g.loop]);
   }
 
   /// Identical to ClausePlan::message_tag(r, vals), as a dot product.
@@ -260,8 +285,8 @@ class ClauseKernel {
   std::optional<CompiledGuard> guard_;
   int stack_need_ = 1;
   bool affine_ = true;
-  std::vector<AffineSub> lhs_subs_;
-  std::vector<std::vector<AffineSub>> ref_subs_;
+  SubRecords lhs_subs_;
+  std::vector<SubRecords> ref_subs_;
   std::vector<i64> tag_w_;  // per-loop-dim weight, refs factor included
   i64 tag_base_ = 0;
 };

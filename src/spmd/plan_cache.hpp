@@ -66,6 +66,12 @@ class PlanCache {
   /// Invalidates every cached plan (a decomposition changed).
   void bump_epoch() noexcept { ++epoch_; }
 
+  /// Starts a new run of the cache's program at epoch 0 (a lease does
+  /// this), so an epoch counts the redistributions the current run has
+  /// executed. Epoch e then names the same layout in every run of the
+  /// program: entries stamped e stay valid, all others miss.
+  void restart_epochs() noexcept { epoch_ = 0; }
+
   std::uint64_t epoch() const noexcept { return epoch_; }
   i64 hits() const noexcept { return hits_; }
   i64 misses() const noexcept { return misses_; }

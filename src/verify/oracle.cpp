@@ -43,17 +43,13 @@ std::string diff_stats(const DistStats& a, const DistStats& b) {
 }
 
 std::string describe_engine(const EngineOptions& e) {
-  return cat("threads=", e.threads, " cache=", e.cache_plans ? 1 : 0,
-             " keyed=", e.keyed_channels ? 1 : 0,
-             " kernels=", e.compiled_kernels ? 1 : 0,
-             " trace=", e.trace ? 1 : 0,
+  return cat("threads=", e.threads, " trace=", e.trace ? 1 : 0,
              " sched=", e.comm_schedules ? 1 : 0,
              " jit=", e.jit ? 1 : 0);
 }
 
-/// The jit axis rides on the compiled-kernel path and keys off the plan
-/// cache; configs without both have nothing to jit. Synchronous compiles
-/// with threshold 1 make the native path deterministic inside the check.
+/// Synchronous compiles with threshold 1 make the native path
+/// deterministic inside the check.
 void arm_jit(EngineOptions& e) {
   e.jit = true;
   e.jit_sync = true;
@@ -83,7 +79,7 @@ std::string OracleReport::str() const {
                " machine runs, all configurations bit-identical\n",
                "verify paths: ",
                rt::PathCounters{fused, generic, interp, sched, jit}.str(),
-               " elements (kernel fast path vs interpreter)");
+               " elements per execution path");
   std::string out =
       cat("verify: FAIL at iteration ", failing_iter,
           " (replay: --verify --iters 1 --seed ", failing_seed, ")\n",
@@ -127,11 +123,11 @@ CheckResult Oracle::check_program(
   };
 
   // ---- sequential reference --------------------------------------------
-  // Ground truth is the pure tree-walking interpreter; the compiled
-  // sequential executor must reproduce it bit for bit.
+  // Ground truth is the sequential executor's tree-walking reference
+  // mode; its compiled-kernel mode must reproduce it bit for bit.
   std::map<std::string, std::vector<double>> ref;
   try {
-    rt::SeqExecutor seq(program, /*compiled_kernels=*/false);
+    rt::SeqExecutor seq(program, /*reference=*/true);
     load_all(seq);
     seq.run();
     ++res.runs;
@@ -141,13 +137,13 @@ CheckResult Oracle::check_program(
     return res;
   }
   try {
-    rt::SeqExecutor seqk(program, /*compiled_kernels=*/true);
+    rt::SeqExecutor seqk(program);
     load_all(seqk);
     seqk.run();
     ++res.runs;
     for (const std::string& n : names)
       if (seqk.result(n) != ref[n])
-        fail(cat("seq[kernels] diverges from seq[interp] on ", n));
+        fail(cat("seq[kernels] diverges from seq[reference] on ", n));
   } catch (const Error& e) {
     fail(cat("seq[kernels] threw: ", e.what()));
   }
@@ -155,41 +151,33 @@ CheckResult Oracle::check_program(
 
   // ---- shared-memory matrix -------------------------------------------
   for (int threads : {1, 0, 4}) {
-    for (bool cache : {true, false}) {
-      for (bool kernels : {true, false}) {
-        for (bool trace : {false, true}) {
-          for (int jit = 0; jit < 2; ++jit) {
-            // Native codegen needs the kernel path and cached plans, and
-            // is only exercised when the axis is on; everywhere else the
-            // config pins jit off for deterministic path tallies.
-            if (jit && !(jit_axis && kernels && cache)) continue;
-            for (bool sched : {true, false}) {
-            EngineOptions e;
-            e.threads = threads;
-            e.cache_plans = cache;
-            e.compiled_kernels = kernels;
-            e.trace = trace;
-            e.comm_schedules = sched;
-            e.jit = false;
-            if (jit) arm_jit(e);
-            try {
-              rt::SharedMachine m(program, {}, {}, /*elide_barriers=*/false,
-                                  e);
-              load_all(m);
-              m.run();
-              ++res.runs;
-              tally(m.path_counters());
-              for (const std::string& n : names)
-                if (m.result(n) != ref[n])
-                  fail(cat("shared[", describe_engine(e),
-                           "] diverges from seq on ", n));
-            } catch (const Error& e2) {
-              fail(cat("shared[", describe_engine(e), "] threw: ",
-                       e2.what()));
-            }
-            if (!res.ok) return res;
-            }
+    for (bool trace : {false, true}) {
+      for (int jit = 0; jit < 2; ++jit) {
+        // Native codegen is only exercised when the axis is on;
+        // everywhere else the config pins jit off for deterministic path
+        // tallies.
+        if (jit && !jit_axis) continue;
+        for (bool sched : {true, false}) {
+          EngineOptions e;
+          e.threads = threads;
+          e.trace = trace;
+          e.comm_schedules = sched;
+          e.jit = false;
+          if (jit) arm_jit(e);
+          try {
+            rt::SharedMachine m(program, {}, {}, /*elide_barriers=*/false, e);
+            load_all(m);
+            m.run();
+            ++res.runs;
+            tally(m.path_counters());
+            for (const std::string& n : names)
+              if (m.result(n) != ref[n])
+                fail(cat("shared[", describe_engine(e),
+                         "] diverges from seq on ", n));
+          } catch (const Error& e2) {
+            fail(cat("shared[", describe_engine(e), "] threw: ", e2.what()));
           }
+          if (!res.ok) return res;
         }
       }
     }
@@ -292,43 +280,34 @@ CheckResult Oracle::check_program(
 
   // ---- engine matrix: every configuration bit-identical ----------------
   for (int threads : {1, 0, 4}) {
-    for (bool cache : {true, false}) {
-      for (bool keyed : {false, true}) {
-        for (bool kernels : {true, false}) {
-          for (bool trace : {false, true}) {
-            for (int jit = 0; jit < 2; ++jit) {
-              if (jit && !(jit_axis && kernels && cache)) continue;
-              for (bool sched : {true, false}) {
-              EngineOptions e;
-              e.threads = threads;
-              e.cache_plans = cache;
-              e.keyed_channels = keyed;
-              e.compiled_kernels = kernels;
-              e.trace = trace;
-              e.comm_schedules = sched;
-              e.jit = false;
-              if (jit) arm_jit(e);
-              std::string tag = cat("dist[", describe_engine(e), "]");
-              try {
-                DistMachine m(program, {}, {}, e);
-                load_all(m);
-                m.run();
-                ++res.runs;
-                tally(m.path_counters());
-                for (const std::string& n : names)
-                  if (m.gather(n) != ref[n])
-                    fail(cat(tag, " diverges from seq on ", n));
-                std::string sd = diff_stats(m.stats(), st);
-                if (!sd.empty()) fail(cat(tag, " stats diverge: ", sd));
-                if (m.message_matrix() != base.message_matrix())
-                  fail(cat(tag, " message matrix diverges"));
-              } catch (const Error& e2) {
-                fail(cat(tag, " threw: ", e2.what()));
-              }
-              if (!res.ok) return res;
-              }
-            }
+    for (bool trace : {false, true}) {
+      for (int jit = 0; jit < 2; ++jit) {
+        if (jit && !jit_axis) continue;
+        for (bool sched : {true, false}) {
+          EngineOptions e;
+          e.threads = threads;
+          e.trace = trace;
+          e.comm_schedules = sched;
+          e.jit = false;
+          if (jit) arm_jit(e);
+          std::string tag = cat("dist[", describe_engine(e), "]");
+          try {
+            DistMachine m(program, {}, {}, e);
+            load_all(m);
+            m.run();
+            ++res.runs;
+            tally(m.path_counters());
+            for (const std::string& n : names)
+              if (m.gather(n) != ref[n])
+                fail(cat(tag, " diverges from seq on ", n));
+            std::string sd = diff_stats(m.stats(), st);
+            if (!sd.empty()) fail(cat(tag, " stats diverge: ", sd));
+            if (m.message_matrix() != base.message_matrix())
+              fail(cat(tag, " message matrix diverges"));
+          } catch (const Error& e2) {
+            fail(cat(tag, " threw: ", e2.what()));
           }
+          if (!res.ok) return res;
         }
       }
     }
@@ -339,12 +318,11 @@ CheckResult Oracle::check_program(
   // must reproduce the serial simulator bit for bit ----------------------
 #if defined(__linux__)
   if (proc_axis && !source.empty()) {
-    for (bool keyed : {false, true}) {
+    for (bool trace : {false, true}) {
       EngineOptions e;
       e.threads = 1;
       e.jit = false;
-      e.keyed_channels = keyed;
-      e.trace = keyed;  // the second config also exercises trace shipping
+      e.trace = trace;  // the second config also exercises trace shipping
       std::string tag = cat("proc[", describe_engine(e), "]");
       try {
         proc::ProcMachine m(source, {}, {}, e);

@@ -2,19 +2,17 @@
 //
 // The paper's claims are about *which* indices each node iterates and
 // *which* messages flow (Theorems 1-3, Table I); the engine's claim is
-// that none of its fast paths — thread pools, plan caching, bulk or
-// keyed message matching — change any observable. The oracle machine-
-// checks both: it runs a program through the sequential reference, the
-// shared-memory machine, and the distributed machine under the full
-// engine matrix
+// that none of its fast paths — compiled clause kernels, thread pools,
+// compiled communication schedules, jitted native code — change any
+// observable. The oracle machine-checks both: it runs a program through
+// the sequential reference (the tree-walking ground truth, then its
+// compiled-kernel mode), the shared-memory machine, and the distributed
+// machine under the full engine matrix
 //
 //     threads in {serial, shared pool, 4 lanes}
-//   x plan cache {on, off}
-//   x channel matching {bulk binary-search, keyed hash}
-//   x clause execution {compiled kernels, interpreter}
 //   x event tracing {off, on}
 //   x communication schedules {on, off}
-//   x native jit {off, synchronously compiled} (where kernels+cache on)
+//   x native jit {off, synchronously compiled} (with the jit axis)
 //   x build {optimized, run-time resolution}
 //
 // plus two opt-in axes: the multi-process backend (--proc) and the
@@ -57,8 +55,9 @@ struct CheckResult {
   std::string diagnostics;  // first divergence / violated invariant
   // Execution-path tally over every machine run: how many elements went
   // through a fused strided kernel loop, the per-element kernel path,
-  // the tree-walking interpreter, compiled-schedule replay, and jitted
-  // native code (see rt::PathCounters).
+  // the tree-walking interpreter (0: dist and shared have none),
+  // compiled-schedule replay, and jitted native code (see
+  // rt::PathCounters).
   std::int64_t fused = 0;
   std::int64_t generic = 0;
   std::int64_t interp = 0;
@@ -71,8 +70,8 @@ struct CheckResult {
 struct OracleOptions {
   int iters = 100;
   std::uint64_t seed = 1;
-  /// Include the jit engine axis (synchronous native compiles where the
-  /// kernel path is on). --no-jit turns it off; configs without the
+  /// Include the jit engine axis (synchronous native compiles of affine
+  /// clauses). --no-jit turns it off; configs without the
   /// axis always pin jit off for deterministic path tallies.
   bool jit_axis = true;
   /// Include the multi-process backend axis: every distributed program

@@ -229,16 +229,14 @@ TEST(Cli, ServeRoundTripMatchesDirectAndShutsDown) {
 
 TEST(Cli, EngineFlagsDoNotChangeResults) {
   // No --stats here: the "paths:" tally legitimately moves between the
-  // kernel and interpreter columns when --no-compiled-kernels is given.
+  // schedule and jit columns with these flags.
   std::string base = "--init B --print A " + programs() + "/rotate.vexl";
   RunResult plain = run(base);
   ASSERT_EQ(plain.status, 0) << plain.out;
   for (const char* flags :
-       {"--threads 1", "--threads 4", "--no-plan-cache",
-        "--keyed-channels", "--no-compiled-kernels",
-        "--no-comm-schedules", "--no-jit", "--jit-threshold 1 --jit-sync",
-        "--threads 1 --no-plan-cache --keyed-channels "
-        "--no-compiled-kernels --no-comm-schedules --no-jit"}) {
+       {"--threads 1", "--threads 4", "--no-comm-schedules", "--no-jit",
+        "--jit-threshold 1 --jit-sync",
+        "--threads 1 --no-comm-schedules --no-jit"}) {
     RunResult r = run(std::string(flags) + " " + base);
     EXPECT_EQ(r.status, 0) << flags << "\n" << r.out;
     EXPECT_EQ(r.out, plain.out) << flags;
@@ -396,6 +394,28 @@ TEST(Cli, ErrorExitCodes) {
   std::ofstream(ok) << "array A[0:9]; forall i in 0:9 do A[i] := 1; od\n";
   RunResult fault = run("--init ZZZ " + ok);
   EXPECT_EQ(fault.status, 3);
+
+  // A constant-zero subscript divisor is a compile error, not a fault.
+  std::string zero = dir + "/zero.vexl";
+  std::ofstream(zero)
+      << "array A[0:9]; array B[0:9];\n"
+         "forall i in 0:9 do A[i] := B[i mod 0]; od\n";
+  RunResult z = run("--init B " + zero);
+  EXPECT_EQ(z.status, 2) << z.out;
+  EXPECT_TRUE(has(z.out, "by constant zero")) << z.out;
+}
+
+TEST(Cli, RemovedEngineFlagsAreRejected) {
+  // Plan caching and compiled kernels are unconditional and message
+  // matching has one representation: their old switches are usage
+  // errors now.
+  std::string file = programs() + "/rotate.vexl";
+  for (const char* flag :
+       {"--no-plan-cache", "--keyed-channels", "--no-compiled-kernels"}) {
+    RunResult r = run(std::string(flag) + " --init B " + file);
+    EXPECT_EQ(r.status, 1) << flag << "\n" << r.out;
+    EXPECT_EQ(vcalc_cli::find_flag(flag), nullptr) << flag;
+  }
 }
 
 }  // namespace

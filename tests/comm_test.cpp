@@ -163,28 +163,16 @@ TEST(CommSchedule, ArmedFaultForcesTaggedFallback) {
   EXPECT_EQ(stalled.comm.sched_fallbacks, 1);
 }
 
-TEST(CommSchedule, NoPlanCacheDisablesSchedules) {
-  EngineOptions e;
-  e.cache_plans = false;
-  DistRun r = run_dist(repeat_src(5), e);
-  EXPECT_EQ(r.comm.sched_builds, 0);
-  EXPECT_EQ(r.comm.sched_hits, 0);
-  EXPECT_EQ(r.comm.sched_fallbacks, 5);  // counted once per clause step
-  DistRun base = run_dist(repeat_src(5), {});
-  expect_same_observables(base, r);
-}
-
-TEST(CommSchedule, ComposesWithKeyedChannelsAndInterpreter) {
-  DistRun base = run_dist(repeat_src(6), {});
-  for (int variant = 0; variant < 3; ++variant) {
-    EngineOptions e;
-    e.keyed_channels = variant != 1;
-    e.compiled_kernels = variant != 0;
-    DistRun r = run_dist(repeat_src(6), e);
-    expect_same_observables(base, r);
-    EXPECT_EQ(r.comm.sched_builds, 1) << variant;
-    EXPECT_EQ(r.comm.sched_hits, 4) << variant;
-  }
+TEST(CommSchedule, NonAffineClausesRecordAndReplayThroughTheKernel) {
+  // The rotate read is affine-mod: the tagged passes run the kernel's
+  // generic records and the replays its bytecode RHS — no tree walk on
+  // either side of the inspector/executor split.
+  DistRun r = run_dist(repeat_src(6), {});
+  EXPECT_EQ(r.comm.sched_builds, 1);
+  EXPECT_EQ(r.comm.sched_hits, 4);
+  EXPECT_EQ(r.paths.interp, 0);
+  EXPECT_GT(r.paths.generic, 0);
+  EXPECT_GT(r.paths.sched, 0);
 }
 
 TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {

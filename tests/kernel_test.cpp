@@ -12,7 +12,10 @@
 #include <optional>
 #include <vector>
 
+#include "lang/translate.hpp"
 #include "rt/dist_machine.hpp"
+#include "rt/seq_executor.hpp"
+#include "rt/shared_machine.hpp"
 #include "spmd/clause_plan.hpp"
 #include "spmd/kernel.hpp"
 
@@ -163,41 +166,99 @@ TEST(ClauseKernel, AffineSubscriptsAreRecognized) {
   ClauseKernel k =
       ClauseKernel::compile(one_ref_clause(lhs, 0, ref, 0));
   ASSERT_TRUE(k.affine());
-  ASSERT_EQ(k.lhs_subs().size(), 1u);
-  ASSERT_EQ(k.ref_subs(0).size(), 1u);
+  ASSERT_EQ(k.lhs_subs().affine.size(), 1u);
+  ASSERT_EQ(k.ref_subs(0).affine.size(), 1u);
+  EXPECT_TRUE(k.lhs_subs().generic.empty());
+  EXPECT_TRUE(k.ref_subs(0).generic.empty());
   for (i64 i = -5; i <= 15; ++i) {
-    EXPECT_EQ(k.lhs_subs()[0].at(&i), fn::eval(lhs, i)) << i;
-    EXPECT_EQ(k.ref_subs(0)[0].at(&i), fn::eval(ref, i)) << i;
+    EXPECT_EQ(k.lhs_subs().affine[0].at(&i), fn::eval(lhs, i)) << i;
+    EXPECT_EQ(k.ref_subs(0).affine[0].at(&i), fn::eval(ref, i)) << i;
   }
-  EXPECT_EQ(k.lhs_subs()[0].loop, 0);
-  EXPECT_EQ(k.lhs_subs()[0].a, 2);
-  EXPECT_EQ(k.lhs_subs()[0].c, 1);
-  EXPECT_EQ(k.ref_subs(0)[0].a, -1);
-  EXPECT_EQ(k.ref_subs(0)[0].c, 10);
+  EXPECT_EQ(k.lhs_subs().affine[0].loop, 0);
+  EXPECT_EQ(k.lhs_subs().affine[0].a, 2);
+  EXPECT_EQ(k.lhs_subs().affine[0].c, 1);
+  EXPECT_EQ(k.ref_subs(0).affine[0].a, -1);
+  EXPECT_EQ(k.ref_subs(0).affine[0].c, 10);
 }
 
 TEST(ClauseKernel, ConstantSubscriptPinsTheDimension) {
   ClauseKernel k = ClauseKernel::compile(
       one_ref_clause(fn::var(), 0, fn::cnst(5), -1));
   ASSERT_TRUE(k.affine());
-  const AffineSub& s = k.ref_subs(0)[0];
+  const AffineSub& s = k.ref_subs(0).affine[0];
   EXPECT_LT(s.loop, 0);
   i64 any = 123;
   EXPECT_EQ(s.at(&any), 5);
 }
 
-TEST(ClauseKernel, ModularSubscriptDisablesAffinePath) {
+TEST(ClauseKernel, ModularSubscriptLowersToAGenericRecord) {
   // B[(i+6) mod 20]: a scatter-style wrap is not an affine progression,
-  // so the kernel must report !affine() while the bytecode stays usable.
+  // so the kernel reports !affine() (no strided runs, no JIT) while the
+  // bytecode and the subscript records stay usable.
   fn::SymPtr wrap = fn::mod(fn::add(fn::var(), fn::cnst(6)), fn::cnst(20));
   prog::Clause c = one_ref_clause(fn::var(), 0, wrap, 0);
   c.rhs = prog::mul(prog::ref(0), prog::number(3.0));
   ClauseKernel k = ClauseKernel::compile(c);
   EXPECT_FALSE(k.affine());
+  EXPECT_TRUE(k.lhs_subs().generic.empty());
+  ASSERT_EQ(k.ref_subs(0).generic.size(), 1u);
+  EXPECT_EQ(k.ref_subs(0).generic[0].dim, 0u);
+  EXPECT_EQ(k.ref_subs(0).generic[0].loop, 0);
   std::vector<double> stack(static_cast<std::size_t>(k.stack_need()));
   std::vector<double> refs = {7.0};
   EXPECT_TRUE(same_bits(k.rhs().eval(refs.data(), nullptr, stack.data()),
                         prog::eval(c.rhs, refs, {})));
+}
+
+TEST(ClauseKernel, GenericRecordsMatchTheReferenceSubscripts) {
+  // Every non-affine shape the classifier knows (affine-mod with
+  // negative operands, floor division, monotone and opaque compositions)
+  // in a 2-D clause whose dimensions mix affine, constant and generic
+  // records. subs_into must equal prog::eval_subs_into element for
+  // element, over ranges that drive mod/div operands negative.
+  using fn::add;
+  using fn::cnst;
+  using fn::intdiv;
+  using fn::mod;
+  using fn::mul;
+  using fn::sub;
+  using fn::var;
+  const std::vector<fn::SymPtr> shapes = {
+      mod(add(var(), cnst(6)), cnst(20)),             // affine-mod
+      mod(sub(cnst(3), mul(cnst(2), var())), cnst(7)),  // negative operand
+      intdiv(var(), cnst(3)),                         // floor division
+      intdiv(sub(cnst(-5), var()), cnst(4)),          // negative dividend
+      add(mod(var(), cnst(5)), intdiv(var(), cnst(2))),  // opaque
+      mul(var(), var()),                              // monotone
+  };
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    prog::Clause c;
+    c.loops = {{"i", -12, 12}, {"j", -9, 9}};
+    c.lhs_array = "A";
+    c.lhs_subs = {{0, shapes[k]}, {1, fn::add(fn::var(), fn::cnst(2))}};
+    c.refs.push_back({"B", {{1, shapes[k]}, {-1, cnst(4)}}});
+    c.refs.push_back(
+        {"C", {{0, fn::var()}, {1, shapes[(k + 1) % shapes.size()]}}});
+    c.rhs = prog::add(prog::ref(0), prog::ref(1));
+    ClauseKernel kern = ClauseKernel::compile(c);
+    EXPECT_FALSE(kern.affine()) << k;
+    std::vector<i64> got, want;
+    for (i64 i = -12; i <= 12; ++i) {
+      for (i64 j = -9; j <= 9; ++j) {
+        std::vector<i64> vals = {i, j};
+        ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), got);
+        prog::eval_subs_into(c.lhs_subs, vals, want);
+        EXPECT_EQ(got, want) << "lhs k=" << k << " i=" << i << " j=" << j;
+        for (int r = 0; r < 2; ++r) {
+          ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), got);
+          prog::eval_subs_into(c.refs[static_cast<std::size_t>(r)].subs,
+                               vals, want);
+          EXPECT_EQ(got, want)
+              << "ref " << r << " k=" << k << " i=" << i << " j=" << j;
+        }
+      }
+    }
+  }
 }
 
 TEST(ClauseKernel, GuardCompilesAlongsideRhs) {
@@ -526,7 +587,6 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
 
     rt::EngineOptions e;
     e.threads = 1;  // inline on the caller: deterministic accounting
-    e.compiled_kernels = true;
     rt::DistMachine m(p, {}, {}, e);
     m.load("B", iota(n));
     g_new_calls = 0;
@@ -542,6 +602,44 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
   EXPECT_LE(std::llabs(big - small), 32)
       << "allocations scale with n: n=512 -> " << small
       << ", n=4096 -> " << big;
+}
+
+// --- non-affine clauses on the parallel machines ----------------------
+
+TEST(GenericPath, ModularClauseRunsThroughTheKernelOnDistAndShared) {
+  // A rotate read B[(i+k) mod n] is affine-mod, not affine: no strided
+  // runs, but every element still runs through the kernel's generic
+  // records — never a tree walk — and matches the reference executor.
+  // The clause repeats, so the schedule recording and replay steps run
+  // the kernel RHS as well.
+  std::string src =
+      "processors 4;\narray A[0:39]; array B[0:39];\n"
+      "distribute A block; distribute B scatter;\n";
+  for (int t = 0; t < 3; ++t)
+    src += "forall i in 0:39 do A[i] := B[(i + 13) mod 40]*2 + 1; od\n";
+  spmd::Program p = lang::compile(src);
+
+  rt::SeqExecutor ref(p, /*reference=*/true);
+  ref.load("B", iota(40));
+  ref.run();
+
+  rt::EngineOptions e;
+  e.jit = false;
+  rt::DistMachine dist(p, {}, {}, e);
+  dist.load("B", iota(40));
+  dist.run();
+  EXPECT_EQ(dist.gather("A"), ref.result("A"));
+  EXPECT_EQ(dist.path_counters().interp, 0);
+  EXPECT_GT(dist.path_counters().generic, 0);
+  EXPECT_GT(dist.path_counters().sched, 0);
+
+  rt::SharedMachine shared(p, {}, {}, /*elide_barriers=*/false, e);
+  shared.load("B", iota(40));
+  shared.run();
+  EXPECT_EQ(shared.result("A"), ref.result("A"));
+  EXPECT_EQ(shared.path_counters().interp, 0);
+  EXPECT_GT(shared.path_counters().generic, 0);
+  EXPECT_GT(shared.path_counters().sched, 0);
 }
 
 }  // namespace

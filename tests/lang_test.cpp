@@ -287,6 +287,28 @@ TEST(Translate, Rejections) {
                SemanticError);
 }
 
+TEST(Translate, ConstantZeroDivisorInSubscriptIsASemanticError) {
+  for (const char* op : {"mod", "div"}) {
+    std::string src = cat("array A[0:9]; array B[0:9];\n",
+                          "forall i in 0:9 do A[i] := B[i ", op, " 0]; od\n");
+    try {
+      compile(src);
+      ADD_FAILURE() << op << " 0 compiled";
+    } catch (const SemanticError& e) {
+      std::string msg = e.what();
+      EXPECT_NE(msg.find(cat("'", op, "' by constant zero")),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("(at 2:"), std::string::npos) << msg;
+    }
+    // A folded zero (1 - 1) is rejected the same way, on the LHS too.
+    EXPECT_THROW(compile(cat("array A[0:9];\nforall i in 0:9 do A[i ", op,
+                             " (1 - 1)] := 0; od\n")),
+                 SemanticError)
+        << op;
+  }
+}
+
 TEST(Views, RotateViewLowersToBaseAccess) {
   // A view is pure aliasing: R[i] reads/writes A[(i+6) mod 20].
   spmd::Program p = compile(R"(

@@ -123,14 +123,8 @@ TEST(ProcMachine, HaloAndRedistributeParity) {
 }
 
 TEST(ProcMachine, EngineKnobsStayBitIdentical) {
-  rt::EngineOptions keyed;
-  keyed.keyed_channels = true;
-  expect_parity(rotate_source(4), {{"B", ramp(20)}}, {"A"}, keyed);
-
   rt::EngineOptions assorted;
   assorted.threads = 3;
-  assorted.cache_plans = false;
-  assorted.compiled_kernels = false;
   assorted.comm_schedules = false;
   expect_parity(halo_redist_source(4), {{"U", ramp(32)}}, {"U"}, assorted);
 }
@@ -320,9 +314,6 @@ TEST(ProcJob, RoundTripsEveryField) {
   job.build.force_runtime_resolution = true;
   job.build.max_pieces = 17;
   job.engine.threads = 5;
-  job.engine.cache_plans = false;
-  job.engine.keyed_channels = true;
-  job.engine.compiled_kernels = false;
   job.engine.comm_schedules = false;
   job.engine.trace = true;
   job.engine.trace_capacity = 999;
@@ -382,11 +373,6 @@ TEST(ProcJob, OptionsEchoPinsEveryPropagatedField) {
          [](JobSpec& j) { j.build.force_runtime_resolution ^= true; });
   mutate("max_pieces", [](JobSpec& j) { j.build.max_pieces += 1; });
   mutate("threads", [](JobSpec& j) { j.engine.threads += 1; });
-  mutate("cache_plans", [](JobSpec& j) { j.engine.cache_plans ^= true; });
-  mutate("keyed_channels",
-         [](JobSpec& j) { j.engine.keyed_channels ^= true; });
-  mutate("compiled_kernels",
-         [](JobSpec& j) { j.engine.compiled_kernels ^= true; });
   mutate("comm_schedules",
          [](JobSpec& j) { j.engine.comm_schedules ^= true; });
   mutate("trace", [](JobSpec& j) { j.engine.trace ^= true; });

@@ -750,47 +750,40 @@ TEST(Engine, ThreadPoolSizeDoesNotChangeObservables) {
 }
 
 TEST(Engine, PlanCacheSurvivesRepeatsAndInvalidatesOnRedistribute) {
-  // clause; redistribute B; same clause again — the epoch bump must
-  // rebuild the plan against the new layout, reproducing exactly what
-  // the uncached engine computes (gathered values AND fresh message
-  // counts), while the identical pre-redistribution repeat hits.
-  auto make = [] {
-    Program p = shift_program(32, 4, Decomp1D::Kind::Block,
-                              Decomp1D::Kind::Block);
-    prog::Clause c = std::get<prog::Clause>(p.steps[0]);
-    p.steps.emplace_back(c);  // repeat: cache hit
-    p.steps.emplace_back(RedistStep{
-        "B", ArrayDesc::distributed(
-                 "B", {0}, {31},
-                 DecompND({Decomp1D::scatter(32, 4)}))});
-    p.steps.emplace_back(c);  // stale plan would misroute every send
-    return p;
-  };
+  // clause; clause again; redistribute B; same clause again — the epoch
+  // bump must rebuild the plan against the new layout while the
+  // identical pre-redistribution repeat hits. A stale plan would
+  // misroute every send after the redistribute.
+  Program p = shift_program(32, 4, Decomp1D::Kind::Block,
+                            Decomp1D::Kind::Block);
+  prog::Clause c = std::get<prog::Clause>(p.steps[0]);
+  p.steps.emplace_back(c);  // repeat: cache hit
+  p.steps.emplace_back(RedistStep{
+      "B", ArrayDesc::distributed("B", {0}, {31},
+                                  DecompND({Decomp1D::scatter(32, 4)}))});
+  p.steps.emplace_back(c);
 
-  EngineOptions cached;
-  cached.cache_plans = true;
-  DistMachine with(make(), {}, {}, cached);
-  with.load("B", iota(32));
-  with.run();
+  SeqExecutor seq(p, /*reference=*/true);
+  seq.load("B", iota(32));
+  seq.run();
+  DistMachine dist(p);
+  dist.load("B", iota(32));
+  dist.run();
+  EXPECT_EQ(dist.gather("A"), seq.result("A"));
+  EXPECT_EQ(dist.gather("B"), seq.result("B"));
 
-  EngineOptions uncached;
-  uncached.cache_plans = false;
-  DistMachine without(make(), {}, {}, uncached);
-  without.load("B", iota(32));
-  without.run();
+  // Block/block: only A[7], A[15], A[23] read across a rank boundary (3
+  // messages per clause). The redistribute moves the 24 elements whose
+  // block and scatter owners differ. Block A against scatter B then
+  // leaves 8 of the 31 reads local (i+1 ≡ i div 8 mod 4): 23 messages.
+  EXPECT_EQ(dist.stats().remote_reads, 3 + 3 + 23);
+  EXPECT_EQ(dist.stats().redist_messages, 24);
+  EXPECT_EQ(dist.stats().messages, 3 + 3 + 24 + 23);
+  EXPECT_EQ(dist.stats().steps, 4);
 
-  EXPECT_EQ(with.gather("A"), without.gather("A"));
-  EXPECT_EQ(with.gather("B"), without.gather("B"));
-  expect_same_stats(with.stats(), without.stats(), "cache vs rebuild");
-  EXPECT_EQ(with.message_matrix(), without.message_matrix());
-
-  // The post-redistribution clause pays messages (block vs scatter
-  // mismatch) that the aligned pre-redistribution clauses did not.
-  EXPECT_GT(with.stats().messages, 0);
-
-  EXPECT_EQ(with.plan_cache().misses(), 2);  // one per epoch
-  EXPECT_EQ(with.plan_cache().hits(), 1);    // the repeat
-  EXPECT_EQ(with.plan_cache().epoch(), 1u);
+  EXPECT_EQ(dist.plan_cache().misses(), 2);  // one per epoch
+  EXPECT_EQ(dist.plan_cache().hits(), 1);    // the repeat
+  EXPECT_EQ(dist.plan_cache().epoch(), 1u);
 }
 
 TEST(Engine, BulkMessagesBoundedByRankPairs) {
@@ -842,10 +835,9 @@ TEST(Engine, SharedMachineMatchesAcrossPoolSizes) {
 }
 
 TEST(Engine, FullOptionMatrixIsBitIdentical) {
-  // Regression net over the whole engine-option space: threads in
-  // {serial, shared pool, 4 lanes} x plan cache {on, off} x channel
-  // matching {bulk, keyed} x clause execution {kernels, interpreter}
-  // must agree with the serial baseline on results, statistics, and the
+  // Regression net over the engine-option space: threads in {serial,
+  // shared pool, 4 lanes} x communication schedules {on, off} must
+  // agree with the serial baseline on results, statistics, and the
   // message matrix — on both a plain communicating clause and a
   // redistribute-mid-program sequence that exercises cache invalidation.
   auto scenarios = [] {
@@ -874,26 +866,19 @@ TEST(Engine, FullOptionMatrixIsBitIdentical) {
     base.run();
 
     for (int threads : {0, 1, 4}) {
-      for (bool cache : {true, false}) {
-        for (bool keyed : {false, true}) {
-          for (bool kernels : {true, false}) {
-            EngineOptions e;
-            e.threads = threads;
-            e.cache_plans = cache;
-            e.keyed_channels = keyed;
-            e.compiled_kernels = kernels;
-            DistMachine m(p, {}, {}, e);
-            m.load("B", iota(n));
-            m.run();
-            std::string where = cat("scenario=", s, " threads=", threads,
-                                    " cache=", cache, " keyed=", keyed,
-                                    " kernels=", kernels);
-            EXPECT_EQ(m.gather("A"), base.gather("A")) << where;
-            EXPECT_EQ(m.gather("B"), base.gather("B")) << where;
-            expect_same_stats(m.stats(), base.stats(), where);
-            EXPECT_EQ(m.message_matrix(), base.message_matrix()) << where;
-          }
-        }
+      for (bool sched : {true, false}) {
+        EngineOptions e;
+        e.threads = threads;
+        e.comm_schedules = sched;
+        DistMachine m(p, {}, {}, e);
+        m.load("B", iota(n));
+        m.run();
+        std::string where =
+            cat("scenario=", s, " threads=", threads, " sched=", sched);
+        EXPECT_EQ(m.gather("A"), base.gather("A")) << where;
+        EXPECT_EQ(m.gather("B"), base.gather("B")) << where;
+        expect_same_stats(m.stats(), base.stats(), where);
+        EXPECT_EQ(m.message_matrix(), base.message_matrix()) << where;
       }
     }
   }

@@ -267,6 +267,63 @@ TEST(Serve, ServedResultsMatchDirectExecutionOnEveryTarget) {
   }
 }
 
+TEST(Serve, DistAndSharedRunsOfOneProgramKeepSeparatePlanCaches) {
+  // The repeated rotate clause records a communication schedule on dist
+  // and a gather schedule on shared; both ride in plan-cache entries of
+  // the same program. Alternating targets within one session must never
+  // hand one machine kind the other's schedule.
+  std::string src =
+      "processors 4;\narray A[0:15]; array B[0:15];\n"
+      "distribute A block; distribute B scatter;\n";
+  for (int t = 0; t < 3; ++t)
+    src += "forall i in 0:15 do A[i] := B[(i + 3) mod 16]*2; od\n";
+  spmd::Program prog = lang::compile(src);
+  rt::DistMachine direct(prog, {}, {}, {});
+  direct.load("B", ramp(16));
+  direct.run();
+  rt::SharedMachine direct_shared(prog, {}, {}, false, {});
+  direct_shared.load("B", ramp(16));
+  direct_shared.run();
+
+  ServeFixture fx;
+  for (serve::Target target : {serve::Target::Dist, serve::Target::Shared,
+                               serve::Target::Dist, serve::Target::Shared}) {
+    serve::RunResult r = fx.client.run(make_req(src, target));
+    ASSERT_EQ(r.status, serve::Status::Ok) << r.error;
+    ASSERT_EQ(r.stores.size(), 1u);
+    EXPECT_EQ(r.stores[0].second, direct.gather("A"));
+    EXPECT_EQ(r.stats_line, target == serve::Target::Dist
+                                ? direct.stats().str()
+                                : direct_shared.stats().str());
+  }
+}
+
+TEST(Serve, RedistributingProgramRepeatsCorrectlyInOneSession) {
+  // A clause whose text appears both before and after a redistribute:
+  // each served run must start from the pre-redistribute layout, not
+  // from the epoch the previous run of the session ended at.
+  const char src[] =
+      "processors 4;\narray A[0:31]; array B[0:31];\n"
+      "distribute A block; distribute B block;\n"
+      "forall i in 0:30 do A[i] := B[i + 1]*2; od\n"
+      "forall i in 0:30 do A[i] := B[i + 1]*2; od\n"
+      "redistribute B scatter;\n"
+      "forall i in 0:30 do A[i] := B[i + 1]*2; od\n";
+  spmd::Program prog = lang::compile(src);
+  rt::DistMachine direct(prog, {}, {}, {});
+  direct.load("B", ramp(32));
+  direct.run();
+
+  ServeFixture fx;
+  for (int run = 0; run < 3; ++run) {
+    serve::RunResult r = fx.client.run(make_req(src));
+    ASSERT_EQ(r.status, serve::Status::Ok) << "run " << run << ": "
+                                           << r.error;
+    EXPECT_EQ(r.stores[0].second, direct.gather("A")) << "run " << run;
+    EXPECT_EQ(r.stats_line, direct.stats().str()) << "run " << run;
+  }
+}
+
 TEST(Serve, WarmRequestSkipsParseRewritePlan) {
   ServeFixture fx;
   serve::RunResult cold = fx.client.run(make_req(kTwoStep));
@@ -321,7 +378,7 @@ TEST(Serve, EngineOptionsShareTheCompiledProgram) {
   serve::RunResult a = fx.client.run(make_req(kRotate));
   serve::RunRequest req = make_req(kRotate);
   req.engine.threads = 1;
-  req.engine.compiled_kernels = false;
+  req.engine.comm_schedules = false;
   req.engine.jit = false;
   serve::RunResult b = fx.client.run(std::move(req));
   ASSERT_EQ(b.status, serve::Status::Ok) << b.error;

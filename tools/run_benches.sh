@@ -3,7 +3,7 @@
 #
 # Usage: tools/run_benches.sh [--refresh-baseline] [build-dir]
 #
-# Runs bench/engine_throughput (the kernel-vs-interpreter A/B, the
+# Runs bench/engine_throughput (the bytecode kernels per P, the
 # bytecode-vs-JIT steady-state A/B surfaced as the record's top-level
 # "jit" object, and the whole-program native backend surfaced as the
 # "native" object), bench/comm_throughput (the schedule-vs-tagged A/B),

@@ -316,14 +316,8 @@ int main(int argc, char** argv) {
     } else if (name == "--threads") {
       opt.engine.threads = std::atoi(val);
       if (opt.engine.threads < 0) return usage(argv[0]);
-    } else if (name == "--no-plan-cache") {
-      opt.engine.cache_plans = false;
     } else if (name == "--no-comm-schedules") {
       opt.engine.comm_schedules = false;
-    } else if (name == "--keyed-channels") {
-      opt.engine.keyed_channels = true;
-    } else if (name == "--no-compiled-kernels") {
-      opt.engine.compiled_kernels = false;
     } else if (name == "--no-jit") {
       opt.engine.jit = false;
     } else if (name == "--jit-threshold") {
@@ -434,7 +428,7 @@ int main(int argc, char** argv) {
       }
     };
     if (opt.target == "seq") {
-      rt::SeqExecutor machine(program, opt.engine.compiled_kernels);
+      rt::SeqExecutor machine(program);
       // The sequential executor doesn't own a tracer (it has no
       // EngineOptions); attach one here so --trace/--timeline still work.
       std::unique_ptr<obs::Tracer> tracer;

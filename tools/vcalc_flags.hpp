@@ -56,18 +56,10 @@ inline const std::vector<FlagSection>& sections() {
             "execution lanes for per-rank loops:\n"
             "0 shared pool (default), 1 serial,\n"
             "k > 1 a private pool of k lanes"},
-           {"--no-plan-cache", FlagSpec::kNone, "",
-            "recompute clause plans every execution"},
            {"--no-comm-schedules", FlagSpec::kNone, "",
             "tagged message matching every step\n"
             "instead of compiled communication\n"
             "schedules (inspector/executor)"},
-           {"--keyed-channels", FlagSpec::kNone, "",
-            "hash-indexed message matching instead of\n"
-            "packed binary search (dist target)"},
-           {"--no-compiled-kernels", FlagSpec::kNone, "",
-            "tree-walking interpreter instead of\n"
-            "compiled clause kernels"},
            {"--no-jit", FlagSpec::kNone, "",
             "never swap hot clause plans to natively\n"
             "compiled code; keep the bytecode kernels\n"
