@@ -87,6 +87,20 @@ bool ArrayDesc::in_halo(i64 p, const std::vector<i64>& idx) const {
   return right.first <= idx[0] && idx[0] <= right.second;
 }
 
+i64 ArrayDesc::halo_capacity(i64 p) const {
+  auto [llo, lhi] = halo_range(p, -1);
+  auto [rlo, rhi] = halo_range(p, 1);
+  return (lhi - llo + 1) + (rhi - rlo + 1);
+}
+
+i64 ArrayDesc::halo_slot(i64 p, i64 g) const {
+  auto [llo, lhi] = halo_range(p, -1);
+  if (llo <= g && g <= lhi) return g - llo;
+  auto [rlo, rhi] = halo_range(p, 1);
+  if (rlo <= g && g <= rhi) return (lhi - llo + 1) + (g - rlo);
+  return -1;
+}
+
 i64 ArrayDesc::lo(int d) const {
   require(d >= 0 && d < ndims(), "ArrayDesc::lo bad dimension");
   return lo_[static_cast<std::size_t>(d)];

@@ -47,6 +47,14 @@ class ArrayDesc {
   /// True when program-level index idx lies inside rank p's halo.
   bool in_halo(i64 p, const std::vector<i64>& idx) const;
 
+  /// Length of rank p's dense halo row: the left range, then the right
+  /// range, contiguous (0 without overlap).
+  i64 halo_capacity(i64 p) const;
+
+  /// Slot of program-level index g in rank p's halo row (left range
+  /// first, then right), or -1 when g lies outside p's halo.
+  i64 halo_slot(i64 p, i64 g) const;
+
   const std::string& name() const noexcept { return name_; }
   int ndims() const noexcept { return static_cast<int>(lo_.size()); }
   i64 lo(int d) const;

@@ -32,6 +32,7 @@ struct WireWriter {
 
  private:
   void put_raw(const void* p, std::size_t n) {
+    if (n == 0) return;  // p may be null (an empty vector's data())
     const auto* b = static_cast<const std::uint8_t*>(p);
     bytes.insert(bytes.end(), b, b + n);
   }
@@ -84,6 +85,8 @@ struct WireReader {
   }
   void get_raw(void* p, std::size_t n) {
     need(n);
+    if (n == 0) return;  // memcpy must not see the null data() of an
+                         // empty destination
     std::memcpy(p, data + off, n);
     off += n;
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 
 #include "decomp/redistribute.hpp"
 #include "obs/metrics.hpp"
@@ -123,78 +122,81 @@ void DistMachine::finish_step(const std::vector<RankCounters>& counters) {
 
 // Phase 0 of every clause (tagged or scheduled): every referenced array
 // with a halo gets its boundary copies refreshed with pre-clause values
-// — one bulk exchange per (owner, neighbour) pair. Near-boundary remote
-// reads in phase 2 then stay local. halos[name][rank] maps global index
-// -> cached value. `snap` is the copy-in snapshot when the clause reads
-// its own target (senders must observe pre-clause values), else null.
+// — one bulk exchange per (owner, neighbour) pair, copied as one
+// contiguous chunk of the owner's block. Near-boundary remote reads in
+// phase 2 then stay local and read the halo row by slot. `snap` is the
+// copy-in snapshot when the clause reads its own target (senders must
+// observe pre-clause values), else null.
 void DistMachine::refresh_halos(const Clause& clause, const ClausePlan& plan,
                                 const std::vector<std::vector<double>>* snap,
                                 std::vector<RankCounters>& counters,
-                                HaloTable& halos, i64 step_id) {
+                                i64 step_id) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 procs = plan.procs();
-  const int nrefs = static_cast<int>(clause.refs.size());
-  auto read_element = [&](int r, i64 rank, i64 local) -> double {
-    const std::string& name =
-        clause.refs[static_cast<std::size_t>(r)].array;
-    if (snap && name == clause.lhs_array) {
-      const auto& buf = (*snap)[static_cast<std::size_t>(rank)];
-      if (!in_range(local, 0, static_cast<i64>(buf.size()) - 1))
-        throw RuntimeFault("local read out of bounds on " + name);
-      return buf[static_cast<std::size_t>(local)];
-    }
-    return store_.read_local(name, rank, local);
-  };
-  for (int r = 0; r < nrefs; ++r) {
+  const auto pp = static_cast<std::size_t>(procs * procs);
+  for (int r = 0; r < static_cast<int>(clause.refs.size()); ++r) {
     const decomp::ArrayDesc& rd = plan.ref_desc(r);
-    if (rd.halo() == 0 || halos.count(rd.name())) continue;
-    auto& table = halos[rd.name()];
-    table.assign(static_cast<std::size_t>(procs), {});
-    // Each rank fills its own halo copies; the owner-side halo counters
-    // are cross-rank, so they accumulate in per-rank scratch rows and
-    // merge after the join (sums are order-independent).
-    std::vector<std::vector<i64>> owner_bulk(
-        static_cast<std::size_t>(procs),
-        std::vector<i64>(static_cast<std::size_t>(procs), 0));
-    std::vector<std::vector<i64>> owner_values = owner_bulk;
+    if (rd.halo() == 0) continue;
+    HaloRows& h = halos_[rd.name()];
+    if (h.step == step_id) continue;  // already refreshed via another ref
+    h.step = step_id;
+    h.rows.resize(static_cast<std::size_t>(procs));
+    const bool from_snap = snap && rd.name() == clause.lhs_array;
+    const decomp::Decomp1D& dim = rd.decomp().dim(0);  // 1-D block
+    const i64 base = rd.lo(0);
+    // Each rank fills its own halo row; the owner-side halo counters are
+    // cross-rank, so they accumulate in per-rank scratch rows and merge
+    // after the join (sums are order-independent).
+    halo_owner_bulk_.assign(pp, 0);
+    halo_owner_values_.assign(pp, 0);
     VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/0);
-    for_ranks(procs, [&](i64 p) {
+    for_ranks_t(procs, [&](i64 p) {
       VCAL_TRACE(tr, p, obs::EventKind::HaloBegin, step_id);
       RankCounters& rc = counters[static_cast<std::size_t>(p)];
-      auto& ob = owner_bulk[static_cast<std::size_t>(p)];
-      auto& ov = owner_values[static_cast<std::size_t>(p)];
+      i64* ob = halo_owner_bulk_.data() + p * procs;
+      i64* ov = halo_owner_values_.data() + p * procs;
+      std::vector<double>& row = h.rows[static_cast<std::size_t>(p)];
+      row.resize(static_cast<std::size_t>(rd.halo_capacity(p)));
+      i64 slot = 0;
       for (int side : {-1, 1}) {
         auto [hlo, hhi] = rd.halo_range(p, side);
-        if (hlo > hhi) continue;
-        i64 prev_owner = -1;
-        for (i64 g = hlo; g <= hhi; ++g) {
-          i64 owner = rd.owner({g});
-          double v = read_element(r, owner, rd.local_linear({g}));
-          table[static_cast<std::size_t>(p)][g] = v;
-          if (owner != prev_owner) {
-            // New bulk message from this owner to p.
-            ++ob[static_cast<std::size_t>(owner)];
-            ++rc.halo_bulk;
-            prev_owner = owner;
-          }
-          ++ov[static_cast<std::size_t>(owner)];
-          ++rc.halo_values;
+        // A wide halo crosses several owners' blocks: one chunk (one
+        // bulk message) per owner.
+        for (i64 g = hlo; g <= hhi;) {
+          const i64 owner = dim.proc(g - base);
+          const i64 local = dim.local(g - base);
+          const i64 len = std::min(hhi - g + 1, dim.block_size() - local);
+          const std::vector<double>& src =
+              from_snap ? (*snap)[static_cast<std::size_t>(owner)]
+                        : store_.local_row(rd.name(), owner);
+          if (local + len > static_cast<i64>(src.size()))
+            throw RuntimeFault("local read out of bounds on " + rd.name());
+          std::copy_n(src.begin() + local, len, row.begin() + slot);
+          slot += len;
+          g += len;
+          ++ob[owner];
+          ++rc.halo_bulk;
+          ov[owner] += len;
+          rc.halo_values += len;
         }
       }
       VCAL_TRACE(tr, p, obs::EventKind::HaloEnd, step_id);
     });
     VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/0);
-    for (i64 p = 0; p < procs; ++p)
-      for (i64 o = 0; o < procs; ++o) {
-        counters[static_cast<std::size_t>(o)].halo_bulk +=
-            owner_bulk[static_cast<std::size_t>(p)]
-                      [static_cast<std::size_t>(o)];
-        counters[static_cast<std::size_t>(o)].halo_values +=
-            owner_values[static_cast<std::size_t>(p)]
-                        [static_cast<std::size_t>(o)];
-      }
+    for (std::size_t i = 0; i < pp; ++i) {
+      RankCounters& oc = counters[i % static_cast<std::size_t>(procs)];
+      oc.halo_bulk += halo_owner_bulk_[i];
+      oc.halo_values += halo_owner_values_[i];
+    }
   }
+}
+
+const std::vector<double>* DistMachine::halo_row(const std::string& array,
+                                                 i64 p) const {
+  auto it = halos_.find(array);
+  return it == halos_.end() ? nullptr
+                            : &it->second.rows[static_cast<std::size_t>(p)];
 }
 
 const spmd::JitFns* DistMachine::jit_poll(const std::string& key,
@@ -328,8 +330,11 @@ void DistMachine::run_clause(const Clause& clause) {
   bool lhs_read = false;
   for (const prog::ArrayRef& r : clause.refs)
     if (r.array == clause.lhs_array) lhs_read = true;
-  std::optional<std::vector<std::vector<double>>> snap;
-  if (lhs_read) snap = store_.clone(clause.lhs_array);
+  const std::vector<std::vector<double>>* snap = nullptr;
+  if (lhs_read) {
+    store_.copy_into(clause.lhs_array, snap_);
+    snap = &snap_;
+  }
 
   // Pre-clause source row for ref r on `rank`: the copy-in snapshot when
   // the clause reads its own target, the live store row otherwise.
@@ -365,13 +370,10 @@ void DistMachine::run_clause(const Clause& clause) {
   };
 
   // ---- Phase 0: halo refresh for overlapped decompositions -----------
-  HaloTable halos;
-  refresh_halos(clause, plan, snap ? &*snap : nullptr, counters, halos,
-                step_id);
+  refresh_halos(clause, plan, snap, counters, step_id);
   auto halo_covers = [&](const decomp::ArrayDesc& rd, i64 rank,
                          const std::vector<i64>& idx) {
-    return rd.halo() > 0 && halos.count(rd.name()) &&
-           rd.in_halo(rank, idx);
+    return rd.halo() > 0 && rd.in_halo(rank, idx);
   };
 
   // ---- Phase 1: non-blocking sends (Reside_p \ Modify_p) -------------
@@ -549,8 +551,13 @@ void DistMachine::run_clause(const Clause& clause) {
     std::vector<i64> ridx, out_idx;  // per-rank scratch
     std::vector<const std::vector<double>*> rows(
         static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
+    std::vector<const std::vector<double>*> hrows(
+        static_cast<std::size_t>(nrefs));
+    for (int r = 0; r < nrefs; ++r) {
       rows[static_cast<std::size_t>(r)] = &ref_row(r, p);
+      hrows[static_cast<std::size_t>(r)] =
+          halo_row(clause.refs[static_cast<std::size_t>(r)].array, p);
+    }
     std::vector<double>& out_row =
         store_.local_row_mut(clause.lhs_array, p);
     std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
@@ -621,15 +628,13 @@ void DistMachine::run_clause(const Clause& clause) {
           if (rec) rec->note_local(p, r, local);
         } else if (halo_covers(rd, p, ridx)) {
           // Overlapped decomposition: the value is already cached in
-          // this rank's halo region.
-          const auto& cache =
-              halos.at(rd.name())[static_cast<std::size_t>(p)];
-          auto hit = cache.find(ridx[0]);
-          require(hit != cache.end(),
-                  "halo cache missing a covered element");
-          ref_values[static_cast<std::size_t>(r)] = hit->second;
+          // this rank's halo row.
+          const i64 hs = rd.halo_slot(p, ridx[0]);
+          ref_values[static_cast<std::size_t>(r)] =
+              (*hrows[static_cast<std::size_t>(r)])[static_cast<std::size_t>(
+                  hs)];
           ++rc.halo_reads;
-          if (rec) rec->note_halo(p, r, ridx[0]);
+          if (rec) rec->note_halo(p, r, hs);
         } else {
           // Blocking receive from the in-flight bulk message.
           i64 tag = kern.tag(r, vals.data());
@@ -885,8 +890,11 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
   bool lhs_read = false;
   for (const prog::ArrayRef& r : clause.refs)
     if (r.array == clause.lhs_array) lhs_read = true;
-  std::optional<std::vector<std::vector<double>>> snap;
-  if (lhs_read) snap = store_.clone(clause.lhs_array);
+  const std::vector<std::vector<double>>* snap = nullptr;
+  if (lhs_read) {
+    store_.copy_into(clause.lhs_array, snap_);
+    snap = &snap_;
+  }
 
   // Persistent scratch: sized on the first scheduled step, reused by
   // every later one (the steady state allocates nothing).
@@ -901,12 +909,10 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
   // Phase 0: live halo refresh (halo *values* change step to step; the
   // counters it accumulates are deterministic and replay verbatim below,
   // so the scratch tallies are discarded).
-  HaloTable halos;
-  refresh_halos(clause, plan, snap ? &*snap : nullptr, sched_counters_,
-                halos, step_id);
+  refresh_halos(clause, plan, snap, sched_counters_, step_id);
 
   // Resolve each ref's pre-clause source row (snapshot-aware) and halo
-  // cache on `p` into the rank's persistent scratch.
+  // row on `p` into the rank's persistent scratch.
   auto resolve_rows = [&](i64 p, ReplayScratch& rs) {
     rs.rows.resize(static_cast<std::size_t>(nrefs));
     rs.halo_rows.resize(static_cast<std::size_t>(nrefs));
@@ -917,10 +923,7 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
           (snap && name == clause.lhs_array)
               ? &(*snap)[static_cast<std::size_t>(p)]
               : &store_.local_row(name, p);
-      auto hit = halos.find(name);
-      rs.halo_rows[static_cast<std::size_t>(r)] =
-          hit == halos.end() ? nullptr
-                             : &hit->second[static_cast<std::size_t>(p)];
+      rs.halo_rows[static_cast<std::size_t>(r)] = halo_row(name, p);
     }
   };
 
@@ -981,9 +984,9 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
     // Jitted replay: execute the flattened segment program instead of
     // the per-element dispatch — constant-stride runs go through the
-    // vectorizable fused entry, irregular stretches through the gather
-    // entry. A rank with any == false (halo operand, guarded-OOB slot)
-    // keeps the bytecode loop below.
+    // vectorizable fused entry, irregular stretches (halo operands
+    // included) through the gather entry. A rank with any == false
+    // (a guarded-OOB slot) keeps the bytecode loop below.
     const spmd::JitRankProg* rp = nullptr;
     if (jfns && js) {
       const spmd::JitReplayProg* jp = js->replay_prog(sched);
@@ -992,11 +995,15 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
     }
     if (rp) {
       // Operand bases: ref rows first, then the packed buffer arriving
-      // from each source rank (matching JitRankProg's id encoding).
-      rs.bases.resize(static_cast<std::size_t>(nrefs + procs));
-      for (int r = 0; r < nrefs; ++r)
-        rs.bases[static_cast<std::size_t>(r)] =
-            rs.rows[static_cast<std::size_t>(r)]->data();
+      // from each source rank, then each ref's halo row (matching
+      // JitRankProg's id encoding).
+      rs.bases.resize(static_cast<std::size_t>(nrefs + procs + nrefs));
+      for (int r = 0; r < nrefs; ++r) {
+        const auto ur = static_cast<std::size_t>(r);
+        rs.bases[ur] = rs.rows[ur]->data();
+        rs.bases[static_cast<std::size_t>(nrefs + procs) + ur] =
+            rs.halo_rows[ur] ? rs.halo_rows[ur]->data() : nullptr;
+      }
       for (i64 s = 0; s < procs; ++s)
         rs.bases[static_cast<std::size_t>(nrefs + s)] =
             bufs[static_cast<std::size_t>(s * procs + p)].data();
@@ -1028,7 +1035,7 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
               break;
             case spmd::RefOp::Kind::Halo:
               rs.refs[static_cast<std::size_t>(r)] =
-                  rs.halo_rows[ur]->find(op.a)->second;
+                  (*rs.halo_rows[ur])[static_cast<std::size_t>(op.a)];
               break;
             case spmd::RefOp::Kind::Remote:
               rs.refs[static_cast<std::size_t>(r)] =

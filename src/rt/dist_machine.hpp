@@ -139,11 +139,6 @@ class DistMachine {
   const obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  /// halos[name][rank] maps global index -> cached pre-clause value.
-  using HaloTable =
-      std::unordered_map<std::string,
-                         std::vector<std::unordered_map<i64, double>>>;
-
   void run_clause(const prog::Clause& clause);
   /// Executor half of the inspector–executor split: replays a compiled
   /// communication schedule (positional pack into the reused comm
@@ -165,13 +160,17 @@ class DistMachine {
   void run_redistribute(const spmd::RedistStep& step);
   void finish_step(const std::vector<RankCounters>& counters);
 
-  /// Phase 0: refresh halo copies of every overlapped referenced array
+  /// Phase 0: refresh halo rows of every overlapped referenced array
   /// with pre-clause values (shared by the tagged and scheduled paths).
   void refresh_halos(const prog::Clause& clause,
                      const spmd::ClausePlan& plan,
                      const std::vector<std::vector<double>>* snap,
-                     std::vector<RankCounters>& counters, HaloTable& halos,
-                     i64 step_id);
+                     std::vector<RankCounters>& counters, i64 step_id);
+
+  /// Rank p's halo row of `array` as the last refresh left it; null when
+  /// the array has no overlap.
+  const std::vector<double>* halo_row(const std::string& array,
+                                      i64 p) const;
 
   /// Runs body(rank) for every rank, honoring engine_.threads.
   void for_ranks(i64 n, const std::function<void(i64)>& body);
@@ -230,6 +229,23 @@ class DistMachine {
   std::vector<std::vector<double>> comm_bufs_[2];
   int comm_parity_ = 0;
 
+  // Halo copies of overlapped arrays: per array, one dense row per rank
+  // (left range then right, addressed by ArrayDesc::halo_slot), refreshed
+  // in place before every clause that reads the array. `step` marks the
+  // step that last refreshed the rows, so arrays read through several
+  // refs refresh once. The owner-side counter scratch is reused too: a
+  // scheduled halo step allocates nothing.
+  struct HaloRows {
+    i64 step = -1;
+    std::vector<std::vector<double>> rows;
+  };
+  std::unordered_map<std::string, HaloRows> halos_;
+  std::vector<i64> halo_owner_bulk_, halo_owner_values_;  // procs*procs
+
+  // Copy-in snapshot of a clause's LHS array when the clause reads its
+  // own target; refilled in place each such step.
+  std::vector<std::vector<double>> snap_;
+
   // Persistent per-step and per-rank scratch for scheduled replay.
   std::vector<RankCounters> sched_counters_;
   std::vector<PathCounters> sched_pcs_;
@@ -237,7 +253,7 @@ class DistMachine {
     std::vector<double> refs;
     std::vector<double> stack;
     std::vector<const std::vector<double>*> rows;
-    std::vector<const std::unordered_map<i64, double>*> halo_rows;
+    std::vector<const std::vector<double>*> halo_rows;
     std::vector<const double*> bases;  // jitted replay operand bases
   };
   std::vector<ReplayScratch> replay_scratch_;

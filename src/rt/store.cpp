@@ -1,5 +1,7 @@
 #include "rt/store.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
 
 namespace vcal::rt {
@@ -68,36 +70,97 @@ void DistStore::declare(const ArrayDesc& desc) {
         static_cast<std::size_t>(desc.local_capacity(p)), 0.0);
 }
 
+namespace {
+
+/// Calls copy(local, dense, len) for every maximal run of rank p's local
+/// slots, in local-slot order, whose elements sit at consecutive offsets
+/// of the dense row-major image. Each dimension's local coordinates map
+/// to global ones through Decomp1D::global once per rank; the innermost
+/// dimension splits into runs of consecutive global indices (whole
+/// blocks), so no element pays an owner()/local_linear() evaluation.
+template <typename F>
+void for_each_local_run(const ArrayDesc& desc, i64 p, F&& copy) {
+  const decomp::DecompND& dn = desc.decomp();
+  const auto nd = static_cast<std::size_t>(dn.ndims());
+  const std::vector<i64> shape = dn.local_shape(p);
+  const std::vector<i64> coords = dn.grid().coords(p);
+  for (i64 s : shape)
+    if (s == 0) return;  // idle rank
+  // off[d][l]: dense offset contributed by local coordinate l of dim d.
+  std::vector<std::vector<i64>> off(nd);
+  i64 stride = 1;
+  for (std::size_t d = nd; d-- > 0;) {
+    const decomp::Decomp1D& dim = dn.dim(static_cast<int>(d));
+    off[d].resize(static_cast<std::size_t>(shape[d]));
+    for (i64 l = 0; l < shape[d]; ++l)
+      off[d][static_cast<std::size_t>(l)] = dim.global(coords[d], l) * stride;
+    stride *= desc.size(static_cast<int>(d));
+  }
+  const std::vector<i64>& inner = off[nd - 1];
+  const i64 width = shape[nd - 1];
+  std::vector<std::pair<i64, i64>> runs;  // (first local slot, length)
+  for (i64 l = 0; l < width;) {
+    i64 e = l + 1;
+    while (e < width && inner[static_cast<std::size_t>(e)] ==
+                            inner[static_cast<std::size_t>(e - 1)] + 1)
+      ++e;
+    runs.emplace_back(l, e - l);
+    l = e;
+  }
+  // Odometer over the outer local coordinates, one local row at a time.
+  std::vector<i64> loc(nd, 0);
+  for (i64 row = 0;; row += width) {
+    i64 base = 0;
+    for (std::size_t d = 0; d + 1 < nd; ++d)
+      base += off[d][static_cast<std::size_t>(loc[d])];
+    for (const auto& [l0, len] : runs)
+      copy(row + l0, base + inner[static_cast<std::size_t>(l0)], len);
+    std::size_t d = nd - 1;
+    while (d > 0 && ++loc[d - 1] == shape[d - 1]) loc[--d] = 0;
+    if (d == 0) return;
+  }
+}
+
+}  // namespace
+
 void DistStore::load(const ArrayDesc& desc,
                      const std::vector<double>& dense) {
   require(static_cast<i64>(dense.size()) == desc.total(),
           "DistStore::load size mismatch for " + desc.name());
-  declare(desc);
-  auto& bufs = buffers_[desc.name()];
-  decomp::for_each_index(desc, [&](const std::vector<i64>& idx) {
-    double v = dense[static_cast<std::size_t>(desc.dense_linear(idx))];
-    i64 local = desc.local_linear(idx);
+  // The buffers are normally already declared at this shape; every local
+  // slot is overwritten below, so there is nothing to zero.
+  auto it = buffers_.find(desc.name());
+  bool shaped = it != buffers_.end();
+  for (i64 p = 0; shaped && p < procs_; ++p)
+    shaped = static_cast<i64>(it->second[static_cast<std::size_t>(p)]
+                                  .size()) == desc.local_capacity(p);
+  if (!shaped) {
+    declare(desc);
+    it = buffers_.find(desc.name());
+  }
+  for (i64 p = 0; p < procs_; ++p) {
+    std::vector<double>& buf = it->second[static_cast<std::size_t>(p)];
     if (desc.is_replicated()) {
-      for (i64 p = 0; p < procs_; ++p)
-        bufs[static_cast<std::size_t>(p)][static_cast<std::size_t>(local)] =
-            v;
-    } else {
-      bufs[static_cast<std::size_t>(desc.owner(idx))]
-          [static_cast<std::size_t>(local)] = v;
+      std::copy(dense.begin(), dense.end(), buf.begin());
+      continue;
     }
-  });
+    for_each_local_run(desc, p, [&](i64 local, i64 at, i64 len) {
+      std::copy_n(dense.begin() + at, len, buf.begin() + local);
+    });
+  }
 }
 
 std::vector<double> DistStore::gather(const ArrayDesc& desc) const {
   auto it = buffers_.find(desc.name());
   require(it != buffers_.end(), "DistStore: undeclared " + desc.name());
+  if (desc.is_replicated()) return it->second.front();
   std::vector<double> dense(static_cast<std::size_t>(desc.total()), 0.0);
-  decomp::for_each_index(desc, [&](const std::vector<i64>& idx) {
-    i64 rank = desc.is_replicated() ? 0 : desc.owner(idx);
-    dense[static_cast<std::size_t>(desc.dense_linear(idx))] =
-        it->second[static_cast<std::size_t>(rank)]
-                  [static_cast<std::size_t>(desc.local_linear(idx))];
-  });
+  for (i64 p = 0; p < procs_; ++p) {
+    const std::vector<double>& buf = it->second[static_cast<std::size_t>(p)];
+    for_each_local_run(desc, p, [&](i64 local, i64 at, i64 len) {
+      std::copy_n(buf.begin() + local, len, dense.begin() + at);
+    });
+  }
   return dense;
 }
 
@@ -135,11 +198,14 @@ void DistStore::write_local(const std::string& name, i64 rank, i64 local,
   buf[static_cast<std::size_t>(local)] = value;
 }
 
-std::vector<std::vector<double>> DistStore::clone(
-    const std::string& name) const {
+void DistStore::copy_into(const std::string& name,
+                          std::vector<std::vector<double>>& out) const {
   auto it = buffers_.find(name);
-  require(it != buffers_.end(), "DistStore: undeclared " + name);
-  return it->second;
+  if (it == buffers_.end())
+    throw InternalError("DistStore: undeclared " + name);
+  out.resize(it->second.size());
+  for (std::size_t p = 0; p < out.size(); ++p)
+    out[p].assign(it->second[p].begin(), it->second[p].end());
 }
 
 void DistStore::replace(const std::string& name,

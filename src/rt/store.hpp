@@ -50,11 +50,13 @@ class DistStore {
   void declare(const decomp::ArrayDesc& desc);
 
   /// Scatters a dense row-major image across the local buffers
-  /// (replicated arrays: every rank receives the full image).
+  /// (replicated arrays: every rank receives the full image). Copies
+  /// run by run in each rank's local-slot order, into the buffers
+  /// declare() already sized.
   void load(const decomp::ArrayDesc& desc, const std::vector<double>& dense);
 
-  /// Reassembles the dense image from the local buffers (replicated
-  /// arrays: rank 0's copy).
+  /// Reassembles the dense image from the local buffers, run by run as
+  /// load() scatters it (replicated arrays: rank 0's copy).
   std::vector<double> gather(const decomp::ArrayDesc& desc) const;
 
   double read_local(const std::string& name, i64 rank, i64 local) const;
@@ -71,8 +73,10 @@ class DistStore {
   }
   std::vector<double>& local_row_mut(const std::string& name, i64 rank);
 
-  /// Copies all local buffers of the array (clause copy-in snapshots).
-  std::vector<std::vector<double>> clone(const std::string& name) const;
+  /// Copies all local buffers of the array into `out`, reusing its
+  /// storage (clause copy-in snapshots).
+  void copy_into(const std::string& name,
+                 std::vector<std::vector<double>>& out) const;
 
   /// Swaps in new local buffers (redistribution).
   void replace(const std::string& name,

@@ -12,7 +12,7 @@
 // into a contiguous reused buffer (PackOp list per destination, frozen
 // in the exact order the tagged pack() produced), and each destination
 // rank satisfies every operand by a recorded offset — a local row slot,
-// a halo cache key, or a (source rank, packed-buffer slot) pair — with
+// a halo row slot, or a (source rank, packed-buffer slot) pair — with
 // zero tags, zero sorting, and zero hashing. Per-step receive cost drops
 // from O(m log m) to O(m).
 //
@@ -59,7 +59,8 @@ struct PackOp {
 struct RefOp {
   enum class Kind : std::uint8_t {
     Local,   // a = local row offset (replicated refs fold in here)
-    Halo,    // a = global index into this rank's halo cache
+    Halo,    // a = slot in this rank's dense halo row of the ref's
+             //     array (ArrayDesc::halo_slot)
     Remote,  // a = source rank, b = slot in the packed (a, dst) buffer
   };
   Kind kind = Kind::Local;
@@ -119,9 +120,9 @@ class CommSchedule : public CachedSchedule {
     recv[static_cast<std::size_t>(p)].ops.push_back(
         RefOp{RefOp::Kind::Local, r, offset, 0});
   }
-  void note_halo(i64 p, int r, i64 global) {
+  void note_halo(i64 p, int r, i64 slot) {
     recv[static_cast<std::size_t>(p)].ops.push_back(
-        RefOp{RefOp::Kind::Halo, r, global, 0});
+        RefOp{RefOp::Kind::Halo, r, slot, 0});
   }
   void note_remote(i64 p, int r, i64 src, i64 slot) {
     recv[static_cast<std::size_t>(p)].ops.push_back(

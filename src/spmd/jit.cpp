@@ -153,9 +153,8 @@ namespace {
 constexpr i64 kMinFusedRun = 8;
 
 struct OpRead {
-  bool ok = false;  // false: halo operand — the rank stays on bytecode
-  i64 id = 0;
-  i64 off = 0;
+  i64 id = 0;   // operand base (see JitRankProg)
+  i64 off = 0;  // offset into that base
 };
 
 /// Builds one rank's segment list. op_of(e, r) describes operand r of
@@ -171,15 +170,14 @@ void build_rank_prog(JitRankProg& rp, i64 n, int R, int L,
     rp.any = true;  // trivially covered: nothing to execute
     return;
   }
-  // A guarded-OOB slot (-1) must raise the tagged path's fault, and a
-  // halo operand needs a hash probe: either keeps the rank on bytecode.
+  // A guarded-OOB slot (-1) must raise the tagged path's fault: it
+  // keeps the rank on bytecode.
   std::vector<char> direct(static_cast<std::size_t>(n), 0);
   for (i64 e = 0; e < n; ++e) {
     if (slots[e] < 0) return;
     bool d = true;
     for (int r = 0; r < R; ++r) {
       OpRead o = op_of(e, r);
-      if (!o.ok) return;
       rp.ids[static_cast<std::size_t>(e * R + r)] = o.id;
       rp.offs[static_cast<std::size_t>(e * R + r)] = o.off;
       if (o.id != r) d = false;
@@ -273,13 +271,13 @@ const JitReplayProg* JitState::replay_prog(const CommSchedule& s) {
           const RefOp& op = rv.ops[static_cast<std::size_t>(e * s.nrefs + r)];
           switch (op.kind) {
             case RefOp::Kind::Local:
-              return {true, op.ref, op.a};
+              return {op.ref, op.a};
             case RefOp::Kind::Remote:
-              return {true, s.nrefs + op.a, op.b};
+              return {s.nrefs + op.a, op.b};
             case RefOp::Kind::Halo:
-              return {false, 0, 0};
+              return {s.nrefs + s.procs + op.ref, op.a};
           }
-          return {false, 0, 0};
+          return {op.ref, op.a};
         });
   }
   replay_ = std::move(prog);
@@ -297,9 +295,8 @@ const JitReplayProg* JitState::replay_prog(const GatherSchedule& s) {
     build_rank_prog(prog->ranks[p], rg.n, s.nrefs, s.nloops,
                     rg.lhs_slot.data(), rg.vals.data(),
                     [&](i64 e, int r) -> OpRead {
-                      return {true, r,
-                              rg.offs[static_cast<std::size_t>(
-                                  e * s.nrefs + r)]};
+                      return {r, rg.offs[static_cast<std::size_t>(
+                                     e * s.nrefs + r)]};
                     });
   }
   replay_ = std::move(prog);

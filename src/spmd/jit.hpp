@@ -125,10 +125,13 @@ struct JitSegment {
 };
 
 /// A rank's full replay program. When `any` is false some element was
-/// ineligible (halo operand, guarded-OOB slot) and the whole rank stays
-/// on the bytecode path. ids/offs hold the flattened (base, offset)
-/// operands the replay segments index into: base r < nrefs is ref row
-/// r, base nrefs + s is the packed buffer from source rank s.
+/// ineligible (a guarded-OOB slot, whose write must raise the tagged
+/// path's fault) and the whole rank stays on the bytecode path. ids/offs
+/// hold the flattened (base, offset) operands the replay segments index
+/// into: base r < nrefs is ref row r, base nrefs + s is the packed buffer
+/// from source rank s, and base nrefs + procs + r is ref r's halo row
+/// (offset = ArrayDesc::halo_slot), so overlapped stencils replay jitted
+/// with their boundary elements in gather segments.
 struct JitRankProg {
   bool any = false;
   std::vector<JitSegment> segs;

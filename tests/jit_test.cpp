@@ -27,8 +27,10 @@
 #include "lang/translate.hpp"
 #include "rt/dist_machine.hpp"
 #include "rt/engine_context.hpp"
+#include "rt/seq_executor.hpp"
 #include "rt/shared_machine.hpp"
 #include "spmd/jit.hpp"
+#include "support/format.hpp"
 
 namespace vcal::rt {
 namespace {
@@ -76,6 +78,48 @@ std::string stencil_src(int reps, int tag) {
   for (int k = 0; k < reps; ++k)
     s += "forall i in 1:62 | i < " + std::to_string(tag) +
          " do A[i] := (A[i-1] + A[i+1])/2; od\n";
+  return s;
+}
+
+/// block overlap(1) ping-pong: every rank reads halo operands at its
+/// block edges, so replay mixes fused interiors with halo gathers.
+std::string halo_src(int reps, int tag) {
+  std::string s =
+      "processors 4;\n"
+      "array A[0:63];\ndistribute A block overlap(1);\n"
+      "array B[0:63];\ndistribute B block overlap(1);\n";
+  const std::string c = std::to_string(tag);
+  for (int k = 0; k < reps; ++k)
+    s += k % 2 == 0
+             ? "forall i in 1:62 do A[i] := (B[i-1] + B[i+1])/2 + " + c +
+                   "; od\n"
+             : "forall i in 1:62 do B[i] := (A[i-1] + A[i+1])/2 + " + c +
+                   "; od\n";
+  return s;
+}
+
+/// Halo wider than the block (3 > 2): one rank's halo spans two owners
+/// and every operand is a halo read.
+std::string wide_halo_src(int reps, int tag) {
+  std::string s =
+      "processors 4;\n"
+      "array A[0:7];\ndistribute A block;\n"
+      "array B[0:7];\ndistribute B block overlap(3);\n";
+  for (int k = 0; k < reps; ++k)
+    s += "forall i in 0:4 do A[i] := B[i+3]*2 + " + std::to_string(tag) +
+         "; od\n";
+  return s;
+}
+
+/// Self-reference through the halo: halo rows must carry the copy-in
+/// snapshot, not values the clause already overwrote.
+std::string self_halo_src(int reps, int tag) {
+  std::string s =
+      "processors 4;\n"
+      "array A[0:15];\ndistribute A block overlap(1);\n";
+  for (int k = 0; k < reps; ++k)
+    s += "forall i in 0:14 do A[i] := A[i+1] + " + std::to_string(tag) +
+         "; od\n";
   return s;
 }
 
@@ -137,6 +181,11 @@ void expect_same_dist(const DistRun& x, const DistRun& y) {
   EXPECT_EQ(x.stats.remote_reads, y.stats.remote_reads);
   EXPECT_EQ(x.stats.iterations, y.stats.iterations);
   EXPECT_EQ(x.stats.tests, y.stats.tests);
+  EXPECT_EQ(x.stats.bulk_messages, y.stats.bulk_messages);
+  EXPECT_EQ(x.stats.halo_messages, y.stats.halo_messages);
+  EXPECT_EQ(x.stats.halo_values, y.stats.halo_values);
+  EXPECT_EQ(x.stats.halo_reads, y.stats.halo_reads);
+  EXPECT_EQ(x.stats.steps, y.stats.steps);
   EXPECT_EQ(x.stats.sim_time, y.stats.sim_time);
 }
 
@@ -215,6 +264,56 @@ TEST(JitDispatch, SharedBitIdenticalAcrossEnginesAndThreads) {
       EXPECT_EQ(r_off.paths.jit, 0) << threads;
     }
   }
+}
+
+TEST(JitDispatch, HaloOperandsReplayJittedBySlot) {
+  if (!toolchain()) GTEST_SKIP() << "no C compiler detected";
+  const std::string cache = temp_cache_dir();
+  struct Case {
+    std::string src, load;
+  };
+  const std::vector<Case> cases = {{halo_src(8, 54), "B"},
+                                   {wide_halo_src(6, 55), "B"},
+                                   {self_halo_src(6, 56), "A"}};
+  for (int threads : {1, 4})
+    for (const Case& c : cases) {
+      SCOPED_TRACE(cat("threads=", threads, "\n", c.src));
+      spmd::Program program = lang::compile(c.src);
+      const std::vector<double> in =
+          ramp(program.arrays.at(c.load).total());
+      EngineOptions on = jit_on(cache);
+      on.threads = threads;
+      EngineOptions off = jit_off();
+      off.threads = threads;
+      DistMachine m_on(program, {}, {}, on);
+      DistMachine m_off(program, {}, {}, off);
+      SeqExecutor seq(program, /*reference=*/true);
+      m_on.load(c.load, in);
+      m_off.load(c.load, in);
+      seq.load(c.load, in);
+      m_on.run();
+      m_off.run();
+      seq.run();
+      for (const auto& [name, desc] : program.arrays) {
+        EXPECT_EQ(m_on.gather(name), seq.result(name)) << name;
+        EXPECT_EQ(m_on.gather(name), m_off.gather(name)) << name;
+      }
+      expect_same_dist({m_on.gather("A"), m_on.stats(), m_on.message_matrix(),
+                        {}, {}},
+                       {m_off.gather("A"), m_off.stats(),
+                        m_off.message_matrix(), {}, {}});
+      EXPECT_GT(m_off.stats().halo_reads, 0);
+      // Every replayed element of the bytecode run is a jitted element
+      // here: halo operands no longer keep a rank on bytecode.
+      const PathCounters& pon = m_on.path_counters();
+      const PathCounters& poff = m_off.path_counters();
+      EXPECT_GT(poff.sched, 0);
+      EXPECT_EQ(pon.sched, 0);
+      EXPECT_GE(pon.jit, poff.sched);
+      EXPECT_EQ(pon.fused + pon.generic + pon.jit,
+                poff.fused + poff.generic + poff.sched);
+      EXPECT_EQ(m_on.comm_stats().sched_hits, m_off.comm_stats().sched_hits);
+    }
 }
 
 TEST(JitDispatch, ArmsOnTheNthCleanExecution) {

@@ -19,28 +19,10 @@
 #include "spmd/clause_plan.hpp"
 #include "spmd/kernel.hpp"
 
-// ---------------------------------------------------------------------
-// Global allocation counter. Each vcal_test is its own binary, so
-// overriding the global operators here affects no other test suite. The
-// counter only ticks while g_count_allocs is set, keeping gtest's own
-// bookkeeping out of the measurements.
-namespace {
-std::atomic<long long> g_new_calls{0};
-std::atomic<bool> g_count_allocs{false};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed))
-    g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-// ---------------------------------------------------------------------
+// Global allocation counter (g_new_calls / g_count_allocs). Each
+// vcal_test is its own binary, so the replaced operators affect no other
+// suite.
+#include "counting_alloc.hpp"
 
 namespace vcal::spmd {
 namespace {

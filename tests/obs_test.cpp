@@ -25,26 +25,10 @@
 #include "support/format.hpp"
 #include "support/thread_pool.hpp"
 
-// ---------------------------------------------------------------------
-// Global allocation counter (same pattern as kernel_test.cpp: each
-// vcal_test is its own binary, so the override is local to this suite).
-namespace {
-std::atomic<long long> g_new_calls{0};
-std::atomic<bool> g_count_allocs{false};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed))
-    g_new_calls.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-// ---------------------------------------------------------------------
+// Global allocation counter (g_new_calls / g_count_allocs). Each
+// vcal_test is its own binary, so the replaced operators affect no other
+// suite.
+#include "counting_alloc.hpp"
 
 namespace vcal::obs {
 namespace {
@@ -315,12 +299,14 @@ TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
 }
 
 TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
-  // Same clause T times, no halos, no self-reads. After one full run the
-  // machine is warm (schedule built, pack buffers and scratch sized); a
-  // second run replays every step. The T=12 program replays 8 more steps
-  // than the T=4 one — if the steady state allocated anything per step,
-  // the counts would differ.
-  auto src = [](int t) {
+  // Same clause T times: a remote-read clause, a block overlap(1)
+  // stencil whose every rank reads halo operands, and one that reads its
+  // own target through the halo (copy-in snapshot). After one full run
+  // the machine is warm (schedules built, pack buffers, halo rows and
+  // scratch sized); a second run replays every step. The T=12 program
+  // replays 8 more steps than the T=4 one — if the steady state
+  // allocated anything per step, the counts would differ.
+  auto remote = [](int t) {
     std::string s =
         "processors 4;\n"
         "array A[0:31];\ndistribute A block;\n"
@@ -329,25 +315,42 @@ TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
       s += "forall i in 0:30 do A[i] := B[i + 1]*2 + 1; od\n";
     return s;
   };
-  auto measure = [&](int t) {
-    spmd::Program program = lang::compile(src(t));
+  auto halo = [](int t) {
+    std::string s =
+        "processors 4;\n"
+        "array A[0:31];\ndistribute A block overlap(1);\n"
+        "array B[0:31];\ndistribute B block overlap(1);\n";
+    for (int k = 0; k < t; ++k)
+      s += "forall i in 1:30 do A[i] := (B[i-1] + B[i+1])/2; od\n";
+    return s;
+  };
+  auto self_halo = [](int t) {
+    std::string s =
+        "processors 4;\n"
+        "array B[0:31];\ndistribute B block overlap(1);\n";
+    for (int k = 0; k < t; ++k)
+      s += "forall i in 1:30 do B[i] := (B[i-1] + B[i+1])/2; od\n";
+    return s;
+  };
+  auto measure = [&](const std::string& src) {
+    spmd::Program program = lang::compile(src);
     rt::EngineOptions e;
     e.threads = 1;  // serial lanes: pool hand-offs would blur the count
     e.jit = false;  // an async jit swap mid-run would blur it too
     rt::DistMachine m(program, {}, {}, e);
     m.load("B", ramp(32));
     m.run();  // warm-up: tagged pass, recording pass, then replays
-    EXPECT_GT(m.comm_stats().sched_hits, 0) << "T=" << t;
+    EXPECT_GT(m.comm_stats().sched_hits, 0);
     g_new_calls = 0;
     g_count_allocs = true;
     m.run();  // steady state: every step replays its schedule
     g_count_allocs = false;
-    EXPECT_EQ(m.comm_stats().sched_builds, 1) << "T=" << t;
+    EXPECT_EQ(m.comm_stats().sched_builds, 1);
     return g_new_calls.load();
   };
-  long long t4 = measure(4);
-  long long t12 = measure(12);
-  EXPECT_EQ(t4, t12);
+  EXPECT_EQ(measure(remote(4)), measure(remote(12)));
+  EXPECT_EQ(measure(halo(4)), measure(halo(12)));
+  EXPECT_EQ(measure(self_halo(4)), measure(self_halo(12)));
 }
 
 // --- deadlock diagnostic enrichment -----------------------------------

@@ -21,6 +21,7 @@
 
 #include "proc/job.hpp"
 #include "proc/proc_machine.hpp"
+#include "proc/wire.hpp"
 #include "lang/translate.hpp"
 #include "rt/dist_machine.hpp"
 #include "support/error.hpp"
@@ -304,6 +305,20 @@ TEST(ProcMachine, MissingChannelDirIsCreated) {
 
 // ---------------------------------------------------------------------
 // Job wire format and worker resolution
+
+TEST(ProcWire, EmptyArrayRoundTrips) {
+  // An empty vector's data() may be null: neither side may hand it to
+  // memcpy (undefined behaviour even for zero bytes).
+  WireWriter w;
+  w.put_f64s({});
+  w.put_str("");
+  w.put_f64s({1.5});
+  WireReader r(w.bytes.data(), w.bytes.size());
+  EXPECT_TRUE(r.get_f64s().empty());
+  EXPECT_EQ(r.get_str(), "");
+  EXPECT_EQ(r.get_f64s(), std::vector<double>{1.5});
+  EXPECT_TRUE(r.done());
+}
 
 TEST(ProcJob, RoundTripsEveryField) {
   JobSpec job;

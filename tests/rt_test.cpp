@@ -518,6 +518,19 @@ TEST(Halo, DescriptorValidation) {
   EXPECT_FALSE(h.in_halo(1, {5}));
   EXPECT_TRUE(h.in_halo(0, {9}));
   EXPECT_FALSE(h.in_halo(0, {10}));
+
+  // Dense halo rows: the left range, then the right one.
+  EXPECT_EQ(h.halo_capacity(0), 2);
+  EXPECT_EQ(h.halo_capacity(1), 4);
+  EXPECT_EQ(block.halo_capacity(1), 0);
+  EXPECT_EQ(h.halo_slot(0, 8), 0);
+  EXPECT_EQ(h.halo_slot(0, 9), 1);
+  EXPECT_EQ(h.halo_slot(0, 7), -1);  // rank 0's own element
+  EXPECT_EQ(h.halo_slot(1, 6), 0);
+  EXPECT_EQ(h.halo_slot(1, 7), 1);
+  EXPECT_EQ(h.halo_slot(1, 16), 2);
+  EXPECT_EQ(h.halo_slot(1, 17), 3);
+  EXPECT_EQ(h.halo_slot(1, 18), -1);
 }
 
 // ---- Barrier elision (footnote 1) ------------------------------------
