@@ -155,9 +155,9 @@ int main(int argc, char** argv) {
           (long long)procs, s.stats.str().c_str(), t.stats.str().c_str());
       ok = false;
     }
-    // Two alternating clauses: each records its schedule on its second
+    // Two alternating clauses: each records its schedule on its first
     // execution and replays every one after that.
-    if (s.comm.sched_builds != 2 || s.comm.sched_hits != steps - 4 ||
+    if (s.comm.sched_builds != 2 || s.comm.sched_hits != steps - 2 ||
         s.paths.sched == 0) {
       std::printf("  !! SCHEDULES NOT REPLAYED at P=%lld (%s)\n",
                   (long long)procs, s.comm.str().c_str());

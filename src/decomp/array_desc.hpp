@@ -92,6 +92,9 @@ class ArrayDesc {
   /// E.g. "A[0:99] (block(b=25)) on 4".
   std::string str() const;
 
+  /// Exact layout equality: name, bounds, decomposition and halo.
+  bool operator==(const ArrayDesc&) const = default;
+
  private:
   ArrayDesc(std::string name, std::vector<i64> lo, std::vector<i64> hi,
             std::optional<DecompND> decomp, i64 procs);

@@ -1,5 +1,7 @@
 #include "fn/classify.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "support/error.hpp"
@@ -63,7 +65,8 @@ Shape combine_add(const Shape& x, const Shape& y) {
 }
 
 Shape combine_neg(const Shape& x) {
-  if (x.kind == Shape::Kind::Lin) return lin(-x.a, -x.c);
+  if (x.kind == Shape::Kind::Lin)
+    return lin(mul_checked(x.a, -1), mul_checked(x.c, -1));
   if (dir_of(x) != 0) return mono(-dir_of(x), needs_nonneg(x));
   return opq();
 }
@@ -133,7 +136,106 @@ Shape analyze(const SymPtr& s) {
   throw InternalError("classify: bad Sym op");
 }
 
+// ---- overflow bounds (may_overflow) ----
+
+using Wide = __int128;
+constexpr Wide kMin = std::numeric_limits<i64>::min();
+constexpr Wide kMax = std::numeric_limits<i64>::max();
+
+struct Span {
+  Wide lo, hi;
+};
+
+bool fits(const Span& r) { return kMin <= r.lo && r.hi <= kMax; }
+
+Span hull(std::initializer_list<Wide> vs) {
+  return {std::min(vs), std::max(vs)};
+}
+
+Wide floor_div(Wide a, Wide b) {
+  Wide q = a / b;
+  if (a % b != 0 && ((a % b < 0) != (b < 0))) --q;
+  return q;
+}
+
+// Bounds of eval(s, i) over i in [lo, hi]; nullopt when some node, or an
+// operand eval negates, may leave i64. A divisor that may be zero is a
+// separate fault and not judged here.
+std::optional<Span> bounds(const SymPtr& s, i64 lo, i64 hi) {
+  auto checked = [](Span r) -> std::optional<Span> {
+    if (!fits(r)) return std::nullopt;
+    return r;
+  };
+  if (s->op == Sym::Op::Const) return Span{s->value, s->value};
+  if (s->op == Sym::Op::Var) return Span{lo, hi};
+  std::optional<Span> x = bounds(s->lhs, lo, hi);
+  if (!x) return std::nullopt;
+  if (s->op == Sym::Op::Neg) return checked({-x->hi, -x->lo});
+  std::optional<Span> y = bounds(s->rhs, lo, hi);
+  if (!y) return std::nullopt;
+  switch (s->op) {
+    case Sym::Op::Add:
+      return checked({x->lo + y->lo, x->hi + y->hi});
+    case Sym::Op::Sub: {
+      std::optional<Span> ny = checked({-y->hi, -y->lo});
+      if (!ny) return std::nullopt;
+      return checked({x->lo + ny->lo, x->hi + ny->hi});
+    }
+    case Sym::Op::Mul:
+      return checked(hull({x->lo * y->lo, x->lo * y->hi, x->hi * y->lo,
+                           x->hi * y->hi}));
+    case Sym::Op::Div: {
+      // Floor division is monotone in each operand on either side of a
+      // zero divisor, so the corners of the non-zero sides bound it.
+      Span r{kMax, kMin};
+      auto side = [&](Wide b_lo, Wide b_hi) {
+        if (b_lo > b_hi) return;
+        for (Wide a : {x->lo, x->hi})
+          for (Wide b : {b_lo, b_hi}) {
+            const Wide q = floor_div(a, b);
+            r = {std::min(r.lo, q), std::max(r.hi, q)};
+          }
+      };
+      side(y->lo, std::min<Wide>(y->hi, -1));
+      side(std::max<Wide>(y->lo, 1), y->hi);
+      if (r.lo > r.hi) return Span{0, 0};  // divisor always zero
+      return checked(r);
+    }
+    case Sym::Op::Mod: {
+      // emod(a, b) is in [0, |b|); i64 min by -1 traps in the hardware
+      // remainder, and |i64 min| does not fit.
+      if (y->lo == kMin || (x->lo == kMin && y->lo <= -1 && -1 <= y->hi))
+        return std::nullopt;
+      const Wide m = std::max(-y->lo, y->hi);
+      return Span{0, std::max<Wide>(m - 1, 0)};
+    }
+    default:
+      break;
+  }
+  throw InternalError("may_overflow: bad Sym op");
+}
+
 }  // namespace
+
+bool may_overflow(const SymPtr& s, i64 lo, i64 hi) {
+  if (!bounds(s, lo, hi)) return true;
+  // Kernels evaluate Affine and AffineMod subscripts from the closed
+  // form, whose intermediates are not the tree's: a*i + c is monotone,
+  // so its endpoints bound it. Coefficients that do not fit i64 make
+  // the classification itself overflow.
+  Shape sh = opq();
+  try {
+    sh = analyze(s);
+  } catch (const InternalError&) {
+    return true;
+  }
+  if (sh.kind != Shape::Kind::Lin && sh.kind != Shape::Kind::LinMod)
+    return false;
+  const Span ai = hull({Wide{sh.a} * lo, Wide{sh.a} * hi});
+  if (!fits(ai) || !fits({ai.lo + sh.c, ai.hi + sh.c})) return true;
+  return sh.kind == Shape::Kind::LinMod &&
+         !fits({Wide{sh.d}, Wide{sh.z} - 1 + sh.d});
+}
 
 IndexFn classify(const SymPtr& s) {
   Shape shape = analyze(s);

@@ -24,4 +24,12 @@ namespace vcal::fn {
 /// opaque results keep a reference to the tree).
 IndexFn classify(const SymPtr& s);
 
+/// True when evaluating `s` at some i in [lo, hi] may leave i64 (or hit
+/// an operand the checked helpers cannot take), either as the tree
+/// (eval) or as the closed form a*i + c [mod z + d] that clause kernels
+/// evaluate for Affine and AffineMod subscripts. Interval bounds: it may
+/// reject a tree whose bounds are loose, never accepts one that
+/// overflows.
+bool may_overflow(const SymPtr& s, i64 lo, i64 hi);
+
 }  // namespace vcal::fn

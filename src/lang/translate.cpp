@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "fn/classify.hpp"
 #include "lang/parser.hpp"
 #include "lang/sema.hpp"
 #include "support/error.hpp"
@@ -109,12 +110,13 @@ void apply_views(const ViewTable& views, std::string& array,
 // variable it uses; returns that variable's loop index (-1 if constant).
 class SubscriptLowering {
  public:
-  explicit SubscriptLowering(const std::vector<std::string>& loop_vars)
-      : loop_vars_(loop_vars) {}
+  explicit SubscriptLowering(const std::vector<prog::LoopDim>& loops)
+      : loops_(loops) {}
 
-  prog::Subscript lower(const AExprPtr& e) {
+  prog::Subscript lower(const AExprPtr& e, const std::string& array) {
     var_index_ = -1;
     fn::SymPtr sym = walk(e);
+    check_overflow(sym, e, array);
     return prog::Subscript{var_index_, std::move(sym)};
   }
 
@@ -127,14 +129,14 @@ class SubscriptLowering {
         err_at("real literal in a subscript", e->line, e->col);
       case AExpr::Kind::Var: {
         int idx = -1;
-        for (std::size_t k = 0; k < loop_vars_.size(); ++k)
-          if (loop_vars_[k] == e->name) idx = static_cast<int>(k);
+        for (std::size_t k = 0; k < loops_.size(); ++k)
+          if (loops_[k].var == e->name) idx = static_cast<int>(k);
         if (idx < 0)
           err_at("unknown variable '" + e->name + "' in a subscript",
                  e->line, e->col);
         if (var_index_ >= 0 && var_index_ != idx)
           err_at("subscript mixes loop variables '" +
-                     loop_vars_[static_cast<std::size_t>(var_index_)] +
+                     loops_[static_cast<std::size_t>(var_index_)].var +
                      "' and '" + e->name +
                      "'; each subscript dimension may use one",
                  e->line, e->col);
@@ -174,7 +176,27 @@ class SubscriptLowering {
     return d;
   }
 
-  const std::vector<std::string>& loop_vars_;
+  // Subscripts evaluate in checked i64 at run time: reject one whose
+  // arithmetic may overflow over its loop range here, at the subscript,
+  // rather than fault mid-run.
+  void check_overflow(const fn::SymPtr& sym, const AExprPtr& e,
+                      const std::string& array) const {
+    i64 lo = 0, hi = 0;
+    std::string var = "i";
+    if (var_index_ >= 0) {
+      const prog::LoopDim& l = loops_[static_cast<std::size_t>(var_index_)];
+      lo = l.lo;
+      hi = l.hi;
+      var = l.var;
+    }
+    if (!fn::may_overflow(sym, lo, hi)) return;
+    std::string msg = cat("subscript '", fn::to_string(sym, var), "' of ",
+                          array, " overflows i64");
+    if (var_index_ >= 0) msg += cat(" for ", var, " in ", lo, ":", hi);
+    err_at(msg, e->line, e->col);
+  }
+
+  const std::vector<prog::LoopDim>& loops_;
   int var_index_ = -1;
 };
 
@@ -183,9 +205,9 @@ class SubscriptLowering {
 class ValueLowering {
  public:
   ValueLowering(const std::vector<std::string>& loop_vars,
-                std::vector<prog::ArrayRef>& refs,
-                const ViewTable& views)
-      : loop_vars_(loop_vars), refs_(refs), views_(views) {}
+                const std::vector<prog::LoopDim>& loops,
+                std::vector<prog::ArrayRef>& refs, const ViewTable& views)
+      : loop_vars_(loop_vars), loops_(loops), refs_(refs), views_(views) {}
 
   prog::ExprPtr lower(const AExprPtr& e) {
     switch (e->kind) {
@@ -227,10 +249,10 @@ class ValueLowering {
     std::string array = e->name;
     std::vector<AExprPtr> subs = e->subs;
     apply_views(views_, array, subs, e->line, e->col);
-    SubscriptLowering subl(loop_vars_);
+    SubscriptLowering subl(loops_);
     prog::ArrayRef r;
     r.array = std::move(array);
-    for (const AExprPtr& s : subs) r.subs.push_back(subl.lower(s));
+    for (const AExprPtr& s : subs) r.subs.push_back(subl.lower(s, r.array));
     std::string key = r.str(loop_vars_);
     auto it = interned_.find(key);
     if (it != interned_.end()) return it->second;
@@ -241,6 +263,7 @@ class ValueLowering {
   }
 
   const std::vector<std::string>& loop_vars_;
+  const std::vector<prog::LoopDim>& loops_;
   std::vector<prog::ArrayRef>& refs_;
   const ViewTable& views_;
   std::map<std::string, int> interned_;
@@ -263,11 +286,11 @@ prog::Clause lower_assign(const AAssign& assign,
   std::vector<std::string> vars;
   for (const prog::LoopDim& l : loops) vars.push_back(l.var);
 
-  SubscriptLowering subl(vars);
+  SubscriptLowering subl(loops);
   for (const AExprPtr& s : lhs_subs)
-    clause.lhs_subs.push_back(subl.lower(s));
+    clause.lhs_subs.push_back(subl.lower(s, clause.lhs_array));
 
-  ValueLowering vall(vars, clause.refs, views);
+  ValueLowering vall(vars, loops, clause.refs, views);
   clause.rhs = vall.lower(assign.value);
   if (guard) {
     prog::Guard g;

@@ -150,7 +150,7 @@ void collect(MetricsRegistry& reg, const spmd::PlanCache& c) {
   reg.set("plan-hits", c.hits());
   reg.set("plan-misses", c.misses());
   reg.set("plan-entries", c.size());
-  reg.set("plan-epoch", static_cast<i64>(c.epoch()));
+  reg.set("plan-layouts", c.layouts());
 }
 
 void collect(MetricsRegistry& reg, const support::ThreadPool& p) {

@@ -5,7 +5,7 @@
 // rt::CostModel's predictions track reality. A Tracer answers both: it
 // holds one fixed-capacity ring buffer of typed events per rank, plus
 // one "engine" control lane for machine-level events (plan-cache
-// probes, redistribution epochs, whole-step spans).
+// probes, redistributions, whole-step spans).
 //
 // Recording is lock-free by construction rather than by atomics: lane r
 // is written only by whichever thread is currently executing rank r
@@ -65,7 +65,7 @@ enum class EventKind : std::uint8_t {
   Stall,         // fault injection stalled this rank: a0 = rounds
   PlanHit,       // plan-cache probe (control lane): a0 = cache size
   PlanMiss,      // a0 = cache size, a1 = compiled-kernel op count
-  RedistEpoch,   // decomposition epoch bumped: a0 = new epoch
+  RedistEpoch,   // an array changed layout: a0 = its new layout id
   KernelPath,    // per-rank per-step path tally: a0 = fused,
                  // a1 = generic, a2 = interp, a3 = schedule-replayed
                  // elements

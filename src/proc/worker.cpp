@@ -362,9 +362,7 @@ class Worker {
   // ---- clause steps --------------------------------------------------
 
   const ClausePlan& plan_for(const Clause& clause) {
-    auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
-    if (fresh) ki->second = clause.str();
-    return cache_.get(ki->second, clause, program_.arrays, job_.build);
+    return lookup_.get(clause, program_.arrays, job_.build).plan;
   }
 
   void run_clause(const Clause& clause) {
@@ -792,7 +790,7 @@ class Worker {
 
     rows_.at(step.array) = std::move(fresh);
     program_.arrays.insert_or_assign(step.array, new_desc);
-    cache_.bump_epoch();
+    lookup_.relayout(new_desc);
     VCAL_TRACE(tr, 0, obs::EventKind::RedistEnd, step_);
     send_step(rc, matrix_row, 0);
   }
@@ -804,7 +802,7 @@ class Worker {
   spmd::Program program_;
   std::map<std::string, std::vector<double>> rows_;
   spmd::PlanCache cache_;
-  std::map<const Clause*, std::string> step_keys_;
+  spmd::PlanLookup lookup_{cache_};
   std::vector<PeerLink> peers_;
   std::unique_ptr<obs::Tracer> tracer_;
   int ctl_ = -1;

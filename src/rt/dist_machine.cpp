@@ -31,9 +31,10 @@ DistMachine::DistMachine(spmd::Program program, gen::BuildOptions opts,
       cost_(cost),
       engine_(engine),
       ctx_(ctx ? std::move(ctx) : std::make_shared<EngineContext>()),
+      plans_(ctx_, plan_scope),
+      lookup_(*plans_),
       store_(program_.procs) {
   program_.validate();
-  plans_ = PlanLease(ctx_, plan_scope);
   if (engine_.threads > 1)
     pool_ = std::make_unique<support::ThreadPool>(engine_.threads);
   if (engine_.trace) {
@@ -199,30 +200,20 @@ const std::vector<double>* DistMachine::halo_row(const std::string& array,
                             : &it->second.rows[static_cast<std::size_t>(p)];
 }
 
-const spmd::JitFns* DistMachine::jit_poll(const std::string& key,
+const spmd::JitFns* DistMachine::jit_poll(spmd::PlanCache::Entry& entry,
                                           const Clause& clause,
                                           const spmd::ClauseKernel& kern,
                                           spmd::JitState** js, i64 step_id) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
-  JitSlot& slot = jit_states_[key];
+  const bool fresh = !entry.jit;
+  if (fresh) entry.jit = std::make_shared<spmd::JitState>();
   if (!ctx_->jit().available()) {
     // No toolchain on this host: never arm (a compile job could only
-    // fail). A single fallback per clause key records that JIT was
+    // fail). A single fallback per plan entry records that JIT was
     // requested but cannot happen here.
-    if (!slot.no_toolchain_noted) {
-      slot.no_toolchain_noted = true;
-      ++jit_.fallbacks;
-    }
+    if (fresh) ++jit_.fallbacks;
     return nullptr;
-  }
-  if (!slot.state || slot.epoch != plans_->epoch()) {
-    // A redistribution invalidated whatever this key had compiled; if
-    // the old state was armed, the next executions run bytecode again —
-    // count that as a fallback, then re-arm from scratch.
-    if (slot.state && slot.state->armed()) ++jit_.fallbacks;
-    slot.state = std::make_shared<spmd::JitState>();
-    slot.epoch = plans_->epoch();
   }
   spmd::JitConfig cfg;
   cfg.enabled = true;
@@ -230,12 +221,12 @@ const spmd::JitFns* DistMachine::jit_poll(const std::string& key,
   cfg.sync = engine_.jit_sync;
   cfg.cache_dir = engine_.jit_cache_dir;
   cfg.engine = &ctx_->jit();
-  spmd::JitPoll r = slot.state->poll(clause, kern, cfg, jit_);
+  spmd::JitPoll r = entry.jit->poll(clause, kern, cfg, jit_);
   if (r.launched)
     VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, step_id, cfg.sync ? 1 : 0);
   if (r.swapped)
     VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, step_id, r.cached ? 0 : 1);
-  *js = slot.state.get();
+  *js = entry.jit.get();
   return r.fns;
 }
 
@@ -261,14 +252,12 @@ void DistMachine::run_clause(const Clause& clause) {
 
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
 
-  // Plans are pure compile-time data; iterative programs reuse them
-  // until a redistribution bumps the epoch. The cache key (the clause's
-  // printed form) is memoized per program step, so repeat executions
-  // look it up without rebuilding the string.
-  auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
-  if (fresh) ki->second = clause.str();
-  const std::string& key = ki->second;
-  const ClausePlan& plan = plans_->get(key, clause, program_.arrays, opts_);
+  // Plans are pure compile-time data, cached per layout of the arrays
+  // the clause touches; the entry also carries the clause's schedule
+  // and JIT state for that layout.
+  spmd::PlanCache::Entry& entry =
+      lookup_.get(clause, program_.arrays, opts_);
+  const ClausePlan& plan = entry.plan;
 
   // Kernel path: bytecode RHS/guard and subscript records (see
   // spmd/kernel.hpp); kaff additionally enables the strided-run
@@ -276,42 +265,33 @@ void DistMachine::run_clause(const Clause& clause) {
   const spmd::ClauseKernel& kern = plan.kernel();
   const bool kaff = kern.affine();
 
-  // JIT dispatch: poll the per-key state once per execution (arming
+  // JIT dispatch: poll the entry's state once per execution (arming
   // counter, compile status, pointer swap). Requires an affine kernel;
   // armed faults keep the fully observable bytecode.
   spmd::JitState* js = nullptr;
   const spmd::JitFns* jfns = nullptr;
   if (engine_.jit && kaff && !fault_armed)
-    jfns = jit_poll(key, clause, kern, &js, step_id);
+    jfns = jit_poll(entry, clause, kern, &js, step_id);
 
-  // Communication-schedule dispatch (inspector–executor): replay when a
-  // schedule exists for this plan at the current epoch; record one on
-  // the second clean execution (the first proves the pattern repeats;
-  // single-shot clauses never pay the inspector); otherwise run the
-  // tagged path. Armed faults always fall back.
+  // Communication-schedule dispatch (inspector–executor): replay when
+  // the entry holds a schedule, otherwise run the tagged path and record
+  // one. Armed faults always take the tagged path and record nothing.
   spmd::CommSchedule* rec = nullptr;
   std::unique_ptr<spmd::CommSchedule> rec_owner;
   if (engine_.comm_schedules) {
     if (fault_armed) {
       ++comm_.sched_fallbacks;
       VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id, 1);
+    } else if (entry.sched) {
+      run_clause_scheduled(
+          clause, plan, static_cast<const spmd::CommSchedule&>(*entry.sched),
+          js, jfns);
+      return;
     } else {
-      if (auto* cs = static_cast<spmd::CommSchedule*>(
-              plans_->find_schedule(key))) {
-        run_clause_scheduled(clause, plan, *cs, js, jfns);
-        return;
-      }
-      auto [si, first] =
-          key_seen_.try_emplace(key, KeySeen{plans_->epoch(), 0});
-      if (!first && si->second.epoch != plans_->epoch())
-        si->second = KeySeen{plans_->epoch(), 0};
-      if (si->second.seen >= 1) {
-        rec_owner = std::make_unique<spmd::CommSchedule>();
-        rec_owner->init(plan.procs(), static_cast<int>(clause.loops.size()),
-                        static_cast<int>(clause.refs.size()));
-        rec = rec_owner.get();
-      }
-      ++si->second.seen;
+      rec_owner = std::make_unique<spmd::CommSchedule>();
+      rec_owner->init(plan.procs(), static_cast<int>(clause.loops.size()),
+                      static_cast<int>(clause.refs.size()));
+      rec = rec_owner.get();
     }
   }
   std::vector<std::vector<i64>> matrix_before;
@@ -853,7 +833,7 @@ void DistMachine::run_clause(const Clause& clause) {
                          [static_cast<std::size_t>(d)];
     rec->seal();
     ++comm_.sched_builds;
-    plans_->attach_schedule(key, std::move(rec_owner));
+    entry.sched = std::move(rec_owner);
     VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
                plans_->schedules());
   }
@@ -1147,11 +1127,10 @@ void DistMachine::run_redistribute(const spmd::RedistStep& step) {
 
   store_.replace(step.array, std::move(fresh));
   program_.arrays.insert_or_assign(step.array, step.new_desc);
-  // Cached clause plans baked the old layout into their owner
-  // arithmetic: invalidate them.
-  plans_->bump_epoch();
-  VCAL_TRACE(tr, ctl, obs::EventKind::RedistEpoch, step_id,
-             static_cast<i64>(plans_->epoch()));
+  // Later clauses look their plans up under the new layout; entries
+  // for the old one stay for when the array returns to it.
+  const spmd::LayoutId layout = lookup_.relayout(step.new_desc);
+  VCAL_TRACE(tr, ctl, obs::EventKind::RedistEpoch, step_id, layout);
   finish_step(counters);
   VCAL_TRACE(tr, ctl, obs::EventKind::RedistEnd, step_id);
 }

@@ -16,8 +16,8 @@
 // serially in rank order so statistics are bit-identical to the serial
 // engine), all elements flowing between one (src, dst) pair in a clause
 // are packed into a single sorted bulk message consumed by binary
-// search, and clause plans are cached across repeated executions until a
-// redistribution bumps the decomposition epoch.
+// search, and clause plans are cached per layout of the arrays a clause
+// touches, so they survive redistributions (spmd/plan_cache.hpp).
 //
 // The simulator counts messages, local/remote reads, loop iterations and
 // membership tests per rank, and charges them to a CostModel; sim_time is
@@ -99,7 +99,7 @@ class DistMachine {
 
   const DistStats& stats() const noexcept { return stats_; }
 
-  /// Plan-cache effectiveness (hits/misses/epoch) for benchmarks.
+  /// Plan-cache effectiveness (hits/misses/layouts) for benchmarks.
   const spmd::PlanCache& plan_cache() const noexcept { return *plans_; }
 
   /// Per-element execution-path tally (fused kernel loop / per-element
@@ -149,11 +149,11 @@ class DistMachine {
                             const spmd::CommSchedule& sched,
                             spmd::JitState* js, const spmd::JitFns* jfns);
 
-  /// One JIT arming/ dispatch poll for the clause keyed by `key` at the
-  /// current epoch. Returns the jitted entry points when ready (and the
-  /// owning state via `js`), nullptr while the bytecode kernel should
-  /// keep running.
-  const spmd::JitFns* jit_poll(const std::string& key,
+  /// One JIT arming/ dispatch poll for the clause whose plan-cache
+  /// entry is `entry` (the JIT state rides in it). Returns the jitted
+  /// entry points when ready (and the owning state via `js`), nullptr
+  /// while the bytecode kernel should keep running.
+  const spmd::JitFns* jit_poll(spmd::PlanCache::Entry& entry,
                                const prog::Clause& clause,
                                const spmd::ClauseKernel& kern,
                                spmd::JitState** js, i64 step_id);
@@ -189,6 +189,7 @@ class DistMachine {
   std::unique_ptr<support::ThreadPool> pool_;  // owned when threads > 1
   obs::Tracer* tracer_ = nullptr;       // ctx-owned, set when engine_.trace
   PlanLease plans_;                     // leased from ctx_, never empty
+  spmd::PlanLookup lookup_;             // into *plans_
   DistStore store_;
   DistStats stats_;
   std::vector<RankCounters> last_counters_;
@@ -199,28 +200,6 @@ class DistMachine {
   PathCounters paths_;
   CommStats comm_;
   spmd::JitStats jit_;
-
-  // Per-plan-key JIT state: arming counter, compile status, swapped-in
-  // function pointers. A redistribution's epoch bump invalidates the
-  // state with the plan that owned it (counted as a fallback when the
-  // old state had armed).
-  struct JitSlot {
-    std::shared_ptr<spmd::JitState> state;
-    std::uint64_t epoch = 0;
-    bool no_toolchain_noted = false;  // one fallback per key, not per exec
-  };
-  std::unordered_map<std::string, JitSlot> jit_states_;
-
-  // ---- communication-schedule dispatch state ----
-  // Per-program-step memoized plan-cache key (clause.str() computed
-  // once, not per execution) and per-key clean-execution counts at the
-  // current epoch (schedules are recorded on the second clean pass).
-  std::unordered_map<const void*, std::string> step_keys_;
-  struct KeySeen {
-    std::uint64_t epoch = 0;
-    i64 seen = 0;
-  };
-  std::unordered_map<std::string, KeySeen> key_seen_;
 
   // Double-buffered, reused channel storage for scheduled steps: one
   // contiguous value buffer per (src, dst) pair, parity-flipped per

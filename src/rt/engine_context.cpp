@@ -35,7 +35,6 @@ spmd::PlanCache* EngineContext::acquire_plans(const std::string& scope) {
     }
   }
   if (!cache) cache = std::make_unique<spmd::PlanCache>();
-  cache->restart_epochs();
   spmd::PlanCache* raw = cache.get();
   live_plans_.emplace(raw, Lease{std::move(cache), scope});
   return raw;

@@ -20,9 +20,9 @@
 //   - a pool of PlanCaches leased to machines by scope (the compile
 //     fingerprint plus the target): two concurrent executions of the
 //     same program get two caches (PlanCache is single-machine by
-//     contract), but a
-//     release returns the warm cache to the pool so the session's next
-//     request for that program starts with every plan built;
+//     contract), but a release returns the warm cache to the pool so
+//     the session's next request for that program starts with every
+//     plan, schedule and JIT state built;
 //   - a MetricsRegistry accumulating whatever the owner records across
 //     runs (the serve layer folds in per-request machine stats).
 //
@@ -67,12 +67,13 @@ class EngineContext {
 
   /// Leases a PlanCache to one machine. A non-empty scope names the
   /// program family and machine kind (the serve layer passes the
-  /// compile-cache fingerprint plus the target): release() parks the cache for warm reuse by the
-  /// next machine with the same scope, and concurrent leases of one
-  /// scope get distinct caches (a PlanCache serves one machine at a
-  /// time). Every lease starts at epoch 0 (PlanCache::restart_epochs),
-  /// so a warm cache never serves a later-epoch plan to the start of a
-  /// run. An empty scope is a private cache destroyed on release.
+  /// compile-cache fingerprint plus the target): release() parks the
+  /// cache for warm reuse by the next machine with the same scope, and
+  /// concurrent leases of one scope get distinct caches (a PlanCache
+  /// serves one machine at a time). Entries are keyed by layout, so a
+  /// warm cache serves each run the plans, schedules and JIT state of
+  /// the layouts it actually reaches. An empty scope is a private cache
+  /// destroyed on release.
   spmd::PlanCache* acquire_plans(const std::string& scope);
   void release_plans(spmd::PlanCache* cache) noexcept;
 

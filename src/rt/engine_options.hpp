@@ -69,8 +69,8 @@ struct EngineOptions {
   int threads = 0;
 
   /// Compile communication schedules (inspector–executor): once a
-  /// clause's message pattern has been observed at the current
-  /// decomposition epoch, subsequent steps pack values positionally
+  /// clause's message pattern has been recorded at the current layout
+  /// of its arrays, subsequent steps pack values positionally
   /// into reused buffers and receivers consume by recorded offset —
   /// no tags, no sorting, no hashing. Falls back to the tagged path
   /// when a fault is armed for the step.

@@ -30,9 +30,10 @@ SharedMachine::SharedMachine(spmd::Program program, gen::BuildOptions opts,
       cost_(cost),
       elide_barriers_(elide_barriers),
       engine_(engine),
-      ctx_(ctx ? std::move(ctx) : std::make_shared<EngineContext>()) {
+      ctx_(ctx ? std::move(ctx) : std::make_shared<EngineContext>()),
+      plans_(ctx_, plan_scope),
+      lookup_(*plans_) {
   program_.validate();
-  plans_ = PlanLease(ctx_, plan_scope);
   if (engine_.threads > 1)
     pool_ = std::make_unique<support::ThreadPool>(engine_.threads);
   if (engine_.trace) {
@@ -64,9 +65,10 @@ void SharedMachine::for_ranks(i64 n,
 void SharedMachine::run() {
   // Each clause ends with a barrier; the footnote-1 analysis may prove
   // the barrier between two consecutive parallel clauses unnecessary.
-  // `pending` holds the plan of the last clause whose trailing barrier
-  // has not been accounted yet (nullopt plan = not analyzable: keep).
-  std::optional<ClausePlan> pending;
+  // `pending` is the plan of the last clause whose trailing barrier has
+  // not been accounted yet (null = not analyzable: keep). Cached plans
+  // are never rebuilt, so the pointer stays valid.
+  const ClausePlan* pending = nullptr;
   bool pending_exists = false;
 
   obs::Tracer* tr = tracer_;
@@ -86,17 +88,8 @@ void SharedMachine::run() {
     }
     VCAL_TRACE(tr, ctl, obs::EventKind::Barrier, /*step=*/-1,
                /*performed=*/keep ? 1 : 0);
-    pending.reset();
+    pending = nullptr;
     pending_exists = false;
-  };
-
-  // The plan-cache key (the clause's printed form) is memoized per
-  // program step, so repeat executions look plans and gather schedules
-  // up without rebuilding the string.
-  auto key_for = [&](const Clause& clause) -> const std::string& {
-    auto [ki, fresh] = step_keys_.try_emplace(&clause, std::string{});
-    if (fresh) ki->second = clause.str();
-    return ki->second;
   };
 
   for (const spmd::Step& step : program_.steps) {
@@ -104,73 +97,60 @@ void SharedMachine::run() {
       if (clause->ord == prog::Ordering::Seq) {
         resolve_pending(nullptr);
         run_clause_sequential(*clause);
-        pending.reset();
+        pending = nullptr;
         pending_exists = true;  // unanalyzable: barrier stays
       } else {
-        const std::string& key = key_for(*clause);
-        ClausePlan plan = plans_->get(key, *clause, program_.arrays, opts_);
+        spmd::PlanCache::Entry& entry =
+            lookup_.get(*clause, program_.arrays, opts_);
+        const ClausePlan& plan = entry.plan;
         resolve_pending(&plan);
-        // JIT dispatch: poll the per-key state once per execution
+        // JIT dispatch: poll the entry's state once per execution
         // (arming counter, compile status, pointer swap). Requires an
         // affine kernel.
         spmd::JitState* js = nullptr;
         const spmd::JitFns* jfns = nullptr;
         if (engine_.jit && plan.kernel().affine())
-          jfns = jit_poll(key, *clause, plan.kernel(), &js);
+          jfns = jit_poll(entry, *clause, plan.kernel(), &js);
         // Gather-schedule dispatch (see comm_schedule.hpp): replay when
-        // a schedule exists for this plan at the current epoch; record
-        // one on the second clean execution; otherwise enumerate.
-        spmd::GatherSchedule* rec = nullptr;
-        std::unique_ptr<spmd::GatherSchedule> rec_owner;
-        bool replayed = false;
-        if (engine_.comm_schedules) {
-          if (auto* gs = static_cast<spmd::GatherSchedule*>(
-                  plans_->find_schedule(key))) {
-            run_clause_gathered(*clause, plan, *gs, js, jfns);
-            replayed = true;
-          } else {
-            auto [si, first] = key_seen_.try_emplace(
-                key, KeySeen{plans_->epoch(), 0});
-            if (!first && si->second.epoch != plans_->epoch())
-              si->second = KeySeen{plans_->epoch(), 0};
-            if (si->second.seen >= 1) {
-              rec_owner = std::make_unique<spmd::GatherSchedule>();
-              rec_owner->init(plan.procs(),
-                              static_cast<int>(clause->loops.size()),
-                              static_cast<int>(clause->refs.size()));
-              rec = rec_owner.get();
-            }
-            ++si->second.seen;
+        // the entry holds a schedule, otherwise enumerate and record one.
+        if (engine_.comm_schedules && entry.sched) {
+          run_clause_gathered(
+              *clause, plan,
+              static_cast<const spmd::GatherSchedule&>(*entry.sched), js,
+              jfns);
+        } else {
+          std::unique_ptr<spmd::GatherSchedule> rec;
+          if (engine_.comm_schedules) {
+            rec = std::make_unique<spmd::GatherSchedule>();
+            rec->init(plan.procs(), static_cast<int>(clause->loops.size()),
+                      static_cast<int>(clause->refs.size()));
           }
-        }
-        if (!replayed) {
           // Recording steps run the bytecode loop: the note_* hooks
           // have to observe every element the inspector will replay.
-          run_clause(*clause, plan, rec, rec ? nullptr : jfns);
+          run_clause(*clause, plan, rec.get(), rec ? nullptr : jfns);
           if (rec) {
             ++comm_.sched_builds;
-            plans_->attach_schedule(key, std::move(rec_owner));
+            entry.sched = std::move(rec);
             VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, trace_step_ - 1,
                        plans_->schedules());
           }
         }
-        pending = std::move(plan);
+        pending = &plan;
         pending_exists = true;
       }
     } else {
       // Shared memory: redistribution only changes future ownership, but
-      // it is a synchronization point for the analysis, and cached plans
-      // baked the old layout into their owner arithmetic.
+      // it is a synchronization point for the analysis, and later
+      // clauses look their plans up under the new layout.
       resolve_pending(nullptr);
       const auto& redist = std::get<spmd::RedistStep>(step);
       program_.arrays.insert_or_assign(redist.array, redist.new_desc);
-      plans_->bump_epoch();
+      const spmd::LayoutId layout = lookup_.relayout(redist.new_desc);
       ++stats_.barriers;
       stats_.sim_time += cost_.per_barrier;
       if (tr) {
         tr->set_virtual_time(stats_.sim_time);
-        tr->record(ctl, obs::EventKind::RedistEpoch, trace_step_,
-                   static_cast<i64>(plans_->epoch()));
+        tr->record(ctl, obs::EventKind::RedistEpoch, trace_step_, layout);
       }
       ++trace_step_;
     }
@@ -178,30 +158,18 @@ void SharedMachine::run() {
   resolve_pending(nullptr);  // the final barrier is always performed
 }
 
-const spmd::JitFns* SharedMachine::jit_poll(const std::string& key,
+const spmd::JitFns* SharedMachine::jit_poll(spmd::PlanCache::Entry& entry,
                                             const Clause& clause,
                                             const spmd::ClauseKernel& kern,
                                             spmd::JitState** js) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
-  JitSlot& slot = jit_states_[key];
+  const bool fresh = !entry.jit;
+  if (fresh) entry.jit = std::make_shared<spmd::JitState>();
   if (!ctx_->jit().available()) {
-    // No toolchain on this host: never arm (a compile job could only
-    // fail). A single fallback per clause key records that JIT was
-    // requested but cannot happen here.
-    if (!slot.no_toolchain_noted) {
-      slot.no_toolchain_noted = true;
-      ++jit_.fallbacks;
-    }
+    // No toolchain on this host: never arm (see DistMachine::jit_poll).
+    if (fresh) ++jit_.fallbacks;
     return nullptr;
-  }
-  if (!slot.state || slot.epoch != plans_->epoch()) {
-    // A redistribution invalidated whatever this key had compiled; if
-    // the old state was armed, the next executions run bytecode again —
-    // count that as a fallback, then re-arm from scratch.
-    if (slot.state && slot.state->armed()) ++jit_.fallbacks;
-    slot.state = std::make_shared<spmd::JitState>();
-    slot.epoch = plans_->epoch();
   }
   spmd::JitConfig cfg;
   cfg.enabled = true;
@@ -209,14 +177,14 @@ const spmd::JitFns* SharedMachine::jit_poll(const std::string& key,
   cfg.sync = engine_.jit_sync;
   cfg.cache_dir = engine_.jit_cache_dir;
   cfg.engine = &ctx_->jit();
-  spmd::JitPoll r = slot.state->poll(clause, kern, cfg, jit_);
+  spmd::JitPoll r = entry.jit->poll(clause, kern, cfg, jit_);
   if (r.launched)
     VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, trace_step_,
                cfg.sync ? 1 : 0);
   if (r.swapped)
     VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, trace_step_,
                r.cached ? 0 : 1);
-  *js = slot.state.get();
+  *js = entry.jit.get();
   return r.fns;
 }
 

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 
 #include "gen/optimizer.hpp"
 #include "obs/trace.hpp"
@@ -68,7 +67,7 @@ class SharedMachine {
   const std::vector<double>& result(const std::string& name) const;
   const SharedStats& stats() const noexcept { return stats_; }
 
-  /// Plan-cache effectiveness (hits/misses/epoch) for benchmarks.
+  /// Plan-cache effectiveness (hits/misses/layouts) for benchmarks.
   const spmd::PlanCache& plan_cache() const noexcept { return *plans_; }
 
   /// Per-element execution-path tally (fused kernel loop / per-element
@@ -104,9 +103,9 @@ class SharedMachine {
                            const spmd::GatherSchedule& sched,
                            spmd::JitState* js, const spmd::JitFns* jfns);
 
-  /// One JIT arming / dispatch poll for the clause keyed by `key` at
-  /// the current epoch (see DistMachine::jit_poll).
-  const spmd::JitFns* jit_poll(const std::string& key,
+  /// One JIT arming / dispatch poll for the clause whose plan-cache
+  /// entry is `entry` (see DistMachine::jit_poll).
+  const spmd::JitFns* jit_poll(spmd::PlanCache::Entry& entry,
                                const prog::Clause& clause,
                                const spmd::ClauseKernel& kern,
                                spmd::JitState** js);
@@ -122,31 +121,13 @@ class SharedMachine {
   std::unique_ptr<support::ThreadPool> pool_;  // owned when threads > 1
   obs::Tracer* tracer_ = nullptr;       // ctx-owned, set when engine_.trace
   PlanLease plans_;                     // leased from ctx_, never empty
+  spmd::PlanLookup lookup_;             // into *plans_
   DenseStore store_;
   SharedStats stats_;
   PathCounters paths_;
   CommStats comm_;
   spmd::JitStats jit_;
   i64 trace_step_ = 0;  // executed-step ordinal for trace event ids
-
-  // Per-plan-key JIT state (see DistMachine::JitSlot): epoch mismatch on
-  // an armed state counts a fallback and re-arms from scratch.
-  struct JitSlot {
-    std::shared_ptr<spmd::JitState> state;
-    std::uint64_t epoch = 0;
-    bool no_toolchain_noted = false;  // one fallback per key, not per exec
-  };
-  std::unordered_map<std::string, JitSlot> jit_states_;
-
-  // Gather-schedule dispatch state (see DistMachine): memoized plan-cache
-  // keys per program step, and per-key clean-execution counts at the
-  // current epoch (schedules are recorded on the second clean pass).
-  std::unordered_map<const void*, std::string> step_keys_;
-  struct KeySeen {
-    std::uint64_t epoch = 0;
-    i64 seen = 0;
-  };
-  std::unordered_map<std::string, KeySeen> key_seen_;
 };
 
 }  // namespace vcal::rt

@@ -430,6 +430,7 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
         }
       }
     };
+    rt::CommStats comm;  // schedule reuse, dist and shared only
     switch (req.target) {
       case Target::Dist: {
         rt::DistMachine m(out.entry->program, req.build, {}, req.engine,
@@ -439,6 +440,7 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
         m.run();
         res.plan_hits = m.plan_cache().hits() - h0;
         res.plan_misses = m.plan_cache().misses() - m0;
+        comm = m.comm_stats();
         for (const std::string& g : req.gather)
           res.stores.emplace_back(g, m.gather(g));
         if (req.want_stats) res.stats_line = m.stats().str();
@@ -453,6 +455,7 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
         m.run();
         res.plan_hits = m.plan_cache().hits() - h0;
         res.plan_misses = m.plan_cache().misses() - m0;
+        comm = m.comm_stats();
         for (const std::string& g : req.gather)
           res.stores.emplace_back(g, m.result(g));
         if (req.want_stats) res.stats_line = m.stats().str();
@@ -483,6 +486,8 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
     session.ctx->metric_add("ok", 1);
     session.ctx->metric_add("plan-hits", res.plan_hits);
     session.ctx->metric_add("plan-misses", res.plan_misses);
+    session.ctx->metric_add("sched-builds", comm.sched_builds);
+    session.ctx->metric_add("sched-hits", comm.sched_hits);
   } catch (const std::exception& e) {
     res.status = Status::RunError;
     res.error_kind = classify_run(e);

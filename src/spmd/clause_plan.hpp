@@ -193,8 +193,8 @@ class ClausePlan {
   /// The paper's Reside_p for ref r on machine rank p (cached per rank).
   const IterationSpace& reside_space(i64 rank, int r) const;
 
-  /// The clause compiled to bytecode + affine subscripts (built once per
-  /// plan; shares the plan cache's redistribute-epoch invalidation).
+  /// The clause compiled to bytecode + subscript records (built once per
+  /// plan, so cached per layout with it).
   const ClauseKernel& kernel() const noexcept { return *kernel_; }
 
   /// Program-level index of the LHS element at these loop values.

@@ -1,14 +1,14 @@
 // Compiled communication schedules: the inspector–executor analogue of
 // the paper's test→generator optimization, applied to the message layer.
 //
-// The plan cache already proves that a clause's communication pattern is
-// static between redistributions: the set of (src, dst, ref, loop tuple)
-// transfers depends only on the decompositions, never on array values.
-// Yet the tagged execution path re-derives that pattern every step — a
-// tag computation per element, a sort of every bulk channel, and a
-// binary search (or hash probe) per remote operand. A CommSchedule is
-// the once-per-(plan, epoch) *inspector* result that lets every later
-// step run a pure *executor*: each source rank packs values positionally
+// A clause's communication pattern — the set of (src, dst, ref, loop
+// tuple) transfers — depends only on the layouts of the arrays it
+// touches, never on array values; the paper derives it once from the
+// data decomposition. Yet the tagged execution path re-derives that
+// pattern every step — a tag computation per element, a sort of every
+// bulk channel, and a binary search (or hash probe) per remote operand.
+// A CommSchedule is the once-per-(clause, layout) *inspector* result
+// that lets every later step run a pure *executor*: each source rank packs values positionally
 // into a contiguous reused buffer (PackOp list per destination, frozen
 // in the exact order the tagged pack() produced), and each destination
 // rank satisfies every operand by a recorded offset — a local row slot,
@@ -23,12 +23,13 @@
 // oracle's `sched` axis pins this). Guards and right-hand sides are
 // always evaluated live — only the *pattern* is compiled, never values.
 //
-// Lifecycle: schedules derive from a ClausePlan at one decomposition
-// epoch and ride in that plan's cache entry (spmd::CachedSchedule), so a
-// redistribute's epoch bump invalidates them with the plan. Recording
-// happens on the second clean execution of a clause (the first proves
-// the pattern; single-shot clauses never pay the inspector); only an
-// armed fault falls back to the tagged path.
+// Lifecycle: schedules derive from a ClausePlan and ride in that plan's
+// cache entry (spmd::CachedSchedule), which is keyed by the clause and
+// the exact layouts of its arrays (plan_cache.hpp). Recording happens on
+// the first clean execution of an entry that holds no schedule; a
+// redistribute moves the clause to another entry, and a return to an
+// earlier layout replays that layout's schedule at once. Only an armed
+// fault falls back to the tagged path (and records nothing).
 //
 // GatherSchedule is the shared-memory sibling: the same source-offset
 // lists turn each virtual processor's operand reads into a flat gather
@@ -89,10 +90,11 @@ struct RecvPlan {
   std::vector<RefOp> ops; // n * nrefs operand fetches, flattened
 };
 
-/// The distributed machine's compiled schedule for one (clause plan,
-/// decomposition epoch). Public data: the machine records into it
-/// during the inspector step (rank-partitioned, so the parallel phase
-/// loops record without locks) and replays from it afterwards.
+/// The distributed machine's compiled schedule for one clause plan (one
+/// clause at one layout of its arrays). Public data: the machine
+/// records into it during the inspector step (rank-partitioned, so the
+/// parallel phase loops record without locks) and replays from it
+/// afterwards.
 class CommSchedule : public CachedSchedule {
  public:
   i64 procs = 0;

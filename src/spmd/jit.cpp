@@ -353,12 +353,6 @@ JitPoll JitState::poll(const prog::Clause& clause, const ClauseKernel& kern,
   return r;
 }
 
-bool JitState::armed() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return status_ == Status::Pending || status_ == Status::Ready ||
-         status_ == Status::Failed;
-}
-
 // ---- the compile service --------------------------------------------
 
 std::string jit_system_compiler() { return support::system_c_compiler(); }

@@ -160,20 +160,16 @@ struct JitPoll {
   bool cached = false;          // the swap reused a cached module/.so
 };
 
-/// Per-(machine, clause-plan) JIT state: arming counter, compile status,
-/// the swapped-in function pointers, and the lazily flattened replay
-/// programs. Poll is called once per clause execution from the
-/// machine's control thread; the compile worker flips the status from
-/// Pending to Ready/Failed concurrently.
+/// Per-clause-plan JIT state, riding in the plan's cache entry (one per
+/// layout): arming counter, compile status, the swapped-in function
+/// pointers, and the lazily flattened replay programs. Poll is called
+/// once per clause execution from the machine's control thread; the
+/// compile worker flips the status from Pending to Ready/Failed
+/// concurrently.
 class JitState : public std::enable_shared_from_this<JitState> {
  public:
   JitPoll poll(const prog::Clause& clause, const ClauseKernel& kern,
                const JitConfig& cfg, JitStats& stats);
-
-  /// True once the state has started (or finished) a compile — used by
-  /// the machines to tell an armed plan invalidated by an epoch bump
-  /// from one that never got hot.
-  bool armed() const;
 
   /// The flattened replay program for `s`, built once per schedule and
   /// cached. Never fails: ineligible ranks come back with any == false.

@@ -98,9 +98,14 @@ ClauseKernel ClauseKernel::compile(const prog::Clause& clause) {
           a.loop = s.loop_index;
           a.a = f.affine_a();
           a.c = f.affine_c();
+        } else if (f.cls() == fn::FnClass::AffineMod) {
+          // Inline record; like a generic one it keeps the clause off
+          // the strided-run analysis.
+          out.mod.push_back({d, s.loop_index, f.affine_a(), f.affine_c(),
+                             f.mod_z(), f.mod_d()});
+          k.affine_ = false;
         } else {
-          // AffineMod / Monotone / Opaque: a generic record; the clause
-          // keeps the kernel path but not the strided-run analysis.
+          // Monotone / Opaque: a generic record evaluated with fn::eval.
           out.generic.push_back({d, s.loop_index, s.expr});
           k.affine_ = false;
         }

@@ -3,9 +3,9 @@
 // The paper replaces O(n) run-time membership tests with closed-form
 // generator functions; this layer removes the interpreter tax that was
 // still paid on every *generated* index. A ClauseKernel is built once per
-// clause (and memoized next to its ClausePlan, so it shares the
-// redistribute-epoch invalidation) and is total: every clause compiles,
-// and every executor runs every clause through it. It provides:
+// clause (and memoized next to its ClausePlan, so it is cached per layout
+// like the plan) and is total: every clause compiles, and every executor
+// runs every clause through it. It provides:
 //
 //   1. RHS expressions and guards lowered to a flat postfix bytecode
 //      array evaluated on a small caller-owned value stack — no
@@ -14,9 +14,10 @@
 //      reference interpreter's order and results are bit-identical.
 //   2. Subscript records: a Constant or Affine dimension (the paper's
 //      Table I classes, via fn::classify) becomes an {loop, a, c}
-//      record; any other dimension (AffineMod, Monotone, Opaque) becomes
-//      a generic record evaluated with fn::eval. The message tag is a
-//      dot product with precomputed weights for every clause.
+//      record, an AffineMod one an inline {loop, a, c, z, d} record; only
+//      Monotone and Opaque dimensions keep a generic record evaluated
+//      with fn::eval. The message tag is a dot product with precomputed
+//      weights for every clause.
 //   3. Strided-local run analysis (affine clauses only): for an
 //      innermost-loop arithmetic progression of global indices, the
 //      maximal k-subrange that is in-bounds, owned by a given rank, and
@@ -151,9 +152,27 @@ struct AffineSub {
   }
 };
 
-/// One non-affine subscript dimension (AffineMod, Monotone or Opaque in
-/// its loop variable): fn::eval(expr, vals[loop]), exactly as
-/// prog::eval_subs_into computes it — same values, same exceptions.
+/// One AffineMod subscript dimension: (a*vals[loop] + c) mod z + d,
+/// through the same checked support::math helpers as fn::eval. Sema
+/// rejects subscripts whose arithmetic can overflow over the loop range,
+/// so the record and the tree agree on every value they can meet.
+struct ModSub {
+  std::size_t dim = 0;  // subscript position it fills
+  int loop = 0;
+  i64 a = 0;
+  i64 c = 0;
+  i64 z = 1;  // > 0
+  i64 d = 0;
+
+  i64 at(const i64* vals) const {
+    return add_checked(emod(add_checked(mul_checked(a, vals[loop]), c), z),
+                       d);
+  }
+};
+
+/// One Monotone or Opaque subscript dimension: fn::eval(expr,
+/// vals[loop]), exactly as prog::eval_subs_into computes it — same
+/// values, same exceptions.
 struct GenericSub {
   std::size_t dim = 0;  // subscript position it fills
   int loop = 0;
@@ -162,9 +181,11 @@ struct GenericSub {
 
 /// The lowered subscripts of one array access. Every dimension has an
 /// affine record; a non-affine dimension's record is a placeholder that
-/// its generic record overwrites. `generic` is empty in affine clauses.
+/// its mod or generic record overwrites. `mod` and `generic` are empty
+/// in affine clauses.
 struct SubRecords {
   std::vector<AffineSub> affine;
+  std::vector<ModSub> mod;
   std::vector<GenericSub> generic;
 };
 
@@ -262,12 +283,13 @@ class ClauseKernel {
   }
 
   /// prog::eval_subs_into through the records: the affine records
-  /// first, then the generic ones over their placeholders.
+  /// first, then the mod and generic ones over their placeholders.
   static void subs_into(const SubRecords& subs, const i64* vals,
                         std::vector<i64>& out) {
     out.resize(subs.affine.size());
     for (std::size_t d = 0; d < subs.affine.size(); ++d)
       out[d] = subs.affine[d].at(vals);
+    for (const ModSub& m : subs.mod) out[m.dim] = m.at(vals);
     for (const GenericSub& g : subs.generic)
       out[g.dim] = fn::eval(g.expr, vals[g.loop]);
   }

@@ -93,10 +93,10 @@ GeneratedProgram ProgramGen::gen_1d() {
         rng_.uniform(0, 9), "; od");
     gp.stmts.push_back(stmt);
     if (rng_.chance(0.3)) {
-      // Iterate the clause verbatim: a clause must execute three times
-      // at one decomposition epoch before the communication-schedule
-      // inspector's replay path runs, so without repetition the corpus
-      // would never cover the executor half of that split.
+      // Iterate the clause verbatim: a clause must execute again at one
+      // layout before the communication-schedule executor replays it,
+      // so without repetition the corpus would never cover the
+      // executor half of that split.
       gp.stmts.push_back(stmt);
       gp.stmts.push_back(stmt);
     }
@@ -159,8 +159,8 @@ GeneratedProgram ProgramGen::gen_2d() {
                          "; od"));
   if (opts_.allow_redistribute && rng_.chance(0.5)) {
     // Redistribute one matrix mid-program: the second clause must run
-    // against the new layout (plan-cache epoch bump on the distributed
-    // machine).
+    // against the new layout (a plan-cache entry of its own on the
+    // distributed machine).
     const char* target = rng_.chance(0.5) ? "M" : "N";
     gp.stmts.push_back(cat("redistribute ", target, " ", dist2d(), ";"));
   }

@@ -249,8 +249,8 @@ TEST(Cli, StatsReportCommSchedules) {
                       .out,
                   "comm: sched-builds="));
 
-  // The same clause executed three times: the first pass runs tagged,
-  // the second records the schedule, the third replays it.
+  // The same clause executed three times: the first pass runs tagged and
+  // records the schedule, the other two replay it.
   std::string dir = unique_dir();
   std::string file = dir + "/comm3.vexl";
   {
@@ -265,7 +265,7 @@ TEST(Cli, StatsReportCommSchedules) {
                        file);
     EXPECT_EQ(on.status, 0) << on.out;
     EXPECT_TRUE(has(on.out, "sched-builds=1")) << target << "\n" << on.out;
-    EXPECT_TRUE(has(on.out, "sched-hits=1")) << target << "\n" << on.out;
+    EXPECT_TRUE(has(on.out, "sched-hits=2")) << target << "\n" << on.out;
 
     RunResult off = run(std::string(target) +
                         " --no-comm-schedules --init B --print A --stats " +
@@ -403,6 +403,22 @@ TEST(Cli, ErrorExitCodes) {
   RunResult z = run("--init B " + zero);
   EXPECT_EQ(z.status, 2) << z.out;
   EXPECT_TRUE(has(z.out, "by constant zero")) << z.out;
+
+  // So is subscript arithmetic that overflows i64 over the loop range
+  // (it used to fault at run time as an internal invariant).
+  for (const char* sub :
+       {"(i*4611686018427387904) mod 8", "(i + 9223372036854775807) mod 8"}) {
+    std::string over = dir + "/over.vexl";
+    std::ofstream(over) << "array A[0:7]; array B[0:7];\n"
+                        << "forall i in 0:7 do A[i] := B[" << sub
+                        << "]; od\n";
+    for (const char* target : {"--target=dist", "--target=shared"}) {
+      RunResult o = run(std::string(target) + " --init B " + over);
+      EXPECT_EQ(o.status, 2) << sub << "\n" << o.out;
+      EXPECT_TRUE(has(o.out, "of B overflows i64 for i in 0:7")) << o.out;
+      EXPECT_FALSE(has(o.out, "internal invariant")) << o.out;
+    }
+  }
 }
 
 TEST(Cli, RemovedEngineFlagsAreRejected) {

@@ -1,7 +1,7 @@
 // Tests for compiled communication schedules (src/spmd/comm_schedule):
-// the inspector/executor split on both machines, epoch invalidation on
-// redistribution, fault-forced fallback to the tagged path, and the
-// replay accounting surfaced through CommStats.
+// the inspector/executor split on both machines, one schedule per layout
+// across redistributions, fault-forced fallback to the tagged path, and
+// the replay accounting surfaced through CommStats.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -79,7 +79,7 @@ TEST(CommSchedule, ReplayIsBitIdenticalToTaggedPath) {
     DistRun r_off = run_dist(repeat_src(6), off);
     expect_same_observables(r_on, r_off);
     EXPECT_EQ(r_on.comm.sched_builds, 1) << threads;
-    EXPECT_EQ(r_on.comm.sched_hits, 4) << threads;
+    EXPECT_EQ(r_on.comm.sched_hits, 5) << threads;
     EXPECT_EQ(r_off.comm.sched_builds, 0) << threads;
     EXPECT_EQ(r_off.comm.sched_hits, 0) << threads;
     // Every packed value is consumed exactly once by a recorded slot.
@@ -95,26 +95,26 @@ TEST(CommSchedule, ReplayIsBitIdenticalToTaggedPath) {
 }
 
 TEST(CommSchedule, ScheduleReuseCounts) {
-  // T executions of one clause: first is the probing tagged pass, the
-  // second records, every later one replays.
+  // T executions of one clause: the first runs tagged and records,
+  // every later one replays.
   const int kReps = 9;
   DistRun r = run_dist(repeat_src(kReps), {});
   EXPECT_EQ(r.comm.sched_builds, 1);
-  EXPECT_EQ(r.comm.sched_hits, kReps - 2);
+  EXPECT_EQ(r.comm.sched_hits, kReps - 1);
   EXPECT_EQ(r.comm.sched_fallbacks, 0);
 }
 
-TEST(CommSchedule, RedistributeInvalidatesSchedules) {
+TEST(CommSchedule, EachLayoutRecordsItsOwnSchedule) {
   spmd::Program program = lang::compile(repeat_src(6, /*redist=*/true));
   DistMachine m(program, {}, {}, {});
   m.load("B", ramp(32));
   m.run();
-  // Three executions on each side of the redistribution: the schedule is
-  // rebuilt from scratch after the epoch bump (plan and slot offsets
-  // baked the old layout in), and exactly one live schedule remains.
+  // Three executions on each side of the redistribution: the new layout
+  // records a schedule of its own (plan and slot offsets bake the layout
+  // in), and the old layout's schedule stays for a return to it.
   EXPECT_EQ(m.comm_stats().sched_builds, 2);
-  EXPECT_EQ(m.comm_stats().sched_hits, 2);
-  EXPECT_EQ(m.plan_cache().schedules(), 1);
+  EXPECT_EQ(m.comm_stats().sched_hits, 4);
+  EXPECT_EQ(m.plan_cache().schedules(), 2);
 
   // And the perturbed run still matches the schedule-free one.
   EngineOptions off;
@@ -150,7 +150,7 @@ TEST(CommSchedule, ArmedFaultForcesTaggedFallback) {
   expect_same_observables(probe, faulted);
   EXPECT_EQ(faulted.comm.sched_fallbacks, 1);
   EXPECT_EQ(faulted.comm.sched_builds, 1);
-  EXPECT_EQ(faulted.comm.sched_hits, 1);  // step 3 replays again
+  EXPECT_EQ(faulted.comm.sched_hits, 2);  // steps 1 and 3 replay
 
   // A stalled rank takes the same fallback route.
   FaultPlan stall;
@@ -164,12 +164,12 @@ TEST(CommSchedule, ArmedFaultForcesTaggedFallback) {
 }
 
 TEST(CommSchedule, NonAffineClausesRecordAndReplayThroughTheKernel) {
-  // The rotate read is affine-mod: the tagged passes run the kernel's
-  // generic records and the replays its bytecode RHS — no tree walk on
+  // The rotate read is affine-mod: the tagged pass runs the kernel's
+  // mod records and the replays its bytecode RHS — no tree walk on
   // either side of the inspector/executor split.
   DistRun r = run_dist(repeat_src(6), {});
   EXPECT_EQ(r.comm.sched_builds, 1);
-  EXPECT_EQ(r.comm.sched_hits, 4);
+  EXPECT_EQ(r.comm.sched_hits, 5);
   EXPECT_EQ(r.paths.interp, 0);
   EXPECT_GT(r.paths.generic, 0);
   EXPECT_GT(r.paths.sched, 0);
@@ -195,13 +195,57 @@ TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {
   EXPECT_EQ(st_on.tests, st_off.tests);
   EXPECT_EQ(st_on.sim_time, st_off.sim_time);
   // Same build/replay cadence as the distributed machine: record on the
-  // second clean pass on each side of the redistribution.
+  // first clean pass on each side of the redistribution.
   EXPECT_EQ(c_on.sched_builds, 2);
-  EXPECT_EQ(c_on.sched_hits, 2);
+  EXPECT_EQ(c_on.sched_hits, 4);
   EXPECT_EQ(c_off.sched_builds, 0);
   EXPECT_EQ(c_off.sched_hits, 0);
   EXPECT_GT(p_on.sched + p_on.jit, 0);
   EXPECT_EQ(p_off.sched, 0);
+}
+
+TEST(CommSchedule, ReturningLayoutReplaysItsSchedule) {
+  // One mod-rotate clause across block -> scatter -> block: two
+  // executions, one, two. Each layout records on its first execution;
+  // back on block the first schedule replays, so 2 builds and 3 hits on
+  // both machines, from 2 plan builds. The result matches the
+  // schedule-free run.
+  const std::string rot =
+      "forall i in 0:30 do A[i] := B[(i + 5) mod 32] + 1; od\n";
+  const std::string src =
+      "processors 4;\n"
+      "array A[0:31];\ndistribute A scatter;\n"
+      "array B[0:31];\ndistribute B block;\n" +
+      rot + rot + "redistribute B scatter;\n" + rot +
+      "redistribute B block;\n" + rot + rot;
+  spmd::Program program = lang::compile(src);
+  for (bool sched : {true, false}) {
+    EngineOptions e;
+    e.comm_schedules = sched;
+    DistMachine d(program, {}, {}, e);
+    d.load("B", ramp(32));
+    d.run();
+    SharedMachine s(program, {}, {}, /*elide_barriers=*/false, e);
+    s.load("B", ramp(32));
+    s.run();
+    EXPECT_EQ(d.gather("A"), s.result("A"));
+    EXPECT_EQ(d.comm_stats().sched_builds, sched ? 2 : 0);
+    EXPECT_EQ(d.comm_stats().sched_hits, sched ? 3 : 0);
+    EXPECT_EQ(s.comm_stats().sched_builds, sched ? 2 : 0);
+    EXPECT_EQ(s.comm_stats().sched_hits, sched ? 3 : 0);
+    EXPECT_EQ(d.plan_cache().misses(), 2);
+    EXPECT_EQ(d.plan_cache().hits(), 3);
+    EXPECT_EQ(s.plan_cache().misses(), 2);
+    if (sched) {
+      EngineOptions off;
+      off.comm_schedules = false;
+      DistRun r_off = run_dist(src, off);
+      EXPECT_EQ(d.gather("A"), r_off.a);
+      EXPECT_EQ(d.stats().messages, r_off.stats.messages);
+      EXPECT_EQ(d.stats().sim_time, r_off.stats.sim_time);
+      EXPECT_EQ(d.message_matrix(), r_off.matrix);
+    }
+  }
 }
 
 }  // namespace

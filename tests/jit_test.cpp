@@ -1,8 +1,8 @@
 // Tests for JIT native code generation (src/spmd/jit): source emission
 // and content addressing, bit-identical dispatch on both machines (the
 // fused loop and the segmentized schedule replay), every failure path
-// falling back to the bytecode kernel, and epoch invalidation on
-// redistribution.
+// falling back to the bytecode kernel, and one JIT state per layout
+// across a redistribution.
 //
 // Failure-path tests use clauses with unique constants: the dlopen
 // module registry is per-EngineContext but the .so cache directory is
@@ -433,15 +433,16 @@ TEST(JitFallback, UnsafeCacheDirFallsBackBitIdentically) {
   EXPECT_GT(r_on.jit.fallbacks, 0);
 }
 
-TEST(JitFallback, RedistributeEpochBumpInvalidatesAndReArms) {
+TEST(JitFallback, RedistributedLayoutArmsItsOwnState) {
   if (!toolchain()) GTEST_SKIP() << "no C compiler detected";
   const std::string cache = temp_cache_dir();
-  // Armed before the mid-program redistribution, invalidated by the
-  // epoch bump (one counted fallback), re-armed and jitted after.
+  // Armed before the mid-program redistribution; the new layout's plan
+  // entry arms a JIT state of its own and jits too. The old state stays
+  // with its layout, so nothing falls back.
   DistRun r_on = run_dist(comm_src(6, 9, /*redist=*/true), jit_on(cache));
   DistRun r_off = run_dist(comm_src(6, 9, /*redist=*/true), jit_off());
   expect_same_dist(r_on, r_off);
-  EXPECT_GE(r_on.jit.fallbacks, 1);
+  EXPECT_EQ(r_on.jit.fallbacks, 0);
   EXPECT_GT(r_on.jit.hits, 0);
   // Same guard/RHS on both sides of the redistribution: the second arm
   // is a content-addressed reuse, not a fresh build.

@@ -173,19 +173,28 @@ TEST(ClauseKernel, ConstantSubscriptPinsTheDimension) {
   EXPECT_EQ(s.at(&any), 5);
 }
 
-TEST(ClauseKernel, ModularSubscriptLowersToAGenericRecord) {
+TEST(ClauseKernel, ModularSubscriptLowersToAModRecord) {
   // B[(i+6) mod 20]: a scatter-style wrap is not an affine progression,
   // so the kernel reports !affine() (no strided runs, no JIT) while the
-  // bytecode and the subscript records stay usable.
+  // bytecode and the subscript records stay usable. The wrap is an
+  // inline {loop, a, c, z, d} record, not a tree walk.
   fn::SymPtr wrap = fn::mod(fn::add(fn::var(), fn::cnst(6)), fn::cnst(20));
   prog::Clause c = one_ref_clause(fn::var(), 0, wrap, 0);
   c.rhs = prog::mul(prog::ref(0), prog::number(3.0));
   ClauseKernel k = ClauseKernel::compile(c);
   EXPECT_FALSE(k.affine());
-  EXPECT_TRUE(k.lhs_subs().generic.empty());
-  ASSERT_EQ(k.ref_subs(0).generic.size(), 1u);
-  EXPECT_EQ(k.ref_subs(0).generic[0].dim, 0u);
-  EXPECT_EQ(k.ref_subs(0).generic[0].loop, 0);
+  EXPECT_TRUE(k.lhs_subs().mod.empty());
+  EXPECT_TRUE(k.ref_subs(0).generic.empty());
+  ASSERT_EQ(k.ref_subs(0).mod.size(), 1u);
+  const ModSub& m = k.ref_subs(0).mod[0];
+  EXPECT_EQ(m.dim, 0u);
+  EXPECT_EQ(m.loop, 0);
+  EXPECT_EQ(m.a, 1);
+  EXPECT_EQ(m.c, 6);
+  EXPECT_EQ(m.z, 20);
+  EXPECT_EQ(m.d, 0);
+  i64 i = 17;
+  EXPECT_EQ(m.at(&i), 3);
   std::vector<double> stack(static_cast<std::size_t>(k.stack_need()));
   std::vector<double> refs = {7.0};
   EXPECT_TRUE(same_bits(k.rhs().eval(refs.data(), nullptr, stack.data()),
@@ -194,10 +203,11 @@ TEST(ClauseKernel, ModularSubscriptLowersToAGenericRecord) {
 
 TEST(ClauseKernel, GenericRecordsMatchTheReferenceSubscripts) {
   // Every non-affine shape the classifier knows (affine-mod with
-  // negative operands, floor division, monotone and opaque compositions)
-  // in a 2-D clause whose dimensions mix affine, constant and generic
-  // records. subs_into must equal prog::eval_subs_into element for
-  // element, over ranges that drive mod/div operands negative.
+  // negative operands and offsets, stride 3 and the nested-mod
+  // simplification; floor division, monotone and opaque compositions)
+  // in a 2-D clause whose dimensions mix affine, constant, mod and
+  // generic records. subs_into must equal prog::eval_subs_into element
+  // for element, over ranges that drive mod/div operands negative.
   using fn::add;
   using fn::cnst;
   using fn::intdiv;
@@ -208,6 +218,10 @@ TEST(ClauseKernel, GenericRecordsMatchTheReferenceSubscripts) {
   const std::vector<fn::SymPtr> shapes = {
       mod(add(var(), cnst(6)), cnst(20)),             // affine-mod
       mod(sub(cnst(3), mul(cnst(2), var())), cnst(7)),  // negative operand
+      add(mod(add(mul(cnst(3), var()), cnst(-4)), cnst(16)),
+          cnst(-2)),                                  // a = 3, c, d < 0
+      sub(mod(sub(var(), cnst(9)), cnst(8)), cnst(5)),  // d = -5 via sub
+      mod(add(mod(var(), cnst(12)), cnst(5)), cnst(4)),  // nested mod
       intdiv(var(), cnst(3)),                         // floor division
       intdiv(sub(cnst(-5), var()), cnst(4)),          // negative dividend
       add(mod(var(), cnst(5)), intdiv(var(), cnst(2))),  // opaque
@@ -224,6 +238,11 @@ TEST(ClauseKernel, GenericRecordsMatchTheReferenceSubscripts) {
     c.rhs = prog::add(prog::ref(0), prog::ref(1));
     ClauseKernel kern = ClauseKernel::compile(c);
     EXPECT_FALSE(kern.affine()) << k;
+    // The affine-mod shapes take the inline record, never the tree.
+    if (k < 5) {
+      EXPECT_EQ(kern.lhs_subs().mod.size(), 1u) << k;
+      EXPECT_TRUE(kern.lhs_subs().generic.empty()) << k;
+    }
     std::vector<i64> got, want;
     for (i64 i = -12; i <= 12; ++i) {
       for (i64 j = -9; j <= 9; ++j) {

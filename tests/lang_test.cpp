@@ -287,6 +287,52 @@ TEST(Translate, Rejections) {
                SemanticError);
 }
 
+TEST(Translate, SubscriptOverflowOverTheLoopRangeIsASemanticError) {
+  // Each subscript overflows i64 at some loop value, in the tree or in
+  // the closed form kernels evaluate; sema names the subscript, its
+  // array and the range, at the subscript's position.
+  for (const char* sub :
+       {"(i*4611686018427387904) mod 8", "(i + 9223372036854775807) mod 8",
+        "i - 9223372036854775807 - 2", "-(i - 9223372036854775807 - 1)"}) {
+    std::string src = cat("array A[0:7]; array B[0:7];\n",
+                          "forall i in 0:7 do A[i] := B[", sub, "]; od\n");
+    try {
+      compile(src);
+      ADD_FAILURE() << sub << " compiled";
+    } catch (const SemanticError& e) {
+      std::string msg = e.what();
+      EXPECT_NE(msg.find("' of B overflows i64 for i in 0:7"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("(at 2:"), std::string::npos) << msg;
+    }
+  }
+  // Over 0:2 the tree 2^62*(i - 1) stays in range, but the kernel's
+  // closed form 2^62*i + (-2^62) does not at i = 2.
+  EXPECT_THROW(compile("array A[0:7]; array B[0:7];\nforall i in 0:2 do "
+                       "A[i] := B[(4611686018427387904*(i - 1)) mod 8]; "
+                       "od\n"),
+               SemanticError);
+  // Negating a closed form whose constant is i64 min: the tree stays in
+  // range over 5:7, the coefficient negation does not.
+  EXPECT_THROW(compile("array A[0:7]; array B[0:7];\nforall i in 5:7 do "
+                       "A[i] := B[-(i - 9223372036854775807 - 1)]; od\n"),
+               SemanticError);
+  // The LHS and constant subscripts are checked too.
+  EXPECT_THROW(compile("array A[0:7];\nforall i in 0:7 do "
+                       "A[(i*3074457345618258603) mod 8] := 0; od\n"),
+               SemanticError);
+  EXPECT_THROW(compile("array A[0:7]; array B[0:7];\nforall i in 0:7 do "
+                       "A[i] := B[9223372036854775807 + 1 - i]; od\n"),
+               SemanticError);
+  // Large values that stay in range over the loop compile: the bound
+  // is the range, not the constants.
+  EXPECT_NO_THROW(compile("array A[0:7]; array B[0:7];\nforall i in 0:1 do "
+                          "A[i] := B[(i*4611686018427387904) mod 8]; od\n"));
+  EXPECT_NO_THROW(compile("array A[0:7]; array B[0:7];\nforall i in 0:7 do "
+                          "A[i] := B[(i + 9223372036854775800) mod 8]; od\n"));
+}
+
 TEST(Translate, ConstantZeroDivisorInSubscriptIsASemanticError) {
   for (const char* op : {"mod", "div"}) {
     std::string src = cat("array A[0:9]; array B[0:9];\n",

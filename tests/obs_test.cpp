@@ -261,7 +261,7 @@ TEST(TraceTransparency, SharedRunsAreBitIdenticalWithTracingOnAndOff) {
 // --- communication-schedule replay ------------------------------------
 
 TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
-  // Four identical clauses: tagged pass, recording pass, two replays.
+  // Four identical clauses: one recording (tagged) pass, three replays.
   spmd::Program program = lang::compile(
       "processors 4;\n"
       "array A[0:31];\ndistribute A block;\n"
@@ -277,7 +277,7 @@ TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
   m.load("B", ramp(32));
   m.run();
   EXPECT_EQ(m.comm_stats().sched_builds, 1);
-  EXPECT_EQ(m.comm_stats().sched_hits, 2);
+  EXPECT_EQ(m.comm_stats().sched_hits, 3);
   EXPECT_GT(m.comm_stats().packed_values, 0);
   EXPECT_EQ(m.comm_stats().packed_values, m.comm_stats().unpacked_values);
   const Tracer& t = *m.tracer();
@@ -293,8 +293,8 @@ TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
     });
   EXPECT_EQ(builds, m.comm_stats().sched_builds);
   EXPECT_EQ(hits, m.comm_stats().sched_hits);
-  EXPECT_EQ(packs, 2 * 4);    // one pack span per rank per replayed step
-  EXPECT_EQ(gathers, 2 * 4);  // one gather span likewise
+  EXPECT_EQ(packs, 3 * 4);    // one pack span per rank per replayed step
+  EXPECT_EQ(gathers, 3 * 4);  // one gather span likewise
   check_lane_invariants(t);
 }
 

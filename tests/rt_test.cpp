@@ -763,10 +763,10 @@ TEST(Engine, ThreadPoolSizeDoesNotChangeObservables) {
 }
 
 TEST(Engine, PlanCacheSurvivesRepeatsAndInvalidatesOnRedistribute) {
-  // clause; clause again; redistribute B; same clause again — the epoch
-  // bump must rebuild the plan against the new layout while the
-  // identical pre-redistribution repeat hits. A stale plan would
-  // misroute every send after the redistribute.
+  // clause; clause again; redistribute B; same clause again — the new
+  // layout of B must get a plan of its own while the identical
+  // pre-redistribution repeat hits. The block plan would misroute every
+  // send after the redistribute.
   Program p = shift_program(32, 4, Decomp1D::Kind::Block,
                             Decomp1D::Kind::Block);
   prog::Clause c = std::get<prog::Clause>(p.steps[0]);
@@ -794,9 +794,9 @@ TEST(Engine, PlanCacheSurvivesRepeatsAndInvalidatesOnRedistribute) {
   EXPECT_EQ(dist.stats().messages, 3 + 3 + 24 + 23);
   EXPECT_EQ(dist.stats().steps, 4);
 
-  EXPECT_EQ(dist.plan_cache().misses(), 2);  // one per epoch
+  EXPECT_EQ(dist.plan_cache().misses(), 2);  // one per layout of B
   EXPECT_EQ(dist.plan_cache().hits(), 1);    // the repeat
-  EXPECT_EQ(dist.plan_cache().epoch(), 1u);
+  EXPECT_EQ(dist.plan_cache().layouts(), 3);  // A, B block, B scatter
 }
 
 TEST(Engine, BulkMessagesBoundedByRankPairs) {

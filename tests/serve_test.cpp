@@ -19,6 +19,7 @@
 #include "serve/client.hpp"
 #include "serve/compile_cache.hpp"
 #include "serve/server.hpp"
+#include "support/format.hpp"
 
 namespace {
 
@@ -301,7 +302,10 @@ TEST(Serve, DistAndSharedRunsOfOneProgramKeepSeparatePlanCaches) {
 TEST(Serve, RedistributingProgramRepeatsCorrectlyInOneSession) {
   // A clause whose text appears both before and after a redistribute:
   // each served run must start from the pre-redistribute layout, not
-  // from the epoch the previous run of the session ended at.
+  // from the layout the previous run of the session ended at. The
+  // pooled plan cache keeps one entry per layout, so run 1 records a
+  // schedule for each (block: record + replay; scatter: record) and
+  // every later run replays all three executions, bit-identically.
   const char src[] =
       "processors 4;\narray A[0:31]; array B[0:31];\n"
       "distribute A block; distribute B block;\n"
@@ -321,6 +325,14 @@ TEST(Serve, RedistributingProgramRepeatsCorrectlyInOneSession) {
                                            << r.error;
     EXPECT_EQ(r.stores[0].second, direct.gather("A")) << "run " << run;
     EXPECT_EQ(r.stats_line, direct.stats().str()) << "run " << run;
+    EXPECT_EQ(r.plan_misses, run == 0 ? 2 : 0) << "run " << run;
+    std::string server_json, session_json;
+    fx.client.metrics(&server_json, &session_json);
+    EXPECT_NE(session_json.find("\"sched-builds\":2"), std::string::npos)
+        << "run " << run << ": " << session_json;
+    EXPECT_NE(session_json.find(cat("\"sched-hits\":", 1 + 3 * run)),
+              std::string::npos)
+        << "run " << run << ": " << session_json;
   }
 }
 

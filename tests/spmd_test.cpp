@@ -307,31 +307,75 @@ TEST(PlanCache, DistinctClausesGetDistinctEntries) {
   EXPECT_EQ(cache.size(), 2);
 }
 
-TEST(PlanCache, EpochBumpInvalidatesAndRebuildsAgainstNewLayout) {
+TEST(PlanCache, RedistributedLayoutBuildsAgainstTheNewLayout) {
   ArrayTable arrays = one_d_arrays(32, 4);
   prog::Clause c = simple_clause(0, 30);
   PlanCache cache;
 
-  // Rebuilding on an epoch mismatch overwrites the cache entry, so take
-  // the block-layout schedule's rendering before invalidating.
-  std::string block_schedule = cache.get(c, arrays)
-                                   .modify_space(0)
-                                   .dim(0)
-                                   .str();
-  EXPECT_EQ(cache.get(c, arrays).modify_space(0).count(), 8);  // 0..7
+  const ClausePlan& block = cache.get(c, arrays);
+  EXPECT_EQ(block.modify_space(0).count(), 8);  // 0..7
 
-  // Redistribute A to scatter; a stale plan would keep block ownership.
+  // Redistribute A to scatter; a plan for the old layout would keep
+  // block ownership.
   arrays.insert_or_assign(
       "A", decomp::ArrayDesc::distributed(
                "A", {0}, {31}, DecompND({Decomp1D::scatter(32, 4)})));
-  cache.bump_epoch();
   const ClausePlan& after = cache.get(c, arrays);
   EXPECT_EQ(cache.misses(), 2);
   EXPECT_EQ(after.modify_space(0).count(), 8);  // scatter: 0,4,...,28
-  EXPECT_NE(after.modify_space(0).dim(0).str(), block_schedule);
-  cache.get(c, arrays);  // same epoch again: a hit
+  EXPECT_NE(after.modify_space(0).dim(0).str(),
+            block.modify_space(0).dim(0).str());
+  cache.get(c, arrays);  // same layout again: a hit
+  EXPECT_EQ(cache.hits(), 1);
+}
+
+TEST(PlanCache, TwoLayoutsOfOneClauseCoexist) {
+  // block -> scatter -> block: both entries stay, and returning to a
+  // layout finds its original plan (and what rides in its entry).
+  const ArrayTable block_arrays = one_d_arrays(32, 4);
+  ArrayTable scatter_arrays = block_arrays;
+  scatter_arrays.insert_or_assign(
+      "A", decomp::ArrayDesc::distributed(
+               "A", {0}, {31}, DecompND({Decomp1D::scatter(32, 4)})));
+  prog::Clause c = simple_clause(0, 30);
+  PlanCache cache;
+  const ClausePlan& block = cache.get(c, block_arrays);
+  const ClausePlan& scatter = cache.get(c, scatter_arrays);
+  EXPECT_NE(&block, &scatter);
+  EXPECT_EQ(&cache.get(c, block_arrays), &block);
+  EXPECT_EQ(&cache.get(c, scatter_arrays), &scatter);
+  EXPECT_EQ(cache.misses(), 2);
   EXPECT_EQ(cache.hits(), 2);
-  EXPECT_EQ(cache.epoch(), 1u);
+  EXPECT_EQ(cache.size(), 2);
+  // A block, A scatter and B scatter; C is never touched.
+  EXPECT_EQ(cache.layouts(), 3);
+
+  // The same through a machine's lookup: a relayout switches entries
+  // without rebuilding either.
+  PlanLookup lookup(cache);
+  PlanCache::Entry& e_block = lookup.get(c, block_arrays, {});
+  EXPECT_EQ(&e_block.plan, &block);
+  lookup.relayout(scatter_arrays.at("A"));
+  EXPECT_EQ(&lookup.get(c, scatter_arrays, {}).plan, &scatter);
+  lookup.relayout(block_arrays.at("A"));
+  EXPECT_EQ(&lookup.get(c, block_arrays, {}), &e_block);
+  EXPECT_EQ(cache.misses(), 2);
+  EXPECT_EQ(cache.hits(), 5);
+}
+
+TEST(PlanCache, LayoutIdsAreExact) {
+  PlanCache cache;
+  const ArrayTable arrays = one_d_arrays(32, 4);
+  const ArrayDesc& a = arrays.at("A");
+  EXPECT_EQ(cache.intern(a), cache.intern(arrays.at("A")));
+  // Same shape and decomposition under another name, and the same array
+  // with a halo, are different layouts.
+  const LayoutId base = cache.intern(a);
+  EXPECT_NE(cache.intern(ArrayDesc::distributed(
+                "Z", {0}, {31}, DecompND({Decomp1D::block(32, 4)}))),
+            base);
+  EXPECT_NE(cache.intern(a.with_halo(1)), base);
+  EXPECT_EQ(cache.layouts(), 3);
 }
 
 }  // namespace
