@@ -88,6 +88,19 @@ SymPtr mod(SymPtr a, SymPtr b) {
 }
 SymPtr neg(SymPtr a) { return make(Sym::Op::Neg, 0, std::move(a), nullptr); }
 
+namespace {
+
+// The right operand of a Div/Mod node at i. Translate rejects a constant
+// zero; a divisor that reaches zero for some loop value is a fault of
+// the program, raised alike by every executor that evaluates it.
+i64 divisor(const SymPtr& s, i64 i, const char* op) {
+  const i64 d = eval(s->rhs, i);
+  if (d == 0) throw RuntimeFault(cat("'", op, "' by zero in a subscript"));
+  return d;
+}
+
+}  // namespace
+
 i64 eval(const SymPtr& s, i64 i) {
   require(s != nullptr, "eval of null Sym");
   switch (s->op) {
@@ -103,10 +116,14 @@ i64 eval(const SymPtr& s, i64 i) {
       return add_checked(eval(s->lhs, i), -eval(s->rhs, i));
     case Sym::Op::Mul:
       return mul_checked(eval(s->lhs, i), eval(s->rhs, i));
-    case Sym::Op::Div:
-      return floordiv(eval(s->lhs, i), eval(s->rhs, i));
-    case Sym::Op::Mod:
-      return emod(eval(s->lhs, i), eval(s->rhs, i));
+    case Sym::Op::Div: {
+      const i64 a = eval(s->lhs, i);
+      return floordiv(a, divisor(s, i, "div"));
+    }
+    case Sym::Op::Mod: {
+      const i64 a = eval(s->lhs, i);
+      return emod(a, divisor(s, i, "mod"));
+    }
   }
   throw InternalError("eval: bad Sym op");
 }

@@ -110,13 +110,17 @@ void apply_views(const ViewTable& views, std::string& array,
 // variable it uses; returns that variable's loop index (-1 if constant).
 class SubscriptLowering {
  public:
-  explicit SubscriptLowering(const std::vector<prog::LoopDim>& loops)
-      : loops_(loops) {}
+  SubscriptLowering(const std::vector<prog::LoopDim>& loops,
+                    const spmd::ArrayTable& arrays)
+      : loops_(loops), arrays_(arrays) {}
 
-  prog::Subscript lower(const AExprPtr& e, const std::string& array) {
+  /// Lowers the subscript of `array`'s dimension `dim`.
+  prog::Subscript lower(const AExprPtr& e, const std::string& array,
+                        int dim) {
     var_index_ = -1;
     fn::SymPtr sym = walk(e);
     check_overflow(sym, e, array);
+    if (var_index_ < 0) check_constant(sym, e, array, dim);
     return prog::Subscript{var_index_, std::move(sym)};
   }
 
@@ -196,7 +200,24 @@ class SubscriptLowering {
     err_at(msg, e->line, e->col);
   }
 
+  // Loop ranges are never empty, so a constant subscript is evaluated
+  // on every execution of its clause: one outside the declared bounds
+  // is rejected here, at the subscript, for every target alike. Arity
+  // mismatches are left to the clause checks.
+  void check_constant(const fn::SymPtr& sym, const AExprPtr& e,
+                      const std::string& array, int dim) const {
+    auto it = arrays_.find(array);
+    if (it == arrays_.end() || dim >= it->second.ndims()) return;
+    const decomp::ArrayDesc& desc = it->second;
+    const i64 v = fn::eval(sym, 0);
+    if (in_range(v, desc.lo(dim), desc.hi(dim))) return;
+    err_at(cat("constant subscript ", v, " of ", array, " dimension ", dim,
+               " is outside its bounds ", desc.lo(dim), ":", desc.hi(dim)),
+           e->line, e->col);
+  }
+
   const std::vector<prog::LoopDim>& loops_;
+  const spmd::ArrayTable& arrays_;
   int var_index_ = -1;
 };
 
@@ -206,8 +227,13 @@ class ValueLowering {
  public:
   ValueLowering(const std::vector<std::string>& loop_vars,
                 const std::vector<prog::LoopDim>& loops,
-                std::vector<prog::ArrayRef>& refs, const ViewTable& views)
-      : loop_vars_(loop_vars), loops_(loops), refs_(refs), views_(views) {}
+                std::vector<prog::ArrayRef>& refs, const ViewTable& views,
+                const spmd::ArrayTable& arrays)
+      : loop_vars_(loop_vars),
+        loops_(loops),
+        refs_(refs),
+        views_(views),
+        arrays_(arrays) {}
 
   prog::ExprPtr lower(const AExprPtr& e) {
     switch (e->kind) {
@@ -249,10 +275,12 @@ class ValueLowering {
     std::string array = e->name;
     std::vector<AExprPtr> subs = e->subs;
     apply_views(views_, array, subs, e->line, e->col);
-    SubscriptLowering subl(loops_);
+    SubscriptLowering subl(loops_, arrays_);
     prog::ArrayRef r;
     r.array = std::move(array);
-    for (const AExprPtr& s : subs) r.subs.push_back(subl.lower(s, r.array));
+    for (const AExprPtr& s : subs)
+      r.subs.push_back(
+          subl.lower(s, r.array, static_cast<int>(r.subs.size())));
     std::string key = r.str(loop_vars_);
     auto it = interned_.find(key);
     if (it != interned_.end()) return it->second;
@@ -266,6 +294,7 @@ class ValueLowering {
   const std::vector<prog::LoopDim>& loops_;
   std::vector<prog::ArrayRef>& refs_;
   const ViewTable& views_;
+  const spmd::ArrayTable& arrays_;
   std::map<std::string, int> interned_;
 };
 
@@ -273,7 +302,8 @@ prog::Clause lower_assign(const AAssign& assign,
                           const std::vector<prog::LoopDim>& loops,
                           prog::Ordering ord,
                           const std::optional<ACond>& guard,
-                          const ViewTable& views) {
+                          const ViewTable& views,
+                          const spmd::ArrayTable& arrays) {
   prog::Clause clause;
   clause.loops = loops;
   clause.ord = ord;
@@ -286,11 +316,12 @@ prog::Clause lower_assign(const AAssign& assign,
   std::vector<std::string> vars;
   for (const prog::LoopDim& l : loops) vars.push_back(l.var);
 
-  SubscriptLowering subl(loops);
+  SubscriptLowering subl(loops, arrays);
   for (const AExprPtr& s : lhs_subs)
-    clause.lhs_subs.push_back(subl.lower(s, clause.lhs_array));
+    clause.lhs_subs.push_back(subl.lower(
+        s, clause.lhs_array, static_cast<int>(clause.lhs_subs.size())));
 
-  ValueLowering vall(vars, loops, clause.refs, views);
+  ValueLowering vall(vars, loops, clause.refs, views, arrays);
   clause.rhs = vall.lower(assign.value);
   if (guard) {
     prog::Guard g;
@@ -339,13 +370,14 @@ spmd::Program translate(const AProgram& ast) {
           loop->parallel ? prog::Ordering::Par : prog::Ordering::Seq;
       for (const AAssign& a : loop->body)
         program.steps.emplace_back(
-            lower_assign(a, loops, ord, loop->guard, views));
+            lower_assign(a, loops, ord, loop->guard, views, program.arrays));
     } else if (const auto* assign = std::get_if<AAssign>(&stmt)) {
       // A bare assignment: a degenerate single-iteration clause.
       std::vector<prog::LoopDim> loops{{"_", 0, 0}};
       program.steps.emplace_back(lower_assign(*assign, loops,
                                               prog::Ordering::Par,
-                                              std::nullopt, views));
+                                              std::nullopt, views,
+                                              program.arrays));
     } else {
       const auto& redist = std::get<ARedistribute>(stmt);
       auto it = program.arrays.find(redist.name);

@@ -1,13 +1,16 @@
-// The per-(src,dst) bulk message channel shared by the in-process
-// simulator (DistMachine) and the multi-process backend's worker
-// (src/proc/worker.cpp). The proc worker reconstructs each channel from
-// the (tag, value) pairs received over the ring transport in arrival
-// order, so pack()/consume() semantics — and therefore every counter —
-// stay bit-identical across backends by construction.
+// The per-(src,dst) bulk message channel of the tagged execution path,
+// shared by the in-process simulator (DistMachine) and the multi-process
+// backend's worker (src/proc/worker.cpp). The simulator uses it only
+// where no communication schedule runs — steps with an armed fault,
+// engines with comm_schedules off, and clauses the inspector refuses
+// because an element would fault; channels carry no recording metadata.
+// The proc worker reconstructs each channel from the (tag, value) pairs
+// received over the ring transport in arrival order, so pack()/consume()
+// semantics — and therefore every counter — stay bit-identical across
+// backends by construction.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -29,11 +32,6 @@ namespace vcal::rt {
 struct Channel {
   std::vector<std::pair<i64, double>> msgs;
   std::vector<char> taken;
-  // Recording metadata for the communication-schedule inspector: the
-  // (ref ordinal, source-local offset) behind each in-flight value.
-  // Maintained only while a schedule is being recorded; pack() keeps it
-  // in tandem with msgs through the sort/dedup permutation.
-  std::vector<std::pair<std::int32_t, i64>> meta;
   // Lazy tag -> first-occurrence index for the perturbed (unsorted)
   // fallback, built once on the first fallback consume instead of
   // re-scanning the whole channel per receive.
@@ -41,7 +39,6 @@ struct Channel {
   bool lazy_built = false;
   bool sorted = false;  // binary search valid (packed, unperturbed)
   i64 consumed = 0;
-  std::size_t last_k = 0;  // slot of the last successful consume
 
   void push(i64 tag, double value) { msgs.emplace_back(tag, value); }
 
@@ -49,44 +46,17 @@ struct Channel {
   // the earlier value, mirroring keyed-mailbox semantics — then sorts
   // for binary-search matching.
   void pack() {
-    if (meta.empty()) {
-      std::stable_sort(
-          msgs.begin(), msgs.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      std::size_t w = 0;
-      for (std::size_t i = 0; i < msgs.size(); ++i) {
-        if (w > 0 && msgs[w - 1].first == msgs[i].first)
-          msgs[w - 1] = msgs[i];
-        else
-          msgs[w++] = msgs[i];
-      }
-      msgs.resize(w);
-    } else {
-      // Recording: run the identical stable sort + keep-last dedup
-      // through an index permutation so meta stays in tandem — the
-      // recorded pack order is exactly what replay will reproduce.
-      std::vector<std::size_t> perm(msgs.size());
-      for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-      std::stable_sort(perm.begin(), perm.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return msgs[a].first < msgs[b].first;
-                       });
-      std::vector<std::pair<i64, double>> out;
-      std::vector<std::pair<std::int32_t, i64>> mout;
-      out.reserve(msgs.size());
-      mout.reserve(meta.size());
-      for (std::size_t i : perm) {
-        if (!out.empty() && out.back().first == msgs[i].first) {
-          out.back() = msgs[i];
-          mout.back() = meta[i];
-        } else {
-          out.push_back(msgs[i]);
-          mout.push_back(meta[i]);
-        }
-      }
-      msgs = std::move(out);
-      meta = std::move(mout);
+    std::stable_sort(
+        msgs.begin(), msgs.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      if (w > 0 && msgs[w - 1].first == msgs[i].first)
+        msgs[w - 1] = msgs[i];
+      else
+        msgs[w++] = msgs[i];
     }
+    msgs.resize(w);
     sorted = true;
     taken.assign(msgs.size(), 0);
   }
@@ -120,7 +90,6 @@ struct Channel {
     if (taken[k]) return nullptr;
     taken[k] = 1;
     ++consumed;
-    last_k = k;
     return &msgs[k].second;
   }
 

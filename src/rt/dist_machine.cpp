@@ -121,6 +121,19 @@ void DistMachine::finish_step(const std::vector<RankCounters>& counters) {
 }
 
 
+// Copy-in snapshot of the clause's target when the clause reads it:
+// senders and local reads must observe pre-clause values. Null when the
+// clause does not read its own target.
+const std::vector<std::vector<double>>* DistMachine::snapshot_if_read(
+    const Clause& clause) {
+  for (const prog::ArrayRef& r : clause.refs)
+    if (r.array == clause.lhs_array) {
+      store_.copy_into(clause.lhs_array, snap_);
+      return &snap_;
+    }
+  return nullptr;
+}
+
 // Phase 0 of every clause (tagged or scheduled): every referenced array
 // with a halo gets its boundary copies refreshed with pre-clause values
 // — one bulk exchange per (owner, neighbour) pair, copied as one
@@ -230,6 +243,112 @@ const spmd::JitFns* DistMachine::jit_poll(spmd::PlanCache::Entry& entry,
   return r.fns;
 }
 
+namespace {
+
+// One provably-local stretch of an innermost run: n elements whose loop
+// value starts at v0 and advances by vstride, whose LHS local slot
+// starts at la and advances by lstride, and whose ref r operand sits at
+// local offset raddr[r], advancing by rstride[r]. raddr is the walker's
+// per-run scratch: the callee may advance it in place.
+struct FusedRun {
+  i64 v0 = 0;
+  i64 vstride = 0;
+  i64 n = 0;
+  i64 la = 0;
+  i64 lstride = 0;
+  i64* raddr = nullptr;
+  const i64* rstride = nullptr;
+};
+
+// Walks rank p's Modify_p space in order. For an affine kernel each
+// innermost run splits into the maximal subrange the strided-run proof
+// shows in bounds and resident on p for the LHS and every ref — handed
+// to `fused` in one call — and the elements before and after it, handed
+// to `element` one at a time. Unprovable runs and non-affine clauses go
+// element at a time throughout. The tagged phase 2 and the inspector
+// share this walk, so both see the same element order and split.
+template <typename Element, typename Fused>
+void walk_modify(const ClausePlan& plan, i64 p, gen::EnumStats* es,
+                 Element&& element, Fused&& fused) {
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const spmd::IterationSpace& space = plan.modify_space(p);
+  const int inner = space.dims() - 1;
+  auto each = [&](std::vector<i64>& vals, const gen::Piece& run, i64 k0,
+                  i64 k1) {
+    for (i64 k = k0; k < k1; ++k) {
+      vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
+      element(vals);
+    }
+  };
+  if (!kern.affine()) {
+    space.for_each_run(
+        [&](std::vector<i64>& vals, const gen::Piece& run) {
+          each(vals, run, 0, run.count);
+        },
+        es);
+    return;
+  }
+
+  const auto n = plan.clause().refs.size();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const spmd::ArrayAddr lhs_addr = spmd::make_local_addr(lhs, p);
+  std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
+  std::vector<i64> dgl(g0l.size());
+  std::vector<spmd::ArrayAddr> raddrs;
+  raddrs.reserve(n);
+  std::vector<std::vector<i64>> g0s(n), dgs(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const decomp::ArrayDesc& rd = plan.ref_desc(static_cast<int>(r));
+    raddrs.push_back(spmd::make_local_addr(rd, p));
+    g0s[r].resize(static_cast<std::size_t>(rd.ndims()));
+    dgs[r].resize(static_cast<std::size_t>(rd.ndims()));
+  }
+  std::vector<spmd::StridedRun> rruns(n);
+  std::vector<i64> raddr(n), rstride(n);
+  space.for_each_run(
+      [&](std::vector<i64>& vals, const gen::Piece& run) {
+        spmd::StridedRun lrun;
+        spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
+                               g0l.data(), dgl.data());
+        bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
+                                      run.count, &lrun);
+        i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
+        for (std::size_t r = 0; fuse && r < n; ++r) {
+          spmd::fill_progression(kern.ref_subs(static_cast<int>(r)).affine,
+                                 vals, inner, run, g0s[r].data(),
+                                 dgs[r].data());
+          fuse = spmd::strided_run(raddrs[r], g0s[r].data(), dgs[r].data(),
+                                   run.count, &rruns[r]);
+          if (fuse) {
+            k0 = std::max(k0, rruns[r].k_lo);
+            k1 = std::min(k1, rruns[r].k_hi);
+          }
+        }
+        if (!fuse || k0 > k1) {
+          each(vals, run, 0, run.count);
+          return;
+        }
+        each(vals, run, 0, k0);
+        FusedRun f;
+        f.v0 = run.start + k0 * run.stride;
+        f.vstride = run.stride;
+        f.n = k1 - k0 + 1;
+        f.la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
+        f.lstride = lrun.stride;
+        for (std::size_t r = 0; r < n; ++r) {
+          raddr[r] = rruns[r].addr0 + (k0 - rruns[r].k_lo) * rruns[r].stride;
+          rstride[r] = rruns[r].stride;
+        }
+        f.raddr = raddr.data();
+        f.rstride = rstride.data();
+        fused(vals, f);
+        each(vals, run, k1 + 1, run.count);
+      },
+      es);
+}
+
+}  // namespace
+
 void DistMachine::run_clause(const Clause& clause) {
   if (clause.ord == prog::Ordering::Seq)
     throw CodegenError(
@@ -273,32 +392,32 @@ void DistMachine::run_clause(const Clause& clause) {
   if (engine_.jit && kaff && !fault_armed)
     jfns = jit_poll(entry, clause, kern, &js, step_id);
 
-  // Communication-schedule dispatch (inspector–executor): replay when
-  // the entry holds a schedule, otherwise run the tagged path and record
-  // one. Armed faults always take the tagged path and record nothing.
-  spmd::CommSchedule* rec = nullptr;
-  std::unique_ptr<spmd::CommSchedule> rec_owner;
+  // Communication-schedule dispatch (inspector–executor): a clean step
+  // runs the executor, inspecting the plan for a schedule first when
+  // the entry holds none. Armed faults, and clauses the inspector
+  // refuses because an element would fault, take the tagged path.
   if (engine_.comm_schedules) {
     if (fault_armed) {
       ++comm_.sched_fallbacks;
       VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id, 1);
-    } else if (entry.sched) {
-      run_clause_scheduled(
-          clause, plan, static_cast<const spmd::CommSchedule&>(*entry.sched),
-          js, jfns);
-      return;
     } else {
-      rec_owner = std::make_unique<spmd::CommSchedule>();
-      rec_owner->init(plan.procs(), static_cast<int>(clause.loops.size()),
-                      static_cast<int>(clause.refs.size()));
-      rec = rec_owner.get();
+      const bool stored = entry.sched != nullptr;
+      if (!stored) {
+        if ((entry.sched = inspect(clause, plan))) {
+          ++comm_.sched_builds;
+          VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
+                     plans_->schedules());
+        }
+      }
+      if (entry.sched) {
+        run_clause_scheduled(
+            clause, plan,
+            static_cast<const spmd::CommSchedule&>(*entry.sched), js, jfns,
+            /*replay=*/stored);
+        return;
+      }
     }
   }
-  std::vector<std::vector<i64>> matrix_before;
-  if (rec) matrix_before = message_matrix_;
-  // Recording steps must run the bytecode loop: the note_* hooks have
-  // to observe every element the inspector will replay.
-  if (rec) jfns = nullptr;
 
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
   const i64 procs = plan.procs();
@@ -307,14 +426,7 @@ void DistMachine::run_clause(const Clause& clause) {
 
   // Copy-in snapshot when the clause reads its own target: senders and
   // local reads must observe pre-clause values.
-  bool lhs_read = false;
-  for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
-  const std::vector<std::vector<double>>* snap = nullptr;
-  if (lhs_read) {
-    store_.copy_into(clause.lhs_array, snap_);
-    snap = &snap_;
-  }
+  const std::vector<std::vector<double>>* snap = snapshot_if_read(clause);
 
   // Pre-clause source row for ref r on `rank`: the copy-in snapshot when
   // the clause reads its own target, the live store row otherwise.
@@ -394,8 +506,7 @@ void DistMachine::run_clause(const Clause& clause) {
         if (!rd.in_bounds(ridx))
           throw RuntimeFault("read out of bounds on " +
                              clause.refs[static_cast<std::size_t>(r)].array);
-        i64 local = rd.local_linear(ridx);
-        double value = read_row(row, local, r);
+        double value = read_row(row, rd.local_linear(ridx), r);
         i64 tag = kern.tag(r, vals.data());
         if (lhs.is_replicated()) {
           // Every rank computes every index: broadcast to the others.
@@ -403,10 +514,7 @@ void DistMachine::run_clause(const Clause& clause) {
             if (dst == p) continue;
             if (halo_covers(rd, dst, ridx))
               continue;  // receiver reads its halo copy
-            Channel& ch = channel(p, dst);
-            ch.push(tag, value);
-            if (rec)
-              ch.meta.emplace_back(static_cast<std::int32_t>(r), local);
+            channel(p, dst).push(tag, value);
             ++rc.sends;
             ++matrix_row[static_cast<std::size_t>(dst)];
           }
@@ -417,10 +525,7 @@ void DistMachine::run_clause(const Clause& clause) {
           if (dst == p) return;  // Modify ∩ Reside: local update later
           if (halo_covers(rd, dst, ridx))
             return;  // receiver reads its halo copy
-          Channel& ch = channel(p, dst);
-          ch.push(tag, value);
-          if (rec)
-            ch.meta.emplace_back(static_cast<std::int32_t>(r), local);
+          channel(p, dst).push(tag, value);
           ++rc.sends;
           ++matrix_row[static_cast<std::size_t>(dst)];
         }
@@ -533,10 +638,12 @@ void DistMachine::run_clause(const Clause& clause) {
         static_cast<std::size_t>(nrefs));
     std::vector<const std::vector<double>*> hrows(
         static_cast<std::size_t>(nrefs));
+    std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
     for (int r = 0; r < nrefs; ++r) {
-      rows[static_cast<std::size_t>(r)] = &ref_row(r, p);
-      hrows[static_cast<std::size_t>(r)] =
-          halo_row(clause.refs[static_cast<std::size_t>(r)].array, p);
+      const auto ur = static_cast<std::size_t>(r);
+      rows[ur] = &ref_row(r, p);
+      row_ptrs[ur] = rows[ur]->data();
+      hrows[ur] = halo_row(clause.refs[ur].array, p);
     }
     std::vector<double>& out_row =
         store_.local_row_mut(clause.lhs_array, p);
@@ -544,43 +651,10 @@ void DistMachine::run_clause(const Clause& clause) {
     const spmd::CompiledGuard* guard = kern.guard();
     const spmd::CompiledExpr& rhs = kern.rhs();
 
-    // Strided-run scratch: addressing, progressions, and fused-loop
-    // cursors — only affine clauses ever fuse.
-    spmd::ArrayAddr lhs_addr;
-    std::vector<spmd::ArrayAddr> raddrs;
-    std::vector<i64> g0l, dgl;
-    std::vector<std::vector<i64>> g0s, dgs;
-    std::vector<spmd::StridedRun> rruns;
-    std::vector<i64> raddr, rstride;
-    std::vector<const double*> row_ptrs;
-    if (kaff) {
-      const auto n = static_cast<std::size_t>(nrefs);
-      lhs_addr = spmd::make_local_addr(lhs, p);
-      g0l.resize(static_cast<std::size_t>(lhs.ndims()));
-      dgl.resize(static_cast<std::size_t>(lhs.ndims()));
-      raddrs.reserve(n);
-      g0s.resize(n);
-      dgs.resize(n);
-      for (int r = 0; r < nrefs; ++r) {
-        const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        raddrs.push_back(spmd::make_local_addr(rd, p));
-        g0s[static_cast<std::size_t>(r)].resize(
-            static_cast<std::size_t>(rd.ndims()));
-        dgs[static_cast<std::size_t>(r)].resize(
-            static_cast<std::size_t>(rd.ndims()));
-      }
-      rruns.resize(n);
-      raddr.resize(n);
-      rstride.resize(n);
-      row_ptrs.resize(n);
-      for (int r = 0; r < nrefs; ++r)
-        row_ptrs[static_cast<std::size_t>(r)] =
-            rows[static_cast<std::size_t>(r)]->data();
-    }
-
     // Element-at-a-time body: owner test, local/halo/remote operand
     // fetch, guard, RHS, and the local write.
     auto element = [&](const std::vector<i64>& vals) {
+      ++pc.generic;
       spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
       if (!lhs.in_bounds(out_idx))
         throw RuntimeFault("write out of bounds on " + clause.lhs_array);
@@ -593,33 +667,22 @@ void DistMachine::run_clause(const Clause& clause) {
               clause.refs[static_cast<std::size_t>(r)].array);
         const std::vector<double>& row =
             *rows[static_cast<std::size_t>(r)];
-        if (rd.is_replicated()) {
-          i64 local = rd.local_linear(ridx);
-          ref_values[static_cast<std::size_t>(r)] = read_row(row, local, r);
-          ++rc.local_reads;
-          if (rec) rec->note_local(p, r, local);
-          continue;
-        }
-        i64 src = rd.owner(ridx);
+        const i64 src = rd.is_replicated() ? p : rd.owner(ridx);
         if (src == p) {
-          i64 local = rd.local_linear(ridx);
-          ref_values[static_cast<std::size_t>(r)] = read_row(row, local, r);
+          ref_values[static_cast<std::size_t>(r)] =
+              read_row(row, rd.local_linear(ridx), r);
           ++rc.local_reads;
-          if (rec) rec->note_local(p, r, local);
         } else if (halo_covers(rd, p, ridx)) {
           // Overlapped decomposition: the value is already cached in
           // this rank's halo row.
-          const i64 hs = rd.halo_slot(p, ridx[0]);
           ref_values[static_cast<std::size_t>(r)] =
               (*hrows[static_cast<std::size_t>(r)])[static_cast<std::size_t>(
-                  hs)];
+                  rd.halo_slot(p, ridx[0]))];
           ++rc.halo_reads;
-          if (rec) rec->note_halo(p, r, hs);
         } else {
           // Blocking receive from the in-flight bulk message.
           i64 tag = kern.tag(r, vals.data());
-          Channel& ch = channel(src, p);
-          const double* value = ch.consume(tag);
+          const double* value = channel(src, p).consume(tag);
           if (value == nullptr) {
             std::string elem =
                 clause.refs[static_cast<std::size_t>(r)].array + "[";
@@ -641,18 +704,7 @@ void DistMachine::run_clause(const Clause& clause) {
           ref_values[static_cast<std::size_t>(r)] = *value;
           ++rc.receives;
           ++rc.remote_reads;
-          if (rec) rec->note_remote(p, r, src, static_cast<i64>(ch.last_k));
         }
-      }
-      if (rec) {
-        // Record before the guard: replay evaluates guards live, so
-        // guarded-off elements must still carry their operand offsets.
-        // -1 encodes "the tagged path would fault on an in-range-guarded
-        // write".
-        i64 rslot = lhs.local_linear(out_idx);
-        if (!in_range(rslot, 0, static_cast<i64>(out_row.size()) - 1))
-          rslot = -1;
-        rec->note_element(p, rslot, vals.data());
       }
       if (guard &&
           !guard->holds(ref_values.data(), vals.data(), stack.data()))
@@ -665,103 +717,41 @@ void DistMachine::run_clause(const Clause& clause) {
       out_row[static_cast<std::size_t>(slot)] = value;
     };
 
-    gen::EnumStats es;
-    const spmd::IterationSpace& space = plan.modify_space(p);
-    space.for_each_run(
-        [&](std::vector<i64>& vals, const gen::Piece& run) {
-          spmd::StridedRun lrun;
-          bool fuse = kaff;
-          if (fuse) {
-            spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
-                                   g0l.data(), dgl.data());
-            fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                     run.count, &lrun);
-          }
-          i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
-          for (int r = 0; fuse && r < nrefs; ++r) {
-            auto ur = static_cast<std::size_t>(r);
-            spmd::fill_progression(kern.ref_subs(r).affine, vals, inner, run,
-                                   g0s[ur].data(), dgs[ur].data());
-            fuse = spmd::strided_run(raddrs[ur], g0s[ur].data(),
-                                     dgs[ur].data(), run.count, &rruns[ur]);
-            if (fuse) {
-              k0 = std::max(k0, rruns[ur].k_lo);
-              k1 = std::min(k1, rruns[ur].k_hi);
-            }
-          }
-          fuse = fuse && k0 <= k1;
-          if (!fuse) {
-            for (i64 k = 0; k < run.count; ++k) {
-              vals[static_cast<std::size_t>(inner)] =
-                  run.start + k * run.stride;
-              element(vals);
-            }
-            pc.generic += run.count;
-            return;
-          }
-          for (i64 k = 0; k < k0; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          // Fused strided loop: every element of [k0, k1] is proven in
-          // bounds and resident on this rank for the LHS and every ref,
-          // so the body carries no checks, no calls through the plan,
-          // and no allocations — just strided row reads, the bytecode
-          // evaluator on a preallocated stack, and a strided row write.
-          i64 la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
+    // Fused strided loop: every element of the run is proven in bounds
+    // and resident on this rank for the LHS and every ref, so the body
+    // carries no checks, no calls through the plan, and no allocations —
+    // just strided row reads, the bytecode evaluator on a preallocated
+    // stack, and a strided row write.
+    auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+      if (jfns) {
+        // The jitted loop needs only the strides: addressing arrives as
+        // arguments, the guard/RHS are compiled in.
+        jfns->fused(out_row.data(), f.la, f.lstride, row_ptrs.data(),
+                    f.raddr, f.rstride, vals.data(), f.v0, f.vstride, f.n);
+        pc.jit += f.n;
+      } else {
+        i64 la = f.la, v = f.v0;
+        for (i64 k = 0; k < f.n; ++k) {
+          vals[static_cast<std::size_t>(inner)] = v;
           for (int r = 0; r < nrefs; ++r) {
             auto ur = static_cast<std::size_t>(r);
-            raddr[ur] =
-                rruns[ur].addr0 + (k0 - rruns[ur].k_lo) * rruns[ur].stride;
+            ref_values[ur] = row_ptrs[ur][f.raddr[ur]];
+            f.raddr[ur] += f.rstride[ur];
           }
-          i64 v = run.start + k0 * run.stride;
-          const i64 fused_n = k1 - k0 + 1;
-          if (jfns) {
-            // Every element of [k0, k1] is proven in bounds and local,
-            // so the jitted loop needs only the strides: addressing
-            // arrives as arguments, the guard/RHS are compiled in.
-            for (int r = 0; r < nrefs; ++r)
-              rstride[static_cast<std::size_t>(r)] =
-                  rruns[static_cast<std::size_t>(r)].stride;
-            jfns->fused(out_row.data(), la, lrun.stride, row_ptrs.data(),
-                        raddr.data(), rstride.data(), vals.data(), v,
-                        run.stride, fused_n);
-            pc.jit += fused_n;
-          } else {
-            for (i64 k = 0; k < fused_n; ++k) {
-              vals[static_cast<std::size_t>(inner)] = v;
-              if (rec) {
-                // Fused elements are proven local and in bounds for the
-                // LHS and every ref; record their resolved offsets.
-                rec->note_element(p, la, vals.data());
-                for (int r = 0; r < nrefs; ++r)
-                  rec->note_local(p, r, raddr[static_cast<std::size_t>(r)]);
-              }
-              for (int r = 0; r < nrefs; ++r) {
-                auto ur = static_cast<std::size_t>(r);
-                ref_values[ur] =
-                    (*rows[ur])[static_cast<std::size_t>(raddr[ur])];
-                raddr[ur] += rruns[ur].stride;
-              }
-              if (!guard ||
-                  guard->holds(ref_values.data(), vals.data(), stack.data()))
-                out_row[static_cast<std::size_t>(la)] =
-                    rhs.eval(ref_values.data(), vals.data(), stack.data());
-              la += lrun.stride;
-              v += run.stride;
-            }
-            pc.fused += fused_n;
-          }
-          rc.local_reads += fused_n * nrefs;
-          for (i64 k = k1 + 1; k < run.count; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          pc.generic += run.count - fused_n;
-        },
-        &es);
+          if (!guard ||
+              guard->holds(ref_values.data(), vals.data(), stack.data()))
+            out_row[static_cast<std::size_t>(la)] =
+                rhs.eval(ref_values.data(), vals.data(), stack.data());
+          la += f.lstride;
+          v += f.vstride;
+        }
+        pc.fused += f.n;
+      }
+      rc.local_reads += f.n * nrefs;
+    };
+
+    gen::EnumStats es;
+    walk_modify(plan, p, &es, element, fused);
     rc.iterations += es.loop_iters;
     rc.tests += es.tests;
     VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
@@ -806,56 +796,184 @@ void DistMachine::run_clause(const Clause& clause) {
       tr->record(p, obs::EventKind::KernelPath, step_id, c.fused, c.generic,
                  c.interp, c.sched);
     }
-  if (rec) {
-    // Freeze each source rank's pack program from the channel metadata
-    // (post-sort, post-dedup order — exactly what replay reproduces),
-    // capture the clean step's counters and message-matrix increments,
-    // and publish the schedule into the plan-cache entry.
-    for (i64 src = 0; src < procs; ++src) {
-      spmd::SendPlan& sp = rec->send[static_cast<std::size_t>(src)];
-      sp.dst_begin.assign(static_cast<std::size_t>(procs) + 1, 0);
-      for (i64 dst = 0; dst < procs; ++dst) {
-        sp.dst_begin[static_cast<std::size_t>(dst)] =
-            static_cast<i64>(sp.ops.size());
-        for (const auto& [ref, off] : channel(src, dst).meta)
-          sp.ops.push_back(spmd::PackOp{ref, off});
-      }
-      sp.dst_begin[static_cast<std::size_t>(procs)] =
-          static_cast<i64>(sp.ops.size());
-    }
-    rec->counters = counters;
-    for (i64 s = 0; s < procs; ++s)
-      for (i64 d = 0; d < procs; ++d)
-        rec->matrix_delta[static_cast<std::size_t>(s * procs + d)] =
-            message_matrix_[static_cast<std::size_t>(s)]
-                           [static_cast<std::size_t>(d)] -
-            matrix_before[static_cast<std::size_t>(s)]
-                         [static_cast<std::size_t>(d)];
-    rec->seal();
-    ++comm_.sched_builds;
-    entry.sched = std::move(rec_owner);
-    VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
-               plans_->schedules());
-  }
   finish_step(counters);
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseEnd, step_id);
 }
 
-// Executor half of the inspector–executor split. The schedule froze the
+// Inspector half of the inspector–executor split: derives the clause's
+// communication schedule from its plan and kernel alone, receiver-side —
+// the paper's point that Reside_p \ Modify_p follows from the data
+// decomposition. Each destination rank p walks Modify_p (walk_modify, so
+// element order and the fused split match the tagged phase 2) and
+// resolves every operand as local, halo, or remote; a remote operand is
+// appended to the (owner, p) pack list in p's walk order, and its
+// receive slot is its position there. The counters come out as the
+// tagged step counts them: reads and receives from the walk, the
+// senders' phase-1 enumeration charges from their Reside_p spaces, and
+// sends, bulk messages and message-matrix increments from the pack-list
+// sizes (halo counters are left to the live refresh). Returns null when
+// any element would fault — LHS or ref out of bounds, a local offset
+// outside its row, a subscript that faults as it evaluates — so the
+// tagged path raises the error.
+std::unique_ptr<spmd::CommSchedule> DistMachine::inspect(
+    const Clause& clause, const ClausePlan& plan) {
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const i64 procs = plan.procs();
+  const int nrefs = static_cast<int>(clause.refs.size());
+  const auto nloops = static_cast<i64>(clause.loops.size());
+  auto sched = std::make_unique<spmd::CommSchedule>();
+  sched->init(procs, static_cast<int>(nloops), nrefs);
+
+  // Local row length per (ref, rank): the bound the tagged path checks
+  // every operand read against (a copy-in snapshot has the same shape).
+  std::vector<i64> row_len(static_cast<std::size_t>(nrefs * procs));
+  for (int r = 0; r < nrefs; ++r)
+    for (i64 q = 0; q < procs; ++q)
+      row_len[static_cast<std::size_t>(r * procs + q)] = static_cast<i64>(
+          store_.local_row(clause.refs[static_cast<std::size_t>(r)].array, q)
+              .size());
+
+  // pack[dst * procs + src]: the operands dst reads from src, in dst's
+  // walk order.
+  std::vector<std::vector<spmd::PackOp>> pack(
+      static_cast<std::size_t>(procs * procs));
+  std::vector<char> refused(static_cast<std::size_t>(procs), 0);
+  for_ranks_t(procs, [&](i64 p) {
+    spmd::CommSchedule& cs = *sched;
+    RankCounters& rc = cs.counters[static_cast<std::size_t>(p)];
+    spmd::RecvPlan& rv = cs.recv[static_cast<std::size_t>(p)];
+    std::vector<spmd::PackOp>* from = pack.data() + p * procs;
+    char& bad = refused[static_cast<std::size_t>(p)];
+    const auto out_len = static_cast<i64>(
+        store_.local_row(clause.lhs_array, p).size());
+    const i64 n = plan.modify_space(p).count();
+    rv.lhs_slot.reserve(static_cast<std::size_t>(n));
+    rv.vals.reserve(static_cast<std::size_t>(n * nloops));
+    rv.ops.reserve(static_cast<std::size_t>(n * nrefs));
+
+    // Phase 1 of the tagged step: rank p enumerates each of its Reside_p
+    // spaces once.
+    for (int r = 0; r < nrefs; ++r) {
+      if (!plan.ref_needs_comm(r)) continue;
+      const gen::EnumStats c = plan.reside_space(p, r).charge();
+      rc.iterations += c.loop_iters;
+      rc.tests += c.tests;
+    }
+
+    std::vector<i64> ridx, out_idx;  // per-rank scratch
+    auto element = [&](const std::vector<i64>& vals) {
+      if (bad) return;
+      spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
+      if (!lhs.in_bounds(out_idx)) {
+        bad = 1;
+        return;
+      }
+      for (int r = 0; r < nrefs; ++r) {
+        const decomp::ArrayDesc& rd = plan.ref_desc(r);
+        spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
+        if (!rd.in_bounds(ridx)) {
+          bad = 1;
+          return;
+        }
+        const i64 src = rd.is_replicated() ? p : rd.owner(ridx);
+        if (src != p && rd.halo() > 0 && rd.in_halo(p, ridx)) {
+          cs.note_halo(p, r, rd.halo_slot(p, ridx[0]));
+          ++rc.halo_reads;
+          continue;
+        }
+        const i64 local = rd.local_linear(ridx);
+        if (!in_range(local, 0,
+                      row_len[static_cast<std::size_t>(r * procs + src)] -
+                          1)) {
+          bad = 1;
+          return;
+        }
+        if (src == p) {
+          cs.note_local(p, r, local);
+          ++rc.local_reads;
+        } else {
+          std::vector<spmd::PackOp>& list = from[src];
+          cs.note_remote(p, r, src, static_cast<i64>(list.size()));
+          list.push_back(spmd::PackOp{static_cast<std::int32_t>(r), local});
+          ++rc.receives;
+          ++rc.remote_reads;
+        }
+      }
+      // Guards are evaluated on replay, so a write slot outside the row
+      // is kept as -1: it faults only if the guard holds.
+      i64 slot = lhs.local_linear(out_idx);
+      if (!in_range(slot, 0, out_len - 1)) slot = -1;
+      cs.note_element(p, slot, vals.data());
+    };
+    // A fused run is proven local and in bounds for the LHS and every
+    // ref: note it in bulk.
+    auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+      if (bad) return;
+      for (i64 k = 0; k < f.n; ++k) {
+        vals[static_cast<std::size_t>(nloops - 1)] = f.v0 + k * f.vstride;
+        cs.note_element(p, f.la + k * f.lstride, vals.data());
+        for (int r = 0; r < nrefs; ++r)
+          cs.note_local(p, r, f.raddr[r] + k * f.rstride[r]);
+      }
+      rc.local_reads += f.n * nrefs;
+    };
+    gen::EnumStats es;
+    try {
+      walk_modify(plan, p, &es, element, fused);
+    } catch (const RuntimeFault&) {
+      // A subscript that faults as it evaluates (a zero divisor): the
+      // tagged path raises it in its own order.
+      bad = 1;
+    }
+    rc.iterations += es.loop_iters;
+    rc.tests += es.tests;
+  });
+  for (char b : refused)
+    if (b) return nullptr;
+
+  // Freeze each source rank's pack program: its lists to every
+  // destination, back to back, and charge the traffic to both ends.
+  for (i64 src = 0; src < procs; ++src) {
+    spmd::SendPlan& sp = sched->send[static_cast<std::size_t>(src)];
+    sp.dst_begin.assign(static_cast<std::size_t>(procs) + 1, 0);
+    for (i64 dst = 0; dst < procs; ++dst) {
+      sp.dst_begin[static_cast<std::size_t>(dst)] =
+          static_cast<i64>(sp.ops.size());
+      const std::vector<spmd::PackOp>& list =
+          pack[static_cast<std::size_t>(dst * procs + src)];
+      if (list.empty()) continue;
+      const auto m = static_cast<i64>(list.size());
+      sp.ops.insert(sp.ops.end(), list.begin(), list.end());
+      RankCounters& sc = sched->counters[static_cast<std::size_t>(src)];
+      sc.sends += m;
+      ++sc.bulk_sends;
+      ++sched->counters[static_cast<std::size_t>(dst)].bulk_receives;
+      sched->matrix_delta[static_cast<std::size_t>(src * procs + dst)] = m;
+    }
+    sp.dst_begin[static_cast<std::size_t>(procs)] =
+        static_cast<i64>(sp.ops.size());
+    sched->packed_ops += static_cast<i64>(sp.ops.size());
+  }
+  return sched;
+}
+
+// Executor half of the inspector–executor split. The schedule holds the
 // step's communication pattern: each source rank packs values
-// positionally into the reused (src, dst) buffers in the exact order the
-// tagged pack() produced, and each destination satisfies every operand
-// by recorded offset — no tags, no sorting, no hashing, so per-step
-// receive cost is O(m) instead of O(m log m). Guards and right-hand
-// sides are evaluated live (only the pattern is compiled, never values);
-// counters and the message matrix replay verbatim from the recording
-// step, keeping every observable statistic bit-identical to the tagged
-// path.
+// positionally into the reused (src, dst) buffers in the order the
+// inspector froze, and each destination satisfies every operand by
+// offset — no tags, no sorting, no hashing, so per-step receive cost is
+// O(m) instead of O(m log m). Guards and right-hand sides are evaluated
+// live (only the pattern is compiled, never values); counters and the
+// message matrix come from the schedule, the halo counters from the
+// live refresh, keeping every observable statistic bit-identical to the
+// tagged path.
 void DistMachine::run_clause_scheduled(const Clause& clause,
                                        const ClausePlan& plan,
                                        const spmd::CommSchedule& sched,
                                        spmd::JitState* js,
-                                       const spmd::JitFns* jfns) {
+                                       const spmd::JitFns* jfns,
+                                       bool replay) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = stats_.steps;
@@ -867,14 +985,7 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
 
   // Copy-in snapshot when the clause reads its own target: packing and
   // local gathers must observe pre-clause values.
-  bool lhs_read = false;
-  for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
-  const std::vector<std::vector<double>>* snap = nullptr;
-  if (lhs_read) {
-    store_.copy_into(clause.lhs_array, snap_);
-    snap = &snap_;
-  }
+  const std::vector<std::vector<double>>* snap = snapshot_if_read(clause);
 
   // Persistent scratch: sized on the first scheduled step, reused by
   // every later one (the steady state allocates nothing).
@@ -886,9 +997,8 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
   for (RankCounters& c : sched_counters_) c = RankCounters{};
   for (PathCounters& c : sched_pcs_) c = PathCounters{};
 
-  // Phase 0: live halo refresh (halo *values* change step to step; the
-  // counters it accumulates are deterministic and replay verbatim below,
-  // so the scratch tallies are discarded).
+  // Phase 0: live halo refresh (halo *values* change step to step); its
+  // counters join the schedule's below.
   refresh_halos(clause, plan, snap, sched_counters_, step_id);
 
   // Resolve each ref's pre-clause source row (snapshot-aware) and halo
@@ -1040,14 +1150,17 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
   });
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/2);
 
-  // Accounting: volumes from the schedule; counters and the message
-  // matrix replay verbatim from the recording step (bit-identical
-  // stats, last_step_counters, matrix, and sim_time).
-  ++comm_.sched_hits;
+  // Accounting: volumes, counters, and the message matrix from the
+  // schedule (bit-identical stats, last_step_counters, matrix, and
+  // sim_time). Only a replay of a stored schedule is a hit; the
+  // inspected first execution counted as a build.
+  if (replay) {
+    ++comm_.sched_hits;
+    VCAL_TRACE(tr, ctl, obs::EventKind::SchedHit, step_id);
+  }
   comm_.packed_values += sched.packed_ops;
   comm_.packed_bytes += sched.packed_ops * static_cast<i64>(sizeof(double));
-  comm_.unpacked_values += sched.remote_ops;
-  VCAL_TRACE(tr, ctl, obs::EventKind::SchedHit, step_id);
+  comm_.unpacked_values += sched.packed_ops;
   for (const PathCounters& c : sched_pcs_) paths_ += c;
   if (tr)
     for (i64 p = 0; p < procs; ++p) {
@@ -1060,7 +1173,14 @@ void DistMachine::run_clause_scheduled(const Clause& clause,
       message_matrix_[static_cast<std::size_t>(s)]
                      [static_cast<std::size_t>(d)] +=
           sched.matrix_delta[static_cast<std::size_t>(s * procs + d)];
-  finish_step(sched.counters);
+  for (i64 p = 0; p < procs; ++p) {
+    RankCounters& c = sched_counters_[static_cast<std::size_t>(p)];
+    const RankCounters live = c;
+    c = sched.counters[static_cast<std::size_t>(p)];
+    c.halo_bulk = live.halo_bulk;
+    c.halo_values = live.halo_values;
+  }
+  finish_step(sched_counters_);
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseEnd, step_id);
 }
 

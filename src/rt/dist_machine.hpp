@@ -15,9 +15,14 @@
 // disjoint counters, mailbox rows, and local buffers; counters merge
 // serially in rank order so statistics are bit-identical to the serial
 // engine), all elements flowing between one (src, dst) pair in a clause
-// are packed into a single sorted bulk message consumed by binary
-// search, and clause plans are cached per layout of the arrays a clause
-// touches, so they survive redistributions (spmd/plan_cache.hpp).
+// travel as a single bulk message, and clause plans are cached per
+// layout of the arrays a clause touches, so they survive
+// redistributions (spmd/plan_cache.hpp). A clean step runs a
+// communication schedule that the inspector derives from the plan the
+// first time the clause meets a layout (spmd/comm_schedule.hpp); the
+// tagged path — one sorted channel per rank pair, received by binary
+// search — serves armed faults, schedules switched off, and clauses
+// whose elements fault.
 //
 // The simulator counts messages, local/remote reads, loop iterations and
 // membership tests per rank, and charges them to a CostModel; sim_time is
@@ -140,14 +145,22 @@ class DistMachine {
 
  private:
   void run_clause(const prog::Clause& clause);
-  /// Executor half of the inspector–executor split: replays a compiled
-  /// communication schedule (positional pack into the reused comm
-  /// buffers, operand gather by recorded offset, live guard/RHS). The
-  /// caller has already emitted the control-lane ClauseBegin.
+  /// Inspector half of the inspector–executor split: derives the
+  /// clause's communication schedule receiver-side from its plan and
+  /// kernel, without executing it. Null when some element would fault
+  /// (the tagged path then raises the error).
+  std::unique_ptr<spmd::CommSchedule> inspect(const prog::Clause& clause,
+                                              const spmd::ClausePlan& plan);
+  /// Executor half: runs a communication schedule (positional pack into
+  /// the reused comm buffers, operand gather by offset, live guard/RHS).
+  /// `replay` is true for a stored schedule (a hit), false for the one
+  /// just inspected. The caller has already emitted the control-lane
+  /// ClauseBegin.
   void run_clause_scheduled(const prog::Clause& clause,
                             const spmd::ClausePlan& plan,
                             const spmd::CommSchedule& sched,
-                            spmd::JitState* js, const spmd::JitFns* jfns);
+                            spmd::JitState* js, const spmd::JitFns* jfns,
+                            bool replay);
 
   /// One JIT arming/ dispatch poll for the clause whose plan-cache
   /// entry is `entry` (the JIT state rides in it). Returns the jitted
@@ -159,6 +172,11 @@ class DistMachine {
                                spmd::JitState** js, i64 step_id);
   void run_redistribute(const spmd::RedistStep& step);
   void finish_step(const std::vector<RankCounters>& counters);
+
+  /// Copy-in snapshot of the clause's target (into snap_) when the
+  /// clause reads it; null otherwise.
+  const std::vector<std::vector<double>>* snapshot_if_read(
+      const prog::Clause& clause);
 
   /// Phase 0: refresh halo rows of every overlapped referenced array
   /// with pre-clause values (shared by the tagged and scheduled paths).

@@ -49,12 +49,13 @@ struct PathCounters {
 /// bit-identity invariant across the `comm_schedules` axis stays
 /// checkable.
 struct CommStats {
-  i64 sched_builds = 0;     // inspector passes run (schedules compiled)
-  i64 sched_hits = 0;       // steps replayed through a schedule
+  i64 sched_builds = 0;     // schedules built (inspected or recorded)
+  i64 sched_hits = 0;       // steps replaying a stored schedule
   i64 sched_fallbacks = 0;  // steps forced back to the tagged path
                             // by an armed fault
-  i64 packed_values = 0;    // elements packed positionally on replay
-  i64 packed_bytes = 0;     // bytes of packed payload on replay
+  i64 packed_values = 0;    // elements packed positionally by scheduled
+                            // steps
+  i64 packed_bytes = 0;     // bytes of that packed payload
   i64 unpacked_values = 0;  // remote operands consumed by offset
 
   /// "sched-builds=N ..." via the obs::MetricsRegistry.
@@ -68,12 +69,12 @@ struct EngineOptions {
   /// pool of k lanes.
   int threads = 0;
 
-  /// Compile communication schedules (inspector–executor): once a
-  /// clause's message pattern has been recorded at the current layout
-  /// of its arrays, subsequent steps pack values positionally
-  /// into reused buffers and receivers consume by recorded offset —
-  /// no tags, no sorting, no hashing. Falls back to the tagged path
-  /// when a fault is armed for the step.
+  /// Compile communication schedules (inspector–executor): a clause's
+  /// message pattern is derived once per layout of its arrays (dist)
+  /// or recorded on its first pass (shared), and every clean step packs
+  /// values positionally into reused buffers while receivers consume by
+  /// offset — no tags, no sorting, no hashing. Falls back to the tagged
+  /// path when a fault is armed for the step.
   /// Results, counters, and exceptions are bit-identical either way;
   /// the conformance oracle pins both paths against each other.
   bool comm_schedules = true;

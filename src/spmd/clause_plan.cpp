@@ -107,9 +107,10 @@ ClausePlan ClausePlan::build(const prog::Clause& clause,
       dc.loop_index = s.loop_index;
       const decomp::Decomp1D& dd = desc.decomp().dim(static_cast<int>(d));
       if (s.loop_index < 0) {
+        // Translate rejects constant subscripts outside the bounds.
         i64 v = fn::eval(s.expr, 0) - desc.lo(static_cast<int>(d));
         if (!in_range(v, 0, dd.n() - 1))
-          throw SemanticError(cat("constant subscript of ", array,
+          throw InternalError(cat("constant subscript of ", array,
                                   " dimension ", d, " is out of bounds"));
         dc.pinned_coord = dd.proc(v);
       } else {

@@ -107,6 +107,17 @@ class IterationSpace {
   /// Product of per-dimension counts.
   i64 count() const;
 
+  /// The EnumStats one for_each / for_each_run call charges, without
+  /// walking the space.
+  gen::EnumStats charge() const {
+    gen::EnumStats s;
+    for (const DimCache& c : cache_) {
+      s += c.charge;
+      if (c.total == 0) break;
+    }
+    return s;
+  }
+
   std::string str() const;
 
  private:

@@ -1,7 +1,5 @@
 #include "spmd/comm_schedule.hpp"
 
-#include "support/format.hpp"
-
 namespace vcal::spmd {
 
 void CommSchedule::init(i64 procs_, int nloops_, int nrefs_) {
@@ -14,35 +12,11 @@ void CommSchedule::init(i64 procs_, int nloops_, int nrefs_) {
   matrix_delta.assign(static_cast<std::size_t>(procs * procs), 0);
 }
 
-void CommSchedule::seal() {
-  packed_ops = 0;
-  remote_ops = 0;
-  for (const SendPlan& sp : send)
-    packed_ops += static_cast<i64>(sp.ops.size());
-  for (const RecvPlan& rv : recv)
-    for (const RefOp& op : rv.ops)
-      if (op.kind == RefOp::Kind::Remote) ++remote_ops;
-}
-
-std::string CommSchedule::describe() const {
-  i64 elements = 0;
-  for (const RecvPlan& rv : recv) elements += rv.n;
-  return cat("comm-schedule procs=", procs, " elements=", elements,
-             " packed/step=", packed_ops, " remote/step=", remote_ops);
-}
-
 void GatherSchedule::init(i64 procs, int nloops_, int nrefs_) {
   nloops = nloops_;
   nrefs = nrefs_;
   ranks.assign(static_cast<std::size_t>(procs), RankGather{});
   stats.assign(static_cast<std::size_t>(procs), gen::EnumStats{});
-}
-
-std::string GatherSchedule::describe() const {
-  i64 elements = 0;
-  for (const RankGather& rg : ranks) elements += rg.n;
-  return cat("gather-schedule ranks=", ranks.size(),
-             " elements=", elements);
 }
 
 }  // namespace vcal::spmd

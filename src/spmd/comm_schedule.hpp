@@ -4,41 +4,44 @@
 // A clause's communication pattern — the set of (src, dst, ref, loop
 // tuple) transfers — depends only on the layouts of the arrays it
 // touches, never on array values; the paper derives it once from the
-// data decomposition. Yet the tagged execution path re-derives that
-// pattern every step — a tag computation per element, a sort of every
-// bulk channel, and a binary search (or hash probe) per remote operand.
-// A CommSchedule is the once-per-(clause, layout) *inspector* result
-// that lets every later step run a pure *executor*: each source rank packs values positionally
-// into a contiguous reused buffer (PackOp list per destination, frozen
-// in the exact order the tagged pack() produced), and each destination
-// rank satisfies every operand by a recorded offset — a local row slot,
-// a halo row slot, or a (source rank, packed-buffer slot) pair — with
-// zero tags, zero sorting, and zero hashing. Per-step receive cost drops
-// from O(m log m) to O(m).
+// data decomposition. The tagged execution path re-derives that pattern
+// every step — a tag computation per element, a sort of every bulk
+// channel, and a binary search (or hash probe) per remote operand. A
+// CommSchedule is the once-per-(clause, layout) *inspector* result that
+// lets every step run a pure *executor*: each source rank packs values
+// positionally into a contiguous reused buffer (PackOp list per
+// destination), and each destination rank satisfies every operand by
+// offset — a local row slot, a halo row slot, or a (source rank,
+// packed-buffer slot) pair — with zero tags, zero sorting, and zero
+// hashing. Per-step receive cost drops from O(m log m) to O(m).
 //
-// The schedule also carries the clean step's full per-rank RankCounters
-// and message-matrix increments: a scheduled step replays them verbatim,
-// which is what keeps DistStats, last_step_counters(), message_matrix(),
-// and sim_time bit-identical to the tagged path (the conformance
-// oracle's `sched` axis pins this). Guards and right-hand sides are
-// always evaluated live — only the *pattern* is compiled, never values.
+// The schedule also carries the step's per-rank RankCounters (all but
+// the halo counters, which the live refresh supplies) and message-matrix
+// increments: a scheduled step replays them verbatim, which is what
+// keeps DistStats, last_step_counters(), message_matrix(), and sim_time
+// bit-identical to the tagged path (the conformance oracle's `sched`
+// axis pins this). Guards and right-hand sides are always evaluated
+// live — only the *pattern* is compiled, never values.
 //
 // Lifecycle: schedules derive from a ClausePlan and ride in that plan's
 // cache entry (spmd::CachedSchedule), which is keyed by the clause and
-// the exact layouts of its arrays (plan_cache.hpp). Recording happens on
-// the first clean execution of an entry that holds no schedule; a
-// redistribute moves the clause to another entry, and a return to an
-// earlier layout replays that layout's schedule at once. Only an armed
-// fault falls back to the tagged path (and records nothing).
+// the exact layouts of its arrays (plan_cache.hpp). The distributed
+// machine's inspector (DistMachine::inspect) builds one receiver-side
+// from the plan and kernel alone when a clean execution finds the entry
+// without one, and that execution already runs it; it never executes
+// the tagged path. A redistribute moves the clause to another entry,
+// and a return to an earlier layout replays that layout's schedule at
+// once. The tagged path runs only for an armed fault, with schedules
+// off, or when the inspector refuses a clause whose elements fault.
 //
-// GatherSchedule is the shared-memory sibling: the same source-offset
-// lists turn each virtual processor's operand reads into a flat gather
-// over dense-store offsets, skipping subscript evaluation and iteration-
+// GatherSchedule is the shared-memory sibling, recorded on the shared
+// machine's first clean kernel pass: the same source-offset lists turn
+// each virtual processor's operand reads into a flat gather over
+// dense-store offsets, skipping subscript evaluation and iteration-
 // space enumeration on replay.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "gen/schedule.hpp"
@@ -71,9 +74,8 @@ struct RefOp {
 };
 
 /// Per-source-rank pack program: ops[dst_begin[d] .. dst_begin[d+1])
-/// packs the (src, d) buffer, in the exact order the tagged path's
-/// pack() froze (post-sort, post-dedup) so recorded receive slots stay
-/// valid.
+/// packs the (src, d) buffer, in the order destination d reads the
+/// values, so each Remote RefOp's slot is its position in the buffer.
 struct SendPlan {
   std::vector<PackOp> ops;
   std::vector<i64> dst_begin;  // procs + 1 offsets into ops
@@ -91,10 +93,9 @@ struct RecvPlan {
 };
 
 /// The distributed machine's compiled schedule for one clause plan (one
-/// clause at one layout of its arrays). Public data: the machine
-/// records into it during the inspector step (rank-partitioned, so the
-/// parallel phase loops record without locks) and replays from it
-/// afterwards.
+/// clause at one layout of its arrays). Public data: the inspector
+/// fills it (rank-partitioned, so its parallel walk notes without
+/// locks) and the executor runs from it.
 class CommSchedule : public CachedSchedule {
  public:
   i64 procs = 0;
@@ -102,16 +103,17 @@ class CommSchedule : public CachedSchedule {
   int nrefs = 0;
   std::vector<SendPlan> send;              // per source rank
   std::vector<RecvPlan> recv;              // per destination rank
-  std::vector<rt::RankCounters> counters;  // the clean step's per-rank
-                                           // counters, replayed verbatim
+  std::vector<rt::RankCounters> counters;  // per-rank step counters bar
+                                           // halo_bulk/halo_values,
+                                           // replayed verbatim
   std::vector<i64> matrix_delta;           // procs*procs row-major
                                            // message-matrix increments
-  i64 remote_ops = 0;   // Remote RefOps = values unpacked per step
-  i64 packed_ops = 0;   // PackOps = values packed per step
+  i64 packed_ops = 0;   // PackOps = values packed per step, each
+                        // consumed by exactly one Remote RefOp
 
   void init(i64 procs_, int nloops_, int nrefs_);
 
-  // ---- phase-2 recording hooks (rank p touches recv[p] only) ----
+  // ---- inspector hooks (rank p touches recv[p] only) ----
   void note_element(i64 p, i64 slot, const i64* vals_) {
     RecvPlan& rv = recv[static_cast<std::size_t>(p)];
     ++rv.n;
@@ -130,13 +132,6 @@ class CommSchedule : public CachedSchedule {
     recv[static_cast<std::size_t>(p)].ops.push_back(
         RefOp{RefOp::Kind::Remote, r, src, slot});
   }
-
-  /// Computes the derived totals (remote_ops, packed_ops) once the
-  /// recording step has finished.
-  void seal();
-
-  /// One-line summary for diagnostics and tests.
-  std::string describe() const;
 };
 
 /// Shared-memory sibling: per virtual processor, the flat list of
@@ -168,8 +163,6 @@ class GatherSchedule : public CachedSchedule {
   void note_off(i64 p, i64 off) {
     ranks[static_cast<std::size_t>(p)].offs.push_back(off);
   }
-
-  std::string describe() const;
 };
 
 }  // namespace vcal::spmd

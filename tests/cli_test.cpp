@@ -421,6 +421,35 @@ TEST(Cli, ErrorExitCodes) {
   }
 }
 
+TEST(Cli, SubscriptErrorsAgreeAcrossTargets) {
+  const std::string decls =
+      "processors 4; array A[0:7]; array B[0:7]; distribute A block; "
+      "distribute B scatter;\n";
+  std::string dir = unique_dir();
+  // A constant subscript outside the bounds is one positioned compile
+  // error on every target (dist and shared used to fault at run time).
+  std::string oob = dir + "/oob.vexl";
+  std::ofstream(oob) << decls << "forall i in 0:7 do A[i] := B[-1]; od\n";
+  for (const char* target : {"seq", "dist", "shared", "proc", "native"}) {
+    RunResult r = run(std::string("--target=") + target + " --init B " + oob);
+    EXPECT_EQ(r.status, 2) << target << "\n" << r.out;
+    EXPECT_EQ(r.out,
+              "vcalc: constant subscript -1 of B dimension 0 is outside "
+              "its bounds 0:7 (at 2:30)\n")
+        << target;
+  }
+  // A divisor that reaches zero over the loop range is one run-time
+  // fault (it used to surface as an internal invariant).
+  std::string zero = dir + "/zero.vexl";
+  std::ofstream(zero) << decls
+                      << "forall i in 0:7 do A[i] := B[i mod (i - 3)]; od\n";
+  for (const char* target : {"seq", "dist", "shared", "proc"}) {
+    RunResult r = run(std::string("--target=") + target + " --init B " + zero);
+    EXPECT_EQ(r.status, 3) << target << "\n" << r.out;
+    EXPECT_EQ(r.out, "vcalc: 'mod' by zero in a subscript\n") << target;
+  }
+}
+
 TEST(Cli, RemovedEngineFlagsAreRejected) {
   // Plan caching and compiled kernels are unconditional and message
   // matching has one representation: their old switches are usage

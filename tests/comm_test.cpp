@@ -1,7 +1,8 @@
 // Tests for compiled communication schedules (src/spmd/comm_schedule):
 // the inspector/executor split on both machines, one schedule per layout
-// across redistributions, fault-forced fallback to the tagged path, and
-// the replay accounting surfaced through CommStats.
+// across redistributions, fault-forced fallback to the tagged path, the
+// replay accounting surfaced through CommStats, and the dist inspector's
+// step-for-step agreement with the tagged path.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +12,9 @@
 #include "lang/translate.hpp"
 #include "rt/dist_machine.hpp"
 #include "rt/shared_machine.hpp"
+#include "support/error.hpp"
+#include "support/format.hpp"
+#include "verify/program_gen.hpp"
 
 namespace vcal::rt {
 namespace {
@@ -95,8 +99,8 @@ TEST(CommSchedule, ReplayIsBitIdenticalToTaggedPath) {
 }
 
 TEST(CommSchedule, ScheduleReuseCounts) {
-  // T executions of one clause: the first runs tagged and records,
-  // every later one replays.
+  // T executions of one clause: the first is inspected (a build), every
+  // later one replays the stored schedule (a hit).
   const int kReps = 9;
   DistRun r = run_dist(repeat_src(kReps), {});
   EXPECT_EQ(r.comm.sched_builds, 1);
@@ -163,16 +167,18 @@ TEST(CommSchedule, ArmedFaultForcesTaggedFallback) {
   EXPECT_EQ(stalled.comm.sched_fallbacks, 1);
 }
 
-TEST(CommSchedule, NonAffineClausesRecordAndReplayThroughTheKernel) {
-  // The rotate read is affine-mod: the tagged pass runs the kernel's
-  // mod records and the replays its bytecode RHS — no tree walk on
-  // either side of the inspector/executor split.
+TEST(CommSchedule, NonAffineClausesInspectAndReplayThroughTheKernel) {
+  // The rotate read is affine-mod: the inspector resolves the kernel's
+  // mod records and every execution — the inspected first one included
+  // — runs the schedule with the bytecode RHS. No element takes the
+  // per-element tagged path and none is tree-walked.
   DistRun r = run_dist(repeat_src(6), {});
   EXPECT_EQ(r.comm.sched_builds, 1);
   EXPECT_EQ(r.comm.sched_hits, 5);
   EXPECT_EQ(r.paths.interp, 0);
-  EXPECT_GT(r.paths.generic, 0);
-  EXPECT_GT(r.paths.sched, 0);
+  EXPECT_EQ(r.paths.generic, 0);
+  EXPECT_EQ(r.paths.fused, 0);
+  EXPECT_EQ(r.paths.sched, 6 * 31);  // six executions over i in 0:30
 }
 
 TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {
@@ -245,6 +251,139 @@ TEST(CommSchedule, ReturningLayoutReplaysItsSchedule) {
       EXPECT_EQ(d.stats().sim_time, r_off.stats.sim_time);
       EXPECT_EQ(d.message_matrix(), r_off.matrix);
     }
+  }
+}
+
+// The dist inspector derives each step's counters and message-matrix
+// increments without executing the tagged path; every step of a
+// generated corpus must count exactly what the tagged step counts.
+// Programs run prefix by prefix so each step's last_step_counters() and
+// cumulative message_matrix() are compared right after that step.
+TEST(CommSchedule, InspectedStepsMatchTheTaggedPathOnAGeneratedCorpus) {
+  struct Outcome {
+    std::vector<RankCounters> counters;
+    std::vector<std::vector<i64>> matrix;
+    std::string error;
+  };
+  auto run_prefix = [](const spmd::Program& program, std::size_t steps,
+                       bool sched) {
+    spmd::Program prefix = program;
+    prefix.steps.resize(steps);
+    EngineOptions e;
+    e.threads = 1;
+    e.jit = false;
+    e.comm_schedules = sched;
+    DistMachine m(prefix, {}, {}, e);
+    for (const auto& [name, desc] : prefix.arrays) {
+      std::vector<double> v(static_cast<std::size_t>(desc.total()));
+      for (std::size_t k = 0; k < v.size(); ++k)
+        v[k] = static_cast<double>(k % 7) * 1.5 - 2.0;
+      m.load(name, v);
+    }
+    Outcome o;
+    try {
+      m.run();
+    } catch (const Error& err) {
+      o.error = err.what();
+    }
+    o.counters = m.last_step_counters();
+    o.matrix = m.message_matrix();
+    return o;
+  };
+  auto same = [](const RankCounters& a, const RankCounters& b) {
+    return a.sends == b.sends && a.receives == b.receives &&
+           a.iterations == b.iterations && a.tests == b.tests &&
+           a.local_reads == b.local_reads &&
+           a.remote_reads == b.remote_reads &&
+           a.bulk_sends == b.bulk_sends &&
+           a.bulk_receives == b.bulk_receives &&
+           a.halo_bulk == b.halo_bulk && a.halo_values == b.halo_values &&
+           a.halo_reads == b.halo_reads;
+  };
+
+  i64 replicated_lhs = 0, halo_refs = 0, guarded = 0, two_d = 0,
+      redists = 0, inspected = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    verify::GeneratedProgram gp = verify::ProgramGen(seed).next();
+    const std::string src = gp.source();
+    SCOPED_TRACE(cat("seed ", seed, ":\n", src));
+    spmd::Program program = lang::compile(src);
+    spmd::ArrayTable layout = program.arrays;
+    for (std::size_t k = 0; k < program.steps.size(); ++k) {
+      if (const auto* rs = std::get_if<spmd::RedistStep>(&program.steps[k])) {
+        layout.insert_or_assign(rs->array, rs->new_desc);
+        ++redists;
+      } else {
+        const prog::Clause& c = std::get<prog::Clause>(program.steps[k]);
+        replicated_lhs += layout.at(c.lhs_array).is_replicated() ? 1 : 0;
+        for (const prog::ArrayRef& r : c.refs)
+          halo_refs += layout.at(r.array).halo() > 0 ? 1 : 0;
+        guarded += c.guard ? 1 : 0;
+        two_d += c.loops.size() == 2 ? 1 : 0;
+        ++inspected;
+      }
+      const Outcome on = run_prefix(program, k + 1, true);
+      const Outcome off = run_prefix(program, k + 1, false);
+      ASSERT_EQ(on.error, off.error) << "step " << k;
+      if (!on.error.empty()) break;  // later prefixes fault the same way
+      ASSERT_EQ(on.counters.size(), off.counters.size()) << "step " << k;
+      for (std::size_t p = 0; p < on.counters.size(); ++p)
+        EXPECT_TRUE(same(on.counters[p], off.counters[p]))
+            << "step " << k << " rank " << p;
+      EXPECT_EQ(on.matrix, off.matrix) << "step " << k;
+    }
+  }
+  // The corpus reaches every shape the inspector distinguishes.
+  EXPECT_GT(replicated_lhs, 0);
+  EXPECT_GT(halo_refs, 0);
+  EXPECT_GT(guarded, 0);
+  EXPECT_GT(two_d, 0);
+  EXPECT_GT(redists, 0);
+  EXPECT_GT(inspected, 100);
+}
+
+TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
+  // The inspector refuses a clause with a faulting element, so the
+  // tagged path raises exactly the schedule-free error and no schedule
+  // is stored. B[i - 1] reads outside B at i = 0; C is replicated, so
+  // C[i mod (i - 11)] is first evaluated by the executors (not by plan
+  // construction) and divides by zero at i = 11. With both, rank 0's
+  // out-of-bounds read is the error the tagged path raises, though the
+  // division faults on rank 1.
+  const struct {
+    const char* rhs;
+    const char* error;
+  } cases[] = {
+      {"B[i - 1]", "read out of bounds on B"},
+      {"C[i mod (i - 11)]", "'mod' by zero in a subscript"},
+      {"B[i - 1] + C[i mod (i - 11)]", "read out of bounds on B"},
+  };
+  for (const auto& c : cases) {
+    spmd::Program program = lang::compile(cat(
+        "processors 4;\narray A[0:31];\ndistribute A block;\n"
+        "array B[0:31];\ndistribute B scatter;\n"
+        "array C[0:31];\ndistribute C replicated;\n"
+        "forall i in 0:31 do A[i] := ",
+        c.rhs, "; od\n"));
+    for (int threads : {1, 4})
+      for (bool sched : {true, false}) {
+        EngineOptions e;
+        e.threads = threads;
+        e.comm_schedules = sched;
+        DistMachine m(program, {}, {}, e);
+        m.load("B", ramp(32));
+        m.load("C", ramp(32));
+        try {
+          m.run();
+          ADD_FAILURE() << c.rhs << ": no fault, sched " << sched;
+        } catch (const RuntimeFault& f) {
+          EXPECT_STREQ(f.what(), c.error)
+              << c.rhs << ", threads " << threads << ", sched " << sched;
+        }
+        EXPECT_EQ(m.plan_cache().schedules(), 0) << c.rhs;
+        EXPECT_EQ(m.comm_stats().sched_builds, 0) << c.rhs;
+        EXPECT_EQ(m.comm_stats().sched_hits, 0) << c.rhs;
+      }
   }
 }
 

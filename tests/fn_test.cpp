@@ -30,6 +30,27 @@ TEST(Sym, EvalAndPrint) {
   EXPECT_EQ(eval(d, 7), 1);
 }
 
+TEST(Sym, ZeroDivisorIsARuntimeFault) {
+  // i mod (i - 3) and i div (i - 3) at i = 3: a fault of the program,
+  // not a broken invariant.
+  SymPtr m = mod(var(), sub(var(), cnst(3)));
+  SymPtr d = intdiv(var(), sub(var(), cnst(3)));
+  EXPECT_EQ(eval(m, 5), 1);
+  EXPECT_EQ(eval(d, 5), 2);
+  try {
+    (void)eval(m, 3);
+    ADD_FAILURE() << "mod by zero evaluated";
+  } catch (const RuntimeFault& f) {
+    EXPECT_STREQ(f.what(), "'mod' by zero in a subscript");
+  }
+  try {
+    (void)eval(d, 3);
+    ADD_FAILURE() << "div by zero evaluated";
+  } catch (const RuntimeFault& f) {
+    EXPECT_STREQ(f.what(), "'div' by zero in a subscript");
+  }
+}
+
 TEST(Sym, PrintRespectsPrecedence) {
   SymPtr s = mul(add(var(), cnst(1)), cnst(2));
   EXPECT_EQ(to_string(s), "(i + 1)*2");

@@ -567,8 +567,11 @@ TEST(IterationSpace, EmptyDimShortCircuitsLaterCharges) {
 TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
   // The fused inner loop performs no per-element allocation, so the
   // total allocation count of a run must not scale with n — only with
-  // the (fixed) rank/plan structure.
-  auto allocs_for = [](i64 n) {
+  // the (fixed) rank/plan structure. The fused loop runs on the tagged
+  // path (schedules off); with schedules on, the single execution is
+  // inspected and replayed, and the inspector's bulk-noted runs reserve
+  // their schedule up front.
+  auto allocs_for = [](i64 n, bool sched) {
     spmd::Program p;
     p.procs = 4;
     p.arrays.emplace("A", ArrayDesc::distributed(
@@ -588,21 +591,25 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
 
     rt::EngineOptions e;
     e.threads = 1;  // inline on the caller: deterministic accounting
+    e.comm_schedules = sched;
     rt::DistMachine m(p, {}, {}, e);
     m.load("B", iota(n));
     g_new_calls = 0;
     g_count_allocs = true;
     m.run();
     g_count_allocs = false;
-    EXPECT_GT(m.path_counters().fused, 0) << "n=" << n;
+    EXPECT_GT(sched ? m.path_counters().sched : m.path_counters().fused, 0)
+        << "n=" << n;
     EXPECT_EQ(m.path_counters().interp, 0) << "n=" << n;
     return g_new_calls.load();
   };
-  long long small = allocs_for(512);
-  long long big = allocs_for(4096);
-  EXPECT_LE(std::llabs(big - small), 32)
-      << "allocations scale with n: n=512 -> " << small
-      << ", n=4096 -> " << big;
+  for (bool sched : {false, true}) {
+    long long small = allocs_for(512, sched);
+    long long big = allocs_for(4096, sched);
+    EXPECT_LE(std::llabs(big - small), 32)
+        << "allocations scale with n: n=512 -> " << small
+        << ", n=4096 -> " << big << " (sched " << sched << ")";
+  }
 }
 
 // --- non-affine clauses on the parallel machines ----------------------
@@ -611,8 +618,9 @@ TEST(GenericPath, ModularClauseRunsThroughTheKernelOnDistAndShared) {
   // A rotate read B[(i+k) mod n] is affine-mod, not affine: no strided
   // runs, but every element still runs through the kernel's generic
   // records — never a tree walk — and matches the reference executor.
-  // The clause repeats, so the schedule recording and replay steps run
-  // the kernel RHS as well.
+  // On dist the inspector resolves the records and every execution runs
+  // a schedule, so no element takes the per-element tagged path; shared
+  // records its gather schedule on a kernel pass.
   std::string src =
       "processors 4;\narray A[0:39]; array B[0:39];\n"
       "distribute A block; distribute B scatter;\n";
@@ -631,7 +639,7 @@ TEST(GenericPath, ModularClauseRunsThroughTheKernelOnDistAndShared) {
   dist.run();
   EXPECT_EQ(dist.gather("A"), ref.result("A"));
   EXPECT_EQ(dist.path_counters().interp, 0);
-  EXPECT_GT(dist.path_counters().generic, 0);
+  EXPECT_EQ(dist.path_counters().generic, 0);
   EXPECT_GT(dist.path_counters().sched, 0);
 
   rt::SharedMachine shared(p, {}, {}, /*elide_barriers=*/false, e);

@@ -355,6 +355,45 @@ TEST(Translate, ConstantZeroDivisorInSubscriptIsASemanticError) {
   }
 }
 
+TEST(Translate, ConstantSubscriptOutsideTheBoundsIsASemanticError) {
+  const std::string decls =
+      "processors 4; array A[0:7]; array B[0:7]; array M[1:4, 0:3];\n"
+      "view R[0:7] = B[v - 9];\n"
+      "distribute A block; distribute B scatter; distribute M (block, *);\n";
+  struct Case {
+    const char* stmt;
+    const char* msg;
+  };
+  const Case cases[] = {
+      {"forall i in 0:7 do A[i] := B[-1]; od",
+       "constant subscript -1 of B dimension 0 is outside its bounds 0:7 "
+       "(at 4:30)"},
+      {"forall i in 0:7 do A[8] := B[i]; od",
+       "constant subscript 8 of A dimension 0 is outside its bounds 0:7 "
+       "(at 4:22)"},
+      {"forall j in 0:3 do M[0, j] := 1; od",
+       "constant subscript 0 of M dimension 0 is outside its bounds 1:4 "
+       "(at 4:22)"},
+      {"forall j in 0:3 do M[j + 1, 2 + 2] := 1; od",
+       "constant subscript 4 of M dimension 1 is outside its bounds 0:3 "
+       "(at 4:31)"},
+      {"A[0] := R[3];",
+       "constant subscript -6 of B dimension 0 is outside its bounds 0:7"},
+  };
+  for (const Case& c : cases) {
+    try {
+      compile(decls + c.stmt + "\n");
+      ADD_FAILURE() << c.stmt << " compiled";
+    } catch (const SemanticError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.msg), std::string::npos)
+          << c.stmt << ": " << e.what();
+    }
+  }
+  // Constants inside the bounds compile.
+  EXPECT_NO_THROW(compile(decls + "forall i in 0:7 do A[i] := B[7]; od\n"));
+  EXPECT_NO_THROW(compile(decls + "forall j in 0:3 do M[4, j] := 1; od\n"));
+}
+
 TEST(Views, RotateViewLowersToBaseAccess) {
   // A view is pure aliasing: R[i] reads/writes A[(i+6) mod 20].
   spmd::Program p = compile(R"(

@@ -261,7 +261,8 @@ TEST(TraceTransparency, SharedRunsAreBitIdenticalWithTracingOnAndOff) {
 // --- communication-schedule replay ------------------------------------
 
 TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
-  // Four identical clauses: one recording (tagged) pass, three replays.
+  // Four identical clauses: the first is inspected and runs its fresh
+  // schedule, the other three replay it.
   spmd::Program program = lang::compile(
       "processors 4;\n"
       "array A[0:31];\ndistribute A block;\n"
@@ -293,8 +294,8 @@ TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
     });
   EXPECT_EQ(builds, m.comm_stats().sched_builds);
   EXPECT_EQ(hits, m.comm_stats().sched_hits);
-  EXPECT_EQ(packs, 3 * 4);    // one pack span per rank per replayed step
-  EXPECT_EQ(gathers, 3 * 4);  // one gather span likewise
+  EXPECT_EQ(packs, 4 * 4);    // one pack span per rank per scheduled step
+  EXPECT_EQ(gathers, 4 * 4);  // one gather span likewise
   check_lane_invariants(t);
 }
 

@@ -501,7 +501,10 @@ TEST(Serve, BackpressureRejectsBeyondInflightCap) {
   ServeFixture fx(opts);
 
   // A deliberately heavy program holds the single executor long enough
-  // for the follow-up submissions to find the session at its cap.
+  // for the follow-up submissions to find the session at its cap. With
+  // schedules off every one of its 40 steps runs the tagged path; with
+  // them on, 39 replay a schedule and the program can finish before the
+  // follow-up arrives.
   std::string heavy =
       "processors 4;\narray A[0:4095]; array B[0:4095];\n"
       "distribute A block; distribute B scatter;\n";
@@ -511,6 +514,7 @@ TEST(Serve, BackpressureRejectsBeyondInflightCap) {
   serve::RunRequest slow = make_req(heavy);
   slow.engine.threads = 1;
   slow.engine.jit = false;
+  slow.engine.comm_schedules = false;
   i64 slow_id = fx.client.submit(std::move(slow));
   i64 fast_id = fx.client.submit(make_req(kRotate));
   serve::RunResult fast = fx.client.wait(fast_id);

@@ -215,13 +215,14 @@ TEST(ClausePlan, RejectsBadShapes) {
                            DecompND({Decomp1D::block(8, 2),
                                      Decomp1D::block(8, 2)})));
 
-  // LHS constant subscript out of bounds.
+  // LHS constant subscript out of bounds: translate rejects it, so here
+  // it is a broken invariant.
   prog::Clause c3;
   c3.loops = {{"j", 0, 7}};
   c3.lhs_array = "M";
   c3.lhs_subs = {{-1, fn::cnst(99)}, {0, fn::var()}};
   c3.rhs = prog::number(0.0);
-  EXPECT_THROW(ClausePlan::build(c3, arrays2), SemanticError);
+  EXPECT_THROW(ClausePlan::build(c3, arrays2), InternalError);
 
   // Processor count mismatch between clause arrays.
   ArrayTable arrays3 = one_d_arrays(32, 4);
