@@ -91,8 +91,15 @@ std::vector<i64> DecompND::local_shape(i64 rank) const {
 }
 
 i64 DecompND::local_capacity(i64 rank) const {
+  require(in_range(rank, 0, grid_.size() - 1), "ProcGrid::coords bad rank");
+  // local_shape's product, with the row-major grid coordinates peeled
+  // off in place: the inspector asks once per (ref, rank) per clause.
+  i64 stride = grid_.size();
   i64 cap = 1;
-  for (i64 s : local_shape(rank)) cap = mul_checked(cap, s);
+  for (const Decomp1D& dim : dims_) {
+    stride /= dim.procs();
+    cap = mul_checked(cap, dim.local_capacity(rank / stride % dim.procs()));
+  }
   return cap;
 }
 

@@ -85,7 +85,8 @@ JobSpec decode_job(const std::uint8_t* data, std::size_t n) {
   e.jit_sync = r.get_u8() != 0;
   e.jit_cache_dir = r.get_str();
 
-  const std::uint32_t nfaults = r.get_u32();
+  // A fault is a kind byte and six i64 fields.
+  const std::uint32_t nfaults = r.get_count(1 + 6 * sizeof(i64));
   job.faults.resize(nfaults);
   for (std::uint32_t i = 0; i < nfaults; ++i) {
     rt::FaultPlan& f = job.faults[i];
@@ -98,7 +99,8 @@ JobSpec decode_job(const std::uint8_t* data, std::size_t n) {
     f.rounds = r.get_i64();
   }
 
-  const std::uint32_t ninputs = r.get_u32();
+  // An input is at least a name length and a value count.
+  const std::uint32_t ninputs = r.get_count(2 * sizeof(std::uint32_t));
   job.inputs.resize(ninputs);
   for (std::uint32_t i = 0; i < ninputs; ++i) {
     job.inputs[i].first = r.get_str();

@@ -164,30 +164,6 @@ void ProcMachine::cleanup_dir() {
   dir_.clear();
 }
 
-void ProcMachine::finish_step(
-    const std::vector<rt::RankCounters>& counters) {
-  double slowest = 0.0;
-  i64 halo_bulk = 0, halo_values = 0;
-  for (const rt::RankCounters& c : counters) {
-    stats_.messages += c.sends;
-    stats_.bulk_messages += c.bulk_sends;
-    stats_.local_reads += c.local_reads;
-    stats_.remote_reads += c.remote_reads;
-    stats_.iterations += c.iterations;
-    stats_.tests += c.tests;
-    halo_bulk += c.halo_bulk;
-    halo_values += c.halo_values;
-    stats_.halo_reads += c.halo_reads;
-    slowest = std::max(slowest, c.time(cost_));
-  }
-  // Both endpoints count each halo exchange; the aggregate counts once.
-  stats_.halo_messages += halo_bulk / 2;
-  stats_.halo_values += halo_values / 2;
-  stats_.sim_time += slowest;
-  ++stats_.steps;
-  last_counters_ = counters;
-}
-
 void ProcMachine::merge_step(i64 step,
                              std::vector<rt::RankCounters> counters) {
   const spmd::Step& st = program_.steps[static_cast<std::size_t>(step)];
@@ -218,7 +194,8 @@ void ProcMachine::merge_step(i64 step,
     stats_.redist_messages += static_cast<i64>(plan.moves.size());
     program_.arrays.insert_or_assign(rs.array, rs.new_desc);
   }
-  finish_step(counters);
+  rt::add_step(stats_, counters, cost_);
+  last_counters_ = std::move(counters);
 }
 
 void ProcMachine::run() {
@@ -323,7 +300,7 @@ void ProcMachine::run() {
         StepFrame sf;
         sf.step = r.get_i64();
         sf.counters = get_rank_counters(r);
-        const std::uint32_t n = r.get_u32();
+        const std::uint32_t n = r.get_count(sizeof(i64));
         require(static_cast<i64>(n) == procs,
                 "proc: STEP matrix row has the wrong width");
         sf.matrix_row.resize(n);
@@ -345,7 +322,8 @@ void ProcMachine::run() {
         break;
       }
       case MsgType::Result: {
-        const std::uint32_t nrows = r.get_u32();
+        // A row is at least a name length and a value count.
+        const std::uint32_t nrows = r.get_count(2 * sizeof(std::uint32_t));
         auto& rows = rank_rows_[static_cast<std::size_t>(rank)];
         for (std::uint32_t i = 0; i < nrows; ++i) {
           std::string name = r.get_str();
@@ -355,7 +333,8 @@ void ProcMachine::run() {
           if (traces_.empty())
             traces_.resize(static_cast<std::size_t>(procs));
           RankTraceDump& td = traces_[static_cast<std::size_t>(rank)];
-          const std::uint32_t nev = r.get_u32();
+          // An event is a kind byte and seven 8-byte fields.
+          const std::uint32_t nev = r.get_count(1 + 7 * sizeof(i64));
           td.events.resize(nev);
           for (std::uint32_t i = 0; i < nev; ++i) {
             obs::TraceEvent& e = td.events[i];
@@ -618,19 +597,7 @@ std::vector<double> ProcMachine::gather(const std::string& name) const {
 }
 
 std::string ProcMachine::message_matrix_str() const {
-  std::string out = "messages src\\dst";
-  for (i64 d = 0; d < program_.procs; ++d) out += pad_left(cat(d), 8);
-  out += "\n";
-  for (i64 s = 0; s < program_.procs; ++s) {
-    out += pad_left(cat(s), 16);
-    for (i64 d = 0; d < program_.procs; ++d)
-      out += pad_left(
-          cat(message_matrix_[static_cast<std::size_t>(s)]
-                             [static_cast<std::size_t>(d)]),
-          8);
-    out += "\n";
-  }
-  return out;
+  return rt::format_message_matrix(message_matrix_);
 }
 
 }  // namespace vcal::proc

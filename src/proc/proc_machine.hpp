@@ -6,7 +6,7 @@
 // --rank N --channel-dir PATH`). Ranks exchange clause messages over
 // mmap'd shared-memory ring channels and report per-step counters over
 // a Unix-domain-socket control plane; the launcher replays the
-// simulator's deterministic merge (DistMachine::finish_step) over the
+// simulator's deterministic merge (rt::add_step) over the
 // reported counters, so a correct backend produces bit-identical
 // DistStats, message matrices, and gathered stores. The conformance
 // oracle's `proc` axis pins exactly that.
@@ -118,7 +118,6 @@ class ProcMachine {
   void prepare_dir();
   void cleanup_dir();
   void merge_step(i64 step, std::vector<rt::RankCounters> counters);
-  void finish_step(const std::vector<rt::RankCounters>& counters);
 
   std::string source_;
   spmd::Program program_;  // arrays table evolves across redistributions

@@ -6,9 +6,10 @@
 // magic, kind (CLAUSE / HALO / REDIST), payload slot count, step index —
 // followed by `count` payload slots, matching the engine's bulk-channel
 // framing: all elements flowing src -> dst in one step travel as one
-// frame. CLAUSE payload slots carry (tag, value) pairs in the sender's
-// arrival order; HALO and REDIST slots carry bare values whose order
-// both endpoints derive independently from the decompositions.
+// frame. CLAUSE payload slots carry (tag, value) pairs in packed channel
+// order on a tagged step and bare values in SendPlan order on a
+// scheduled one; HALO and REDIST slots carry bare values. Both endpoints
+// derive every bare-value order independently from the decompositions.
 //
 // head/tail are monotonically increasing slot counters in the mapped
 // header (producer writes head with release, consumer writes tail with
@@ -31,7 +32,7 @@ struct Slot {
 };
 
 enum class FrameKind : std::uint32_t {
-  Clause = 1,  // (tag, value) pairs, arrival order
+  Clause = 1,  // (tag, value) pairs, or packed values (scheduled step)
   Halo = 2,    // halo boundary values, enumeration order
   Redist = 3,  // migrating elements, global index order
 };

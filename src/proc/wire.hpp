@@ -71,8 +71,16 @@ struct WireReader {
     off += n;
     return s;
   }
+  /// Reads a u32 element count and requires that many items of at least
+  /// `min_item_bytes` each to fit in the bytes remaining, so a corrupt
+  /// count fails here instead of sizing an allocation.
+  std::uint32_t get_count(std::size_t min_item_bytes) {
+    const std::uint32_t n = get_u32();
+    need(static_cast<std::size_t>(n) * min_item_bytes);
+    return n;
+  }
   std::vector<double> get_f64s() {
-    std::uint32_t n = get_u32();
+    const std::uint32_t n = get_count(sizeof(double));
     std::vector<double> v(n);
     get_raw(v.data(), static_cast<std::size_t>(n) * sizeof(double));
     return v;

@@ -1,27 +1,31 @@
 // Rank worker of the multi-process backend.
 //
-// The worker runs the tagged path of the SPMD template with tree-walking
-// clause evaluation — the same phase structure as DistMachine::run_clause
-// (which runs compiled clause kernels), with the in-process channel array
-// replaced by the mmap'd rings. The engine's bit-identity invariant
-// (every engine configuration produces identical stores, DistStats, and
-// message matrices; pinned by the conformance oracle) is what makes this
-// sufficient: a worker that reproduces the tagged path's observables
-// reproduces every configuration's.
+// The worker runs DistMachine's rank step (rt/rank_step.hpp) for its own
+// rank: the same halo fill, the same choice between the scheduled and
+// tagged paths, and the same rank-local phase functions, with the
+// simulator's shared buffers replaced by frames over the mmap'd rings.
+// What remains here is transport, the rank's store, and control. The
+// workers run bytecode kernels only; the JIT stays in-process.
 //
 // Per clause step, rank p:
-//   0. computes its outgoing halo values (push model: the owner
-//      enumerates every reader's halo region — the same enumeration the
-//      reader performs — and ships the values it owns, so both sides
-//      agree on stream order without a request round-trip);
-//   1. enumerates Reside_p \ Modify_p and queues one CLAUSE frame per
-//      destination with the (tag, value) pairs in arrival order;
+//   0. collects, for every reader, the halo values it owns, in the chunk
+//      order both ends enumerate (rt::for_each_halo_chunk);
+//   1. on a clean step with comm schedules on, packs its values in
+//      SendPlan order (rt::pack_rank) from the schedule it inspected at
+//      this layout — every worker inspects every rank, so all agree on
+//      the path and on each buffer's length; otherwise (an armed fault,
+//      schedules off, a refused clause) enumerates Reside_p \ Modify_p
+//      into sorted (tag, value) channels (rt::send_rank). One HALO frame
+//      (when the clause reads a halo'd array) and one CLAUSE frame go to
+//      every peer, even when empty;
 //   2. pumps the rings — interleaving partial writes with opportunistic
 //      reads so frames larger than a ring never head-of-line deadlock —
 //      until everything queued is sent and every expected frame arrived;
-//   3. reconstructs each incoming Channel (push + pack, a pure function
-//      of arrival order), applies any armed message faults addressed to
-//      it, and runs the Modify_p receive/update loop;
+//   3. fills its halo rows (rt::fill_halo_row), then replays the schedule
+//      by offset (rt::replay_rank), or rebuilds each incoming channel
+//      (push + pack, a pure function of arrival order), applies the
+//      armed message faults addressed to it, and runs the receive/update
+//      walk (rt::receive_update_rank);
 //   4. reports its RankCounters, message-matrix row delta, and applied
 //      faults in one STEP control frame.
 //
@@ -42,9 +46,8 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "decomp/array_desc.hpp"
@@ -54,8 +57,7 @@
 #include "proc/job.hpp"
 #include "proc/ring.hpp"
 #include "proc/wire.hpp"
-#include "rt/channel.hpp"
-#include "rt/cost_model.hpp"
+#include "rt/rank_step.hpp"
 #include "spmd/plan_cache.hpp"
 #include "spmd/program.hpp"
 #include "support/error.hpp"
@@ -359,11 +361,15 @@ class Worker {
     send_frame(ctl_, MsgType::Step, w.bytes);
   }
 
-  // ---- clause steps --------------------------------------------------
-
-  const ClausePlan& plan_for(const Clause& clause) {
-    return lookup_.get(clause, program_.arrays, job_.build).plan;
+  // Takes src's next frame of `kind` for this step as bare values.
+  void take_values(i64 src, FrameKind kind, std::vector<double>& out) {
+    const InFrame f = take_frame(src, kind);
+    out.resize(f.payload.size());
+    for (std::size_t i = 0; i < f.payload.size(); ++i)
+      out[i] = slot_value(f.payload[i]);
   }
+
+  // ---- clause steps --------------------------------------------------
 
   void run_clause(const Clause& clause) {
     if (clause.ord == prog::Ordering::Seq)
@@ -373,6 +379,7 @@ class Worker {
 
     obs::Tracer* tr = tracer_.get();
     const i64 p = rank_;
+    const rt::RankSite site{p, tr, /*lane=*/0, step_};
     begin_step();
 
     std::vector<const FaultPlan*> active_faults;
@@ -380,336 +387,190 @@ class Worker {
       if (f.step == step_ && f.kind != FaultPlan::Kind::None)
         active_faults.push_back(&f);
 
-    const ClausePlan& plan = plan_for(clause);
-    const decomp::ArrayDesc& lhs = plan.lhs_desc();
-    const int nrefs = static_cast<int>(clause.refs.size());
+    spmd::PlanCache::Entry& entry =
+        lookup_.get(clause, program_.arrays, job_.build);
+    const ClausePlan& plan = entry.plan;
 
-    // Copy-in snapshot of this rank's row when the clause reads its own
-    // target: senders and local reads must observe pre-clause values.
-    bool lhs_read = false;
+    // DistMachine's dispatch: an armed fault or schedules off take the
+    // tagged path; otherwise the step runs the schedule inspected at
+    // this layout, unless the inspector refused the clause. The worker
+    // inspects every rank, so all workers reach the same verdict and
+    // know each peer's buffer sizes without asking.
+    const spmd::CommSchedule* sched = nullptr;
+    if (job_.engine.comm_schedules && active_faults.empty()) {
+      if (!entry.sched) {
+        rt::Inspector inspector(plan);
+        for (i64 q = 0; q < procs_; ++q) inspector.rank(q);
+        entry.sched = inspector.finish();
+      }
+      sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
+    }
+
+    // Pre-clause operand rows: the copy-in snapshot when the clause
+    // reads its own target, so sends and local reads observe pre-clause
+    // values.
+    const std::vector<double>* snap = nullptr;
     for (const prog::ArrayRef& r : clause.refs)
-      if (r.array == clause.lhs_array) lhs_read = true;
-    std::optional<std::vector<double>> snap;
-    if (lhs_read) snap = rows_.at(clause.lhs_array);
-
-    auto ref_row = [&](int r) -> const std::vector<double>& {
-      const std::string& name =
-          clause.refs[static_cast<std::size_t>(r)].array;
-      if (snap && name == clause.lhs_array) return *snap;
-      return rows_.at(name);
+      if (r.array == clause.lhs_array) {
+        snap_ = rows_.at(clause.lhs_array);
+        snap = &snap_;
+        break;
+      }
+    auto pre_row = [&](const std::string& name) {
+      return snap && name == clause.lhs_array ? snap : &rows_.at(name);
     };
-    auto read_row = [&](const std::vector<double>& row, i64 local,
-                        int r) -> double {
-      if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
-        throw RuntimeFault(
-            "local read out of bounds on " +
-            clause.refs[static_cast<std::size_t>(r)].array);
-      return row[static_cast<std::size_t>(local)];
-    };
+    const auto nrefs = clause.refs.size();
+    rr_.rows.resize(nrefs);
+    rr_.halo.assign(nrefs, nullptr);
+    for (std::size_t r = 0; r < nrefs; ++r)
+      rr_.rows[r] = pre_row(clause.refs[r].array);
 
     RankCounters rc;
+    rt::PathCounters pc;  // reporting only: workers report none
     std::vector<i64> matrix_row(static_cast<std::size_t>(procs_), 0);
 
-    // ---- Phase 0: halo exchange (push model) -------------------------
-    // halo_cache[name][g] caches this rank's boundary copies. needs_
-    // records, in enumeration order, which stream each remote value
-    // arrives on; halo_out collects what this rank owes each reader.
+    // ---- Phase 0, owner side: the values this rank owes each reader's
+    // halo, in the reader's chunk order (push model: both ends
+    // enumerate the same chunks, so no request round-trip).
     VCAL_TRACE(tr, 0, obs::EventKind::HaloBegin, step_);
-    std::map<std::string, std::map<i64, double>> halo_cache;
-    struct Need {
-      const std::string* name;
-      i64 g;
-      i64 src;
-    };
-    std::vector<Need> needs;
+    std::vector<const decomp::ArrayDesc*> halo_arrays;
+    for (int r = 0; r < static_cast<int>(nrefs); ++r) {
+      const decomp::ArrayDesc& rd = plan.ref_desc(r);
+      bool seen = false;
+      for (const decomp::ArrayDesc* h : halo_arrays)
+        seen = seen || h->name() == rd.name();
+      if (rd.halo() > 0 && !seen) halo_arrays.push_back(&rd);
+    }
     std::vector<std::vector<Slot>> halo_out(
         static_cast<std::size_t>(procs_));
-    bool clause_has_halo = false;
-    std::set<std::string> halo_done;
-    for (int r = 0; r < nrefs; ++r) {
-      const decomp::ArrayDesc& rd = plan.ref_desc(r);
-      if (rd.halo() == 0 || halo_done.count(rd.name())) continue;
-      halo_done.insert(rd.name());
-      clause_has_halo = true;
-      halo_cache[rd.name()];  // refreshed this clause, even if empty
-      auto own_value = [&](i64 g) {
-        const std::string& name =
-            clause.refs[static_cast<std::size_t>(r)].array;
-        const std::vector<double>& row =
-            (snap && name == clause.lhs_array) ? *snap : rows_.at(name);
-        i64 local = rd.local_linear({g});
-        if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
-          throw RuntimeFault("local read out of bounds on " + name);
-        return row[static_cast<std::size_t>(local)];
-      };
-      // The same (reader, side, g) enumeration the simulator's
-      // refresh_halos performs, replayed for every reader: this rank
-      // takes the reader role when q == p (counting its reader-side
-      // bulk/value increments and recording what it must consume) and
-      // the owner role when owner == p (counting the owner-side merged
-      // increments and shipping the value).
+    for (const decomp::ArrayDesc* rd : halo_arrays) {
+      const std::vector<double>& own = *pre_row(rd->name());
       for (i64 q = 0; q < procs_; ++q) {
-        for (int side : {-1, 1}) {
-          auto [hlo, hhi] = rd.halo_range(q, side);
-          if (hlo > hhi) continue;
-          i64 prev_owner = -1;
-          for (i64 g = hlo; g <= hhi; ++g) {
-            i64 owner = rd.owner({g});
-            const bool transition = owner != prev_owner;
-            prev_owner = owner;
-            if (owner == p) {
-              if (transition) ++rc.halo_bulk;
-              ++rc.halo_values;
-            }
-            if (q == p) {
-              if (transition) ++rc.halo_bulk;
-              ++rc.halo_values;
-              if (owner == p)
-                halo_cache[rd.name()][g] = own_value(g);
-              else
-                needs.push_back(Need{&rd.name(), g, owner});
-            } else if (owner == p) {
-              halo_out[static_cast<std::size_t>(q)].push_back(
-                  value_slot(own_value(g)));
-            }
-          }
-        }
+        if (q == p) continue;
+        rt::for_each_halo_chunk(*rd, q, [&](i64 owner, i64 local, i64 len) {
+          if (owner != p) return;
+          if (local + len > static_cast<i64>(own.size()))
+            throw RuntimeFault("local read out of bounds on " + rd->name());
+          ++rc.halo_bulk;
+          rc.halo_values += len;
+          for (i64 k = 0; k < len; ++k)
+            halo_out[static_cast<std::size_t>(q)].push_back(
+                value_slot(own[static_cast<std::size_t>(local + k)]));
+        });
       }
     }
 
-    // ---- Phase 1: non-blocking sends (Reside_p \ Modify_p) -----------
-    VCAL_TRACE(tr, 0, obs::EventKind::SendBegin, step_);
-    auto halo_covers = [&](const decomp::ArrayDesc& rd, i64 rank,
-                           const std::vector<i64>& idx) {
-      return rd.halo() > 0 && halo_done.count(rd.name()) &&
-             rd.in_halo(rank, idx);
-    };
-    std::vector<std::vector<std::pair<i64, double>>> out_msgs(
-        static_cast<std::size_t>(procs_));
-    std::vector<i64> ridx, out_idx;
-    for (int r = 0; r < nrefs; ++r) {
-      if (!plan.ref_needs_comm(r)) continue;  // replicated: always local
-      gen::EnumStats es;
-      const decomp::ArrayDesc& rd = plan.ref_desc(r);
-      const std::vector<double>& row = ref_row(r);
-      const spmd::IterationSpace& space = plan.reside_space(p, r);
-      space.for_each(
-          [&](const std::vector<i64>& vals) {
-            plan.ref_index_into(r, vals, ridx);
-            if (!rd.in_bounds(ridx))
-              throw RuntimeFault(
-                  "read out of bounds on " +
-                  clause.refs[static_cast<std::size_t>(r)].array);
-            i64 local = rd.local_linear(ridx);
-            double value = read_row(row, local, r);
-            i64 tag = plan.message_tag(r, vals);
-            if (lhs.is_replicated()) {
-              for (i64 dst = 0; dst < procs_; ++dst) {
-                if (dst == p) continue;
-                if (halo_covers(rd, dst, ridx)) continue;
-                out_msgs[static_cast<std::size_t>(dst)].emplace_back(tag,
-                                                                     value);
-                ++rc.sends;
-                ++matrix_row[static_cast<std::size_t>(dst)];
-              }
-            } else {
-              plan.lhs_index_into(vals, out_idx);
-              if (!lhs.in_bounds(out_idx)) return;
-              i64 dst = lhs.owner(out_idx);
-              if (dst == p) return;
-              if (halo_covers(rd, dst, ridx)) return;
-              out_msgs[static_cast<std::size_t>(dst)].emplace_back(tag,
-                                                                   value);
-              ++rc.sends;
-              ++matrix_row[static_cast<std::size_t>(dst)];
-            }
-          },
-          &es);
-      rc.iterations += es.loop_iters;
-      rc.tests += es.tests;
-    }
-    for (i64 dst = 0; dst < procs_; ++dst) {
-      if (dst == p) continue;
-      if (!out_msgs[static_cast<std::size_t>(dst)].empty())
-        ++rc.bulk_sends;
-    }
-    // One CLAUSE frame per destination — sent even when empty, so a
+    // ---- Phase 1: packed buffers (scheduled) or (tag, value) channels
+    // (tagged), one CLAUSE frame per peer — sent even when empty, so a
     // missing message manifests exactly as in the simulator (an absent
     // tag in a delivered channel), never as a transport hang.
+    std::vector<Channel> channels(static_cast<std::size_t>(procs_));
+    if (sched) {
+      out_bufs_.resize(static_cast<std::size_t>(procs_));
+      rt::pack_rank(*sched, site, rr_, out_bufs_.data());
+    } else {
+      rt::send_rank(plan, site, rr_, channels.data(), rc, pc,
+                    matrix_row.data());
+    }
     for (i64 dst = 0; dst < procs_; ++dst) {
       if (dst == p) continue;
-      if (clause_has_halo)
-        queue_frame(dst, FrameKind::Halo,
-                    halo_out[static_cast<std::size_t>(dst)]);
+      const auto ud = static_cast<std::size_t>(dst);
+      if (!halo_arrays.empty())
+        queue_frame(dst, FrameKind::Halo, halo_out[ud]);
       std::vector<Slot> payload;
-      payload.reserve(out_msgs[static_cast<std::size_t>(dst)].size());
-      for (const auto& [tag, value] : out_msgs[static_cast<std::size_t>(dst)])
-        payload.push_back(clause_slot(tag, value));
-      if (!payload.empty())
-        VCAL_TRACE(tr, 0, obs::EventKind::MsgSend, step_, dst,
-                   static_cast<i64>(payload.size()));
+      if (sched) {
+        for (double v : out_bufs_[ud]) payload.push_back(value_slot(v));
+      } else {
+        for (const auto& [tag, value] : channels[ud].msgs)
+          payload.push_back(clause_slot(tag, value));
+      }
       queue_frame(dst, FrameKind::Clause, payload);
-      peers_[static_cast<std::size_t>(dst)].expect =
-          clause_has_halo ? 2 : 1;
+      peers_[ud].expect = halo_arrays.empty() ? 1 : 2;
     }
-    VCAL_TRACE(tr, 0, obs::EventKind::SendEnd, step_);
 
     pump();
 
-    // Fill the halo cache from the per-source streams (arrival order ==
-    // the shared enumeration order restricted to each owner).
-    std::vector<InFrame> halo_in(static_cast<std::size_t>(procs_));
-    if (clause_has_halo)
-      for (i64 src = 0; src < procs_; ++src) {
-        if (src == p) continue;
-        halo_in[static_cast<std::size_t>(src)] =
-            take_frame(src, FrameKind::Halo);
-      }
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(procs_), 0);
-    for (const Need& need : needs) {
-      const InFrame& f = halo_in[static_cast<std::size_t>(need.src)];
-      std::size_t& c = cursor[static_cast<std::size_t>(need.src)];
-      require(c < f.payload.size(),
-              "proc worker: halo stream underflow (protocol bug)");
-      halo_cache[*need.name][need.g] = slot_value(f.payload[c++]);
+    // ---- Phase 0, reader side: fill this rank's halo rows from the
+    // owners' streams.
+    if (!halo_arrays.empty()) {
+      halo_in_.resize(static_cast<std::size_t>(procs_));
+      for (i64 src = 0; src < procs_; ++src)
+        if (src != p)
+          take_values(src, FrameKind::Halo,
+                      halo_in_[static_cast<std::size_t>(src)]);
+      std::vector<std::size_t> cursor(static_cast<std::size_t>(procs_), 0);
+      // Owner-side counts of this rank's chunks: each owner charges its
+      // own in its STEP frame.
+      std::vector<i64> owner_bulk(static_cast<std::size_t>(procs_), 0);
+      std::vector<i64> owner_values(owner_bulk.size(), 0);
+      for (const decomp::ArrayDesc* rd : halo_arrays)
+        rt::fill_halo_row(
+            *rd, p, halos_[rd->name()], rc, owner_bulk.data(),
+            owner_values.data(), [&](i64 owner, i64, i64 len) {
+              const auto uo = static_cast<std::size_t>(owner);
+              const std::vector<double>& in = halo_in_[uo];
+              require(cursor[uo] + static_cast<std::size_t>(len) <= in.size(),
+                      "proc worker: halo stream underflow (protocol bug)");
+              const double* at = in.data() + cursor[uo];
+              cursor[uo] += static_cast<std::size_t>(len);
+              return at;
+            });
+      for (std::size_t r = 0; r < nrefs; ++r)
+        if (plan.ref_desc(static_cast<int>(r)).halo() > 0)
+          rr_.halo[r] = &halos_.at(clause.refs[r].array);
     }
     VCAL_TRACE(tr, 0, obs::EventKind::HaloEnd, step_);
 
-    // Reconstruct the incoming channels: push in arrival order + pack()
-    // reproduces the simulator's packed channel state bit-for-bit.
-    std::vector<Channel> in_ch(static_cast<std::size_t>(procs_));
-    for (i64 src = 0; src < procs_; ++src) {
-      Channel& ch = in_ch[static_cast<std::size_t>(src)];
-      if (src == p) continue;
-      InFrame f = take_frame(src, FrameKind::Clause);
-      for (const Slot& s : f.payload)
-        ch.push(slot_tag(s), slot_value(s));
-      ch.pack();
-    }
-    // Armed message faults addressed to this rank perturb the packed
-    // channels, in injection order — the simulator's serial fault loop
-    // restricted to dst == p.
-    i64 faults_delta = 0;
-    for (const FaultPlan* f : active_faults) {
-      if (f->dst != p) continue;
-      if (!in_range(f->src, 0, procs_ - 1) ||
-          !in_range(f->dst, 0, procs_ - 1))
-        continue;
-      Channel& ch = in_ch[static_cast<std::size_t>(f->src)];
-      bool applied = false;
-      switch (f->kind) {
-        case FaultPlan::Kind::DropMessage: applied = ch.drop(f->index); break;
-        case FaultPlan::Kind::DuplicateMessage:
-          applied = ch.duplicate(f->index);
-          break;
-        case FaultPlan::Kind::ReorderChannel: applied = ch.reorder(); break;
-        default: break;
-      }
-      if (applied) ++faults_delta;
-    }
-    // Receiver-side bulk accounting, after faults (a drop can empty a
-    // channel) — the simulator's ordering.
-    for (i64 src = 0; src < procs_; ++src)
-      if (!in_ch[static_cast<std::size_t>(src)].msgs.empty()) {
-        ++rc.bulk_receives;
-        VCAL_TRACE(tr, 0, obs::EventKind::MsgRecv, step_, src,
-                   static_cast<i64>(
-                       in_ch[static_cast<std::size_t>(src)].msgs.size()));
-      }
-
-    // ---- Phase 2: receive and update (Modify_p) ----------------------
-    VCAL_TRACE(tr, 0, obs::EventKind::ClauseBegin, step_);
-    std::vector<double> ref_values(clause.refs.size());
-    std::vector<const std::vector<double>*> rows(
-        static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      rows[static_cast<std::size_t>(r)] = &ref_row(r);
+    // ---- Phase 2: replay by offset (scheduled) or receive/update by
+    // tag (tagged).
     std::vector<double>& out_row = rows_.at(clause.lhs_array);
-    gen::EnumStats es;
-    const spmd::IterationSpace& space = plan.modify_space(p);
-    space.for_each(
-        [&](const std::vector<i64>& vals) {
-          plan.lhs_index_into(vals, out_idx);
-          if (!lhs.in_bounds(out_idx))
-            throw RuntimeFault("write out of bounds on " +
-                               clause.lhs_array);
-          for (int r = 0; r < nrefs; ++r) {
-            const decomp::ArrayDesc& rd = plan.ref_desc(r);
-            plan.ref_index_into(r, vals, ridx);
-            if (!rd.in_bounds(ridx))
-              throw RuntimeFault(
-                  "read out of bounds on " +
-                  clause.refs[static_cast<std::size_t>(r)].array);
-            const std::vector<double>& row =
-                *rows[static_cast<std::size_t>(r)];
-            if (rd.is_replicated()) {
-              ref_values[static_cast<std::size_t>(r)] =
-                  read_row(row, rd.local_linear(ridx), r);
-              ++rc.local_reads;
-              continue;
-            }
-            i64 src = rd.owner(ridx);
-            if (src == p) {
-              ref_values[static_cast<std::size_t>(r)] =
-                  read_row(row, rd.local_linear(ridx), r);
-              ++rc.local_reads;
-            } else if (halo_covers(rd, p, ridx)) {
-              const auto& cache = halo_cache.at(rd.name());
-              auto hit = cache.find(ridx[0]);
-              require(hit != cache.end(),
-                      "halo cache missing a covered element");
-              ref_values[static_cast<std::size_t>(r)] = hit->second;
-              ++rc.halo_reads;
-            } else {
-              i64 tag = plan.message_tag(r, vals);
-              Channel& ch = in_ch[static_cast<std::size_t>(src)];
-              const double* value = ch.consume(tag);
-              if (value == nullptr) {
-                std::string elem =
-                    clause.refs[static_cast<std::size_t>(r)].array + "[";
-                for (std::size_t d = 0; d < ridx.size(); ++d)
-                  elem += cat(d ? ", " : "", ridx[d]);
-                elem += "]";
-                std::string diag = cat(
-                    "deadlock: rank ", p,
-                    " blocked on pending receive of ", elem, " (tag ", tag,
-                    ") from rank ", src,
-                    ", which never sent it — inconsistent schedules or a "
-                    "lost message");
-                if (tr) {
-                  diag += cat("; last traced event on rank ", p, ": ",
-                              tr->last_event_str(0));
-                  tr->record(0, obs::EventKind::RecvWait, step_, src, tag);
-                }
-                throw DeadlockError(diag);
-              }
-              ref_values[static_cast<std::size_t>(r)] = *value;
-              ++rc.receives;
-              ++rc.remote_reads;
-            }
-          }
-          if (clause.guard && !clause.guard->holds(ref_values, vals))
-            return;
-          double value = prog::eval(clause.rhs, ref_values, vals);
-          i64 slot = lhs.local_linear(out_idx);
-          if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
-            throw RuntimeFault("local write out of bounds on " +
-                               clause.lhs_array);
-          out_row[static_cast<std::size_t>(slot)] = value;
-        },
-        &es);
-    rc.iterations += es.loop_iters;
-    rc.tests += es.tests;
-    VCAL_TRACE(tr, 0, obs::EventKind::ClauseEnd, step_);
-
-    // Message-pairing invariant for this rank's incoming traffic.
-    i64 leftover = 0;
-    for (i64 src = 0; src < procs_; ++src)
-      leftover += in_ch[static_cast<std::size_t>(src)].undelivered();
-    if (leftover > 0)
-      throw RuntimeFault(cat("rank ", p, " finished the clause with ",
-                             leftover, " undelivered messages"));
-
+    i64 faults_delta = 0;
+    if (sched) {
+      in_bufs_.resize(static_cast<std::size_t>(procs_));
+      in_bufs_[static_cast<std::size_t>(p)].clear();
+      for (i64 src = 0; src < procs_; ++src) {
+        if (src == p) continue;
+        std::vector<double>& in = in_bufs_[static_cast<std::size_t>(src)];
+        take_values(src, FrameKind::Clause, in);
+        const spmd::SendPlan& sp = sched->send[static_cast<std::size_t>(src)];
+        if (static_cast<i64>(in.size()) !=
+            sp.dst_begin[static_cast<std::size_t>(p) + 1] -
+                sp.dst_begin[static_cast<std::size_t>(p)])
+          throw RuntimeFault(cat("proc ring: packed buffer from rank ", src,
+                                 " on rank ", p, " has the wrong length"));
+        if (!in.empty())
+          VCAL_TRACE(tr, 0, obs::EventKind::MsgRecv, step_, src,
+                     static_cast<i64>(in.size()));
+      }
+      rt::replay_rank(*sched, plan, site, rr_, in_bufs_.data(), 1, out_row,
+                      nullptr, nullptr, pc);
+      rc = rt::scheduled_counters(*sched, p, rc);
+      for (i64 d = 0; d < procs_; ++d)
+        matrix_row[static_cast<std::size_t>(d)] =
+            sched->matrix_delta[static_cast<std::size_t>(p * procs_ + d)];
+    } else {
+      // Reconstruct the incoming channels: push in arrival order + pack()
+      // reproduces the simulator's packed channel state bit-for-bit.
+      std::vector<Channel> in_ch(static_cast<std::size_t>(procs_));
+      for (i64 src = 0; src < procs_; ++src) {
+        Channel& ch = in_ch[static_cast<std::size_t>(src)];
+        if (src == p) continue;
+        for (const Slot& s : take_frame(src, FrameKind::Clause).payload)
+          ch.push(slot_tag(s), slot_value(s));
+        ch.pack();
+      }
+      // Armed message faults addressed to this rank perturb the packed
+      // channels, in injection order — the simulator's serial fault loop
+      // restricted to dst == p.
+      for (const FaultPlan* f : active_faults)
+        if (f->dst == p && in_range(f->src, 0, procs_ - 1) &&
+            rt::perturb(in_ch[static_cast<std::size_t>(f->src)], *f))
+          ++faults_delta;
+      rt::count_received(in_ch.data(), 1, procs_, site, rc);
+      rt::receive_update_rank(plan, site, rr_, out_row, in_ch.data(), 1,
+                              nullptr, rc, pc);
+      rt::check_delivered(p, in_ch.data(), 1, procs_);
+    }
     send_step(rc, matrix_row, faults_delta);
   }
 
@@ -801,6 +662,13 @@ class Worker {
   JobSpec job_;
   spmd::Program program_;
   std::map<std::string, std::vector<double>> rows_;
+  std::vector<double> snap_;  // copy-in snapshot of a clause's target
+  rt::RankRows rr_;           // this rank's operand rows per clause step
+  // Dense halo row per overlapped array (rank_step.hpp's halo slots).
+  std::unordered_map<std::string, std::vector<double>> halos_;
+  // Packed value buffers, per peer: outgoing and incoming on scheduled
+  // steps, incoming halo values on every step with a halo.
+  std::vector<std::vector<double>> out_bufs_, in_bufs_, halo_in_;
   spmd::PlanCache cache_;
   spmd::PlanLookup lookup_{cache_};
   std::vector<PeerLink> peers_;

@@ -1,13 +1,12 @@
-// The per-(src,dst) bulk message channel of the tagged execution path,
-// shared by the in-process simulator (DistMachine) and the multi-process
-// backend's worker (src/proc/worker.cpp). The simulator uses it only
-// where no communication schedule runs — steps with an armed fault,
-// engines with comm_schedules off, and clauses the inspector refuses
-// because an element would fault; channels carry no recording metadata.
-// The proc worker reconstructs each channel from the (tag, value) pairs
-// received over the ring transport in arrival order, so pack()/consume()
-// semantics — and therefore every counter — stay bit-identical across
-// backends by construction.
+// The per-(src,dst) bulk message channel of the tagged execution path
+// (rt/rank_step.hpp), which both distributed drivers run for steps with
+// an armed fault, engines with comm_schedules off, and clauses the
+// inspector refuses because an element would fault; channels carry no
+// recording metadata. DistMachine's ranks share one channel array; the
+// proc worker ships its packed outgoing channels over the rings and
+// rebuilds each incoming one from the (tag, value) pairs in arrival
+// order, so pack()/consume() semantics — and therefore every counter —
+// stay bit-identical across backends by construction.
 #pragma once
 
 #include <algorithm>

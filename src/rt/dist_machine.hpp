@@ -10,19 +10,19 @@
 // matching message therefore indicates an inconsistent schedule pair and
 // raises DeadlockError.
 //
-// The execution engine is the fast path the generated schedules deserve:
-// the per-rank loops of every phase run on a thread pool (ranks own
-// disjoint counters, mailbox rows, and local buffers; counters merge
-// serially in rank order so statistics are bit-identical to the serial
-// engine), all elements flowing between one (src, dst) pair in a clause
-// travel as a single bulk message, and clause plans are cached per
-// layout of the arrays a clause touches, so they survive
-// redistributions (spmd/plan_cache.hpp). A clean step runs a
-// communication schedule that the inspector derives from the plan the
-// first time the clause meets a layout (spmd/comm_schedule.hpp); the
-// tagged path — one sorted channel per rank pair, received by binary
-// search — serves armed faults, schedules switched off, and clauses
-// whose elements fault.
+// Each phase's per-rank body is a rank-local function shared with the
+// multi-process worker (rt/rank_step.hpp); this machine runs it for
+// every rank over a thread pool (ranks own disjoint counters, channel
+// rows, and local buffers; counters merge serially in rank order so
+// statistics are bit-identical to the serial engine). All elements
+// flowing between one (src, dst) pair in a clause travel as a single
+// bulk message, and clause plans are cached per layout of the arrays a
+// clause touches, so they survive redistributions
+// (spmd/plan_cache.hpp). A clean step runs a communication schedule
+// that the inspector derives from the plan the first time the clause
+// meets a layout (spmd/comm_schedule.hpp); the tagged path — one sorted
+// channel per rank pair, received by binary search — serves armed
+// faults, schedules switched off, and clauses whose elements fault.
 //
 // The simulator counts messages, local/remote reads, loop iterations and
 // membership tests per rank, and charges them to a CostModel; sim_time is
@@ -42,15 +42,12 @@
 #include "rt/engine_context.hpp"
 #include "rt/engine_options.hpp"
 #include "rt/fault_plan.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/store.hpp"
 #include "spmd/jit.hpp"
 #include "spmd/plan_cache.hpp"
 #include "spmd/program.hpp"
 #include "support/thread_pool.hpp"
-
-namespace vcal::spmd {
-class CommSchedule;
-}
 
 namespace vcal::rt {
 
@@ -72,6 +69,16 @@ struct DistStats {
 
   std::string str() const;
 };
+
+/// Adds one step's per-rank counters to `stats`: the merge every
+/// distributed driver shares — sums, each halo exchange counted once,
+/// and the slowest rank's cost (the SPMD makespan) added to sim_time.
+void add_step(DistStats& stats, const std::vector<RankCounters>& counters,
+              const CostModel& cost);
+
+/// A messages[src][dst] matrix pretty-printed, one row per source rank.
+std::string format_message_matrix(
+    const std::vector<std::vector<i64>>& matrix);
 
 class DistMachine {
  public:
@@ -145,22 +152,17 @@ class DistMachine {
 
  private:
   void run_clause(const prog::Clause& clause);
-  /// Inspector half of the inspector–executor split: derives the
-  /// clause's communication schedule receiver-side from its plan and
-  /// kernel, without executing it. Null when some element would fault
-  /// (the tagged path then raises the error).
-  std::unique_ptr<spmd::CommSchedule> inspect(const prog::Clause& clause,
-                                              const spmd::ClausePlan& plan);
-  /// Executor half: runs a communication schedule (positional pack into
-  /// the reused comm buffers, operand gather by offset, live guard/RHS).
-  /// `replay` is true for a stored schedule (a hit), false for the one
-  /// just inspected. The caller has already emitted the control-lane
-  /// ClauseBegin.
-  void run_clause_scheduled(const prog::Clause& clause,
-                            const spmd::ClausePlan& plan,
-                            const spmd::CommSchedule& sched,
-                            spmd::JitState* js, const spmd::JitFns* jfns,
-                            bool replay);
+  /// The tagged path over every rank (rank_step.hpp): phase 1 sends,
+  /// armed message faults, phase 2 receive/update, the pairing check.
+  void run_tagged(const spmd::ClausePlan& plan,
+                  const std::vector<const FaultPlan*>& faults,
+                  const spmd::JitFns* jfns, i64 step_id);
+  /// The scheduled path over every rank: positional pack, then replay
+  /// by offset with live guard/RHS. `replay` is true for a stored
+  /// schedule (a hit), false for the one just inspected.
+  void run_scheduled(const spmd::ClausePlan& plan,
+                     const spmd::CommSchedule& sched, spmd::JitState* js,
+                     const spmd::JitFns* jfns, bool replay, i64 step_id);
 
   /// One JIT arming/ dispatch poll for the clause whose plan-cache
   /// entry is `entry` (the JIT state rides in it). Returns the jitted
@@ -173,31 +175,18 @@ class DistMachine {
   void run_redistribute(const spmd::RedistStep& step);
   void finish_step(const std::vector<RankCounters>& counters);
 
-  /// Copy-in snapshot of the clause's target (into snap_) when the
-  /// clause reads it; null otherwise.
-  const std::vector<std::vector<double>>* snapshot_if_read(
-      const prog::Clause& clause);
-
   /// Phase 0: refresh halo rows of every overlapped referenced array
   /// with pre-clause values (shared by the tagged and scheduled paths).
   void refresh_halos(const prog::Clause& clause,
                      const spmd::ClausePlan& plan,
                      const std::vector<std::vector<double>>* snap,
-                     std::vector<RankCounters>& counters, i64 step_id);
+                     i64 step_id);
 
-  /// Rank p's halo row of `array` as the last refresh left it; null when
-  /// the array has no overlap.
-  const std::vector<double>* halo_row(const std::string& array,
-                                      i64 p) const;
-
-  /// Runs body(rank) for every rank, honoring engine_.threads.
-  void for_ranks(i64 n, const std::function<void(i64)>& body);
-
-  /// As for_ranks, but monomorphized: the threads == 1 path calls the
-  /// body inline with no std::function wrapper, so scheduled steady
-  /// states allocate nothing.
+  /// Runs body(rank) for every rank, honoring engine_.threads. The
+  /// threads == 1 path calls the body inline with no std::function
+  /// wrapper, so scheduled steady states allocate nothing.
   template <typename F>
-  void for_ranks_t(i64 n, F&& body);
+  void for_ranks(i64 n, F&& body);
 
   spmd::Program program_;  // arrays table evolves across redistributions
   gen::BuildOptions opts_;
@@ -243,17 +232,11 @@ class DistMachine {
   // own target; refilled in place each such step.
   std::vector<std::vector<double>> snap_;
 
-  // Persistent per-step and per-rank scratch for scheduled replay.
-  std::vector<RankCounters> sched_counters_;
-  std::vector<PathCounters> sched_pcs_;
-  struct ReplayScratch {
-    std::vector<double> refs;
-    std::vector<double> stack;
-    std::vector<const std::vector<double>*> rows;
-    std::vector<const std::vector<double>*> halo_rows;
-    std::vector<const double*> bases;  // jitted replay operand bases
-  };
-  std::vector<ReplayScratch> replay_scratch_;
+  // Persistent per-step, per-rank scratch: counters, path tallies, and
+  // each rank's resolved operand rows.
+  std::vector<RankCounters> step_counters_;
+  std::vector<PathCounters> step_pcs_;
+  std::vector<RankRows> rank_rows_;
 };
 
 }  // namespace vcal::rt

@@ -23,8 +23,8 @@ struct PathCounters {
   i64 fused = 0;    // elements covered by a fused strided kernel loop
   i64 generic = 0;  // kernel path, element at a time (run edges,
                     // non-affine clauses, unprovable runs)
-  i64 interp = 0;   // tree-walking elements: always 0 on dist and
-                    // shared, which run every clause through its kernel
+  i64 interp = 0;   // tree-walking elements: always 0, since every
+                    // machine runs every clause through its kernel
   i64 sched = 0;    // elements replayed through a compiled
                     // communication schedule (inspector–executor)
   i64 jit = 0;      // elements executed through jitted native code

@@ -1,0 +1,679 @@
+#include "rt/rank_step.hpp"
+
+#include "spmd/kernel.hpp"
+#include "support/error.hpp"
+#include "support/format.hpp"
+
+namespace vcal::rt {
+
+using spmd::ClausePlan;
+
+namespace {
+
+// One provably-local stretch of an innermost run: n elements whose loop
+// value starts at v0 and advances by vstride, whose LHS local slot
+// starts at la and advances by lstride, and whose ref r operand sits at
+// local offset raddr[r], advancing by rstride[r]. raddr is the walker's
+// per-run scratch: the callee may advance it in place.
+struct FusedRun {
+  i64 v0 = 0;
+  i64 vstride = 0;
+  i64 n = 0;
+  i64 la = 0;
+  i64 lstride = 0;
+  i64* raddr = nullptr;
+  const i64* rstride = nullptr;
+};
+
+// Walks rank p's Modify_p space in order. For an affine kernel each
+// innermost run splits into the maximal subrange the strided-run proof
+// shows in bounds and resident on p for the LHS and every ref — handed
+// to `fused` in one call — and the elements before and after it, handed
+// to `element` one at a time. Unprovable runs and non-affine clauses go
+// element at a time throughout. The tagged phase 2 and the inspector
+// share this walk, so both see the same element order and split.
+template <typename Element, typename Fused>
+void walk_modify(const ClausePlan& plan, i64 p, gen::EnumStats* es,
+                 Element&& element, Fused&& fused) {
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const spmd::IterationSpace& space = plan.modify_space(p);
+  const int inner = space.dims() - 1;
+  auto each = [&](std::vector<i64>& vals, const gen::Piece& run, i64 k0,
+                  i64 k1) {
+    for (i64 k = k0; k < k1; ++k) {
+      vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
+      element(vals);
+    }
+  };
+  if (!kern.affine()) {
+    space.for_each_run(
+        [&](std::vector<i64>& vals, const gen::Piece& run) {
+          each(vals, run, 0, run.count);
+        },
+        es);
+    return;
+  }
+
+  const auto n = plan.clause().refs.size();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const spmd::ArrayAddr lhs_addr = spmd::make_local_addr(lhs, p);
+  std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
+  std::vector<i64> dgl(g0l.size());
+  std::vector<spmd::ArrayAddr> raddrs;
+  raddrs.reserve(n);
+  std::vector<std::vector<i64>> g0s(n), dgs(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const decomp::ArrayDesc& rd = plan.ref_desc(static_cast<int>(r));
+    raddrs.push_back(spmd::make_local_addr(rd, p));
+    g0s[r].resize(static_cast<std::size_t>(rd.ndims()));
+    dgs[r].resize(static_cast<std::size_t>(rd.ndims()));
+  }
+  std::vector<spmd::StridedRun> rruns(n);
+  std::vector<i64> raddr(n), rstride(n);
+  space.for_each_run(
+      [&](std::vector<i64>& vals, const gen::Piece& run) {
+        spmd::StridedRun lrun;
+        spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
+                               g0l.data(), dgl.data());
+        bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
+                                      run.count, &lrun);
+        i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
+        for (std::size_t r = 0; fuse && r < n; ++r) {
+          spmd::fill_progression(kern.ref_subs(static_cast<int>(r)).affine,
+                                 vals, inner, run, g0s[r].data(),
+                                 dgs[r].data());
+          fuse = spmd::strided_run(raddrs[r], g0s[r].data(), dgs[r].data(),
+                                   run.count, &rruns[r]);
+          if (fuse) {
+            k0 = std::max(k0, rruns[r].k_lo);
+            k1 = std::min(k1, rruns[r].k_hi);
+          }
+        }
+        if (!fuse || k0 > k1) {
+          each(vals, run, 0, run.count);
+          return;
+        }
+        each(vals, run, 0, k0);
+        FusedRun f;
+        f.v0 = run.start + k0 * run.stride;
+        f.vstride = run.stride;
+        f.n = k1 - k0 + 1;
+        f.la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
+        f.lstride = lrun.stride;
+        for (std::size_t r = 0; r < n; ++r) {
+          raddr[r] = rruns[r].addr0 + (k0 - rruns[r].k_lo) * rruns[r].stride;
+          rstride[r] = rruns[r].stride;
+        }
+        f.raddr = raddr.data();
+        f.rstride = rstride.data();
+        fused(vals, f);
+        each(vals, run, k1 + 1, run.count);
+      },
+      es);
+}
+
+double read_row(const std::vector<double>& row, i64 local,
+                const std::string& array) {
+  if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
+    throw RuntimeFault("local read out of bounds on " + array);
+  return row[static_cast<std::size_t>(local)];
+}
+
+// A receiver covers a remote operand with its halo copy.
+bool halo_covers(const decomp::ArrayDesc& rd, i64 rank,
+                 const std::vector<i64>& idx) {
+  return rd.halo() > 0 && rd.in_halo(rank, idx);
+}
+
+}  // namespace
+
+// ---- Tagged path ----------------------------------------------------------
+
+void send_rank(const ClausePlan& plan, const RankSite& site,
+               const RankRows& rr, Channel* out, RankCounters& rc,
+               PathCounters& pc, i64* matrix_row) {
+  const prog::Clause& clause = plan.clause();
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const bool kaff = kern.affine();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const i64 p = site.p;
+  const i64 procs = plan.procs();
+  const int nrefs = static_cast<int>(clause.refs.size());
+  const int inner = static_cast<int>(clause.loops.size()) - 1;
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::SendBegin, site.step);
+  std::vector<i64> ridx, out_idx;  // per-rank scratch
+  spmd::ArrayAddr lhs_addr;
+  std::vector<i64> g0r, dgr, g0l, dgl;
+  if (kaff) {
+    lhs_addr = spmd::make_local_addr(lhs, p);
+    g0l.resize(static_cast<std::size_t>(lhs.ndims()));
+    dgl.resize(static_cast<std::size_t>(lhs.ndims()));
+  }
+  for (int r = 0; r < nrefs; ++r) {
+    if (!plan.ref_needs_comm(r)) continue;  // replicated: always local
+    gen::EnumStats es;
+    const decomp::ArrayDesc& rd = plan.ref_desc(r);
+    const std::string& name = clause.refs[static_cast<std::size_t>(r)].array;
+    const std::vector<double>& row = *rr.rows[static_cast<std::size_t>(r)];
+    const spmd::IterationSpace& space = plan.reside_space(p, r);
+    const spmd::SubRecords& rsubs = kern.ref_subs(r);
+    const spmd::SubRecords& lsubs = kern.lhs_subs();
+    spmd::ArrayAddr ref_addr;
+    if (kaff) {
+      ref_addr = spmd::make_local_addr(rd, p);
+      g0r.resize(rsubs.affine.size());
+      dgr.resize(rsubs.affine.size());
+    }
+    auto push = [&](i64 dst, i64 tag, double value) {
+      out[dst].push(tag, value);
+      ++rc.sends;
+      ++matrix_row[dst];
+    };
+    // Per-element send decision: route each resident operand to the
+    // rank that computes the element reading it.
+    auto emit = [&](const std::vector<i64>& vals) {
+      spmd::ClauseKernel::subs_into(rsubs, vals.data(), ridx);
+      if (!rd.in_bounds(ridx))
+        throw RuntimeFault("read out of bounds on " + name);
+      const double value = read_row(row, rd.local_linear(ridx), name);
+      const i64 tag = kern.tag(r, vals.data());
+      if (lhs.is_replicated()) {
+        // Every rank computes every index: broadcast to the others.
+        for (i64 dst = 0; dst < procs; ++dst)
+          if (dst != p && !halo_covers(rd, dst, ridx)) push(dst, tag, value);
+        return;
+      }
+      spmd::ClauseKernel::subs_into(lsubs, vals.data(), out_idx);
+      if (!lhs.in_bounds(out_idx)) return;  // nobody computes this
+      const i64 dst = lhs.owner(out_idx);
+      if (dst == p) return;  // Modify ∩ Reside: local update later
+      if (halo_covers(rd, dst, ridx)) return;  // receiver reads its halo
+      push(dst, tag, value);
+    };
+    space.for_each_run(
+        [&](std::vector<i64>& vals, const gen::Piece& run) {
+          // Elements whose LHS target this rank itself owns send nothing
+          // (Modify ∩ Reside); when a strided-run proof covers both
+          // sides — ref in bounds, stored here, and LHS in bounds, owned
+          // here — the whole subrange is skipped without touching it.
+          // Run edges, unprovable runs and non-affine clauses go element
+          // at a time.
+          i64 k0 = 0, k1 = -1;
+          if (kaff && !lhs.is_replicated()) {
+            spmd::StridedRun rrun, lrun;
+            spmd::fill_progression(rsubs.affine, vals, inner, run,
+                                   g0r.data(), dgr.data());
+            bool ok = spmd::strided_run(ref_addr, g0r.data(), dgr.data(),
+                                        run.count, &rrun);
+            if (ok) {
+              spmd::fill_progression(lsubs.affine, vals, inner, run,
+                                     g0l.data(), dgl.data());
+              ok = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
+                                     run.count, &lrun);
+            }
+            if (ok) {
+              k0 = std::max(rrun.k_lo, lrun.k_lo);
+              k1 = std::min(rrun.k_hi, lrun.k_hi);
+            }
+            if (k1 < k0) {
+              k0 = 0;
+              k1 = -1;
+            }
+          }
+          for (i64 k = 0; k < k0; ++k) {
+            vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
+            emit(vals);
+          }
+          for (i64 k = k1 + 1; k < run.count; ++k) {
+            vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
+            emit(vals);
+          }
+          const i64 skipped = k1 >= k0 ? k1 - k0 + 1 : 0;
+          pc.fused += skipped;
+          pc.generic += run.count - skipped;
+        },
+        &es);
+    rc.iterations += es.loop_iters;
+    rc.tests += es.tests;
+  }
+  // One sorted bulk message per destination this rank sends to.
+  for (i64 dst = 0; dst < procs; ++dst) {
+    Channel& ch = out[dst];
+    if (ch.msgs.empty()) continue;
+    ch.pack();
+    ++rc.bulk_sends;
+    VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgSend, site.step, dst,
+               static_cast<i64>(ch.msgs.size()));
+  }
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::SendEnd, site.step);
+}
+
+bool perturb(Channel& ch, const FaultPlan& f) {
+  switch (f.kind) {
+    case FaultPlan::Kind::DropMessage: return ch.drop(f.index);
+    case FaultPlan::Kind::DuplicateMessage: return ch.duplicate(f.index);
+    case FaultPlan::Kind::ReorderChannel: return ch.reorder();
+    default: return false;
+  }
+}
+
+void count_received(const Channel* in, i64 in_stride, i64 procs,
+                    const RankSite& site, RankCounters& rc) {
+  for (i64 src = 0; src < procs; ++src) {
+    const Channel& ch = in[src * in_stride];
+    if (ch.msgs.empty()) continue;
+    ++rc.bulk_receives;
+    VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgRecv, site.step, src,
+               static_cast<i64>(ch.msgs.size()));
+  }
+}
+
+void receive_update_rank(const ClausePlan& plan, const RankSite& site,
+                         const RankRows& rr, std::vector<double>& out_row,
+                         Channel* in, i64 in_stride,
+                         const spmd::JitFns* jfns, RankCounters& rc,
+                         PathCounters& pc) {
+  const prog::Clause& clause = plan.clause();
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const i64 p = site.p;
+  const int nrefs = static_cast<int>(clause.refs.size());
+  const int inner = static_cast<int>(clause.loops.size()) - 1;
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::ClauseBegin, site.step);
+  std::vector<double> ref_values(clause.refs.size());
+  std::vector<i64> ridx, out_idx;  // per-rank scratch
+  std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
+  for (int r = 0; r < nrefs; ++r)
+    row_ptrs[static_cast<std::size_t>(r)] =
+        rr.rows[static_cast<std::size_t>(r)]->data();
+  std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
+  const spmd::CompiledGuard* guard = kern.guard();
+  const spmd::CompiledExpr& rhs = kern.rhs();
+
+  // Element-at-a-time body: owner test, local/halo/remote operand
+  // fetch, guard, RHS, and the local write.
+  auto element = [&](const std::vector<i64>& vals) {
+    ++pc.generic;
+    spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
+    if (!lhs.in_bounds(out_idx))
+      throw RuntimeFault("write out of bounds on " + clause.lhs_array);
+    for (int r = 0; r < nrefs; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      const decomp::ArrayDesc& rd = plan.ref_desc(r);
+      const std::string& name = clause.refs[ur].array;
+      spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
+      if (!rd.in_bounds(ridx))
+        throw RuntimeFault("read out of bounds on " + name);
+      const i64 src = rd.is_replicated() ? p : rd.owner(ridx);
+      if (src == p) {
+        ref_values[ur] = read_row(*rr.rows[ur], rd.local_linear(ridx), name);
+        ++rc.local_reads;
+      } else if (halo_covers(rd, p, ridx)) {
+        // Overlapped decomposition: the value is already cached in this
+        // rank's halo row.
+        ref_values[ur] = (*rr.halo[ur])[static_cast<std::size_t>(
+            rd.halo_slot(p, ridx[0]))];
+        ++rc.halo_reads;
+      } else {
+        // Blocking receive from the in-flight bulk message.
+        const i64 tag = kern.tag(r, vals.data());
+        const double* value = in[src * in_stride].consume(tag);
+        if (value == nullptr) {
+          std::string elem = name + "[";
+          for (std::size_t d = 0; d < ridx.size(); ++d)
+            elem += cat(d ? ", " : "", ridx[d]);
+          elem += "]";
+          std::string diag = cat(
+              "deadlock: rank ", p, " blocked on pending receive of ", elem,
+              " (tag ", tag, ") from rank ", src,
+              ", which never sent it — inconsistent schedules or a lost "
+              "message");
+          if (site.tr) {
+            diag += cat("; last traced event on rank ", p, ": ",
+                        site.tr->last_event_str(site.lane));
+            site.tr->record(site.lane, obs::EventKind::RecvWait, site.step,
+                            src, tag);
+          }
+          throw DeadlockError(diag);
+        }
+        ref_values[ur] = *value;
+        ++rc.receives;
+        ++rc.remote_reads;
+      }
+    }
+    if (guard && !guard->holds(ref_values.data(), vals.data(), stack.data()))
+      return;
+    const double value =
+        rhs.eval(ref_values.data(), vals.data(), stack.data());
+    const i64 slot = lhs.local_linear(out_idx);
+    if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
+      throw RuntimeFault("local write out of bounds on " + clause.lhs_array);
+    out_row[static_cast<std::size_t>(slot)] = value;
+  };
+
+  // Fused strided loop: every element of the run is proven in bounds and
+  // resident on this rank for the LHS and every ref, so the body carries
+  // no checks, no calls through the plan, and no allocations — just
+  // strided row reads, the bytecode evaluator on a preallocated stack,
+  // and a strided row write.
+  auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+    if (jfns) {
+      // The jitted loop needs only the strides: addressing arrives as
+      // arguments, the guard/RHS are compiled in.
+      jfns->fused(out_row.data(), f.la, f.lstride, row_ptrs.data(), f.raddr,
+                  f.rstride, vals.data(), f.v0, f.vstride, f.n);
+      pc.jit += f.n;
+    } else {
+      i64 la = f.la, v = f.v0;
+      for (i64 k = 0; k < f.n; ++k) {
+        vals[static_cast<std::size_t>(inner)] = v;
+        for (int r = 0; r < nrefs; ++r) {
+          auto ur = static_cast<std::size_t>(r);
+          ref_values[ur] = row_ptrs[ur][f.raddr[ur]];
+          f.raddr[ur] += f.rstride[ur];
+        }
+        if (!guard ||
+            guard->holds(ref_values.data(), vals.data(), stack.data()))
+          out_row[static_cast<std::size_t>(la)] =
+              rhs.eval(ref_values.data(), vals.data(), stack.data());
+        la += f.lstride;
+        v += f.vstride;
+      }
+      pc.fused += f.n;
+    }
+    rc.local_reads += f.n * nrefs;
+  };
+
+  gen::EnumStats es;
+  walk_modify(plan, p, &es, element, fused);
+  rc.iterations += es.loop_iters;
+  rc.tests += es.tests;
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::ClauseEnd, site.step);
+}
+
+void check_delivered(i64 p, const Channel* in, i64 in_stride, i64 procs) {
+  i64 leftover = 0;
+  for (i64 src = 0; src < procs; ++src)
+    leftover += in[src * in_stride].undelivered();
+  if (leftover > 0)
+    throw RuntimeFault(cat("rank ", p, " finished the clause with ",
+                           leftover, " undelivered messages"));
+}
+
+// ---- Scheduled path -------------------------------------------------------
+
+// Each destination rank p walks Modify_p (walk_modify, so element order
+// and the fused split match the tagged phase 2) and resolves every
+// operand as local, halo, or remote; a remote operand is appended to the
+// (owner, p) pack list in p's walk order, and its receive slot is its
+// position there. The counters come out as the tagged step counts them:
+// reads and receives from the walk, the senders' phase-1 enumeration
+// charges from their Reside_p spaces, and sends, bulk messages and
+// message-matrix increments from the pack-list sizes (halo counters are
+// left to the live refresh). A rank refuses when any element would
+// fault — LHS or ref out of bounds, a local offset outside its row, a
+// subscript that faults as it evaluates.
+Inspector::Inspector(const ClausePlan& plan)
+    : plan_(plan), sched_(std::make_unique<spmd::CommSchedule>()) {
+  const i64 procs = plan.procs();
+  sched_->init(procs, static_cast<int>(plan.clause().loops.size()),
+               static_cast<int>(plan.clause().refs.size()));
+  pack_.resize(static_cast<std::size_t>(procs * procs));
+  refused_.assign(static_cast<std::size_t>(procs), 0);
+  // Local rows are sized by their descriptors' capacities on every rank
+  // (DistStore, the worker's rows, copy-in snapshots), so the bound the
+  // tagged path checks each operand read against comes from the plan.
+  const int nrefs = sched_->nrefs;
+  row_len_.resize(static_cast<std::size_t>(nrefs * procs));
+  for (int r = 0; r < nrefs; ++r)
+    for (i64 q = 0; q < procs; ++q)
+      row_len_[static_cast<std::size_t>(r * procs + q)] =
+          plan.ref_desc(r).local_capacity(q);
+}
+
+void Inspector::rank(i64 p) {
+  const ClausePlan& plan = plan_;
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const i64 procs = plan.procs();
+  const int nrefs = sched_->nrefs;
+  const i64 nloops = sched_->nloops;
+  spmd::CommSchedule& cs = *sched_;
+  RankCounters& rc = cs.counters[static_cast<std::size_t>(p)];
+  spmd::RecvPlan& rv = cs.recv[static_cast<std::size_t>(p)];
+  std::vector<spmd::PackOp>* from = pack_.data() + p * procs;
+  char& bad = refused_[static_cast<std::size_t>(p)];
+  const i64 out_len = lhs.local_capacity(p);
+  const i64 n = plan.modify_space(p).count();
+  rv.lhs_slot.reserve(static_cast<std::size_t>(n));
+  rv.vals.reserve(static_cast<std::size_t>(n * nloops));
+  rv.ops.reserve(static_cast<std::size_t>(n * nrefs));
+
+  // Phase 1 of the tagged step: rank p enumerates each of its Reside_p
+  // spaces once.
+  for (int r = 0; r < nrefs; ++r) {
+    if (!plan.ref_needs_comm(r)) continue;
+    const gen::EnumStats c = plan.reside_space(p, r).charge();
+    rc.iterations += c.loop_iters;
+    rc.tests += c.tests;
+  }
+
+  std::vector<i64> ridx, out_idx;  // per-rank scratch
+  auto element = [&](const std::vector<i64>& vals) {
+    if (bad) return;
+    spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
+    if (!lhs.in_bounds(out_idx)) {
+      bad = 1;
+      return;
+    }
+    for (int r = 0; r < nrefs; ++r) {
+      const decomp::ArrayDesc& rd = plan.ref_desc(r);
+      spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
+      if (!rd.in_bounds(ridx)) {
+        bad = 1;
+        return;
+      }
+      const i64 src = rd.is_replicated() ? p : rd.owner(ridx);
+      if (src != p && halo_covers(rd, p, ridx)) {
+        cs.note_halo(p, r, rd.halo_slot(p, ridx[0]));
+        ++rc.halo_reads;
+        continue;
+      }
+      const i64 local = rd.local_linear(ridx);
+      if (!in_range(local, 0,
+                    row_len_[static_cast<std::size_t>(r * procs + src)] -
+                        1)) {
+        bad = 1;
+        return;
+      }
+      if (src == p) {
+        cs.note_local(p, r, local);
+        ++rc.local_reads;
+      } else {
+        std::vector<spmd::PackOp>& list = from[src];
+        cs.note_remote(p, r, src, static_cast<i64>(list.size()));
+        list.push_back(spmd::PackOp{static_cast<std::int32_t>(r), local});
+        ++rc.receives;
+        ++rc.remote_reads;
+      }
+    }
+    // Guards are evaluated on replay, so a write slot outside the row is
+    // kept as -1: it faults only if the guard holds.
+    i64 slot = lhs.local_linear(out_idx);
+    if (!in_range(slot, 0, out_len - 1)) slot = -1;
+    cs.note_element(p, slot, vals.data());
+  };
+  // A fused run is proven local and in bounds for the LHS and every ref:
+  // note it in bulk.
+  auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+    if (bad) return;
+    for (i64 k = 0; k < f.n; ++k) {
+      vals[static_cast<std::size_t>(nloops - 1)] = f.v0 + k * f.vstride;
+      cs.note_element(p, f.la + k * f.lstride, vals.data());
+      for (int r = 0; r < nrefs; ++r)
+        cs.note_local(p, r, f.raddr[r] + k * f.rstride[r]);
+    }
+    rc.local_reads += f.n * nrefs;
+  };
+  gen::EnumStats es;
+  try {
+    walk_modify(plan, p, &es, element, fused);
+  } catch (const RuntimeFault&) {
+    // A subscript that faults as it evaluates (a zero divisor): the
+    // tagged path raises it in its own order.
+    bad = 1;
+  }
+  rc.iterations += es.loop_iters;
+  rc.tests += es.tests;
+}
+
+std::unique_ptr<spmd::CommSchedule> Inspector::finish() {
+  for (char b : refused_)
+    if (b) return nullptr;
+  // Freeze each source rank's pack program: its lists to every
+  // destination, back to back, and charge the traffic to both ends.
+  const i64 procs = sched_->procs;
+  for (i64 src = 0; src < procs; ++src) {
+    spmd::SendPlan& sp = sched_->send[static_cast<std::size_t>(src)];
+    sp.dst_begin.assign(static_cast<std::size_t>(procs) + 1, 0);
+    for (i64 dst = 0; dst < procs; ++dst) {
+      sp.dst_begin[static_cast<std::size_t>(dst)] =
+          static_cast<i64>(sp.ops.size());
+      const std::vector<spmd::PackOp>& list =
+          pack_[static_cast<std::size_t>(dst * procs + src)];
+      if (list.empty()) continue;
+      const auto m = static_cast<i64>(list.size());
+      sp.ops.insert(sp.ops.end(), list.begin(), list.end());
+      RankCounters& sc = sched_->counters[static_cast<std::size_t>(src)];
+      sc.sends += m;
+      ++sc.bulk_sends;
+      ++sched_->counters[static_cast<std::size_t>(dst)].bulk_receives;
+      sched_->matrix_delta[static_cast<std::size_t>(src * procs + dst)] = m;
+    }
+    sp.dst_begin[static_cast<std::size_t>(procs)] =
+        static_cast<i64>(sp.ops.size());
+    sched_->packed_ops += static_cast<i64>(sp.ops.size());
+  }
+  return std::move(sched_);
+}
+
+void pack_rank(const spmd::CommSchedule& s, const RankSite& site,
+               const RankRows& rr, std::vector<double>* out) {
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::PackBegin, site.step);
+  const spmd::SendPlan& sp = s.send[static_cast<std::size_t>(site.p)];
+  for (i64 dst = 0; dst < s.procs; ++dst) {
+    std::vector<double>& buf = out[dst];
+    buf.clear();
+    const i64 b0 = sp.dst_begin[static_cast<std::size_t>(dst)];
+    const i64 b1 = sp.dst_begin[static_cast<std::size_t>(dst) + 1];
+    for (i64 i = b0; i < b1; ++i) {
+      const spmd::PackOp& op = sp.ops[static_cast<std::size_t>(i)];
+      buf.push_back((*rr.rows[static_cast<std::size_t>(op.ref)])
+                        [static_cast<std::size_t>(op.offset)]);
+    }
+    if (b1 > b0)
+      VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgSend, site.step, dst,
+                 b1 - b0);
+  }
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::PackEnd, site.step,
+             static_cast<i64>(sp.ops.size()));
+}
+
+void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
+                 const RankSite& site, RankRows& rr,
+                 const std::vector<double>* in, i64 in_stride,
+                 std::vector<double>& out_row, const spmd::JitFns* jfns,
+                 spmd::JitState* js, PathCounters& pc) {
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::GatherBegin, site.step);
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const i64 p = site.p;
+  const i64 procs = s.procs;
+  const int nrefs = s.nrefs;
+  const int nloops = s.nloops;
+  const spmd::RecvPlan& rv = s.recv[static_cast<std::size_t>(p)];
+  rr.refs.resize(static_cast<std::size_t>(nrefs));
+  rr.stack.resize(static_cast<std::size_t>(kern.stack_need()));
+  const spmd::CompiledGuard* guard = kern.guard();
+
+  // Jitted replay: execute the flattened segment program instead of the
+  // per-element dispatch — constant-stride runs go through the
+  // vectorizable fused entry, irregular stretches (halo operands
+  // included) through the gather entry. A rank with any == false (a
+  // guarded-OOB slot) keeps the bytecode loop below.
+  const spmd::JitRankProg* rp = nullptr;
+  if (jfns && js) {
+    const spmd::JitRankProg& prog =
+        js->replay_prog(s)->ranks[static_cast<std::size_t>(p)];
+    if (prog.any) rp = &prog;
+  }
+  if (rp) {
+    // Operand bases: ref rows first, then the packed buffer arriving
+    // from each source rank, then each ref's halo row (matching
+    // JitRankProg's id encoding).
+    rr.bases.resize(static_cast<std::size_t>(nrefs + procs + nrefs));
+    for (int r = 0; r < nrefs; ++r) {
+      const auto ur = static_cast<std::size_t>(r);
+      rr.bases[ur] = rr.rows[ur]->data();
+      rr.bases[static_cast<std::size_t>(nrefs + procs) + ur] =
+          rr.halo[ur] ? rr.halo[ur]->data() : nullptr;
+    }
+    for (i64 src = 0; src < procs; ++src)
+      rr.bases[static_cast<std::size_t>(nrefs + src)] =
+          in[src * in_stride].data();
+    for (const spmd::JitSegment& sg : rp->segs) {
+      if (sg.fused)
+        jfns->fused(out_row.data(), sg.la0, sg.la_stride, rr.bases.data(),
+                    sg.raddr0.data(), sg.rstride.data(),
+                    rv.vals.data() + sg.e0 * nloops, sg.v0, sg.vstride, sg.n);
+      else
+        jfns->replay(out_row.data(), rr.bases.data(),
+                     rp->ids.data() + sg.e0 * nrefs,
+                     rp->offs.data() + sg.e0 * nrefs,
+                     rv.lhs_slot.data() + sg.e0,
+                     rv.vals.data() + sg.e0 * nloops, sg.n);
+    }
+    pc.jit += rv.n;
+  } else {
+    for (i64 e = 0; e < rv.n; ++e) {
+      const i64* vals = rv.vals.data() + e * nloops;
+      const spmd::RefOp* ops = rv.ops.data() + e * nrefs;
+      for (int r = 0; r < nrefs; ++r) {
+        const spmd::RefOp& op = ops[r];
+        const auto ur = static_cast<std::size_t>(op.ref);
+        double& v = rr.refs[static_cast<std::size_t>(r)];
+        switch (op.kind) {
+          case spmd::RefOp::Kind::Local:
+            v = (*rr.rows[ur])[static_cast<std::size_t>(op.a)];
+            break;
+          case spmd::RefOp::Kind::Halo:
+            v = (*rr.halo[ur])[static_cast<std::size_t>(op.a)];
+            break;
+          case spmd::RefOp::Kind::Remote:
+            v = in[op.a * in_stride][static_cast<std::size_t>(op.b)];
+            break;
+        }
+      }
+      if (guard && !guard->holds(rr.refs.data(), vals, rr.stack.data()))
+        continue;
+      const double value =
+          kern.rhs().eval(rr.refs.data(), vals, rr.stack.data());
+      const i64 slot = rv.lhs_slot[static_cast<std::size_t>(e)];
+      if (slot < 0)
+        throw RuntimeFault("local write out of bounds on " +
+                           plan.clause().lhs_array);
+      out_row[static_cast<std::size_t>(slot)] = value;
+    }
+    pc.sched += rv.n;
+  }
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::GatherEnd, site.step, rv.n);
+}
+
+RankCounters scheduled_counters(const spmd::CommSchedule& s, i64 p,
+                                const RankCounters& live) {
+  RankCounters c = s.counters[static_cast<std::size_t>(p)];
+  c.halo_bulk = live.halo_bulk;
+  c.halo_values = live.halo_values;
+  return c;
+}
+
+}  // namespace vcal::rt

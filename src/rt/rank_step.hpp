@@ -1,0 +1,187 @@
+// Rank-local phases of the distributed SPMD template (Sections 2.7 and
+// 2.10 of the paper), shared by both distributed drivers. DistMachine
+// runs them for every rank over its thread pool; the multi-process
+// worker (src/proc/worker.cpp) runs them for its own rank. Each function
+// does one rank's share of one phase over plain buffers — local rows,
+// halo rows, channels and packed value buffers — and leaves moving those
+// buffers between ranks to the driver: DistMachine's ranks share memory,
+// so nothing moves, and the worker ships them over its rings.
+//
+// Per clause step, rank p runs
+//   0. fill_halo_row for every overlapped array the clause reads, then
+//   either the tagged path (an armed fault, comm schedules off, or a
+//   clause the inspector refuses because an element would fault):
+//   1. send_rank: enumerate Reside_p \ Modify_p into one sorted
+//      (tag, value) channel per destination;
+//   2. receive_update_rank: walk Modify_p, receiving remote operands by
+//      tag, and update the local rows;
+//   or the scheduled path (every other step), from the CommSchedule an
+//   Inspector derives once per clause and layout:
+//   1. pack_rank: pack values positionally, in SendPlan order;
+//   2. replay_rank: satisfy every operand by offset and evaluate the
+//      guard and RHS live.
+// Both paths produce the same stores, counters and message matrix; the
+// conformance oracle pins that.
+#pragma once
+
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "decomp/array_desc.hpp"
+#include "obs/trace.hpp"
+#include "rt/channel.hpp"
+#include "rt/cost_model.hpp"
+#include "rt/engine_options.hpp"
+#include "rt/fault_plan.hpp"
+#include "spmd/clause_plan.hpp"
+#include "spmd/comm_schedule.hpp"
+#include "spmd/jit.hpp"
+
+namespace vcal::rt {
+
+/// Where a rank-local phase runs: rank p, the trace lane its events go
+/// to (tr null: untraced), and the index of the step being executed.
+struct RankSite {
+  i64 p = 0;
+  obs::Tracer* tr = nullptr;
+  i64 lane = 0;
+  i64 step = 0;
+};
+
+/// Rank p's operands for one clause step: ref r's pre-clause local row
+/// (the copy-in snapshot when the clause reads its own target) and its
+/// halo row (null without overlap), resolved by the driver once per
+/// step, plus the replay loop's reusable scratch.
+struct RankRows {
+  std::vector<const std::vector<double>*> rows;
+  std::vector<const std::vector<double>*> halo;
+  std::vector<double> refs, stack;   // replay operand values, RHS stack
+  std::vector<const double*> bases;  // jitted replay operand bases
+};
+
+// ---- Phase 0: halo refresh ----------------------------------------------
+
+/// Calls chunk(owner, local, len) for every chunk of rank p's halo row
+/// of the 1-D block array `rd`, in halo-slot order (left range, then
+/// right): one chunk per owner block a range crosses, the unit one bulk
+/// halo message carries. Halo ranges lie outside p's own block.
+template <typename Chunk>
+void for_each_halo_chunk(const decomp::ArrayDesc& rd, i64 p, Chunk&& chunk) {
+  const decomp::Decomp1D& dim = rd.decomp().dim(0);
+  const i64 base = rd.lo(0);
+  for (int side : {-1, 1}) {
+    auto [hlo, hhi] = rd.halo_range(p, side);
+    for (i64 g = hlo; g <= hhi;) {
+      const i64 local = dim.local(g - base);
+      const i64 len = std::min(hhi - g + 1, dim.block_size() - local);
+      chunk(dim.proc(g - base), local, len);
+      g += len;
+    }
+  }
+}
+
+/// Reader side of phase 0: refills `row` with rank p's halo of `rd`,
+/// copying each chunk from src(owner, local, len), which points at the
+/// owner's len pre-clause values. Charges the reader's halo counters to
+/// rc and each owner's to owner_bulk[owner] / owner_values[owner].
+template <typename Src>
+void fill_halo_row(const decomp::ArrayDesc& rd, i64 p,
+                   std::vector<double>& row, RankCounters& rc,
+                   i64* owner_bulk, i64* owner_values, Src&& src) {
+  row.resize(static_cast<std::size_t>(rd.halo_capacity(p)));
+  i64 slot = 0;
+  for_each_halo_chunk(rd, p, [&](i64 owner, i64 local, i64 len) {
+    std::copy_n(src(owner, local, len), len, row.begin() + slot);
+    slot += len;
+    ++owner_bulk[owner];
+    owner_values[owner] += len;
+    ++rc.halo_bulk;
+    rc.halo_values += len;
+  });
+}
+
+// ---- Tagged path ----------------------------------------------------------
+
+/// Phase 1 on site.p: routes every operand in Reside_p that another
+/// rank's update reads (and that rank's halo does not cover) into
+/// out[dst], this rank's row of procs channels, then packs each
+/// non-empty channel as one bulk message.
+void send_rank(const spmd::ClausePlan& plan, const RankSite& site,
+               const RankRows& rr, Channel* out, RankCounters& rc,
+               PathCounters& pc, i64* matrix_row);
+
+/// Applies one armed message fault to the packed channel it names;
+/// returns whether the channel changed.
+bool perturb(Channel& ch, const FaultPlan& f);
+
+/// Receiver-side bulk accounting for site.p, whose channel from src is
+/// in[src * in_stride]: run after faults, since a drop can empty one.
+void count_received(const Channel* in, i64 in_stride, i64 procs,
+                    const RankSite& site, RankCounters& rc);
+
+/// Phase 2 on site.p: walks Modify_p, reading local operands from the
+/// rows, halo operands from the halo rows and remote ones by tag from
+/// in[src * in_stride], and writes the updates into out_row. Fused
+/// strided runs go through jfns when it is non-null.
+void receive_update_rank(const spmd::ClausePlan& plan, const RankSite& site,
+                         const RankRows& rr, std::vector<double>& out_row,
+                         Channel* in, i64 in_stride,
+                         const spmd::JitFns* jfns, RankCounters& rc,
+                         PathCounters& pc);
+
+/// The message-pairing invariant: throws when rank p finished a clause
+/// with messages it never consumed.
+void check_delivered(i64 p, const Channel* in, i64 in_stride, i64 procs);
+
+// ---- Scheduled path -------------------------------------------------------
+
+/// Inspector half of the inspector–executor split: derives a clause's
+/// whole-machine communication schedule receiver-side from its plan and
+/// the descriptors' local capacities alone — the paper's point that
+/// Reside_p \ Modify_p follows from the data decomposition. A driver
+/// calls rank(p) for every rank (distinct ranks may run concurrently),
+/// then finish().
+class Inspector {
+ public:
+  explicit Inspector(const spmd::ClausePlan& plan);
+
+  /// Walks rank p's Modify_p and resolves every operand as local, halo
+  /// or remote.
+  void rank(i64 p);
+
+  /// The schedule, or null when some element would fault (the tagged
+  /// path then raises the error).
+  std::unique_ptr<spmd::CommSchedule> finish();
+
+ private:
+  const spmd::ClausePlan& plan_;
+  std::unique_ptr<spmd::CommSchedule> sched_;
+  // pack_[dst * procs + src]: the operands dst reads from src, in dst's
+  // walk order.
+  std::vector<std::vector<spmd::PackOp>> pack_;
+  std::vector<char> refused_;
+  std::vector<i64> row_len_;  // [r * procs + q]: ref r's row on rank q
+};
+
+/// Executor phase 1 on site.p: packs the values its SendPlan lists into
+/// out[dst], this rank's row of procs reused buffers.
+void pack_rank(const spmd::CommSchedule& s, const RankSite& site,
+               const RankRows& rr, std::vector<double>* out);
+
+/// Executor phase 2 on site.p: gathers every operand by offset — local
+/// row, halo row, or the buffer from src at in[src * in_stride] — and
+/// evaluates the guard and RHS live into out_row. Runs the jitted replay
+/// program when jfns and js are non-null.
+void replay_rank(const spmd::CommSchedule& s, const spmd::ClausePlan& plan,
+                 const RankSite& site, RankRows& rr,
+                 const std::vector<double>* in, i64 in_stride,
+                 std::vector<double>& out_row, const spmd::JitFns* jfns,
+                 spmd::JitState* js, PathCounters& pc);
+
+/// Rank p's counters for a scheduled step: the schedule's, with the halo
+/// counters the live refresh charged to `live`.
+RankCounters scheduled_counters(const spmd::CommSchedule& s, i64 p,
+                                const RankCounters& live);
+
+}  // namespace vcal::rt

@@ -208,14 +208,15 @@ RunRequest decode_run(const std::vector<std::uint8_t>& payload) {
   req.build = get_build(r);
   req.engine = get_engine(r);
   req.elide_barriers = r.get_u8() != 0;
-  std::uint32_t n = r.get_u32();
+  // An input is at least a name length and its ramp byte.
+  std::uint32_t n = r.get_count(sizeof(std::uint32_t) + 1);
   req.inputs.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     req.inputs[i].name = r.get_str();
     req.inputs[i].ramp = r.get_u8() != 0;
     if (!req.inputs[i].ramp) req.inputs[i].values = r.get_f64s();
   }
-  std::uint32_t g = r.get_u32();
+  std::uint32_t g = r.get_count(sizeof(std::uint32_t));  // name lengths
   req.gather.resize(g);
   for (std::uint32_t i = 0; i < g; ++i) req.gather[i] = r.get_str();
   req.want_stats = r.get_u8() != 0;
@@ -255,7 +256,8 @@ RunResult decode_result(const std::vector<std::uint8_t>& payload) {
   res.compile_ms = r.get_f64();
   res.plan_hits = r.get_i64();
   res.plan_misses = r.get_i64();
-  std::uint32_t n = r.get_u32();
+  // A store is at least a name length and a value count.
+  std::uint32_t n = r.get_count(2 * sizeof(std::uint32_t));
   res.stores.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     res.stores[i].first = r.get_str();

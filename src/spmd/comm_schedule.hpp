@@ -25,14 +25,17 @@
 //
 // Lifecycle: schedules derive from a ClausePlan and ride in that plan's
 // cache entry (spmd::CachedSchedule), which is keyed by the clause and
-// the exact layouts of its arrays (plan_cache.hpp). The distributed
-// machine's inspector (DistMachine::inspect) builds one receiver-side
-// from the plan and kernel alone when a clean execution finds the entry
-// without one, and that execution already runs it; it never executes
-// the tagged path. A redistribute moves the clause to another entry,
-// and a return to an earlier layout replays that layout's schedule at
-// once. The tagged path runs only for an armed fault, with schedules
-// off, or when the inspector refuses a clause whose elements fault.
+// the exact layouts of its arrays (plan_cache.hpp). The inspector
+// (rt::Inspector, rt/rank_step.hpp) builds one receiver-side from the
+// plan, its kernel and the descriptors' local capacities alone when a
+// clean execution finds the entry without one, and that execution
+// already runs it; it never executes the tagged path. Both distributed
+// drivers use it: DistMachine inspects its ranks in parallel, and each
+// proc worker inspects every rank, so all workers hold the same
+// schedule. A redistribute moves the clause to another entry, and a
+// return to an earlier layout replays that layout's schedule at once.
+// The tagged path runs only for an armed fault, with schedules off, or
+// when the inspector refuses a clause whose elements fault.
 //
 // GatherSchedule is the shared-memory sibling, recorded on the shared
 // machine's first clean kernel pass: the same source-offset lists turn

@@ -315,14 +315,17 @@ CheckResult Oracle::check_program(
 
   // ---- multi-process backend: the engine claims extend across real
   // process boundaries — P spawned workers over shared-memory rings
-  // must reproduce the serial simulator bit for bit ----------------------
+  // must reproduce the serial simulator bit for bit. The first config
+  // runs the workers' scheduled path, the second their tagged path and
+  // trace shipping ------------------------------------------------------
 #if defined(__linux__)
   if (proc_axis && !source.empty()) {
-    for (bool trace : {false, true}) {
+    for (bool second : {false, true}) {
       EngineOptions e;
       e.threads = 1;
       e.jit = false;
-      e.trace = trace;  // the second config also exercises trace shipping
+      e.trace = second;
+      e.comm_schedules = !second;
       std::string tag = cat("proc[", describe_engine(e), "]");
       try {
         proc::ProcMachine m(source, {}, {}, e);

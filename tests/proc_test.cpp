@@ -13,8 +13,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -128,6 +131,82 @@ TEST(ProcMachine, EngineKnobsStayBitIdentical) {
   assorted.threads = 3;
   assorted.comm_schedules = false;
   expect_parity(halo_redist_source(4), {{"U", ramp(32)}}, {"U"}, assorted);
+}
+
+// Which of the two rank-step paths each clause step of every rank lane
+// took: `scheduled(step)` says which one the test expects. A scheduled
+// step packs and gathers and never sends; a tagged one the reverse.
+void expect_worker_paths(const ProcMachine& m,
+                         const std::vector<i64>& clause_steps,
+                         const std::function<bool(i64)>& scheduled) {
+  ASSERT_EQ(m.rank_traces().size(), static_cast<std::size_t>(m.procs()));
+  for (std::size_t p = 0; p < m.rank_traces().size(); ++p)
+    for (i64 step : clause_steps) {
+      bool send = false, pack = false, gather = false;
+      for (const obs::TraceEvent& e : m.rank_traces()[p].events) {
+        if (e.step != step) continue;
+        send = send || e.kind == obs::EventKind::SendBegin;
+        pack = pack || e.kind == obs::EventKind::PackBegin;
+        gather = gather || e.kind == obs::EventKind::GatherBegin;
+      }
+      const bool want = scheduled(step);
+      SCOPED_TRACE(cat("rank ", p, " step ", step));
+      EXPECT_EQ(pack, want);
+      EXPECT_EQ(gather, want);
+      EXPECT_EQ(send, !want);
+    }
+}
+
+TEST(ProcMachine, WorkerRunsTheSimulatorsScheduledAndTaggedPaths) {
+  // Steps 0 and 2 are clauses, step 1 a redistribute. The worker takes
+  // DistMachine's dispatch: schedules on a clean step, the tagged path
+  // with schedules off or a fault armed for the step — and every
+  // observable matches the simulator either way.
+  FaultPlan reorder;
+  reorder.kind = FaultPlan::Kind::ReorderChannel;
+  reorder.step = 0;
+  reorder.src = 0;
+  reorder.dst = 1;
+  struct Case {
+    const char* name;
+    bool schedules;
+    bool fault;
+    std::function<bool(i64)> scheduled;
+  };
+  const std::vector<Case> cases = {
+      {"schedules", true, false, [](i64) { return true; }},
+      {"no schedules", false, false, [](i64) { return false; }},
+      {"fault at step 0", true, true, [](i64 s) { return s != 0; }},
+  };
+  const std::string source = halo_redist_source(4);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    rt::EngineOptions engine;
+    engine.trace = true;
+    engine.jit = false;
+    engine.comm_schedules = c.schedules;
+    DistMachine sim(lang::compile(source), {}, {}, engine);
+    ProcMachine real(source, {}, {}, engine, proc_opts());
+    sim.load("U", ramp(32));
+    real.load("U", ramp(32));
+    if (c.fault) {
+      sim.inject(reorder);
+      real.inject(reorder);
+    }
+    sim.run();
+    real.run();
+    for (const char* name : {"U", "V"})
+      EXPECT_EQ(real.gather(name), sim.gather(name)) << name;
+    EXPECT_EQ(real.stats().str(), sim.stats().str());
+    EXPECT_EQ(real.message_matrix(), sim.message_matrix());
+    ASSERT_EQ(real.last_step_counters().size(),
+              sim.last_step_counters().size());
+    for (std::size_t p = 0; p < sim.last_step_counters().size(); ++p)
+      EXPECT_EQ(counters_str(real.last_step_counters()[p]),
+                counters_str(sim.last_step_counters()[p]))
+          << "rank " << p;
+    expect_worker_paths(real, {0, 2}, c.scheduled);
+  }
 }
 
 TEST(ProcMachine, TraceLanesComeBackFromEveryRank) {
@@ -363,6 +442,35 @@ TEST(ProcJob, RoundTripsEveryField) {
   EXPECT_EQ(back.inputs[0].second, ramp(20, 0.25));
   EXPECT_EQ(back.timeout_ms, 1234);
   EXPECT_EQ(back.ring_slots, 256);
+}
+
+TEST(ProcJob, CorruptFaultCountFailsFastWithoutAllocating) {
+  // A job whose fault count claims 2^28 entries: the decoder must reject
+  // it against the bytes actually present instead of sizing the fault
+  // table from the count first.
+  JobSpec job;
+  job.source = rotate_source(2);
+  job.procs = 2;
+  std::vector<std::uint8_t> bytes = encode_job(job);
+  // The job ends: u32 fault count, u32 input count, i64 timeout, i64
+  // ring slots.
+  const std::uint32_t huge = 0x10000000;
+  std::memcpy(bytes.data() + bytes.size() - 24, &huge, sizeof huge);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    decode_job(bytes.data(), bytes.size());
+    FAIL() << "a corrupt fault count decoded";
+  } catch (const std::bad_alloc&) {
+    FAIL() << "the fault count was trusted before the bytes were checked";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("proc wire: truncated payload"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count(),
+            100);
 }
 
 TEST(ProcJob, OptionsEchoPinsEveryPropagatedField) {

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <new>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,7 +21,9 @@
 #include "rt/shared_machine.hpp"
 #include "serve/client.hpp"
 #include "serve/compile_cache.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "support/error.hpp"
 #include "support/format.hpp"
 
 namespace {
@@ -585,6 +590,35 @@ TEST(Serve, TcpLoopbackAndCleanShutdown) {
   waiter.join();  // Shutdown released wait()
   server.stop();
   EXPECT_EQ(server.stats().sessions_active, 0);
+}
+
+
+TEST(ServeProtocol, CorruptInputCountFailsFastWithoutAllocating) {
+  // A RUN frame whose input count claims 2^28 entries: the decoder must
+  // reject it against the bytes actually present instead of sizing the
+  // input table from the count first.
+  serve::RunRequest req = make_req(kRotate);
+  req.inputs.clear();
+  req.gather.clear();
+  std::vector<std::uint8_t> bytes = serve::encode_run(req);
+  // The frame ends: u32 input count, u32 gather count, u8 want_stats.
+  const std::uint32_t huge = 0x10000000;
+  std::memcpy(bytes.data() + bytes.size() - 9, &huge, sizeof huge);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    serve::decode_run(bytes);
+    FAIL() << "a corrupt input count decoded";
+  } catch (const std::bad_alloc&) {
+    FAIL() << "the input count was trusted before the bytes were checked";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("proc wire: truncated payload"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count(),
+            100);
 }
 
 }  // namespace
