@@ -24,6 +24,7 @@
 #include "proc/control.hpp"
 #include "proc/ring.hpp"
 #include "proc/wire.hpp"
+#include "rt/store.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
 
@@ -583,16 +584,21 @@ std::vector<double> ProcMachine::gather(const std::string& name) const {
   require(it != program_.arrays.end(),
           "ProcMachine::gather unknown " + name);
   const decomp::ArrayDesc& desc = it->second;
-  std::vector<double> dense(static_cast<std::size_t>(desc.total()), 0.0);
-  decomp::for_each_index(desc, [&](const std::vector<i64>& idx) {
-    i64 rank = desc.is_replicated() ? 0 : desc.owner(idx);
+  auto row_of = [&](i64 rank) -> const std::vector<double>& {
     const auto& rows = rank_rows_[static_cast<std::size_t>(rank)];
     auto row = rows.find(name);
     require(row != rows.end(),
             cat("proc: rank ", rank, " never reported rows for ", name));
-    dense[static_cast<std::size_t>(desc.dense_linear(idx))] =
-        row->second[static_cast<std::size_t>(desc.local_linear(idx))];
-  });
+    return row->second;
+  };
+  if (desc.is_replicated()) return row_of(0);
+  std::vector<double> dense(static_cast<std::size_t>(desc.total()), 0.0);
+  for (i64 p = 0; p < program_.procs; ++p) {
+    const std::vector<double>& row = row_of(p);
+    rt::for_each_local_run(desc, p, [&](i64 local, i64 at, i64 len) {
+      std::copy_n(row.begin() + local, len, dense.begin() + at);
+    });
+  }
   return dense;
 }
 

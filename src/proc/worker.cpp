@@ -39,6 +39,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +59,7 @@
 #include "proc/ring.hpp"
 #include "proc/wire.hpp"
 #include "rt/rank_step.hpp"
+#include "rt/store.hpp"
 #include "spmd/plan_cache.hpp"
 #include "spmd/program.hpp"
 #include "support/error.hpp"
@@ -230,10 +232,12 @@ class Worker {
             "DistStore::load size mismatch for " + name);
     std::vector<double>& row = rows_[name];
     row.assign(static_cast<std::size_t>(desc.local_capacity(rank_)), 0.0);
-    decomp::for_each_index(desc, [&](const std::vector<i64>& idx) {
-      if (!desc.is_replicated() && desc.owner(idx) != rank_) return;
-      row[static_cast<std::size_t>(desc.local_linear(idx))] =
-          dense[static_cast<std::size_t>(desc.dense_linear(idx))];
+    if (desc.is_replicated()) {
+      std::copy(dense.begin(), dense.end(), row.begin());
+      return;
+    }
+    rt::for_each_local_run(desc, rank_, [&](i64 local, i64 at, i64 len) {
+      std::copy_n(dense.begin() + at, len, row.begin() + local);
     });
   }
 

@@ -10,108 +10,6 @@ using spmd::ClausePlan;
 
 namespace {
 
-// One provably-local stretch of an innermost run: n elements whose loop
-// value starts at v0 and advances by vstride, whose LHS local slot
-// starts at la and advances by lstride, and whose ref r operand sits at
-// local offset raddr[r], advancing by rstride[r]. raddr is the walker's
-// per-run scratch: the callee may advance it in place.
-struct FusedRun {
-  i64 v0 = 0;
-  i64 vstride = 0;
-  i64 n = 0;
-  i64 la = 0;
-  i64 lstride = 0;
-  i64* raddr = nullptr;
-  const i64* rstride = nullptr;
-};
-
-// Walks rank p's Modify_p space in order. For an affine kernel each
-// innermost run splits into the maximal subrange the strided-run proof
-// shows in bounds and resident on p for the LHS and every ref — handed
-// to `fused` in one call — and the elements before and after it, handed
-// to `element` one at a time. Unprovable runs and non-affine clauses go
-// element at a time throughout. The tagged phase 2 and the inspector
-// share this walk, so both see the same element order and split.
-template <typename Element, typename Fused>
-void walk_modify(const ClausePlan& plan, i64 p, gen::EnumStats* es,
-                 Element&& element, Fused&& fused) {
-  const spmd::ClauseKernel& kern = plan.kernel();
-  const spmd::IterationSpace& space = plan.modify_space(p);
-  const int inner = space.dims() - 1;
-  auto each = [&](std::vector<i64>& vals, const gen::Piece& run, i64 k0,
-                  i64 k1) {
-    for (i64 k = k0; k < k1; ++k) {
-      vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
-      element(vals);
-    }
-  };
-  if (!kern.affine()) {
-    space.for_each_run(
-        [&](std::vector<i64>& vals, const gen::Piece& run) {
-          each(vals, run, 0, run.count);
-        },
-        es);
-    return;
-  }
-
-  const auto n = plan.clause().refs.size();
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
-  const spmd::ArrayAddr lhs_addr = spmd::make_local_addr(lhs, p);
-  std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
-  std::vector<i64> dgl(g0l.size());
-  std::vector<spmd::ArrayAddr> raddrs;
-  raddrs.reserve(n);
-  std::vector<std::vector<i64>> g0s(n), dgs(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const decomp::ArrayDesc& rd = plan.ref_desc(static_cast<int>(r));
-    raddrs.push_back(spmd::make_local_addr(rd, p));
-    g0s[r].resize(static_cast<std::size_t>(rd.ndims()));
-    dgs[r].resize(static_cast<std::size_t>(rd.ndims()));
-  }
-  std::vector<spmd::StridedRun> rruns(n);
-  std::vector<i64> raddr(n), rstride(n);
-  space.for_each_run(
-      [&](std::vector<i64>& vals, const gen::Piece& run) {
-        spmd::StridedRun lrun;
-        spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
-                               g0l.data(), dgl.data());
-        bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                      run.count, &lrun);
-        i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
-        for (std::size_t r = 0; fuse && r < n; ++r) {
-          spmd::fill_progression(kern.ref_subs(static_cast<int>(r)).affine,
-                                 vals, inner, run, g0s[r].data(),
-                                 dgs[r].data());
-          fuse = spmd::strided_run(raddrs[r], g0s[r].data(), dgs[r].data(),
-                                   run.count, &rruns[r]);
-          if (fuse) {
-            k0 = std::max(k0, rruns[r].k_lo);
-            k1 = std::min(k1, rruns[r].k_hi);
-          }
-        }
-        if (!fuse || k0 > k1) {
-          each(vals, run, 0, run.count);
-          return;
-        }
-        each(vals, run, 0, k0);
-        FusedRun f;
-        f.v0 = run.start + k0 * run.stride;
-        f.vstride = run.stride;
-        f.n = k1 - k0 + 1;
-        f.la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
-        f.lstride = lrun.stride;
-        for (std::size_t r = 0; r < n; ++r) {
-          raddr[r] = rruns[r].addr0 + (k0 - rruns[r].k_lo) * rruns[r].stride;
-          rstride[r] = rruns[r].stride;
-        }
-        f.raddr = raddr.data();
-        f.rstride = rstride.data();
-        fused(vals, f);
-        each(vals, run, k1 + 1, run.count);
-      },
-      es);
-}
-
 double read_row(const std::vector<double>& row, i64 local,
                 const std::string& array) {
   if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
@@ -385,7 +283,7 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
   };
 
   gen::EnumStats es;
-  walk_modify(plan, p, &es, element, fused);
+  walk_modify(plan, p, /*dense=*/false, &es, element, fused);
   rc.iterations += es.loop_iters;
   rc.tests += es.tests;
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::ClauseEnd, site.step);
@@ -440,14 +338,10 @@ void Inspector::rank(i64 p) {
   const i64 nloops = sched_->nloops;
   spmd::CommSchedule& cs = *sched_;
   RankCounters& rc = cs.counters[static_cast<std::size_t>(p)];
-  spmd::RecvPlan& rv = cs.recv[static_cast<std::size_t>(p)];
   std::vector<spmd::PackOp>* from = pack_.data() + p * procs;
   char& bad = refused_[static_cast<std::size_t>(p)];
   const i64 out_len = lhs.local_capacity(p);
-  const i64 n = plan.modify_space(p).count();
-  rv.lhs_slot.reserve(static_cast<std::size_t>(n));
-  rv.vals.reserve(static_cast<std::size_t>(n * nloops));
-  rv.ops.reserve(static_cast<std::size_t>(n * nrefs));
+  cs.reserve(p, plan.modify_space(p).count());
 
   // Phase 1 of the tagged step: rank p enumerates each of its Reside_p
   // spaces once.
@@ -491,7 +385,7 @@ void Inspector::rank(i64 p) {
         ++rc.local_reads;
       } else {
         std::vector<spmd::PackOp>& list = from[src];
-        cs.note_remote(p, r, src, static_cast<i64>(list.size()));
+        cs.note_remote(p, src, static_cast<i64>(list.size()));
         list.push_back(spmd::PackOp{static_cast<std::int32_t>(r), local});
         ++rc.receives;
         ++rc.remote_reads;
@@ -517,7 +411,7 @@ void Inspector::rank(i64 p) {
   };
   gen::EnumStats es;
   try {
-    walk_modify(plan, p, &es, element, fused);
+    walk_modify(plan, p, /*dense=*/false, &es, element, fused);
   } catch (const RuntimeFault&) {
     // A subscript that faults as it evaluates (a zero divisor): the
     // tagged path raises it in its own order.
@@ -595,11 +489,26 @@ void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
   rr.stack.resize(static_cast<std::size_t>(kern.stack_need()));
   const spmd::CompiledGuard* guard = kern.guard();
 
+  // Operand bases in the schedule's id encoding (RecvPlan): ref rows,
+  // then the packed buffer from each source rank (none when in is
+  // null), then each ref's halo row.
+  rr.bases.resize(static_cast<std::size_t>(s.bases()));
+  for (int r = 0; r < nrefs; ++r) {
+    const auto ur = static_cast<std::size_t>(r);
+    rr.bases[ur] = rr.rows[ur]->data();
+    rr.bases[static_cast<std::size_t>(nrefs + procs) + ur] =
+        rr.halo[ur] ? rr.halo[ur]->data() : nullptr;
+  }
+  for (i64 src = 0; src < procs; ++src)
+    rr.bases[static_cast<std::size_t>(nrefs + src)] =
+        in ? in[src * in_stride].data() : nullptr;
+  const double* const* bases = rr.bases.data();
+
   // Jitted replay: execute the flattened segment program instead of the
   // per-element dispatch — constant-stride runs go through the
-  // vectorizable fused entry, irregular stretches (halo operands
-  // included) through the gather entry. A rank with any == false (a
-  // guarded-OOB slot) keeps the bytecode loop below.
+  // vectorizable fused entry, irregular stretches (halo and packed
+  // operands included) through the gather entry. A rank with any ==
+  // false (a guarded-OOB slot) keeps the bytecode loop below.
   const spmd::JitRankProg* rp = nullptr;
   if (jfns && js) {
     const spmd::JitRankProg& prog =
@@ -607,28 +516,14 @@ void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
     if (prog.any) rp = &prog;
   }
   if (rp) {
-    // Operand bases: ref rows first, then the packed buffer arriving
-    // from each source rank, then each ref's halo row (matching
-    // JitRankProg's id encoding).
-    rr.bases.resize(static_cast<std::size_t>(nrefs + procs + nrefs));
-    for (int r = 0; r < nrefs; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      rr.bases[ur] = rr.rows[ur]->data();
-      rr.bases[static_cast<std::size_t>(nrefs + procs) + ur] =
-          rr.halo[ur] ? rr.halo[ur]->data() : nullptr;
-    }
-    for (i64 src = 0; src < procs; ++src)
-      rr.bases[static_cast<std::size_t>(nrefs + src)] =
-          in[src * in_stride].data();
     for (const spmd::JitSegment& sg : rp->segs) {
       if (sg.fused)
-        jfns->fused(out_row.data(), sg.la0, sg.la_stride, rr.bases.data(),
+        jfns->fused(out_row.data(), sg.la0, sg.la_stride, bases,
                     sg.raddr0.data(), sg.rstride.data(),
                     rv.vals.data() + sg.e0 * nloops, sg.v0, sg.vstride, sg.n);
       else
-        jfns->replay(out_row.data(), rr.bases.data(),
-                     rp->ids.data() + sg.e0 * nrefs,
-                     rp->offs.data() + sg.e0 * nrefs,
+        jfns->replay(out_row.data(), bases, rv.ids.data() + sg.e0 * nrefs,
+                     rv.offs.data() + sg.e0 * nrefs,
                      rv.lhs_slot.data() + sg.e0,
                      rv.vals.data() + sg.e0 * nloops, sg.n);
     }
@@ -636,23 +531,10 @@ void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
   } else {
     for (i64 e = 0; e < rv.n; ++e) {
       const i64* vals = rv.vals.data() + e * nloops;
-      const spmd::RefOp* ops = rv.ops.data() + e * nrefs;
-      for (int r = 0; r < nrefs; ++r) {
-        const spmd::RefOp& op = ops[r];
-        const auto ur = static_cast<std::size_t>(op.ref);
-        double& v = rr.refs[static_cast<std::size_t>(r)];
-        switch (op.kind) {
-          case spmd::RefOp::Kind::Local:
-            v = (*rr.rows[ur])[static_cast<std::size_t>(op.a)];
-            break;
-          case spmd::RefOp::Kind::Halo:
-            v = (*rr.halo[ur])[static_cast<std::size_t>(op.a)];
-            break;
-          case spmd::RefOp::Kind::Remote:
-            v = in[op.a * in_stride][static_cast<std::size_t>(op.b)];
-            break;
-        }
-      }
+      const i64* ids = rv.ids.data() + e * nrefs;
+      const i64* offs = rv.offs.data() + e * nrefs;
+      for (int r = 0; r < nrefs; ++r)
+        rr.refs[static_cast<std::size_t>(r)] = bases[ids[r]][offs[r]];
       if (guard && !guard->holds(rr.refs.data(), vals, rr.stack.data()))
         continue;
       const double value =

@@ -22,6 +22,11 @@
 //      guard and RHS live.
 // Both paths produce the same stores, counters and message matrix; the
 // conformance oracle pins that.
+//
+// The shared-memory template is this one without the communication, so
+// SharedMachine uses two of these pieces as well: walk_modify, over the
+// dense image, for its recording pass, and replay_rank, with no packed
+// buffers and no halo rows, for every later step.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +42,7 @@
 #include "spmd/clause_plan.hpp"
 #include "spmd/comm_schedule.hpp"
 #include "spmd/jit.hpp"
+#include "spmd/kernel.hpp"
 
 namespace vcal::rt {
 
@@ -57,7 +63,7 @@ struct RankRows {
   std::vector<const std::vector<double>*> rows;
   std::vector<const std::vector<double>*> halo;
   std::vector<double> refs, stack;   // replay operand values, RHS stack
-  std::vector<const double*> bases;  // jitted replay operand bases
+  std::vector<const double*> bases;  // replay operand bases (RecvPlan)
 };
 
 // ---- Phase 0: halo refresh ----------------------------------------------
@@ -99,6 +105,117 @@ void fill_halo_row(const decomp::ArrayDesc& rd, i64 p,
     ++rc.halo_bulk;
     rc.halo_values += len;
   });
+}
+
+// ---- Modify_p walk ------------------------------------------------------
+
+/// One provably-resident stretch of an innermost run: n elements whose
+/// loop value starts at v0 and advances by vstride, whose LHS slot
+/// starts at la and advances by lstride, and whose ref r operand sits at
+/// offset raddr[r], advancing by rstride[r] — slots and offsets in the
+/// walk's addressing. raddr is the walker's per-run scratch: the callee
+/// may advance it in place.
+struct FusedRun {
+  i64 v0 = 0;
+  i64 vstride = 0;
+  i64 n = 0;
+  i64 la = 0;
+  i64 lstride = 0;
+  i64* raddr = nullptr;
+  const i64* rstride = nullptr;
+};
+
+/// Walks rank p's Modify_p space in order. For an affine kernel each
+/// innermost run splits into the maximal subrange the strided-run proof
+/// shows in bounds (and, in rank p's local rows, resident on p) for the
+/// LHS and every ref — handed to `fused` in one call — and the elements
+/// before and after it, handed to `element` one at a time. Unprovable
+/// runs and non-affine clauses go element at a time throughout. `dense`
+/// selects the addressing (spmd::ArrayAddr): the dense row-major image
+/// on the shared machine, rank p's local rows otherwise. The tagged
+/// phase 2, the inspector and the shared machine share this walk, so
+/// all see the same element order and split.
+template <typename Element, typename Fused>
+void walk_modify(const spmd::ClausePlan& plan, i64 p, bool dense,
+                 gen::EnumStats* es, Element&& element, Fused&& fused) {
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const spmd::IterationSpace& space = plan.modify_space(p);
+  const int inner = space.dims() - 1;
+  auto each = [&](std::vector<i64>& vals, const gen::Piece& run, i64 k0,
+                  i64 k1) {
+    for (i64 k = k0; k < k1; ++k) {
+      vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
+      element(vals);
+    }
+  };
+  if (!kern.affine()) {
+    space.for_each_run(
+        [&](std::vector<i64>& vals, const gen::Piece& run) {
+          each(vals, run, 0, run.count);
+        },
+        es);
+    return;
+  }
+
+  const auto n = plan.clause().refs.size();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  auto addr = [&](const decomp::ArrayDesc& d) {
+    return dense ? spmd::make_dense_addr(d) : spmd::make_local_addr(d, p);
+  };
+  const spmd::ArrayAddr lhs_addr = addr(lhs);
+  std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
+  std::vector<i64> dgl(g0l.size());
+  std::vector<spmd::ArrayAddr> raddrs;
+  raddrs.reserve(n);
+  std::vector<std::vector<i64>> g0s(n), dgs(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const decomp::ArrayDesc& rd = plan.ref_desc(static_cast<int>(r));
+    raddrs.push_back(addr(rd));
+    g0s[r].resize(static_cast<std::size_t>(rd.ndims()));
+    dgs[r].resize(static_cast<std::size_t>(rd.ndims()));
+  }
+  std::vector<spmd::StridedRun> rruns(n);
+  std::vector<i64> raddr(n), rstride(n);
+  space.for_each_run(
+      [&](std::vector<i64>& vals, const gen::Piece& run) {
+        spmd::StridedRun lrun;
+        spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
+                               g0l.data(), dgl.data());
+        bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
+                                      run.count, &lrun);
+        i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
+        for (std::size_t r = 0; fuse && r < n; ++r) {
+          spmd::fill_progression(kern.ref_subs(static_cast<int>(r)).affine,
+                                 vals, inner, run, g0s[r].data(),
+                                 dgs[r].data());
+          fuse = spmd::strided_run(raddrs[r], g0s[r].data(), dgs[r].data(),
+                                   run.count, &rruns[r]);
+          if (fuse) {
+            k0 = std::max(k0, rruns[r].k_lo);
+            k1 = std::min(k1, rruns[r].k_hi);
+          }
+        }
+        if (!fuse || k0 > k1) {
+          each(vals, run, 0, run.count);
+          return;
+        }
+        each(vals, run, 0, k0);
+        FusedRun f;
+        f.v0 = run.start + k0 * run.stride;
+        f.vstride = run.stride;
+        f.n = k1 - k0 + 1;
+        f.la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
+        f.lstride = lrun.stride;
+        for (std::size_t r = 0; r < n; ++r) {
+          raddr[r] = rruns[r].addr0 + (k0 - rruns[r].k_lo) * rruns[r].stride;
+          rstride[r] = rruns[r].stride;
+        }
+        f.raddr = raddr.data();
+        f.rstride = rstride.data();
+        fused(vals, f);
+        each(vals, run, k1 + 1, run.count);
+      },
+      es);
 }
 
 // ---- Tagged path ----------------------------------------------------------
@@ -169,10 +286,11 @@ class Inspector {
 void pack_rank(const spmd::CommSchedule& s, const RankSite& site,
                const RankRows& rr, std::vector<double>* out);
 
-/// Executor phase 2 on site.p: gathers every operand by offset — local
-/// row, halo row, or the buffer from src at in[src * in_stride] — and
-/// evaluates the guard and RHS live into out_row. Runs the jitted replay
-/// program when jfns and js are non-null.
+/// Executor phase 2 on site.p: reads every operand by (base, offset) —
+/// local row, halo row, or the buffer from src at in[src * in_stride]
+/// (in null: no packed buffers) — and evaluates the guard and RHS live
+/// into out_row. Runs the jitted replay program when jfns and js are
+/// non-null.
 void replay_rank(const spmd::CommSchedule& s, const spmd::ClausePlan& plan,
                  const RankSite& site, RankRows& rr,
                  const std::vector<double>* in, i64 in_stride,

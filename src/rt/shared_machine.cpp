@@ -1,12 +1,10 @@
 #include "rt/shared_machine.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "obs/metrics.hpp"
 #include "spmd/barrier.hpp"
 #include "spmd/comm_schedule.hpp"
-#include "spmd/kernel.hpp"
 #include "support/error.hpp"
 
 namespace vcal::rt {
@@ -51,8 +49,8 @@ void SharedMachine::load(const std::string& name,
   store_.load(it->second, dense);
 }
 
-void SharedMachine::for_ranks(i64 n,
-                              const std::function<void(i64)>& body) {
+template <typename F>
+void SharedMachine::for_ranks(i64 n, F&& body) {
   if (engine_.threads == 1) {
     for (i64 r = 0; r < n; ++r) body(r);
     return;
@@ -111,30 +109,7 @@ void SharedMachine::run() {
         const spmd::JitFns* jfns = nullptr;
         if (engine_.jit && plan.kernel().affine())
           jfns = jit_poll(entry, *clause, plan.kernel(), &js);
-        // Gather-schedule dispatch (see comm_schedule.hpp): replay when
-        // the entry holds a schedule, otherwise enumerate and record one.
-        if (engine_.comm_schedules && entry.sched) {
-          run_clause_gathered(
-              *clause, plan,
-              static_cast<const spmd::GatherSchedule&>(*entry.sched), js,
-              jfns);
-        } else {
-          std::unique_ptr<spmd::GatherSchedule> rec;
-          if (engine_.comm_schedules) {
-            rec = std::make_unique<spmd::GatherSchedule>();
-            rec->init(plan.procs(), static_cast<int>(clause->loops.size()),
-                      static_cast<int>(clause->refs.size()));
-          }
-          // Recording steps run the bytecode loop: the note_* hooks
-          // have to observe every element the inspector will replay.
-          run_clause(*clause, plan, rec.get(), rec ? nullptr : jfns);
-          if (rec) {
-            ++comm_.sched_builds;
-            entry.sched = std::move(rec);
-            VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, trace_step_ - 1,
-                       plans_->schedules());
-          }
-        }
+        run_clause(*clause, entry, js, jfns);
         pending = &plan;
         pending_exists = true;
       }
@@ -188,232 +163,108 @@ const spmd::JitFns* SharedMachine::jit_poll(spmd::PlanCache::Entry& entry,
   return r.fns;
 }
 
-void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
-                               spmd::GatherSchedule* rec,
-                               const spmd::JitFns* jfns) {
+// One parallel clause. Schedule dispatch (see comm_schedule.hpp): a step
+// whose plan entry holds a schedule replays it — per rank, rt::replay_rank
+// over the dense rows, reading every operand by offset with guards and
+// right-hand sides evaluated live. Otherwise every rank walks its
+// Modify_p, and a clean step with schedules on records the schedule
+// while it executes. The recorded counters replay verbatim, keeping
+// SharedStats bit-identical to the walk.
+void SharedMachine::run_clause(const Clause& clause,
+                               spmd::PlanCache::Entry& entry,
+                               spmd::JitState* js, const spmd::JitFns* jfns) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = trace_step_;
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const ClausePlan& plan = entry.plan;
   const i64 procs = plan.procs();
-  const int nrefs = static_cast<int>(clause.refs.size());
-  const int inner = static_cast<int>(clause.loops.size()) - 1;
+  const std::size_t nrefs = clause.refs.size();
 
-  // Kernel path: bytecode RHS/guard and subscript records (see
-  // spmd/kernel.hpp). Shared memory addresses every array densely, so
-  // the strided-run analysis of affine clauses only has to prove
-  // bounds, not residency.
-  const spmd::ClauseKernel& kern = plan.kernel();
-  const bool kaff = kern.affine();
+  const spmd::CommSchedule* sched = nullptr;
+  std::unique_ptr<spmd::CommSchedule> rec;
+  if (engine_.comm_schedules) {
+    sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
+    if (!sched) {
+      rec = std::make_unique<spmd::CommSchedule>();
+      rec->init(procs, static_cast<int>(clause.loops.size()),
+                static_cast<int>(nrefs));
+    }
+  }
 
-  bool lhs_read = false;
+  // Persistent per-step scratch, sized on the first clause: a scheduled
+  // steady state allocates nothing.
+  if (static_cast<i64>(rank_rows_.size()) != procs) {
+    rank_rows_.resize(static_cast<std::size_t>(procs));
+    step_counters_.resize(static_cast<std::size_t>(procs));
+    step_pcs_.resize(static_cast<std::size_t>(procs));
+  }
+  for (PathCounters& c : step_pcs_) c = PathCounters{};
+
+  // Reads come from the copy-in snapshot (self-reads) or the shared
+  // dense buffer; writes go to the (disjointly partitioned) LHS buffer.
+  const std::vector<double>* snap = nullptr;
   for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
-  std::optional<std::vector<double>> snap;
-  if (lhs_read) snap = store_.snapshot(clause.lhs_array);
-
-  std::vector<gen::EnumStats> rank_stats(static_cast<std::size_t>(procs));
-  std::vector<PathCounters> pcs(static_cast<std::size_t>(procs));
+    if (r.array == clause.lhs_array) {
+      const std::vector<double>& cur = store_.dense(clause.lhs_array);
+      copy_in_.assign(cur.begin(), cur.end());
+      snap = &copy_in_;
+      break;
+    }
+  for (RankRows& rr : rank_rows_) {
+    rr.rows.resize(nrefs);
+    rr.halo.assign(nrefs, nullptr);
+    for (std::size_t r = 0; r < nrefs; ++r) {
+      const std::string& name = clause.refs[r].array;
+      rr.rows[r] = snap && name == clause.lhs_array ? snap
+                                                    : &store_.dense(name);
+    }
+  }
+  std::vector<double>& out = store_.buffer(clause.lhs_array);
 
   // Ownership partitioning makes writes disjoint; the pool's join is the
   // template's barrier (whether the generated program would need it is
   // accounted in run()).
-  for_ranks(procs, [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::ClauseBegin, step_id);
-    std::vector<double> ref_values(clause.refs.size());
-    std::vector<i64> out_idx, idx;  // per-rank scratch
-    // Hoist the string-keyed buffer lookups out of the element loop:
-    // reads come from the copy-in snapshot (self-reads) or the shared
-    // dense buffer; writes go to the (disjointly partitioned) LHS buffer.
-    std::vector<const std::vector<double>*> rows(clause.refs.size());
-    for (std::size_t r = 0; r < clause.refs.size(); ++r)
-      rows[r] = snap && clause.refs[r].array == clause.lhs_array
-                    ? &*snap
-                    : &store_.dense(clause.refs[r].array);
-    std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
-    const spmd::IterationSpace& space = plan.modify_space(p);
-    PathCounters& pc = pcs[static_cast<std::size_t>(p)];
-    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
-    const spmd::CompiledGuard* guard = kern.guard();
-    const spmd::CompiledExpr& rhs = kern.rhs();
-
-    // Strided-run scratch: addressing, progressions, and fused-loop
-    // cursors — only affine clauses ever fuse.
-    spmd::ArrayAddr lhs_addr;
-    std::vector<spmd::ArrayAddr> raddrs;
-    std::vector<i64> g0l, dgl;
-    std::vector<std::vector<i64>> g0s, dgs;
-    std::vector<spmd::StridedRun> rruns;
-    std::vector<i64> raddr, rstride;
-    std::vector<const double*> row_ptrs;
-    if (kaff) {
-      const auto n = static_cast<std::size_t>(nrefs);
-      lhs_addr = spmd::make_dense_addr(lhs);
-      g0l.resize(static_cast<std::size_t>(lhs.ndims()));
-      dgl.resize(static_cast<std::size_t>(lhs.ndims()));
-      raddrs.reserve(n);
-      g0s.resize(n);
-      dgs.resize(n);
-      for (int r = 0; r < nrefs; ++r) {
-        const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        raddrs.push_back(spmd::make_dense_addr(rd));
-        g0s[static_cast<std::size_t>(r)].resize(
-            static_cast<std::size_t>(rd.ndims()));
-        dgs[static_cast<std::size_t>(r)].resize(
-            static_cast<std::size_t>(rd.ndims()));
-      }
-      rruns.resize(n);
-      raddr.resize(n);
-      rstride.resize(n);
-      row_ptrs.resize(n);
-      for (int r = 0; r < nrefs; ++r)
-        row_ptrs[static_cast<std::size_t>(r)] =
-            rows[static_cast<std::size_t>(r)]->data();
+  if (sched) {
+    for_ranks(procs, [&](i64 p) {
+      const auto up = static_cast<std::size_t>(p);
+      replay_rank(*sched, plan, RankSite{p, tr, p, step_id}, rank_rows_[up],
+                  nullptr, 0, out, jfns, js, step_pcs_[up]);
+    });
+    ++comm_.sched_hits;
+    VCAL_TRACE(tr, ctl, obs::EventKind::SchedHit, step_id);
+  } else {
+    // Recording passes run the bytecode loop: the note_* hooks have to
+    // observe every element the replay will execute.
+    for_ranks(procs, [&](i64 p) {
+      walk_rank(plan, p, rec.get(), rec ? nullptr : jfns, out, step_id);
+    });
+    if (rec) {
+      rec->counters = step_counters_;
+      ++comm_.sched_builds;
+      entry.sched = std::move(rec);
+      VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
+                 plans_->schedules());
     }
+  }
 
-    // Element-at-a-time body: bounds checks, dense operand reads, guard,
-    // RHS, and the dense write.
-    auto element = [&](const std::vector<i64>& vals) {
-      spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
-      if (!lhs.in_bounds(out_idx))
-        throw RuntimeFault("write out of bounds on " + clause.lhs_array);
-      for (int r = 0; r < nrefs; ++r) {
-        const decomp::ArrayDesc& rd = plan.ref_desc(r);
-        spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), idx);
-        if (!rd.in_bounds(idx))
-          throw RuntimeFault("read out of bounds on " +
-                             clause.refs[static_cast<std::size_t>(r)].array);
-        i64 off = rd.dense_linear(idx);
-        ref_values[static_cast<std::size_t>(r)] =
-            (*rows[static_cast<std::size_t>(r)])
-                [static_cast<std::size_t>(off)];
-        if (rec) rec->note_off(p, off);
-      }
-      if (rec)
-        // Pre-guard: replay evaluates guards live, so guarded-off
-        // elements still carry their operand offsets.
-        rec->note_element(p, lhs.dense_linear(out_idx), vals.data());
-      if (guard &&
-          !guard->holds(ref_values.data(), vals.data(), stack.data()))
-        return;
-      out_buf[static_cast<std::size_t>(lhs.dense_linear(out_idx))] =
-          rhs.eval(ref_values.data(), vals.data(), stack.data());
-    };
-
-    space.for_each_run(
-        [&](std::vector<i64>& vals, const gen::Piece& run) {
-          spmd::StridedRun lrun;
-          bool fuse = kaff;
-          if (fuse) {
-            spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
-                                   g0l.data(), dgl.data());
-            fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                     run.count, &lrun);
-          }
-          i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
-          for (int r = 0; fuse && r < nrefs; ++r) {
-            auto ur = static_cast<std::size_t>(r);
-            spmd::fill_progression(kern.ref_subs(r).affine, vals, inner, run,
-                                   g0s[ur].data(), dgs[ur].data());
-            fuse = spmd::strided_run(raddrs[ur], g0s[ur].data(),
-                                     dgs[ur].data(), run.count, &rruns[ur]);
-            if (fuse) {
-              k0 = std::max(k0, rruns[ur].k_lo);
-              k1 = std::min(k1, rruns[ur].k_hi);
-            }
-          }
-          fuse = fuse && k0 <= k1;
-          if (!fuse) {
-            for (i64 k = 0; k < run.count; ++k) {
-              vals[static_cast<std::size_t>(inner)] =
-                  run.start + k * run.stride;
-              element(vals);
-            }
-            pc.generic += run.count;
-            return;
-          }
-          for (i64 k = 0; k < k0; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          // Fused strided loop: every element of [k0, k1] is proven in
-          // bounds on both sides, so the body carries no checks, no
-          // calls through the plan, and no allocations — strided dense
-          // reads, the bytecode evaluator on a preallocated stack, and
-          // a strided dense write.
-          i64 la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
-          for (int r = 0; r < nrefs; ++r) {
-            auto ur = static_cast<std::size_t>(r);
-            raddr[ur] =
-                rruns[ur].addr0 + (k0 - rruns[ur].k_lo) * rruns[ur].stride;
-          }
-          i64 v = run.start + k0 * run.stride;
-          const i64 fused_n = k1 - k0 + 1;
-          if (jfns) {
-            // Every element of [k0, k1] is proven in bounds, so the
-            // jitted loop needs only the strides: addressing arrives as
-            // arguments, the guard/RHS are compiled in.
-            for (int r = 0; r < nrefs; ++r)
-              rstride[static_cast<std::size_t>(r)] =
-                  rruns[static_cast<std::size_t>(r)].stride;
-            jfns->fused(out_buf.data(), la, lrun.stride, row_ptrs.data(),
-                        raddr.data(), rstride.data(), vals.data(), v,
-                        run.stride, fused_n);
-            pc.jit += fused_n;
-          } else {
-            for (i64 k = 0; k < fused_n; ++k) {
-              vals[static_cast<std::size_t>(inner)] = v;
-              if (rec) {
-                rec->note_element(p, la, vals.data());
-                for (int r = 0; r < nrefs; ++r)
-                  rec->note_off(p, raddr[static_cast<std::size_t>(r)]);
-              }
-              for (int r = 0; r < nrefs; ++r) {
-                auto ur = static_cast<std::size_t>(r);
-                ref_values[ur] =
-                    (*rows[ur])[static_cast<std::size_t>(raddr[ur])];
-                raddr[ur] += rruns[ur].stride;
-              }
-              if (!guard ||
-                  guard->holds(ref_values.data(), vals.data(), stack.data()))
-                out_buf[static_cast<std::size_t>(la)] =
-                    rhs.eval(ref_values.data(), vals.data(), stack.data());
-              la += lrun.stride;
-              v += run.stride;
-            }
-            pc.fused += fused_n;
-          }
-          for (i64 k = k1 + 1; k < run.count; ++k) {
-            vals[static_cast<std::size_t>(inner)] =
-                run.start + k * run.stride;
-            element(vals);
-          }
-          pc.generic += run.count - fused_n;
-        },
-        &rank_stats[static_cast<std::size_t>(p)]);
-    VCAL_TRACE(tr, p, obs::EventKind::KernelPath, step_id, pc.fused,
-               pc.generic, pc.interp);
-    VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
-  });
-
-  for (const PathCounters& c : pcs) paths_ += c;
-  // The recorded enumeration statistics replay verbatim on gathered
-  // steps, keeping iterations/tests/sim_time bit-identical.
-  if (rec) rec->stats = rank_stats;
-
+  for (const PathCounters& c : step_pcs_) paths_ += c;
   double slowest = 0.0;
   i64 iters = 0, tests = 0;
-  for (const auto& s : rank_stats) {
-    stats_.iterations += s.loop_iters;
-    stats_.tests += s.tests;
-    slowest = std::max(slowest, cost_.compute_cost(s.loop_iters, s.tests));
-    iters += s.loop_iters;
-    tests += s.tests;
+  for (const RankCounters& c : sched ? sched->counters : step_counters_) {
+    slowest = std::max(slowest, cost_.compute_cost(c.iterations, c.tests));
+    iters += c.iterations;
+    tests += c.tests;
   }
+  stats_.iterations += iters;
+  stats_.tests += tests;
   stats_.sim_time += slowest;
   if (tr) {
+    for (i64 p = 0; p < procs; ++p) {
+      const PathCounters& c = step_pcs_[static_cast<std::size_t>(p)];
+      tr->record(p, obs::EventKind::KernelPath, step_id, c.fused, c.generic,
+                 c.interp, c.sched);
+    }
     tr->set_virtual_time(stats_.sim_time);
     tr->record(ctl, obs::EventKind::StepCounters, step_id, iters, tests, 0,
                0);
@@ -422,122 +273,87 @@ void SharedMachine::run_clause(const Clause& clause, const ClausePlan& plan,
   ++trace_step_;
 }
 
-// Executor half of the gather-schedule split: every virtual processor's
-// operand reads become a flat gather over recorded dense-store offsets —
-// no subscript evaluation, no bounds checks, no iteration-space
-// enumeration. Guards and right-hand sides are evaluated live; the
-// recording step's enumeration statistics replay verbatim, keeping
-// SharedStats bit-identical to the enumerated path.
-void SharedMachine::run_clause_gathered(const Clause& clause,
-                                        const ClausePlan& plan,
-                                        const spmd::GatherSchedule& sched,
-                                        spmd::JitState* js,
-                                        const spmd::JitFns* jfns) {
+// Rank p's share of a walked step over the dense image: the element body
+// (bounds checks, dense operand reads, guard, RHS, dense write) and the
+// fused body (jitted, or a check-free bytecode loop), noting every
+// element into `rec` when it is non-null. Guards are evaluated on
+// replay, so guarded-off elements are noted too.
+void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
+                              spmd::CommSchedule* rec,
+                              const spmd::JitFns* jfns,
+                              std::vector<double>& out, i64 step_id) {
   obs::Tracer* tr = tracer_;
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  const i64 step_id = trace_step_;
-  VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
-  const i64 procs = plan.procs();
-  const int nrefs = sched.nrefs;
-  const int nloops = sched.nloops;
+  VCAL_TRACE(tr, p, obs::EventKind::ClauseBegin, step_id);
+  const Clause& clause = plan.clause();
   const spmd::ClauseKernel& kern = plan.kernel();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const int nrefs = static_cast<int>(clause.refs.size());
+  const int inner = static_cast<int>(clause.loops.size()) - 1;
+  RankRows& rr = rank_rows_[static_cast<std::size_t>(p)];
+  PathCounters& pc = step_pcs_[static_cast<std::size_t>(p)];
+  rr.refs.resize(static_cast<std::size_t>(nrefs));
+  rr.stack.resize(static_cast<std::size_t>(kern.stack_need()));
+  rr.bases.resize(static_cast<std::size_t>(nrefs));
+  for (int r = 0; r < nrefs; ++r)
+    rr.bases[static_cast<std::size_t>(r)] =
+        rr.rows[static_cast<std::size_t>(r)]->data();
+  double* refs = rr.refs.data();
+  double* stack = rr.stack.data();
+  const spmd::CompiledGuard* guard = kern.guard();
+  const spmd::CompiledExpr& rhs = kern.rhs();
+  std::vector<i64> out_idx, idx;  // per-rank scratch
+  if (rec) rec->reserve(p, plan.modify_space(p).count());
 
-  bool lhs_read = false;
-  for (const prog::ArrayRef& r : clause.refs)
-    if (r.array == clause.lhs_array) lhs_read = true;
-  std::optional<std::vector<double>> snap;
-  if (lhs_read) snap = store_.snapshot(clause.lhs_array);
-
-  std::vector<PathCounters> pcs(static_cast<std::size_t>(procs));
-  for_ranks(procs, [&](i64 p) {
-    VCAL_TRACE(tr, p, obs::EventKind::GatherBegin, step_id);
-    const spmd::GatherSchedule::RankGather& rg =
-        sched.ranks[static_cast<std::size_t>(p)];
-    std::vector<double> ref_values(static_cast<std::size_t>(nrefs));
-    std::vector<const std::vector<double>*> rows(
-        static_cast<std::size_t>(nrefs));
-    for (int r = 0; r < nrefs; ++r)
-      rows[static_cast<std::size_t>(r)] =
-          snap && clause.refs[static_cast<std::size_t>(r)].array ==
-                      clause.lhs_array
-              ? &*snap
-              : &store_.dense(clause.refs[static_cast<std::size_t>(r)].array);
-    std::vector<double>& out_buf = store_.buffer(clause.lhs_array);
-    std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
-    const spmd::CompiledGuard* guard = kern.guard();
-    PathCounters& pc = pcs[static_cast<std::size_t>(p)];
-
-    // Jitted replay: execute the flattened segment program instead of
-    // the per-element gather — constant-stride runs go through the
-    // vectorizable fused entry, irregular stretches through the gather
-    // entry. A rank with any == false keeps the bytecode loop below.
-    const spmd::JitRankProg* rp = nullptr;
-    if (jfns && js) {
-      const spmd::JitReplayProg* jp = js->replay_prog(sched);
-      const spmd::JitRankProg& rr = jp->ranks[static_cast<std::size_t>(p)];
-      if (rr.any) rp = &rr;
+  auto element = [&](const std::vector<i64>& vals) {
+    ++pc.generic;
+    spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
+    if (!lhs.in_bounds(out_idx))
+      throw RuntimeFault("write out of bounds on " + clause.lhs_array);
+    for (int r = 0; r < nrefs; ++r) {
+      const decomp::ArrayDesc& rd = plan.ref_desc(r);
+      spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), idx);
+      if (!rd.in_bounds(idx))
+        throw RuntimeFault("read out of bounds on " +
+                           clause.refs[static_cast<std::size_t>(r)].array);
+      const i64 off = rd.dense_linear(idx);
+      refs[r] = rr.bases[static_cast<std::size_t>(r)][off];
+      if (rec) rec->note_local(p, r, off);
     }
-    if (rp) {
-      std::vector<const double*> bases(static_cast<std::size_t>(nrefs));
-      for (int r = 0; r < nrefs; ++r)
-        bases[static_cast<std::size_t>(r)] =
-            rows[static_cast<std::size_t>(r)]->data();
-      for (const spmd::JitSegment& sg : rp->segs) {
-        if (sg.fused)
-          jfns->fused(out_buf.data(), sg.la0, sg.la_stride, bases.data(),
-                      sg.raddr0.data(), sg.rstride.data(),
-                      rg.vals.data() + sg.e0 * nloops, sg.v0, sg.vstride,
-                      sg.n);
-        else
-          jfns->replay(out_buf.data(), bases.data(),
-                       rp->ids.data() + sg.e0 * nrefs,
-                       rp->offs.data() + sg.e0 * nrefs,
-                       rg.lhs_slot.data() + sg.e0,
-                       rg.vals.data() + sg.e0 * nloops, sg.n);
-      }
-      pc.jit += rg.n;
-    } else {
-      for (i64 e = 0; e < rg.n; ++e) {
-        const i64* vals = rg.vals.data() + e * nloops;
-        const i64* offs = rg.offs.data() + e * nrefs;
-        for (int r = 0; r < nrefs; ++r)
-          ref_values[static_cast<std::size_t>(r)] =
-              (*rows[static_cast<std::size_t>(r)])
-                  [static_cast<std::size_t>(offs[r])];
-        if (guard && !guard->holds(ref_values.data(), vals, stack.data()))
-          continue;
-        out_buf[static_cast<std::size_t>(
-            rg.lhs_slot[static_cast<std::size_t>(e)])] =
-            kern.rhs().eval(ref_values.data(), vals, stack.data());
-      }
-      pc.sched += rg.n;
+    const i64 slot = lhs.dense_linear(out_idx);
+    if (rec) rec->note_element(p, slot, vals.data());
+    if (guard && !guard->holds(refs, vals.data(), stack)) return;
+    out[static_cast<std::size_t>(slot)] = rhs.eval(refs, vals.data(), stack);
+  };
+  auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+    if (jfns) {
+      jfns->fused(out.data(), f.la, f.lstride, rr.bases.data(), f.raddr,
+                  f.rstride, vals.data(), f.v0, f.vstride, f.n);
+      pc.jit += f.n;
+      return;
     }
-    VCAL_TRACE(tr, p, obs::EventKind::KernelPath, step_id, 0, 0, 0,
-               pc.sched);
-    VCAL_TRACE(tr, p, obs::EventKind::GatherEnd, step_id, rg.n);
-  });
-
-  for (const PathCounters& c : pcs) paths_ += c;
-  ++comm_.sched_hits;
-  VCAL_TRACE(tr, ctl, obs::EventKind::SchedHit, step_id);
-
-  double slowest = 0.0;
-  i64 iters = 0, tests = 0;
-  for (const auto& s : sched.stats) {
-    stats_.iterations += s.loop_iters;
-    stats_.tests += s.tests;
-    slowest = std::max(slowest, cost_.compute_cost(s.loop_iters, s.tests));
-    iters += s.loop_iters;
-    tests += s.tests;
-  }
-  stats_.sim_time += slowest;
-  if (tr) {
-    tr->set_virtual_time(stats_.sim_time);
-    tr->record(ctl, obs::EventKind::StepCounters, step_id, iters, tests, 0,
-               0);
-    tr->record(ctl, obs::EventKind::ClauseEnd, step_id);
-  }
-  ++trace_step_;
+    i64 la = f.la, v = f.v0;
+    for (i64 k = 0; k < f.n; ++k) {
+      vals[static_cast<std::size_t>(inner)] = v;
+      if (rec) rec->note_element(p, la, vals.data());
+      for (int r = 0; r < nrefs; ++r) {
+        if (rec) rec->note_local(p, r, f.raddr[r]);
+        refs[r] = rr.bases[static_cast<std::size_t>(r)][f.raddr[r]];
+        f.raddr[r] += f.rstride[r];
+      }
+      if (!guard || guard->holds(refs, vals.data(), stack))
+        out[static_cast<std::size_t>(la)] = rhs.eval(refs, vals.data(), stack);
+      la += f.lstride;
+      v += f.vstride;
+    }
+    pc.fused += f.n;
+  };
+  gen::EnumStats es;
+  walk_modify(plan, p, /*dense=*/true, &es, element, fused);
+  RankCounters& c = step_counters_[static_cast<std::size_t>(p)];
+  c = RankCounters{};
+  c.iterations = es.loop_iters;
+  c.tests = es.tests;
+  VCAL_TRACE(tr, p, obs::EventKind::ClauseEnd, step_id);
 }
 
 void SharedMachine::run_clause_sequential(const Clause& clause) {

@@ -11,8 +11,14 @@
 // (no per-clause thread spawns), and the join is the barrier. Ownership
 // partitioning makes writes disjoint, so no locking is needed; parallel
 // clauses that read their own target take a copy-in snapshot first.
-// Clause plans are cached across repeated executions until a
-// redistribution changes a decomposition.
+//
+// This is the distributed template without the communication, and it
+// runs on the same pieces (rt/rank_step.hpp). Clause plans are cached
+// per layout of the clause's arrays (spmd/plan_cache.hpp). The first
+// clean execution at a layout walks each Modify_p (rt::walk_modify over
+// the dense image) and records a spmd::CommSchedule while it executes
+// the step; every later execution at that layout replays the schedule
+// through rt::replay_rank, with the dense buffers as operand rows.
 //
 // Redistribution steps move no data here (memory is shared) but do change
 // the ownership partitioning of subsequent clauses.
@@ -25,15 +31,12 @@
 #include "rt/cost_model.hpp"
 #include "rt/engine_context.hpp"
 #include "rt/engine_options.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/store.hpp"
 #include "spmd/jit.hpp"
 #include "spmd/plan_cache.hpp"
 #include "spmd/program.hpp"
 #include "support/thread_pool.hpp"
-
-namespace vcal::spmd {
-class GatherSchedule;
-}
 
 namespace vcal::rt {
 
@@ -75,8 +78,9 @@ class SharedMachine {
   /// stays 0 here. Reporting only — never part of SharedStats.
   const PathCounters& path_counters() const noexcept { return paths_; }
 
-  /// Gather-schedule accounting: inspector builds, replayed steps,
-  /// forced fallbacks. Reporting only — never part of SharedStats.
+  /// Schedule accounting: recorded schedules and replayed steps (shared
+  /// records and never falls back, so the other fields stay 0).
+  /// Reporting only — never part of SharedStats.
   const CommStats& comm_stats() const noexcept { return comm_; }
 
   /// JIT native-code accounting: compiles, cache reuse, dispatches
@@ -91,17 +95,16 @@ class SharedMachine {
   const obs::Tracer* tracer() const noexcept { return tracer_; }
 
  private:
-  /// `rec`, when non-null, is the GatherSchedule being recorded by this
-  /// (clean, cached) execution — the inspector half of the split.
-  void run_clause(const prog::Clause& clause, const spmd::ClausePlan& plan,
-                  spmd::GatherSchedule* rec, const spmd::JitFns* jfns);
-  /// Executor half: replays a compiled gather schedule — per virtual
-  /// processor, a flat gather over dense-store offsets plus live
-  /// guard/RHS evaluation; enumeration statistics replay verbatim.
-  void run_clause_gathered(const prog::Clause& clause,
-                           const spmd::ClausePlan& plan,
-                           const spmd::GatherSchedule& sched,
-                           spmd::JitState* js, const spmd::JitFns* jfns);
+  /// One parallel clause at the layout of `entry`: replays the entry's
+  /// schedule, or walks every rank's Modify_p and, with schedules on,
+  /// records one into the entry.
+  void run_clause(const prog::Clause& clause, spmd::PlanCache::Entry& entry,
+                  spmd::JitState* js, const spmd::JitFns* jfns);
+  /// Rank p's Modify_p walk over the dense image, writing into `out`;
+  /// `rec`, when non-null, is the schedule being recorded.
+  void walk_rank(const spmd::ClausePlan& plan, i64 p,
+                 spmd::CommSchedule* rec, const spmd::JitFns* jfns,
+                 std::vector<double>& out, i64 step_id);
 
   /// One JIT arming / dispatch poll for the clause whose plan-cache
   /// entry is `entry` (see DistMachine::jit_poll).
@@ -110,7 +113,8 @@ class SharedMachine {
                                const spmd::ClauseKernel& kern,
                                spmd::JitState** js);
   void run_clause_sequential(const prog::Clause& clause);
-  void for_ranks(i64 n, const std::function<void(i64)>& body);
+  template <typename F>
+  void for_ranks(i64 n, F&& body);
 
   spmd::Program program_;  // arrays table evolves across redistributions
   gen::BuildOptions opts_;
@@ -128,6 +132,14 @@ class SharedMachine {
   CommStats comm_;
   spmd::JitStats jit_;
   i64 trace_step_ = 0;  // executed-step ordinal for trace event ids
+
+  // Persistent per-step scratch: the copy-in snapshot of a clause that
+  // reads its own target, and per rank its operand rows, counters and
+  // path tallies.
+  std::vector<double> copy_in_;
+  std::vector<RankRows> rank_rows_;
+  std::vector<RankCounters> step_counters_;
+  std::vector<PathCounters> step_pcs_;
 };
 
 }  // namespace vcal::rt

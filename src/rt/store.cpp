@@ -38,7 +38,9 @@ void DenseStore::write(const ArrayDesc& desc, const std::vector<i64>& idx,
 
 const std::vector<double>& DenseStore::dense(const std::string& name) const {
   auto it = buffers_.find(name);
-  require(it != buffers_.end(), "DenseStore: undeclared " + name);
+  // No message is built on the hit path: replay steps look rows up here.
+  if (it == buffers_.end())
+    throw InternalError("DenseStore: undeclared " + name);
   return it->second;
 }
 
@@ -52,7 +54,8 @@ bool DenseStore::has(const std::string& name) const {
 
 std::vector<double>& DenseStore::buffer(const std::string& name) {
   auto it = buffers_.find(name);
-  require(it != buffers_.end(), "DenseStore: undeclared " + name);
+  if (it == buffers_.end())
+    throw InternalError("DenseStore: undeclared " + name);
   return it->second;
 }
 
@@ -69,59 +72,6 @@ void DistStore::declare(const ArrayDesc& desc) {
     bufs[static_cast<std::size_t>(p)].assign(
         static_cast<std::size_t>(desc.local_capacity(p)), 0.0);
 }
-
-namespace {
-
-/// Calls copy(local, dense, len) for every maximal run of rank p's local
-/// slots, in local-slot order, whose elements sit at consecutive offsets
-/// of the dense row-major image. Each dimension's local coordinates map
-/// to global ones through Decomp1D::global once per rank; the innermost
-/// dimension splits into runs of consecutive global indices (whole
-/// blocks), so no element pays an owner()/local_linear() evaluation.
-template <typename F>
-void for_each_local_run(const ArrayDesc& desc, i64 p, F&& copy) {
-  const decomp::DecompND& dn = desc.decomp();
-  const auto nd = static_cast<std::size_t>(dn.ndims());
-  const std::vector<i64> shape = dn.local_shape(p);
-  const std::vector<i64> coords = dn.grid().coords(p);
-  for (i64 s : shape)
-    if (s == 0) return;  // idle rank
-  // off[d][l]: dense offset contributed by local coordinate l of dim d.
-  std::vector<std::vector<i64>> off(nd);
-  i64 stride = 1;
-  for (std::size_t d = nd; d-- > 0;) {
-    const decomp::Decomp1D& dim = dn.dim(static_cast<int>(d));
-    off[d].resize(static_cast<std::size_t>(shape[d]));
-    for (i64 l = 0; l < shape[d]; ++l)
-      off[d][static_cast<std::size_t>(l)] = dim.global(coords[d], l) * stride;
-    stride *= desc.size(static_cast<int>(d));
-  }
-  const std::vector<i64>& inner = off[nd - 1];
-  const i64 width = shape[nd - 1];
-  std::vector<std::pair<i64, i64>> runs;  // (first local slot, length)
-  for (i64 l = 0; l < width;) {
-    i64 e = l + 1;
-    while (e < width && inner[static_cast<std::size_t>(e)] ==
-                            inner[static_cast<std::size_t>(e - 1)] + 1)
-      ++e;
-    runs.emplace_back(l, e - l);
-    l = e;
-  }
-  // Odometer over the outer local coordinates, one local row at a time.
-  std::vector<i64> loc(nd, 0);
-  for (i64 row = 0;; row += width) {
-    i64 base = 0;
-    for (std::size_t d = 0; d + 1 < nd; ++d)
-      base += off[d][static_cast<std::size_t>(loc[d])];
-    for (const auto& [l0, len] : runs)
-      copy(row + l0, base + inner[static_cast<std::size_t>(l0)], len);
-    std::size_t d = nd - 1;
-    while (d > 0 && ++loc[d - 1] == shape[d - 1]) loc[--d] = 0;
-    if (d == 0) return;
-  }
-}
-
-}  // namespace
 
 void DistStore::load(const ArrayDesc& desc,
                      const std::vector<double>& dense) {

@@ -12,11 +12,4 @@ void CommSchedule::init(i64 procs_, int nloops_, int nrefs_) {
   matrix_delta.assign(static_cast<std::size_t>(procs * procs), 0);
 }
 
-void GatherSchedule::init(i64 procs, int nloops_, int nrefs_) {
-  nloops = nloops_;
-  nrefs = nrefs_;
-  ranks.assign(static_cast<std::size_t>(procs), RankGather{});
-  stats.assign(static_cast<std::size_t>(procs), gen::EnumStats{});
-}
-
 }  // namespace vcal::spmd

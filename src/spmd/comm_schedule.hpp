@@ -10,10 +10,10 @@
 // CommSchedule is the once-per-(clause, layout) *inspector* result that
 // lets every step run a pure *executor*: each source rank packs values
 // positionally into a contiguous reused buffer (PackOp list per
-// destination), and each destination rank satisfies every operand by
-// offset — a local row slot, a halo row slot, or a (source rank,
-// packed-buffer slot) pair — with zero tags, zero sorting, and zero
-// hashing. Per-step receive cost drops from O(m log m) to O(m).
+// destination), and each destination rank reads every operand as an
+// offset into one of its operand bases — a local row, a halo row, or
+// the packed buffer from one source rank (RecvPlan) — with zero tags,
+// zero sorting, and zero hashing. Per-step receive cost drops from O(m log m) to O(m).
 //
 // The schedule also carries the step's per-rank RankCounters (all but
 // the halo counters, which the live refresh supplies) and message-matrix
@@ -37,17 +37,15 @@
 // The tagged path runs only for an armed fault, with schedules off, or
 // when the inspector refuses a clause whose elements fault.
 //
-// GatherSchedule is the shared-memory sibling, recorded on the shared
-// machine's first clean kernel pass: the same source-offset lists turn
-// each virtual processor's operand reads into a flat gather over
-// dense-store offsets, skipping subscript evaluation and iteration-
-// space enumeration on replay.
+// The shared machine keeps its schedules in the same format: its first
+// clean pass at a layout records one while it executes the step (every
+// operand local, addressed in the dense image), and later steps replay
+// it through the same executor with no packed buffers and no halo rows.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "gen/schedule.hpp"
 #include "rt/cost_model.hpp"
 #include "spmd/plan_cache.hpp"
 #include "support/math.hpp"
@@ -62,43 +60,38 @@ struct PackOp {
   i64 offset = 0;
 };
 
-/// How one operand of one scheduled element is satisfied on replay.
-struct RefOp {
-  enum class Kind : std::uint8_t {
-    Local,   // a = local row offset (replicated refs fold in here)
-    Halo,    // a = slot in this rank's dense halo row of the ref's
-             //     array (ArrayDesc::halo_slot)
-    Remote,  // a = source rank, b = slot in the packed (a, dst) buffer
-  };
-  Kind kind = Kind::Local;
-  std::int32_t ref = 0;
-  i64 a = 0;
-  i64 b = 0;
-};
-
 /// Per-source-rank pack program: ops[dst_begin[d] .. dst_begin[d+1])
 /// packs the (src, d) buffer, in the order destination d reads the
-/// values, so each Remote RefOp's slot is its position in the buffer.
+/// values, so each packed operand's offset is its position in the
+/// buffer.
 struct SendPlan {
   std::vector<PackOp> ops;
   std::vector<i64> dst_begin;  // procs + 1 offsets into ops
 };
 
 /// Per-destination-rank executor program: for each of the n elements
-/// this rank computes, the LHS local slot (-1 when the tagged path
-/// would fault on an in-range-guarded write), the loop tuple, and one
-/// RefOp per clause reference.
+/// this rank computes, the LHS slot (-1 when the tagged path would fault
+/// on an in-range-guarded write), the loop tuple, and one operand per
+/// clause reference as an (operand base, offset) pair. The bases of a
+/// schedule over R refs and P ranks are numbered
+///   r            ref r's pre-clause row (replicated refs fold in here),
+///   R + s        the packed buffer arriving from source rank s,
+///   R + P + r    this rank's dense halo row of ref r's array (offset =
+///                ArrayDesc::halo_slot),
+/// so replay reads every operand as bases[id][off], jitted or not, and
+/// the arrays are laid out as JitReplayFn takes them.
 struct RecvPlan {
   i64 n = 0;
   std::vector<i64> lhs_slot;
   std::vector<i64> vals;  // n * nloops loop tuples, flattened
-  std::vector<RefOp> ops; // n * nrefs operand fetches, flattened
+  std::vector<i64> ids;   // n * nrefs operand bases, flattened
+  std::vector<i64> offs;  // n * nrefs offsets into those bases
 };
 
-/// The distributed machine's compiled schedule for one clause plan (one
-/// clause at one layout of its arrays). Public data: the inspector
-/// fills it (rank-partitioned, so its parallel walk notes without
-/// locks) and the executor runs from it.
+/// The compiled schedule for one clause plan (one clause at one layout
+/// of its arrays). Public data: the inspector or the shared machine's
+/// recording pass fills it (rank-partitioned, so a parallel walk notes
+/// without locks) and the executor runs from it.
 class CommSchedule : public CachedSchedule {
  public:
   i64 procs = 0;
@@ -112,59 +105,41 @@ class CommSchedule : public CachedSchedule {
   std::vector<i64> matrix_delta;           // procs*procs row-major
                                            // message-matrix increments
   i64 packed_ops = 0;   // PackOps = values packed per step, each
-                        // consumed by exactly one Remote RefOp
+                        // read by exactly one packed-buffer operand
 
   void init(i64 procs_, int nloops_, int nrefs_);
 
-  // ---- inspector hooks (rank p touches recv[p] only) ----
+  /// Operand bases one rank's replay indexes (see RecvPlan).
+  i64 bases() const { return nrefs + procs + nrefs; }
+
+  // ---- recording hooks (rank p touches recv[p] only) ----
+  /// Sizes recv[p] for n elements.
+  void reserve(i64 p, i64 n) {
+    RecvPlan& rv = recv[static_cast<std::size_t>(p)];
+    rv.lhs_slot.reserve(static_cast<std::size_t>(n));
+    rv.vals.reserve(static_cast<std::size_t>(n * nloops));
+    rv.ids.reserve(static_cast<std::size_t>(n * nrefs));
+    rv.offs.reserve(static_cast<std::size_t>(n * nrefs));
+  }
   void note_element(i64 p, i64 slot, const i64* vals_) {
     RecvPlan& rv = recv[static_cast<std::size_t>(p)];
     ++rv.n;
     rv.lhs_slot.push_back(slot);
     for (int d = 0; d < nloops; ++d) rv.vals.push_back(vals_[d]);
   }
-  void note_local(i64 p, int r, i64 offset) {
-    recv[static_cast<std::size_t>(p)].ops.push_back(
-        RefOp{RefOp::Kind::Local, r, offset, 0});
-  }
+  void note_local(i64 p, int r, i64 offset) { note_op(p, r, offset); }
   void note_halo(i64 p, int r, i64 slot) {
-    recv[static_cast<std::size_t>(p)].ops.push_back(
-        RefOp{RefOp::Kind::Halo, r, slot, 0});
+    note_op(p, nrefs + procs + r, slot);
   }
-  void note_remote(i64 p, int r, i64 src, i64 slot) {
-    recv[static_cast<std::size_t>(p)].ops.push_back(
-        RefOp{RefOp::Kind::Remote, r, src, slot});
+  void note_remote(i64 p, i64 src, i64 slot) {
+    note_op(p, nrefs + src, slot);
   }
-};
 
-/// Shared-memory sibling: per virtual processor, the flat list of
-/// (dense LHS slot, loop tuple, dense operand offsets) its Modify_p
-/// schedule enumerates — replay is a contiguous gather + live
-/// guard/RHS evaluation, with the recorded enumeration statistics
-/// replayed verbatim.
-class GatherSchedule : public CachedSchedule {
- public:
-  int nloops = 0;
-  int nrefs = 0;
-  struct RankGather {
-    i64 n = 0;
-    std::vector<i64> lhs_slot;  // dense slots; -1 = guarded OOB write
-    std::vector<i64> vals;      // n * nloops
-    std::vector<i64> offs;      // n * nrefs dense offsets
-  };
-  std::vector<RankGather> ranks;
-  std::vector<gen::EnumStats> stats;  // per-rank enumeration deltas
-
-  void init(i64 procs, int nloops_, int nrefs_);
-
-  void note_element(i64 p, i64 slot, const i64* vals_) {
-    RankGather& rg = ranks[static_cast<std::size_t>(p)];
-    ++rg.n;
-    rg.lhs_slot.push_back(slot);
-    for (int d = 0; d < nloops; ++d) rg.vals.push_back(vals_[d]);
-  }
-  void note_off(i64 p, i64 off) {
-    ranks[static_cast<std::size_t>(p)].offs.push_back(off);
+ private:
+  void note_op(i64 p, i64 id, i64 off) {
+    RecvPlan& rv = recv[static_cast<std::size_t>(p)];
+    rv.ids.push_back(id);
+    rv.offs.push_back(off);
   }
 };
 

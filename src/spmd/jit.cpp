@@ -152,20 +152,16 @@ namespace {
 /// anything shorter stays in the surrounding replay segment.
 constexpr i64 kMinFusedRun = 8;
 
-struct OpRead {
-  i64 id = 0;   // operand base (see JitRankProg)
-  i64 off = 0;  // offset into that base
-};
-
-/// Builds one rank's segment list. op_of(e, r) describes operand r of
-/// element e. Covers all n elements or leaves rp.any == false.
-template <typename OpOf>
-void build_rank_prog(JitRankProg& rp, i64 n, int R, int L,
-                     const i64* slots, const i64* vals, OpOf&& op_of) {
+/// Builds the segment list of one rank's RecvPlan. Covers all rv.n
+/// elements or leaves rp.any == false.
+void build_rank_prog(JitRankProg& rp, const RecvPlan& rv, int R, int L) {
+  const i64 n = rv.n;
+  const i64* slots = rv.lhs_slot.data();
+  const i64* vals = rv.vals.data();
+  const i64* ids = rv.ids.data();
+  const i64* offs = rv.offs.data();
   rp.any = false;
   rp.segs.clear();
-  rp.ids.assign(static_cast<std::size_t>(n * R), 0);
-  rp.offs.assign(static_cast<std::size_t>(n * R), 0);
   if (n == 0) {
     rp.any = true;  // trivially covered: nothing to execute
     return;
@@ -175,13 +171,9 @@ void build_rank_prog(JitRankProg& rp, i64 n, int R, int L,
   std::vector<char> direct(static_cast<std::size_t>(n), 0);
   for (i64 e = 0; e < n; ++e) {
     if (slots[e] < 0) return;
+    // Only an element reading every ref from its own row can fuse.
     bool d = true;
-    for (int r = 0; r < R; ++r) {
-      OpRead o = op_of(e, r);
-      rp.ids[static_cast<std::size_t>(e * R + r)] = o.id;
-      rp.offs[static_cast<std::size_t>(e * R + r)] = o.off;
-      if (o.id != r) d = false;
-    }
+    for (int r = 0; r < R; ++r) d = d && ids[e * R + r] == r;
     direct[static_cast<std::size_t>(e)] = d ? 1 : 0;
   }
   const int I = L - 1;
@@ -213,15 +205,13 @@ void build_rank_prog(JitRankProg& rp, i64 n, int R, int L,
         if (okp && !have_delta) {
           for (int r = 0; r < R; ++r)
             doff[static_cast<std::size_t>(r)] =
-                rp.offs[static_cast<std::size_t>((j + 1) * R + r)] -
-                rp.offs[static_cast<std::size_t>(j * R + r)];
+                offs[(j + 1) * R + r] - offs[j * R + r];
           dslot = slots[j + 1] - slots[j];
           dv = vals[(j + 1) * L + I] - vals[j * L + I];
           have_delta = true;
         } else if (okp) {
           for (int r = 0; r < R && okp; ++r)
-            okp = rp.offs[static_cast<std::size_t>((j + 1) * R + r)] -
-                      rp.offs[static_cast<std::size_t>(j * R + r)] ==
+            okp = offs[(j + 1) * R + r] - offs[j * R + r] ==
                   doff[static_cast<std::size_t>(r)];
           okp = okp && slots[j + 1] - slots[j] == dslot &&
                 vals[(j + 1) * L + I] - vals[j * L + I] == dv;
@@ -241,8 +231,7 @@ void build_rank_prog(JitRankProg& rp, i64 n, int R, int L,
         s.vstride = dv;
         s.raddr0.resize(static_cast<std::size_t>(R));
         for (int r = 0; r < R; ++r)
-          s.raddr0[static_cast<std::size_t>(r)] =
-              rp.offs[static_cast<std::size_t>(e * R + r)];
+          s.raddr0[static_cast<std::size_t>(r)] = offs[e * R + r];
         s.rstride = doff;
         rp.segs.push_back(std::move(s));
         e = j + 1;
@@ -263,42 +252,9 @@ const JitReplayProg* JitState::replay_prog(const CommSchedule& s) {
   auto prog = std::make_unique<JitReplayProg>();
   prog->sched = &s;
   prog->ranks.resize(static_cast<std::size_t>(s.procs));
-  for (i64 p = 0; p < s.procs; ++p) {
-    const RecvPlan& rv = s.recv[static_cast<std::size_t>(p)];
-    build_rank_prog(
-        prog->ranks[static_cast<std::size_t>(p)], rv.n, s.nrefs, s.nloops,
-        rv.lhs_slot.data(), rv.vals.data(), [&](i64 e, int r) -> OpRead {
-          const RefOp& op = rv.ops[static_cast<std::size_t>(e * s.nrefs + r)];
-          switch (op.kind) {
-            case RefOp::Kind::Local:
-              return {op.ref, op.a};
-            case RefOp::Kind::Remote:
-              return {s.nrefs + op.a, op.b};
-            case RefOp::Kind::Halo:
-              return {s.nrefs + s.procs + op.ref, op.a};
-          }
-          return {op.ref, op.a};
-        });
-  }
-  replay_ = std::move(prog);
-  return replay_.get();
-}
-
-const JitReplayProg* JitState::replay_prog(const GatherSchedule& s) {
-  std::lock_guard<std::mutex> lk(m_);
-  if (replay_ && replay_->sched == &s) return replay_.get();
-  auto prog = std::make_unique<JitReplayProg>();
-  prog->sched = &s;
-  prog->ranks.resize(s.ranks.size());
-  for (std::size_t p = 0; p < s.ranks.size(); ++p) {
-    const GatherSchedule::RankGather& rg = s.ranks[p];
-    build_rank_prog(prog->ranks[p], rg.n, s.nrefs, s.nloops,
-                    rg.lhs_slot.data(), rg.vals.data(),
-                    [&](i64 e, int r) -> OpRead {
-                      return {r, rg.offs[static_cast<std::size_t>(
-                                     e * s.nrefs + r)]};
-                    });
-  }
+  for (i64 p = 0; p < s.procs; ++p)
+    build_rank_prog(prog->ranks[static_cast<std::size_t>(p)],
+                    s.recv[static_cast<std::size_t>(p)], s.nrefs, s.nloops);
   replay_ = std::move(prog);
   return replay_.get();
 }

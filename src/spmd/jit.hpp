@@ -57,7 +57,6 @@
 namespace vcal::spmd {
 
 class CommSchedule;
-class GatherSchedule;
 class JitEngine;
 
 /// Reporting-only counters (never part of DistStats/SharedStats, like
@@ -116,7 +115,7 @@ struct JitFns {
 /// through vcal_jit_replay.
 struct JitSegment {
   bool fused = false;
-  i64 e0 = 0;  // first element index in the rank's recv/gather plan
+  i64 e0 = 0;  // first element index in the rank's RecvPlan
   i64 n = 0;
   // fused-only fields:
   i64 la0 = 0, la_stride = 0;  // LHS slot progression
@@ -124,18 +123,17 @@ struct JitSegment {
   std::vector<i64> raddr0, rstride;  // per-ref offset progressions
 };
 
-/// A rank's full replay program. When `any` is false some element was
-/// ineligible (a guarded-OOB slot, whose write must raise the tagged
-/// path's fault) and the whole rank stays on the bytecode path. ids/offs
-/// hold the flattened (base, offset) operands the replay segments index
-/// into: base r < nrefs is ref row r, base nrefs + s is the packed buffer
-/// from source rank s, and base nrefs + procs + r is ref r's halo row
-/// (offset = ArrayDesc::halo_slot), so overlapped stencils replay jitted
-/// with their boundary elements in gather segments.
+/// A rank's full replay program: segments over the elements of its
+/// RecvPlan, whose (base, offset) operand arrays the gather segments
+/// index directly. Only elements that read every ref from its own row
+/// fuse; packed-buffer and halo operands stay in gather segments, so
+/// overlapped stencils replay jitted with their boundary elements
+/// gathered. When `any` is false some element was ineligible (a
+/// guarded-OOB slot, whose write must raise the tagged path's fault) and
+/// the whole rank stays on the bytecode path.
 struct JitRankProg {
   bool any = false;
   std::vector<JitSegment> segs;
-  std::vector<i64> ids, offs;  // n * nrefs
 };
 
 struct JitReplayProg {
@@ -174,7 +172,6 @@ class JitState : public std::enable_shared_from_this<JitState> {
   /// The flattened replay program for `s`, built once per schedule and
   /// cached. Never fails: ineligible ranks come back with any == false.
   const JitReplayProg* replay_prog(const CommSchedule& s);
-  const JitReplayProg* replay_prog(const GatherSchedule& s);
 
  private:
   friend class JitEngine;

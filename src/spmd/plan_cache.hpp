@@ -17,8 +17,8 @@
 // and compares a few ids.
 //
 // Each entry also carries what the machines derive from its plan: the
-// compiled communication or gather schedule (comm_schedule.hpp) and the
-// clause's JIT state (jit.hpp). They are built for one layout and reused
+// compiled schedule (comm_schedule.hpp) and the clause's JIT state
+// (jit.hpp). They are built for one layout and reused
 // whenever that layout recurs, within a run and, through the serve
 // layer's pooled caches, across runs.
 //

@@ -620,7 +620,7 @@ TEST(GenericPath, ModularClauseRunsThroughTheKernelOnDistAndShared) {
   // records — never a tree walk — and matches the reference executor.
   // On dist the inspector resolves the records and every execution runs
   // a schedule, so no element takes the per-element tagged path; shared
-  // records its gather schedule on a kernel pass.
+  // records its schedule on a kernel pass.
   std::string src =
       "processors 4;\narray A[0:39]; array B[0:39];\n"
       "distribute A block; distribute B scatter;\n";

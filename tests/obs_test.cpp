@@ -302,11 +302,12 @@ TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
 TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
   // Same clause T times: a remote-read clause, a block overlap(1)
   // stencil whose every rank reads halo operands, and one that reads its
-  // own target through the halo (copy-in snapshot). After one full run
-  // the machine is warm (schedules built, pack buffers, halo rows and
-  // scratch sized); a second run replays every step. The T=12 program
-  // replays 8 more steps than the T=4 one — if the steady state
-  // allocated anything per step, the counts would differ.
+  // own target through the halo (copy-in snapshot), on the distributed
+  // and the shared machine. After one full run the machine is warm
+  // (schedules built, pack buffers, halo rows and scratch sized); a
+  // second run replays every step. The T=12 program replays 8 more steps
+  // than the T=4 one — if the steady state allocated anything per step,
+  // the counts would differ.
   auto remote = [](int t) {
     std::string s =
         "processors 4;\n"
@@ -333,14 +334,9 @@ TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
       s += "forall i in 1:30 do B[i] := (B[i-1] + B[i+1])/2; od\n";
     return s;
   };
-  auto measure = [&](const std::string& src) {
-    spmd::Program program = lang::compile(src);
-    rt::EngineOptions e;
-    e.threads = 1;  // serial lanes: pool hand-offs would blur the count
-    e.jit = false;  // an async jit swap mid-run would blur it too
-    rt::DistMachine m(program, {}, {}, e);
+  auto count = [&](auto& m) {
     m.load("B", ramp(32));
-    m.run();  // warm-up: tagged pass, recording pass, then replays
+    m.run();  // warm-up: the first pass builds the schedule, then replays
     EXPECT_GT(m.comm_stats().sched_hits, 0);
     g_new_calls = 0;
     g_count_allocs = true;
@@ -349,9 +345,23 @@ TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
     EXPECT_EQ(m.comm_stats().sched_builds, 1);
     return g_new_calls.load();
   };
-  EXPECT_EQ(measure(remote(4)), measure(remote(12)));
-  EXPECT_EQ(measure(halo(4)), measure(halo(12)));
-  EXPECT_EQ(measure(self_halo(4)), measure(self_halo(12)));
+  rt::EngineOptions e;
+  e.threads = 1;  // serial lanes: pool hand-offs would blur the count
+  e.jit = false;  // an async jit swap mid-run would blur it too
+  auto dist = [&](const std::string& src) {
+    rt::DistMachine m(lang::compile(src), {}, {}, e);
+    return count(m);
+  };
+  auto shared = [&](const std::string& src) {
+    rt::SharedMachine m(lang::compile(src), {}, {}, /*elide_barriers=*/false,
+                        e);
+    return count(m);
+  };
+  using Source = std::string (*)(int);
+  for (Source program : {Source(remote), Source(halo), Source(self_halo)}) {
+    EXPECT_EQ(dist(program(4)), dist(program(12)));
+    EXPECT_EQ(shared(program(4)), shared(program(12)));
+  }
 }
 
 // --- deadlock diagnostic enrichment -----------------------------------

@@ -126,6 +126,29 @@ TEST(ProcMachine, HaloAndRedistributeParity) {
   }
 }
 
+// Load, a clause and gather over the layouts a 1-D block or scatter
+// array never exercises: a 2-D (block, scatter) grid with ragged local
+// shapes, blocks dealt cyclically, and a full copy on every rank.
+TEST(ProcMachine, GridBlockScatterAndReplicatedParity) {
+  for (int procs : {2, 4}) {
+    SCOPED_TRACE(cat("procs ", procs));
+    const std::string src = cat(
+        "processors ", procs, ";\n",
+        "array M[0:5, 0:6];\narray S[0:22];\narray R[0:9];\n",
+        "distribute M (block, scatter);\n",
+        "distribute S blockscatter(3);\n",
+        "distribute R replicated;\n",
+        "forall i in 0:5, j in 0:6 do\n",
+        "  M[i, j] := M[i, j] + S[3*j + 1] * R[i];\n",
+        "od\n",
+        "forall i in 0:22 do S[i] := S[i] + R[i mod 10]; od\n",
+        "forall i in 0:5 do R[i] := M[i, 6 - i]; od\n");
+    expect_parity(src,
+                  {{"M", ramp(42, 0.25)}, {"S", ramp(23)}, {"R", ramp(10, 2)}},
+                  {"M", "S", "R"});
+  }
+}
+
 TEST(ProcMachine, EngineKnobsStayBitIdentical) {
   rt::EngineOptions assorted;
   assorted.threads = 3;

@@ -274,10 +274,10 @@ TEST(Serve, ServedResultsMatchDirectExecutionOnEveryTarget) {
 }
 
 TEST(Serve, DistAndSharedRunsOfOneProgramKeepSeparatePlanCaches) {
-  // The repeated rotate clause records a communication schedule on dist
-  // and a gather schedule on shared; both ride in plan-cache entries of
-  // the same program. Alternating targets within one session must never
-  // hand one machine kind the other's schedule.
+  // The repeated rotate clause inspects a schedule on dist (local-row
+  // offsets) and records one on shared (dense offsets); both ride in
+  // plan-cache entries of the same program. Alternating targets within
+  // one session must never hand one machine kind the other's schedule.
   std::string src =
       "processors 4;\narray A[0:15]; array B[0:15];\n"
       "distribute A block; distribute B scatter;\n";
