@@ -139,13 +139,16 @@ std::vector<i64> ArrayDesc::normalize(const std::vector<i64>& idx) const {
 }
 
 i64 ArrayDesc::owner(const std::vector<i64>& idx) const {
-  if (replicated_) return 0;
-  return decomp_->owner_at(idx, lo_);
+  return replicated_ ? 0 : decomp_->locate_at(idx, lo_).owner;
 }
 
 i64 ArrayDesc::local_linear(const std::vector<i64>& idx) const {
-  if (replicated_) return dense_linear(idx);
-  return decomp_->local_linear_at(idx, lo_);
+  return locate(idx).local;
+}
+
+Location ArrayDesc::locate(const std::vector<i64>& idx) const {
+  if (replicated_) return {0, dense_linear(idx)};
+  return decomp_->locate_at(idx, lo_);
 }
 
 i64 ArrayDesc::local_capacity(i64 p) const {

@@ -78,6 +78,10 @@ class ArrayDesc {
   /// replicated array).
   i64 local_linear(const std::vector<i64>& idx) const;
 
+  /// owner(idx) and local_linear(idx) together, with one division pair
+  /// per dimension; an index outside the bounds is an internal error.
+  Location locate(const std::vector<i64>& idx) const;
+
   /// Local storage capacity on rank p.
   i64 local_capacity(i64 p) const;
 

@@ -12,6 +12,9 @@ Decomp1D::Decomp1D(Kind kind, i64 n, i64 procs, i64 b)
   require(n >= 0, "Decomp1D: negative size");
   require(procs >= 1, "Decomp1D: needs at least one processor");
   require(b >= 1, "Decomp1D: block size must be >= 1");
+  const i64 period = b_ * procs_;
+  full_ = floordiv(n_, period) * b_;
+  rest_ = emod(n_, period);
 }
 
 Decomp1D Decomp1D::block(i64 n, i64 procs) {
@@ -51,17 +54,6 @@ i64 Decomp1D::global(i64 p, i64 l) const {
   i64 g = cycle * b_ * procs_ + p * b_ + offset;
   require(in_range(g, 0, n_ - 1), "Decomp1D::global local slot unused");
   return g;
-}
-
-i64 Decomp1D::local_capacity(i64 p) const {
-  require(in_range(p, 0, procs_ - 1), "Decomp1D::local_capacity bad proc");
-  if (kind_ == Kind::Replicated) return n_;
-  if (n_ == 0) return 0;
-  i64 period = b_ * procs_;
-  i64 full_cycles = floordiv(n_, period);
-  i64 rest = emod(n_, period);  // elements in the final partial cycle
-  i64 extra = std::clamp(rest - p * b_, static_cast<i64>(0), b_);
-  return full_cycles * b_ + extra;
 }
 
 std::vector<i64> Decomp1D::owned_indices(i64 p) const {

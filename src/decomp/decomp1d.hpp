@@ -12,12 +12,20 @@
 // cases (Table I columns).
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "support/error.hpp"
 #include "support/math.hpp"
 
 namespace vcal::decomp {
+
+/// Where an element lives: its owner and its local address there.
+struct Location {
+  i64 owner = 0;
+  i64 local = 0;
+};
 
 class Decomp1D {
  public:
@@ -45,12 +53,24 @@ class Decomp1D {
   /// for Replicated).
   i64 local(i64 i) const;
 
+  /// proc(i) and local(i) together, from one division pair: i splits
+  /// into block q and offset o, and q into cycle q / P and owner q mod P.
+  /// Precondition: 0 <= i < n (callers have bounds-checked the index).
+  Location locate(i64 i) const {
+    const i64 q = i / b_;
+    return {q % procs_, q / procs_ * b_ + (i - q * b_)};
+  }
+
   /// Inverse map: global index of local element l on processor p.
   i64 global(i64 p, i64 l) const;
 
   /// Number of local slots processor p needs (max local(i) + 1 over the
   /// elements p owns; closed form, no scanning).
-  i64 local_capacity(i64 p) const;
+  i64 local_capacity(i64 p) const {
+    require(in_range(p, 0, procs_ - 1), "Decomp1D::local_capacity bad proc");
+    if (kind_ == Kind::Replicated) return n_;
+    return full_ + std::clamp(rest_ - p * b_, i64{0}, b_);
+  }
 
   /// True when every processor holds every element.
   bool is_replicated() const noexcept {
@@ -74,6 +94,10 @@ class Decomp1D {
   i64 n_;
   i64 procs_;
   i64 b_;
+  // local_capacity's division-free terms: b slots per full cycle of
+  // b * P elements, and the elements left in the final partial cycle.
+  i64 full_ = 0;
+  i64 rest_ = 0;
 };
 
 }  // namespace vcal::decomp

@@ -55,31 +55,23 @@ i64 DecompND::local_linear(const std::vector<i64>& idx) const {
   return lin;
 }
 
-i64 DecompND::owner_at(const std::vector<i64>& idx,
-                       const std::vector<i64>& lo) const {
+Location DecompND::locate_at(const std::vector<i64>& idx,
+                             const std::vector<i64>& lo) const {
   require(idx.size() == dims_.size() && lo.size() == dims_.size(),
-          "DecompND::owner_at arity mismatch");
-  i64 r = 0;
-  for (std::size_t d = 0; d < dims_.size(); ++d)
-    r = r * dims_[d].procs() + dims_[d].proc(idx[d] - lo[d]);
-  return r;
-}
-
-i64 DecompND::local_linear_at(const std::vector<i64>& idx,
-                              const std::vector<i64>& lo) const {
-  require(idx.size() == dims_.size() && lo.size() == dims_.size(),
-          "DecompND::local_linear_at arity mismatch");
-  // Fused form of local_linear(idx - lo): the owner's local shape in
-  // dimension d is dim d's capacity at its own proc coordinate, so the
-  // row-major fold needs neither the coords round trip through the grid
-  // nor any temporary vectors.
-  i64 lin = 0;
+          "DecompND::locate_at arity mismatch");
+  // The owner's local shape in dimension d is dim d's capacity at its
+  // own proc coordinate, so the row-major fold needs neither the coords
+  // round trip through the grid nor any temporary vectors.
+  Location at;
   for (std::size_t d = 0; d < dims_.size(); ++d) {
-    i64 g = idx[d] - lo[d];
-    lin = lin * dims_[d].local_capacity(dims_[d].proc(g)) +
-          dims_[d].local(g);
+    const i64 g = idx[d] - lo[d];
+    require(in_range(g, 0, dims_[d].n() - 1),
+            "DecompND::locate_at index out of range");
+    const Location l = dims_[d].locate(g);
+    at.owner = at.owner * dims_[d].procs() + l.owner;
+    at.local = at.local * dims_[d].local_capacity(l.owner) + l.local;
   }
-  return lin;
+  return at;
 }
 
 std::vector<i64> DecompND::local_shape(i64 rank) const {

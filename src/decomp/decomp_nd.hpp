@@ -33,13 +33,12 @@ class DecompND {
   /// shape.
   i64 local_linear(const std::vector<i64>& idx) const;
 
-  /// Allocation-free variants for the executors' inner loops: idx is a
-  /// global (lo-based) index and `lo` the array's per-dimension lower
-  /// bounds, subtracted on the fly instead of materializing a normalized
-  /// copy. Semantics match owner(idx - lo) / local_linear(idx - lo).
-  i64 owner_at(const std::vector<i64>& idx, const std::vector<i64>& lo) const;
-  i64 local_linear_at(const std::vector<i64>& idx,
-                      const std::vector<i64>& lo) const;
+  /// owner(idx - lo) and local_linear(idx - lo) together, allocation-free
+  /// and with one division pair per dimension (Decomp1D::locate): idx is
+  /// a global (lo-based) index and `lo` the array's per-dimension lower
+  /// bounds, subtracted on the fly.
+  Location locate_at(const std::vector<i64>& idx,
+                     const std::vector<i64>& lo) const;
 
   /// Per-dimension local extents on processor `rank`.
   std::vector<i64> local_shape(i64 rank) const;

@@ -7,6 +7,11 @@
 // calculus enables. Because both layouts are views with closed-form
 // proc()/local() maps, the redistribution plan falls out mechanically:
 // every element whose owner changes contributes exactly one message.
+//
+// This per-element plan is the reference implementation: the machines
+// move data with the rank-local mover in rt/rank_step.hpp, which walks
+// runs of local slots instead of every index, and tests check that
+// mover against plan_redistribution on every pair of layout kinds.
 #pragma once
 
 #include <string>

@@ -35,6 +35,8 @@ const char* kind_name(EventKind k) {
     case EventKind::SchedFallback: return "sched-fallback";
     case EventKind::JitBuild: return "jit-build";
     case EventKind::JitSwap: return "jit-swap";
+    case EventKind::InspectBegin: return "inspect-begin";
+    case EventKind::InspectEnd: return "inspect-end";
   }
   return "unknown";
 }
@@ -48,6 +50,7 @@ bool is_begin(EventKind k) {
     case EventKind::BarrierBegin:
     case EventKind::PackBegin:
     case EventKind::GatherBegin:
+    case EventKind::InspectBegin:
       return true;
     default:
       return false;
@@ -63,6 +66,7 @@ EventKind end_of(EventKind k) {
     case EventKind::BarrierBegin: return EventKind::BarrierEnd;
     case EventKind::PackBegin: return EventKind::PackEnd;
     case EventKind::GatherBegin: return EventKind::GatherEnd;
+    case EventKind::InspectBegin: return EventKind::InspectEnd;
     default: return k;
   }
 }

@@ -88,9 +88,12 @@ enum class EventKind : std::uint8_t {
   JitSwap,        // control lane: jitted function pointers swapped into
                   //   the clause dispatch (a0 = 1 fresh build, 0 reused
                   //   from the content-addressed cache)
+  InspectBegin,   // rank lane: the inspector's walk of one rank's
+  InspectEnd,     //   Modify_p on a first execution at a layout; End
+                  //   a0 = elements noted
 };
 
-constexpr int kEventKindCount = static_cast<int>(EventKind::JitSwap) + 1;
+constexpr int kEventKindCount = static_cast<int>(EventKind::InspectEnd) + 1;
 
 /// Stable lower-case name, e.g. "clause-begin", "msg-send".
 const char* kind_name(EventKind k);

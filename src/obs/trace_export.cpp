@@ -66,7 +66,8 @@ void emit_lane_records(std::vector<std::string>& records, i64 lane,
       case EventKind::RedistEnd:
       case EventKind::BarrierEnd:
       case EventKind::PackEnd:
-      case EventKind::GatherEnd: {
+      case EventKind::GatherEnd:
+      case EventKind::InspectEnd: {
         for (std::size_t i = open.size(); i-- > 0;) {
           if (end_of(open[i].kind) != e.kind) continue;
           const TraceEvent& b = open[i];

@@ -19,11 +19,11 @@
 #include <numeric>
 #include <optional>
 
-#include "decomp/redistribute.hpp"
 #include "lang/translate.hpp"
 #include "proc/control.hpp"
 #include "proc/ring.hpp"
 #include "proc/wire.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/store.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
@@ -184,15 +184,14 @@ void ProcMachine::merge_step(i64 step,
   } else {
     const auto& rs = std::get<spmd::RedistStep>(st);
     const decomp::ArrayDesc& old_desc = program_.arrays.at(rs.array);
-    decomp::RedistPlan plan =
-        decomp::plan_redistribution(old_desc, rs.new_desc);
-    require(static_cast<i64>(plan.moves.size()) ==
-                std::accumulate(counters.begin(), counters.end(), i64{0},
-                                [](i64 acc, const rt::RankCounters& c) {
-                                  return acc + c.sends;
-                                }),
-            "redistribution plan and execution disagree on message count");
-    stats_.redist_messages += static_cast<i64>(plan.moves.size());
+    const i64 moves = rt::redist_moves(old_desc, rs.new_desc);
+    require(moves == std::accumulate(counters.begin(), counters.end(), i64{0},
+                                     [](i64 acc, const rt::RankCounters& c) {
+                                       return acc + c.sends;
+                                     }),
+            "redistribution workers disagree with the layouts on the "
+            "message count");
+    stats_.redist_messages += moves;
     program_.arrays.insert_or_assign(rs.array, rs.new_desc);
   }
   rt::add_step(stats_, counters, cost_);

@@ -29,9 +29,10 @@
 //   4. reports its RankCounters, message-matrix row delta, and applied
 //      faults in one STEP control frame.
 //
-// Redistribution steps move only values: every counter is derivable
-// from the old/new descriptors, so the launcher recomputes and verifies
-// them centrally while the worker ships one REDIST frame per pair.
+// Redistribution steps run DistMachine's rank-local mover
+// (rt::redist_pack_rank / rt::redist_unpack_rank): one REDIST frame per
+// peer carries this rank's stretches for it in ascending dense order,
+// and the launcher checks the summed sends against rt::redist_moves.
 #include "proc/worker.hpp"
 
 #include <signal.h>
@@ -365,6 +366,15 @@ class Worker {
     send_frame(ctl_, MsgType::Step, w.bytes);
   }
 
+  // Queues `values` to dst as one frame of bare value slots.
+  void queue_values(i64 dst, FrameKind kind,
+                    const std::vector<double>& values) {
+    std::vector<Slot> payload;
+    payload.reserve(values.size());
+    for (double v : values) payload.push_back(value_slot(v));
+    queue_frame(dst, kind, payload);
+  }
+
   // Takes src's next frame of `kind` for this step as bare values.
   void take_values(i64 src, FrameKind kind, std::vector<double>& out) {
     const InFrame f = take_frame(src, kind);
@@ -404,7 +414,8 @@ class Worker {
     if (job_.engine.comm_schedules && active_faults.empty()) {
       if (!entry.sched) {
         rt::Inspector inspector(plan);
-        for (i64 q = 0; q < procs_; ++q) inspector.rank(q);
+        for (i64 q = 0; q < procs_; ++q)
+          inspector.rank(rt::RankSite{q, tr, /*lane=*/0, step_});
         entry.sched = inspector.finish();
       }
       sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
@@ -481,14 +492,14 @@ class Worker {
       const auto ud = static_cast<std::size_t>(dst);
       if (!halo_arrays.empty())
         queue_frame(dst, FrameKind::Halo, halo_out[ud]);
-      std::vector<Slot> payload;
       if (sched) {
-        for (double v : out_bufs_[ud]) payload.push_back(value_slot(v));
+        queue_values(dst, FrameKind::Clause, out_bufs_[ud]);
       } else {
+        std::vector<Slot> payload;
         for (const auto& [tag, value] : channels[ud].msgs)
           payload.push_back(clause_slot(tag, value));
+        queue_frame(dst, FrameKind::Clause, payload);
       }
-      queue_frame(dst, FrameKind::Clause, payload);
       peers_[ud].expect = halo_arrays.empty() ? 1 : 2;
     }
 
@@ -536,10 +547,9 @@ class Worker {
         if (src == p) continue;
         std::vector<double>& in = in_bufs_[static_cast<std::size_t>(src)];
         take_values(src, FrameKind::Clause, in);
-        const spmd::SendPlan& sp = sched->send[static_cast<std::size_t>(src)];
-        if (static_cast<i64>(in.size()) !=
-            sp.dst_begin[static_cast<std::size_t>(p) + 1] -
-                sp.dst_begin[static_cast<std::size_t>(p)])
+        if (in.size() != sched->send[static_cast<std::size_t>(src)]
+                             .to[static_cast<std::size_t>(p)]
+                             .size())
           throw RuntimeFault(cat("proc ring: packed buffer from rank ", src,
                                  " on rank ", p, " has the wrong length"));
         if (!in.empty())
@@ -583,75 +593,34 @@ class Worker {
   void run_redistribute(const spmd::RedistStep& step) {
     obs::Tracer* tr = tracer_.get();
     const i64 p = rank_;
+    const rt::RankSite site{p, tr, /*lane=*/0, step_};
     begin_step();
     VCAL_TRACE(tr, 0, obs::EventKind::RedistBegin, step_);
     const decomp::ArrayDesc& old_desc = program_.arrays.at(step.array);
     const decomp::ArrayDesc& new_desc = step.new_desc;
-    const std::vector<double>& old_row = rows_.at(step.array);
-    std::vector<double> fresh(
-        static_cast<std::size_t>(new_desc.local_capacity(p)), 0.0);
-
+    std::vector<double> fresh;
     RankCounters rc;
     std::vector<i64> matrix_row(static_cast<std::size_t>(procs_), 0);
-    std::vector<std::vector<Slot>> outgoing(
-        static_cast<std::size_t>(procs_));
-    std::vector<i64> expect_in(static_cast<std::size_t>(procs_), 0);
-    auto read_old = [&](const std::vector<i64>& idx) {
-      i64 local = old_desc.local_linear(idx);
-      if (!in_range(local, 0, static_cast<i64>(old_row.size()) - 1))
-        throw RuntimeFault("local read out of bounds on " + step.array);
-      return old_row[static_cast<std::size_t>(local)];
-    };
-    decomp::for_each_index(old_desc, [&](const std::vector<i64>& idx) {
-      i64 src = old_desc.owner(idx);
-      i64 dst = new_desc.owner(idx);
-      if (src == p) ++rc.iterations;
-      if (src != dst) {
-        if (src == p) {
-          ++rc.sends;
-          ++matrix_row[static_cast<std::size_t>(dst)];
-          outgoing[static_cast<std::size_t>(dst)].push_back(
-              value_slot(read_old(idx)));
-        }
-        if (dst == p) {
-          ++rc.receives;
-          ++expect_in[static_cast<std::size_t>(src)];
-        }
-      } else if (src == p) {
-        fresh[static_cast<std::size_t>(new_desc.local_linear(idx))] =
-            read_old(idx);
-      }
-    });
+    out_bufs_.resize(static_cast<std::size_t>(procs_));
+    rt::redist_pack_rank(old_desc, new_desc, site, rows_.at(step.array),
+                         fresh, out_bufs_.data(), rc, matrix_row.data());
     for (i64 q = 0; q < procs_; ++q) {
       if (q == p) continue;
-      if (!outgoing[static_cast<std::size_t>(q)].empty()) ++rc.bulk_sends;
-      if (expect_in[static_cast<std::size_t>(q)] > 0) ++rc.bulk_receives;
-      queue_frame(q, FrameKind::Redist,
-                  outgoing[static_cast<std::size_t>(q)]);
+      queue_values(q, FrameKind::Redist,
+                   out_bufs_[static_cast<std::size_t>(q)]);
       peers_[static_cast<std::size_t>(q)].expect = 1;
     }
 
     pump();
 
-    std::vector<InFrame> incoming(static_cast<std::size_t>(procs_));
-    for (i64 src = 0; src < procs_; ++src) {
-      if (src == p) continue;
-      incoming[static_cast<std::size_t>(src)] =
-          take_frame(src, FrameKind::Redist);
-      require(static_cast<i64>(
-                  incoming[static_cast<std::size_t>(src)].payload.size()) ==
-                  expect_in[static_cast<std::size_t>(src)],
-              "proc worker: redistribution stream length mismatch");
-    }
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(procs_), 0);
-    decomp::for_each_index(old_desc, [&](const std::vector<i64>& idx) {
-      i64 src = old_desc.owner(idx);
-      i64 dst = new_desc.owner(idx);
-      if (dst != p || src == dst) return;
-      std::size_t& c = cursor[static_cast<std::size_t>(src)];
-      fresh[static_cast<std::size_t>(new_desc.local_linear(idx))] =
-          slot_value(incoming[static_cast<std::size_t>(src)].payload[c++]);
-    });
+    in_bufs_.resize(static_cast<std::size_t>(procs_));
+    in_bufs_[static_cast<std::size_t>(p)].clear();
+    for (i64 src = 0; src < procs_; ++src)
+      if (src != p)
+        take_values(src, FrameKind::Redist,
+                    in_bufs_[static_cast<std::size_t>(src)]);
+    rt::redist_unpack_rank(old_desc, new_desc, site, in_bufs_.data(), 1,
+                           fresh, rc);
 
     rows_.at(step.array) = std::move(fresh);
     program_.arrays.insert_or_assign(step.array, new_desc);

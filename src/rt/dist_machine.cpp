@@ -1,9 +1,7 @@
 #include "rt/dist_machine.hpp"
 
 #include <algorithm>
-#include <numeric>
 
-#include "decomp/redistribute.hpp"
 #include "obs/metrics.hpp"
 #include "rt/rank_step.hpp"
 #include "support/error.hpp"
@@ -261,7 +259,9 @@ void DistMachine::run_clause(const Clause& clause) {
     } else {
       if (!stored) {
         Inspector inspector(plan);
-        for_ranks(procs, [&](i64 p) { inspector.rank(p); });
+        for_ranks(procs, [&](i64 p) {
+          inspector.rank(RankSite{p, tr, p, step_id});
+        });
         if ((entry.sched = inspector.finish())) {
           ++comm_.sched_builds;
           VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
@@ -466,66 +466,38 @@ void DistMachine::run_scheduled(const ClausePlan& plan,
   }
 }
 
+// A redistribution runs the rank-local mover (rank_step.hpp): every rank
+// packs the stretches it sends, in ascending dense order, and copies the
+// ones it keeps; after the join every rank unpacks its incoming streams.
+// All elements migrating between one rank pair travel as one bulk
+// message.
 void DistMachine::run_redistribute(const spmd::RedistStep& step) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = stats_.steps;
+  const i64 procs = program_.procs;
   VCAL_TRACE(tr, ctl, obs::EventKind::RedistBegin, step_id);
   const decomp::ArrayDesc& old_desc = program_.arrays.at(step.array);
-  decomp::RedistPlan plan =
-      decomp::plan_redistribution(old_desc, step.new_desc);
+  auto site = [&](i64 p) { return RankSite{p, tr, p, step_id}; };
 
-  // Allocate target buffers, copy stationary elements, apply moves.
-  std::vector<std::vector<double>> fresh(
-      static_cast<std::size_t>(program_.procs));
-  for (i64 p = 0; p < program_.procs; ++p)
-    fresh[static_cast<std::size_t>(p)].assign(
-        static_cast<std::size_t>(step.new_desc.local_capacity(p)), 0.0);
-
-  std::vector<RankCounters> counters(
-      static_cast<std::size_t>(program_.procs));
-  std::vector<std::vector<i64>> pair_counts(
-      static_cast<std::size_t>(program_.procs),
-      std::vector<i64>(static_cast<std::size_t>(program_.procs), 0));
-  decomp::for_each_index(old_desc, [&](const std::vector<i64>& idx) {
-    i64 src = old_desc.owner(idx);
-    i64 dst = step.new_desc.owner(idx);
-    double v = store_.read_local(step.array, src,
-                                 old_desc.local_linear(idx));
-    fresh[static_cast<std::size_t>(dst)][static_cast<std::size_t>(
-        step.new_desc.local_linear(idx))] = v;
-    ++counters[static_cast<std::size_t>(src)].iterations;
-    if (src != dst) {
-      ++counters[static_cast<std::size_t>(src)].sends;
-      ++counters[static_cast<std::size_t>(dst)].receives;
-      ++pair_counts[static_cast<std::size_t>(src)]
-                   [static_cast<std::size_t>(dst)];
-      ++message_matrix_[static_cast<std::size_t>(src)]
-                       [static_cast<std::size_t>(dst)];
-    }
+  std::vector<std::vector<double>> fresh(static_cast<std::size_t>(procs));
+  std::vector<RankCounters> counters(static_cast<std::size_t>(procs));
+  // One stream per (src, dst) pair, row src * procs + dst.
+  std::vector<std::vector<double>> bufs(
+      static_cast<std::size_t>(procs * procs));
+  for_ranks(procs, [&](i64 p) {
+    const auto up = static_cast<std::size_t>(p);
+    redist_pack_rank(old_desc, step.new_desc, site(p),
+                     store_.local_row(step.array, p), fresh[up],
+                     bufs.data() + p * procs, counters[up],
+                     message_matrix_[up].data());
   });
-  // The mover also aggregates: all elements migrating between one rank
-  // pair travel as one bulk message.
-  for (i64 src = 0; src < program_.procs; ++src)
-    for (i64 dst = 0; dst < program_.procs; ++dst)
-      if (pair_counts[static_cast<std::size_t>(src)]
-                     [static_cast<std::size_t>(dst)] > 0) {
-        ++counters[static_cast<std::size_t>(src)].bulk_sends;
-        ++counters[static_cast<std::size_t>(dst)].bulk_receives;
-        VCAL_TRACE(tr, src, obs::EventKind::MsgSend, step_id, dst,
-                   pair_counts[static_cast<std::size_t>(src)]
-                              [static_cast<std::size_t>(dst)]);
-        VCAL_TRACE(tr, dst, obs::EventKind::MsgRecv, step_id, src,
-                   pair_counts[static_cast<std::size_t>(src)]
-                              [static_cast<std::size_t>(dst)]);
-      }
-  require(static_cast<i64>(plan.moves.size()) ==
-              std::accumulate(counters.begin(), counters.end(), i64{0},
-                              [](i64 acc, const RankCounters& c) {
-                                return acc + c.sends;
-                              }),
-          "redistribution plan and execution disagree on message count");
-  stats_.redist_messages += static_cast<i64>(plan.moves.size());
+  for_ranks(procs, [&](i64 p) {
+    const auto up = static_cast<std::size_t>(p);
+    redist_unpack_rank(old_desc, step.new_desc, site(p), bufs.data() + p,
+                       procs, fresh[up], counters[up]);
+  });
+  for (const RankCounters& c : counters) stats_.redist_messages += c.sends;
 
   store_.replace(step.array, std::move(fresh));
   program_.arrays.insert_or_assign(step.array, step.new_desc);

@@ -28,8 +28,8 @@ bool halo_covers(const decomp::ArrayDesc& rd, i64 rank,
 // ---- Tagged path ----------------------------------------------------------
 
 void send_rank(const ClausePlan& plan, const RankSite& site,
-               const RankRows& rr, Channel* out, RankCounters& rc,
-               PathCounters& pc, i64* matrix_row) {
+               const RankRows& rr, Channel* out, RankCounters& rc_out,
+               PathCounters& pc_out, i64* matrix_row) {
   const prog::Clause& clause = plan.clause();
   const spmd::ClauseKernel& kern = plan.kernel();
   const bool kaff = kern.affine();
@@ -39,6 +39,10 @@ void send_rank(const ClausePlan& plan, const RankSite& site,
   const int nrefs = static_cast<int>(clause.refs.size());
   const int inner = static_cast<int>(clause.loops.size()) - 1;
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::SendBegin, site.step);
+  // Rank-local tallies, published once at the end: the driver's slots
+  // for the other ranks share cache lines with this rank's.
+  RankCounters rc = rc_out;
+  PathCounters pc = pc_out;
   std::vector<i64> ridx, out_idx;  // per-rank scratch
   spmd::ArrayAddr lhs_addr;
   std::vector<i64> g0r, dgr, g0l, dgl;
@@ -65,7 +69,6 @@ void send_rank(const ClausePlan& plan, const RankSite& site,
     auto push = [&](i64 dst, i64 tag, double value) {
       out[dst].push(tag, value);
       ++rc.sends;
-      ++matrix_row[dst];
     };
     // Per-element send decision: route each resident operand to the
     // rank that computes the element reading it.
@@ -73,7 +76,7 @@ void send_rank(const ClausePlan& plan, const RankSite& site,
       spmd::ClauseKernel::subs_into(rsubs, vals.data(), ridx);
       if (!rd.in_bounds(ridx))
         throw RuntimeFault("read out of bounds on " + name);
-      const double value = read_row(row, rd.local_linear(ridx), name);
+      const double value = read_row(row, rd.locate(ridx).local, name);
       const i64 tag = kern.tag(r, vals.data());
       if (lhs.is_replicated()) {
         // Every rank computes every index: broadcast to the others.
@@ -83,7 +86,7 @@ void send_rank(const ClausePlan& plan, const RankSite& site,
       }
       spmd::ClauseKernel::subs_into(lsubs, vals.data(), out_idx);
       if (!lhs.in_bounds(out_idx)) return;  // nobody computes this
-      const i64 dst = lhs.owner(out_idx);
+      const i64 dst = lhs.locate(out_idx).owner;
       if (dst == p) return;  // Modify ∩ Reside: local update later
       if (halo_covers(rd, dst, ridx)) return;  // receiver reads its halo
       push(dst, tag, value);
@@ -134,15 +137,19 @@ void send_rank(const ClausePlan& plan, const RankSite& site,
     rc.iterations += es.loop_iters;
     rc.tests += es.tests;
   }
-  // One sorted bulk message per destination this rank sends to.
+  // One sorted bulk message per destination this rank sends to; the
+  // message matrix counts every push, before pack() dedups.
   for (i64 dst = 0; dst < procs; ++dst) {
     Channel& ch = out[dst];
     if (ch.msgs.empty()) continue;
+    matrix_row[dst] += static_cast<i64>(ch.msgs.size());
     ch.pack();
     ++rc.bulk_sends;
     VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgSend, site.step, dst,
                static_cast<i64>(ch.msgs.size()));
   }
+  rc_out = rc;
+  pc_out = pc;
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::SendEnd, site.step);
 }
 
@@ -169,8 +176,8 @@ void count_received(const Channel* in, i64 in_stride, i64 procs,
 void receive_update_rank(const ClausePlan& plan, const RankSite& site,
                          const RankRows& rr, std::vector<double>& out_row,
                          Channel* in, i64 in_stride,
-                         const spmd::JitFns* jfns, RankCounters& rc,
-                         PathCounters& pc) {
+                         const spmd::JitFns* jfns, RankCounters& rc_out,
+                         PathCounters& pc_out) {
   const prog::Clause& clause = plan.clause();
   const spmd::ClauseKernel& kern = plan.kernel();
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
@@ -178,6 +185,8 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
   const int nrefs = static_cast<int>(clause.refs.size());
   const int inner = static_cast<int>(clause.loops.size()) - 1;
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::ClauseBegin, site.step);
+  RankCounters rc = rc_out;  // rank-local tallies, as in send_rank
+  PathCounters pc = pc_out;
   std::vector<double> ref_values(clause.refs.size());
   std::vector<i64> ridx, out_idx;  // per-rank scratch
   std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
@@ -202,9 +211,10 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
       spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
       if (!rd.in_bounds(ridx))
         throw RuntimeFault("read out of bounds on " + name);
-      const i64 src = rd.is_replicated() ? p : rd.owner(ridx);
+      const decomp::Location at = rd.locate(ridx);
+      const i64 src = rd.is_replicated() ? p : at.owner;
       if (src == p) {
-        ref_values[ur] = read_row(*rr.rows[ur], rd.local_linear(ridx), name);
+        ref_values[ur] = read_row(*rr.rows[ur], at.local, name);
         ++rc.local_reads;
       } else if (halo_covers(rd, p, ridx)) {
         // Overlapped decomposition: the value is already cached in this
@@ -243,7 +253,7 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
       return;
     const double value =
         rhs.eval(ref_values.data(), vals.data(), stack.data());
-    const i64 slot = lhs.local_linear(out_idx);
+    const i64 slot = lhs.locate(out_idx).local;
     if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
       throw RuntimeFault("local write out of bounds on " + clause.lhs_array);
     out_row[static_cast<std::size_t>(slot)] = value;
@@ -286,6 +296,8 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
   walk_modify(plan, p, /*dense=*/false, &es, element, fused);
   rc.iterations += es.loop_iters;
   rc.tests += es.tests;
+  rc_out = rc;
+  pc_out = pc;
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::ClauseEnd, site.step);
 }
 
@@ -316,7 +328,6 @@ Inspector::Inspector(const ClausePlan& plan)
   const i64 procs = plan.procs();
   sched_->init(procs, static_cast<int>(plan.clause().loops.size()),
                static_cast<int>(plan.clause().refs.size()));
-  pack_.resize(static_cast<std::size_t>(procs * procs));
   refused_.assign(static_cast<std::size_t>(procs), 0);
   // Local rows are sized by their descriptors' capacities on every rank
   // (DistStore, the worker's rows, copy-in snapshots), so the bound the
@@ -329,18 +340,23 @@ Inspector::Inspector(const ClausePlan& plan)
           plan.ref_desc(r).local_capacity(q);
 }
 
-void Inspector::rank(i64 p) {
+void Inspector::rank(const RankSite& site) {
   const ClausePlan& plan = plan_;
   const spmd::ClauseKernel& kern = plan.kernel();
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const i64 p = site.p;
   const i64 procs = plan.procs();
   const int nrefs = sched_->nrefs;
   const i64 nloops = sched_->nloops;
   spmd::CommSchedule& cs = *sched_;
-  RankCounters& rc = cs.counters[static_cast<std::size_t>(p)];
-  std::vector<spmd::PackOp>* from = pack_.data() + p * procs;
-  char& bad = refused_[static_cast<std::size_t>(p)];
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::InspectBegin, site.step);
+  // Rank-local scratch, published once at the end: the other ranks'
+  // walks write the neighbouring slots of the shared arrays.
+  RankCounters rc;
+  bool bad = false;
+  std::vector<std::vector<spmd::PackOp>> from(static_cast<std::size_t>(procs));
   const i64 out_len = lhs.local_capacity(p);
+  const i64* row_len = row_len_.data();
   cs.reserve(p, plan.modify_space(p).count());
 
   // Phase 1 of the tagged step: rank p enumerates each of its Reside_p
@@ -357,43 +373,41 @@ void Inspector::rank(i64 p) {
     if (bad) return;
     spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
     if (!lhs.in_bounds(out_idx)) {
-      bad = 1;
+      bad = true;
       return;
     }
     for (int r = 0; r < nrefs; ++r) {
       const decomp::ArrayDesc& rd = plan.ref_desc(r);
       spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
       if (!rd.in_bounds(ridx)) {
-        bad = 1;
+        bad = true;
         return;
       }
-      const i64 src = rd.is_replicated() ? p : rd.owner(ridx);
+      const decomp::Location at = rd.locate(ridx);
+      const i64 src = rd.is_replicated() ? p : at.owner;
       if (src != p && halo_covers(rd, p, ridx)) {
         cs.note_halo(p, r, rd.halo_slot(p, ridx[0]));
         ++rc.halo_reads;
         continue;
       }
-      const i64 local = rd.local_linear(ridx);
-      if (!in_range(local, 0,
-                    row_len_[static_cast<std::size_t>(r * procs + src)] -
-                        1)) {
-        bad = 1;
+      if (!in_range(at.local, 0, row_len[r * procs + src] - 1)) {
+        bad = true;
         return;
       }
       if (src == p) {
-        cs.note_local(p, r, local);
+        cs.note_local(p, r, at.local);
         ++rc.local_reads;
       } else {
-        std::vector<spmd::PackOp>& list = from[src];
+        std::vector<spmd::PackOp>& list = from[static_cast<std::size_t>(src)];
         cs.note_remote(p, src, static_cast<i64>(list.size()));
-        list.push_back(spmd::PackOp{static_cast<std::int32_t>(r), local});
+        list.push_back(spmd::PackOp{static_cast<std::int32_t>(r), at.local});
         ++rc.receives;
         ++rc.remote_reads;
       }
     }
     // Guards are evaluated on replay, so a write slot outside the row is
     // kept as -1: it faults only if the guard holds.
-    i64 slot = lhs.local_linear(out_idx);
+    i64 slot = lhs.locate(out_idx).local;
     if (!in_range(slot, 0, out_len - 1)) slot = -1;
     cs.note_element(p, slot, vals.data());
   };
@@ -415,39 +429,42 @@ void Inspector::rank(i64 p) {
   } catch (const RuntimeFault&) {
     // A subscript that faults as it evaluates (a zero divisor): the
     // tagged path raises it in its own order.
-    bad = 1;
+    bad = true;
   }
   rc.iterations += es.loop_iters;
   rc.tests += es.tests;
+
+  // Publish: the counters and the verdict into p's slots, and each pack
+  // list, whole, into its source's SendPlan.
+  cs.counters[static_cast<std::size_t>(p)] = rc;
+  refused_[static_cast<std::size_t>(p)] = bad ? 1 : 0;
+  for (i64 src = 0; src < procs; ++src)
+    cs.send[static_cast<std::size_t>(src)].to[static_cast<std::size_t>(p)] =
+        std::move(from[static_cast<std::size_t>(src)]);
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::InspectEnd, site.step,
+             cs.recv[static_cast<std::size_t>(p)].n);
 }
 
 std::unique_ptr<spmd::CommSchedule> Inspector::finish() {
   for (char b : refused_)
     if (b) return nullptr;
-  // Freeze each source rank's pack program: its lists to every
-  // destination, back to back, and charge the traffic to both ends.
-  const i64 procs = sched_->procs;
-  for (i64 src = 0; src < procs; ++src) {
-    spmd::SendPlan& sp = sched_->send[static_cast<std::size_t>(src)];
-    sp.dst_begin.assign(static_cast<std::size_t>(procs) + 1, 0);
+  // Charge each (src, dst) pack list's traffic to both ends.
+  spmd::CommSchedule& cs = *sched_;
+  const i64 procs = cs.procs;
+  for (i64 src = 0; src < procs; ++src)
     for (i64 dst = 0; dst < procs; ++dst) {
-      sp.dst_begin[static_cast<std::size_t>(dst)] =
-          static_cast<i64>(sp.ops.size());
-      const std::vector<spmd::PackOp>& list =
-          pack_[static_cast<std::size_t>(dst * procs + src)];
-      if (list.empty()) continue;
-      const auto m = static_cast<i64>(list.size());
-      sp.ops.insert(sp.ops.end(), list.begin(), list.end());
-      RankCounters& sc = sched_->counters[static_cast<std::size_t>(src)];
+      const auto m = static_cast<i64>(
+          cs.send[static_cast<std::size_t>(src)]
+              .to[static_cast<std::size_t>(dst)]
+              .size());
+      if (m == 0) continue;
+      RankCounters& sc = cs.counters[static_cast<std::size_t>(src)];
       sc.sends += m;
       ++sc.bulk_sends;
-      ++sched_->counters[static_cast<std::size_t>(dst)].bulk_receives;
-      sched_->matrix_delta[static_cast<std::size_t>(src * procs + dst)] = m;
+      ++cs.counters[static_cast<std::size_t>(dst)].bulk_receives;
+      cs.matrix_delta[static_cast<std::size_t>(src * procs + dst)] = m;
+      cs.packed_ops += m;
     }
-    sp.dst_begin[static_cast<std::size_t>(procs)] =
-        static_cast<i64>(sp.ops.size());
-    sched_->packed_ops += static_cast<i64>(sp.ops.size());
-  }
   return std::move(sched_);
 }
 
@@ -455,22 +472,22 @@ void pack_rank(const spmd::CommSchedule& s, const RankSite& site,
                const RankRows& rr, std::vector<double>* out) {
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::PackBegin, site.step);
   const spmd::SendPlan& sp = s.send[static_cast<std::size_t>(site.p)];
+  i64 packed = 0;
   for (i64 dst = 0; dst < s.procs; ++dst) {
     std::vector<double>& buf = out[dst];
     buf.clear();
-    const i64 b0 = sp.dst_begin[static_cast<std::size_t>(dst)];
-    const i64 b1 = sp.dst_begin[static_cast<std::size_t>(dst) + 1];
-    for (i64 i = b0; i < b1; ++i) {
-      const spmd::PackOp& op = sp.ops[static_cast<std::size_t>(i)];
+    const std::vector<spmd::PackOp>& ops =
+        sp.to[static_cast<std::size_t>(dst)];
+    for (const spmd::PackOp& op : ops)
       buf.push_back((*rr.rows[static_cast<std::size_t>(op.ref)])
                         [static_cast<std::size_t>(op.offset)]);
-    }
-    if (b1 > b0)
+    const auto m = static_cast<i64>(ops.size());
+    packed += m;
+    if (m > 0)
       VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgSend, site.step, dst,
-                 b1 - b0);
+                 m);
   }
-  VCAL_TRACE(site.tr, site.lane, obs::EventKind::PackEnd, site.step,
-             static_cast<i64>(sp.ops.size()));
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::PackEnd, site.step, packed);
 }
 
 void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
@@ -556,6 +573,78 @@ RankCounters scheduled_counters(const spmd::CommSchedule& s, i64 p,
   c.halo_bulk = live.halo_bulk;
   c.halo_values = live.halo_values;
   return c;
+}
+
+// ---- Redistribution -------------------------------------------------------
+
+void redist_pack_rank(const decomp::ArrayDesc& from,
+                      const decomp::ArrayDesc& to, const RankSite& site,
+                      const std::vector<double>& old_row,
+                      std::vector<double>& fresh, std::vector<double>* out,
+                      RankCounters& rc, i64* matrix_row) {
+  const i64 p = site.p;
+  const i64 procs = from.procs();
+  fresh.assign(static_cast<std::size_t>(to.local_capacity(p)), 0.0);
+  for (i64 q = 0; q < procs; ++q) out[q].clear();
+  i64 held = 0;
+  for_each_move_run(from, to, p, [&](i64 q, i64 here, i64 there, i64 len) {
+    if (here + len > static_cast<i64>(old_row.size()))
+      throw RuntimeFault("local read out of bounds on " + from.name());
+    const double* src = old_row.data() + here;
+    held += len;
+    if (q == p)
+      std::copy_n(src, len, fresh.begin() + there);
+    else
+      out[q].insert(out[q].end(), src, src + len);
+  });
+  rc.iterations += held;
+  for (i64 q = 0; q < procs; ++q) {
+    const auto m = static_cast<i64>(out[q].size());
+    if (q == p || m == 0) continue;
+    rc.sends += m;
+    ++rc.bulk_sends;
+    matrix_row[q] += m;
+    VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgSend, site.step, q, m);
+  }
+}
+
+void redist_unpack_rank(const decomp::ArrayDesc& from,
+                        const decomp::ArrayDesc& to, const RankSite& site,
+                        const std::vector<double>* in, i64 in_stride,
+                        std::vector<double>& fresh, RankCounters& rc) {
+  const i64 p = site.p;
+  const i64 procs = from.procs();
+  std::vector<std::size_t> taken(static_cast<std::size_t>(procs), 0);
+  for_each_move_run(to, from, p, [&](i64 src, i64 here, i64, i64 len) {
+    if (src == p) return;  // copied by the pack side
+    const std::vector<double>& buf = in[src * in_stride];
+    std::size_t& at = taken[static_cast<std::size_t>(src)];
+    require(at + static_cast<std::size_t>(len) <= buf.size(),
+            "redistribution stream length mismatch");
+    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(at), len,
+                fresh.begin() + here);
+    at += static_cast<std::size_t>(len);
+  });
+  for (i64 src = 0; src < procs; ++src) {
+    if (src == p) continue;
+    const std::size_t m = taken[static_cast<std::size_t>(src)];
+    require(m == in[src * in_stride].size(),
+            "redistribution stream length mismatch");
+    if (m == 0) continue;
+    rc.receives += static_cast<i64>(m);
+    ++rc.bulk_receives;
+    VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgRecv, site.step, src,
+               static_cast<i64>(m));
+  }
+}
+
+i64 redist_moves(const decomp::ArrayDesc& from, const decomp::ArrayDesc& to) {
+  i64 moves = 0;
+  for (i64 p = 0; p < from.procs(); ++p)
+    for_each_move_run(from, to, p, [&](i64 q, i64, i64, i64 len) {
+      if (q != p) moves += len;
+    });
+  return moves;
 }
 
 }  // namespace vcal::rt

@@ -23,10 +23,19 @@
 // Both paths produce the same stores, counters and message matrix; the
 // conformance oracle pins that.
 //
+// A redistribute step runs the mover: redist_pack_rank on every rank,
+// then redist_unpack_rank, which walk the layouts' local runs
+// (for_each_move_run) instead of every element.
+//
 // The shared-memory template is this one without the communication, so
 // SharedMachine uses two of these pieces as well: walk_modify, over the
 // dense image, for its recording pass, and replay_rank, with no packed
 // buffers and no halo rows, for every later step.
+//
+// A phase that runs for several ranks at once keeps what it tallies per
+// element (counters, path tallies, pack lists) rank-local and writes the
+// driver's per-rank slot once, when it ends: neighbouring ranks' slots
+// share cache lines.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +48,7 @@
 #include "rt/cost_model.hpp"
 #include "rt/engine_options.hpp"
 #include "rt/fault_plan.hpp"
+#include "rt/store.hpp"
 #include "spmd/clause_plan.hpp"
 #include "spmd/comm_schedule.hpp"
 #include "spmd/jit.hpp"
@@ -257,15 +267,17 @@ void check_delivered(i64 p, const Channel* in, i64 in_stride, i64 procs);
 /// whole-machine communication schedule receiver-side from its plan and
 /// the descriptors' local capacities alone — the paper's point that
 /// Reside_p \ Modify_p follows from the data decomposition. A driver
-/// calls rank(p) for every rank (distinct ranks may run concurrently),
-/// then finish().
+/// calls rank(site) for every rank (distinct ranks may run
+/// concurrently), then finish().
 class Inspector {
  public:
   explicit Inspector(const spmd::ClausePlan& plan);
 
-  /// Walks rank p's Modify_p and resolves every operand as local, halo
-  /// or remote.
-  void rank(i64 p);
+  /// Walks rank site.p's Modify_p and resolves every operand as local,
+  /// halo or remote, inside an inspect span on site.lane. The walk's
+  /// counters, refusal flag and pack lists stay in rank-local scratch
+  /// and are published once, when it ends.
+  void rank(const RankSite& site);
 
   /// The schedule, or null when some element would fault (the tagged
   /// path then raises the error).
@@ -274,9 +286,6 @@ class Inspector {
  private:
   const spmd::ClausePlan& plan_;
   std::unique_ptr<spmd::CommSchedule> sched_;
-  // pack_[dst * procs + src]: the operands dst reads from src, in dst's
-  // walk order.
-  std::vector<std::vector<spmd::PackOp>> pack_;
   std::vector<char> refused_;
   std::vector<i64> row_len_;  // [r * procs + q]: ref r's row on rank q
 };
@@ -301,5 +310,72 @@ void replay_rank(const spmd::CommSchedule& s, const spmd::ClausePlan& plan,
 /// counters the live refresh charged to `live`.
 RankCounters scheduled_counters(const spmd::CommSchedule& s, i64 p,
                                 const RankCounters& live);
+
+// ---- Redistribution -------------------------------------------------------
+
+/// Calls seg(q, here, there, len) for every stretch of rank p's elements
+/// under layout `from`, in ascending dense order, that one rank q holds
+/// at consecutive local slots under layout `to`: len elements at local
+/// slots here.. on p under `from` and there.. on q under `to`. The
+/// stretches are for_each_local_block's runs split at `to`'s block edges
+/// in the innermost dimension; each costs one division pair
+/// (Decomp1D::locate), not one per element. The redistribution mover's
+/// two sides walk the same element set in the same order through it, so
+/// every (src, dst) stream needs no index.
+template <typename Seg>
+void for_each_move_run(const decomp::ArrayDesc& from,
+                       const decomp::ArrayDesc& to, i64 p, Seg&& seg) {
+  const decomp::DecompND& tn = to.decomp();
+  const int inner = tn.ndims() - 1;
+  const decomp::Decomp1D& tdim = tn.dim(inner);
+  const i64 b = tdim.block_size();
+  for_each_local_block(
+      from, p, [&](i64 here, const std::vector<i64>& g, i64 len) {
+        // The row's outer coordinates fix a prefix of the owner's grid
+        // rank and of its row-major local address.
+        decomp::Location row;
+        for (int d = 0; d < inner; ++d) {
+          const decomp::Decomp1D& dim = tn.dim(d);
+          const decomp::Location l =
+              dim.locate(g[static_cast<std::size_t>(d)]);
+          row.owner = row.owner * dim.procs() + l.owner;
+          row.local = row.local * dim.local_capacity(l.owner) + l.local;
+        }
+        for (i64 k = 0; k < len;) {
+          const i64 gi = g[static_cast<std::size_t>(inner)] + k;
+          const decomp::Location l = tdim.locate(gi);
+          const i64 n = std::min(len - k, b - gi % b);
+          seg(row.owner * tdim.procs() + l.owner, here + k,
+              row.local * tdim.local_capacity(l.owner) + l.local, n);
+          k += n;
+        }
+      });
+}
+
+/// Redistribution, sender side on site.p: sizes `fresh` to p's row under
+/// `to`, copies every stretch that stays on p from old_row straight into
+/// it, and appends every other stretch to out[q], this rank's row of
+/// procs reused buffers — so each (p, q) stream is in ascending dense
+/// order. Charges p's iterations (one per element it holds under
+/// `from`), sends, bulk sends and message-matrix row.
+void redist_pack_rank(const decomp::ArrayDesc& from,
+                      const decomp::ArrayDesc& to, const RankSite& site,
+                      const std::vector<double>& old_row,
+                      std::vector<double>& fresh, std::vector<double>* out,
+                      RankCounters& rc, i64* matrix_row);
+
+/// Redistribution, receiver side on site.p, after every sender packed:
+/// walks p's elements under `to` in ascending dense order and fills each
+/// stretch held by another rank src under `from` from the front of
+/// in[src * in_stride]. Charges p's receives and bulk receives; a stream
+/// whose length disagrees with the walk is an internal error.
+void redist_unpack_rank(const decomp::ArrayDesc& from,
+                        const decomp::ArrayDesc& to, const RankSite& site,
+                        const std::vector<double>* in, i64 in_stride,
+                        std::vector<double>& fresh, RankCounters& rc);
+
+/// The elements whose owner differs between `from` and `to`: a
+/// redistribution's message count.
+i64 redist_moves(const decomp::ArrayDesc& from, const decomp::ArrayDesc& to);
 
 }  // namespace vcal::rt

@@ -290,7 +290,9 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
   const int nrefs = static_cast<int>(clause.refs.size());
   const int inner = static_cast<int>(clause.loops.size()) - 1;
   RankRows& rr = rank_rows_[static_cast<std::size_t>(p)];
-  PathCounters& pc = step_pcs_[static_cast<std::size_t>(p)];
+  // Rank-local tally, published once at the end: the other ranks' slots
+  // share cache lines with this one.
+  PathCounters pc;
   rr.refs.resize(static_cast<std::size_t>(nrefs));
   rr.stack.resize(static_cast<std::size_t>(kern.stack_need()));
   rr.bases.resize(static_cast<std::size_t>(nrefs));
@@ -349,6 +351,7 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
   };
   gen::EnumStats es;
   walk_modify(plan, p, /*dense=*/true, &es, element, fused);
+  step_pcs_[static_cast<std::size_t>(p)] = pc;
   RankCounters& c = step_counters_[static_cast<std::size_t>(p)];
   c = RankCounters{};
   c.iterations = es.loop_iters;

@@ -7,6 +7,7 @@
 // every rank.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -16,54 +17,62 @@
 
 namespace vcal::rt {
 
-/// Calls copy(local, dense, len) for every maximal run of rank p's local
-/// slots, in local-slot order, whose elements sit at consecutive offsets
-/// of the dense row-major image. Each dimension's local coordinates map
-/// to global ones through Decomp1D::global once per rank; the innermost
-/// dimension splits into runs of consecutive global indices (whole
-/// blocks), so no element pays an owner()/local_linear() evaluation.
-/// DistStore and the multi-process backend load and gather through it.
+/// Calls run(local, g, len) for every maximal run of rank p's local
+/// slots, in local-slot order (which is ascending dense order), whose
+/// elements sit at consecutive indices of the innermost dimension: len
+/// slots from `local`, the first holding the element whose 0-based
+/// global index is g (one entry per dimension). Local coordinate l of a
+/// dimension with block size b over P grid processors, on grid
+/// coordinate c, holds global index (l / b) * b * P + c * b + l mod b,
+/// so the innermost dimension splits into whole blocks (one run when
+/// P = 1) and each outer coordinate maps once per row: no element pays
+/// a Decomp1D::global, owner() or local_linear() evaluation.
 template <typename F>
-void for_each_local_run(const decomp::ArrayDesc& desc, i64 p, F&& copy) {
+void for_each_local_block(const decomp::ArrayDesc& desc, i64 p, F&& run) {
   const decomp::DecompND& dn = desc.decomp();
   const auto nd = static_cast<std::size_t>(dn.ndims());
   const std::vector<i64> shape = dn.local_shape(p);
   const std::vector<i64> coords = dn.grid().coords(p);
   for (i64 s : shape)
     if (s == 0) return;  // idle rank
-  // off[d][l]: dense offset contributed by local coordinate l of dim d.
-  std::vector<std::vector<i64>> off(nd);
-  i64 stride = 1;
-  for (std::size_t d = nd; d-- > 0;) {
+  auto global = [&](std::size_t d, i64 l) {
     const decomp::Decomp1D& dim = dn.dim(static_cast<int>(d));
-    off[d].resize(static_cast<std::size_t>(shape[d]));
-    for (i64 l = 0; l < shape[d]; ++l)
-      off[d][static_cast<std::size_t>(l)] = dim.global(coords[d], l) * stride;
-    stride *= desc.size(static_cast<int>(d));
-  }
-  const std::vector<i64>& inner = off[nd - 1];
+    const i64 b = dim.block_size();
+    return l / b * b * dim.procs() + coords[d] * b + l % b;
+  };
   const i64 width = shape[nd - 1];
-  std::vector<std::pair<i64, i64>> runs;  // (first local slot, length)
-  for (i64 l = 0; l < width;) {
-    i64 e = l + 1;
-    while (e < width && inner[static_cast<std::size_t>(e)] ==
-                            inner[static_cast<std::size_t>(e - 1)] + 1)
-      ++e;
-    runs.emplace_back(l, e - l);
-    l = e;
-  }
+  const decomp::Decomp1D& inner = dn.dim(static_cast<int>(nd - 1));
+  const i64 block = inner.procs() == 1 ? width : inner.block_size();
   // Odometer over the outer local coordinates, one local row at a time.
-  std::vector<i64> loc(nd, 0);
+  std::vector<i64> loc(nd, 0), g(nd, 0);
   for (i64 row = 0;; row += width) {
-    i64 base = 0;
-    for (std::size_t d = 0; d + 1 < nd; ++d)
-      base += off[d][static_cast<std::size_t>(loc[d])];
-    for (const auto& [l0, len] : runs)
-      copy(row + l0, base + inner[static_cast<std::size_t>(l0)], len);
+    for (std::size_t d = 0; d + 1 < nd; ++d) g[d] = global(d, loc[d]);
+    for (i64 l = 0; l < width; l += block) {
+      g[nd - 1] = global(nd - 1, l);
+      run(row + l, std::as_const(g), std::min(block, width - l));
+    }
     std::size_t d = nd - 1;
     while (d > 0 && ++loc[d - 1] == shape[d - 1]) loc[--d] = 0;
     if (d == 0) return;
   }
+}
+
+/// Calls copy(local, dense, len) for every run of for_each_local_block:
+/// len local slots from `local` whose elements sit at consecutive
+/// offsets of the dense row-major image, from `dense` on. DistStore and
+/// the multi-process backend load and gather through it.
+template <typename F>
+void for_each_local_run(const decomp::ArrayDesc& desc, i64 p, F&& copy) {
+  std::vector<i64> stride(static_cast<std::size_t>(desc.ndims()), 1);
+  for (int d = desc.ndims() - 1; d > 0; --d)
+    stride[static_cast<std::size_t>(d - 1)] =
+        stride[static_cast<std::size_t>(d)] * desc.size(d);
+  for_each_local_block(
+      desc, p, [&](i64 local, const std::vector<i64>& g, i64 len) {
+        i64 at = 0;
+        for (std::size_t d = 0; d < g.size(); ++d) at += g[d] * stride[d];
+        copy(local, at, len);
+      });
 }
 
 class DenseStore {

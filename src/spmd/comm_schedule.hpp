@@ -32,8 +32,13 @@
 // already runs it; it never executes the tagged path. Both distributed
 // drivers use it: DistMachine inspects its ranks in parallel, and each
 // proc worker inspects every rank, so all workers hold the same
-// schedule. A redistribute moves the clause to another entry, and a
-// return to an earlier layout replays that layout's schedule at once.
+// schedule. A rank's walk grows its own RecvPlan (one cache line per
+// rank) and keeps everything else it writes per element — counters,
+// refusal flag, the pack lists it reads from each source — in
+// rank-local scratch until it ends; each pack list then moves whole
+// into its source's SendPlan. A redistribute moves the clause to
+// another entry, and a return to an earlier layout replays that
+// layout's schedule at once.
 // The tagged path runs only for an armed fault, with schedules off, or
 // when the inspector refuses a clause whose elements fault.
 //
@@ -60,13 +65,13 @@ struct PackOp {
   i64 offset = 0;
 };
 
-/// Per-source-rank pack program: ops[dst_begin[d] .. dst_begin[d+1])
-/// packs the (src, d) buffer, in the order destination d reads the
-/// values, so each packed operand's offset is its position in the
-/// buffer.
+/// Per-source-rank pack program: to[d] packs the (src, d) buffer, in the
+/// order destination d reads the values, so each packed operand's
+/// offset is its position in the buffer. Destination d's inspector
+/// builds to[d] in its own walk and the list is moved here whole, never
+/// copied.
 struct SendPlan {
-  std::vector<PackOp> ops;
-  std::vector<i64> dst_begin;  // procs + 1 offsets into ops
+  std::vector<std::vector<PackOp>> to;  // per destination rank
 };
 
 /// Per-destination-rank executor program: for each of the n elements
@@ -79,8 +84,10 @@ struct SendPlan {
 ///   R + P + r    this rank's dense halo row of ref r's array (offset =
 ///                ArrayDesc::halo_slot),
 /// so replay reads every operand as bases[id][off], jitted or not, and
-/// the arrays are laid out as JitReplayFn takes them.
-struct RecvPlan {
+/// the arrays are laid out as JitReplayFn takes them. Each rank's plan
+/// sits on its own cache line: the note_* hooks grow it once per
+/// element while the other ranks grow theirs.
+struct alignas(64) RecvPlan {
   i64 n = 0;
   std::vector<i64> lhs_slot;
   std::vector<i64> vals;  // n * nloops loop tuples, flattened

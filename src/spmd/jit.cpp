@@ -56,13 +56,20 @@ std::string jit_source(const prog::Clause& clause) {
   const int R = static_cast<int>(clause.refs.size());
   const int L = static_cast<int>(clause.loops.size());
   const int I = L - 1;
-  std::ostringstream os;
-  os << "// vcal jit kernel (generated, content-addressed - do not edit)\n"
-     << "// clause: " << clause.str() << "\n\n";
-
   std::vector<std::string> refs(static_cast<std::size_t>(R));
   for (int r = 0; r < R; ++r) refs[static_cast<std::size_t>(r)] =
       "r" + std::to_string(r);
+  // The functions below read no subscript (addressing arrives as
+  // arguments), so the header names only what they compile — ref and
+  // loop counts, guard and RHS — and clauses that differ only in their
+  // subscripts share one content-addressed module.
+  std::vector<std::string> lnames(static_cast<std::size_t>(L));
+  for (int d = 0; d < L; ++d)
+    lnames[static_cast<std::size_t>(d)] = "l" + std::to_string(d);
+  std::ostringstream os;
+  os << "// vcal jit kernel (generated, content-addressed - do not edit)\n"
+     << "// " << R << " refs, " << L << " loops: "
+     << guarded_store(clause, refs, lnames, "out", "") << "\n";
   auto loops_with_inner = [&](const std::string& inner_expr) {
     std::vector<std::string> lv(static_cast<std::size_t>(L));
     for (int d = 0; d < L; ++d)

@@ -142,8 +142,10 @@ struct JitReplayProg {
 };
 
 /// The emitted C source for one clause. Pure function of the clause's
-/// guard/RHS structure and arity — decomposition-dependent addressing
-/// is runtime arguments — so the fingerprint survives redistribution.
+/// guard/RHS structure and arity — subscripts and decomposition-dependent
+/// addressing are runtime arguments — so the fingerprint survives
+/// redistribution and clauses that differ only in their subscripts share
+/// one module.
 std::string jit_source(const prog::Clause& clause);
 
 /// Content address of a generated source: "vcal" + FNV-1a 64 hex.

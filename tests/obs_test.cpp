@@ -120,7 +120,8 @@ void check_lane_invariants(const Tracer& tracer) {
           case EventKind::RedistEnd:
           case EventKind::BarrierEnd:
           case EventKind::PackEnd:
-          case EventKind::GatherEnd: {
+          case EventKind::GatherEnd:
+          case EventKind::InspectEnd: {
             // Map the End back to its Begin (Begin = End - 1 in the
             // enum layout) and require one open.
             int b = static_cast<int>(e.kind) - 1;
@@ -155,6 +156,17 @@ TEST(TracerInvariants, DistMachineLanesAreMonotoneAndBalanced) {
     EXPECT_EQ(m.tracer()->lanes(), 5);  // 4 ranks + engine control lane
     EXPECT_GT(m.tracer()->total_recorded(), 0);
     check_lane_invariants(*m.tracer());
+    // Every rank lane shows the inspector's walk of its first execution
+    // at the layout, one span per schedule built.
+    const i64 builds = m.comm_stats().sched_builds;
+    ASSERT_GT(builds, 0);
+    for (i64 lane = 0; lane < 4; ++lane) {
+      i64 inspects = 0;
+      m.tracer()->lane(lane).for_each([&](const TraceEvent& ev) {
+        if (ev.kind == EventKind::InspectBegin) ++inspects;
+      });
+      EXPECT_EQ(inspects, builds) << "lane " << lane;
+    }
   }
 }
 

@@ -126,6 +126,37 @@ TEST(ProcMachine, HaloAndRedistributeParity) {
   }
 }
 
+// The worker's redistribution mover against the simulator's on every
+// ordered pair of layouts: ragged blocks with a nonzero base, idle
+// ranks, and 2-D grids with and without an undistributed dimension.
+// Each pair (a, b) is reached as "redistribute X a; redistribute X b;".
+TEST(ProcMachine, RedistributionOnEveryLayoutPairParity) {
+  const std::vector<std::string> one_d = {"block", "scatter",
+                                          "blockscatter(3)",
+                                          "blockscatter(2)"};
+  const std::vector<std::string> two_d = {
+      "(block, scatter)", "(scatter, block)", "(blockscatter(2), block)",
+      "(block, *)", "(*, blockscatter(2))"};
+  std::string src =
+      "processors 4;\narray A[3:15];\narray E[-2:2];\narray M[-1:5, 2:10];\n"
+      "distribute A block;\ndistribute E block;\n"
+      "distribute M (block, scatter);\n";
+  auto chain = [&](const std::string& name,
+                   const std::vector<std::string>& specs) {
+    for (const std::string& a : specs)
+      for (const std::string& b : specs)
+        if (a != b)
+          src += cat("redistribute ", name, " ", a, ";\nredistribute ", name,
+                     " ", b, ";\n");
+  };
+  chain("A", one_d);
+  chain("E", one_d);
+  chain("M", two_d);
+  expect_parity(src, {{"A", ramp(13, 0.5)}, {"E", ramp(5, 2.0)},
+                      {"M", ramp(63, 0.25)}},
+                {"A", "E", "M"});
+}
+
 // Load, a clause and gather over the layouts a 1-D block or scatter
 // array never exercises: a 2-D (block, scatter) grid with ragged local
 // shapes, blocks dealt cyclically, and a full copy on every rank.

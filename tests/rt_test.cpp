@@ -3,7 +3,9 @@
 
 #include <numeric>
 
+#include "decomp/redistribute.hpp"
 #include "rt/dist_machine.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/seq_executor.hpp"
 #include "rt/shared_machine.hpp"
 #include "rt/store.hpp"
@@ -924,6 +926,202 @@ TEST(Engine, PooledEngineStillRejectsSequentialClauses) {
   pooled.threads = 4;
   DistMachine dist(p, {}, {}, pooled);
   EXPECT_THROW(dist.run(), CodegenError);
+}
+
+// ---- Closed-form layout maps against their per-element references ----
+
+// Every distributed layout kind over awkward 1-D shapes: ragged last
+// blocks (13 over 4), idle ranks (5 over 4: block leaves rank 3 empty,
+// blockscatter(3) ranks 2 and 3), and nonzero bases. Each inner vector
+// shares one index space, so any two of its layouts redistribute.
+std::vector<std::vector<ArrayDesc>> layout_groups() {
+  std::vector<std::vector<ArrayDesc>> groups;
+  for (auto [lo, n] : {std::pair<i64, i64>{3, 13}, {-2, 5}, {0, 16}}) {
+    auto mk = [&, lo = lo, n = n](Decomp1D d) {
+      return ArrayDesc::distributed("A", {lo}, {lo + n - 1}, DecompND({d}));
+    };
+    groups.push_back({mk(Decomp1D::block(n, 4)), mk(Decomp1D::scatter(n, 4)),
+                      mk(Decomp1D::block_scatter(n, 4, 3)),
+                      mk(Decomp1D::block_scatter(n, 4, 2))});
+  }
+  // 2-D, 7 x 9 on a 2 x 2 grid or with one undistributed dimension.
+  auto mk2 = [](Decomp1D d0, Decomp1D d1) {
+    return ArrayDesc::distributed("M", {-1, 2}, {5, 10}, DecompND({d0, d1}));
+  };
+  groups.push_back(
+      {mk2(Decomp1D::block(7, 2), Decomp1D::scatter(9, 2)),
+       mk2(Decomp1D::scatter(7, 2), Decomp1D::block(9, 2)),
+       mk2(Decomp1D::block_scatter(7, 2, 2), Decomp1D::block(9, 2)),
+       mk2(Decomp1D::block(7, 4), Decomp1D::block(9, 1)),
+       mk2(Decomp1D::block(7, 1), Decomp1D::block_scatter(9, 4, 2))});
+  return groups;
+}
+
+// locate against the per-dimension reference: Decomp1D::proc/local
+// folded through the processor grid and the owner's local shape
+// (DecompND::owner/local_linear), and the dense image for replicated
+// arrays. owner() and local_linear() are locate's two halves.
+TEST(ArrayDesc, LocateMatchesOwnerAndLocalLinear) {
+  std::vector<ArrayDesc> all = {
+      ArrayDesc::replicated("R", {3}, {15}, 4),
+      ArrayDesc::replicated("R", {-1, 2}, {5, 10}, 4)};
+  for (const auto& group : layout_groups())
+    all.insert(all.end(), group.begin(), group.end());
+  for (const ArrayDesc& a : all)
+    decomp::for_each_index(a, [&](const std::vector<i64>& idx) {
+      const decomp::Location at = a.locate(idx);
+      i64 owner = 0, local = a.dense_linear(idx);
+      if (!a.is_replicated()) {
+        std::vector<i64> norm = idx;
+        for (int d = 0; d < a.ndims(); ++d)
+          norm[static_cast<std::size_t>(d)] -= a.lo(d);
+        owner = a.decomp().owner(norm);
+        local = a.decomp().local_linear(norm);
+      }
+      EXPECT_EQ(at.owner, owner) << a.str();
+      EXPECT_EQ(at.local, local) << a.str();
+      EXPECT_EQ(a.owner(idx), owner) << a.str();
+      EXPECT_EQ(a.local_linear(idx), local) << a.str();
+    });
+}
+
+TEST(LocalRuns, ClosedFormOffsetsMatchDecompGlobal) {
+  for (const auto& group : layout_groups())
+    for (const ArrayDesc& a : group)
+      for (i64 p = 0; p < a.procs(); ++p) {
+        // Runs cover every local slot once, in slot order.
+        std::vector<i64> dense;
+        for_each_local_run(a, p, [&](i64 local, i64 at, i64 len) {
+          EXPECT_EQ(local, static_cast<i64>(dense.size())) << a.str();
+          for (i64 k = 0; k < len; ++k) dense.push_back(at + k);
+        });
+        ASSERT_EQ(static_cast<i64>(dense.size()), a.local_capacity(p));
+        // global_from_local maps each slot through Decomp1D::global.
+        for (i64 l = 0; l < a.local_capacity(p); ++l)
+          EXPECT_EQ(dense[static_cast<std::size_t>(l)],
+                    a.dense_linear(a.global_from_local(p, l)))
+              << a.str() << " rank " << p << " slot " << l;
+      }
+}
+
+std::string counters_str(const RankCounters& c) {
+  return cat(c.sends, ",", c.receives, ",", c.iterations, ",", c.tests, ",",
+             c.local_reads, ",", c.remote_reads, ",", c.bulk_sends, ",",
+             c.bulk_receives, ",", c.halo_bulk, ",", c.halo_values, ",",
+             c.halo_reads);
+}
+
+// What decomp::plan_redistribution, the per-element reference, says a
+// redistribution from `from` to `to` charges: per-rank counters, the
+// message matrix and the message count.
+struct PlannedMove {
+  std::vector<std::string> counters;
+  std::vector<std::vector<i64>> matrix;
+  i64 messages = 0;
+};
+
+PlannedMove plan_move(const ArrayDesc& from, const ArrayDesc& to) {
+  const i64 procs = from.procs();
+  const auto up = static_cast<std::size_t>(procs);
+  const decomp::RedistPlan plan = decomp::plan_redistribution(from, to);
+  std::vector<RankCounters> c(up);
+  PlannedMove out;
+  out.matrix.assign(up, std::vector<i64>(up, 0));
+  decomp::for_each_index(from, [&](const std::vector<i64>& idx) {
+    ++c[static_cast<std::size_t>(from.owner(idx))].iterations;
+  });
+  for (const decomp::Move& m : plan.moves) {
+    ++c[static_cast<std::size_t>(m.src_rank)].sends;
+    ++c[static_cast<std::size_t>(m.dst_rank)].receives;
+    ++out.matrix[static_cast<std::size_t>(m.src_rank)]
+                [static_cast<std::size_t>(m.dst_rank)];
+  }
+  for (std::size_t s = 0; s < up; ++s)
+    for (std::size_t d = 0; d < up; ++d)
+      if (out.matrix[s][d] > 0) {
+        ++c[s].bulk_sends;
+        ++c[d].bulk_receives;
+      }
+  for (const RankCounters& rc : c) out.counters.push_back(counters_str(rc));
+  out.messages = plan.total_messages();
+  return out;
+}
+
+// The rank-local mover on plain rows: every element lands at the local
+// slot the target layout's owner()/local_linear() name, and the
+// counters, matrix rows and message count agree with the plan.
+TEST(Redistribution, MoverMatchesReferencePlan) {
+  for (const auto& group : layout_groups())
+    for (const ArrayDesc& from : group)
+      for (const ArrayDesc& to : group) {
+        SCOPED_TRACE(from.str() + " -> " + to.str());
+        const i64 procs = from.procs();
+        const auto up = static_cast<std::size_t>(procs);
+        std::vector<std::vector<double>> old_rows(up), want(up), fresh(up);
+        for (i64 p = 0; p < procs; ++p) {
+          old_rows[static_cast<std::size_t>(p)].assign(
+              static_cast<std::size_t>(from.local_capacity(p)), -1.0);
+          want[static_cast<std::size_t>(p)].assign(
+              static_cast<std::size_t>(to.local_capacity(p)), 0.0);
+        }
+        decomp::for_each_index(from, [&](const std::vector<i64>& idx) {
+          const auto v = static_cast<double>(from.dense_linear(idx));
+          old_rows[static_cast<std::size_t>(from.owner(idx))]
+                  [static_cast<std::size_t>(from.local_linear(idx))] = v;
+          want[static_cast<std::size_t>(to.owner(idx))]
+              [static_cast<std::size_t>(to.local_linear(idx))] = v;
+        });
+        std::vector<std::vector<double>> bufs(up * up);
+        std::vector<RankCounters> got(up);
+        std::vector<std::vector<i64>> matrix(up, std::vector<i64>(up, 0));
+        for (i64 p = 0; p < procs; ++p) {
+          const auto u = static_cast<std::size_t>(p);
+          redist_pack_rank(from, to, RankSite{p}, old_rows[u], fresh[u],
+                           bufs.data() + p * procs, got[u],
+                           matrix[u].data());
+        }
+        for (i64 p = 0; p < procs; ++p) {
+          const auto u = static_cast<std::size_t>(p);
+          redist_unpack_rank(from, to, RankSite{p}, bufs.data() + p, procs,
+                             fresh[u], got[u]);
+        }
+        const PlannedMove planned = plan_move(from, to);
+        EXPECT_EQ(fresh, want);
+        for (std::size_t p = 0; p < up; ++p)
+          EXPECT_EQ(counters_str(got[p]), planned.counters[p])
+              << "rank " << p;
+        EXPECT_EQ(matrix, planned.matrix);
+        EXPECT_EQ(redist_moves(from, to), planned.messages);
+      }
+}
+
+// The same pairs through DistMachine's pool at one and four threads.
+TEST(DistMachine, RedistributionMatchesReferencePlanOnEveryLayoutPair) {
+  for (const auto& group : layout_groups())
+    for (const ArrayDesc& from : group)
+      for (const ArrayDesc& to : group) {
+        SCOPED_TRACE(from.str() + " -> " + to.str());
+        Program p;
+        p.procs = from.procs();
+        p.arrays.emplace(from.name(), from);
+        p.steps.emplace_back(RedistStep{from.name(), to});
+        const PlannedMove planned = plan_move(from, to);
+        const std::vector<double> input = iota(from.total(), 0.5);
+        for (int threads : {1, 4}) {
+          EngineOptions e;
+          e.threads = threads;
+          DistMachine m(p, {}, {}, e);
+          m.load(from.name(), input);
+          m.run();
+          EXPECT_EQ(m.gather(from.name()), input) << threads;
+          std::vector<std::string> got;
+          for (const RankCounters& c : m.last_step_counters())
+            got.push_back(counters_str(c));
+          EXPECT_EQ(got, planned.counters) << threads;
+          EXPECT_EQ(m.message_matrix(), planned.matrix) << threads;
+          EXPECT_EQ(m.stats().redist_messages, planned.messages) << threads;
+        }
+      }
 }
 
 }  // namespace
