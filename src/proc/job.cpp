@@ -10,7 +10,7 @@ namespace vcal::proc {
 
 namespace {
 constexpr std::uint32_t kJobMagic = 0x4a4c4356;  // "VCLJ"
-constexpr std::uint32_t kJobVersion = 2;
+constexpr std::uint32_t kJobVersion = 3;
 
 void put_build(WireWriter& w, const gen::BuildOptions& b) {
   w.put_u8(static_cast<std::uint8_t>(b.bs_form));
@@ -21,7 +21,6 @@ void put_build(WireWriter& w, const gen::BuildOptions& b) {
 
 void put_engine(WireWriter& w, const rt::EngineOptions& e) {
   w.put_i64(e.threads);
-  w.put_u8(e.comm_schedules ? 1 : 0);
   w.put_u8(e.trace ? 1 : 0);
   w.put_i64(e.trace_capacity);
   w.put_u8(e.jit ? 1 : 0);
@@ -77,7 +76,6 @@ JobSpec decode_job(const std::uint8_t* data, std::size_t n) {
 
   rt::EngineOptions& e = job.engine;
   e.threads = static_cast<int>(r.get_i64());
-  e.comm_schedules = r.get_u8() != 0;
   e.trace = r.get_u8() != 0;
   e.trace_capacity = r.get_i64();
   e.jit = r.get_u8() != 0;

@@ -10,12 +10,12 @@
 // Per clause step, rank p:
 //   0. collects, for every reader, the halo values it owns, in the chunk
 //      order both ends enumerate (rt::for_each_halo_chunk);
-//   1. on a clean step with comm schedules on, packs its values in
-//      SendPlan order (rt::pack_rank) from the schedule it inspected at
-//      this layout — every worker inspects every rank, so all agree on
-//      the path and on each buffer's length; otherwise (an armed fault,
-//      schedules off, a refused clause) enumerates Reside_p \ Modify_p
-//      into sorted (tag, value) channels (rt::send_rank). One HALO frame
+//   1. on a clean step, packs its values in SendPlan order
+//      (rt::pack_rank) from the schedule it inspected at this layout —
+//      every worker inspects every rank, so all agree on the path and on
+//      each buffer's length; otherwise (an armed fault, a refused clause)
+//      enumerates Reside_p \ Modify_p into sorted (tag, value) channels
+//      (rt::send_rank). One HALO frame
 //      (when the clause reads a halo'd array) and one CLAUSE frame go to
 //      every peer, even when empty;
 //   2. pumps the rings — interleaving partial writes with opportunistic
@@ -405,13 +405,13 @@ class Worker {
         lookup_.get(clause, program_.arrays, job_.build);
     const ClausePlan& plan = entry.plan;
 
-    // DistMachine's dispatch: an armed fault or schedules off take the
-    // tagged path; otherwise the step runs the schedule inspected at
-    // this layout, unless the inspector refused the clause. The worker
-    // inspects every rank, so all workers reach the same verdict and
-    // know each peer's buffer sizes without asking.
+    // DistMachine's dispatch: an armed fault takes the tagged path;
+    // otherwise the step runs the schedule inspected at this layout,
+    // unless the inspector refused the clause. The worker inspects every
+    // rank, so all workers reach the same verdict and know each peer's
+    // buffer sizes without asking.
     const spmd::CommSchedule* sched = nullptr;
-    if (job_.engine.comm_schedules && active_faults.empty()) {
+    if (active_faults.empty()) {
       if (!entry.sched) {
         rt::Inspector inspector(plan);
         for (i64 q = 0; q < procs_; ++q)
@@ -581,8 +581,8 @@ class Worker {
             rt::perturb(in_ch[static_cast<std::size_t>(f->src)], *f))
           ++faults_delta;
       rt::count_received(in_ch.data(), 1, procs_, site, rc);
-      rt::receive_update_rank(plan, site, rr_, out_row, in_ch.data(), 1,
-                              nullptr, rc, pc);
+      rt::receive_update_rank(plan, site, rr_, out_row, in_ch.data(), 1, rc,
+                              pc);
       rt::check_delivered(p, in_ch.data(), 1, procs_);
     }
     send_step(rc, matrix_row, faults_delta);

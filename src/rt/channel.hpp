@@ -1,8 +1,9 @@
 // The per-(src,dst) bulk message channel of the tagged execution path
-// (rt/rank_step.hpp), which both distributed drivers run for steps with
-// an armed fault, engines with comm_schedules off, and clauses the
-// inspector refuses because an element would fault; channels carry no
-// recording metadata. DistMachine's ranks share one channel array; the
+// (rt/rank_step.hpp), which both distributed drivers run only for steps
+// with an armed fault (rt/fault_plan.hpp; the tests' and the oracle's
+// tagged reference arms a ReorderChannel at every step) and for clauses
+// the inspector refuses because an element would fault; channels carry
+// no recording metadata. DistMachine's ranks share one channel array; the
 // proc worker ships its packed outgoing channels over the rings and
 // rebuilds each incoming one from the (tag, value) pairs in arrival
 // order, so pack()/consume() semantics — and therefore every counter —

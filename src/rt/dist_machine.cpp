@@ -252,24 +252,22 @@ void DistMachine::run_clause(const Clause& clause) {
   // refuses because an element would fault, take the tagged path.
   const spmd::CommSchedule* sched = nullptr;
   const bool stored = entry.sched != nullptr;
-  if (engine_.comm_schedules) {
-    if (fault_armed) {
-      ++comm_.sched_fallbacks;
-      VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id, 1);
-    } else {
-      if (!stored) {
-        Inspector inspector(plan);
-        for_ranks(procs, [&](i64 p) {
-          inspector.rank(RankSite{p, tr, p, step_id});
-        });
-        if ((entry.sched = inspector.finish())) {
-          ++comm_.sched_builds;
-          VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
-                     plans_->schedules());
-        }
+  if (fault_armed) {
+    ++comm_.sched_fallbacks;
+    VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id, 1);
+  } else {
+    if (!stored) {
+      Inspector inspector(plan);
+      for_ranks(procs, [&](i64 p) {
+        inspector.rank(RankSite{p, tr, p, step_id});
+      });
+      if ((entry.sched = inspector.finish())) {
+        ++comm_.sched_builds;
+        VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
+                   plans_->schedules());
       }
-      sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
     }
+    sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
   }
 
   // Persistent per-step scratch: sized on the first clause, reused by
@@ -316,7 +314,7 @@ void DistMachine::run_clause(const Clause& clause) {
   if (sched)
     run_scheduled(plan, *sched, js, jfns, stored, step_id);
   else
-    run_tagged(plan, active_faults, jfns, step_id);
+    run_tagged(plan, active_faults, step_id);
 
   for (const PathCounters& c : step_pcs_) paths_ += c;
   if (tr)
@@ -334,7 +332,7 @@ void DistMachine::run_clause(const Clause& clause) {
 // and receive phases, and the message-pairing check at the end.
 void DistMachine::run_tagged(const ClausePlan& plan,
                              const std::vector<const FaultPlan*>& faults,
-                             const spmd::JitFns* jfns, i64 step_id) {
+                             i64 step_id) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 procs = plan.procs();
@@ -371,7 +369,7 @@ void DistMachine::run_tagged(const ClausePlan& plan,
     const auto up = static_cast<std::size_t>(p);
     receive_update_rank(plan, site(p), rank_rows_[up],
                         store_.local_row_mut(lhs, p), channels.data() + p,
-                        procs, jfns, step_counters_[up], step_pcs_[up]);
+                        procs, step_counters_[up], step_pcs_[up]);
   };
   // A stalled rank sits out the scheduled receive/update rounds while
   // every other rank completes; its sends are already in flight, so the

@@ -21,8 +21,8 @@
 // (spmd/plan_cache.hpp). A clean step runs a communication schedule
 // that the inspector derives from the plan the first time the clause
 // meets a layout (spmd/comm_schedule.hpp); the tagged path — one sorted
-// channel per rank pair, received by binary search — serves armed
-// faults, schedules switched off, and clauses whose elements fault.
+// channel per rank pair, received by binary search — serves steps with
+// an armed fault and clauses whose elements fault.
 //
 // The simulator counts messages, local/remote reads, loop iterations and
 // membership tests per rank, and charges them to a CostModel; sim_time is
@@ -155,8 +155,7 @@ class DistMachine {
   /// The tagged path over every rank (rank_step.hpp): phase 1 sends,
   /// armed message faults, phase 2 receive/update, the pairing check.
   void run_tagged(const spmd::ClausePlan& plan,
-                  const std::vector<const FaultPlan*>& faults,
-                  const spmd::JitFns* jfns, i64 step_id);
+                  const std::vector<const FaultPlan*>& faults, i64 step_id);
   /// The scheduled path over every rank: positional pack, then replay
   /// by offset with live guard/RHS. `replay` is true for a stored
   /// schedule (a hit), false for the one just inspected.

@@ -5,9 +5,11 @@
 // counters, per-rank counters, and message matrices are bit-identical
 // for every setting (the determinism tests in rt_test.cpp pin this).
 // They exist so benchmarks can isolate each mechanism's contribution and
-// so tests can force the serial path. Clause plans are always cached
-// (invalidated when a redistribution changes a decomposition) and
-// clauses always run through their compiled kernels.
+// so tests can force the serial path. Clause plans are always cached,
+// keyed by the layouts of the arrays a clause touches and never
+// invalidated (a redistribution selects another entry); clauses always
+// run through their compiled kernels; and every clean clause step runs
+// the communication schedule derived for its layout.
 #pragma once
 
 #include <string>
@@ -45,9 +47,10 @@ struct PathCounters {
 };
 
 /// Communication-schedule accounting. Reporting only — like
-/// PathCounters, deliberately kept out of DistStats/SharedStats so the
-/// bit-identity invariant across the `comm_schedules` axis stays
-/// checkable.
+/// PathCounters, deliberately kept out of DistStats/SharedStats, which
+/// must stay bit-identical between a scheduled run and the tagged
+/// reference (every clause step forced onto the tagged path by an
+/// outcome-neutral fault, rt::reorder_every_step).
 struct CommStats {
   i64 sched_builds = 0;     // schedules built (inspected or recorded)
   i64 sched_hits = 0;       // steps replaying a stored schedule
@@ -68,16 +71,6 @@ struct EngineOptions {
   /// rank loop inline on the caller; k > 1 gives the machine its own
   /// pool of k lanes.
   int threads = 0;
-
-  /// Compile communication schedules (inspector–executor): a clause's
-  /// message pattern is derived once per layout of its arrays (dist)
-  /// or recorded on its first pass (shared), and every clean step packs
-  /// values positionally into reused buffers while receivers consume by
-  /// offset — no tags, no sorting, no hashing. Falls back to the tagged
-  /// path when a fault is armed for the step.
-  /// Results, counters, and exceptions are bit-identical either way;
-  /// the conformance oracle pins both paths against each other.
-  bool comm_schedules = true;
 
   /// Attach an obs::Tracer to the machine: per-rank ring-buffer event
   /// collection with dual (wall-clock + cost-model) timestamps. Off by
@@ -101,7 +94,8 @@ struct EngineOptions {
   bool jit = true;
 
   /// Clean executions of a cached plan before its compile is armed
-  /// (comm schedules arm on the 2nd; the JIT defaults to the same).
+  /// (the default, 2, arms it on the first replay of the schedule the
+  /// first execution at the layout built).
   int jit_threshold = 2;
 
   /// Block the arming step on the compiler instead of compiling on the

@@ -1,5 +1,6 @@
 #include "rt/fault_plan.hpp"
 
+#include "spmd/program.hpp"
 #include "support/format.hpp"
 
 namespace vcal::rt {
@@ -21,6 +22,20 @@ std::string FaultPlan::str() const {
                  " rounds=", rounds);
   }
   return "?";
+}
+
+std::vector<FaultPlan> reorder_every_step(const spmd::Program& program) {
+  std::vector<FaultPlan> faults;
+  for (std::size_t k = 0; k < program.steps.size(); ++k) {
+    if (!std::holds_alternative<prog::Clause>(program.steps[k])) continue;
+    FaultPlan f;
+    f.kind = FaultPlan::Kind::ReorderChannel;
+    f.step = static_cast<i64>(k);
+    f.src = program.procs > 1 ? 1 : 0;
+    f.dst = 0;
+    faults.push_back(f);
+  }
+  return faults;
 }
 
 }  // namespace vcal::rt

@@ -26,11 +26,22 @@
 // naming an empty channel is a no-op; DistMachine::faults_applied()
 // reports how many injections actually perturbed something so tests can
 // assert the fault landed.
+//
+// An armed fault is one of the two ways a clause step reaches the tagged
+// path (rt/rank_step.hpp); the other is a clause the inspector refuses
+// because an element would fault. Tests and the conformance oracle take
+// the first way on purpose, through reorder_every_step below, to get a
+// tagged reference run. Every other step runs a communication schedule.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "support/math.hpp"
+
+namespace vcal::spmd {
+struct Program;
+}  // namespace vcal::spmd
 
 namespace vcal::rt {
 
@@ -53,5 +64,12 @@ struct FaultPlan {
 
   std::string str() const;
 };
+
+/// The tagged reference: one ReorderChannel fault (channel 1 -> 0, or
+/// 0 -> 0 on one rank) at every clause step of `program`. Injected into
+/// a DistMachine or ProcMachine it forces every clause step down the
+/// tagged path — an armed fault never inspects or replays a schedule —
+/// while leaving results, counters and the message matrix unchanged.
+std::vector<FaultPlan> reorder_every_step(const spmd::Program& program);
 
 }  // namespace vcal::rt

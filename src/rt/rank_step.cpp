@@ -175,8 +175,7 @@ void count_received(const Channel* in, i64 in_stride, i64 procs,
 
 void receive_update_rank(const ClausePlan& plan, const RankSite& site,
                          const RankRows& rr, std::vector<double>& out_row,
-                         Channel* in, i64 in_stride,
-                         const spmd::JitFns* jfns, RankCounters& rc_out,
+                         Channel* in, i64 in_stride, RankCounters& rc_out,
                          PathCounters& pc_out) {
   const prog::Clause& clause = plan.clause();
   const spmd::ClauseKernel& kern = plan.kernel();
@@ -265,30 +264,21 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
   // strided row reads, the bytecode evaluator on a preallocated stack,
   // and a strided row write.
   auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
-    if (jfns) {
-      // The jitted loop needs only the strides: addressing arrives as
-      // arguments, the guard/RHS are compiled in.
-      jfns->fused(out_row.data(), f.la, f.lstride, row_ptrs.data(), f.raddr,
-                  f.rstride, vals.data(), f.v0, f.vstride, f.n);
-      pc.jit += f.n;
-    } else {
-      i64 la = f.la, v = f.v0;
-      for (i64 k = 0; k < f.n; ++k) {
-        vals[static_cast<std::size_t>(inner)] = v;
-        for (int r = 0; r < nrefs; ++r) {
-          auto ur = static_cast<std::size_t>(r);
-          ref_values[ur] = row_ptrs[ur][f.raddr[ur]];
-          f.raddr[ur] += f.rstride[ur];
-        }
-        if (!guard ||
-            guard->holds(ref_values.data(), vals.data(), stack.data()))
-          out_row[static_cast<std::size_t>(la)] =
-              rhs.eval(ref_values.data(), vals.data(), stack.data());
-        la += f.lstride;
-        v += f.vstride;
+    i64 la = f.la, v = f.v0;
+    for (i64 k = 0; k < f.n; ++k) {
+      vals[static_cast<std::size_t>(inner)] = v;
+      for (int r = 0; r < nrefs; ++r) {
+        auto ur = static_cast<std::size_t>(r);
+        ref_values[ur] = row_ptrs[ur][f.raddr[ur]];
+        f.raddr[ur] += f.rstride[ur];
       }
-      pc.fused += f.n;
+      if (!guard || guard->holds(ref_values.data(), vals.data(), stack.data()))
+        out_row[static_cast<std::size_t>(la)] =
+            rhs.eval(ref_values.data(), vals.data(), stack.data());
+      la += f.lstride;
+      v += f.vstride;
     }
+    pc.fused += f.n;
     rc.local_reads += f.n * nrefs;
   };
 

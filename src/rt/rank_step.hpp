@@ -9,8 +9,10 @@
 //
 // Per clause step, rank p runs
 //   0. fill_halo_row for every overlapped array the clause reads, then
-//   either the tagged path (an armed fault, comm schedules off, or a
-//   clause the inspector refuses because an element would fault):
+//   either the tagged path — reached only by a step with an armed fault
+//   (rt/fault_plan.hpp; the tests' and the oracle's tagged reference
+//   arms an outcome-neutral one at every step) or by a clause the
+//   inspector refuses because an element would fault:
 //   1. send_rank: enumerate Reside_p \ Modify_p into one sorted
 //      (tag, value) channel per destination;
 //   2. receive_update_rank: walk Modify_p, receiving remote operands by
@@ -249,12 +251,12 @@ void count_received(const Channel* in, i64 in_stride, i64 procs,
 
 /// Phase 2 on site.p: walks Modify_p, reading local operands from the
 /// rows, halo operands from the halo rows and remote ones by tag from
-/// in[src * in_stride], and writes the updates into out_row. Fused
-/// strided runs go through jfns when it is non-null.
+/// in[src * in_stride], and writes the updates into out_row. Runs
+/// bytecode only: a step comes here with an armed fault (JIT off) or to
+/// raise an element's fault.
 void receive_update_rank(const spmd::ClausePlan& plan, const RankSite& site,
                          const RankRows& rr, std::vector<double>& out_row,
-                         Channel* in, i64 in_stride,
-                         const spmd::JitFns* jfns, RankCounters& rc,
+                         Channel* in, i64 in_stride, RankCounters& rc,
                          PathCounters& pc);
 
 /// The message-pairing invariant: throws when rank p finished a clause

@@ -167,9 +167,9 @@ const spmd::JitFns* SharedMachine::jit_poll(spmd::PlanCache::Entry& entry,
 // whose plan entry holds a schedule replays it — per rank, rt::replay_rank
 // over the dense rows, reading every operand by offset with guards and
 // right-hand sides evaluated live. Otherwise every rank walks its
-// Modify_p, and a clean step with schedules on records the schedule
-// while it executes. The recorded counters replay verbatim, keeping
-// SharedStats bit-identical to the walk.
+// Modify_p and records the schedule while it executes. The recorded
+// counters replay verbatim, keeping SharedStats bit-identical to the
+// walk.
 void SharedMachine::run_clause(const Clause& clause,
                                spmd::PlanCache::Entry& entry,
                                spmd::JitState* js, const spmd::JitFns* jfns) {
@@ -181,16 +181,8 @@ void SharedMachine::run_clause(const Clause& clause,
   const i64 procs = plan.procs();
   const std::size_t nrefs = clause.refs.size();
 
-  const spmd::CommSchedule* sched = nullptr;
-  std::unique_ptr<spmd::CommSchedule> rec;
-  if (engine_.comm_schedules) {
-    sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
-    if (!sched) {
-      rec = std::make_unique<spmd::CommSchedule>();
-      rec->init(procs, static_cast<int>(clause.loops.size()),
-                static_cast<int>(nrefs));
-    }
-  }
+  const auto* sched =
+      static_cast<const spmd::CommSchedule*>(entry.sched.get());
 
   // Persistent per-step scratch, sized on the first clause: a scheduled
   // steady state allocates nothing.
@@ -236,16 +228,15 @@ void SharedMachine::run_clause(const Clause& clause,
   } else {
     // Recording passes run the bytecode loop: the note_* hooks have to
     // observe every element the replay will execute.
-    for_ranks(procs, [&](i64 p) {
-      walk_rank(plan, p, rec.get(), rec ? nullptr : jfns, out, step_id);
-    });
-    if (rec) {
-      rec->counters = step_counters_;
-      ++comm_.sched_builds;
-      entry.sched = std::move(rec);
-      VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
-                 plans_->schedules());
-    }
+    auto rec = std::make_unique<spmd::CommSchedule>();
+    rec->init(procs, static_cast<int>(clause.loops.size()),
+              static_cast<int>(nrefs));
+    for_ranks(procs, [&](i64 p) { walk_rank(plan, p, *rec, out, step_id); });
+    rec->counters = step_counters_;
+    ++comm_.sched_builds;
+    entry.sched = std::move(rec);
+    VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
+               plans_->schedules());
   }
 
   for (const PathCounters& c : step_pcs_) paths_ += c;
@@ -273,14 +264,13 @@ void SharedMachine::run_clause(const Clause& clause,
   ++trace_step_;
 }
 
-// Rank p's share of a walked step over the dense image: the element body
-// (bounds checks, dense operand reads, guard, RHS, dense write) and the
-// fused body (jitted, or a check-free bytecode loop), noting every
-// element into `rec` when it is non-null. Guards are evaluated on
-// replay, so guarded-off elements are noted too.
+// Rank p's share of a recording step over the dense image: the element
+// body (bounds checks, dense operand reads, guard, RHS, dense write) and
+// the fused body (a check-free bytecode loop), noting every element into
+// `rec`. Guards are evaluated on replay, so guarded-off elements are
+// noted too.
 void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
-                              spmd::CommSchedule* rec,
-                              const spmd::JitFns* jfns,
+                              spmd::CommSchedule& rec,
                               std::vector<double>& out, i64 step_id) {
   obs::Tracer* tr = tracer_;
   VCAL_TRACE(tr, p, obs::EventKind::ClauseBegin, step_id);
@@ -304,7 +294,7 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
   const spmd::CompiledGuard* guard = kern.guard();
   const spmd::CompiledExpr& rhs = kern.rhs();
   std::vector<i64> out_idx, idx;  // per-rank scratch
-  if (rec) rec->reserve(p, plan.modify_space(p).count());
+  rec.reserve(p, plan.modify_space(p).count());
 
   auto element = [&](const std::vector<i64>& vals) {
     ++pc.generic;
@@ -319,26 +309,20 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
                            clause.refs[static_cast<std::size_t>(r)].array);
       const i64 off = rd.dense_linear(idx);
       refs[r] = rr.bases[static_cast<std::size_t>(r)][off];
-      if (rec) rec->note_local(p, r, off);
+      rec.note_local(p, r, off);
     }
     const i64 slot = lhs.dense_linear(out_idx);
-    if (rec) rec->note_element(p, slot, vals.data());
+    rec.note_element(p, slot, vals.data());
     if (guard && !guard->holds(refs, vals.data(), stack)) return;
     out[static_cast<std::size_t>(slot)] = rhs.eval(refs, vals.data(), stack);
   };
   auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
-    if (jfns) {
-      jfns->fused(out.data(), f.la, f.lstride, rr.bases.data(), f.raddr,
-                  f.rstride, vals.data(), f.v0, f.vstride, f.n);
-      pc.jit += f.n;
-      return;
-    }
     i64 la = f.la, v = f.v0;
     for (i64 k = 0; k < f.n; ++k) {
       vals[static_cast<std::size_t>(inner)] = v;
-      if (rec) rec->note_element(p, la, vals.data());
+      rec.note_element(p, la, vals.data());
       for (int r = 0; r < nrefs; ++r) {
-        if (rec) rec->note_local(p, r, f.raddr[r]);
+        rec.note_local(p, r, f.raddr[r]);
         refs[r] = rr.bases[static_cast<std::size_t>(r)][f.raddr[r]];
         f.raddr[r] += f.rstride[r];
       }

@@ -96,15 +96,15 @@ class SharedMachine {
 
  private:
   /// One parallel clause at the layout of `entry`: replays the entry's
-  /// schedule, or walks every rank's Modify_p and, with schedules on,
-  /// records one into the entry.
+  /// schedule, or walks every rank's Modify_p and records one into the
+  /// entry.
   void run_clause(const prog::Clause& clause, spmd::PlanCache::Entry& entry,
                   spmd::JitState* js, const spmd::JitFns* jfns);
-  /// Rank p's Modify_p walk over the dense image, writing into `out`;
-  /// `rec`, when non-null, is the schedule being recorded.
+  /// Rank p's Modify_p walk over the dense image, writing into `out`
+  /// and recording into `rec`.
   void walk_rank(const spmd::ClausePlan& plan, i64 p,
-                 spmd::CommSchedule* rec, const spmd::JitFns* jfns,
-                 std::vector<double>& out, i64 step_id);
+                 spmd::CommSchedule& rec, std::vector<double>& out,
+                 i64 step_id);
 
   /// One JIT arming / dispatch poll for the clause whose plan-cache
   /// entry is `entry` (see DistMachine::jit_poll).

@@ -50,7 +50,6 @@ size_t read_all(int fd, void* buf, size_t n) {
 
 void put_engine(proc::WireWriter& w, const rt::EngineOptions& e) {
   w.put_i64(e.threads);
-  w.put_u8(e.comm_schedules ? 1 : 0);
   w.put_u8(e.trace ? 1 : 0);
   w.put_i64(e.trace_capacity);
   w.put_u8(e.jit ? 1 : 0);
@@ -62,7 +61,6 @@ void put_engine(proc::WireWriter& w, const rt::EngineOptions& e) {
 rt::EngineOptions get_engine(proc::WireReader& r) {
   rt::EngineOptions e;
   e.threads = static_cast<int>(r.get_i64());
-  e.comm_schedules = r.get_u8() != 0;
   e.trace = r.get_u8() != 0;
   e.trace_capacity = r.get_i64();
   e.jit = r.get_u8() != 0;

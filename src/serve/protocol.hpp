@@ -33,7 +33,7 @@
 
 namespace vcal::serve {
 
-constexpr std::uint32_t kProtocolVersion = 2;
+constexpr std::uint32_t kProtocolVersion = 3;
 
 enum class MsgType : std::uint32_t {
   Hello = 1,       // client -> server: protocol version

@@ -39,8 +39,9 @@
 // into its source's SendPlan. A redistribute moves the clause to
 // another entry, and a return to an earlier layout replays that
 // layout's schedule at once.
-// The tagged path runs only for an armed fault, with schedules off, or
-// when the inspector refuses a clause whose elements fault.
+// The tagged path runs only for an armed fault (which is also how tests
+// and the oracle reach it as a reference) or when the inspector refuses
+// a clause whose elements fault.
 //
 // The shared machine keeps its schedules in the same format: its first
 // clean pass at a layout records one while it executes the step (every

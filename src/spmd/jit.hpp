@@ -18,10 +18,11 @@
 // Two extern "C" entry points cover every fast path of both parallel
 // machines:
 //
-//   vcal_jit_fused   — the fused strided loop (dist phase-2 and the
-//                      shared dense path). All addressing arrives as
-//                      runtime arguments; a unit-stride specialization
-//                      is emitted textually so -O2 can vectorize it.
+//   vcal_jit_fused   — the fused strided loop, run for the regular
+//                      segments of a schedule replay (below). All
+//                      addressing arrives as runtime arguments; a
+//                      unit-stride specialization is emitted textually
+//                      so -O2 can vectorize it.
 //   vcal_jit_replay  — one segment of a compiled schedule replay: for
 //                      each recorded element, gather operands by
 //                      (base, offset) pairs, evaluate guard/RHS, store.

@@ -44,7 +44,6 @@ std::string diff_stats(const DistStats& a, const DistStats& b) {
 
 std::string describe_engine(const EngineOptions& e) {
   return cat("threads=", e.threads, " trace=", e.trace ? 1 : 0,
-             " sched=", e.comm_schedules ? 1 : 0,
              " jit=", e.jit ? 1 : 0);
 }
 
@@ -157,28 +156,25 @@ CheckResult Oracle::check_program(
         // everywhere else the config pins jit off for deterministic path
         // tallies.
         if (jit && !jit_axis) continue;
-        for (bool sched : {true, false}) {
-          EngineOptions e;
-          e.threads = threads;
-          e.trace = trace;
-          e.comm_schedules = sched;
-          e.jit = false;
-          if (jit) arm_jit(e);
-          try {
-            rt::SharedMachine m(program, {}, {}, /*elide_barriers=*/false, e);
-            load_all(m);
-            m.run();
-            ++res.runs;
-            tally(m.path_counters());
-            for (const std::string& n : names)
-              if (m.result(n) != ref[n])
-                fail(cat("shared[", describe_engine(e),
-                         "] diverges from seq on ", n));
-          } catch (const Error& e2) {
-            fail(cat("shared[", describe_engine(e), "] threw: ", e2.what()));
-          }
-          if (!res.ok) return res;
+        EngineOptions e;
+        e.threads = threads;
+        e.trace = trace;
+        e.jit = false;
+        if (jit) arm_jit(e);
+        try {
+          rt::SharedMachine m(program, {}, {}, /*elide_barriers=*/false, e);
+          load_all(m);
+          m.run();
+          ++res.runs;
+          tally(m.path_counters());
+          for (const std::string& n : names)
+            if (m.result(n) != ref[n])
+              fail(cat("shared[", describe_engine(e),
+                       "] diverges from seq on ", n));
+        } catch (const Error& e2) {
+          fail(cat("shared[", describe_engine(e), "] threw: ", e2.what()));
         }
+        if (!res.ok) return res;
       }
     }
   }
@@ -283,41 +279,63 @@ CheckResult Oracle::check_program(
     for (bool trace : {false, true}) {
       for (int jit = 0; jit < 2; ++jit) {
         if (jit && !jit_axis) continue;
-        for (bool sched : {true, false}) {
-          EngineOptions e;
-          e.threads = threads;
-          e.trace = trace;
-          e.comm_schedules = sched;
-          e.jit = false;
-          if (jit) arm_jit(e);
-          std::string tag = cat("dist[", describe_engine(e), "]");
-          try {
-            DistMachine m(program, {}, {}, e);
-            load_all(m);
-            m.run();
-            ++res.runs;
-            tally(m.path_counters());
-            for (const std::string& n : names)
-              if (m.gather(n) != ref[n])
-                fail(cat(tag, " diverges from seq on ", n));
-            std::string sd = diff_stats(m.stats(), st);
-            if (!sd.empty()) fail(cat(tag, " stats diverge: ", sd));
-            if (m.message_matrix() != base.message_matrix())
-              fail(cat(tag, " message matrix diverges"));
-          } catch (const Error& e2) {
-            fail(cat(tag, " threw: ", e2.what()));
-          }
-          if (!res.ok) return res;
+        EngineOptions e;
+        e.threads = threads;
+        e.trace = trace;
+        e.jit = false;
+        if (jit) arm_jit(e);
+        std::string tag = cat("dist[", describe_engine(e), "]");
+        try {
+          DistMachine m(program, {}, {}, e);
+          load_all(m);
+          m.run();
+          ++res.runs;
+          tally(m.path_counters());
+          for (const std::string& n : names)
+            if (m.gather(n) != ref[n])
+              fail(cat(tag, " diverges from seq on ", n));
+          std::string sd = diff_stats(m.stats(), st);
+          if (!sd.empty()) fail(cat(tag, " stats diverge: ", sd));
+          if (m.message_matrix() != base.message_matrix())
+            fail(cat(tag, " message matrix diverges"));
+        } catch (const Error& e2) {
+          fail(cat(tag, " threw: ", e2.what()));
         }
+        if (!res.ok) return res;
       }
     }
   }
 
+  // ---- tagged reference: an outcome-neutral fault at every clause step
+  // forces the paper's tagged send/receive matching, which must count
+  // and compute exactly what the scheduled baseline did ----------------
+  const std::vector<rt::FaultPlan> tagged = rt::reorder_every_step(program);
+  try {
+    DistMachine m(program, {}, {}, base_engine);
+    load_all(m);
+    for (const rt::FaultPlan& f : tagged) m.inject(f);
+    m.run();
+    ++res.runs;
+    tally(m.path_counters());
+    for (const std::string& n : names)
+      if (m.gather(n) != ref[n])
+        fail(cat("dist[tagged] diverges from seq on ", n));
+    std::string sd = diff_stats(m.stats(), st);
+    if (!sd.empty()) fail(cat("dist[tagged] stats diverge: ", sd));
+    if (m.message_matrix() != base.message_matrix())
+      fail("dist[tagged] message matrix diverges");
+    if (m.comm_stats().sched_builds != 0 || m.comm_stats().sched_hits != 0)
+      fail(cat("dist[tagged] ran a schedule: ", m.comm_stats().str()));
+  } catch (const Error& e) {
+    fail(cat("dist[tagged] threw: ", e.what()));
+  }
+  if (!res.ok) return res;
+
   // ---- multi-process backend: the engine claims extend across real
   // process boundaries — P spawned workers over shared-memory rings
   // must reproduce the serial simulator bit for bit. The first config
-  // runs the workers' scheduled path, the second their tagged path and
-  // trace shipping ------------------------------------------------------
+  // runs the workers' scheduled path, the second their tagged path (the
+  // tagged reference's faults) and trace shipping -----------------------
 #if defined(__linux__)
   if (proc_axis && !source.empty()) {
     for (bool second : {false, true}) {
@@ -325,11 +343,13 @@ CheckResult Oracle::check_program(
       e.threads = 1;
       e.jit = false;
       e.trace = second;
-      e.comm_schedules = !second;
-      std::string tag = cat("proc[", describe_engine(e), "]");
+      std::string tag =
+          cat("proc[", describe_engine(e), second ? " tagged]" : "]");
       try {
         proc::ProcMachine m(source, {}, {}, e);
         load_all(m);
+        if (second)
+          for (const rt::FaultPlan& f : tagged) m.inject(f);
         m.run();
         ++res.runs;
         for (const std::string& n : names)

@@ -11,11 +11,14 @@
 //
 //     threads in {serial, shared pool, 4 lanes}
 //   x event tracing {off, on}
-//   x communication schedules {on, off}
 //   x native jit {off, synchronously compiled} (with the jit axis)
 //   x build {optimized, run-time resolution}
 //
-// plus two opt-in axes: the multi-process backend (--proc) and the
+// plus the tagged reference: a distributed run with an outcome-neutral
+// fault at every clause step (rt::reorder_every_step), which takes the
+// paper's tagged send/receive path instead of a communication schedule
+// and must count and compute exactly what the scheduled run does,
+// and two opt-in axes: the multi-process backend (--proc) and the
 // whole-program native backend (--native: the emitted OpenMP C
 // compiled, dlopened, and run — see rt/native_machine.hpp).
 //

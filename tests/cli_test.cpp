@@ -34,34 +34,53 @@ std::string unique_dir() {
   return buf.data();
 }
 
+// One vcalc run. stdout and stderr are captured apart: results are
+// compared on stdout alone, so a line a sanitizer runtime writes to
+// stderr (LeakSanitizer's "Unable to get registers from thread") cannot
+// fail a comparison between targets.
 struct RunResult {
   int status;
-  std::string out;
+  std::string out;  // stdout
+  std::string err;  // stderr
+  std::string text() const { return out + err; }
 };
+
+std::string slurp(const std::string& path) {
+  std::ostringstream buf;
+  buf << std::ifstream(path).rdbuf();
+  ::unlink(path.c_str());
+  return buf.str();
+}
 
 RunResult run(const std::string& args) {
   std::string dir = unique_dir();
   std::string out_file = dir + "/cli_out.txt";
-  std::string cmd = vcalc() + " " + args + " > " + out_file + " 2>&1";
+  std::string err_file = dir + "/cli_err.txt";
+  std::string cmd =
+      vcalc() + " " + args + " > " + out_file + " 2> " + err_file;
   int status = std::system(cmd.c_str());
-  std::ostringstream buf;
-  buf << std::ifstream(out_file).rdbuf();
-  ::unlink(out_file.c_str());
+  RunResult r{WEXITSTATUS(status), slurp(out_file), slurp(err_file)};
   ::rmdir(dir.c_str());
-  return {WEXITSTATUS(status), buf.str()};
+  return r;
 }
 
 bool has(const std::string& hay, const std::string& needle) {
   return hay.find(needle) != std::string::npos;
 }
 
+// Text checks search both streams: diagnostics go to stderr, results to
+// stdout.
+bool has(const RunResult& r, const std::string& needle) {
+  return has(r.out, needle) || has(r.err, needle);
+}
+
 TEST(Cli, RotateRunsAndPrints) {
   RunResult r = run("--init B --print A --stats " + programs() +
                     "/rotate.vexl");
-  EXPECT_EQ(r.status, 0) << r.out;
-  EXPECT_TRUE(has(r.out, "A = 6 7 8 9")) << r.out;
-  EXPECT_TRUE(has(r.out, "stats:")) << r.out;
-  EXPECT_TRUE(has(r.out, "tests=0")) << r.out;
+  EXPECT_EQ(r.status, 0) << r.text();
+  EXPECT_TRUE(has(r, "A = 6 7 8 9")) << r.text();
+  EXPECT_TRUE(has(r, "stats:")) << r.text();
+  EXPECT_TRUE(has(r, "tests=0")) << r.text();
 }
 
 TEST(Cli, TargetsAgree) {
@@ -70,7 +89,8 @@ TEST(Cli, TargetsAgree) {
   RunResult shared = run("--target=shared " + base);
   RunResult seq = run("--target=seq " + base);
   RunResult proc = run("--target=proc " + base);
-  EXPECT_EQ(dist.status, 0);
+  for (const RunResult* r : {&dist, &shared, &seq, &proc})
+    EXPECT_EQ(r->status, 0) << r->text();
   EXPECT_EQ(dist.out, shared.out);
   EXPECT_EQ(dist.out, seq.out);
   EXPECT_EQ(dist.out, proc.out);
@@ -85,7 +105,7 @@ TEST(Cli, ProcTargetMatchesDistStatsAndExportsRankTraces) {
                      "/relax.vexl";
   RunResult dist = run("--target=dist " + base);
   RunResult proc = run("--target=proc " + base);
-  EXPECT_EQ(proc.status, 0) << proc.out;
+  EXPECT_EQ(proc.status, 0) << proc.text();
   auto arrays = [](const std::string& s) {
     return s.substr(0, s.find("paths:"));
   };
@@ -95,7 +115,7 @@ TEST(Cli, ProcTargetMatchesDistStatsAndExportsRankTraces) {
   std::string json = dir + "/proc_trace.json";
   RunResult traced = run("--target=proc --trace " + json + " --init U " +
                          programs() + "/relax.vexl");
-  EXPECT_EQ(traced.status, 0) << traced.out;
+  EXPECT_EQ(traced.status, 0) << traced.text();
   std::ostringstream buf;
   buf << std::ifstream(json).rdbuf();
   std::string trace = buf.str();
@@ -110,8 +130,8 @@ TEST(Cli, VerifyProcAxisSmoke) {
   // A deliberately small budget: every corpus program additionally
   // forks 2 x P real worker processes.
   RunResult r = run("--verify --proc --iters 2 --seed 11");
-  EXPECT_EQ(r.status, 0) << r.out;
-  EXPECT_TRUE(has(r.out, "verify: OK")) << r.out;
+  EXPECT_EQ(r.status, 0) << r.text();
+  EXPECT_TRUE(has(r, "verify: OK")) << r.text();
 }
 
 TEST(Cli, NaiveMatchesOptimized) {
@@ -127,40 +147,40 @@ TEST(Cli, EmitModes) {
   std::string file = programs() + "/relax.vexl";
   RunResult trace = run("--emit=trace " + file);
   EXPECT_EQ(trace.status, 0);
-  EXPECT_TRUE(has(trace.out, "(1) source")) << trace.out;
-  EXPECT_TRUE(has(trace.out, "SPMD form"));
+  EXPECT_TRUE(has(trace, "(1) source")) << trace.text();
+  EXPECT_TRUE(has(trace, "SPMD form"));
 
   RunResult omp = run("--emit=omp " + file);
   EXPECT_EQ(omp.status, 0);
-  EXPECT_TRUE(has(omp.out, "#pragma omp parallel"));
+  EXPECT_TRUE(has(omp, "#pragma omp parallel"));
 
   RunResult mpi = run("--emit=mpi " + file);
   EXPECT_EQ(mpi.status, 0);
-  EXPECT_TRUE(has(mpi.out, "MPI_Init"));
+  EXPECT_TRUE(has(mpi, "MPI_Init"));
 
   RunResult ir = run("--emit=ir " + file);
   EXPECT_EQ(ir.status, 0);
-  EXPECT_TRUE(has(ir.out, "program on 4 processors"));
+  EXPECT_TRUE(has(ir, "program on 4 processors"));
 }
 
 TEST(Cli, ViewsProgram) {
   RunResult r = run("--init M --print A --stats " + programs() +
                     "/views.vexl");
-  EXPECT_EQ(r.status, 0) << r.out;
-  EXPECT_TRUE(has(r.out, "A = 14 15 16 17")) << r.out;
+  EXPECT_EQ(r.status, 0) << r.text();
+  EXPECT_TRUE(has(r, "A = 14 15 16 17")) << r.text();
 }
 
 TEST(Cli, VerifyCorpusAndFile) {
   // A small corpus run: conformance corpus plus the fault smoke.
   RunResult corpus = run("--verify --iters 5 --seed 7");
-  EXPECT_EQ(corpus.status, 0) << corpus.out;
-  EXPECT_TRUE(has(corpus.out, "verify: OK")) << corpus.out;
-  EXPECT_TRUE(has(corpus.out, "verify faults: ok")) << corpus.out;
+  EXPECT_EQ(corpus.status, 0) << corpus.text();
+  EXPECT_TRUE(has(corpus, "verify: OK")) << corpus.text();
+  EXPECT_TRUE(has(corpus, "verify faults: ok")) << corpus.text();
 
   // File mode checks one program through the whole matrix.
   RunResult file = run("--verify " + programs() + "/rotate.vexl");
-  EXPECT_EQ(file.status, 0) << file.out;
-  EXPECT_TRUE(has(file.out, "ok (")) << file.out;
+  EXPECT_EQ(file.status, 0) << file.text();
+  EXPECT_TRUE(has(file, "ok (")) << file.text();
 
   EXPECT_EQ(run("--verify --iters 0").status, 1);  // usage error
 }
@@ -171,12 +191,12 @@ TEST(Cli, HelpListsEveryFlag) {
   // every accepted flag is documented — a new flag cannot land without
   // appearing in the help text.
   RunResult r = run("--help");
-  EXPECT_EQ(r.status, 0) << r.out;
+  EXPECT_EQ(r.status, 0) << r.text();
   int flags = 0;
   for (const vcalc_cli::FlagSection& sec : vcalc_cli::sections()) {
-    EXPECT_TRUE(has(r.out, std::string(sec.title) + ":")) << sec.title;
+    EXPECT_TRUE(has(r, std::string(sec.title) + ":")) << sec.title;
     for (const vcalc_cli::FlagSpec& f : sec.flags) {
-      EXPECT_TRUE(has(r.out, f.name)) << f.name << " missing from --help";
+      EXPECT_TRUE(has(r, f.name)) << f.name << " missing from --help";
       ++flags;
     }
   }
@@ -211,12 +231,12 @@ TEST(Cli, ServeRoundTripMatchesDirectAndShutsDown) {
   std::string base = "--init B --print A " + programs() + "/rotate.vexl";
   RunResult direct = run(base);
   RunResult served = run("--connect " + addr + " " + base);
-  EXPECT_EQ(served.status, 0) << served.out;
+  EXPECT_EQ(served.status, 0) << served.text();
   EXPECT_EQ(served.out, direct.out);
 
   RunResult metrics = run("--connect " + addr + " --remote-metrics");
-  EXPECT_EQ(metrics.status, 0) << metrics.out;
-  EXPECT_TRUE(has(metrics.out, "\"requests\":")) << metrics.out;
+  EXPECT_EQ(metrics.status, 0) << metrics.text();
+  EXPECT_TRUE(has(metrics, "\"requests\":")) << metrics.text();
 
   EXPECT_EQ(run("--connect " + addr + " --remote-shutdown").status, 0);
   // The server exits and removes its socket; a late client fails fast.
@@ -232,25 +252,24 @@ TEST(Cli, EngineFlagsDoNotChangeResults) {
   // schedule and jit columns with these flags.
   std::string base = "--init B --print A " + programs() + "/rotate.vexl";
   RunResult plain = run(base);
-  ASSERT_EQ(plain.status, 0) << plain.out;
-  for (const char* flags :
-       {"--threads 1", "--threads 4", "--no-comm-schedules", "--no-jit",
-        "--jit-threshold 1 --jit-sync",
-        "--threads 1 --no-comm-schedules --no-jit"}) {
+  ASSERT_EQ(plain.status, 0) << plain.text();
+  for (const char* flags : {"--threads 1", "--threads 4", "--no-jit",
+                            "--jit-threshold 1 --jit-sync",
+                            "--threads 1 --no-jit"}) {
     RunResult r = run(std::string(flags) + " " + base);
-    EXPECT_EQ(r.status, 0) << flags << "\n" << r.out;
+    EXPECT_EQ(r.status, 0) << flags << "\n" << r.text();
     EXPECT_EQ(r.out, plain.out) << flags;
   }
 }
 
 TEST(Cli, StatsReportCommSchedules) {
   EXPECT_TRUE(has(run("--init B --print A --stats " + programs() +
-                      "/rotate.vexl")
-                      .out,
+                      "/rotate.vexl"),
                   "comm: sched-builds="));
 
-  // The same clause executed three times: the first pass runs tagged and
-  // records the schedule, the other two replay it.
+  // The same clause executed three times: the first execution builds
+  // the schedule (dist inspects, shared records), the other two replay
+  // it.
   std::string dir = unique_dir();
   std::string file = dir + "/comm3.vexl";
   {
@@ -260,26 +279,18 @@ TEST(Cli, StatsReportCommSchedules) {
     for (int k = 0; k < 3; ++k)
       out << "forall i in 0:19 do A[i] := B[(i + 6) mod 20]; od\n";
   }
+  RunResult seq = run("--target=seq --init B --print A " + file);
+  ASSERT_EQ(seq.status, 0) << seq.text();
   for (const char* target : {"--target=dist", "--target=shared"}) {
     RunResult on = run(std::string(target) + " --init B --print A --stats " +
                        file);
-    EXPECT_EQ(on.status, 0) << on.out;
-    EXPECT_TRUE(has(on.out, "sched-builds=1")) << target << "\n" << on.out;
-    EXPECT_TRUE(has(on.out, "sched-hits=2")) << target << "\n" << on.out;
+    EXPECT_EQ(on.status, 0) << on.text();
+    EXPECT_TRUE(has(on, "sched-builds=1")) << target << "\n" << on.text();
+    EXPECT_TRUE(has(on, "sched-hits=2")) << target << "\n" << on.text();
 
-    RunResult off = run(std::string(target) +
-                        " --no-comm-schedules --init B --print A --stats " +
-                        file);
-    EXPECT_EQ(off.status, 0) << off.out;
-    EXPECT_TRUE(has(off.out, "sched-builds=0")) << target << "\n" << off.out;
-    EXPECT_TRUE(has(off.out, "sched-hits=0")) << target << "\n" << off.out;
-
-    // Replay is a speed path only: the printed array, stats line, and
-    // path-independent output all match the tagged run.
-    auto arrays = [](const std::string& s) {
-      return s.substr(0, s.find("paths:"));
-    };
-    EXPECT_EQ(arrays(on.out), arrays(off.out)) << target;
+    // Replay is a speed path only: the printed array matches the
+    // sequential machine's.
+    EXPECT_EQ(on.out.substr(0, seq.out.size()), seq.out) << target;
   }
 }
 
@@ -301,19 +312,19 @@ TEST(Cli, StatsReportJitAndCacheDirIsHonored) {
   for (const char* target : {"--target=dist", "--target=shared"}) {
     RunResult on = run(std::string(target) + " " + jit_flags +
                        "--init B --print A --stats " + file);
-    EXPECT_EQ(on.status, 0) << on.out;
+    EXPECT_EQ(on.status, 0) << on.text();
     // First process builds, later processes hit the content-addressed
     // .so cache; either way the module dispatches.
-    EXPECT_TRUE(has(on.out, "jit-builds=1") ||
-                has(on.out, "jit-cache-hits=1"))
-        << target << "\n" << on.out;
-    EXPECT_FALSE(has(on.out, "jit-hits=0")) << target << "\n" << on.out;
+    EXPECT_TRUE(has(on, "jit-builds=1") ||
+                has(on, "jit-cache-hits=1"))
+        << target << "\n" << on.text();
+    EXPECT_FALSE(has(on, "jit-hits=0")) << target << "\n" << on.text();
 
     RunResult off = run(std::string(target) + " --no-jit " +
                         "--init B --print A --stats " + file);
-    EXPECT_EQ(off.status, 0) << off.out;
-    EXPECT_TRUE(has(off.out, "jit-builds=0")) << target << "\n" << off.out;
-    EXPECT_TRUE(has(off.out, "jit-hits=0")) << target << "\n" << off.out;
+    EXPECT_EQ(off.status, 0) << off.text();
+    EXPECT_TRUE(has(off, "jit-builds=0")) << target << "\n" << off.text();
+    EXPECT_TRUE(has(off, "jit-hits=0")) << target << "\n" << off.text();
 
     // Native dispatch is a speed path only.
     auto arrays = [](const std::string& s) {
@@ -336,8 +347,8 @@ TEST(Cli, TraceWritesChromeJson) {
   std::string json = dir + "/trace_out.json";
   RunResult r = run("--trace " + json + " --init B --print A " +
                     programs() + "/rotate.vexl");
-  EXPECT_EQ(r.status, 0) << r.out;
-  EXPECT_TRUE(has(r.out, "A = 6 7 8 9")) << r.out;  // run unchanged
+  EXPECT_EQ(r.status, 0) << r.text();
+  EXPECT_TRUE(has(r, "A = 6 7 8 9")) << r.text();  // run unchanged
   std::ostringstream buf;
   buf << std::ifstream(json).rdbuf();
   std::string trace = buf.str();
@@ -349,30 +360,30 @@ TEST(Cli, TraceWritesChromeJson) {
 
 TEST(Cli, TimelinePrintsLanes) {
   RunResult r = run("--timeline --init B " + programs() + "/rotate.vexl");
-  EXPECT_EQ(r.status, 0) << r.out;
-  EXPECT_TRUE(has(r.out, "== rank 0")) << r.out;
-  EXPECT_TRUE(has(r.out, "== engine")) << r.out;
-  EXPECT_TRUE(has(r.out, "clause")) << r.out;
+  EXPECT_EQ(r.status, 0) << r.text();
+  EXPECT_TRUE(has(r, "== rank 0")) << r.text();
+  EXPECT_TRUE(has(r, "== engine")) << r.text();
+  EXPECT_TRUE(has(r, "clause")) << r.text();
 
   // Every target supports the trace exports.
   RunResult shared = run("--target=shared --timeline --init B " +
                          programs() + "/rotate.vexl");
-  EXPECT_EQ(shared.status, 0) << shared.out;
-  EXPECT_TRUE(has(shared.out, "== engine")) << shared.out;
+  EXPECT_EQ(shared.status, 0) << shared.text();
+  EXPECT_TRUE(has(shared, "== engine")) << shared.text();
   RunResult seq = run("--target=seq --timeline --init B " + programs() +
                       "/rotate.vexl");
-  EXPECT_EQ(seq.status, 0) << seq.out;
-  EXPECT_TRUE(has(seq.out, "== rank 0")) << seq.out;
+  EXPECT_EQ(seq.status, 0) << seq.text();
+  EXPECT_TRUE(has(seq, "== rank 0")) << seq.text();
 }
 
 TEST(Cli, CalibrateReportsFit) {
   RunResult r = run("--calibrate");
-  EXPECT_EQ(r.status, 0) << r.out;
-  EXPECT_TRUE(has(r.out, "calibration over")) << r.out;
-  EXPECT_TRUE(has(r.out, "fitted ns:")) << r.out;
-  EXPECT_TRUE(has(r.out, "relax")) << r.out;
-  EXPECT_TRUE(has(r.out, "rotate")) << r.out;
-  EXPECT_TRUE(has(r.out, "redistribute")) << r.out;
+  EXPECT_EQ(r.status, 0) << r.text();
+  EXPECT_TRUE(has(r, "calibration over")) << r.text();
+  EXPECT_TRUE(has(r, "fitted ns:")) << r.text();
+  EXPECT_TRUE(has(r, "relax")) << r.text();
+  EXPECT_TRUE(has(r, "rotate")) << r.text();
+  EXPECT_TRUE(has(r, "redistribute")) << r.text();
 }
 
 TEST(Cli, ErrorExitCodes) {
@@ -387,7 +398,7 @@ TEST(Cli, ErrorExitCodes) {
   std::ofstream(bad) << "array A[0:9]\n";  // missing ';'
   RunResult r = run(bad);
   EXPECT_EQ(r.status, 2);
-  EXPECT_TRUE(has(r.out, "vcalc:")) << r.out;
+  EXPECT_TRUE(has(r, "vcalc:")) << r.text();
 
   // An execution fault: --init of an unknown array.
   std::string ok = dir + "/ok.vexl";
@@ -401,8 +412,8 @@ TEST(Cli, ErrorExitCodes) {
       << "array A[0:9]; array B[0:9];\n"
          "forall i in 0:9 do A[i] := B[i mod 0]; od\n";
   RunResult z = run("--init B " + zero);
-  EXPECT_EQ(z.status, 2) << z.out;
-  EXPECT_TRUE(has(z.out, "by constant zero")) << z.out;
+  EXPECT_EQ(z.status, 2) << z.text();
+  EXPECT_TRUE(has(z, "by constant zero")) << z.text();
 
   // So is subscript arithmetic that overflows i64 over the loop range
   // (it used to fault at run time as an internal invariant).
@@ -414,9 +425,9 @@ TEST(Cli, ErrorExitCodes) {
                         << "]; od\n";
     for (const char* target : {"--target=dist", "--target=shared"}) {
       RunResult o = run(std::string(target) + " --init B " + over);
-      EXPECT_EQ(o.status, 2) << sub << "\n" << o.out;
-      EXPECT_TRUE(has(o.out, "of B overflows i64 for i in 0:7")) << o.out;
-      EXPECT_FALSE(has(o.out, "internal invariant")) << o.out;
+      EXPECT_EQ(o.status, 2) << sub << "\n" << o.text();
+      EXPECT_TRUE(has(o, "of B overflows i64 for i in 0:7")) << o.text();
+      EXPECT_FALSE(has(o, "internal invariant")) << o.text();
     }
   }
 }
@@ -432,11 +443,12 @@ TEST(Cli, SubscriptErrorsAgreeAcrossTargets) {
   std::ofstream(oob) << decls << "forall i in 0:7 do A[i] := B[-1]; od\n";
   for (const char* target : {"seq", "dist", "shared", "proc", "native"}) {
     RunResult r = run(std::string("--target=") + target + " --init B " + oob);
-    EXPECT_EQ(r.status, 2) << target << "\n" << r.out;
-    EXPECT_EQ(r.out,
-              "vcalc: constant subscript -1 of B dimension 0 is outside "
-              "its bounds 0:7 (at 2:30)\n")
-        << target;
+    EXPECT_EQ(r.status, 2) << target << "\n" << r.text();
+    EXPECT_EQ(r.out, "") << target;
+    EXPECT_TRUE(has(r.err,
+                    "vcalc: constant subscript -1 of B dimension 0 is "
+                    "outside its bounds 0:7 (at 2:30)\n"))
+        << target << "\n" << r.err;
   }
   // A divisor that reaches zero over the loop range is one run-time
   // fault (it used to surface as an internal invariant).
@@ -445,20 +457,22 @@ TEST(Cli, SubscriptErrorsAgreeAcrossTargets) {
                       << "forall i in 0:7 do A[i] := B[i mod (i - 3)]; od\n";
   for (const char* target : {"seq", "dist", "shared", "proc"}) {
     RunResult r = run(std::string("--target=") + target + " --init B " + zero);
-    EXPECT_EQ(r.status, 3) << target << "\n" << r.out;
-    EXPECT_EQ(r.out, "vcalc: 'mod' by zero in a subscript\n") << target;
+    EXPECT_EQ(r.status, 3) << target << "\n" << r.text();
+    EXPECT_EQ(r.out, "") << target;
+    EXPECT_TRUE(has(r.err, "vcalc: 'mod' by zero in a subscript\n"))
+        << target << "\n" << r.err;
   }
 }
 
 TEST(Cli, RemovedEngineFlagsAreRejected) {
-  // Plan caching and compiled kernels are unconditional and message
-  // matching has one representation: their old switches are usage
-  // errors now.
+  // Plan caching, compiled kernels and communication schedules are
+  // unconditional and message matching has one representation: their
+  // old switches are usage errors now.
   std::string file = programs() + "/rotate.vexl";
-  for (const char* flag :
-       {"--no-plan-cache", "--keyed-channels", "--no-compiled-kernels"}) {
+  for (const char* flag : {"--no-plan-cache", "--keyed-channels",
+                           "--no-compiled-kernels", "--no-comm-schedules"}) {
     RunResult r = run(std::string(flag) + " --init B " + file);
-    EXPECT_EQ(r.status, 1) << flag << "\n" << r.out;
+    EXPECT_EQ(r.status, 1) << flag << "\n" << r.text();
     EXPECT_EQ(vcalc_cli::find_flag(flag), nullptr) << flag;
   }
 }

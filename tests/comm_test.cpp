@@ -2,7 +2,9 @@
 // the inspector/executor split on both machines, one schedule per layout
 // across redistributions, fault-forced fallback to the tagged path, the
 // replay accounting surfaced through CommStats, and the dist inspector's
-// step-for-step agreement with the tagged path.
+// step-for-step agreement with the tagged path. The tagged reference is
+// a run with an outcome-neutral fault at every clause step
+// (rt::reorder_every_step).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +13,7 @@
 
 #include "lang/translate.hpp"
 #include "rt/dist_machine.hpp"
+#include "rt/seq_executor.hpp"
 #include "rt/shared_machine.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
@@ -50,14 +53,19 @@ struct DistRun {
 };
 
 DistRun run_dist(const std::string& src, EngineOptions e,
-                 const FaultPlan* fault = nullptr) {
+                 const std::vector<FaultPlan>& faults = {}) {
   spmd::Program program = lang::compile(src);
   DistMachine m(program, {}, {}, e);
   m.load("B", ramp(32));
-  if (fault) m.inject(*fault);
+  for (const FaultPlan& f : faults) m.inject(f);
   m.run();
   return {m.gather("A"), m.stats(), m.message_matrix(), m.comm_stats(),
           m.path_counters()};
+}
+
+// The same run with every clause step forced down the tagged path.
+DistRun run_tagged(const std::string& src, EngineOptions e) {
+  return run_dist(src, e, reorder_every_step(lang::compile(src)));
 }
 
 void expect_same_observables(const DistRun& x, const DistRun& y) {
@@ -77,15 +85,14 @@ TEST(CommSchedule, ReplayIsBitIdenticalToTaggedPath) {
   for (int threads : {1, 4}) {
     EngineOptions on;
     on.threads = threads;
-    EngineOptions off = on;
-    off.comm_schedules = false;
     DistRun r_on = run_dist(repeat_src(6), on);
-    DistRun r_off = run_dist(repeat_src(6), off);
+    DistRun r_off = run_tagged(repeat_src(6), on);
     expect_same_observables(r_on, r_off);
     EXPECT_EQ(r_on.comm.sched_builds, 1) << threads;
     EXPECT_EQ(r_on.comm.sched_hits, 5) << threads;
     EXPECT_EQ(r_off.comm.sched_builds, 0) << threads;
     EXPECT_EQ(r_off.comm.sched_hits, 0) << threads;
+    EXPECT_EQ(r_off.comm.sched_fallbacks, 6) << threads;
     // Every packed value is consumed exactly once by a recorded slot.
     EXPECT_GT(r_on.comm.packed_values, 0);
     EXPECT_EQ(r_on.comm.packed_values, r_on.comm.unpacked_values);
@@ -120,10 +127,8 @@ TEST(CommSchedule, EachLayoutRecordsItsOwnSchedule) {
   EXPECT_EQ(m.comm_stats().sched_hits, 4);
   EXPECT_EQ(m.plan_cache().schedules(), 2);
 
-  // And the perturbed run still matches the schedule-free one.
-  EngineOptions off;
-  off.comm_schedules = false;
-  DistRun r_off = run_dist(repeat_src(6, true), off);
+  // And the run still matches the tagged reference.
+  DistRun r_off = run_tagged(repeat_src(6, true), {});
   EXPECT_EQ(m.gather("A"), r_off.a);
   EXPECT_EQ(m.stats().messages, r_off.stats.messages);
   EXPECT_EQ(m.message_matrix(), r_off.matrix);
@@ -150,7 +155,7 @@ TEST(CommSchedule, ArmedFaultForcesTaggedFallback) {
   f.step = 2;
   f.src = fsrc;
   f.dst = fdst;
-  DistRun faulted = run_dist(repeat_src(4), {}, &f);
+  DistRun faulted = run_dist(repeat_src(4), {}, {f});
   expect_same_observables(probe, faulted);
   EXPECT_EQ(faulted.comm.sched_fallbacks, 1);
   EXPECT_EQ(faulted.comm.sched_builds, 1);
@@ -162,7 +167,7 @@ TEST(CommSchedule, ArmedFaultForcesTaggedFallback) {
   stall.step = 2;
   stall.rank = 1;
   stall.rounds = 2;
-  DistRun stalled = run_dist(repeat_src(4), {}, &stall);
+  DistRun stalled = run_dist(repeat_src(4), {}, {stall});
   expect_same_observables(probe, stalled);
   EXPECT_EQ(stalled.comm.sched_fallbacks, 1);
 }
@@ -183,39 +188,53 @@ TEST(CommSchedule, NonAffineClausesInspectAndReplayThroughTheKernel) {
 
 TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {
   spmd::Program program = lang::compile(repeat_src(6, /*redist=*/true));
-  auto run_shared = [&](bool sched) {
+  auto run_shared = [&](std::size_t steps) {
+    spmd::Program prefix = program;
+    prefix.steps.resize(steps);
     EngineOptions e;
     e.threads = 1;
-    e.comm_schedules = sched;
-    SharedMachine m(program, {}, {}, /*elide_barriers=*/false, e);
+    SharedMachine m(prefix, {}, {}, /*elide_barriers=*/false, e);
     m.load("B", ramp(32));
     m.run();
     return std::make_tuple(m.result("A"), m.stats(), m.comm_stats(),
                            m.path_counters());
   };
-  auto [a_on, st_on, c_on, p_on] = run_shared(true);
-  auto [a_off, st_off, c_off, p_off] = run_shared(false);
-  EXPECT_EQ(a_on, a_off);
-  EXPECT_EQ(st_on.barriers, st_off.barriers);
-  EXPECT_EQ(st_on.iterations, st_off.iterations);
-  EXPECT_EQ(st_on.tests, st_off.tests);
-  EXPECT_EQ(st_on.sim_time, st_off.sim_time);
+  const std::size_t nsteps = program.steps.size();
+  auto [a, stats, comm, paths] = run_shared(nsteps);
+  SeqExecutor seq(program, /*reference=*/true);
+  seq.load("B", ramp(32));
+  seq.run();
+  EXPECT_EQ(a, seq.result("A"));
   // Same build/replay cadence as the distributed machine: record on the
   // first clean pass on each side of the redistribution.
-  EXPECT_EQ(c_on.sched_builds, 2);
-  EXPECT_EQ(c_on.sched_hits, 4);
-  EXPECT_EQ(c_off.sched_builds, 0);
-  EXPECT_EQ(c_off.sched_hits, 0);
-  EXPECT_GT(p_on.sched + p_on.jit, 0);
-  EXPECT_EQ(p_off.sched, 0);
+  EXPECT_EQ(comm.sched_builds, 2);
+  EXPECT_EQ(comm.sched_hits, 4);
+  EXPECT_GT(paths.sched + paths.jit, 0);
+
+  // A replay charges what the recording walk at its layout charged:
+  // steps 0-2 and 4-6 (step 3 is the redistribution) each add the
+  // iterations and tests of the first execution on their side.
+  std::vector<SharedStats> after;
+  for (std::size_t k = 0; k < nsteps; ++k)
+    after.push_back(std::get<1>(run_shared(k)));
+  after.push_back(stats);
+  for (std::size_t first : {std::size_t{0}, std::size_t{4}})
+    for (std::size_t k = first + 1; k < first + 3; ++k) {
+      EXPECT_EQ(after[k + 1].iterations - after[k].iterations,
+                after[first + 1].iterations - after[first].iterations)
+          << "step " << k;
+      EXPECT_EQ(after[k + 1].tests - after[k].tests,
+                after[first + 1].tests - after[first].tests)
+          << "step " << k;
+    }
 }
 
 TEST(CommSchedule, ReturningLayoutReplaysItsSchedule) {
   // One mod-rotate clause across block -> scatter -> block: two
   // executions, one, two. Each layout records on its first execution;
   // back on block the first schedule replays, so 2 builds and 3 hits on
-  // both machines, from 2 plan builds. The result matches the
-  // schedule-free run.
+  // both machines, from 2 plan builds. The result matches the tagged
+  // reference.
   const std::string rot =
       "forall i in 0:30 do A[i] := B[(i + 5) mod 32] + 1; od\n";
   const std::string src =
@@ -225,33 +244,27 @@ TEST(CommSchedule, ReturningLayoutReplaysItsSchedule) {
       rot + rot + "redistribute B scatter;\n" + rot +
       "redistribute B block;\n" + rot + rot;
   spmd::Program program = lang::compile(src);
-  for (bool sched : {true, false}) {
-    EngineOptions e;
-    e.comm_schedules = sched;
-    DistMachine d(program, {}, {}, e);
-    d.load("B", ramp(32));
-    d.run();
-    SharedMachine s(program, {}, {}, /*elide_barriers=*/false, e);
-    s.load("B", ramp(32));
-    s.run();
-    EXPECT_EQ(d.gather("A"), s.result("A"));
-    EXPECT_EQ(d.comm_stats().sched_builds, sched ? 2 : 0);
-    EXPECT_EQ(d.comm_stats().sched_hits, sched ? 3 : 0);
-    EXPECT_EQ(s.comm_stats().sched_builds, sched ? 2 : 0);
-    EXPECT_EQ(s.comm_stats().sched_hits, sched ? 3 : 0);
-    EXPECT_EQ(d.plan_cache().misses(), 2);
-    EXPECT_EQ(d.plan_cache().hits(), 3);
-    EXPECT_EQ(s.plan_cache().misses(), 2);
-    if (sched) {
-      EngineOptions off;
-      off.comm_schedules = false;
-      DistRun r_off = run_dist(src, off);
-      EXPECT_EQ(d.gather("A"), r_off.a);
-      EXPECT_EQ(d.stats().messages, r_off.stats.messages);
-      EXPECT_EQ(d.stats().sim_time, r_off.stats.sim_time);
-      EXPECT_EQ(d.message_matrix(), r_off.matrix);
-    }
-  }
+  DistMachine d(program, {}, {}, {});
+  d.load("B", ramp(32));
+  d.run();
+  SharedMachine s(program, {}, {}, /*elide_barriers=*/false, {});
+  s.load("B", ramp(32));
+  s.run();
+  EXPECT_EQ(d.gather("A"), s.result("A"));
+  EXPECT_EQ(d.comm_stats().sched_builds, 2);
+  EXPECT_EQ(d.comm_stats().sched_hits, 3);
+  EXPECT_EQ(s.comm_stats().sched_builds, 2);
+  EXPECT_EQ(s.comm_stats().sched_hits, 3);
+  EXPECT_EQ(d.plan_cache().misses(), 2);
+  EXPECT_EQ(d.plan_cache().hits(), 3);
+  EXPECT_EQ(s.plan_cache().misses(), 2);
+
+  DistRun tagged = run_tagged(src, {});
+  EXPECT_EQ(d.gather("A"), tagged.a);
+  EXPECT_EQ(d.stats().messages, tagged.stats.messages);
+  EXPECT_EQ(d.stats().sim_time, tagged.stats.sim_time);
+  EXPECT_EQ(d.message_matrix(), tagged.matrix);
+  EXPECT_EQ(tagged.comm.sched_builds + tagged.comm.sched_hits, 0);
 }
 
 // The dist inspector derives each step's counters and message-matrix
@@ -266,14 +279,15 @@ TEST(CommSchedule, InspectedStepsMatchTheTaggedPathOnAGeneratedCorpus) {
     std::string error;
   };
   auto run_prefix = [](const spmd::Program& program, std::size_t steps,
-                       bool sched) {
+                       bool tagged) {
     spmd::Program prefix = program;
     prefix.steps.resize(steps);
     EngineOptions e;
     e.threads = 1;
     e.jit = false;
-    e.comm_schedules = sched;
     DistMachine m(prefix, {}, {}, e);
+    if (tagged)
+      for (const FaultPlan& f : reorder_every_step(prefix)) m.inject(f);
     for (const auto& [name, desc] : prefix.arrays) {
       std::vector<double> v(static_cast<std::size_t>(desc.total()));
       for (std::size_t k = 0; k < v.size(); ++k)
@@ -322,8 +336,8 @@ TEST(CommSchedule, InspectedStepsMatchTheTaggedPathOnAGeneratedCorpus) {
         two_d += c.loops.size() == 2 ? 1 : 0;
         ++inspected;
       }
-      const Outcome on = run_prefix(program, k + 1, true);
-      const Outcome off = run_prefix(program, k + 1, false);
+      const Outcome on = run_prefix(program, k + 1, false);
+      const Outcome off = run_prefix(program, k + 1, true);
       ASSERT_EQ(on.error, off.error) << "step " << k;
       if (!on.error.empty()) break;  // later prefixes fault the same way
       ASSERT_EQ(on.counters.size(), off.counters.size()) << "step " << k;
@@ -344,8 +358,8 @@ TEST(CommSchedule, InspectedStepsMatchTheTaggedPathOnAGeneratedCorpus) {
 
 TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
   // The inspector refuses a clause with a faulting element, so the
-  // tagged path raises exactly the schedule-free error and no schedule
-  // is stored. B[i - 1] reads outside B at i = 0; C is replicated, so
+  // tagged path raises exactly the tagged reference's error and no
+  // schedule is stored. B[i - 1] reads outside B at i = 0; C is replicated, so
   // C[i mod (i - 11)] is first evaluated by the executors (not by plan
   // construction) and divides by zero at i = 11. With both, rank 0's
   // out-of-bounds read is the error the tagged path raises, though the
@@ -366,19 +380,20 @@ TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
         "forall i in 0:31 do A[i] := ",
         c.rhs, "; od\n"));
     for (int threads : {1, 4})
-      for (bool sched : {true, false}) {
+      for (bool tagged : {false, true}) {
         EngineOptions e;
         e.threads = threads;
-        e.comm_schedules = sched;
         DistMachine m(program, {}, {}, e);
         m.load("B", ramp(32));
         m.load("C", ramp(32));
+        if (tagged)
+          for (const FaultPlan& f : reorder_every_step(program)) m.inject(f);
         try {
           m.run();
-          ADD_FAILURE() << c.rhs << ": no fault, sched " << sched;
+          ADD_FAILURE() << c.rhs << ": no fault, tagged " << tagged;
         } catch (const RuntimeFault& f) {
           EXPECT_STREQ(f.what(), c.error)
-              << c.rhs << ", threads " << threads << ", sched " << sched;
+              << c.rhs << ", threads " << threads << ", tagged " << tagged;
         }
         EXPECT_EQ(m.plan_cache().schedules(), 0) << c.rhs;
         EXPECT_EQ(m.comm_stats().sched_builds, 0) << c.rhs;

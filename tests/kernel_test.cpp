@@ -568,9 +568,9 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
   // The fused inner loop performs no per-element allocation, so the
   // total allocation count of a run must not scale with n — only with
   // the (fixed) rank/plan structure. The fused loop runs on the tagged
-  // path (schedules off); with schedules on, the single execution is
-  // inspected and replayed, and the inspector's bulk-noted runs reserve
-  // their schedule up front.
+  // path (the tagged reference: a reorder fault at the step); on a clean
+  // run the single execution is inspected and replayed, and the
+  // inspector's bulk-noted runs reserve their schedule up front.
   auto allocs_for = [](i64 n, bool sched) {
     spmd::Program p;
     p.procs = 4;
@@ -591,9 +591,10 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
 
     rt::EngineOptions e;
     e.threads = 1;  // inline on the caller: deterministic accounting
-    e.comm_schedules = sched;
     rt::DistMachine m(p, {}, {}, e);
     m.load("B", iota(n));
+    if (!sched)
+      for (const rt::FaultPlan& f : rt::reorder_every_step(p)) m.inject(f);
     g_new_calls = 0;
     g_count_allocs = true;
     m.run();

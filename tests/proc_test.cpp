@@ -84,13 +84,18 @@ void expect_parity(const std::string& source,
                    const std::vector<std::pair<std::string,
                                                std::vector<double>>>& inputs,
                    const std::vector<std::string>& outputs,
-                   rt::EngineOptions engine = {}) {
+                   rt::EngineOptions engine = {},
+                   const std::vector<FaultPlan>& faults = {}) {
   engine.jit = false;
   DistMachine sim(lang::compile(source), {}, {}, engine);
   ProcMachine real(source, {}, {}, engine, proc_opts());
   for (const auto& [name, data] : inputs) {
     sim.load(name, data);
     real.load(name, data);
+  }
+  for (const FaultPlan& f : faults) {
+    sim.inject(f);
+    real.inject(f);
   }
   sim.run();
   real.run();
@@ -181,10 +186,13 @@ TEST(ProcMachine, GridBlockScatterAndReplicatedParity) {
 }
 
 TEST(ProcMachine, EngineKnobsStayBitIdentical) {
+  // Assorted knobs on the tagged reference: every clause step of both
+  // machines takes the tagged path.
   rt::EngineOptions assorted;
   assorted.threads = 3;
-  assorted.comm_schedules = false;
-  expect_parity(halo_redist_source(4), {{"U", ramp(32)}}, {"U"}, assorted);
+  const std::string source = halo_redist_source(4);
+  expect_parity(source, {{"U", ramp(32)}}, {"U"}, assorted,
+                rt::reorder_every_step(lang::compile(source)));
 }
 
 // Which of the two rank-step paths each clause step of every rank lane
@@ -214,8 +222,9 @@ void expect_worker_paths(const ProcMachine& m,
 TEST(ProcMachine, WorkerRunsTheSimulatorsScheduledAndTaggedPaths) {
   // Steps 0 and 2 are clauses, step 1 a redistribute. The worker takes
   // DistMachine's dispatch: schedules on a clean step, the tagged path
-  // with schedules off or a fault armed for the step — and every
-  // observable matches the simulator either way.
+  // with a fault armed for the step — and every observable matches the
+  // simulator either way.
+  const std::string source = halo_redist_source(4);
   FaultPlan reorder;
   reorder.kind = FaultPlan::Kind::ReorderChannel;
   reorder.step = 0;
@@ -223,29 +232,28 @@ TEST(ProcMachine, WorkerRunsTheSimulatorsScheduledAndTaggedPaths) {
   reorder.dst = 1;
   struct Case {
     const char* name;
-    bool schedules;
-    bool fault;
+    std::vector<FaultPlan> faults;
     std::function<bool(i64)> scheduled;
   };
   const std::vector<Case> cases = {
-      {"schedules", true, false, [](i64) { return true; }},
-      {"no schedules", false, false, [](i64) { return false; }},
-      {"fault at step 0", true, true, [](i64 s) { return s != 0; }},
+      {"schedules", {}, [](i64) { return true; }},
+      {"reorder at every step",
+       rt::reorder_every_step(lang::compile(source)),
+       [](i64) { return false; }},
+      {"fault at step 0", {reorder}, [](i64 s) { return s != 0; }},
   };
-  const std::string source = halo_redist_source(4);
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     rt::EngineOptions engine;
     engine.trace = true;
     engine.jit = false;
-    engine.comm_schedules = c.schedules;
     DistMachine sim(lang::compile(source), {}, {}, engine);
     ProcMachine real(source, {}, {}, engine, proc_opts());
     sim.load("U", ramp(32));
     real.load("U", ramp(32));
-    if (c.fault) {
-      sim.inject(reorder);
-      real.inject(reorder);
+    for (const FaultPlan& f : c.faults) {
+      sim.inject(f);
+      real.inject(f);
     }
     sim.run();
     real.run();
@@ -462,7 +470,6 @@ TEST(ProcJob, RoundTripsEveryField) {
   job.build.force_runtime_resolution = true;
   job.build.max_pieces = 17;
   job.engine.threads = 5;
-  job.engine.comm_schedules = false;
   job.engine.trace = true;
   job.engine.trace_capacity = 999;
   job.engine.jit = true;
@@ -550,8 +557,6 @@ TEST(ProcJob, OptionsEchoPinsEveryPropagatedField) {
          [](JobSpec& j) { j.build.force_runtime_resolution ^= true; });
   mutate("max_pieces", [](JobSpec& j) { j.build.max_pieces += 1; });
   mutate("threads", [](JobSpec& j) { j.engine.threads += 1; });
-  mutate("comm_schedules",
-         [](JobSpec& j) { j.engine.comm_schedules ^= true; });
   mutate("trace", [](JobSpec& j) { j.engine.trace ^= true; });
   mutate("trace_capacity",
          [](JobSpec& j) { j.engine.trace_capacity += 1; });

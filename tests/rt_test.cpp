@@ -851,10 +851,11 @@ TEST(Engine, SharedMachineMatchesAcrossPoolSizes) {
 
 TEST(Engine, FullOptionMatrixIsBitIdentical) {
   // Regression net over the engine-option space: threads in {serial,
-  // shared pool, 4 lanes} x communication schedules {on, off} must
-  // agree with the serial baseline on results, statistics, and the
-  // message matrix — on both a plain communicating clause and a
-  // redistribute-mid-program sequence that exercises cache invalidation.
+  // shared pool, 4 lanes} x {scheduled, tagged reference} must agree
+  // with the serial baseline on results, statistics, and the message
+  // matrix — on both a plain communicating clause and a
+  // redistribute-mid-program sequence that moves clauses to another
+  // layout's plan.
   auto scenarios = [] {
     std::vector<Program> ps;
     ps.push_back(shift_program(29, 4, Decomp1D::Kind::Block,
@@ -881,15 +882,16 @@ TEST(Engine, FullOptionMatrixIsBitIdentical) {
     base.run();
 
     for (int threads : {0, 1, 4}) {
-      for (bool sched : {true, false}) {
+      for (bool tagged : {false, true}) {
         EngineOptions e;
         e.threads = threads;
-        e.comm_schedules = sched;
         DistMachine m(p, {}, {}, e);
         m.load("B", iota(n));
+        if (tagged)
+          for (const FaultPlan& f : reorder_every_step(p)) m.inject(f);
         m.run();
         std::string where =
-            cat("scenario=", s, " threads=", threads, " sched=", sched);
+            cat("scenario=", s, " threads=", threads, " tagged=", tagged);
         EXPECT_EQ(m.gather("A"), base.gather("A")) << where;
         EXPECT_EQ(m.gather("B"), base.gather("B")) << where;
         expect_same_stats(m.stats(), base.stats(), where);

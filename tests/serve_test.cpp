@@ -395,7 +395,6 @@ TEST(Serve, EngineOptionsShareTheCompiledProgram) {
   serve::RunResult a = fx.client.run(make_req(kRotate));
   serve::RunRequest req = make_req(kRotate);
   req.engine.threads = 1;
-  req.engine.comm_schedules = false;
   req.engine.jit = false;
   serve::RunResult b = fx.client.run(std::move(req));
   ASSERT_EQ(b.status, serve::Status::Ok) << b.error;
@@ -506,20 +505,21 @@ TEST(Serve, BackpressureRejectsBeyondInflightCap) {
   ServeFixture fx(opts);
 
   // A deliberately heavy program holds the single executor long enough
-  // for the follow-up submissions to find the session at its cap. With
-  // schedules off every one of its 40 steps runs the tagged path; with
-  // them on, 39 replay a schedule and the program can finish before the
-  // follow-up arrives.
+  // for the follow-up submissions to find the session at its cap. Each
+  // of its 40 clauses reads B at its own shift, so every step is a first
+  // execution at its layout (a plan build and an inspection), never a
+  // cheap replay, and the program is still running when the follow-up
+  // arrives.
   std::string heavy =
       "processors 4;\narray A[0:4095]; array B[0:4095];\n"
       "distribute A block; distribute B scatter;\n";
-  for (int i = 0; i < 40; ++i)
-    heavy += "forall i in 0:4094 do A[i] := B[(i + 17) mod 4095]*2; od\n";
+  for (int k = 1; k <= 40; ++k)
+    heavy += cat("forall i in 0:4094 do A[i] := B[(i + ", k,
+                 ") mod 4095]*2; od\n");
 
   serve::RunRequest slow = make_req(heavy);
   slow.engine.threads = 1;
   slow.engine.jit = false;
-  slow.engine.comm_schedules = false;
   i64 slow_id = fx.client.submit(std::move(slow));
   i64 fast_id = fx.client.submit(make_req(kRotate));
   serve::RunResult fast = fx.client.wait(fast_id);

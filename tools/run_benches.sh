@@ -6,12 +6,12 @@
 # Runs bench/engine_throughput (the bytecode kernels per P, the
 # bytecode-vs-JIT steady-state A/B surfaced as the record's top-level
 # "jit" object, and the whole-program native backend surfaced as the
-# "native" object), bench/comm_throughput (the schedule-vs-tagged A/B),
-# and bench/serve_throughput (the compile-service cold-vs-warm A/B,
-# surfaced as the record's "serve" object) and *appends* their merged
-# record to BENCH_engine.json at the repo root as {"runs": [...]}; the
-# file is (re)created idempotently when missing, empty, or corrupt,
-# and a legacy single-object file is wrapped on first append. Then
+# "native" object) and bench/serve_throughput (the compile-service
+# cold-vs-warm A/B, surfaced as the record's "serve" object) and
+# *appends* their merged record to BENCH_engine.json at the repo root
+# as {"runs": [...]}; the file is (re)created idempotently when
+# missing, empty, or corrupt, and a legacy single-object file is
+# wrapped on first append. Then
 # runs bench/spmd_end_to_end for the paper-shape tables.
 #
 # --refresh-baseline additionally rewrites tools/bench_baseline.json
@@ -36,27 +36,24 @@ build_dir="${build_dir:-$repo_root/build-bench}"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build_dir" -j"$(nproc)" \
-  --target engine_throughput comm_throughput trace_overhead \
-           serve_throughput spmd_end_to_end
+  --target engine_throughput trace_overhead serve_throughput \
+           spmd_end_to_end
 
 cd "$repo_root"
 
 out="$repo_root/BENCH_engine.json"
 tmp="$(mktemp)"
-comm_tmp="$(mktemp)"
 serve_tmp="$(mktemp)"
 smoke_tmp="$(mktemp)"
 to_tmp="$(mktemp)"
-trap 'rm -f "$tmp" "$comm_tmp" "$serve_tmp" "$smoke_tmp" "$to_tmp"' EXIT
+trap 'rm -f "$tmp" "$serve_tmp" "$smoke_tmp" "$to_tmp"' EXIT
 "$build_dir/bench/engine_throughput" "$tmp"
-"$build_dir/bench/comm_throughput" "$comm_tmp"
 "$build_dir/bench/serve_throughput" "$serve_tmp"
 
 if command -v jq >/dev/null 2>&1; then
   stamped="$(jq --arg ts "$(date -u +%FT%TZ)" \
-    --slurpfile comm "$comm_tmp" \
     --slurpfile serve "$serve_tmp" \
-    '. + {recorded: $ts, comm: $comm[0], serve: $serve[0]}' "$tmp")"
+    '. + {recorded: $ts, serve: $serve[0]}' "$tmp")"
   if [ -s "$out" ] && jq -e . "$out" >/dev/null 2>&1; then
     if jq -e 'has("runs")' "$out" >/dev/null 2>&1; then
       jq --argjson new "$stamped" '.runs += [$new]' "$out" >"$out.tmp"
@@ -84,12 +81,10 @@ if [ "$refresh_baseline" = 1 ]; then
   # The committed baseline records the CI smoke shape, not the full
   # trajectory shape, so the gates compare like with like.
   "$build_dir/bench/engine_throughput" --n=512 --steps=50 "$smoke_tmp"
-  "$build_dir/bench/comm_throughput" --n=512 --steps=50 "$comm_tmp"
   "$build_dir/bench/trace_overhead" "$to_tmp"
   "$build_dir/bench/serve_throughput" --clients=4 --programs=4 --repeat=10 \
     "$serve_tmp"
-  jq --slurpfile comm "$comm_tmp" --slurpfile to "$to_tmp" \
-     --slurpfile serve "$serve_tmp" \
+  jq --slurpfile to "$to_tmp" --slurpfile serve "$serve_tmp" \
     '. + {trace_overhead:
             ($to[0] | {n, steps, untraced_iters_per_sec,
                        traced_overhead_pct: .overhead_pct,
@@ -98,7 +93,6 @@ if [ "$refresh_baseline" = 1 ]; then
                           then ((.wall_ms_traced - .wall_ms_untraced)
                                 * 1e6 / .trace_events | floor)
                           else 0 end)}),
-          comm: $comm[0],
           serve: $serve[0]}' \
     "$smoke_tmp" >"$repo_root/tools/bench_baseline.json"
   echo "refreshed tools/bench_baseline.json"

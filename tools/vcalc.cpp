@@ -316,8 +316,6 @@ int main(int argc, char** argv) {
     } else if (name == "--threads") {
       opt.engine.threads = std::atoi(val);
       if (opt.engine.threads < 0) return usage(argv[0]);
-    } else if (name == "--no-comm-schedules") {
-      opt.engine.comm_schedules = false;
     } else if (name == "--no-jit") {
       opt.engine.jit = false;
     } else if (name == "--jit-threshold") {

@@ -56,10 +56,6 @@ inline const std::vector<FlagSection>& sections() {
             "execution lanes for per-rank loops:\n"
             "0 shared pool (default), 1 serial,\n"
             "k > 1 a private pool of k lanes"},
-           {"--no-comm-schedules", FlagSpec::kNone, "",
-            "tagged message matching every step\n"
-            "instead of compiled communication\n"
-            "schedules (inspector/executor)"},
            {"--no-jit", FlagSpec::kNone, "",
             "never swap hot clause plans to natively\n"
             "compiled code; keep the bytecode kernels\n"
