@@ -157,6 +157,7 @@ void collect(MetricsRegistry& reg, const support::ThreadPool& p) {
   reg.set("pool-size", p.size());
   reg.set("pool-joins", p.joins());
   reg.set("pool-join-wait-ns", p.join_wait_ns());
+  reg.set("pool-parks", p.parks());
 }
 
 void collect(MetricsRegistry& reg, const Tracer& t) {

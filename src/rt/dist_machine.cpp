@@ -180,36 +180,6 @@ void DistMachine::refresh_halos(const Clause& clause, const ClausePlan& plan,
   }
 }
 
-const spmd::JitFns* DistMachine::jit_poll(spmd::PlanCache::Entry& entry,
-                                          const Clause& clause,
-                                          const spmd::ClauseKernel& kern,
-                                          spmd::JitState** js, i64 step_id) {
-  obs::Tracer* tr = tracer_;
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  const bool fresh = !entry.jit;
-  if (fresh) entry.jit = std::make_shared<spmd::JitState>();
-  if (!ctx_->jit().available()) {
-    // No toolchain on this host: never arm (a compile job could only
-    // fail). A single fallback per plan entry records that JIT was
-    // requested but cannot happen here.
-    if (fresh) ++jit_.fallbacks;
-    return nullptr;
-  }
-  spmd::JitConfig cfg;
-  cfg.enabled = true;
-  cfg.threshold = engine_.jit_threshold;
-  cfg.sync = engine_.jit_sync;
-  cfg.cache_dir = engine_.jit_cache_dir;
-  cfg.engine = &ctx_->jit();
-  spmd::JitPoll r = entry.jit->poll(clause, kern, cfg, jit_);
-  if (r.launched)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, step_id, cfg.sync ? 1 : 0);
-  if (r.swapped)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, step_id, r.cached ? 0 : 1);
-  *js = entry.jit.get();
-  return r.fns;
-}
-
 void DistMachine::run_clause(const Clause& clause) {
   if (clause.ord == prog::Ordering::Seq)
     throw CodegenError(
@@ -244,7 +214,8 @@ void DistMachine::run_clause(const Clause& clause) {
   spmd::JitState* js = nullptr;
   const spmd::JitFns* jfns = nullptr;
   if (engine_.jit && plan.kernel().affine() && !fault_armed)
-    jfns = jit_poll(entry, clause, plan.kernel(), &js, step_id);
+    jfns = ctx_->poll_jit(entry, clause, plan.kernel(), engine_, jit_,
+                          tr, step_id, &js);
 
   // Communication-schedule dispatch (inspector–executor): a clean step
   // runs the executor, inspecting the plan for a schedule first when

@@ -121,7 +121,8 @@ class DistMachine {
 
   /// Communication-schedule accounting: inspector builds, replayed
   /// steps, forced fallbacks, packed/unpacked volumes. Reporting only —
-  /// never part of DistStats (the `sched` oracle axis pins that).
+  /// never part of DistStats (the oracle's tagged reference run, which
+  /// runs no schedule, pins that).
   const CommStats& comm_stats() const noexcept { return comm_; }
 
   /// JIT native-code accounting: compiles, cache reuse, dispatches
@@ -163,14 +164,6 @@ class DistMachine {
                      const spmd::CommSchedule& sched, spmd::JitState* js,
                      const spmd::JitFns* jfns, bool replay, i64 step_id);
 
-  /// One JIT arming/ dispatch poll for the clause whose plan-cache
-  /// entry is `entry` (the JIT state rides in it). Returns the jitted
-  /// entry points when ready (and the owning state via `js`), nullptr
-  /// while the bytecode kernel should keep running.
-  const spmd::JitFns* jit_poll(spmd::PlanCache::Entry& entry,
-                               const prog::Clause& clause,
-                               const spmd::ClauseKernel& kern,
-                               spmd::JitState** js, i64 step_id);
   void run_redistribute(const spmd::RedistStep& step);
   void finish_step(const std::vector<RankCounters>& counters);
 

@@ -4,6 +4,28 @@
 
 namespace vcal::rt {
 
+const spmd::JitFns* EngineContext::poll_jit(
+    spmd::PlanCache::Entry& entry, const prog::Clause& clause,
+    const spmd::ClauseKernel& kern, const EngineOptions& engine,
+    spmd::JitStats& stats, obs::Tracer* tr, i64 step_id,
+    spmd::JitState** js) {
+  if (!entry.jit) entry.jit = std::make_shared<spmd::JitState>();
+  spmd::JitConfig cfg;
+  cfg.enabled = true;
+  cfg.threshold = engine.jit_threshold;
+  cfg.sync = engine.jit_sync;
+  cfg.cache_dir = engine.jit_cache_dir;
+  cfg.engine = &jit_;
+  spmd::JitPoll r = entry.jit->poll(clause, kern, cfg, stats);
+  const i64 ctl = tr ? tr->control_lane() : 0;
+  if (r.launched)
+    VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, step_id, cfg.sync ? 1 : 0);
+  if (r.swapped)
+    VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, step_id, r.cached ? 0 : 1);
+  *js = entry.jit.get();
+  return r.fns;
+}
+
 obs::Tracer* EngineContext::make_tracer(i64 ranks, i64 capacity) {
   std::lock_guard<std::mutex> lk(m_);
   tracers_.push_back(std::make_unique<obs::Tracer>(ranks, capacity));

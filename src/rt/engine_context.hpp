@@ -39,6 +39,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "rt/engine_options.hpp"
 #include "spmd/jit.hpp"
 #include "spmd/plan_cache.hpp"
 
@@ -54,6 +55,20 @@ class EngineContext {
   /// its module registry and test hooks are invisible to other
   /// contexts.
   spmd::JitEngine& jit() noexcept { return jit_; }
+
+  /// The JIT preamble both parallel machines run before a clause
+  /// executes: creates the JitState riding in the clause's plan-cache
+  /// entry on first use, polls it with the engine's knobs and this
+  /// context's compile service, and records JitBuild / JitSwap on the
+  /// control lane of `tr` (when tracing) at `step_id`. Returns the
+  /// jitted entry points when ready (the owning state via `js`),
+  /// nullptr while the bytecode kernel keeps running.
+  const spmd::JitFns* poll_jit(spmd::PlanCache::Entry& entry,
+                               const prog::Clause& clause,
+                               const spmd::ClauseKernel& kern,
+                               const EngineOptions& engine,
+                               spmd::JitStats& stats, obs::Tracer* tr,
+                               i64 step_id, spmd::JitState** js);
 
   /// Allocates a tracer owned by this context (machines hold it as a
   /// non-owning pointer). Kept alive until the context dies so traces

@@ -108,7 +108,8 @@ void SharedMachine::run() {
         spmd::JitState* js = nullptr;
         const spmd::JitFns* jfns = nullptr;
         if (engine_.jit && plan.kernel().affine())
-          jfns = jit_poll(entry, *clause, plan.kernel(), &js);
+          jfns = ctx_->poll_jit(entry, *clause, plan.kernel(), engine_,
+                                jit_, tr, trace_step_, &js);
         run_clause(*clause, entry, js, jfns);
         pending = &plan;
         pending_exists = true;
@@ -131,36 +132,6 @@ void SharedMachine::run() {
     }
   }
   resolve_pending(nullptr);  // the final barrier is always performed
-}
-
-const spmd::JitFns* SharedMachine::jit_poll(spmd::PlanCache::Entry& entry,
-                                            const Clause& clause,
-                                            const spmd::ClauseKernel& kern,
-                                            spmd::JitState** js) {
-  obs::Tracer* tr = tracer_;
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  const bool fresh = !entry.jit;
-  if (fresh) entry.jit = std::make_shared<spmd::JitState>();
-  if (!ctx_->jit().available()) {
-    // No toolchain on this host: never arm (see DistMachine::jit_poll).
-    if (fresh) ++jit_.fallbacks;
-    return nullptr;
-  }
-  spmd::JitConfig cfg;
-  cfg.enabled = true;
-  cfg.threshold = engine_.jit_threshold;
-  cfg.sync = engine_.jit_sync;
-  cfg.cache_dir = engine_.jit_cache_dir;
-  cfg.engine = &ctx_->jit();
-  spmd::JitPoll r = entry.jit->poll(clause, kern, cfg, jit_);
-  if (r.launched)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, trace_step_,
-               cfg.sync ? 1 : 0);
-  if (r.swapped)
-    VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, trace_step_,
-               r.cached ? 0 : 1);
-  *js = entry.jit.get();
-  return r.fns;
 }
 
 // One parallel clause. Schedule dispatch (see comm_schedule.hpp): a step

@@ -106,12 +106,6 @@ class SharedMachine {
                  spmd::CommSchedule& rec, std::vector<double>& out,
                  i64 step_id);
 
-  /// One JIT arming / dispatch poll for the clause whose plan-cache
-  /// entry is `entry` (see DistMachine::jit_poll).
-  const spmd::JitFns* jit_poll(spmd::PlanCache::Entry& entry,
-                               const prog::Clause& clause,
-                               const spmd::ClauseKernel& kern,
-                               spmd::JitState** js);
   void run_clause_sequential(const prog::Clause& clause);
   template <typename F>
   void for_ranks(i64 n, F&& body);

@@ -19,8 +19,9 @@
 // the halo counters, which the live refresh supplies) and message-matrix
 // increments: a scheduled step replays them verbatim, which is what
 // keeps DistStats, last_step_counters(), message_matrix(), and sim_time
-// bit-identical to the tagged path (the conformance oracle's `sched`
-// axis pins this). Guards and right-hand sides are always evaluated
+// bit-identical to the tagged path (the conformance oracle's tagged
+// reference run, rt::reorder_every_step's fault at every clause step,
+// pins this). Guards and right-hand sides are always evaluated
 // live — only the *pattern* is compiled, never values.
 //
 // Lifecycle: schedules derive from a ClausePlan and ride in that plan's

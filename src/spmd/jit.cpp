@@ -282,6 +282,13 @@ JitPoll JitState::poll(const prog::Clause& clause, const ClauseKernel& kern,
         // no fused/replay loop to compile. Silent: never armed, so never
         // a fallback.
         status_ = Status::Ineligible;
+      } else if (!cfg.engine->available()) {
+        // No toolchain on this host: never arm (a compile job could
+        // only fail). One fallback records that the JIT was due but
+        // cannot happen here. Probing only now keeps runs whose clauses
+        // never reach the threshold from spawning the compiler probe.
+        status_ = Status::Ineligible;
+        ++stats.fallbacks;
       } else {
         source_ = jit_source(clause);
         status_ = Status::Pending;

@@ -6,11 +6,13 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "lang/translate.hpp"
@@ -628,11 +630,16 @@ TEST(Metrics, CollectorsCoverEveryProducer) {
 
   support::ThreadPool pool(2);
   pool.parallel_for_ranks(4, [](i64) {});
+  // The idle lane parks once its spin window closes.
+  for (int i = 0; i < 20000 && pool.parks() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   MetricsRegistry preg;
   collect(preg, pool);
   ASSERT_NE(preg.find("pool-joins"), nullptr);
   EXPECT_EQ(preg.find("pool-joins")->ival, 1);
   EXPECT_EQ(preg.find("pool-size")->ival, 2);
+  ASSERT_NE(preg.find("pool-parks"), nullptr);
+  EXPECT_GE(preg.find("pool-parks")->ival, 1);
 }
 
 TEST(Metrics, PathCountersStrDelegatesToRegistry) {

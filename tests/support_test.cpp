@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
@@ -217,6 +219,106 @@ TEST(ThreadPool, RethrowsTheLowestFailingRank) {
   } catch (const RuntimeFault& e) {
     EXPECT_TRUE(contains(e.what(), "rank 2 failed"));
   }
+}
+
+namespace {
+
+// Sleeps until `pool` counts one park per worker lane more than
+// `before`, read before the last call: every lane parks once per idle
+// stretch after the spin window, so this waits the window out without
+// timing it.
+void wait_until_parked(const support::ThreadPool& pool, i64 before) {
+  const i64 lanes = pool.size() - 1;
+  for (int i = 0; i < 20000 && pool.parks() < before + lanes; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_GE(pool.parks(), before + lanes);
+}
+
+// Runs one call of n ranks and checks each ran exactly once.
+void expect_every_rank_once(support::ThreadPool& pool, i64 n) {
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+  for (auto& h : hits) h.store(0);
+  pool.parallel_for_ranks(
+      n, [&](i64 r) { ++hits[static_cast<std::size_t>(r)]; });
+  for (i64 r = 0; r < n; ++r)
+    ASSERT_EQ(hits[static_cast<std::size_t>(r)].load(), 1)
+        << "rank " << r << " of " << n;
+}
+
+void expect_lowest_failure_rethrown(support::ThreadPool& pool) {
+  try {
+    pool.parallel_for_ranks(16, [&](i64 r) {
+      if (r >= 3 && r % 3 == 0)
+        throw RuntimeFault("rank " + std::to_string(r) + " failed");
+    });
+    FAIL() << "expected RuntimeFault";
+  } catch (const RuntimeFault& e) {
+    EXPECT_TRUE(contains(e.what(), "rank 3 failed")) << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(ThreadPool, BackToBackCallsWhileLanesSpin) {
+  // Calls that follow each other within the spin window find the lanes
+  // still polling the generation word.
+  support::ThreadPool pool(4);
+  for (int round = 0; round < 2000; ++round)
+    expect_every_rank_once(pool, 4);
+  expect_lowest_failure_rethrown(pool);
+  expect_every_rank_once(pool, 4);  // the pool survives the rethrow
+  EXPECT_EQ(pool.joins(), 2002);
+}
+
+TEST(ThreadPool, CallsAfterLanesParkWakeThem) {
+  support::ThreadPool pool(3);
+  i64 before = 0;
+  for (int round = 0; round < 3; ++round) {
+    wait_until_parked(pool, before);
+    before = pool.parks();
+    expect_every_rank_once(pool, 5);
+  }
+  wait_until_parked(pool, before);
+  expect_lowest_failure_rethrown(pool);
+  EXPECT_GE(pool.parks(), 1);
+}
+
+TEST(ThreadPool, DestroysWhileLanesSpinOrPark) {
+  { support::ThreadPool never_used(4); }
+  {
+    support::ThreadPool spinning(4);
+    expect_every_rank_once(spinning, 8);
+  }  // destroyed right after a call, lanes still polling
+  {
+    support::ThreadPool parked(4);
+    expect_every_rank_once(parked, 8);
+    wait_until_parked(parked, 0);
+  }  // destroyed with every lane asleep
+}
+
+TEST(ThreadPool, ConcurrentCallersSerialize) {
+  support::ThreadPool pool(4);
+  std::vector<std::thread> callers;
+  std::atomic<i64> total{0};
+  for (int c = 0; c < 2; ++c)
+    callers.emplace_back([&] {
+      for (int round = 0; round < 500; ++round) {
+        std::vector<int> mine(6, 0);  // unshared: one call at a time
+        pool.parallel_for_ranks(6, [&](i64 r) {
+          ++mine[static_cast<std::size_t>(r)];
+          total += r;
+        });
+        for (int h : mine) EXPECT_EQ(h, 1);
+      }
+    });
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(total.load(), 2 * 500 * (0 + 1 + 2 + 3 + 4 + 5));
+  EXPECT_EQ(pool.joins(), 1000);
+}
+
+TEST(ThreadPool, RankCountsBelowAndFarAboveTheLanes) {
+  support::ThreadPool pool(4);
+  for (i64 n : {2, 3, 4, 5, 4096}) expect_every_rank_once(pool, n);
 }
 
 namespace {
