@@ -37,10 +37,16 @@ std::string span_name(EventKind k) {
   return n;
 }
 
-std::string span_args(const TraceEvent& b) {
-  return cat("{\"step\":", b.step, ",\"virt\":", b.virt, ",\"a0\":", b.a0,
-             ",\"a1\":", b.a1, ",\"a2\":", b.a2, ",\"a3\":", b.a3, "}");
+// Step and virtual time come from `b`, the payload from `e`: a closed
+// span reports its End's payload (what a phase learns only as it ends,
+// such as the inspector's element and run counts). Begins carry no
+// payload but the barrier phase, which their End repeats.
+std::string span_args(const TraceEvent& b, const TraceEvent& e) {
+  return cat("{\"step\":", b.step, ",\"virt\":", b.virt, ",\"a0\":", e.a0,
+             ",\"a1\":", e.a1, ",\"a2\":", e.a2, ",\"a3\":", e.a3, "}");
 }
+
+std::string span_args(const TraceEvent& e) { return span_args(e, e); }
 
 // Emits one lane's records. `for_each` is anything that walks the
 // lane's events in order and hands each to a callback — a RankTrace or
@@ -74,7 +80,7 @@ void emit_lane_records(std::vector<std::string>& records, i64 lane,
           records.push_back(cat(
               "{\"name\":\"", span_name(b.kind), "\",\"ph\":\"X\",",
               head(lane, b.wall_ns), ",\"dur\":", us(e.wall_ns - b.wall_ns),
-              ",\"args\":", span_args(b), "}"));
+              ",\"args\":", span_args(b, e), "}"));
           open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
           break;
         }

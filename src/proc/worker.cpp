@@ -557,7 +557,7 @@ class Worker {
                      static_cast<i64>(in.size()));
       }
       rt::replay_rank(*sched, plan, site, rr_, in_bufs_.data(), 1, out_row,
-                      nullptr, nullptr, pc);
+                      nullptr, pc);
       rc = rt::scheduled_counters(*sched, p, rc);
       for (i64 d = 0; d < procs_; ++d)
         matrix_row[static_cast<std::size_t>(d)] =

@@ -211,11 +211,10 @@ void DistMachine::run_clause(const Clause& clause) {
   // JIT dispatch: poll the entry's state once per execution (arming
   // counter, compile status, pointer swap). Requires an affine kernel;
   // armed faults keep the fully observable bytecode.
-  spmd::JitState* js = nullptr;
   const spmd::JitFns* jfns = nullptr;
   if (engine_.jit && plan.kernel().affine() && !fault_armed)
     jfns = ctx_->poll_jit(entry, clause, plan.kernel(), engine_, jit_,
-                          tr, step_id, &js);
+                          tr, step_id);
 
   // Communication-schedule dispatch (inspector–executor): a clean step
   // runs the executor, inspecting the plan for a schedule first when
@@ -283,7 +282,7 @@ void DistMachine::run_clause(const Clause& clause) {
   }
 
   if (sched)
-    run_scheduled(plan, *sched, js, jfns, stored, step_id);
+    run_scheduled(plan, *sched, jfns, stored, step_id);
   else
     run_tagged(plan, active_faults, step_id);
 
@@ -378,7 +377,7 @@ void DistMachine::run_tagged(const ClausePlan& plan,
 // stored schedule (a hit), false for the one just inspected.
 void DistMachine::run_scheduled(const ClausePlan& plan,
                                 const spmd::CommSchedule& sched,
-                                spmd::JitState* js, const spmd::JitFns* jfns,
+                                const spmd::JitFns* jfns,
                                 bool replay, i64 step_id) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
@@ -413,7 +412,7 @@ void DistMachine::run_scheduled(const ClausePlan& plan,
   for_ranks(procs, [&](i64 p) {
     const auto up = static_cast<std::size_t>(p);
     replay_rank(sched, plan, site(p), rank_rows_[up], bufs.data() + p, procs,
-                store_.local_row_mut(lhs, p), jfns, js, step_pcs_[up]);
+                store_.local_row_mut(lhs, p), jfns, step_pcs_[up]);
   });
   VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/2);
 

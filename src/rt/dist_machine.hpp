@@ -131,6 +131,14 @@ class DistMachine {
   /// pins that).
   const spmd::JitStats& jit_stats() const noexcept { return jit_; }
 
+  /// The pool this machine runs its ranks on: its own, or the
+  /// process-wide one at threads 0; null at threads 1, which runs every
+  /// rank inline. Reporting only (`pool:` under vcalc --stats).
+  const support::ThreadPool* pool() const {
+    if (engine_.threads == 1) return nullptr;
+    return pool_ ? pool_.get() : &support::ThreadPool::shared();
+  }
+
   /// Per-rank message counts of the last executed step (for tests and
   /// benchmark reporting).
   const std::vector<RankCounters>& last_step_counters() const noexcept {
@@ -161,7 +169,7 @@ class DistMachine {
   /// by offset with live guard/RHS. `replay` is true for a stored
   /// schedule (a hit), false for the one just inspected.
   void run_scheduled(const spmd::ClausePlan& plan,
-                     const spmd::CommSchedule& sched, spmd::JitState* js,
+                     const spmd::CommSchedule& sched,
                      const spmd::JitFns* jfns, bool replay, i64 step_id);
 
   void run_redistribute(const spmd::RedistStep& step);

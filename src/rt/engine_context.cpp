@@ -7,8 +7,7 @@ namespace vcal::rt {
 const spmd::JitFns* EngineContext::poll_jit(
     spmd::PlanCache::Entry& entry, const prog::Clause& clause,
     const spmd::ClauseKernel& kern, const EngineOptions& engine,
-    spmd::JitStats& stats, obs::Tracer* tr, i64 step_id,
-    spmd::JitState** js) {
+    spmd::JitStats& stats, obs::Tracer* tr, i64 step_id) {
   if (!entry.jit) entry.jit = std::make_shared<spmd::JitState>();
   spmd::JitConfig cfg;
   cfg.enabled = true;
@@ -22,7 +21,6 @@ const spmd::JitFns* EngineContext::poll_jit(
     VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, step_id, cfg.sync ? 1 : 0);
   if (r.swapped)
     VCAL_TRACE(tr, ctl, obs::EventKind::JitSwap, step_id, r.cached ? 0 : 1);
-  *js = entry.jit.get();
   return r.fns;
 }
 

@@ -61,14 +61,14 @@ class EngineContext {
   /// entry on first use, polls it with the engine's knobs and this
   /// context's compile service, and records JitBuild / JitSwap on the
   /// control lane of `tr` (when tracing) at `step_id`. Returns the
-  /// jitted entry points when ready (the owning state via `js`),
-  /// nullptr while the bytecode kernel keeps running.
+  /// jitted entry points when ready, nullptr while the bytecode kernel
+  /// keeps running.
   const spmd::JitFns* poll_jit(spmd::PlanCache::Entry& entry,
                                const prog::Clause& clause,
                                const spmd::ClauseKernel& kern,
                                const EngineOptions& engine,
                                spmd::JitStats& stats, obs::Tracer* tr,
-                               i64 step_id, spmd::JitState** js);
+                               i64 step_id);
 
   /// Allocates a tracer owned by this context (machines hold it as a
   /// non-owning pointer). Kept alive until the context dies so traces

@@ -263,7 +263,7 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
   // no checks, no calls through the plan, and no allocations — just
   // strided row reads, the bytecode evaluator on a preallocated stack,
   // and a strided row write.
-  auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+  auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
     i64 la = f.la, v = f.v0;
     for (i64 k = 0; k < f.n; ++k) {
       vals[static_cast<std::size_t>(inner)] = v;
@@ -337,7 +337,6 @@ void Inspector::rank(const RankSite& site) {
   const i64 p = site.p;
   const i64 procs = plan.procs();
   const int nrefs = sched_->nrefs;
-  const i64 nloops = sched_->nloops;
   spmd::CommSchedule& cs = *sched_;
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::InspectBegin, site.step);
   // Rank-local scratch, published once at the end: the other ranks'
@@ -347,7 +346,8 @@ void Inspector::rank(const RankSite& site) {
   std::vector<std::vector<spmd::PackOp>> from(static_cast<std::size_t>(procs));
   const i64 out_len = lhs.local_capacity(p);
   const i64* row_len = row_len_.data();
-  cs.reserve(p, plan.modify_space(p).count());
+  // A non-affine clause has no strided runs: every element is a record.
+  if (!kern.affine()) cs.reserve(p, plan.modify_space(p).count());
 
   // Phase 1 of the tagged step: rank p enumerates each of its Reside_p
   // spaces once.
@@ -402,15 +402,10 @@ void Inspector::rank(const RankSite& site) {
     cs.note_element(p, slot, vals.data());
   };
   // A fused run is proven local and in bounds for the LHS and every ref:
-  // note it in bulk.
-  auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+  // note it as one run.
+  auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
     if (bad) return;
-    for (i64 k = 0; k < f.n; ++k) {
-      vals[static_cast<std::size_t>(nloops - 1)] = f.v0 + k * f.vstride;
-      cs.note_element(p, f.la + k * f.lstride, vals.data());
-      for (int r = 0; r < nrefs; ++r)
-        cs.note_local(p, r, f.raddr[r] + k * f.rstride[r]);
-    }
+    cs.note_run(p, vals.data(), f);
     rc.local_reads += f.n * nrefs;
   };
   gen::EnumStats es;
@@ -431,8 +426,9 @@ void Inspector::rank(const RankSite& site) {
   for (i64 src = 0; src < procs; ++src)
     cs.send[static_cast<std::size_t>(src)].to[static_cast<std::size_t>(p)] =
         std::move(from[static_cast<std::size_t>(src)]);
-  VCAL_TRACE(site.tr, site.lane, obs::EventKind::InspectEnd, site.step,
-             cs.recv[static_cast<std::size_t>(p)].n);
+  const spmd::RecvPlan& rv = cs.recv[static_cast<std::size_t>(p)];
+  VCAL_TRACE(site.tr, site.lane, obs::EventKind::InspectEnd, site.step, rv.n,
+             rv.records(), rv.runs);
 }
 
 std::unique_ptr<spmd::CommSchedule> Inspector::finish() {
@@ -484,7 +480,7 @@ void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
                  const RankSite& site, RankRows& rr,
                  const std::vector<double>* in, i64 in_stride,
                  std::vector<double>& out_row, const spmd::JitFns* jfns,
-                 spmd::JitState* js, PathCounters& pc) {
+                 PathCounters& pc) {
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::GatherBegin, site.step);
   const spmd::ClauseKernel& kern = plan.kernel();
   const i64 p = site.p;
@@ -494,7 +490,12 @@ void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
   const spmd::RecvPlan& rv = s.recv[static_cast<std::size_t>(p)];
   rr.refs.resize(static_cast<std::size_t>(nrefs));
   rr.stack.resize(static_cast<std::size_t>(kern.stack_need()));
+  rr.cursor.resize(static_cast<std::size_t>(nloops + nrefs));
   const spmd::CompiledGuard* guard = kern.guard();
+  const spmd::CompiledExpr& rhs = kern.rhs();
+  double* refs = rr.refs.data();
+  double* stack = rr.stack.data();
+  double* out = out_row.data();
 
   // Operand bases in the schedule's id encoding (RecvPlan): ref rows,
   // then the packed buffer from each source rank (none when in is
@@ -511,49 +512,60 @@ void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
         in ? in[src * in_stride].data() : nullptr;
   const double* const* bases = rr.bases.data();
 
-  // Jitted replay: execute the flattened segment program instead of the
-  // per-element dispatch — constant-stride runs go through the
-  // vectorizable fused entry, irregular stretches (halo and packed
-  // operands included) through the gather entry. A rank with any ==
-  // false (a guarded-OOB slot) keeps the bytecode loop below.
-  const spmd::JitRankProg* rp = nullptr;
-  if (jfns && js) {
-    const spmd::JitRankProg& prog =
-        js->replay_prog(s)->ranks[static_cast<std::size_t>(p)];
-    if (prog.any) rp = &prog;
-  }
-  if (rp) {
-    for (const spmd::JitSegment& sg : rp->segs) {
-      if (sg.fused)
-        jfns->fused(out_row.data(), sg.la0, sg.la_stride, bases,
-                    sg.raddr0.data(), sg.rstride.data(),
-                    rv.vals.data() + sg.e0 * nloops, sg.v0, sg.vstride, sg.n);
-      else
-        jfns->replay(out_row.data(), bases, rv.ids.data() + sg.e0 * nrefs,
-                     rv.offs.data() + sg.e0 * nrefs,
-                     rv.lhs_slot.data() + sg.e0,
-                     rv.vals.data() + sg.e0 * nloops, sg.n);
-    }
-    pc.jit += rv.n;
-  } else {
-    for (i64 e = 0; e < rv.n; ++e) {
-      const i64* vals = rv.vals.data() + e * nloops;
-      const i64* ids = rv.ids.data() + e * nrefs;
-      const i64* offs = rv.offs.data() + e * nrefs;
-      for (int r = 0; r < nrefs; ++r)
-        rr.refs[static_cast<std::size_t>(r)] = bases[ids[r]][offs[r]];
-      if (guard && !guard->holds(rr.refs.data(), vals, rr.stack.data()))
+  // The segments in walk order. Jitted, runs go through the
+  // vectorizable fused entry and element stretches (halo and packed
+  // operands included) through the gather entry. A rank with a
+  // guarded-out-of-range slot stays on bytecode, whose element loop
+  // raises the tagged path's fault when the guard holds.
+  const bool jit = jfns && !rv.oob_slot;
+  for (const spmd::RecvSegment& sg : rv.segs) {
+    if (sg.run) {
+      const i64* vals0 = rv.run_vals.data() + sg.at * nloops;
+      const i64* addr0 = rv.run_addr.data() + sg.at * 2 * nrefs;
+      const i64* stride = addr0 + nrefs;
+      if (jit) {
+        jfns->fused(out, sg.la, sg.lstride, bases, addr0, stride, vals0,
+                    sg.v0, sg.vstride, sg.n);
         continue;
-      const double value =
-          kern.rhs().eval(rr.refs.data(), vals, rr.stack.data());
-      const i64 slot = rv.lhs_slot[static_cast<std::size_t>(e)];
-      if (slot < 0)
+      }
+      // The loop tuple, then one offset cursor per ref.
+      i64* vals = rr.cursor.data();
+      i64* at = vals + nloops;
+      std::copy_n(vals0, nloops, vals);
+      std::copy_n(addr0, nrefs, at);
+      i64 la = sg.la, v = sg.v0;
+      const i64 lstride = sg.lstride, vstride = sg.vstride;
+      for (i64 k = 0; k < sg.n; ++k, la += lstride, v += vstride) {
+        vals[nloops - 1] = v;
+        for (int r = 0; r < nrefs; ++r) {
+          refs[r] = bases[r][at[r]];
+          at[r] += stride[r];
+        }
+        if (guard && !guard->holds(refs, vals, stack)) continue;
+        out[la] = rhs.eval(refs, vals, stack);
+      }
+      continue;
+    }
+    const i64* slots = rv.lhs_slot.data() + sg.at;
+    const i64* vals = rv.vals.data() + sg.at * nloops;
+    const i64* ids = rv.ids.data() + sg.at * nrefs;
+    const i64* offs = rv.offs.data() + sg.at * nrefs;
+    if (jit) {
+      jfns->replay(out, bases, ids, offs, slots, vals, sg.n);
+      continue;
+    }
+    for (i64 e = 0; e < sg.n; ++e, vals += nloops, ids += nrefs,
+             offs += nrefs) {
+      for (int r = 0; r < nrefs; ++r) refs[r] = bases[ids[r]][offs[r]];
+      if (guard && !guard->holds(refs, vals, stack)) continue;
+      const double value = rhs.eval(refs, vals, stack);
+      if (slots[e] < 0)
         throw RuntimeFault("local write out of bounds on " +
                            plan.clause().lhs_array);
-      out_row[static_cast<std::size_t>(slot)] = value;
+      out[slots[e]] = value;
     }
-    pc.sched += rv.n;
   }
+  (jit ? pc.jit : pc.sched) += rv.n;
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::GatherEnd, site.step, rv.n);
 }
 

@@ -20,8 +20,9 @@
 //   or the scheduled path (every other step), from the CommSchedule an
 //   Inspector derives once per clause and layout:
 //   1. pack_rank: pack values positionally, in SendPlan order;
-//   2. replay_rank: satisfy every operand by offset and evaluate the
-//      guard and RHS live.
+//   2. replay_rank: run the rank's schedule segments — strided runs over
+//      its own rows and per-element records that satisfy each operand by
+//      offset — and evaluate the guard and RHS live.
 // Both paths produce the same stores, counters and message matrix; the
 // conformance oracle pins that.
 //
@@ -76,6 +77,7 @@ struct RankRows {
   std::vector<const std::vector<double>*> halo;
   std::vector<double> refs, stack;   // replay operand values, RHS stack
   std::vector<const double*> bases;  // replay operand bases (RecvPlan)
+  std::vector<i64> cursor;  // a replayed run's loop tuple and offsets
 };
 
 // ---- Phase 0: halo refresh ----------------------------------------------
@@ -121,22 +123,6 @@ void fill_halo_row(const decomp::ArrayDesc& rd, i64 p,
 
 // ---- Modify_p walk ------------------------------------------------------
 
-/// One provably-resident stretch of an innermost run: n elements whose
-/// loop value starts at v0 and advances by vstride, whose LHS slot
-/// starts at la and advances by lstride, and whose ref r operand sits at
-/// offset raddr[r], advancing by rstride[r] — slots and offsets in the
-/// walk's addressing. raddr is the walker's per-run scratch: the callee
-/// may advance it in place.
-struct FusedRun {
-  i64 v0 = 0;
-  i64 vstride = 0;
-  i64 n = 0;
-  i64 la = 0;
-  i64 lstride = 0;
-  i64* raddr = nullptr;
-  const i64* rstride = nullptr;
-};
-
 /// Walks rank p's Modify_p space in order. For an affine kernel each
 /// innermost run splits into the maximal subrange the strided-run proof
 /// shows in bounds (and, in rank p's local rows, resident on p) for the
@@ -150,6 +136,7 @@ struct FusedRun {
 template <typename Element, typename Fused>
 void walk_modify(const spmd::ClausePlan& plan, i64 p, bool dense,
                  gen::EnumStats* es, Element&& element, Fused&& fused) {
+  using spmd::FusedRun;
   const spmd::ClauseKernel& kern = plan.kernel();
   const spmd::IterationSpace& space = plan.modify_space(p);
   const int inner = space.dims() - 1;
@@ -275,10 +262,13 @@ class Inspector {
  public:
   explicit Inspector(const spmd::ClausePlan& plan);
 
-  /// Walks rank site.p's Modify_p and resolves every operand as local,
-  /// halo or remote, inside an inspect span on site.lane. The walk's
-  /// counters, refusal flag and pack lists stay in rank-local scratch
-  /// and are published once, when it ends.
+  /// Walks rank site.p's Modify_p inside an inspect span on site.lane.
+  /// Each FusedRun the walk hands it becomes one run of the rank's
+  /// RecvPlan, without visiting its elements; every other element
+  /// becomes a record whose operands resolve as local, halo or remote.
+  /// The walk's counters, refusal flag and pack lists stay in rank-local
+  /// scratch and are published once, when it ends. The span's End
+  /// carries the elements, element records and runs noted.
   void rank(const RankSite& site);
 
   /// The schedule, or null when some element would fault (the tagged
@@ -297,16 +287,19 @@ class Inspector {
 void pack_rank(const spmd::CommSchedule& s, const RankSite& site,
                const RankRows& rr, std::vector<double>* out);
 
-/// Executor phase 2 on site.p: reads every operand by (base, offset) —
-/// local row, halo row, or the buffer from src at in[src * in_stride]
-/// (in null: no packed buffers) — and evaluates the guard and RHS live
-/// into out_row. Runs the jitted replay program when jfns and js are
-/// non-null.
+/// Executor phase 2 on site.p: runs rank p's RecvPlan segments in walk
+/// order — a run by offset progressions into the ref rows, an element
+/// record by (base, offset) into a local row, a halo row, or the buffer
+/// from src at in[src * in_stride] (in null: no packed buffers) — and
+/// evaluates the guard and RHS live into out_row. With jfns non-null the
+/// segments go through the jitted entries (runs vcal_jit_fused, element
+/// stretches vcal_jit_replay) unless the rank holds a guarded
+/// out-of-range slot.
 void replay_rank(const spmd::CommSchedule& s, const spmd::ClausePlan& plan,
                  const RankSite& site, RankRows& rr,
                  const std::vector<double>* in, i64 in_stride,
                  std::vector<double>& out_row, const spmd::JitFns* jfns,
-                 spmd::JitState* js, PathCounters& pc);
+                 PathCounters& pc);
 
 /// Rank p's counters for a scheduled step: the schedule's, with the halo
 /// counters the live refresh charged to `live`.

@@ -105,12 +105,11 @@ void SharedMachine::run() {
         // JIT dispatch: poll the entry's state once per execution
         // (arming counter, compile status, pointer swap). Requires an
         // affine kernel.
-        spmd::JitState* js = nullptr;
         const spmd::JitFns* jfns = nullptr;
         if (engine_.jit && plan.kernel().affine())
           jfns = ctx_->poll_jit(entry, *clause, plan.kernel(), engine_,
-                                jit_, tr, trace_step_, &js);
-        run_clause(*clause, entry, js, jfns);
+                                jit_, tr, trace_step_);
+        run_clause(*clause, entry, jfns);
         pending = &plan;
         pending_exists = true;
       }
@@ -143,7 +142,7 @@ void SharedMachine::run() {
 // walk.
 void SharedMachine::run_clause(const Clause& clause,
                                spmd::PlanCache::Entry& entry,
-                               spmd::JitState* js, const spmd::JitFns* jfns) {
+                               const spmd::JitFns* jfns) {
   obs::Tracer* tr = tracer_;
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = trace_step_;
@@ -192,13 +191,13 @@ void SharedMachine::run_clause(const Clause& clause,
     for_ranks(procs, [&](i64 p) {
       const auto up = static_cast<std::size_t>(p);
       replay_rank(*sched, plan, RankSite{p, tr, p, step_id}, rank_rows_[up],
-                  nullptr, 0, out, jfns, js, step_pcs_[up]);
+                  nullptr, 0, out, jfns, step_pcs_[up]);
     });
     ++comm_.sched_hits;
     VCAL_TRACE(tr, ctl, obs::EventKind::SchedHit, step_id);
   } else {
-    // Recording passes run the bytecode loop: the note_* hooks have to
-    // observe every element the replay will execute.
+    // Recording passes run the bytecode loop while the note_* hooks
+    // note every element and run the replay will execute.
     auto rec = std::make_unique<spmd::CommSchedule>();
     rec->init(procs, static_cast<int>(clause.loops.size()),
               static_cast<int>(nrefs));
@@ -236,10 +235,10 @@ void SharedMachine::run_clause(const Clause& clause,
 }
 
 // Rank p's share of a recording step over the dense image: the element
-// body (bounds checks, dense operand reads, guard, RHS, dense write) and
-// the fused body (a check-free bytecode loop), noting every element into
-// `rec`. Guards are evaluated on replay, so guarded-off elements are
-// noted too.
+// body (bounds checks, dense operand reads, guard, RHS, dense write),
+// noting each element into `rec`, and the fused body (a check-free
+// bytecode loop), noting its run as one. Guards are evaluated on
+// replay, so guarded-off elements are noted too.
 void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
                               spmd::CommSchedule& rec,
                               std::vector<double>& out, i64 step_id) {
@@ -265,7 +264,8 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
   const spmd::CompiledGuard* guard = kern.guard();
   const spmd::CompiledExpr& rhs = kern.rhs();
   std::vector<i64> out_idx, idx;  // per-rank scratch
-  rec.reserve(p, plan.modify_space(p).count());
+  // A non-affine clause has no strided runs: every element is a record.
+  if (!kern.affine()) rec.reserve(p, plan.modify_space(p).count());
 
   auto element = [&](const std::vector<i64>& vals) {
     ++pc.generic;
@@ -287,13 +287,12 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
     if (guard && !guard->holds(refs, vals.data(), stack)) return;
     out[static_cast<std::size_t>(slot)] = rhs.eval(refs, vals.data(), stack);
   };
-  auto fused = [&](std::vector<i64>& vals, const FusedRun& f) {
+  auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
+    rec.note_run(p, vals.data(), f);
     i64 la = f.la, v = f.v0;
     for (i64 k = 0; k < f.n; ++k) {
       vals[static_cast<std::size_t>(inner)] = v;
-      rec.note_element(p, la, vals.data());
       for (int r = 0; r < nrefs; ++r) {
-        rec.note_local(p, r, f.raddr[r]);
         refs[r] = rr.bases[static_cast<std::size_t>(r)][f.raddr[r]];
         f.raddr[r] += f.rstride[r];
       }

@@ -89,6 +89,14 @@ class SharedMachine {
   /// pins that).
   const spmd::JitStats& jit_stats() const noexcept { return jit_; }
 
+  /// The pool this machine runs its ranks on: its own, or the
+  /// process-wide one at threads 0; null at threads 1, which runs every
+  /// rank inline. Reporting only (`pool:` under vcalc --stats).
+  const support::ThreadPool* pool() const {
+    if (engine_.threads == 1) return nullptr;
+    return pool_ ? pool_.get() : &support::ThreadPool::shared();
+  }
+
   /// The attached event tracer (EngineOptions::trace); nullptr when
   /// tracing is off. Lanes 0..procs-1 are ranks, lane procs the engine.
   /// Owned by the EngineContext, so it outlives this machine.
@@ -99,7 +107,7 @@ class SharedMachine {
   /// schedule, or walks every rank's Modify_p and records one into the
   /// entry.
   void run_clause(const prog::Clause& clause, spmd::PlanCache::Entry& entry,
-                  spmd::JitState* js, const spmd::JitFns* jfns);
+                  const spmd::JitFns* jfns);
   /// Rank p's Modify_p walk over the dense image, writing into `out`
   /// and recording into `rec`.
   void walk_rank(const spmd::ClausePlan& plan, i64 p,

@@ -37,7 +37,20 @@
 // rank) and keeps everything else it writes per element — counters,
 // refusal flag, the pack lists it reads from each source — in
 // rank-local scratch until it ends; each pack list then moves whole
-// into its source's SendPlan. A redistribute moves the clause to
+// into its source's SendPlan.
+//
+// The schedule is run-level: the paper's point is that a clause's
+// communication follows from the decomposition in closed form, and a
+// strided run (FusedRun, as rt::walk_modify finds them) is that form. A
+// run the strided-run proof shows local is noted as one record — loop
+// and slot progressions plus an offset start and stride per ref — so
+// neither the walk nor the replay touches its elements one by one; only
+// the elements outside such runs (halo, remote, guarded out-of-range,
+// non-affine) are noted per element. A 1-D block overlap(1) stencil's
+// rank holds one run and two element records. The replay runs the
+// segments in walk order: runs through a strided loop (or the jitted
+// vcal_jit_fused), element stretches through the per-element loop (or
+// vcal_jit_replay). A redistribute moves the clause to
 // another entry, and a return to an earlier layout replays that
 // layout's schedule at once.
 // The tagged path runs only for an armed fault (which is also how tests
@@ -76,25 +89,75 @@ struct SendPlan {
   std::vector<std::vector<PackOp>> to;  // per destination rank
 };
 
-/// Per-destination-rank executor program: for each of the n elements
-/// this rank computes, the LHS slot (-1 when the tagged path would fault
-/// on an in-range-guarded write), the loop tuple, and one operand per
-/// clause reference as an (operand base, offset) pair. The bases of a
-/// schedule over R refs and P ranks are numbered
+/// One provably-resident stretch of an innermost run: n elements whose
+/// loop value starts at v0 and advances by vstride, whose LHS slot
+/// starts at la and advances by lstride, and whose ref r operand sits at
+/// offset raddr[r], advancing by rstride[r] — slots and offsets in the
+/// walk's addressing (rt::walk_modify hands these to its callers). raddr is the walker's per-run scratch: the callee
+/// may advance it in place.
+struct FusedRun {
+  i64 v0 = 0;
+  i64 vstride = 0;
+  i64 n = 0;
+  i64 la = 0;
+  i64 lstride = 0;
+  i64* raddr = nullptr;
+  const i64* rstride = nullptr;
+};
+
+/// One piece of a rank's replay, in walk order: a strided run, or a
+/// stretch of consecutive per-element records.
+struct RecvSegment {
+  i64 n = 0;         // elements
+  i64 at = 0;        // a stretch: its first element record; a run: its
+                     // row in RecvPlan::run_vals / run_addr
+  bool run = false;
+  // A run's element k writes LHS slot la + k*lstride with innermost
+  // loop value v0 + k*vstride (the outer values fixed).
+  i64 la = 0, lstride = 0;
+  i64 v0 = 0, vstride = 0;
+};
+
+/// Per-destination-rank executor program: the elements this rank
+/// computes, in walk order, as a list of segments (RecvSegment) of two
+/// kinds.
+///
+/// A *run* is a stretch the strided-run proof shows local and in bounds
+/// for the LHS and every ref: the clause's signature function in its
+/// affine form. It stores its first loop tuple, its LHS slot and loop
+/// value progressions, and one offset start and stride per ref, each
+/// into ref r's own row.
+///
+/// A *stretch* holds per-element records: the LHS slot (-1 when the
+/// tagged path would fault on an in-range-guarded write), the loop tuple
+/// and one operand per clause reference as an (operand base, offset)
+/// pair. The bases of a schedule over R refs and P ranks are numbered
 ///   r            ref r's pre-clause row (replicated refs fold in here),
 ///   R + s        the packed buffer arriving from source rank s,
 ///   R + P + r    this rank's dense halo row of ref r's array (offset =
 ///                ArrayDesc::halo_slot),
-/// so replay reads every operand as bases[id][off], jitted or not, and
-/// the arrays are laid out as JitReplayFn takes them. Each rank's plan
-/// sits on its own cache line: the note_* hooks grow it once per
-/// element while the other ranks grow theirs.
+/// so replay reads every record's operand as bases[id][off], jitted or
+/// not, and the arrays are laid out as JitReplayFn takes them; a run
+/// reads bases[r][start + k*stride], as JitFusedFn takes it.
+///
+/// Each rank's plan sits on its own cache line: the note_* hooks grow it
+/// while the other ranks grow theirs.
 struct alignas(64) RecvPlan {
-  i64 n = 0;
+  i64 n = 0;              // elements, the runs' included
+  i64 runs = 0;
+  bool oob_slot = false;  // some element record's LHS slot is -1
+  std::vector<RecvSegment> segs;
+  // Element records:
   std::vector<i64> lhs_slot;
-  std::vector<i64> vals;  // n * nloops loop tuples, flattened
-  std::vector<i64> ids;   // n * nrefs operand bases, flattened
-  std::vector<i64> offs;  // n * nrefs offsets into those bases
+  std::vector<i64> vals;  // records * nloops loop tuples, flattened
+  std::vector<i64> ids;   // records * nrefs operand bases, flattened
+  std::vector<i64> offs;  // records * nrefs offsets into those bases
+  // Runs:
+  std::vector<i64> run_vals;  // runs * nloops: each run's first tuple
+  std::vector<i64> run_addr;  // runs * 2*nrefs: offset starts, then
+                              // offset strides
+
+  i64 records() const { return static_cast<i64>(lhs_slot.size()); }
 };
 
 /// The compiled schedule for one clause plan (one clause at one layout
@@ -121,8 +184,14 @@ class CommSchedule : public CachedSchedule {
   /// Operand bases one rank's replay indexes (see RecvPlan).
   i64 bases() const { return nrefs + procs + nrefs; }
 
+  /// Runs shorter than this are noted element by element, joining the
+  /// stretch around them: a call per run would cost more than the
+  /// gather it replaces.
+  static constexpr i64 kMinRun = 8;
+
   // ---- recording hooks (rank p touches recv[p] only) ----
-  /// Sizes recv[p] for n elements.
+  /// Sizes recv[p]'s element records for n elements (a walk that notes
+  /// no runs).
   void reserve(i64 p, i64 n) {
     RecvPlan& rv = recv[static_cast<std::size_t>(p)];
     rv.lhs_slot.reserve(static_cast<std::size_t>(n));
@@ -130,9 +199,18 @@ class CommSchedule : public CachedSchedule {
     rv.ids.reserve(static_cast<std::size_t>(n * nrefs));
     rv.offs.reserve(static_cast<std::size_t>(n * nrefs));
   }
+  /// One element record; its operands follow through note_local,
+  /// note_halo and note_remote.
   void note_element(i64 p, i64 slot, const i64* vals_) {
     RecvPlan& rv = recv[static_cast<std::size_t>(p)];
+    if (rv.segs.empty() || rv.segs.back().run) {
+      RecvSegment sg;
+      sg.at = rv.records();
+      rv.segs.push_back(sg);
+    }
+    ++rv.segs.back().n;
     ++rv.n;
+    if (slot < 0) rv.oob_slot = true;
     rv.lhs_slot.push_back(slot);
     for (int d = 0; d < nloops; ++d) rv.vals.push_back(vals_[d]);
   }
@@ -142,6 +220,35 @@ class CommSchedule : public CachedSchedule {
   }
   void note_remote(i64 p, i64 src, i64 slot) {
     note_op(p, nrefs + src, slot);
+  }
+  /// A run whose every ref reads its own row, at the outer loop values
+  /// of vals_ (f.raddr is left as it was). Sets vals_'s innermost value.
+  void note_run(i64 p, i64* vals_, const FusedRun& f) {
+    const int inner = nloops - 1;
+    if (f.n < kMinRun) {
+      for (i64 k = 0; k < f.n; ++k) {
+        vals_[inner] = f.v0 + k * f.vstride;
+        note_element(p, f.la + k * f.lstride, vals_);
+        for (int r = 0; r < nrefs; ++r)
+          note_local(p, r, f.raddr[r] + k * f.rstride[r]);
+      }
+      return;
+    }
+    vals_[inner] = f.v0;
+    RecvPlan& rv = recv[static_cast<std::size_t>(p)];
+    RecvSegment sg;
+    sg.n = f.n;
+    sg.at = rv.runs++;
+    sg.run = true;
+    sg.la = f.la;
+    sg.lstride = f.lstride;
+    sg.v0 = f.v0;
+    sg.vstride = f.vstride;
+    rv.segs.push_back(sg);
+    rv.n += f.n;
+    rv.run_vals.insert(rv.run_vals.end(), vals_, vals_ + nloops);
+    rv.run_addr.insert(rv.run_addr.end(), f.raddr, f.raddr + nrefs);
+    rv.run_addr.insert(rv.run_addr.end(), f.rstride, f.rstride + nrefs);
   }
 
  private:

@@ -5,7 +5,6 @@
 
 #include "emit/c_expr.hpp"
 #include "obs/metrics.hpp"
-#include "spmd/comm_schedule.hpp"
 #include "support/toolchain.hpp"
 
 namespace vcal::spmd {
@@ -149,121 +148,6 @@ std::string jit_fingerprint(const std::string& source) {
   // the toolchain fingerprint over the bare source (tests use this to
   // locate <fp>.c/.so in the cache directory).
   return NativeToolchain::fingerprint(source);
-}
-
-// ---- replay flattening ----------------------------------------------
-
-namespace {
-
-/// Minimum constant-stride run length worth a vcal_jit_fused call;
-/// anything shorter stays in the surrounding replay segment.
-constexpr i64 kMinFusedRun = 8;
-
-/// Builds the segment list of one rank's RecvPlan. Covers all rv.n
-/// elements or leaves rp.any == false.
-void build_rank_prog(JitRankProg& rp, const RecvPlan& rv, int R, int L) {
-  const i64 n = rv.n;
-  const i64* slots = rv.lhs_slot.data();
-  const i64* vals = rv.vals.data();
-  const i64* ids = rv.ids.data();
-  const i64* offs = rv.offs.data();
-  rp.any = false;
-  rp.segs.clear();
-  if (n == 0) {
-    rp.any = true;  // trivially covered: nothing to execute
-    return;
-  }
-  // A guarded-OOB slot (-1) must raise the tagged path's fault: it
-  // keeps the rank on bytecode.
-  std::vector<char> direct(static_cast<std::size_t>(n), 0);
-  for (i64 e = 0; e < n; ++e) {
-    if (slots[e] < 0) return;
-    // Only an element reading every ref from its own row can fuse.
-    bool d = true;
-    for (int r = 0; r < R; ++r) d = d && ids[e * R + r] == r;
-    direct[static_cast<std::size_t>(e)] = d ? 1 : 0;
-  }
-  const int I = L - 1;
-  auto push_replay = [&](i64 at) {
-    if (!rp.segs.empty() && !rp.segs.back().fused &&
-        rp.segs.back().e0 + rp.segs.back().n == at) {
-      ++rp.segs.back().n;
-      return;
-    }
-    JitSegment s;
-    s.e0 = at;
-    s.n = 1;
-    rp.segs.push_back(std::move(s));
-  };
-  i64 e = 0;
-  while (e < n) {
-    if (direct[static_cast<std::size_t>(e)]) {
-      // Grow the maximal run anchored at e whose offsets, LHS slot, and
-      // innermost loop value all advance by constants while the outer
-      // loop values stay fixed.
-      std::vector<i64> doff(static_cast<std::size_t>(R), 0);
-      i64 dslot = 0, dv = 0;
-      bool have_delta = false;
-      i64 j = e;
-      while (j + 1 < n && direct[static_cast<std::size_t>(j + 1)]) {
-        bool okp = true;
-        for (int d = 0; d < I && okp; ++d)
-          okp = vals[(j + 1) * L + d] == vals[e * L + d];
-        if (okp && !have_delta) {
-          for (int r = 0; r < R; ++r)
-            doff[static_cast<std::size_t>(r)] =
-                offs[(j + 1) * R + r] - offs[j * R + r];
-          dslot = slots[j + 1] - slots[j];
-          dv = vals[(j + 1) * L + I] - vals[j * L + I];
-          have_delta = true;
-        } else if (okp) {
-          for (int r = 0; r < R && okp; ++r)
-            okp = offs[(j + 1) * R + r] - offs[j * R + r] ==
-                  doff[static_cast<std::size_t>(r)];
-          okp = okp && slots[j + 1] - slots[j] == dslot &&
-                vals[(j + 1) * L + I] - vals[j * L + I] == dv;
-        }
-        if (!okp) break;
-        ++j;
-      }
-      const i64 len = j - e + 1;
-      if (len >= kMinFusedRun) {
-        JitSegment s;
-        s.fused = true;
-        s.e0 = e;
-        s.n = len;
-        s.la0 = slots[e];
-        s.la_stride = dslot;
-        s.v0 = vals[e * L + I];
-        s.vstride = dv;
-        s.raddr0.resize(static_cast<std::size_t>(R));
-        for (int r = 0; r < R; ++r)
-          s.raddr0[static_cast<std::size_t>(r)] = offs[e * R + r];
-        s.rstride = doff;
-        rp.segs.push_back(std::move(s));
-        e = j + 1;
-        continue;
-      }
-    }
-    push_replay(e);
-    ++e;
-  }
-  rp.any = true;
-}
-
-}  // namespace
-
-const JitReplayProg* JitState::replay_prog(const CommSchedule& s) {
-  std::lock_guard<std::mutex> lk(m_);
-  if (replay_ && replay_->sched == &s) return replay_.get();
-  auto prog = std::make_unique<JitReplayProg>();
-  prog->sched = &s;
-  prog->ranks.resize(static_cast<std::size_t>(s.procs));
-  for (i64 p = 0; p < s.procs; ++p)
-    build_rank_prog(prog->ranks[static_cast<std::size_t>(p)],
-                    s.recv[static_cast<std::size_t>(p)], s.nrefs, s.nloops);
-  replay_ = std::move(prog);
-  return replay_.get();
 }
 
 // ---- arming / dispatch ----------------------------------------------

@@ -17,22 +17,22 @@
 // dispatch.
 //
 // Two extern "C" entry points cover every fast path of both parallel
-// machines:
+// machines, one per kind of schedule segment (spmd::RecvPlan):
 //
-//   vcal_jit_fused   — the fused strided loop, run for the regular
-//                      segments of a schedule replay (below). All
+//   vcal_jit_fused   — one strided run of a schedule replay. All
 //                      addressing arrives as runtime arguments; a
 //                      unit-stride specialization is emitted textually
 //                      so -O2 can vectorize it.
-//   vcal_jit_replay  — one segment of a compiled schedule replay: for
-//                      each recorded element, gather operands by
+//   vcal_jit_replay  — one stretch of element records: for each
+//                      recorded element, gather operands by
 //                      (base, offset) pairs, evaluate guard/RHS, store.
 //
-// Replayed schedules are additionally *segmentized* (JitReplayProg):
-// maximal runs whose recorded offsets advance by constant strides
-// collapse back into vcal_jit_fused calls — the common interior of a
-// stencil becomes a vectorizable loop again, with only the irregular
-// boundary elements going through the gather entry.
+// The schedule already holds its runs as the inspector (or the shared
+// machine's recording pass) noted them, so rt::replay_rank hands each
+// segment straight to its entry point: the common interior of a stencil
+// is one vectorizable fused call, only the irregular boundary elements
+// go through the gather entry, and swapping a module in costs no pass
+// over the schedule.
 //
 // Correctness contract: results are bit-identical to the bytecode
 // kernel. Compilation runs on a background worker so no step ever
@@ -62,7 +62,6 @@
 
 namespace vcal::spmd {
 
-class CommSchedule;
 class JitEngine;
 
 /// Reporting-only counters (never part of DistStats/SharedStats, like
@@ -116,37 +115,6 @@ struct JitFns {
   JitReplayFn replay = nullptr;
 };
 
-/// One contiguous piece of a rank's replay: either a constant-stride
-/// run executed through vcal_jit_fused or an irregular stretch executed
-/// through vcal_jit_replay.
-struct JitSegment {
-  bool fused = false;
-  i64 e0 = 0;  // first element index in the rank's RecvPlan
-  i64 n = 0;
-  // fused-only fields:
-  i64 la0 = 0, la_stride = 0;  // LHS slot progression
-  i64 v0 = 0, vstride = 0;     // innermost loop value progression
-  std::vector<i64> raddr0, rstride;  // per-ref offset progressions
-};
-
-/// A rank's full replay program: segments over the elements of its
-/// RecvPlan, whose (base, offset) operand arrays the gather segments
-/// index directly. Only elements that read every ref from its own row
-/// fuse; packed-buffer and halo operands stay in gather segments, so
-/// overlapped stencils replay jitted with their boundary elements
-/// gathered. When `any` is false some element was ineligible (a
-/// guarded-OOB slot, whose write must raise the tagged path's fault) and
-/// the whole rank stays on the bytecode path.
-struct JitRankProg {
-  bool any = false;
-  std::vector<JitSegment> segs;
-};
-
-struct JitReplayProg {
-  const void* sched = nullptr;  // identity of the schedule it flattens
-  std::vector<JitRankProg> ranks;
-};
-
 /// The emitted C source for one clause. Pure function of the clause's
 /// guard/RHS structure and arity — subscripts and decomposition-dependent
 /// addressing are runtime arguments — so the fingerprint survives
@@ -167,8 +135,8 @@ struct JitPoll {
 };
 
 /// Per-clause-plan JIT state, riding in the plan's cache entry (one per
-/// layout): arming counter, compile status, the swapped-in function
-/// pointers, and the lazily flattened replay programs. Poll is called
+/// layout): arming counter, compile status and the swapped-in function
+/// pointers. Poll is called
 /// once per clause execution from the machine's control thread; the
 /// compile worker flips the status from Pending to Ready/Failed
 /// concurrently.
@@ -176,10 +144,6 @@ class JitState : public std::enable_shared_from_this<JitState> {
  public:
   JitPoll poll(const prog::Clause& clause, const ClauseKernel& kern,
                const JitConfig& cfg, JitStats& stats);
-
-  /// The flattened replay program for `s`, built once per schedule and
-  /// cached. Never fails: ineligible ranks come back with any == false.
-  const JitReplayProg* replay_prog(const CommSchedule& s);
 
  private:
   friend class JitEngine;
@@ -193,7 +157,6 @@ class JitState : public std::enable_shared_from_this<JitState> {
   JitFns fns_;
   bool from_cache_ = false;
   double compile_ms_ = 0.0;
-  std::unique_ptr<JitReplayProg> replay_;
 };
 
 /// True when a C compiler answers `--version` (probed once per

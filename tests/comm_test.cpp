@@ -1,22 +1,27 @@
 // Tests for compiled communication schedules (src/spmd/comm_schedule):
 // the inspector/executor split on both machines, one schedule per layout
 // across redistributions, fault-forced fallback to the tagged path, the
-// replay accounting surfaced through CommStats, and the dist inspector's
-// step-for-step agreement with the tagged path. The tagged reference is
+// replay accounting surfaced through CommStats, the dist inspector's
+// step-for-step agreement with the tagged path, and the run-level
+// schedule format (strided runs plus per-element records). The tagged
+// reference is
 // a run with an outcome-neutral fault at every clause step
 // (rt::reorder_every_step).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "lang/translate.hpp"
 #include "rt/dist_machine.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/seq_executor.hpp"
 #include "rt/shared_machine.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
+#include "spmd/jit.hpp"
 #include "verify/program_gen.hpp"
 
 namespace vcal::rt {
@@ -400,6 +405,229 @@ TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
         EXPECT_EQ(m.comm_stats().sched_hits, 0) << c.rhs;
       }
   }
+}
+
+// The schedule the inspector derives for clause step `k` of `program` at
+// its declared layouts.
+std::unique_ptr<spmd::CommSchedule> inspect(const spmd::Program& program,
+                                            std::size_t k,
+                                            spmd::PlanCache& cache) {
+  const spmd::ClausePlan& plan =
+      cache.get(std::get<prog::Clause>(program.steps[k]), program.arrays);
+  Inspector inspector(plan);
+  for (i64 p = 0; p < plan.procs(); ++p) inspector.rank(RankSite{p});
+  return inspector.finish();
+}
+
+i64 run_elements(const spmd::RecvPlan& rv) {
+  i64 n = 0;
+  for (const spmd::RecvSegment& sg : rv.segs) n += sg.run ? sg.n : 0;
+  return n;
+}
+
+TEST(CommSchedule, OverlapStencilSchedulesAreRunLevel) {
+  // A 1-D block overlap(1) stencil: each rank's first and last element
+  // read a halo operand, everything between is one strided run. The
+  // schedule holds those (at most two) records and runs covering the
+  // rest, whatever the extent.
+  for (i64 n : {i64{1024}, i64{65536}}) {
+    spmd::Program program = lang::compile(cat(
+        "processors 4;\narray U[0:", n - 1, "];\narray V[0:", n - 1,
+        "];\ndistribute U block overlap(1);\n"
+        "distribute V block overlap(1);\n"
+        "forall i in 1:", n - 2, " do V[i] := (U[i-1] + U[i+1])/2; od\n"));
+    spmd::PlanCache cache;
+    std::unique_ptr<spmd::CommSchedule> s = inspect(program, 0, cache);
+    ASSERT_TRUE(s) << n;
+    i64 total = 0;
+    for (i64 p = 0; p < 4; ++p) {
+      const spmd::RecvPlan& rv = s->recv[static_cast<std::size_t>(p)];
+      EXPECT_LE(rv.records(), 2) << n << " rank " << p;
+      EXPECT_GE(rv.runs, 1) << n << " rank " << p;
+      EXPECT_FALSE(rv.oob_slot);
+      EXPECT_EQ(run_elements(rv) + rv.records(), rv.n) << n << " rank " << p;
+      total += rv.n;
+    }
+    EXPECT_EQ(total, n - 2);
+    EXPECT_EQ(s->packed_ops, 0);
+  }
+}
+
+// A 1-D clause and a 2-D clause, each guarded, each mixing strided runs
+// with halo or remote element records, and a transposed read whose runs
+// stride by a row; all read their loop variables.
+const char* kMixedSrc =
+    "processors 4;\n"
+    "array A[0:255];\ndistribute A block overlap(1);\n"
+    "array B[0:255];\ndistribute B block overlap(1);\n"
+    "array C[0:255];\ndistribute C block;\n"
+    "array M[0:63, 0:15];\ndistribute M (block, *);\n"
+    "array N[0:63, 0:15];\ndistribute N (block, *);\n"
+    "array T[0:15, 0:15];\ndistribute T (block, *);\n"
+    "forall i in 1:246 | B[i] > 3 do A[i] := (B[i-1] + B[i+1])/2 + C[i+8] "
+    "+ i; od\n"
+    "forall i in 0:55, j in 0:14 | N[i, j] > 2 do "
+    "M[i, j] := N[i, j+1] - N[i+8, j]*3 + i*j; od\n"
+    "forall i in 0:15, j in 0:15 do T[i, j] := N[j, i] + j; od\n";
+
+TEST(CommSchedule, MixedSchedulesReplayLikeTheTaggedPath) {
+  std::string src = kMixedSrc;
+  const std::string clauses = src.substr(src.find("forall"));
+  for (int k = 0; k < 2; ++k) src += clauses;  // replays of both clauses
+  spmd::Program program = lang::compile(src);
+
+  // Every clause mixes the segment kinds: runs, and records reading
+  // halo rows (base id >= R + P) or packed buffers (R <= id < R + P).
+  spmd::PlanCache cache;
+  for (std::size_t k = 0; k < 3; ++k) {
+    std::unique_ptr<spmd::CommSchedule> s = inspect(program, k, cache);
+    ASSERT_TRUE(s);
+    const i64 R = s->nrefs, P = s->procs;
+    i64 runs = 0, halo = 0, remote = 0, max_stride = 0;
+    for (const spmd::RecvPlan& rv : s->recv) {
+      runs += rv.runs;
+      for (i64 id : rv.ids) {
+        halo += id >= R + P ? 1 : 0;
+        remote += id >= R && id < R + P ? 1 : 0;
+      }
+      for (std::size_t q = 0; q < rv.run_addr.size(); q += 2 * R)
+        for (i64 r = 0; r < R; ++r)
+          max_stride = std::max(max_stride, rv.run_addr[q + R + r]);
+    }
+    EXPECT_GT(runs, 0) << "clause " << k;
+    EXPECT_GT(remote, 0) << "clause " << k;
+    EXPECT_EQ(halo > 0, k == 0) << "clause " << k;  // only 1-D has halos
+    EXPECT_EQ(max_stride > 1, k == 2) << "clause " << k;
+  }
+
+  auto load = [](auto& m) {
+    std::vector<double> v(256), w(64 * 16);
+    for (std::size_t i = 0; i < v.size(); ++i)
+      v[i] = static_cast<double>((i * 7) % 11);
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w[i] = static_cast<double>((i * 5) % 9) - 1.5;
+    m.load("B", v);
+    m.load("C", v);
+    m.load("N", w);
+  };
+  EngineOptions ref_opts;
+  ref_opts.threads = 1;
+  ref_opts.jit = false;
+  DistMachine tagged(program, {}, {}, ref_opts);
+  load(tagged);
+  for (const FaultPlan& f : reorder_every_step(program)) tagged.inject(f);
+  tagged.run();
+  ASSERT_EQ(tagged.comm_stats().sched_builds, 0);
+
+  for (int threads : {1, 4})
+    for (bool jit : {false, true}) {
+      SCOPED_TRACE(cat("threads ", threads, " jit ", jit));
+      EngineOptions e;
+      e.threads = threads;
+      e.jit = jit;
+      e.jit_threshold = 1;
+      e.jit_sync = true;
+      DistMachine d(program, {}, {}, e);
+      load(d);
+      d.run();
+      SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e);
+      load(sh);
+      sh.run();
+      for (const char* name : {"A", "M", "T"}) {
+        EXPECT_EQ(d.gather(name), tagged.gather(name)) << name;
+        EXPECT_EQ(sh.result(name), tagged.gather(name)) << name;
+      }
+      EXPECT_EQ(d.stats().messages, tagged.stats().messages);
+      EXPECT_EQ(d.message_matrix(), tagged.message_matrix());
+      EXPECT_EQ(d.comm_stats().sched_builds, 3);
+      EXPECT_EQ(d.comm_stats().sched_hits, 6);
+      EXPECT_EQ(sh.comm_stats().sched_hits, 6);
+      if (jit && spmd::jit_toolchain_available()) {
+        EXPECT_GT(d.path_counters().jit, 0);
+        EXPECT_GT(sh.path_counters().jit, 0);
+      }
+    }
+}
+
+// Stand-ins for a jitted module's entry points: count calls, write
+// nothing.
+int g_jit_calls = 0;
+void count_fused(double*, i64, i64, const double* const*, const i64*,
+                 const i64*, const i64*, i64, i64, i64) {
+  ++g_jit_calls;
+}
+void count_replay(double*, const double* const*, const i64*, const i64*,
+                  const i64*, const i64*, i64) {
+  ++g_jit_calls;
+}
+
+TEST(CommSchedule, GuardedOutOfRangeSlotStaysOnBytecode) {
+  // Rank 0's schedule, written by hand: a run over its 8 elements, then
+  // one record whose write slot lies outside its row (-1). A rank that
+  // holds such a slot must replay on bytecode even with jitted entries
+  // at hand, and raise the tagged path's fault only when the guard
+  // holds.
+  spmd::Program program = lang::compile(
+      "processors 4;\narray A[0:31];\ndistribute A block;\n"
+      "array B[0:31];\ndistribute B block;\n"
+      "forall i in 0:31 | B[i] > 100 do A[i] := B[i] + 1; od\n");
+  spmd::PlanCache cache;
+  const spmd::ClausePlan& plan =
+      cache.get(std::get<prog::Clause>(program.steps[0]), program.arrays);
+  auto schedule = [](bool oob) {
+    spmd::CommSchedule s;
+    s.init(4, /*nloops=*/1, /*nrefs=*/1);
+    std::vector<i64> vals{0};
+    i64 addr = 0;
+    const i64 stride = 1;
+    spmd::FusedRun f;
+    f.vstride = 1;
+    f.n = spmd::CommSchedule::kMinRun;
+    f.lstride = 1;
+    f.raddr = &addr;
+    f.rstride = &stride;
+    s.note_run(0, vals.data(), f);
+    vals[0] = 8;
+    s.note_element(0, oob ? -1 : 7, vals.data());
+    s.note_local(0, 0, 0);
+    return s;
+  };
+  const spmd::JitFns fns{count_fused, count_replay};
+  std::vector<double> b(8, 1.0), out(8, 0.0);
+  RankRows rr;
+  rr.rows = {&b};
+  rr.halo = {nullptr};
+
+  // Without the -1 slot the jitted entries run every segment.
+  spmd::CommSchedule clean = schedule(false);
+  PathCounters pc;
+  g_jit_calls = 0;
+  replay_rank(clean, plan, RankSite{}, rr, nullptr, 0, out, &fns, pc);
+  EXPECT_EQ(g_jit_calls, 2);
+  EXPECT_EQ(pc.jit, 9);
+  EXPECT_EQ(pc.sched, 0);
+
+  // With it, bytecode: guards false everywhere, so nothing faults.
+  spmd::CommSchedule oob = schedule(true);
+  EXPECT_TRUE(oob.recv[0].oob_slot);
+  pc = PathCounters{};
+  g_jit_calls = 0;
+  replay_rank(oob, plan, RankSite{}, rr, nullptr, 0, out, &fns, pc);
+  EXPECT_EQ(g_jit_calls, 0);
+  EXPECT_EQ(pc.sched, 9);
+  EXPECT_EQ(pc.jit, 0);
+  EXPECT_EQ(out, std::vector<double>(8, 0.0));
+
+  // A guard that holds on the -1 record raises the tagged path's text.
+  b[0] = 200.0;
+  try {
+    replay_rank(oob, plan, RankSite{}, rr, nullptr, 0, out, &fns, pc);
+    ADD_FAILURE() << "no fault";
+  } catch (const RuntimeFault& f) {
+    EXPECT_STREQ(f.what(), "local write out of bounds on A");
+  }
+  EXPECT_EQ(g_jit_calls, 0);
+  EXPECT_EQ(out[0], 201.0);  // the run ahead of it stored
 }
 
 }  // namespace

@@ -313,10 +313,45 @@ TEST(SchedReplay, TraceCarriesPackGatherSpansAndSchedInstants) {
   check_lane_invariants(t);
 }
 
+TEST(SchedReplay, InspectSpansCountElementRecordsAndRuns) {
+  // A 1-D block overlap(1) stencil with 256 elements per rank: each
+  // rank's inspect span ends with a0 = elements, a1 = element records
+  // (its two halo-boundary elements at most) and a2 = runs (the rest),
+  // and the Chrome export carries the End's payload as the span's args.
+  spmd::Program program = lang::compile(
+      "processors 4;\narray U[0:1023];\narray V[0:1023];\n"
+      "distribute U block overlap(1);\ndistribute V block overlap(1);\n"
+      "forall i in 1:1022 do V[i] := (U[i-1] + U[i+1])/2; od\n");
+  rt::EngineOptions e;
+  e.trace = true;
+  e.threads = 1;
+  rt::DistMachine m(program, {}, {}, e);
+  m.load("U", ramp(1024));
+  m.run();
+  const Tracer& t = *m.tracer();
+  i64 spans = 0, elements = 0;
+  for (i64 r = 0; r < 4; ++r)
+    t.lane(r).for_each([&](const TraceEvent& ev) {
+      if (ev.kind != EventKind::InspectEnd) return;
+      ++spans;
+      elements += ev.a0;
+      EXPECT_LE(ev.a1, 2) << "rank " << r;
+      EXPECT_GE(ev.a2, 1) << "rank " << r;
+    });
+  EXPECT_EQ(spans, 4);
+  EXPECT_EQ(elements, 1022);
+  const std::string json = chrome_trace_json(t, "obs_test");
+  const std::size_t at = json.find("\"name\":\"inspect\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::string rec = json.substr(at, json.find('}', at) - at);
+  EXPECT_TRUE(contains(rec, "\"a2\":1")) << rec;
+}
+
 TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
-  // Same clause T times: a remote-read clause, a block overlap(1)
-  // stencil whose every rank reads halo operands, and one that reads its
-  // own target through the halo (copy-in snapshot), on the distributed
+  // Same clause T times: a remote-read clause, block overlap(1)
+  // stencils whose every rank reads halo operands (one of them wide
+  // enough for strided runs), and one that reads its own target through
+  // the halo (copy-in snapshot), on the distributed
   // and the shared machine. After one full run the machine is warm
   // (schedules built, pack buffers, halo rows and scratch sized); a
   // second run replays every step. The T=12 program replays 8 more steps
@@ -334,6 +369,17 @@ TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
   auto halo = [](int t) {
     std::string s =
         "processors 4;\n"
+        "array A[0:31];\ndistribute A block overlap(1);\n"
+        "array B[0:31];\ndistribute B block overlap(1);\n";
+    for (int k = 0; k < t; ++k)
+      s += "forall i in 1:30 do A[i] := (B[i-1] + B[i+1])/2; od\n";
+    return s;
+  };
+  // Two ranks of 16: each replays a strided run besides its halo
+  // records.
+  auto wide_halo = [](int t) {
+    std::string s =
+        "processors 2;\n"
         "array A[0:31];\ndistribute A block overlap(1);\n"
         "array B[0:31];\ndistribute B block overlap(1);\n";
     for (int k = 0; k < t; ++k)
@@ -372,7 +418,8 @@ TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
     return count(m);
   };
   using Source = std::string (*)(int);
-  for (Source program : {Source(remote), Source(halo), Source(self_halo)}) {
+  for (Source program : {Source(remote), Source(halo), Source(wide_halo),
+                         Source(self_halo)}) {
     EXPECT_EQ(dist(program(4)), dist(program(12)));
     EXPECT_EQ(shared(program(4)), shared(program(12)));
   }

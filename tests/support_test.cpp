@@ -435,7 +435,9 @@ TEST(Toolchain, SystemCCompilerIsStableAndConsistent) {
   const std::string& cc2 = support::system_c_compiler();
   EXPECT_EQ(cc1, cc2);  // probed once, cached
   EXPECT_EQ(support::c_toolchain_available(), !cc1.empty());
-  if (!cc1.empty()) EXPECT_TRUE(support::probe_tool(cc1));
+  if (!cc1.empty()) {
+    EXPECT_TRUE(support::probe_tool(cc1));
+  }
 }
 
 TEST(Toolchain, MpiToolchainDetectionIsConsistent) {

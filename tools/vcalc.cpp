@@ -20,6 +20,7 @@
 #include "emit/paper_notation.hpp"
 #include "lang/translate.hpp"
 #include "obs/calibrate.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
 #include "proc/proc_machine.hpp"
@@ -231,6 +232,15 @@ int run_connect(const Options& opt, const char* argv0) {
     return 3;
   }
   return code;
+}
+
+/// The `pool:` stats line: the fork-join counters of the pool a machine
+/// ran its ranks on (none at --threads 1, which runs them inline).
+void print_pool(const support::ThreadPool* pool) {
+  if (pool == nullptr) return;
+  obs::MetricsRegistry reg;
+  obs::collect(reg, *pool);
+  std::printf("pool: %s\n", reg.line().c_str());
 }
 
 /// Writes/prints the requested exports once the run finished. Returns
@@ -452,6 +462,7 @@ int main(int argc, char** argv) {
         std::printf("paths: %s\n", machine.path_counters().str().c_str());
         std::printf("comm: %s\n", machine.comm_stats().str().c_str());
         std::printf("jit: %s\n", machine.jit_stats().str().c_str());
+        print_pool(machine.pool());
       }
       if (!emit_trace(opt, machine.tracer())) return 1;
     } else if (opt.target == "dist") {
@@ -465,6 +476,7 @@ int main(int argc, char** argv) {
         std::printf("paths: %s\n", machine.path_counters().str().c_str());
         std::printf("comm: %s\n", machine.comm_stats().str().c_str());
         std::printf("jit: %s\n", machine.jit_stats().str().c_str());
+        print_pool(machine.pool());
       }
       if (!emit_trace(opt, machine.tracer())) return 1;
     } else if (opt.target == "native") {
