@@ -27,6 +27,41 @@ struct Location {
   i64 local = 0;
 };
 
+/// A stride s split for division-free stepping (Decomp1D::step): with
+/// s = (C*P + O)*b + F, 0 <= O < P and 0 <= F < b, i + s lies O owners
+/// and F offsets further on, and local = C*b + F further on, before the
+/// two carries Cursor::advance applies.
+struct Step {
+  i64 b = 1;
+  i64 procs = 1;
+  i64 offset = 0;  // F
+  i64 owner = 0;   // O
+  i64 local = 0;   // C*b + F
+};
+
+/// Decomp1D::locate of an index i, kept up to date along a progression
+/// i, i + s, i + 2s, ... without dividing: offset is i mod b.
+struct Cursor {
+  i64 owner = 0;
+  i64 local = 0;
+  i64 offset = 0;
+
+  void advance(const Step& s) noexcept {
+    offset += s.offset;
+    local += s.local;
+    owner += s.owner;
+    if (offset >= s.b) {  // into the next block
+      offset -= s.b;
+      local -= s.b;
+      ++owner;
+    }
+    if (owner >= s.procs) {  // into the next cycle
+      owner -= s.procs;
+      local += s.b;
+    }
+  }
+};
+
 class Decomp1D {
  public:
   enum class Kind { Block, Scatter, BlockScatter, Replicated };
@@ -59,6 +94,23 @@ class Decomp1D {
   Location locate(i64 i) const {
     const i64 q = i / b_;
     return {q % procs_, q / procs_ * b_ + (i - q * b_)};
+  }
+
+  /// locate(i) as a Cursor to step from. Precondition: 0 <= i < n.
+  Cursor cursor(i64 i) const {
+    const i64 q = i / b_;
+    const i64 o = i - q * b_;
+    return {q % procs_, q / procs_ * b_ + o, o};
+  }
+
+  /// Stride s (any sign) split for Cursor::advance: one floor division
+  /// pair. A cursor advanced from locate(i) stays equal to locate(i +
+  /// k*s) while those indices lie in [0, n).
+  Step step(i64 s) const {
+    const i64 q = floordiv(s, b_);
+    const i64 c = floordiv(q, procs_);
+    const i64 f = s - q * b_;
+    return {b_, procs_, f, q - c * procs_, c * b_ + f};
   }
 
   /// Inverse map: global index of local element l on processor p.

@@ -158,6 +158,7 @@ void collect(MetricsRegistry& reg, const support::ThreadPool& p) {
   reg.set("pool-joins", p.joins());
   reg.set("pool-join-wait-ns", p.join_wait_ns());
   reg.set("pool-parks", p.parks());
+  reg.set("pool-caller-ranks", p.caller_ranks());
 }
 
 void collect(MetricsRegistry& reg, const Tracer& t) {

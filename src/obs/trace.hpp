@@ -90,7 +90,9 @@ enum class EventKind : std::uint8_t {
                   //   from the content-addressed cache)
   InspectBegin,   // rank lane: the inspector's walk of one rank's
   InspectEnd,     //   Modify_p on a first execution at a layout; End
-                  //   a0 = elements noted
+                  //   a0 = elements noted, a1 = element records,
+                  //   a2 = strided runs, a3 = elements resolved
+                  //   through stretches
 };
 
 constexpr int kEventKindCount = static_cast<int>(EventKind::InspectEnd) + 1;

@@ -1,5 +1,7 @@
 #include "rt/rank_step.hpp"
 
+#include <tuple>
+
 #include "spmd/kernel.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
@@ -283,7 +285,7 @@ void receive_update_rank(const ClausePlan& plan, const RankSite& site,
   };
 
   gen::EnumStats es;
-  walk_modify(plan, p, /*dense=*/false, &es, element, fused);
+  walk_modify_elements(plan, p, /*dense=*/false, &es, element, fused);
   rc.iterations += es.loop_iters;
   rc.tests += es.tests;
   rc_out = rc;
@@ -313,6 +315,156 @@ void check_delivered(i64 p, const Channel* in, i64 in_stride, i64 procs) {
 // left to the live refresh). A rank refuses when any element would
 // fault — LHS or ref out of bounds, a local offset outside its row, a
 // subscript that faults as it evaluates.
+// Where each access's elements live along a stretch, stepped without
+// dividing: a Decomp1D cursor per dimension, folded into (owner, local)
+// the way ArrayDesc::locate folds them, or, for a replicated array, a
+// dense offset (owner 0). start(p, a) checks access a's bounds at a
+// stretch's two ends (each dimension is monotone along it) and places
+// rank p's cursors at its first element (a division pair per dimension,
+// and a Step split per moving one), at(p, a) reads them and advance(p, a)
+// steps them to the next element; halo_slot(p, a, g) is
+// ArrayDesc::halo_slot without its lookups. Access 0 is the clause's
+// LHS, access 1 + r its ref r, as in a Stretch. The table is built once
+// per clause with every rank's cursors, each rank's slice padded apart
+// from its neighbours', so a rank's walk allocates nothing for it.
+class Inspector::Locators {
+ public:
+  Locators(const ClausePlan& plan, i64 procs) {
+    const int nrefs = static_cast<int>(plan.clause().refs.size());
+    acc_.resize(static_cast<std::size_t>(nrefs + 1));
+    std::size_t dims = 0;
+    bool halo = false;
+    for (int a = 0; a <= nrefs; ++a) {
+      Access& x = acc_[static_cast<std::size_t>(a)];
+      x.desc = a == 0 ? &plan.lhs_desc() : &plan.ref_desc(a - 1);
+      x.first = dims;
+      x.nd = static_cast<std::size_t>(x.desc->ndims());
+      dims += x.nd;
+      halo = halo || x.desc->halo() > 0;
+    }
+    dims_.resize(dims);
+    for (const Access& x : acc_) {
+      i64 w = 1;  // a replicated array's row-major dense weights
+      for (int d = static_cast<int>(x.nd) - 1; d >= 0; --d) {
+        Dim& dim = dims_[x.first + static_cast<std::size_t>(d)];
+        dim.lo = x.desc->lo(d);
+        dim.hi = x.desc->hi(d);
+        dim.weight = w;
+        w *= x.desc->size(d);
+        if (!x.desc->is_replicated()) dim.decomp = &x.desc->decomp().dim(d);
+      }
+    }
+    // One spare slot between ranks' slices keeps them off each other's
+    // cache lines.
+    slice_ = dims + 1;
+    cur_.resize(slice_ * static_cast<std::size_t>(procs));
+    if (!halo) return;
+    halo_.resize(acc_.size() * static_cast<std::size_t>(procs));
+    for (i64 p = 0; p < procs; ++p)
+      for (std::size_t a = 0; a < acc_.size(); ++a) {
+        if (acc_[a].desc->halo() == 0) continue;
+        Halo& h = halo_[static_cast<std::size_t>(p) * acc_.size() + a];
+        std::tie(h.llo, h.lhi) = acc_[a].desc->halo_range(p, -1);
+        std::tie(h.rlo, h.rhi) = acc_[a].desc->halo_range(p, 1);
+      }
+  }
+
+  const decomp::ArrayDesc& desc(std::size_t a) const { return *acc_[a].desc; }
+
+  /// False, placing nothing, when the access leaves its array somewhere
+  /// on the stretch's n elements.
+  bool start(i64 p, std::size_t a, const i64* g0, const i64* dg, i64 n) {
+    const Access& x = acc_[a];
+    const Dim* dim = &dims_[x.first];
+    for (std::size_t d = 0; d < x.nd; ++d)
+      if (!in_range(g0[d], dim[d].lo, dim[d].hi) ||
+          !in_range(g0[d] + (n - 1) * dg[d], dim[d].lo, dim[d].hi))
+        return false;
+    State* st = state(p, x);
+    if (x.desc->is_replicated()) {
+      // One pseudo-dimension: the dense offset, in a block that never
+      // ends.
+      st->cur = {0, 0, 0};
+      st->step = {INT64_MAX, 1, 0, 0, 0};
+      for (std::size_t d = 0; d < x.nd; ++d) {
+        st->cur.local += (g0[d] - dim[d].lo) * dim[d].weight;
+        st->step.local += dg[d] * dim[d].weight;
+      }
+      st->moves = st->step.local != 0;
+      return true;
+    }
+    for (std::size_t d = 0; d < x.nd; ++d) {
+      st[d].cur = dim[d].decomp->cursor(g0[d] - dim[d].lo);
+      st[d].moves = dg[d] != 0;
+      if (st[d].moves) st[d].step = dim[d].decomp->step(dg[d]);
+    }
+    return true;
+  }
+
+  decomp::Location at(i64 p, std::size_t a) const {
+    const Access& x = acc_[a];
+    const State* st = state(p, x);
+    if (x.nd == 1 || x.desc->is_replicated())
+      return {st->cur.owner, st->cur.local};
+    const Dim* dim = &dims_[x.first];
+    decomp::Location l;
+    for (std::size_t d = 0; d < x.nd; ++d) {
+      const decomp::Cursor& c = st[d].cur;
+      l.owner = l.owner * dim[d].decomp->procs() + c.owner;
+      l.local = l.local * dim[d].decomp->local_capacity(c.owner) + c.local;
+    }
+    return l;
+  }
+
+  void advance(i64 p, std::size_t a) {
+    const Access& x = acc_[a];
+    State* st = state(p, x);
+    const std::size_t nd = x.desc->is_replicated() ? 1 : x.nd;
+    for (std::size_t d = 0; d < nd; ++d)
+      if (st[d].moves) st[d].cur.advance(st[d].step);
+  }
+
+  /// The slot of 1-D index g in rank p's halo row of access a, or -1.
+  i64 halo_slot(i64 p, std::size_t a, i64 g) const {
+    const Halo& h = halo_[static_cast<std::size_t>(p) * acc_.size() + a];
+    if (in_range(g, h.llo, h.lhi)) return g - h.llo;
+    if (in_range(g, h.rlo, h.rhi)) return h.lhi - h.llo + 1 + g - h.rlo;
+    return -1;
+  }
+
+ private:
+  struct Access {
+    const decomp::ArrayDesc* desc = nullptr;
+    std::size_t first = 0, nd = 0;  // its dimensions in dims_
+  };
+  struct Dim {
+    const decomp::Decomp1D* decomp = nullptr;
+    i64 lo = 0, hi = 0;
+    i64 weight = 0;  // replicated arrays
+  };
+  struct State {
+    decomp::Cursor cur;
+    decomp::Step step;
+    bool moves = false;  // the stretch advances this dimension
+  };
+  struct Halo {
+    i64 llo = 0, lhi = -1, rlo = 0, rhi = -1;
+  };
+
+  State* state(i64 p, const Access& x) {
+    return &cur_[static_cast<std::size_t>(p) * slice_ + x.first];
+  }
+  const State* state(i64 p, const Access& x) const {
+    return &cur_[static_cast<std::size_t>(p) * slice_ + x.first];
+  }
+
+  std::vector<Access> acc_;
+  std::vector<Dim> dims_;
+  std::size_t slice_ = 0;
+  std::vector<State> cur_;  // rank p's from p * slice_
+  std::vector<Halo> halo_;  // [p * accesses + a], for overlapped arrays
+};
+
 Inspector::Inspector(const ClausePlan& plan)
     : plan_(plan), sched_(std::make_unique<spmd::CommSchedule>()) {
   const i64 procs = plan.procs();
@@ -328,7 +480,11 @@ Inspector::Inspector(const ClausePlan& plan)
     for (i64 q = 0; q < procs; ++q)
       row_len_[static_cast<std::size_t>(r * procs + q)] =
           plan.ref_desc(r).local_capacity(q);
+  if (plan.kernel().piecewise())
+    locs_ = std::make_unique<Locators>(plan, procs);
 }
+
+Inspector::~Inspector() = default;
 
 void Inspector::rank(const RankSite& site) {
   const ClausePlan& plan = plan_;
@@ -401,6 +557,79 @@ void Inspector::rank(const RankSite& site) {
     if (!in_range(slot, 0, out_len - 1)) slot = -1;
     cs.note_element(p, slot, vals.data());
   };
+
+  // A stretch notes the records the element body would, but every
+  // access is affine along it: its bounds are checked at its two ends,
+  // and Locators step each access instead of resolving it in N-D. Halo
+  // coverage is a compare against p's halo ranges (1-D block arrays
+  // only), the row-length check a compare per operand.
+  Locators* const locs = locs_.get();
+  const int nloops = cs.nloops;
+  const auto inner = static_cast<std::size_t>(nloops - 1);
+  i64 stretched = 0;
+  auto stretch = [&](std::vector<i64>& vals, const Stretch& s) {
+    if (bad) return;
+    for (int a = 0; a <= nrefs; ++a)
+      if (!locs->start(p, static_cast<std::size_t>(a), s.g0 + s.at[a],
+                       s.dg + s.at[a], s.n)) {
+        bad = true;
+        return;
+      }
+    const spmd::CommSchedule::Records out = cs.append(p, s.n);
+    i64* ids = out.ids;
+    i64* offs = out.offs;
+    i64 local_reads = 0, remote_reads = 0, halo_reads = 0;
+    bool oob = false;
+    for (i64 k = 0; k < s.n; ++k) {
+      for (int r = 0; r < nrefs; ++r, ++ids, ++offs) {
+        const auto a = static_cast<std::size_t>(r + 1);
+        const decomp::ArrayDesc& rd = locs->desc(a);
+        const decomp::Location at = locs->at(p, a);
+        locs->advance(p, a);
+        const i64 src = rd.is_replicated() ? p : at.owner;
+        if (src != p && rd.halo() > 0) {
+          const i64 slot =
+              locs->halo_slot(p, a, s.g0[s.at[a]] + k * s.dg[s.at[a]]);
+          if (slot >= 0) {
+            *ids = cs.halo_base(r);
+            *offs = slot;
+            ++halo_reads;
+            continue;
+          }
+        }
+        if (!in_range(at.local, 0, row_len[r * procs + src] - 1)) {
+          bad = true;
+          return;
+        }
+        if (src == p) {
+          *ids = r;
+          *offs = at.local;
+          ++local_reads;
+        } else {
+          std::vector<spmd::PackOp>& list = from[static_cast<std::size_t>(src)];
+          *ids = cs.packed_base(src);
+          *offs = static_cast<i64>(list.size());
+          list.push_back(spmd::PackOp{static_cast<std::int32_t>(r), at.local});
+          ++remote_reads;
+        }
+      }
+      i64 slot = locs->at(p, 0).local;
+      locs->advance(p, 0);
+      if (!in_range(slot, 0, out_len - 1)) {
+        slot = -1;
+        oob = true;
+      }
+      out.slot[k] = slot;
+      for (int d = 0; d < nloops; ++d) out.vals[k * nloops + d] = vals[d];
+      vals[inner] += s.vstride;
+    }
+    rc.local_reads += local_reads;
+    rc.halo_reads += halo_reads;
+    rc.receives += remote_reads;
+    rc.remote_reads += remote_reads;
+    if (oob) cs.recv[static_cast<std::size_t>(p)].oob_slot = true;
+    stretched += s.n;
+  };
   // A fused run is proven local and in bounds for the LHS and every ref:
   // note it as one run.
   auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
@@ -410,7 +639,7 @@ void Inspector::rank(const RankSite& site) {
   };
   gen::EnumStats es;
   try {
-    walk_modify(plan, p, /*dense=*/false, &es, element, fused);
+    walk_modify(plan, p, /*dense=*/false, &es, element, stretch, fused);
   } catch (const RuntimeFault&) {
     // A subscript that faults as it evaluates (a zero divisor): the
     // tagged path raises it in its own order.
@@ -428,7 +657,7 @@ void Inspector::rank(const RankSite& site) {
         std::move(from[static_cast<std::size_t>(src)]);
   const spmd::RecvPlan& rv = cs.recv[static_cast<std::size_t>(p)];
   VCAL_TRACE(site.tr, site.lane, obs::EventKind::InspectEnd, site.step, rv.n,
-             rv.records(), rv.runs);
+             rv.records(), rv.runs, stretched);
 }
 
 std::unique_ptr<spmd::CommSchedule> Inspector::finish() {

@@ -123,98 +123,217 @@ void fill_halo_row(const decomp::ArrayDesc& rd, i64 p,
 
 // ---- Modify_p walk ------------------------------------------------------
 
-/// Walks rank p's Modify_p space in order. For an affine kernel each
-/// innermost run splits into the maximal subrange the strided-run proof
-/// shows in bounds (and, in rank p's local rows, resident on p) for the
-/// LHS and every ref — handed to `fused` in one call — and the elements
-/// before and after it, handed to `element` one at a time. Unprovable
-/// runs and non-affine clauses go element at a time throughout. `dense`
-/// selects the addressing (spmd::ArrayAddr): the dense row-major image
-/// on the shared machine, rank p's local rows otherwise. The tagged
-/// phase 2, the inspector and the shared machine share this walk, so
-/// all see the same element order and split.
-template <typename Element, typename Fused>
+/// A stretch of one innermost run on which every access of the clause is
+/// affine: n elements whose innermost loop value starts at the walk's
+/// vals[inner] and advances by vstride, and whose access a (a = 0 the
+/// LHS, 1 + r ref r) has program-level index g0[at[a] + d] in dimension
+/// d, advancing by dg[at[a] + d] per element. A 1-element stretch has
+/// zero strides.
+struct Stretch {
+  i64 n = 0;
+  i64 vstride = 0;
+  const i64* g0 = nullptr;
+  const i64* dg = nullptr;
+  const i64* at = nullptr;
+};
+
+/// Walks rank p's Modify_p space in order, innermost run by innermost
+/// run. When every subscript is Constant, Affine or AffineMod
+/// (ClauseKernel::piecewise), each run reaches the consumer in pieces:
+///   - an affine kernel hands the maximal subrange the strided-run proof
+///     shows in bounds (and, in rank p's local rows, resident on p) for
+///     the LHS and every ref to `fused` in one call, and the elements
+///     before and after it (the whole run, when nothing can be proven)
+///     to `stretch`;
+///   - a kernel with AffineMod subscripts hands the run to `stretch`,
+///     split wherever some (a*i + c) mod z wraps (ModSub::piece), so
+///     every access is affine along each stretch.
+/// A clause with a Monotone or Opaque subscript goes to `element` one
+/// element at a time. `dense` selects the addressing of fused runs
+/// (spmd::ArrayAddr): the dense row-major image on the shared machine,
+/// rank p's local rows otherwise. The tagged phase 2, the inspector and
+/// the shared machine share this walk, so all see the same element
+/// order and split.
+template <typename Element, typename OnStretch, typename Fused>
 void walk_modify(const spmd::ClausePlan& plan, i64 p, bool dense,
-                 gen::EnumStats* es, Element&& element, Fused&& fused) {
-  using spmd::FusedRun;
+                 gen::EnumStats* es, Element&& element, OnStretch&& stretch,
+                 Fused&& fused) {
   const spmd::ClauseKernel& kern = plan.kernel();
   const spmd::IterationSpace& space = plan.modify_space(p);
   const int inner = space.dims() - 1;
-  auto each = [&](std::vector<i64>& vals, const gen::Piece& run, i64 k0,
-                  i64 k1) {
-    for (i64 k = k0; k < k1; ++k) {
-      vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
-      element(vals);
-    }
-  };
-  if (!kern.affine()) {
+  const auto ui = static_cast<std::size_t>(inner);
+  if (!kern.piecewise()) {
     space.for_each_run(
         [&](std::vector<i64>& vals, const gen::Piece& run) {
-          each(vals, run, 0, run.count);
+          for (i64 k = 0; k < run.count; ++k) {
+            vals[ui] = run.start + k * run.stride;
+            element(vals);
+          }
         },
         es);
     return;
   }
 
-  const auto n = plan.clause().refs.size();
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  // Each access's index progression along the current run, one slot per
+  // dimension (access a's from at[a]): base0 + k*basedg for the affine
+  // dimensions and for mod dimensions on outer loops; mod dimensions on
+  // the innermost loop are placed per piece. Sized at the first run, so
+  // an empty Modify_p allocates nothing.
+  const int n = static_cast<int>(plan.clause().refs.size());
+  auto subs = [&](int a) -> const spmd::SubRecords& {
+    return a == 0 ? kern.lhs_subs() : kern.ref_subs(a - 1);
+  };
+  struct InnerMod {
+    std::size_t slot;
+    const spmd::ModSub* m;
+    i64 du;     // pre-mod step per element (saturated: it only sizes
+                // pieces, and |du| >= z already gives 1-element ones)
+    i64 value;  // the current piece's first value
+  };
+  std::vector<i64> prog;  // at, then base0, basedg, g0 and dg
+  std::vector<InnerMod> mods;
+  std::size_t dims = 0;
+  i64 *at = nullptr, *base0 = nullptr, *basedg = nullptr, *g0 = nullptr,
+      *dg = nullptr;
+  auto progressions = [&](const std::vector<i64>& vals,
+                          const gen::Piece& run) {
+    if (prog.empty()) {
+      std::size_t nmods = 0;
+      for (int a = 0; a <= n; ++a) {
+        dims += subs(a).affine.size();
+        nmods += subs(a).mod.size();
+      }
+      prog.resize(static_cast<std::size_t>(n + 2) + 4 * dims);
+      at = prog.data();
+      for (int a = 0; a <= n; ++a)
+        at[a + 1] = at[a] + static_cast<i64>(subs(a).affine.size());
+      base0 = at + n + 2;
+      basedg = base0 + dims;
+      g0 = basedg + dims;
+      dg = g0 + dims;
+      if (!kern.affine()) mods.reserve(nmods);
+    }
+    mods.clear();
+    for (int a = 0; a <= n; ++a) {
+      const spmd::SubRecords& sr = subs(a);
+      const auto a0 = static_cast<std::size_t>(at[a]);
+      spmd::fill_progression(sr.affine, vals, inner, run, base0 + a0,
+                             basedg + a0);
+      for (const spmd::ModSub& m : sr.mod) {
+        if (m.loop != inner) {
+          base0[a0 + m.dim] = m.at(vals.data());
+          continue;
+        }
+        i64 du;
+        if (__builtin_mul_overflow(m.a, run.stride, &du))
+          du = (m.a < 0) != (run.stride < 0) ? -INT64_MAX : INT64_MAX;
+        mods.push_back({a0 + m.dim, &m, du, 0});
+      }
+    }
+  };
+  // Hands elements [k0, k1) of `run` to `stretch`, one piece at a time.
+  auto pieces = [&](std::vector<i64>& vals, const gen::Piece& run, i64 k0,
+                    i64 k1) {
+    for (i64 k = k0; k < k1;) {
+      const i64 v = run.start + k * run.stride;
+      i64 len = k1 - k;
+      for (InnerMod& im : mods) {
+        const spmd::ModSub::Piece pc =
+            im.m->piece(im.m->a * v + im.m->c, im.du, len);
+        im.value = pc.value;
+        len = pc.len;
+      }
+      const bool moves = len > 1;
+      for (std::size_t t = 0; t < dims; ++t) {
+        g0[t] = base0[t] + k * basedg[t];
+        dg[t] = moves ? basedg[t] : 0;
+      }
+      for (const InnerMod& im : mods) {
+        g0[im.slot] = im.value;
+        dg[im.slot] = moves ? im.du : 0;
+      }
+      vals[ui] = v;
+      stretch(vals, Stretch{len, moves ? run.stride : 0, g0, dg, at});
+      k += len;
+    }
+  };
+  if (!kern.affine()) {
+    space.for_each_run(
+        [&](std::vector<i64>& vals, const gen::Piece& run) {
+          progressions(vals, run);
+          pieces(vals, run, 0, run.count);
+        },
+        es);
+    return;
+  }
+
+  using spmd::FusedRun;
   auto addr = [&](const decomp::ArrayDesc& d) {
     return dense ? spmd::make_dense_addr(d) : spmd::make_local_addr(d, p);
   };
-  const spmd::ArrayAddr lhs_addr = addr(lhs);
-  std::vector<i64> g0l(static_cast<std::size_t>(lhs.ndims()));
-  std::vector<i64> dgl(g0l.size());
-  std::vector<spmd::ArrayAddr> raddrs;
-  raddrs.reserve(n);
-  std::vector<std::vector<i64>> g0s(n), dgs(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const decomp::ArrayDesc& rd = plan.ref_desc(static_cast<int>(r));
-    raddrs.push_back(addr(rd));
-    g0s[r].resize(static_cast<std::size_t>(rd.ndims()));
-    dgs[r].resize(static_cast<std::size_t>(rd.ndims()));
-  }
-  std::vector<spmd::StridedRun> rruns(n);
-  std::vector<i64> raddr(n), rstride(n);
+  std::vector<spmd::ArrayAddr> addrs;
+  addrs.reserve(static_cast<std::size_t>(n + 1));
+  addrs.push_back(addr(plan.lhs_desc()));
+  for (int r = 0; r < n; ++r) addrs.push_back(addr(plan.ref_desc(r)));
+  std::vector<spmd::StridedRun> runs(static_cast<std::size_t>(n + 1));
+  std::vector<i64> raddr(static_cast<std::size_t>(n)),
+      rstride(static_cast<std::size_t>(n));
   space.for_each_run(
       [&](std::vector<i64>& vals, const gen::Piece& run) {
-        spmd::StridedRun lrun;
-        spmd::fill_progression(kern.lhs_subs().affine, vals, inner, run,
-                               g0l.data(), dgl.data());
-        bool fuse = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                      run.count, &lrun);
-        i64 k0 = lrun.k_lo, k1 = lrun.k_hi;
-        for (std::size_t r = 0; fuse && r < n; ++r) {
-          spmd::fill_progression(kern.ref_subs(static_cast<int>(r)).affine,
-                                 vals, inner, run, g0s[r].data(),
-                                 dgs[r].data());
-          fuse = spmd::strided_run(raddrs[r], g0s[r].data(), dgs[r].data(),
-                                   run.count, &rruns[r]);
-          if (fuse) {
-            k0 = std::max(k0, rruns[r].k_lo);
-            k1 = std::min(k1, rruns[r].k_hi);
-          }
+        progressions(vals, run);
+        i64 k0 = 0, k1 = run.count - 1;
+        bool fuse = true;
+        for (int a = 0; fuse && a <= n; ++a) {
+          const auto ua = static_cast<std::size_t>(a);
+          const auto a0 = static_cast<std::size_t>(at[a]);
+          fuse = spmd::strided_run(addrs[ua], base0 + a0, basedg + a0,
+                                   run.count, &runs[ua]);
+          k0 = std::max(k0, runs[ua].k_lo);
+          k1 = std::min(k1, runs[ua].k_hi);
         }
         if (!fuse || k0 > k1) {
-          each(vals, run, 0, run.count);
+          pieces(vals, run, 0, run.count);
           return;
         }
-        each(vals, run, 0, k0);
+        pieces(vals, run, 0, k0);
+        const spmd::StridedRun& lrun = runs[0];
         FusedRun f;
         f.v0 = run.start + k0 * run.stride;
         f.vstride = run.stride;
         f.n = k1 - k0 + 1;
         f.la = lrun.addr0 + (k0 - lrun.k_lo) * lrun.stride;
         f.lstride = lrun.stride;
-        for (std::size_t r = 0; r < n; ++r) {
-          raddr[r] = rruns[r].addr0 + (k0 - rruns[r].k_lo) * rruns[r].stride;
-          rstride[r] = rruns[r].stride;
+        for (std::size_t r = 0; r < raddr.size(); ++r) {
+          const spmd::StridedRun& rrun = runs[r + 1];
+          raddr[r] = rrun.addr0 + (k0 - rrun.k_lo) * rrun.stride;
+          rstride[r] = rrun.stride;
         }
         f.raddr = raddr.data();
         f.rstride = rstride.data();
         fused(vals, f);
-        each(vals, run, k1 + 1, run.count);
+        pieces(vals, run, k1 + 1, run.count);
       },
       es);
+}
+
+/// walk_modify for a consumer that takes every element one at a time
+/// (the tagged phase 2): each stretch expands back into its elements,
+/// in walk order.
+template <typename Element, typename Fused>
+void walk_modify_elements(const spmd::ClausePlan& plan, i64 p, bool dense,
+                          gen::EnumStats* es, Element&& element,
+                          Fused&& fused) {
+  const auto inner = static_cast<std::size_t>(plan.modify_space(p).dims() - 1);
+  walk_modify(
+      plan, p, dense, es, element,
+      [&](std::vector<i64>& vals, const Stretch& s) {
+        const i64 v0 = vals[inner];
+        for (i64 k = 0; k < s.n; ++k) {
+          vals[inner] = v0 + k * s.vstride;
+          element(vals);
+        }
+      },
+      fused);
 }
 
 // ---- Tagged path ----------------------------------------------------------
@@ -262,13 +381,17 @@ class Inspector {
  public:
   explicit Inspector(const spmd::ClausePlan& plan);
 
+  ~Inspector();
+
   /// Walks rank site.p's Modify_p inside an inspect span on site.lane.
   /// Each FusedRun the walk hands it becomes one run of the rank's
   /// RecvPlan, without visiting its elements; every other element
-  /// becomes a record whose operands resolve as local, halo or remote.
-  /// The walk's counters, refusal flag and pack lists stay in rank-local
-  /// scratch and are published once, when it ends. The span's End
-  /// carries the elements, element records and runs noted.
+  /// becomes a record whose operands resolve as local, halo or remote,
+  /// a Stretch at a time where the clause allows (stepped by cursors,
+  /// without dividing). The walk's counters, refusal flag and pack
+  /// lists stay in rank-local scratch and are published once, when it
+  /// ends. The span's End carries the elements, element records, runs
+  /// and elements resolved through stretches.
   void rank(const RankSite& site);
 
   /// The schedule, or null when some element would fault (the tagged
@@ -276,10 +399,13 @@ class Inspector {
   std::unique_ptr<spmd::CommSchedule> finish();
 
  private:
+  class Locators;  // the accesses' addressing and every rank's cursors
+
   const spmd::ClausePlan& plan_;
   std::unique_ptr<spmd::CommSchedule> sched_;
   std::vector<char> refused_;
   std::vector<i64> row_len_;  // [r * procs + q]: ref r's row on rank q
+  std::unique_ptr<Locators> locs_;
 };
 
 /// Executor phase 1 on site.p: packs the values its SendPlan lists into

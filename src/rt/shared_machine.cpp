@@ -248,7 +248,8 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
   const spmd::ClauseKernel& kern = plan.kernel();
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
   const int nrefs = static_cast<int>(clause.refs.size());
-  const int inner = static_cast<int>(clause.loops.size()) - 1;
+  const int nloops = static_cast<int>(clause.loops.size());
+  const int inner = nloops - 1;
   RankRows& rr = rank_rows_[static_cast<std::size_t>(p)];
   // Rank-local tally, published once at the end: the other ranks' slots
   // share cache lines with this one.
@@ -287,6 +288,75 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
     if (guard && !guard->holds(refs, vals.data(), stack)) return;
     out[static_cast<std::size_t>(slot)] = rhs.eval(refs, vals.data(), stack);
   };
+  // A stretch runs the element body with every access affine along it:
+  // each access leaves its array first at the end of its in-bounds
+  // prefix (the LHS checked before the refs, as the element body does),
+  // and its dense offset is a progression, so the elements ahead of the
+  // first fault run without subscripts or bounds checks. The dense
+  // weights are laid out at the rank's first stretch, in its order.
+  const auto accesses = static_cast<std::size_t>(nrefs + 1);
+  auto desc = [&](std::size_t a) -> const decomp::ArrayDesc& {
+    return a == 0 ? lhs : plan.ref_desc(static_cast<int>(a) - 1);
+  };
+  std::vector<i64> weight, off, step;  // per access dimension; access
+  auto stretch = [&](std::vector<i64>& vals, const Stretch& s) {
+    if (weight.empty()) {
+      weight.resize(static_cast<std::size_t>(s.at[accesses]));
+      off.resize(accesses);
+      step.resize(accesses);
+      for (std::size_t a = 0; a < accesses; ++a) {
+        i64 w = 1;
+        for (int d = desc(a).ndims() - 1; d >= 0; --d) {
+          weight[static_cast<std::size_t>(s.at[a] + d)] = w;
+          w *= desc(a).size(d);
+        }
+      }
+    }
+    i64 clean = s.n;
+    int fault = -1;  // the access that faults at element `clean`
+    for (std::size_t a = 0; a < accesses; ++a) {
+      const decomp::ArrayDesc& d = desc(a);
+      const i64* g0 = s.g0 + s.at[a];
+      const i64* dg = s.dg + s.at[a];
+      const i64* w = weight.data() + s.at[a];
+      const i64 prefix = spmd::in_bounds_prefix(d, g0, dg, s.n);
+      if (prefix < clean) {
+        clean = prefix;
+        fault = static_cast<int>(a);
+      }
+      off[a] = step[a] = 0;
+      for (int k = 0; k < d.ndims(); ++k) {
+        off[a] += (g0[k] - d.lo(k)) * w[k];
+        step[a] += dg[k] * w[k];
+      }
+    }
+    const spmd::CommSchedule::Records notes = rec.append(p, clean);
+    i64* ids = notes.ids;
+    i64* offs = notes.offs;
+    const i64* vs = vals.data();
+    for (i64 k = 0; k < clean; ++k) {
+      for (int r = 0; r < nrefs; ++r, ++ids, ++offs) {
+        const auto a = static_cast<std::size_t>(r + 1);
+        refs[r] = rr.bases[static_cast<std::size_t>(r)][off[a]];
+        *ids = r;
+        *offs = off[a];
+        off[a] += step[a];
+      }
+      const i64 slot = off[0];
+      off[0] += step[0];
+      notes.slot[k] = slot;
+      for (int d = 0; d < nloops; ++d) notes.vals[k * nloops + d] = vs[d];
+      if (!guard || guard->holds(refs, vs, stack))
+        out[static_cast<std::size_t>(slot)] = rhs.eval(refs, vs, stack);
+      vals[static_cast<std::size_t>(inner)] += s.vstride;
+    }
+    pc.generic += clean;
+    if (fault == 0)
+      throw RuntimeFault("write out of bounds on " + clause.lhs_array);
+    if (fault > 0)
+      throw RuntimeFault("read out of bounds on " +
+                         clause.refs[static_cast<std::size_t>(fault - 1)].array);
+  };
   auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
     rec.note_run(p, vals.data(), f);
     i64 la = f.la, v = f.v0;
@@ -304,7 +374,7 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
     pc.fused += f.n;
   };
   gen::EnumStats es;
-  walk_modify(plan, p, /*dense=*/true, &es, element, fused);
+  walk_modify(plan, p, /*dense=*/true, &es, element, stretch, fused);
   step_pcs_[static_cast<std::size_t>(p)] = pc;
   RankCounters& c = step_counters_[static_cast<std::size_t>(p)];
   c = RankCounters{};

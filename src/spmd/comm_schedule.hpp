@@ -215,11 +215,45 @@ class CommSchedule : public CachedSchedule {
     for (int d = 0; d < nloops; ++d) rv.vals.push_back(vals_[d]);
   }
   void note_local(i64 p, int r, i64 offset) { note_op(p, r, offset); }
-  void note_halo(i64 p, int r, i64 slot) {
-    note_op(p, nrefs + procs + r, slot);
-  }
+  void note_halo(i64 p, int r, i64 slot) { note_op(p, halo_base(r), slot); }
   void note_remote(i64 p, i64 src, i64 slot) {
-    note_op(p, nrefs + src, slot);
+    note_op(p, packed_base(src), slot);
+  }
+  /// Operand base ids (see RecvPlan): ref r's halo row, and the packed
+  /// buffer from source rank src.
+  i64 halo_base(int r) const { return nrefs + procs + r; }
+  i64 packed_base(i64 src) const { return nrefs + src; }
+
+  /// Where append's n element records go: n LHS slots, n loop tuples and
+  /// n rows of nrefs operand (base, offset) pairs, for the caller to
+  /// fill. A caller that writes a -1 slot sets recv[p].oob_slot.
+  struct Records {
+    i64* slot;
+    i64* vals;
+    i64* ids;
+    i64* offs;
+  };
+  /// n element records at once, as n note_element calls and their
+  /// operands would add them.
+  Records append(i64 p, i64 n) {
+    RecvPlan& rv = recv[static_cast<std::size_t>(p)];
+    if (rv.segs.empty() || rv.segs.back().run) {
+      RecvSegment sg;
+      sg.at = rv.records();
+      rv.segs.push_back(sg);
+    }
+    rv.segs.back().n += n;
+    rv.n += n;
+    const auto e = static_cast<std::size_t>(rv.records());
+    const auto m = e + static_cast<std::size_t>(n);
+    const auto nl = static_cast<std::size_t>(nloops);
+    const auto nr = static_cast<std::size_t>(nrefs);
+    rv.lhs_slot.resize(m);
+    rv.vals.resize(m * nl);
+    rv.ids.resize(m * nr);
+    rv.offs.resize(m * nr);
+    return {rv.lhs_slot.data() + e, rv.vals.data() + e * nl,
+            rv.ids.data() + e * nr, rv.offs.data() + e * nr};
   }
   /// A run whose every ref reads its own row, at the outer loop values
   /// of vals_ (f.raddr is left as it was). Sets vals_'s innermost value.

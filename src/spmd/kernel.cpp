@@ -108,6 +108,7 @@ ClauseKernel ClauseKernel::compile(const prog::Clause& clause) {
           // Monotone / Opaque: a generic record evaluated with fn::eval.
           out.generic.push_back({d, s.loop_index, s.expr});
           k.affine_ = false;
+          k.piecewise_ = false;
         }
       }
       out.affine.push_back(a);
@@ -253,6 +254,22 @@ bool strided_run(const ArrayAddr& aa, const i64* g0, const i64* dg,
   out->addr0 = addr0;
   out->stride = stride;
   return true;
+}
+
+i64 in_bounds_prefix(const decomp::ArrayDesc& desc, const i64* g0,
+                     const i64* dg, i64 count) {
+  const int nd = desc.ndims();
+  bool inside = true;
+  for (int d = 0; inside && d < nd; ++d) {
+    const i64 lo = desc.lo(d), hi = desc.hi(d);
+    inside = in_range(g0[d], lo, hi) &&
+             in_range(g0[d] + (count - 1) * dg[d], lo, hi);
+  }
+  if (inside) return count;
+  i64 klo = 0, khi = count - 1;
+  for (int d = 0; d < nd; ++d)
+    clamp_interval(g0[d], dg[d], desc.lo(d), desc.hi(d), &klo, &khi);
+  return klo > 0 ? 0 : std::max<i64>(khi + 1, 0);
 }
 
 std::shared_ptr<const ClauseKernel> KernelCache::get(

@@ -14,7 +14,8 @@
 //      reference interpreter's order and results are bit-identical.
 //   2. Subscript records: a Constant or Affine dimension (the paper's
 //      Table I classes, via fn::classify) becomes an {loop, a, c}
-//      record, an AffineMod one an inline {loop, a, c, z, d} record; only
+//      record, an AffineMod one an inline {loop, a, c, z, d} record
+//      (which ModSub::piece splits into affine pieces along a run); only
 //      Monotone and Opaque dimensions keep a generic record evaluated
 //      with fn::eval. The message tag is a dot product with precomputed
 //      weights for every clause.
@@ -31,6 +32,7 @@
 // same order.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -168,6 +170,25 @@ struct ModSub {
     return add_checked(emod(add_checked(mul_checked(a, vals[loop]), c), z),
                        d);
   }
+
+  /// Section 3.3's breakpoint split, one piece at a time: at an element
+  /// whose pre-mod value a*i + c is u, on a run along which that value
+  /// advances by du, the subscript is `value` and advances by du for
+  /// `len` elements (1 <= len <= left) before (a*i + c) mod z wraps. One
+  /// division, no allocation; |du| >= z gives 1-element pieces.
+  struct Piece {
+    i64 value = 0;
+    i64 len = 0;
+  };
+  Piece piece(i64 u, i64 du, i64 left) const {
+    const i64 r = emod(u, z);
+    i64 len = left;
+    if (len > 1 && du > 0)
+      len = std::min(len, (z - 1 - r) / du + 1);
+    else if (len > 1 && du < 0)
+      len = std::min(len, r / -du + 1);
+    return {r + d, len};
+  }
 };
 
 /// One Monotone or Opaque subscript dimension: fn::eval(expr,
@@ -248,6 +269,14 @@ inline void fill_progression(const std::vector<AffineSub>& subs,
 bool strided_run(const ArrayAddr& aa, const i64* g0, const i64* dg,
                  i64 count, StridedRun* out);
 
+/// How many leading elements of the progression g_d(k) = g0[d] +
+/// k*dg[d] (program-level indices, k = 0..count-1) lie inside desc's
+/// bounds: count when all do. Each g_d is monotone, so the in-bounds ks
+/// form one interval and the two ends decide, without dividing, unless
+/// one of them is out.
+i64 in_bounds_prefix(const decomp::ArrayDesc& desc, const i64* g0,
+                     const i64* dg, i64 count);
+
 /// The compiled form of one clause. Compilation never fails and covers
 /// every clause: the RHS and guard always lower to bytecode and every
 /// subscript to a record, so subs_into(), tag(), rhs() and guard() are
@@ -260,6 +289,11 @@ class ClauseKernel {
   /// True when every subscript (LHS and refs) is Constant or Affine in
   /// its loop variable, so the affine records alone describe the clause.
   bool affine() const noexcept { return affine_; }
+
+  /// True when every subscript is Constant, Affine or AffineMod: no
+  /// generic record, so along an innermost run every access is
+  /// piecewise affine (ModSub::piece splits it).
+  bool piecewise() const noexcept { return piecewise_; }
 
   const CompiledExpr& rhs() const noexcept { return rhs_; }
   /// nullptr when the clause has no guard.
@@ -307,6 +341,7 @@ class ClauseKernel {
   std::optional<CompiledGuard> guard_;
   int stack_need_ = 1;
   bool affine_ = true;
+  bool piecewise_ = true;
   SubRecords lhs_subs_;
   std::vector<SubRecords> ref_subs_;
   std::vector<i64> tag_w_;  // per-loop-dim weight, refs factor included

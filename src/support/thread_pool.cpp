@@ -69,10 +69,10 @@ void ThreadPool::wake(Gate& gate) {
   gate.cv.notify_all();
 }
 
-void ThreadPool::drain() {
-  for (;;) {
+i64 ThreadPool::drain() {
+  for (i64 ran = 0;; ++ran) {
     i64 r = next_.fetch_add(1, std::memory_order_relaxed);
-    if (r >= n_) return;
+    if (r >= n_) return ran;
     try {
       (*body_)(r);
     } catch (...) {
@@ -104,6 +104,7 @@ void ThreadPool::parallel_for_ranks(i64 n,
                                     const std::function<void(i64)>& body) {
   if (n <= 0) return;
   if (workers_.empty() || n == 1) {
+    caller_ranks_.fetch_add(n, std::memory_order_relaxed);
     for (i64 r = 0; r < n; ++r) body(r);
     joins_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -121,7 +122,8 @@ void ThreadPool::parallel_for_ranks(i64 n,
   closed_.store(false);
   generation_.fetch_add(1);  // publishes the job (seq_cst, see await)
   wake(idle_);
-  drain();  // the caller is one of the pool's lanes
+  // The caller is one of the pool's lanes.
+  caller_ranks_.fetch_add(drain(), std::memory_order_relaxed);
   // Join on ranks finished, not on lanes: a lane that is slow to wake
   // (parked, or descheduled on a busy host) and finds nothing left
   // holds nobody up.

@@ -94,6 +94,14 @@ class ThreadPool {
     return idle_.parks.load(std::memory_order_relaxed);
   }
 
+  /// Ranks the calling thread ran itself (every rank of an inline call).
+  /// Against the ranks handed out, it says how much of the parallelism
+  /// the lanes delivered: a call whose lanes are parked and slow to wake
+  /// finds the caller has run every rank by the time they arrive.
+  i64 caller_ranks() const noexcept {
+    return caller_ranks_.load(std::memory_order_relaxed);
+  }
+
  private:
   /// Where threads sleep once polling has run out. wake() costs one
   /// atomic load while nobody sleeps.
@@ -105,7 +113,8 @@ class ThreadPool {
   };
 
   void worker_loop();
-  void drain();
+  /// Runs ranks of the current job until none is left; returns how many.
+  i64 drain();
   /// Polls ready() for the spin window, then parks on `gate` until it
   /// holds. ready() must read with seq_cst ordering (see wake()).
   template <typename Ready>
@@ -141,6 +150,7 @@ class ThreadPool {
   // Observability counters (metrics only; never affect scheduling).
   std::atomic<i64> joins_{0};
   std::atomic<i64> join_wait_ns_{0};
+  std::atomic<i64> caller_ranks_{0};
 };
 
 }  // namespace vcal::support

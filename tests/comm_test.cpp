@@ -368,7 +368,10 @@ TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
   // C[i mod (i - 11)] is first evaluated by the executors (not by plan
   // construction) and divides by zero at i = 11. With both, rank 0's
   // out-of-bounds read is the error the tagged path raises, though the
-  // division faults on rank 1.
+  // division faults on rank 1. B[(i + 20) mod 40 - 8] stays inside B
+  // until its mod piece wraps at i = 20 (to B[-8]), so only the second
+  // stretch of rank 2's run leaves the array. The shared machine raises
+  // the same text.
   const struct {
     const char* rhs;
     const char* error;
@@ -376,6 +379,7 @@ TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
       {"B[i - 1]", "read out of bounds on B"},
       {"C[i mod (i - 11)]", "'mod' by zero in a subscript"},
       {"B[i - 1] + C[i mod (i - 11)]", "read out of bounds on B"},
+      {"B[(i + 20) mod 40 - 8]", "read out of bounds on B"},
   };
   for (const auto& c : cases) {
     spmd::Program program = lang::compile(cat(
@@ -403,6 +407,17 @@ TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
         EXPECT_EQ(m.plan_cache().schedules(), 0) << c.rhs;
         EXPECT_EQ(m.comm_stats().sched_builds, 0) << c.rhs;
         EXPECT_EQ(m.comm_stats().sched_hits, 0) << c.rhs;
+        SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e);
+        sh.load("B", ramp(32));
+        sh.load("C", ramp(32));
+        try {
+          sh.run();
+          ADD_FAILURE() << c.rhs << ": no fault on shared";
+        } catch (const RuntimeFault& f) {
+          EXPECT_STREQ(f.what(), c.error)
+              << c.rhs << " on shared, threads " << threads;
+        }
+        EXPECT_EQ(sh.comm_stats().sched_builds, 0) << c.rhs;
       }
   }
 }
@@ -417,6 +432,13 @@ std::unique_ptr<spmd::CommSchedule> inspect(const spmd::Program& program,
   Inspector inspector(plan);
   for (i64 p = 0; p < plan.procs(); ++p) inspector.rank(RankSite{p});
   return inspector.finish();
+}
+
+std::string counters_str(const RankCounters& c) {
+  return cat(c.sends, ",", c.receives, ",", c.iterations, ",", c.tests, ",",
+             c.local_reads, ",", c.remote_reads, ",", c.bulk_sends, ",",
+             c.bulk_receives, ",", c.halo_bulk, ",", c.halo_values, ",",
+             c.halo_reads);
 }
 
 i64 run_elements(const spmd::RecvPlan& rv) {
@@ -547,6 +569,224 @@ TEST(CommSchedule, MixedSchedulesReplayLikeTheTaggedPath) {
         EXPECT_GT(sh.path_counters().jit, 0);
       }
     }
+}
+
+// The schedule of an AffineMod clause, built element by element the way
+// the inspector resolved every element before it stepped stretches:
+// each subscript through ClauseKernel::subs_into, each operand through
+// ArrayDesc::locate, every element a record. Null when some element
+// would fault.
+std::unique_ptr<spmd::CommSchedule> per_element_schedule(
+    const spmd::ClausePlan& plan) {
+  const spmd::ClauseKernel& kern = plan.kernel();
+  const decomp::ArrayDesc& lhs = plan.lhs_desc();
+  const i64 procs = plan.procs();
+  const int nrefs = static_cast<int>(plan.clause().refs.size());
+  auto cs = std::make_unique<spmd::CommSchedule>();
+  cs->init(procs, static_cast<int>(plan.clause().loops.size()), nrefs);
+  for (i64 p = 0; p < procs; ++p) {
+    RankCounters& rc = cs->counters[static_cast<std::size_t>(p)];
+    for (int r = 0; r < nrefs; ++r)
+      if (plan.ref_needs_comm(r)) {
+        const gen::EnumStats c = plan.reside_space(p, r).charge();
+        rc.iterations += c.loop_iters;
+        rc.tests += c.tests;
+      }
+    bool bad = false;
+    std::vector<i64> out_idx, ridx;
+    gen::EnumStats es;
+    plan.modify_space(p).for_each(
+        [&](const std::vector<i64>& vals) {
+          spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
+          bad = bad || !lhs.in_bounds(out_idx);
+          for (int r = 0; r < nrefs && !bad; ++r) {
+            const decomp::ArrayDesc& rd = plan.ref_desc(r);
+            spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
+            if (!rd.in_bounds(ridx)) {
+              bad = true;
+              break;
+            }
+            const decomp::Location at = rd.locate(ridx);
+            const i64 src = rd.is_replicated() ? p : at.owner;
+            if (src != p && rd.halo() > 0 && rd.in_halo(p, ridx)) {
+              cs->note_halo(p, r, rd.halo_slot(p, ridx[0]));
+              ++rc.halo_reads;
+            } else if (src == p) {
+              cs->note_local(p, r, at.local);
+              ++rc.local_reads;
+            } else {
+              std::vector<spmd::PackOp>& list =
+                  cs->send[static_cast<std::size_t>(src)]
+                      .to[static_cast<std::size_t>(p)];
+              cs->note_remote(p, src, static_cast<i64>(list.size()));
+              list.push_back({static_cast<std::int32_t>(r), at.local});
+              ++rc.receives;
+              ++rc.remote_reads;
+            }
+          }
+          if (bad) return;
+          i64 slot = lhs.locate(out_idx).local;
+          if (!in_range(slot, 0, lhs.local_capacity(p) - 1)) slot = -1;
+          cs->note_element(p, slot, vals.data());
+        },
+        &es);
+    if (bad) return nullptr;
+    rc.iterations += es.loop_iters;
+    rc.tests += es.tests;
+  }
+  for (i64 src = 0; src < procs; ++src)
+    for (i64 dst = 0; dst < procs; ++dst) {
+      const auto m = static_cast<i64>(cs->send[static_cast<std::size_t>(src)]
+                                          .to[static_cast<std::size_t>(dst)]
+                                          .size());
+      if (m == 0) continue;
+      cs->counters[static_cast<std::size_t>(src)].sends += m;
+      ++cs->counters[static_cast<std::size_t>(src)].bulk_sends;
+      ++cs->counters[static_cast<std::size_t>(dst)].bulk_receives;
+      cs->matrix_delta[static_cast<std::size_t>(src * procs + dst)] = m;
+      cs->packed_ops += m;
+    }
+  return cs;
+}
+
+void expect_same_schedule(const spmd::CommSchedule& got,
+                          const spmd::CommSchedule& want) {
+  ASSERT_EQ(got.procs, want.procs);
+  for (std::size_t p = 0; p < got.recv.size(); ++p) {
+    SCOPED_TRACE(cat("rank ", p));
+    const spmd::RecvPlan& g = got.recv[p];
+    const spmd::RecvPlan& w = want.recv[p];
+    EXPECT_EQ(g.n, w.n);
+    EXPECT_EQ(g.runs, w.runs);
+    EXPECT_EQ(g.oob_slot, w.oob_slot);
+    ASSERT_EQ(g.segs.size(), w.segs.size());
+    for (std::size_t k = 0; k < g.segs.size(); ++k) {
+      EXPECT_EQ(g.segs[k].n, w.segs[k].n);
+      EXPECT_EQ(g.segs[k].at, w.segs[k].at);
+      EXPECT_EQ(g.segs[k].run, w.segs[k].run);
+    }
+    EXPECT_EQ(g.lhs_slot, w.lhs_slot);
+    EXPECT_EQ(g.vals, w.vals);
+    EXPECT_EQ(g.ids, w.ids);
+    EXPECT_EQ(g.offs, w.offs);
+    EXPECT_EQ(g.run_vals, w.run_vals);
+    EXPECT_EQ(g.run_addr, w.run_addr);
+    for (std::size_t d = 0; d < got.send[p].to.size(); ++d) {
+      const auto& gl = got.send[p].to[d];
+      const auto& wl = want.send[p].to[d];
+      ASSERT_EQ(gl.size(), wl.size()) << "to " << d;
+      for (std::size_t k = 0; k < gl.size(); ++k) {
+        EXPECT_EQ(gl[k].ref, wl[k].ref);
+        EXPECT_EQ(gl[k].offset, wl[k].offset);
+      }
+    }
+    EXPECT_EQ(counters_str(got.counters[p]), counters_str(want.counters[p]));
+  }
+  EXPECT_EQ(got.matrix_delta, want.matrix_delta);
+  EXPECT_EQ(got.packed_ops, want.packed_ops);
+}
+
+// (a*i + c) mod z + d subscripts over every 1-D layout (and the 2-D
+// ones), reads and writes: z = 13 does not divide the 47-element loop
+// range and a*47 wraps it several times; the writes wrap once, and a
+// 2-D read takes the mod in one dimension, on its inner loop and on its
+// outer one.
+std::string affine_mod_src(i64 procs, const std::string& lay_a,
+                           const std::string& lay_b, const std::string& lay_m,
+                           bool guarded) {
+  std::string s = cat("processors ", procs,
+                      ";\narray A[-5:54];\narray B[-5:54];\n"
+                      "array M[0:11, -2:9];\narray N[0:10, 0:7];\n"
+                      "distribute A ", lay_a, ";\ndistribute B ", lay_b,
+                      ";\ndistribute M ", lay_m, ";\ndistribute N ", lay_m,
+                      ";\n");
+  const std::string guard = guarded ? " | B[(2*i - 3) mod 11 - 4] > 9" : "";
+  const std::string lhs[] = {"A[(i - 9) mod 50 - 3]", "A[(-1*i - 9) mod 50 - 3]"};
+  int k = 0;
+  for (i64 a : {1, 2, 3, 5, -1}) {
+    s += cat("forall i in 0:46", guard, " do ", lhs[k++ % 2],
+             " := B[(", a, "*i - 7) mod 13 - 2] * 2 + B[(", a,
+             "*i - 20) mod 23 + 31] + i; od\n");
+  }
+  s += cat("forall i in 0:10, j in 0:7 do N[i, j] := M[i, (3*j - 5) mod 7 - 1]"
+           " + M[(-1*i - 4) mod 9 + 2, j + 1] + j; od\n");
+  return s;
+}
+
+TEST(CommSchedule, AffineModSchedulesMatchAPerElementReference) {
+  const std::vector<std::string> one_d = {
+      "block",           "scatter",    "blockscatter(3)",
+      "blockscatter(16)", "replicated", "block overlap(1)"};
+  const std::vector<std::string> two_d = {"(block, scatter)", "(scatter, *)",
+                                          "replicated"};
+  i64 checked = 0;
+  for (i64 procs : {3, 4})
+    for (std::size_t k = 0; k < one_d.size(); ++k)
+      for (bool guarded : {false, true}) {
+        const std::string src =
+            affine_mod_src(procs, one_d[k], one_d[(k + 2) % one_d.size()],
+                           two_d[k % two_d.size()], guarded);
+        SCOPED_TRACE(src);
+        spmd::Program program = lang::compile(src);
+        // 1. Every clause's schedule equals the per-element reference,
+        // record for record.
+        spmd::PlanCache cache;
+        for (std::size_t c = 0; c < program.steps.size(); ++c) {
+          const spmd::ClausePlan& plan = cache.get(
+              std::get<prog::Clause>(program.steps[c]), program.arrays);
+          ASSERT_FALSE(plan.kernel().affine());
+          std::unique_ptr<spmd::CommSchedule> want =
+              per_element_schedule(plan);
+          std::unique_ptr<spmd::CommSchedule> got =
+              inspect(program, c, cache);
+          ASSERT_TRUE(want) << "clause " << c;
+          ASSERT_TRUE(got) << "clause " << c;
+          SCOPED_TRACE(cat("clause ", c));
+          expect_same_schedule(*got, *want);
+          ++checked;
+        }
+        // 2. Stores equal the tagged reference's, on dist and shared.
+        auto load = [](auto& m) {
+          std::vector<double> v(60), w(12 * 12), x(11 * 8);
+          for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = static_cast<double>((i * 7) % 19);
+          for (std::size_t i = 0; i < w.size(); ++i)
+            w[i] = static_cast<double>((i * 5) % 13) - 1.5;
+          m.load("B", v);
+          m.load("M", w);
+          m.load("N", x);
+        };
+        EngineOptions ref_opts;
+        ref_opts.threads = 1;
+        ref_opts.jit = false;
+        DistMachine tagged(program, {}, {}, ref_opts);
+        load(tagged);
+        for (const FaultPlan& f : reorder_every_step(program))
+          tagged.inject(f);
+        tagged.run();
+        for (int threads : {1, 4})
+          for (bool jit : {false, true}) {
+            SCOPED_TRACE(cat("threads ", threads, " jit ", jit));
+            EngineOptions e;
+            e.threads = threads;
+            e.jit = jit;
+            e.jit_threshold = 1;
+            e.jit_sync = true;
+            DistMachine d(program, {}, {}, e);
+            load(d);
+            d.run();
+            SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e);
+            load(sh);
+            sh.run();
+            for (const char* name : {"A", "N"}) {
+              EXPECT_EQ(d.gather(name), tagged.gather(name)) << name;
+              EXPECT_EQ(sh.result(name), tagged.gather(name)) << name;
+            }
+            EXPECT_EQ(d.stats().messages, tagged.stats().messages);
+            EXPECT_EQ(d.message_matrix(), tagged.message_matrix());
+          }
+      }
+  EXPECT_EQ(checked, 2 * 6 * 2 * 6);
 }
 
 // Stand-ins for a jitted module's entry points: count calls, write

@@ -262,6 +262,74 @@ TEST(ClauseKernel, GenericRecordsMatchTheReferenceSubscripts) {
   }
 }
 
+// Section 3.3's breakpoint split, piece by piece: along a run i = start +
+// k*stride, each ModSub::piece holds value + j*a*stride, agrees with
+// ModSub::at at every point, and ends exactly where (a*i + c) mod z
+// wraps. On remap's shapes (n = 16384 and M's 64) and the affine-mod
+// shapes above, over strides up to past a whole modulus.
+TEST(ClauseKernel, ModPiecesFollowTheRecordAcrossEveryWrap) {
+  using fn::add;
+  using fn::cnst;
+  using fn::mod;
+  using fn::mul;
+  using fn::sub;
+  using fn::var;
+  struct Shape {
+    fn::SymPtr expr;
+    i64 lo, hi;
+  };
+  const std::vector<Shape> shapes = {
+      {mod(add(var(), cnst(5000)), cnst(16384)), 0, 16383},
+      {mod(add(mul(cnst(3), var()), cnst(7)), cnst(16384)), 0, 16383},
+      {mod(add(var(), cnst(17)), cnst(64)), 0, 63},
+      {mod(add(var(), cnst(6)), cnst(20)), -12, 12},
+      {mod(sub(cnst(3), mul(cnst(2), var())), cnst(7)), -12, 12},
+      {add(mod(add(mul(cnst(3), var()), cnst(-4)), cnst(16)), cnst(-2)), -12,
+       12},
+      {sub(mod(sub(var(), cnst(9)), cnst(8)), cnst(5)), -12, 12},
+      {mod(add(mod(var(), cnst(12)), cnst(5)), cnst(4)), -12, 12},
+  };
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    prog::Clause c;
+    c.loops = {{"i", shapes[s].lo, shapes[s].hi}};
+    c.lhs_array = "A";
+    c.lhs_subs = {{0, shapes[s].expr}};
+    c.rhs = prog::number(1.0);
+    ClauseKernel kern = ClauseKernel::compile(c);
+    ASSERT_TRUE(kern.piecewise()) << s;
+    ASSERT_EQ(kern.lhs_subs().mod.size(), 1u) << s;
+    const ModSub& m = kern.lhs_subs().mod[0];
+    for (i64 stride : {1, 2, 3, 4, 7, 16, 65}) {
+      const i64 du = m.a * stride;
+      for (i64 start = shapes[s].lo; start < shapes[s].lo + 5; ++start) {
+        const i64 count = (shapes[s].hi - start) / stride + 1;
+        i64 pieces = 0;
+        for (i64 k = 0; k < count;) {
+          i64 v = start + k * stride;
+          const ModSub::Piece pc = m.piece(m.a * v + m.c, du, count - k);
+          ASSERT_GE(pc.len, 1);
+          ASSERT_LE(pc.len, count - k);
+          for (i64 j = 0; j < pc.len; ++j) {
+            v = start + (k + j) * stride;
+            ASSERT_EQ(m.at(&v), pc.value + j * du)
+                << "shape " << s << " stride " << stride << " i " << v;
+          }
+          k += pc.len;
+          if (k < count) {  // a piece ends only at a wrap
+            v = start + k * stride;
+            EXPECT_NE(m.at(&v), pc.value + pc.len * du)
+                << "shape " << s << " stride " << stride << " i " << v;
+          }
+          ++pieces;
+        }
+        // At most one piece per wrap, plus the first.
+        const i64 span = std::abs(du) * (count - 1);
+        EXPECT_LE(pieces, span / m.z + 2) << s;
+      }
+    }
+  }
+}
+
 TEST(ClauseKernel, GuardCompilesAlongsideRhs) {
   prog::Clause c = one_ref_clause(fn::var(), 0, fn::var(), 0);
   c.guard = prog::Guard{prog::Guard::Cmp::GT, prog::ref(0),

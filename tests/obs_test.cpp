@@ -337,6 +337,7 @@ TEST(SchedReplay, InspectSpansCountElementRecordsAndRuns) {
       elements += ev.a0;
       EXPECT_LE(ev.a1, 2) << "rank " << r;
       EXPECT_GE(ev.a2, 1) << "rank " << r;
+      EXPECT_EQ(ev.a3, ev.a1) << "rank " << r;  // the records: stretches
     });
   EXPECT_EQ(spans, 4);
   EXPECT_EQ(elements, 1022);
@@ -345,6 +346,33 @@ TEST(SchedReplay, InspectSpansCountElementRecordsAndRuns) {
   ASSERT_NE(at, std::string::npos);
   const std::string rec = json.substr(at, json.find('}', at) - at);
   EXPECT_TRUE(contains(rec, "\"a2\":1")) << rec;
+}
+
+TEST(SchedReplay, InspectSpansCountStretchedElements) {
+  // A mod-rotate read has no strided runs: the inspector resolves every
+  // element through the stretches between the rotate's wraps, so each
+  // span reads a3 = a0 (= a1).
+  spmd::Program program = lang::compile(
+      "processors 4;\narray A[0:63];\narray B[0:63];\n"
+      "distribute A scatter;\ndistribute B block;\n"
+      "forall i in 0:63 do A[i] := B[(i + 21) mod 64] + A[i]; od\n");
+  rt::EngineOptions e;
+  e.trace = true;
+  e.threads = 1;
+  rt::DistMachine m(program, {}, {}, e);
+  m.load("B", ramp(64));
+  m.run();
+  i64 spans = 0, elements = 0;
+  for (i64 r = 0; r < 4; ++r)
+    m.tracer()->lane(r).for_each([&](const TraceEvent& ev) {
+      if (ev.kind != EventKind::InspectEnd) return;
+      ++spans;
+      elements += ev.a0;
+      EXPECT_EQ(ev.a3, ev.a0) << "rank " << r;
+      EXPECT_EQ(ev.a1, ev.a0) << "rank " << r;
+    });
+  EXPECT_EQ(spans, 4);
+  EXPECT_EQ(elements, 64);
 }
 
 TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
@@ -687,6 +715,8 @@ TEST(Metrics, CollectorsCoverEveryProducer) {
   EXPECT_EQ(preg.find("pool-size")->ival, 2);
   ASSERT_NE(preg.find("pool-parks"), nullptr);
   EXPECT_GE(preg.find("pool-parks")->ival, 1);
+  ASSERT_NE(preg.find("pool-caller-ranks"), nullptr);
+  EXPECT_LE(preg.find("pool-caller-ranks")->ival, 4);
 }
 
 TEST(Metrics, PathCountersStrDelegatesToRegistry) {

@@ -987,6 +987,41 @@ TEST(ArrayDesc, LocateMatchesOwnerAndLocalLinear) {
     });
 }
 
+// Decomp1D cursors stepped from every index of every dimension, along
+// strides of both signs up to beyond a whole cycle (b*P), against locate
+// at each index they reach. The layouts include idle ranks (5 elements
+// as block or blockscatter(3) over 4) and arrays whose first index is
+// not 0, whose program-level starts are normalized as the inspector
+// normalizes them.
+TEST(Decomp1D, CursorSteppingMatchesLocate) {
+  std::vector<ArrayDesc> all;
+  for (const auto& group : layout_groups())
+    all.insert(all.end(), group.begin(), group.end());
+  all.push_back(ArrayDesc::distributed("R", {4}, {10},
+                                       DecompND({Decomp1D::replicated(7, 1)})));
+  for (const ArrayDesc& a : all)
+    for (int d = 0; d < a.ndims(); ++d) {
+      const Decomp1D& dim = a.decomp().dim(d);
+      const i64 b = dim.block_size(), cycle = b * dim.procs();
+      for (i64 s : {i64{1}, i64{-1}, i64{2}, i64{-3}, b, -b - 1, cycle, -cycle,
+                    cycle + 1, -cycle - 2, 2 * cycle + 3}) {
+        const decomp::Step step = dim.step(s);
+        for (i64 g = a.lo(d); g <= a.hi(d); ++g) {
+          decomp::Cursor c = dim.cursor(g - a.lo(d));
+          for (i64 i = g - a.lo(d); in_range(i, 0, dim.n() - 1); i += s) {
+            const decomp::Location l = dim.locate(i);
+            ASSERT_EQ(c.owner, l.owner)
+                << a.str() << " dim " << d << " from " << g << " by " << s;
+            ASSERT_EQ(c.local, l.local)
+                << a.str() << " dim " << d << " from " << g << " by " << s;
+            ASSERT_EQ(c.offset, i % b) << a.str();
+            c.advance(step);
+          }
+        }
+      }
+    }
+}
+
 TEST(LocalRuns, ClosedFormOffsetsMatchDecompGlobal) {
   for (const auto& group : layout_groups())
     for (const ArrayDesc& a : group)

@@ -198,6 +198,26 @@ TEST(ThreadPool, EmptyAndSingleRangesRunInline) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST(ThreadPool, CountsTheRanksTheCallerRanItself) {
+  // Inline calls (one lane, or one rank) run every rank on the caller.
+  support::ThreadPool single(1);
+  single.parallel_for_ranks(7, [](i64) {});
+  EXPECT_EQ(single.caller_ranks(), 7);
+  support::ThreadPool pool(4);
+  pool.parallel_for_ranks(1, [](i64) {});
+  EXPECT_EQ(pool.caller_ranks(), 1);
+  pool.parallel_for_ranks(0, [](i64) {});
+  EXPECT_EQ(pool.caller_ranks(), 1);
+  // Otherwise the caller runs between none and all of a call's ranks,
+  // however quickly the lanes pick theirs up.
+  for (i64 n : {2, 4, 9, 64}) {
+    const i64 before = pool.caller_ranks();
+    pool.parallel_for_ranks(n, [](i64) {});
+    EXPECT_GE(pool.caller_ranks(), before) << n;
+    EXPECT_LE(pool.caller_ranks() - before, n) << n;
+  }
+}
+
 TEST(ThreadPool, ReusableAcrossManyLoops) {
   support::ThreadPool pool(3);
   std::atomic<i64> total{0};
