@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
     }
     // The block relaxation runs clean: every clause execution, the
     // first at each layout included, runs its communication schedule,
-    // so no element takes the per-element tagged path.
+    // so no element takes a per-element path.
     if (f.paths.sched == 0 || f.paths.generic != 0 || f.paths.fused != 0 ||
         f.paths.interp != 0) {
       std::printf("  !! SCHEDULE PATH NOT EXERCISED at P=%lld (%s)\n",

@@ -44,8 +44,6 @@ enum class EventKind : std::uint8_t {
   ClauseBegin,   // a clause step: per-rank update phase, or the whole
                  // step on the control lane
   ClauseEnd,
-  SendBegin,     // distributed phase 1 (non-blocking sends) on a rank
-  SendEnd,
   HaloBegin,     // distributed phase 0 (halo refresh) on a rank
   HaloEnd,
   RedistBegin,   // a redistribution step (control lane)
@@ -60,9 +58,6 @@ enum class EventKind : std::uint8_t {
                  // a1 = elements carried
   MsgRecv,       // a bulk message arrived at this rank: a0 = src rank,
                  // a1 = elements carried
-  RecvWait,      // a blocking receive found no matching message (the
-                 // deadlock diagnostic): a0 = src rank, a1 = message tag
-  Stall,         // fault injection stalled this rank: a0 = rounds
   PlanHit,       // plan-cache probe (control lane): a0 = cache size
   PlanMiss,      // a0 = cache size, a1 = compiled-kernel op count
   RedistEpoch,   // an array changed layout: a0 = its new layout id
@@ -81,8 +76,6 @@ enum class EventKind : std::uint8_t {
   SchedBuild,     // control lane: inspector compiled a schedule
                   //   (a0 = schedules cached)
   SchedHit,       // control lane: step replayed through a schedule
-  SchedFallback,  // control lane: schedules enabled but the step ran the
-                  //   tagged path (a0 = 1: a fault was armed)
   JitBuild,       // control lane: a clause plan armed native compilation
                   //   (a0 = 1 synchronous, 0 background worker)
   JitSwap,        // control lane: jitted function pointers swapped into
@@ -131,9 +124,6 @@ class RankTrace {
     return recorded_ < capacity() ? recorded_ : capacity();
   }
   i64 dropped() const noexcept { return recorded_ - size(); }
-
-  /// Newest retained event; nullptr when empty.
-  const TraceEvent* last() const noexcept;
 
   /// Visits retained events oldest to newest.
   template <typename F>
@@ -197,10 +187,6 @@ class Tracer {
 
   i64 total_recorded() const noexcept;
   i64 total_dropped() const noexcept;
-
-  /// "kind step=N a=[..] @Tns" for the lane's newest event — the
-  /// deadlock diagnostic's enrichment. "(no events)" when empty.
-  std::string last_event_str(i64 lane) const;
 
  private:
   i64 ranks_;

@@ -67,7 +67,6 @@ void emit_lane_records(std::vector<std::string>& records, i64 lane,
     // overwritten in the ring are dropped.
     switch (e.kind) {
       case EventKind::ClauseEnd:
-      case EventKind::SendEnd:
       case EventKind::HaloEnd:
       case EventKind::RedistEnd:
       case EventKind::BarrierEnd:

@@ -36,7 +36,6 @@ inline std::string control_socket_path(const std::string& dir) {
 // the type the simulator would have thrown.
 enum class ErrCode : std::uint32_t {
   Runtime = 1,
-  Deadlock = 2,
   Codegen = 3,
   Semantic = 4,
   Internal = 5,

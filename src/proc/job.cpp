@@ -10,7 +10,7 @@ namespace vcal::proc {
 
 namespace {
 constexpr std::uint32_t kJobMagic = 0x4a4c4356;  // "VCLJ"
-constexpr std::uint32_t kJobVersion = 3;
+constexpr std::uint32_t kJobVersion = 4;
 
 void put_build(WireWriter& w, const gen::BuildOptions& b) {
   w.put_u8(static_cast<std::uint8_t>(b.bs_form));
@@ -38,17 +38,6 @@ std::vector<std::uint8_t> encode_job(const JobSpec& job) {
   w.put_i64(job.procs);
   put_build(w, job.build);
   put_engine(w, job.engine);
-
-  w.put_u32(static_cast<std::uint32_t>(job.faults.size()));
-  for (const rt::FaultPlan& f : job.faults) {
-    w.put_u8(static_cast<std::uint8_t>(f.kind));
-    w.put_i64(f.step);
-    w.put_i64(f.src);
-    w.put_i64(f.dst);
-    w.put_i64(f.index);
-    w.put_i64(f.rank);
-    w.put_i64(f.rounds);
-  }
 
   w.put_u32(static_cast<std::uint32_t>(job.inputs.size()));
   for (const auto& [name, dense] : job.inputs) {
@@ -82,20 +71,6 @@ JobSpec decode_job(const std::uint8_t* data, std::size_t n) {
   e.jit_threshold = static_cast<int>(r.get_i64());
   e.jit_sync = r.get_u8() != 0;
   e.jit_cache_dir = r.get_str();
-
-  // A fault is a kind byte and six i64 fields.
-  const std::uint32_t nfaults = r.get_count(1 + 6 * sizeof(i64));
-  job.faults.resize(nfaults);
-  for (std::uint32_t i = 0; i < nfaults; ++i) {
-    rt::FaultPlan& f = job.faults[i];
-    f.kind = static_cast<rt::FaultPlan::Kind>(r.get_u8());
-    f.step = r.get_i64();
-    f.src = r.get_i64();
-    f.dst = r.get_i64();
-    f.index = r.get_i64();
-    f.rank = r.get_i64();
-    f.rounds = r.get_i64();
-  }
 
   // An input is at least a name length and a value count.
   const std::uint32_t ninputs = r.get_count(2 * sizeof(std::uint32_t));

@@ -13,7 +13,6 @@
 #include "gen/optimizer.hpp"
 #include "rt/cost_model.hpp"
 #include "rt/engine_options.hpp"
-#include "rt/fault_plan.hpp"
 #include "support/math.hpp"
 
 namespace vcal::proc {
@@ -23,7 +22,6 @@ struct JobSpec {
   i64 procs = 0;       // sanity check against the compiled program
   gen::BuildOptions build;
   rt::EngineOptions engine;
-  std::vector<rt::FaultPlan> faults;
   // Dense input images loaded before the run, in load order.
   std::vector<std::pair<std::string, std::vector<double>>> inputs;
   i64 timeout_ms = 60000;  // transport wait budget per pump

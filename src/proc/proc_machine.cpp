@@ -168,23 +168,9 @@ void ProcMachine::cleanup_dir() {
 void ProcMachine::merge_step(i64 step,
                              std::vector<rt::RankCounters> counters) {
   const spmd::Step& st = program_.steps[static_cast<std::size_t>(step)];
-  if (std::get_if<prog::Clause>(&st) != nullptr) {
-    // Stall faults are launcher-side: the simulator proves a stalled
-    // rank's step outcome is unchanged, so a real process is never
-    // descheduled — only the accounting is replayed.
-    const rt::FaultPlan* stall = nullptr;
-    for (const rt::FaultPlan& f : faults_)
-      if (f.step == step && f.kind == rt::FaultPlan::Kind::StallRank &&
-          in_range(f.rank, 0, program_.procs - 1))
-        stall = &f;
-    if (stall) {
-      stall_rounds_ += std::max<i64>(stall->rounds, 0);
-      ++faults_applied_;
-    }
-  } else {
-    const auto& rs = std::get<spmd::RedistStep>(st);
-    const decomp::ArrayDesc& old_desc = program_.arrays.at(rs.array);
-    const i64 moves = rt::redist_moves(old_desc, rs.new_desc);
+  if (const auto* rs = std::get_if<spmd::RedistStep>(&st)) {
+    const decomp::ArrayDesc& old_desc = program_.arrays.at(rs->array);
+    const i64 moves = rt::redist_moves(old_desc, rs->new_desc);
     require(moves == std::accumulate(counters.begin(), counters.end(), i64{0},
                                      [](i64 acc, const rt::RankCounters& c) {
                                        return acc + c.sends;
@@ -192,7 +178,7 @@ void ProcMachine::merge_step(i64 step,
             "redistribution workers disagree with the layouts on the "
             "message count");
     stats_.redist_messages += moves;
-    program_.arrays.insert_or_assign(rs.array, rs.new_desc);
+    program_.arrays.insert_or_assign(rs->array, rs->new_desc);
   }
   rt::add_step(stats_, counters, cost_);
   last_counters_ = std::move(counters);
@@ -211,7 +197,6 @@ void ProcMachine::run() {
   job.procs = procs;
   job.build = opts_;
   job.engine = engine_;
-  job.faults = faults_;
   job.inputs = inputs_;
   job.timeout_ms = proc_.timeout_ms;
   job.ring_slots = proc_.ring_slots;
@@ -305,7 +290,6 @@ void ProcMachine::run() {
                 "proc: STEP matrix row has the wrong width");
         sf.matrix_row.resize(n);
         for (std::uint32_t i = 0; i < n; ++i) sf.matrix_row[i] = r.get_i64();
-        sf.faults_delta = r.get_i64();
         rs.last_msg = cat("STEP(step ", sf.step, ")");
         rs.steps.push_back(std::move(sf));
         break;
@@ -408,7 +392,6 @@ void ProcMachine::run() {
     RankState::Err e = *best;
     kill_all();
     switch (e.code) {
-      case ErrCode::Deadlock: throw DeadlockError(e.msg);
       case ErrCode::Codegen: throw CodegenError(e.msg);
       case ErrCode::Semantic: throw SemanticError(e.msg);
       case ErrCode::Internal: throw InternalError(e.msg);
@@ -452,7 +435,6 @@ void ProcMachine::run() {
       if (!ready) break;
       std::vector<rt::RankCounters> counters(
           static_cast<std::size_t>(procs));
-      i64 faults_delta = 0;
       for (i64 r = 0; r < procs; ++r) {
         RankState& rs = ranks[static_cast<std::size_t>(r)];
         StepFrame sf = std::move(rs.steps.front());
@@ -463,9 +445,7 @@ void ProcMachine::run() {
           message_matrix_[static_cast<std::size_t>(r)]
                          [static_cast<std::size_t>(d)] +=
               sf.matrix_row[static_cast<std::size_t>(d)];
-        faults_delta += sf.faults_delta;
       }
-      faults_applied_ += faults_delta;
       merge_step(merged, std::move(counters));
       ++merged;
     }

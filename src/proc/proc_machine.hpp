@@ -1,6 +1,6 @@
 // Multi-process distributed backend: the launcher half.
 //
-// ProcMachine presents the DistMachine surface — load / inject / run /
+// ProcMachine presents the DistMachine surface — load / run /
 // gather / stats / message matrix — but executes the program on P real
 // OS processes, one per rank, spawned from a worker binary (`vcalc
 // --rank N --channel-dir PATH`). Ranks exchange clause messages over
@@ -16,10 +16,10 @@
 //     are reaped inside the poll loop and surface as a RuntimeFault
 //     naming the dead rank and its last control-plane message, and the
 //     whole run is bounded by ProcOptions::timeout_ms.
-//   - Engine errors inside a worker (deadlock, out-of-bounds, ...) are
-//     relayed over the control plane with their exception kind and
-//     rethrown here as the same type, lowest (step, rank) first — the
-//     order the serial simulator would have thrown.
+//   - Engine errors inside a worker (out-of-bounds, transport timeout,
+//     ...) are relayed over the control plane with their exception kind
+//     and rethrown here as the same type, lowest (step, rank) first —
+//     the order the serial simulator would have thrown.
 //   - All spawned processes are killed and reaped on every exit path.
 #pragma once
 
@@ -33,7 +33,6 @@
 #include "rt/cost_model.hpp"
 #include "rt/dist_machine.hpp"
 #include "rt/engine_options.hpp"
-#include "rt/fault_plan.hpp"
 #include "spmd/program.hpp"
 #include "support/scoped_dir.hpp"
 
@@ -69,13 +68,6 @@ class ProcMachine {
 
   void load(const std::string& name, const std::vector<double>& dense);
 
-  /// Arms a fault (see rt/fault_plan.hpp). Message faults are applied by
-  /// the destination rank's worker after channel reconstruction; stalls
-  /// are accounted by the launcher (a real process cannot be descheduled
-  /// deterministically, and the simulator proves stalls are
-  /// outcome-neutral).
-  void inject(const rt::FaultPlan& fault) { faults_.push_back(fault); }
-
   /// Spawns the workers, runs the program, collects results. One-shot.
   void run();
 
@@ -83,8 +75,6 @@ class ProcMachine {
 
   const rt::DistStats& stats() const noexcept { return stats_; }
   i64 procs() const noexcept { return program_.procs; }
-  i64 faults_applied() const noexcept { return faults_applied_; }
-  i64 stall_rounds_served() const noexcept { return stall_rounds_; }
   const std::vector<rt::RankCounters>& last_step_counters() const noexcept {
     return last_counters_;
   }
@@ -111,7 +101,6 @@ class ProcMachine {
     i64 step = 0;
     rt::RankCounters counters;
     std::vector<i64> matrix_row;
-    i64 faults_delta = 0;
   };
   struct RankState;  // poll-loop bookkeeping (defined in the .cpp)
 
@@ -125,7 +114,6 @@ class ProcMachine {
   rt::CostModel cost_;
   rt::EngineOptions engine_;
   ProcOptions proc_;
-  std::vector<rt::FaultPlan> faults_;
   std::vector<std::pair<std::string, std::vector<double>>> inputs_;
 
   std::string dir_;
@@ -139,8 +127,6 @@ class ProcMachine {
   rt::DistStats stats_;
   std::vector<rt::RankCounters> last_counters_;
   std::vector<std::vector<i64>> message_matrix_;
-  i64 faults_applied_ = 0;
-  i64 stall_rounds_ = 0;
   std::vector<std::map<std::string, std::vector<double>>> rank_rows_;
   std::vector<RankTraceDump> traces_;
 };

@@ -6,10 +6,9 @@
 // magic, kind (CLAUSE / HALO / REDIST), payload slot count, step index —
 // followed by `count` payload slots, matching the engine's bulk-channel
 // framing: all elements flowing src -> dst in one step travel as one
-// frame. CLAUSE payload slots carry (tag, value) pairs in packed channel
-// order on a tagged step and bare values in SendPlan order on a
-// scheduled one; HALO and REDIST slots carry bare values. Both endpoints
-// derive every bare-value order independently from the decompositions.
+// frame. Payload slots carry bare values: CLAUSE frames in the
+// schedule's SendPlan order, HALO and REDIST frames in orders both
+// endpoints derive independently from the decompositions.
 //
 // head/tail are monotonically increasing slot counters in the mapped
 // header (producer writes head with release, consumer writes tail with
@@ -32,7 +31,7 @@ struct Slot {
 };
 
 enum class FrameKind : std::uint32_t {
-  Clause = 1,  // (tag, value) pairs, or packed values (scheduled step)
+  Clause = 1,  // packed values, in the schedule's SendPlan order
   Halo = 2,    // halo boundary values, enumeration order
   Redist = 3,  // migrating elements, global index order
 };
@@ -58,16 +57,6 @@ inline bool parse_frame_header(Slot s, FrameKind* kind,
          *kind == FrameKind::Redist;
 }
 
-inline Slot clause_slot(i64 tag, double value) {
-  Slot s;
-  std::uint64_t bits;
-  static_assert(sizeof bits == sizeof value);
-  __builtin_memcpy(&bits, &value, sizeof bits);
-  s.a = static_cast<std::uint64_t>(tag);
-  s.b = bits;
-  return s;
-}
-
 inline Slot value_slot(double value) {
   Slot s;
   std::uint64_t bits;
@@ -75,8 +64,6 @@ inline Slot value_slot(double value) {
   s.b = bits;
   return s;
 }
-
-inline i64 slot_tag(Slot s) { return static_cast<i64>(s.a); }
 
 inline double slot_value(Slot s) {
   double v;

@@ -1,33 +1,30 @@
 // Rank worker of the multi-process backend.
 //
 // The worker runs DistMachine's rank step (rt/rank_step.hpp) for its own
-// rank: the same halo fill, the same choice between the scheduled and
-// tagged paths, and the same rank-local phase functions, with the
-// simulator's shared buffers replaced by frames over the mmap'd rings.
-// What remains here is transport, the rank's store, and control. The
-// workers run bytecode kernels only; the JIT stays in-process.
+// rank: the same halo fill, the same schedule, and the same rank-local
+// phase functions, with the simulator's shared buffers replaced by
+// frames over the mmap'd rings. What remains here is transport, the
+// rank's store, and control. The workers run bytecode kernels only; the
+// JIT stays in-process.
 //
 // Per clause step, rank p:
 //   0. collects, for every reader, the halo values it owns, in the chunk
 //      order both ends enumerate (rt::for_each_halo_chunk);
-//   1. on a clean step, packs its values in SendPlan order
-//      (rt::pack_rank) from the schedule it inspected at this layout —
-//      every worker inspects every rank, so all agree on the path and on
-//      each buffer's length; otherwise (an armed fault, a refused clause)
-//      enumerates Reside_p \ Modify_p into sorted (tag, value) channels
-//      (rt::send_rank). One HALO frame
-//      (when the clause reads a halo'd array) and one CLAUSE frame go to
-//      every peer, even when empty;
+//   1. packs its values in SendPlan order (rt::pack_rank) from the
+//      schedule inspected at this layout. Every worker inspects every
+//      rank, so all hold the same schedule and know each buffer's length
+//      — and a clause whose elements fault raises the same error on
+//      every worker before any frame is sent. One HALO frame (when the
+//      clause reads a halo'd array) and one CLAUSE frame go to every
+//      peer, even when empty;
 //   2. pumps the rings — interleaving partial writes with opportunistic
 //      reads so frames larger than a ring never head-of-line deadlock —
 //      until everything queued is sent and every expected frame arrived;
-//   3. fills its halo rows (rt::fill_halo_row), then replays the schedule
-//      by offset (rt::replay_rank), or rebuilds each incoming channel
-//      (push + pack, a pure function of arrival order), applies the
-//      armed message faults addressed to it, and runs the receive/update
-//      walk (rt::receive_update_rank);
-//   4. reports its RankCounters, message-matrix row delta, and applied
-//      faults in one STEP control frame.
+//   3. fills its halo rows (rt::fill_halo_row), checks each packed
+//      buffer's length against the schedule, then replays the schedule
+//      by offset (rt::replay_rank);
+//   4. reports its RankCounters and message-matrix row delta in one STEP
+//      control frame.
 //
 // Redistribution steps run DistMachine's rank-local mover
 // (rt::redist_pack_rank / rt::redist_unpack_rank): one REDIST frame per
@@ -71,8 +68,6 @@ namespace vcal::proc {
 namespace {
 
 using prog::Clause;
-using rt::Channel;
-using rt::FaultPlan;
 using rt::RankCounters;
 using spmd::ClausePlan;
 
@@ -355,14 +350,12 @@ class Worker {
     }
   }
 
-  void send_step(const RankCounters& rc, const std::vector<i64>& matrix_row,
-                 i64 faults_delta) {
+  void send_step(const RankCounters& rc, const std::vector<i64>& matrix_row) {
     WireWriter w;
     w.put_i64(step_);
     put_rank_counters(w, rc);
     w.put_u32(static_cast<std::uint32_t>(matrix_row.size()));
     for (i64 v : matrix_row) w.put_i64(v);
-    w.put_i64(faults_delta);
     send_frame(ctl_, MsgType::Step, w.bytes);
   }
 
@@ -396,30 +389,21 @@ class Worker {
     const rt::RankSite site{p, tr, /*lane=*/0, step_};
     begin_step();
 
-    std::vector<const FaultPlan*> active_faults;
-    for (const FaultPlan& f : job_.faults)
-      if (f.step == step_ && f.kind != FaultPlan::Kind::None)
-        active_faults.push_back(&f);
-
     spmd::PlanCache::Entry& entry =
         lookup_.get(clause, program_.arrays, job_.build);
     const ClausePlan& plan = entry.plan;
 
-    // DistMachine's dispatch: an armed fault takes the tagged path;
-    // otherwise the step runs the schedule inspected at this layout,
-    // unless the inspector refused the clause. The worker inspects every
-    // rank, so all workers reach the same verdict and know each peer's
-    // buffer sizes without asking.
-    const spmd::CommSchedule* sched = nullptr;
-    if (active_faults.empty()) {
-      if (!entry.sched) {
-        rt::Inspector inspector(plan);
-        for (i64 q = 0; q < procs_; ++q)
-          inspector.rank(rt::RankSite{q, tr, /*lane=*/0, step_});
-        entry.sched = inspector.finish();
-      }
-      sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
+    // DistMachine's dispatch: the step runs the schedule inspected at
+    // this layout. The worker inspects every rank, in rank order, so all
+    // workers hold the same schedule — or raise the lowest faulting
+    // rank's error — and know each peer's buffer sizes without asking.
+    if (!entry.sched) {
+      rt::Inspector inspector(plan);
+      for (i64 q = 0; q < procs_; ++q)
+        inspector.rank(rt::RankSite{q, tr, /*lane=*/0, step_});
+      entry.sched = inspector.finish();
     }
+    const auto& sched = static_cast<const spmd::CommSchedule&>(*entry.sched);
 
     // Pre-clause operand rows: the copy-in snapshot when the clause
     // reads its own target, so sends and local reads observe pre-clause
@@ -475,31 +459,16 @@ class Worker {
       }
     }
 
-    // ---- Phase 1: packed buffers (scheduled) or (tag, value) channels
-    // (tagged), one CLAUSE frame per peer — sent even when empty, so a
-    // missing message manifests exactly as in the simulator (an absent
-    // tag in a delivered channel), never as a transport hang.
-    std::vector<Channel> channels(static_cast<std::size_t>(procs_));
-    if (sched) {
-      out_bufs_.resize(static_cast<std::size_t>(procs_));
-      rt::pack_rank(*sched, site, rr_, out_bufs_.data());
-    } else {
-      rt::send_rank(plan, site, rr_, channels.data(), rc, pc,
-                    matrix_row.data());
-    }
+    // ---- Phase 1: packed buffers, one CLAUSE frame per peer — sent
+    // even when empty, so every rank expects the same frames each step.
+    out_bufs_.resize(static_cast<std::size_t>(procs_));
+    rt::pack_rank(sched, site, rr_, out_bufs_.data());
     for (i64 dst = 0; dst < procs_; ++dst) {
       if (dst == p) continue;
       const auto ud = static_cast<std::size_t>(dst);
       if (!halo_arrays.empty())
         queue_frame(dst, FrameKind::Halo, halo_out[ud]);
-      if (sched) {
-        queue_values(dst, FrameKind::Clause, out_bufs_[ud]);
-      } else {
-        std::vector<Slot> payload;
-        for (const auto& [tag, value] : channels[ud].msgs)
-          payload.push_back(clause_slot(tag, value));
-        queue_frame(dst, FrameKind::Clause, payload);
-      }
+      queue_values(dst, FrameKind::Clause, out_bufs_[ud]);
       peers_[ud].expect = halo_arrays.empty() ? 1 : 2;
     }
 
@@ -536,56 +505,30 @@ class Worker {
     }
     VCAL_TRACE(tr, 0, obs::EventKind::HaloEnd, step_);
 
-    // ---- Phase 2: replay by offset (scheduled) or receive/update by
-    // tag (tagged).
+    // ---- Phase 2: replay by offset.
     std::vector<double>& out_row = rows_.at(clause.lhs_array);
-    i64 faults_delta = 0;
-    if (sched) {
-      in_bufs_.resize(static_cast<std::size_t>(procs_));
-      in_bufs_[static_cast<std::size_t>(p)].clear();
-      for (i64 src = 0; src < procs_; ++src) {
-        if (src == p) continue;
-        std::vector<double>& in = in_bufs_[static_cast<std::size_t>(src)];
-        take_values(src, FrameKind::Clause, in);
-        if (in.size() != sched->send[static_cast<std::size_t>(src)]
-                             .to[static_cast<std::size_t>(p)]
-                             .size())
-          throw RuntimeFault(cat("proc ring: packed buffer from rank ", src,
-                                 " on rank ", p, " has the wrong length"));
-        if (!in.empty())
-          VCAL_TRACE(tr, 0, obs::EventKind::MsgRecv, step_, src,
-                     static_cast<i64>(in.size()));
-      }
-      rt::replay_rank(*sched, plan, site, rr_, in_bufs_.data(), 1, out_row,
-                      nullptr, pc);
-      rc = rt::scheduled_counters(*sched, p, rc);
-      for (i64 d = 0; d < procs_; ++d)
-        matrix_row[static_cast<std::size_t>(d)] =
-            sched->matrix_delta[static_cast<std::size_t>(p * procs_ + d)];
-    } else {
-      // Reconstruct the incoming channels: push in arrival order + pack()
-      // reproduces the simulator's packed channel state bit-for-bit.
-      std::vector<Channel> in_ch(static_cast<std::size_t>(procs_));
-      for (i64 src = 0; src < procs_; ++src) {
-        Channel& ch = in_ch[static_cast<std::size_t>(src)];
-        if (src == p) continue;
-        for (const Slot& s : take_frame(src, FrameKind::Clause).payload)
-          ch.push(slot_tag(s), slot_value(s));
-        ch.pack();
-      }
-      // Armed message faults addressed to this rank perturb the packed
-      // channels, in injection order — the simulator's serial fault loop
-      // restricted to dst == p.
-      for (const FaultPlan* f : active_faults)
-        if (f->dst == p && in_range(f->src, 0, procs_ - 1) &&
-            rt::perturb(in_ch[static_cast<std::size_t>(f->src)], *f))
-          ++faults_delta;
-      rt::count_received(in_ch.data(), 1, procs_, site, rc);
-      rt::receive_update_rank(plan, site, rr_, out_row, in_ch.data(), 1, rc,
-                              pc);
-      rt::check_delivered(p, in_ch.data(), 1, procs_);
+    in_bufs_.resize(static_cast<std::size_t>(procs_));
+    in_bufs_[static_cast<std::size_t>(p)].clear();
+    for (i64 src = 0; src < procs_; ++src) {
+      if (src == p) continue;
+      std::vector<double>& in = in_bufs_[static_cast<std::size_t>(src)];
+      take_values(src, FrameKind::Clause, in);
+      if (in.size() != sched.send[static_cast<std::size_t>(src)]
+                           .to[static_cast<std::size_t>(p)]
+                           .size())
+        throw RuntimeFault(cat("proc ring: packed buffer from rank ", src,
+                               " on rank ", p, " has the wrong length"));
+      if (!in.empty())
+        VCAL_TRACE(tr, 0, obs::EventKind::MsgRecv, step_, src,
+                   static_cast<i64>(in.size()));
     }
-    send_step(rc, matrix_row, faults_delta);
+    rt::replay_rank(sched, plan, site, rr_, in_bufs_.data(), 1, out_row,
+                    nullptr, pc);
+    rc = rt::scheduled_counters(sched, p, rc);
+    for (i64 d = 0; d < procs_; ++d)
+      matrix_row[static_cast<std::size_t>(d)] =
+          sched.matrix_delta[static_cast<std::size_t>(p * procs_ + d)];
+    send_step(rc, matrix_row);
   }
 
   // ---- redistribution steps ------------------------------------------
@@ -626,7 +569,7 @@ class Worker {
     program_.arrays.insert_or_assign(step.array, new_desc);
     lookup_.relayout(new_desc);
     VCAL_TRACE(tr, 0, obs::EventKind::RedistEnd, step_);
-    send_step(rc, matrix_row, 0);
+    send_step(rc, matrix_row);
   }
 
   i64 rank_ = 0;
@@ -668,8 +611,6 @@ int worker_main(i64 rank, const std::string& channel_dir) {
       w.run();
       w.send_result();
       send_frame(ctl, MsgType::Done, {});
-    } catch (const DeadlockError& e) {
-      w.send_error(ErrCode::Deadlock, e.what());
     } catch (const CodegenError& e) {
       w.send_error(ErrCode::Codegen, e.what());
     } catch (const SemanticError& e) {

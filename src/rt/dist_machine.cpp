@@ -126,13 +126,13 @@ void DistMachine::finish_step(const std::vector<RankCounters>& counters) {
   }
 }
 
-// Phase 0 of every clause (tagged or scheduled): every referenced array
-// with a halo gets its boundary copies refreshed with pre-clause values
-// — one bulk exchange per (owner, neighbour) pair, copied as one
-// contiguous chunk of the owner's block. Near-boundary remote reads in
-// phase 2 then stay local and read the halo row by slot. `snap` is the
-// copy-in snapshot when the clause reads its own target (senders must
-// observe pre-clause values), else null.
+// Phase 0 of every clause: every referenced array with a halo gets its
+// boundary copies refreshed with pre-clause values — one bulk exchange
+// per (owner, neighbour) pair, copied as one contiguous chunk of the
+// owner's block. Near-boundary remote reads in phase 2 then stay local
+// and read the halo row by slot. `snap` is the copy-in snapshot when the
+// clause reads its own target (senders must observe pre-clause values),
+// else null.
 void DistMachine::refresh_halos(const Clause& clause, const ClausePlan& plan,
                                 const std::vector<std::vector<double>>* snap,
                                 i64 step_id) {
@@ -190,14 +190,6 @@ void DistMachine::run_clause(const Clause& clause) {
   const i64 ctl = tr ? tr->control_lane() : 0;
   const i64 step_id = stats_.steps;  // index of the step now executing
 
-  // Faults armed for this step. Any armed fault forces the tagged path,
-  // so the perturbation machinery always sees real channels.
-  std::vector<const FaultPlan*> active_faults;
-  for (const FaultPlan& f : faults_)
-    if (f.step == step_id && f.kind != FaultPlan::Kind::None)
-      active_faults.push_back(&f);
-  const bool fault_armed = !active_faults.empty();
-
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseBegin, step_id);
 
   // Plans are pure compile-time data, cached per layout of the arrays
@@ -209,36 +201,29 @@ void DistMachine::run_clause(const Clause& clause) {
   const i64 procs = plan.procs();
 
   // JIT dispatch: poll the entry's state once per execution (arming
-  // counter, compile status, pointer swap). Requires an affine kernel;
-  // armed faults keep the fully observable bytecode.
+  // counter, compile status, pointer swap). Requires an affine kernel.
   const spmd::JitFns* jfns = nullptr;
-  if (engine_.jit && plan.kernel().affine() && !fault_armed)
+  if (engine_.jit && plan.kernel().affine())
     jfns = ctx_->poll_jit(entry, clause, plan.kernel(), engine_, jit_,
                           tr, step_id);
 
-  // Communication-schedule dispatch (inspector–executor): a clean step
-  // runs the executor, inspecting the plan for a schedule first when
-  // the entry holds none. Armed faults, and clauses the inspector
-  // refuses because an element would fault, take the tagged path.
-  const spmd::CommSchedule* sched = nullptr;
+  // Communication-schedule dispatch (inspector–executor): the first
+  // execution at a layout inspects the plan for a schedule, in parallel
+  // over the ranks, and runs it at once. An element that faults raises
+  // its RuntimeFault from the inspector (the lowest faulting rank's),
+  // and nothing is stored.
   const bool stored = entry.sched != nullptr;
-  if (fault_armed) {
-    ++comm_.sched_fallbacks;
-    VCAL_TRACE(tr, ctl, obs::EventKind::SchedFallback, step_id, 1);
-  } else {
-    if (!stored) {
-      Inspector inspector(plan);
-      for_ranks(procs, [&](i64 p) {
-        inspector.rank(RankSite{p, tr, p, step_id});
-      });
-      if ((entry.sched = inspector.finish())) {
-        ++comm_.sched_builds;
-        VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
-                   plans_->schedules());
-      }
-    }
-    sched = static_cast<const spmd::CommSchedule*>(entry.sched.get());
+  if (!stored) {
+    Inspector inspector(plan);
+    for_ranks(procs, [&](i64 p) {
+      inspector.rank(RankSite{p, tr, p, step_id});
+    });
+    entry.sched = inspector.finish();
+    ++comm_.sched_builds;
+    VCAL_TRACE(tr, ctl, obs::EventKind::SchedBuild, step_id,
+               plans_->schedules());
   }
+  const auto& sched = static_cast<const spmd::CommSchedule&>(*entry.sched);
 
   // Persistent per-step scratch: sized on the first clause, reused by
   // every later one (a scheduled steady state allocates nothing).
@@ -281,10 +266,7 @@ void DistMachine::run_clause(const Clause& clause) {
     }
   }
 
-  if (sched)
-    run_scheduled(plan, *sched, jfns, stored, step_id);
-  else
-    run_tagged(plan, active_faults, step_id);
+  run_scheduled(plan, sched, jfns, stored, step_id);
 
   for (const PathCounters& c : step_pcs_) paths_ += c;
   if (tr)
@@ -297,84 +279,12 @@ void DistMachine::run_clause(const Clause& clause) {
   VCAL_TRACE(tr, ctl, obs::EventKind::ClauseEnd, step_id);
 }
 
-// The tagged path: one sorted (tag, value) channel per (src, dst) pair,
-// armed message faults perturbing the packed channels between the send
-// and receive phases, and the message-pairing check at the end.
-void DistMachine::run_tagged(const ClausePlan& plan,
-                             const std::vector<const FaultPlan*>& faults,
-                             i64 step_id) {
-  obs::Tracer* tr = tracer_;
-  const i64 ctl = tr ? tr->control_lane() : 0;
-  const i64 procs = plan.procs();
-  const std::string& lhs = plan.clause().lhs_array;
-  auto site = [&](i64 p) { return RankSite{p, tr, p, step_id}; };
-  // In-flight messages: one bulk channel per (src, dst) rank pair, row
-  // src * procs + dst. Rank p writes only its own channel row, counter
-  // slot, and message-matrix row, so phase 1 runs without locks.
-  std::vector<Channel> channels(static_cast<std::size_t>(procs * procs));
-
-  VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/1);
-  for_ranks(procs, [&](i64 p) {
-    const auto up = static_cast<std::size_t>(p);
-    send_rank(plan, site(p), rank_rows_[up], channels.data() + p * procs,
-              step_counters_[up], step_pcs_[up], message_matrix_[up].data());
-  });
-  VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/1);
-
-  // The virtual network misbehaves here, between send completion and the
-  // first receive: armed message faults perturb the packed channels.
-  for (const FaultPlan* f : faults)
-    if (in_range(f->src, 0, procs - 1) && in_range(f->dst, 0, procs - 1) &&
-        perturb(channels[static_cast<std::size_t>(f->src * procs + f->dst)],
-                *f))
-      ++faults_applied_;
-  // Serial section: writing each receiver's lane from here is race-free.
-  for (i64 p = 0; p < procs; ++p)
-    count_received(channels.data() + p, procs, procs, site(p),
-                   step_counters_[static_cast<std::size_t>(p)]);
-
-  // Phase 2: rank p consumes only channels destined to it (column p) and
-  // writes only its own local LHS row.
-  auto phase2 = [&](i64 p) {
-    const auto up = static_cast<std::size_t>(p);
-    receive_update_rank(plan, site(p), rank_rows_[up],
-                        store_.local_row_mut(lhs, p), channels.data() + p,
-                        procs, step_counters_[up], step_pcs_[up]);
-  };
-  // A stalled rank sits out the scheduled receive/update rounds while
-  // every other rank completes; its sends are already in flight, so the
-  // step's outcome must be unchanged once the stall releases.
-  const FaultPlan* stall = nullptr;
-  for (const FaultPlan* f : faults)
-    if (f->kind == FaultPlan::Kind::StallRank &&
-        in_range(f->rank, 0, procs - 1))
-      stall = f;
-  VCAL_TRACE(tr, ctl, obs::EventKind::BarrierBegin, step_id, /*phase=*/2);
-  if (stall) {
-    VCAL_TRACE(tr, stall->rank, obs::EventKind::Stall, step_id,
-               std::max<i64>(stall->rounds, 0));
-    for_ranks(procs, [&](i64 p) {
-      if (p != stall->rank) phase2(p);
-    });
-    stall_rounds_ += std::max<i64>(stall->rounds, 0);
-    ++faults_applied_;
-    phase2(stall->rank);  // the stall releases
-  } else {
-    for_ranks(procs, phase2);
-  }
-  VCAL_TRACE(tr, ctl, obs::EventKind::BarrierEnd, step_id, /*phase=*/2);
-
-  for (i64 p = 0; p < procs; ++p)
-    check_delivered(p, channels.data() + p, procs, procs);
-}
-
 // The executor half of the inspector–executor split: each source rank
 // packs values positionally into the reused (src, dst) buffers and each
-// destination satisfies every operand by offset — no tags, no sorting,
-// no hashing. Counters and the message matrix come from the schedule,
-// the halo counters from the live refresh, keeping every observable
-// statistic bit-identical to the tagged path. `replay` is true for a
-// stored schedule (a hit), false for the one just inspected.
+// destination satisfies every operand by offset. Counters and the
+// message matrix come from the schedule, the halo counters from the
+// live refresh. `replay` is true for a stored schedule (a hit), false
+// for the one just inspected.
 void DistMachine::run_scheduled(const ClausePlan& plan,
                                 const spmd::CommSchedule& sched,
                                 const spmd::JitFns* jfns,
@@ -385,9 +295,9 @@ void DistMachine::run_scheduled(const ClausePlan& plan,
   const std::string& lhs = plan.clause().lhs_array;
   auto site = [&](i64 p) { return RankSite{p, tr, p, step_id}; };
 
-  // Double-buffered reused channel storage: one contiguous value vector
-  // per (src, dst) pair, row src * procs + dst, parity-flipped per
-  // scheduled step; clear() keeps capacity.
+  // Double-buffered reused packed-value storage: one contiguous value
+  // vector per (src, dst) pair, row src * procs + dst, parity-flipped
+  // per step; clear() keeps capacity.
   std::vector<std::vector<double>>& bufs = comm_bufs_[comm_parity_];
   comm_parity_ ^= 1;
   if (static_cast<i64>(bufs.size()) != procs * procs)

@@ -1,28 +1,28 @@
 // Distributed-memory SPMD target (Sections 2.7 and 2.10 of the paper).
 //
-// Simulates a message-passing multicomputer with non-blocking sends and
-// blocking receives. Execution follows the paper's template: every
-// processor first sends the elements it stores that other processors'
-// computations need (i in Reside_p \ Modify_p), then walks Modify_p,
-// receiving remote operands and updating local elements. Because sends
-// are non-blocking and complete before any receive is attempted, the
-// template is deadlock-free by construction; a receive that finds no
-// matching message therefore indicates an inconsistent schedule pair and
-// raises DeadlockError.
+// Simulates a message-passing multicomputer. Execution follows the
+// paper's template: every processor first sends the elements it stores
+// that other processors' computations need (i in Reside_p \ Modify_p),
+// then walks Modify_p, reading remote operands from the messages and
+// updating local elements. The pattern of those messages follows from
+// the data decomposition alone, so the inspector derives it once per
+// clause and layout as a communication schedule
+// (spmd/comm_schedule.hpp): each source packs its values positionally
+// and each destination reads every operand by offset. Every clause step
+// runs one: the first execution at a layout inspects the plan and runs
+// the schedule at once, later ones replay it. A clause whose elements
+// fault raises the first faulting element's RuntimeFault from the
+// inspector and stores no schedule.
 //
 // Each phase's per-rank body is a rank-local function shared with the
 // multi-process worker (rt/rank_step.hpp); this machine runs it for
-// every rank over a thread pool (ranks own disjoint counters, channel
+// every rank over a thread pool (ranks own disjoint counters, buffer
 // rows, and local buffers; counters merge serially in rank order so
 // statistics are bit-identical to the serial engine). All elements
 // flowing between one (src, dst) pair in a clause travel as a single
 // bulk message, and clause plans are cached per layout of the arrays a
 // clause touches, so they survive redistributions
-// (spmd/plan_cache.hpp). A clean step runs a communication schedule
-// that the inspector derives from the plan the first time the clause
-// meets a layout (spmd/comm_schedule.hpp); the tagged path — one sorted
-// channel per rank pair, received by binary search — serves steps with
-// an armed fault and clauses whose elements fault.
+// (spmd/plan_cache.hpp).
 //
 // The simulator counts messages, local/remote reads, loop iterations and
 // membership tests per rank, and charges them to a CostModel; sim_time is
@@ -41,7 +41,6 @@
 #include "rt/cost_model.hpp"
 #include "rt/engine_context.hpp"
 #include "rt/engine_options.hpp"
-#include "rt/fault_plan.hpp"
 #include "rt/rank_step.hpp"
 #include "rt/store.hpp"
 #include "spmd/jit.hpp"
@@ -95,17 +94,6 @@ class DistMachine {
   void load(const std::string& name, const std::vector<double>& dense);
   void run();
 
-  /// Arms a fault to be injected when the targeted step executes (see
-  /// fault_plan.hpp). Repeatable; faults on distinct steps compose.
-  void inject(const FaultPlan& fault) { faults_.push_back(fault); }
-
-  /// How many armed faults actually perturbed a step (a message fault
-  /// naming an empty channel is counted as not applied).
-  i64 faults_applied() const noexcept { return faults_applied_; }
-
-  /// Scheduler rounds stalled ranks sat out across the run.
-  i64 stall_rounds_served() const noexcept { return stall_rounds_; }
-
   /// Dense image reassembled from the distributed pieces.
   std::vector<double> gather(const std::string& name) const;
 
@@ -120,9 +108,8 @@ class DistMachine {
   const PathCounters& path_counters() const noexcept { return paths_; }
 
   /// Communication-schedule accounting: inspector builds, replayed
-  /// steps, forced fallbacks, packed/unpacked volumes. Reporting only —
-  /// never part of DistStats (the oracle's tagged reference run, which
-  /// runs no schedule, pins that).
+  /// steps, packed/unpacked volumes. Reporting only — never part of
+  /// DistStats.
   const CommStats& comm_stats() const noexcept { return comm_; }
 
   /// JIT native-code accounting: compiles, cache reuse, dispatches
@@ -161,11 +148,7 @@ class DistMachine {
 
  private:
   void run_clause(const prog::Clause& clause);
-  /// The tagged path over every rank (rank_step.hpp): phase 1 sends,
-  /// armed message faults, phase 2 receive/update, the pairing check.
-  void run_tagged(const spmd::ClausePlan& plan,
-                  const std::vector<const FaultPlan*>& faults, i64 step_id);
-  /// The scheduled path over every rank: positional pack, then replay
+  /// A clause step over every rank: positional pack, then replay
   /// by offset with live guard/RHS. `replay` is true for a stored
   /// schedule (a hit), false for the one just inspected.
   void run_scheduled(const spmd::ClausePlan& plan,
@@ -176,7 +159,7 @@ class DistMachine {
   void finish_step(const std::vector<RankCounters>& counters);
 
   /// Phase 0: refresh halo rows of every overlapped referenced array
-  /// with pre-clause values (shared by the tagged and scheduled paths).
+  /// with pre-clause values.
   void refresh_halos(const prog::Clause& clause,
                      const spmd::ClausePlan& plan,
                      const std::vector<std::vector<double>>* snap,
@@ -201,16 +184,12 @@ class DistMachine {
   DistStats stats_;
   std::vector<RankCounters> last_counters_;
   std::vector<std::vector<i64>> message_matrix_;
-  std::vector<FaultPlan> faults_;
-  i64 faults_applied_ = 0;
-  i64 stall_rounds_ = 0;
   PathCounters paths_;
   CommStats comm_;
   spmd::JitStats jit_;
 
-  // Double-buffered, reused channel storage for scheduled steps: one
-  // contiguous value buffer per (src, dst) pair, parity-flipped per
-  // step. clear() keeps capacity, so steady-state packing is
+  // Double-buffered, reused packed-value storage: one contiguous value
+  // buffer per (src, dst) pair, parity-flipped per step. clear() keeps capacity, so steady-state packing is
   // allocation-free.
   std::vector<std::vector<double>> comm_bufs_[2];
   int comm_parity_ = 0;

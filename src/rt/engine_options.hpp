@@ -48,14 +48,14 @@ struct PathCounters {
 
 /// Communication-schedule accounting. Reporting only — like
 /// PathCounters, deliberately kept out of DistStats/SharedStats, which
-/// must stay bit-identical between a scheduled run and the tagged
-/// reference (every clause step forced onto the tagged path by an
-/// outcome-neutral fault, rt::reorder_every_step).
+/// must not depend on whether a step inspected, recorded or replayed
+/// its schedule.
 struct CommStats {
   i64 sched_builds = 0;     // schedules built (inspected or recorded)
   i64 sched_hits = 0;       // steps replaying a stored schedule
-  i64 sched_fallbacks = 0;  // steps forced back to the tagged path
-                            // by an armed fault
+  i64 sched_fallbacks = 0;  // always 0: every clause step runs a
+                            // schedule (kept for perfbench, which
+                            // reads it)
   i64 packed_values = 0;    // elements packed positionally by scheduled
                             // steps
   i64 packed_bytes = 0;     // bytes of that packed payload

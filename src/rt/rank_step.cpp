@@ -12,13 +12,6 @@ using spmd::ClausePlan;
 
 namespace {
 
-double read_row(const std::vector<double>& row, i64 local,
-                const std::string& array) {
-  if (!in_range(local, 0, static_cast<i64>(row.size()) - 1))
-    throw RuntimeFault("local read out of bounds on " + array);
-  return row[static_cast<std::size_t>(local)];
-}
-
 // A receiver covers a remote operand with its halo copy.
 bool halo_covers(const decomp::ArrayDesc& rd, i64 rank,
                  const std::vector<i64>& idx) {
@@ -27,306 +20,20 @@ bool halo_covers(const decomp::ArrayDesc& rd, i64 rank,
 
 }  // namespace
 
-// ---- Tagged path ----------------------------------------------------------
+// ---- Clause steps ---------------------------------------------------------
 
-void send_rank(const ClausePlan& plan, const RankSite& site,
-               const RankRows& rr, Channel* out, RankCounters& rc_out,
-               PathCounters& pc_out, i64* matrix_row) {
-  const prog::Clause& clause = plan.clause();
-  const spmd::ClauseKernel& kern = plan.kernel();
-  const bool kaff = kern.affine();
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
-  const i64 p = site.p;
-  const i64 procs = plan.procs();
-  const int nrefs = static_cast<int>(clause.refs.size());
-  const int inner = static_cast<int>(clause.loops.size()) - 1;
-  VCAL_TRACE(site.tr, site.lane, obs::EventKind::SendBegin, site.step);
-  // Rank-local tallies, published once at the end: the driver's slots
-  // for the other ranks share cache lines with this rank's.
-  RankCounters rc = rc_out;
-  PathCounters pc = pc_out;
-  std::vector<i64> ridx, out_idx;  // per-rank scratch
-  spmd::ArrayAddr lhs_addr;
-  std::vector<i64> g0r, dgr, g0l, dgl;
-  if (kaff) {
-    lhs_addr = spmd::make_local_addr(lhs, p);
-    g0l.resize(static_cast<std::size_t>(lhs.ndims()));
-    dgl.resize(static_cast<std::size_t>(lhs.ndims()));
-  }
-  for (int r = 0; r < nrefs; ++r) {
-    if (!plan.ref_needs_comm(r)) continue;  // replicated: always local
-    gen::EnumStats es;
-    const decomp::ArrayDesc& rd = plan.ref_desc(r);
-    const std::string& name = clause.refs[static_cast<std::size_t>(r)].array;
-    const std::vector<double>& row = *rr.rows[static_cast<std::size_t>(r)];
-    const spmd::IterationSpace& space = plan.reside_space(p, r);
-    const spmd::SubRecords& rsubs = kern.ref_subs(r);
-    const spmd::SubRecords& lsubs = kern.lhs_subs();
-    spmd::ArrayAddr ref_addr;
-    if (kaff) {
-      ref_addr = spmd::make_local_addr(rd, p);
-      g0r.resize(rsubs.affine.size());
-      dgr.resize(rsubs.affine.size());
-    }
-    auto push = [&](i64 dst, i64 tag, double value) {
-      out[dst].push(tag, value);
-      ++rc.sends;
-    };
-    // Per-element send decision: route each resident operand to the
-    // rank that computes the element reading it.
-    auto emit = [&](const std::vector<i64>& vals) {
-      spmd::ClauseKernel::subs_into(rsubs, vals.data(), ridx);
-      if (!rd.in_bounds(ridx))
-        throw RuntimeFault("read out of bounds on " + name);
-      const double value = read_row(row, rd.locate(ridx).local, name);
-      const i64 tag = kern.tag(r, vals.data());
-      if (lhs.is_replicated()) {
-        // Every rank computes every index: broadcast to the others.
-        for (i64 dst = 0; dst < procs; ++dst)
-          if (dst != p && !halo_covers(rd, dst, ridx)) push(dst, tag, value);
-        return;
-      }
-      spmd::ClauseKernel::subs_into(lsubs, vals.data(), out_idx);
-      if (!lhs.in_bounds(out_idx)) return;  // nobody computes this
-      const i64 dst = lhs.locate(out_idx).owner;
-      if (dst == p) return;  // Modify ∩ Reside: local update later
-      if (halo_covers(rd, dst, ridx)) return;  // receiver reads its halo
-      push(dst, tag, value);
-    };
-    space.for_each_run(
-        [&](std::vector<i64>& vals, const gen::Piece& run) {
-          // Elements whose LHS target this rank itself owns send nothing
-          // (Modify ∩ Reside); when a strided-run proof covers both
-          // sides — ref in bounds, stored here, and LHS in bounds, owned
-          // here — the whole subrange is skipped without touching it.
-          // Run edges, unprovable runs and non-affine clauses go element
-          // at a time.
-          i64 k0 = 0, k1 = -1;
-          if (kaff && !lhs.is_replicated()) {
-            spmd::StridedRun rrun, lrun;
-            spmd::fill_progression(rsubs.affine, vals, inner, run,
-                                   g0r.data(), dgr.data());
-            bool ok = spmd::strided_run(ref_addr, g0r.data(), dgr.data(),
-                                        run.count, &rrun);
-            if (ok) {
-              spmd::fill_progression(lsubs.affine, vals, inner, run,
-                                     g0l.data(), dgl.data());
-              ok = spmd::strided_run(lhs_addr, g0l.data(), dgl.data(),
-                                     run.count, &lrun);
-            }
-            if (ok) {
-              k0 = std::max(rrun.k_lo, lrun.k_lo);
-              k1 = std::min(rrun.k_hi, lrun.k_hi);
-            }
-            if (k1 < k0) {
-              k0 = 0;
-              k1 = -1;
-            }
-          }
-          for (i64 k = 0; k < k0; ++k) {
-            vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
-            emit(vals);
-          }
-          for (i64 k = k1 + 1; k < run.count; ++k) {
-            vals[static_cast<std::size_t>(inner)] = run.start + k * run.stride;
-            emit(vals);
-          }
-          const i64 skipped = k1 >= k0 ? k1 - k0 + 1 : 0;
-          pc.fused += skipped;
-          pc.generic += run.count - skipped;
-        },
-        &es);
-    rc.iterations += es.loop_iters;
-    rc.tests += es.tests;
-  }
-  // One sorted bulk message per destination this rank sends to; the
-  // message matrix counts every push, before pack() dedups.
-  for (i64 dst = 0; dst < procs; ++dst) {
-    Channel& ch = out[dst];
-    if (ch.msgs.empty()) continue;
-    matrix_row[dst] += static_cast<i64>(ch.msgs.size());
-    ch.pack();
-    ++rc.bulk_sends;
-    VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgSend, site.step, dst,
-               static_cast<i64>(ch.msgs.size()));
-  }
-  rc_out = rc;
-  pc_out = pc;
-  VCAL_TRACE(site.tr, site.lane, obs::EventKind::SendEnd, site.step);
-}
-
-bool perturb(Channel& ch, const FaultPlan& f) {
-  switch (f.kind) {
-    case FaultPlan::Kind::DropMessage: return ch.drop(f.index);
-    case FaultPlan::Kind::DuplicateMessage: return ch.duplicate(f.index);
-    case FaultPlan::Kind::ReorderChannel: return ch.reorder();
-    default: return false;
-  }
-}
-
-void count_received(const Channel* in, i64 in_stride, i64 procs,
-                    const RankSite& site, RankCounters& rc) {
-  for (i64 src = 0; src < procs; ++src) {
-    const Channel& ch = in[src * in_stride];
-    if (ch.msgs.empty()) continue;
-    ++rc.bulk_receives;
-    VCAL_TRACE(site.tr, site.lane, obs::EventKind::MsgRecv, site.step, src,
-               static_cast<i64>(ch.msgs.size()));
-  }
-}
-
-void receive_update_rank(const ClausePlan& plan, const RankSite& site,
-                         const RankRows& rr, std::vector<double>& out_row,
-                         Channel* in, i64 in_stride, RankCounters& rc_out,
-                         PathCounters& pc_out) {
-  const prog::Clause& clause = plan.clause();
-  const spmd::ClauseKernel& kern = plan.kernel();
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
-  const i64 p = site.p;
-  const int nrefs = static_cast<int>(clause.refs.size());
-  const int inner = static_cast<int>(clause.loops.size()) - 1;
-  VCAL_TRACE(site.tr, site.lane, obs::EventKind::ClauseBegin, site.step);
-  RankCounters rc = rc_out;  // rank-local tallies, as in send_rank
-  PathCounters pc = pc_out;
-  std::vector<double> ref_values(clause.refs.size());
-  std::vector<i64> ridx, out_idx;  // per-rank scratch
-  std::vector<const double*> row_ptrs(static_cast<std::size_t>(nrefs));
-  for (int r = 0; r < nrefs; ++r)
-    row_ptrs[static_cast<std::size_t>(r)] =
-        rr.rows[static_cast<std::size_t>(r)]->data();
-  std::vector<double> stack(static_cast<std::size_t>(kern.stack_need()));
-  const spmd::CompiledGuard* guard = kern.guard();
-  const spmd::CompiledExpr& rhs = kern.rhs();
-
-  // Element-at-a-time body: owner test, local/halo/remote operand
-  // fetch, guard, RHS, and the local write.
-  auto element = [&](const std::vector<i64>& vals) {
-    ++pc.generic;
-    spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
-    if (!lhs.in_bounds(out_idx))
-      throw RuntimeFault("write out of bounds on " + clause.lhs_array);
-    for (int r = 0; r < nrefs; ++r) {
-      const auto ur = static_cast<std::size_t>(r);
-      const decomp::ArrayDesc& rd = plan.ref_desc(r);
-      const std::string& name = clause.refs[ur].array;
-      spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
-      if (!rd.in_bounds(ridx))
-        throw RuntimeFault("read out of bounds on " + name);
-      const decomp::Location at = rd.locate(ridx);
-      const i64 src = rd.is_replicated() ? p : at.owner;
-      if (src == p) {
-        ref_values[ur] = read_row(*rr.rows[ur], at.local, name);
-        ++rc.local_reads;
-      } else if (halo_covers(rd, p, ridx)) {
-        // Overlapped decomposition: the value is already cached in this
-        // rank's halo row.
-        ref_values[ur] = (*rr.halo[ur])[static_cast<std::size_t>(
-            rd.halo_slot(p, ridx[0]))];
-        ++rc.halo_reads;
-      } else {
-        // Blocking receive from the in-flight bulk message.
-        const i64 tag = kern.tag(r, vals.data());
-        const double* value = in[src * in_stride].consume(tag);
-        if (value == nullptr) {
-          std::string elem = name + "[";
-          for (std::size_t d = 0; d < ridx.size(); ++d)
-            elem += cat(d ? ", " : "", ridx[d]);
-          elem += "]";
-          std::string diag = cat(
-              "deadlock: rank ", p, " blocked on pending receive of ", elem,
-              " (tag ", tag, ") from rank ", src,
-              ", which never sent it — inconsistent schedules or a lost "
-              "message");
-          if (site.tr) {
-            diag += cat("; last traced event on rank ", p, ": ",
-                        site.tr->last_event_str(site.lane));
-            site.tr->record(site.lane, obs::EventKind::RecvWait, site.step,
-                            src, tag);
-          }
-          throw DeadlockError(diag);
-        }
-        ref_values[ur] = *value;
-        ++rc.receives;
-        ++rc.remote_reads;
-      }
-    }
-    if (guard && !guard->holds(ref_values.data(), vals.data(), stack.data()))
-      return;
-    const double value =
-        rhs.eval(ref_values.data(), vals.data(), stack.data());
-    const i64 slot = lhs.locate(out_idx).local;
-    if (!in_range(slot, 0, static_cast<i64>(out_row.size()) - 1))
-      throw RuntimeFault("local write out of bounds on " + clause.lhs_array);
-    out_row[static_cast<std::size_t>(slot)] = value;
-  };
-
-  // Fused strided loop: every element of the run is proven in bounds and
-  // resident on this rank for the LHS and every ref, so the body carries
-  // no checks, no calls through the plan, and no allocations — just
-  // strided row reads, the bytecode evaluator on a preallocated stack,
-  // and a strided row write.
-  auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
-    i64 la = f.la, v = f.v0;
-    for (i64 k = 0; k < f.n; ++k) {
-      vals[static_cast<std::size_t>(inner)] = v;
-      for (int r = 0; r < nrefs; ++r) {
-        auto ur = static_cast<std::size_t>(r);
-        ref_values[ur] = row_ptrs[ur][f.raddr[ur]];
-        f.raddr[ur] += f.rstride[ur];
-      }
-      if (!guard || guard->holds(ref_values.data(), vals.data(), stack.data()))
-        out_row[static_cast<std::size_t>(la)] =
-            rhs.eval(ref_values.data(), vals.data(), stack.data());
-      la += f.lstride;
-      v += f.vstride;
-    }
-    pc.fused += f.n;
-    rc.local_reads += f.n * nrefs;
-  };
-
-  gen::EnumStats es;
-  walk_modify_elements(plan, p, /*dense=*/false, &es, element, fused);
-  rc.iterations += es.loop_iters;
-  rc.tests += es.tests;
-  rc_out = rc;
-  pc_out = pc;
-  VCAL_TRACE(site.tr, site.lane, obs::EventKind::ClauseEnd, site.step);
-}
-
-void check_delivered(i64 p, const Channel* in, i64 in_stride, i64 procs) {
-  i64 leftover = 0;
-  for (i64 src = 0; src < procs; ++src)
-    leftover += in[src * in_stride].undelivered();
-  if (leftover > 0)
-    throw RuntimeFault(cat("rank ", p, " finished the clause with ",
-                           leftover, " undelivered messages"));
-}
-
-// ---- Scheduled path -------------------------------------------------------
-
-// Each destination rank p walks Modify_p (walk_modify, so element order
-// and the fused split match the tagged phase 2) and resolves every
-// operand as local, halo, or remote; a remote operand is appended to the
-// (owner, p) pack list in p's walk order, and its receive slot is its
-// position there. The counters come out as the tagged step counts them:
-// reads and receives from the walk, the senders' phase-1 enumeration
-// charges from their Reside_p spaces, and sends, bulk messages and
-// message-matrix increments from the pack-list sizes (halo counters are
-// left to the live refresh). A rank refuses when any element would
-// fault — LHS or ref out of bounds, a local offset outside its row, a
-// subscript that faults as it evaluates.
 // Where each access's elements live along a stretch, stepped without
 // dividing: a Decomp1D cursor per dimension, folded into (owner, local)
 // the way ArrayDesc::locate folds them, or, for a replicated array, a
-// dense offset (owner 0). start(p, a) checks access a's bounds at a
-// stretch's two ends (each dimension is monotone along it) and places
-// rank p's cursors at its first element (a division pair per dimension,
-// and a Step split per moving one), at(p, a) reads them and advance(p, a)
-// steps them to the next element; halo_slot(p, a, g) is
-// ArrayDesc::halo_slot without its lookups. Access 0 is the clause's
-// LHS, access 1 + r its ref r, as in a Stretch. The table is built once
-// per clause with every rank's cursors, each rank's slice padded apart
-// from its neighbours', so a rank's walk allocates nothing for it.
+// dense offset (owner 0). in_bounds(a, ...) finds how far along a
+// stretch access a stays inside its array, start(p, a) places rank p's
+// cursors at the stretch's first element (a division pair per
+// dimension, and a Step split per moving one), at(p, a) reads them and
+// advance(p, a) steps them to the next element; halo_slot(p, a, g) is ArrayDesc::halo_slot
+// without its lookups. Access 0 is the clause's LHS, access 1 + r its
+// ref r, as in a Stretch. The table is built once per clause with every
+// rank's cursors, each rank's slice padded apart from its neighbours',
+// so a rank's walk allocates nothing for it.
 class Inspector::Locators {
  public:
   Locators(const ClausePlan& plan, i64 procs) {
@@ -371,15 +78,25 @@ class Inspector::Locators {
 
   const decomp::ArrayDesc& desc(std::size_t a) const { return *acc_[a].desc; }
 
-  /// False, placing nothing, when the access leaves its array somewhere
-  /// on the stretch's n elements.
-  bool start(i64 p, std::size_t a, const i64* g0, const i64* dg, i64 n) {
+  /// How many of the first n elements of a stretch access a reaches
+  /// before it first leaves its array: each dimension is monotone along
+  /// the stretch, so its two ends decide, and only a stretch that leaves
+  /// goes to spmd::in_bounds_prefix for the crossing.
+  i64 in_bounds(std::size_t a, const i64* g0, const i64* dg, i64 n) const {
     const Access& x = acc_[a];
     const Dim* dim = &dims_[x.first];
     for (std::size_t d = 0; d < x.nd; ++d)
       if (!in_range(g0[d], dim[d].lo, dim[d].hi) ||
           !in_range(g0[d] + (n - 1) * dg[d], dim[d].lo, dim[d].hi))
-        return false;
+        return spmd::in_bounds_prefix(*x.desc, g0, dg, n);
+    return n;
+  }
+
+  /// Places rank p's cursors at the first element of a stretch along
+  /// which access a stays inside its array.
+  void start(i64 p, std::size_t a, const i64* g0, const i64* dg) {
+    const Access& x = acc_[a];
+    const Dim* dim = &dims_[x.first];
     State* st = state(p, x);
     if (x.desc->is_replicated()) {
       // One pseudo-dimension: the dense offset, in a block that never
@@ -391,14 +108,13 @@ class Inspector::Locators {
         st->step.local += dg[d] * dim[d].weight;
       }
       st->moves = st->step.local != 0;
-      return true;
+      return;
     }
     for (std::size_t d = 0; d < x.nd; ++d) {
       st[d].cur = dim[d].decomp->cursor(g0[d] - dim[d].lo);
       st[d].moves = dg[d] != 0;
       if (st[d].moves) st[d].step = dim[d].decomp->step(dg[d]);
     }
-    return true;
   }
 
   decomp::Location at(i64 p, std::size_t a) const {
@@ -465,29 +181,28 @@ class Inspector::Locators {
   std::vector<Halo> halo_;  // [p * accesses + a], for overlapped arrays
 };
 
+// Each destination rank p walks Modify_p (walk_modify, so element order
+// and the fused split match the shared machine's recording pass) and
+// resolves every operand as local, halo, or remote; a remote operand is
+// appended to the (owner, p) pack list in p's walk order, and its
+// receive slot is its position there. The counters are the ones the
+// paper's template charges: reads and receives from the walk, the
+// senders' send-phase enumeration charges from their Reside_p spaces,
+// and sends, bulk messages and message-matrix increments from the
+// pack-list sizes (halo counters are left to the live refresh).
 Inspector::Inspector(const ClausePlan& plan)
     : plan_(plan), sched_(std::make_unique<spmd::CommSchedule>()) {
-  const i64 procs = plan.procs();
-  sched_->init(procs, static_cast<int>(plan.clause().loops.size()),
+  sched_->init(plan.procs(), static_cast<int>(plan.clause().loops.size()),
                static_cast<int>(plan.clause().refs.size()));
-  refused_.assign(static_cast<std::size_t>(procs), 0);
-  // Local rows are sized by their descriptors' capacities on every rank
-  // (DistStore, the worker's rows, copy-in snapshots), so the bound the
-  // tagged path checks each operand read against comes from the plan.
-  const int nrefs = sched_->nrefs;
-  row_len_.resize(static_cast<std::size_t>(nrefs * procs));
-  for (int r = 0; r < nrefs; ++r)
-    for (i64 q = 0; q < procs; ++q)
-      row_len_[static_cast<std::size_t>(r * procs + q)] =
-          plan.ref_desc(r).local_capacity(q);
   if (plan.kernel().piecewise())
-    locs_ = std::make_unique<Locators>(plan, procs);
+    locs_ = std::make_unique<Locators>(plan, plan.procs());
 }
 
 Inspector::~Inspector() = default;
 
 void Inspector::rank(const RankSite& site) {
   const ClausePlan& plan = plan_;
+  const prog::Clause& clause = plan.clause();
   const spmd::ClauseKernel& kern = plan.kernel();
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
   const i64 p = site.p;
@@ -498,15 +213,12 @@ void Inspector::rank(const RankSite& site) {
   // Rank-local scratch, published once at the end: the other ranks'
   // walks write the neighbouring slots of the shared arrays.
   RankCounters rc;
-  bool bad = false;
   std::vector<std::vector<spmd::PackOp>> from(static_cast<std::size_t>(procs));
-  const i64 out_len = lhs.local_capacity(p);
-  const i64* row_len = row_len_.data();
+  const i64 out_len = plan.lhs_row_len(p);
   // A non-affine clause has no strided runs: every element is a record.
   if (!kern.affine()) cs.reserve(p, plan.modify_space(p).count());
 
-  // Phase 1 of the tagged step: rank p enumerates each of its Reside_p
-  // spaces once.
+  // The send phase: rank p enumerates each of its Reside_p spaces once.
   for (int r = 0; r < nrefs; ++r) {
     if (!plan.ref_needs_comm(r)) continue;
     const gen::EnumStats c = plan.reside_space(p, r).charge();
@@ -514,21 +226,26 @@ void Inspector::rank(const RankSite& site) {
     rc.tests += c.tests;
   }
 
+  auto ref_name = [&](int r) -> const std::string& {
+    return clause.refs[static_cast<std::size_t>(r)].array;
+  };
+  // Ref r's operand at `local` on rank src must lie inside that rank's
+  // row (every row is sized by its descriptor's local capacity).
+  auto check_row = [&](int r, i64 src, i64 local) {
+    if (!in_range(local, 0, plan.ref_row_len(r, src) - 1))
+      throw RuntimeFault("local read out of bounds on " + ref_name(r));
+  };
+
   std::vector<i64> ridx, out_idx;  // per-rank scratch
   auto element = [&](const std::vector<i64>& vals) {
-    if (bad) return;
     spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
-    if (!lhs.in_bounds(out_idx)) {
-      bad = true;
-      return;
-    }
+    if (!lhs.in_bounds(out_idx))
+      throw RuntimeFault("write out of bounds on " + clause.lhs_array);
     for (int r = 0; r < nrefs; ++r) {
       const decomp::ArrayDesc& rd = plan.ref_desc(r);
       spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
-      if (!rd.in_bounds(ridx)) {
-        bad = true;
-        return;
-      }
+      if (!rd.in_bounds(ridx))
+        throw RuntimeFault("read out of bounds on " + ref_name(r));
       const decomp::Location at = rd.locate(ridx);
       const i64 src = rd.is_replicated() ? p : at.owner;
       if (src != p && halo_covers(rd, p, ridx)) {
@@ -536,10 +253,7 @@ void Inspector::rank(const RankSite& site) {
         ++rc.halo_reads;
         continue;
       }
-      if (!in_range(at.local, 0, row_len[r * procs + src] - 1)) {
-        bad = true;
-        return;
-      }
+      check_row(r, src, at.local);
       if (src == p) {
         cs.note_local(p, r, at.local);
         ++rc.local_reads;
@@ -559,99 +273,100 @@ void Inspector::rank(const RankSite& site) {
   };
 
   // A stretch notes the records the element body would, but every
-  // access is affine along it: its bounds are checked at its two ends,
-  // and Locators step each access instead of resolving it in N-D. Halo
-  // coverage is a compare against p's halo ranges (1-D block arrays
-  // only), the row-length check a compare per operand.
+  // access is affine along it: each access stays inside its array for a
+  // prefix of the stretch (Locators::in_bounds), and Locators step
+  // each access over the elements ahead of the first that leaves,
+  // instead of resolving them in N-D. That element, and any after it,
+  // go to the element body, which raises the fault in its order (the
+  // LHS before the refs). Halo coverage is a compare against p's halo
+  // ranges (1-D block arrays only), the row-length check a compare per
+  // operand.
   Locators* const locs = locs_.get();
   const int nloops = cs.nloops;
   const auto inner = static_cast<std::size_t>(nloops - 1);
   i64 stretched = 0;
   auto stretch = [&](std::vector<i64>& vals, const Stretch& s) {
-    if (bad) return;
-    for (int a = 0; a <= nrefs; ++a)
-      if (!locs->start(p, static_cast<std::size_t>(a), s.g0 + s.at[a],
-                       s.dg + s.at[a], s.n)) {
-        bad = true;
-        return;
-      }
-    const spmd::CommSchedule::Records out = cs.append(p, s.n);
-    i64* ids = out.ids;
-    i64* offs = out.offs;
-    i64 local_reads = 0, remote_reads = 0, halo_reads = 0;
-    bool oob = false;
-    for (i64 k = 0; k < s.n; ++k) {
-      for (int r = 0; r < nrefs; ++r, ++ids, ++offs) {
-        const auto a = static_cast<std::size_t>(r + 1);
-        const decomp::ArrayDesc& rd = locs->desc(a);
-        const decomp::Location at = locs->at(p, a);
-        locs->advance(p, a);
-        const i64 src = rd.is_replicated() ? p : at.owner;
-        if (src != p && rd.halo() > 0) {
-          const i64 slot =
-              locs->halo_slot(p, a, s.g0[s.at[a]] + k * s.dg[s.at[a]]);
-          if (slot >= 0) {
-            *ids = cs.halo_base(r);
-            *offs = slot;
-            ++halo_reads;
-            continue;
+    i64 clean = s.n;
+    for (int a = 0; a <= nrefs && clean > 0; ++a)
+      clean = locs->in_bounds(static_cast<std::size_t>(a), s.g0 + s.at[a],
+                              s.dg + s.at[a], clean);
+    if (clean > 0) {
+      for (int a = 0; a <= nrefs; ++a)
+        locs->start(p, static_cast<std::size_t>(a), s.g0 + s.at[a],
+                    s.dg + s.at[a]);
+      const spmd::CommSchedule::Records out = cs.append(p, clean);
+      i64* ids = out.ids;
+      i64* offs = out.offs;
+      i64 local_reads = 0, remote_reads = 0, halo_reads = 0;
+      bool oob = false;
+      for (i64 k = 0; k < clean; ++k) {
+        for (int r = 0; r < nrefs; ++r, ++ids, ++offs) {
+          const auto a = static_cast<std::size_t>(r + 1);
+          const decomp::ArrayDesc& rd = locs->desc(a);
+          const decomp::Location at = locs->at(p, a);
+          locs->advance(p, a);
+          const i64 src = rd.is_replicated() ? p : at.owner;
+          if (src != p && rd.halo() > 0) {
+            const i64 slot =
+                locs->halo_slot(p, a, s.g0[s.at[a]] + k * s.dg[s.at[a]]);
+            if (slot >= 0) {
+              *ids = cs.halo_base(r);
+              *offs = slot;
+              ++halo_reads;
+              continue;
+            }
+          }
+          check_row(r, src, at.local);
+          if (src == p) {
+            *ids = r;
+            *offs = at.local;
+            ++local_reads;
+          } else {
+            std::vector<spmd::PackOp>& list =
+                from[static_cast<std::size_t>(src)];
+            *ids = cs.packed_base(src);
+            *offs = static_cast<i64>(list.size());
+            list.push_back(
+                spmd::PackOp{static_cast<std::int32_t>(r), at.local});
+            ++remote_reads;
           }
         }
-        if (!in_range(at.local, 0, row_len[r * procs + src] - 1)) {
-          bad = true;
-          return;
+        i64 slot = locs->at(p, 0).local;
+        locs->advance(p, 0);
+        if (!in_range(slot, 0, out_len - 1)) {
+          slot = -1;
+          oob = true;
         }
-        if (src == p) {
-          *ids = r;
-          *offs = at.local;
-          ++local_reads;
-        } else {
-          std::vector<spmd::PackOp>& list = from[static_cast<std::size_t>(src)];
-          *ids = cs.packed_base(src);
-          *offs = static_cast<i64>(list.size());
-          list.push_back(spmd::PackOp{static_cast<std::int32_t>(r), at.local});
-          ++remote_reads;
-        }
+        out.slot[k] = slot;
+        for (int d = 0; d < nloops; ++d) out.vals[k * nloops + d] = vals[d];
+        vals[inner] += s.vstride;
       }
-      i64 slot = locs->at(p, 0).local;
-      locs->advance(p, 0);
-      if (!in_range(slot, 0, out_len - 1)) {
-        slot = -1;
-        oob = true;
-      }
-      out.slot[k] = slot;
-      for (int d = 0; d < nloops; ++d) out.vals[k * nloops + d] = vals[d];
+      rc.local_reads += local_reads;
+      rc.halo_reads += halo_reads;
+      rc.receives += remote_reads;
+      rc.remote_reads += remote_reads;
+      if (oob) cs.recv[static_cast<std::size_t>(p)].oob_slot = true;
+      stretched += clean;
+    }
+    for (i64 k = clean; k < s.n; ++k) {
+      element(vals);
       vals[inner] += s.vstride;
     }
-    rc.local_reads += local_reads;
-    rc.halo_reads += halo_reads;
-    rc.receives += remote_reads;
-    rc.remote_reads += remote_reads;
-    if (oob) cs.recv[static_cast<std::size_t>(p)].oob_slot = true;
-    stretched += s.n;
   };
   // A fused run is proven local and in bounds for the LHS and every ref:
   // note it as one run.
   auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
-    if (bad) return;
     cs.note_run(p, vals.data(), f);
     rc.local_reads += f.n * nrefs;
   };
   gen::EnumStats es;
-  try {
-    walk_modify(plan, p, /*dense=*/false, &es, element, stretch, fused);
-  } catch (const RuntimeFault&) {
-    // A subscript that faults as it evaluates (a zero divisor): the
-    // tagged path raises it in its own order.
-    bad = true;
-  }
+  walk_modify(plan, p, /*dense=*/false, &es, element, stretch, fused);
   rc.iterations += es.loop_iters;
   rc.tests += es.tests;
 
-  // Publish: the counters and the verdict into p's slots, and each pack
-  // list, whole, into its source's SendPlan.
+  // Publish: the counters into p's slot, and each pack list, whole, into
+  // its source's SendPlan.
   cs.counters[static_cast<std::size_t>(p)] = rc;
-  refused_[static_cast<std::size_t>(p)] = bad ? 1 : 0;
   for (i64 src = 0; src < procs; ++src)
     cs.send[static_cast<std::size_t>(src)].to[static_cast<std::size_t>(p)] =
         std::move(from[static_cast<std::size_t>(src)]);
@@ -661,8 +376,6 @@ void Inspector::rank(const RankSite& site) {
 }
 
 std::unique_ptr<spmd::CommSchedule> Inspector::finish() {
-  for (char b : refused_)
-    if (b) return nullptr;
   // Charge each (src, dst) pack list's traffic to both ends.
   spmd::CommSchedule& cs = *sched_;
   const i64 procs = cs.procs;
@@ -745,7 +458,7 @@ void replay_rank(const spmd::CommSchedule& s, const ClausePlan& plan,
   // vectorizable fused entry and element stretches (halo and packed
   // operands included) through the gather entry. A rank with a
   // guarded-out-of-range slot stays on bytecode, whose element loop
-  // raises the tagged path's fault when the guard holds.
+  // raises the write's fault when the guard holds.
   const bool jit = jfns && !rv.oob_slot;
   for (const spmd::RecvSegment& sg : rv.segs) {
     if (sg.run) {

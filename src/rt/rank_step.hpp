@@ -3,28 +3,23 @@
 // runs them for every rank over its thread pool; the multi-process
 // worker (src/proc/worker.cpp) runs them for its own rank. Each function
 // does one rank's share of one phase over plain buffers — local rows,
-// halo rows, channels and packed value buffers — and leaves moving those
-// buffers between ranks to the driver: DistMachine's ranks share memory,
-// so nothing moves, and the worker ships them over its rings.
+// halo rows and packed value buffers — and leaves moving those buffers
+// between ranks to the driver: DistMachine's ranks share memory, so
+// nothing moves, and the worker ships them over its rings.
 //
-// Per clause step, rank p runs
-//   0. fill_halo_row for every overlapped array the clause reads, then
-//   either the tagged path — reached only by a step with an armed fault
-//   (rt/fault_plan.hpp; the tests' and the oracle's tagged reference
-//   arms an outcome-neutral one at every step) or by a clause the
-//   inspector refuses because an element would fault:
-//   1. send_rank: enumerate Reside_p \ Modify_p into one sorted
-//      (tag, value) channel per destination;
-//   2. receive_update_rank: walk Modify_p, receiving remote operands by
-//      tag, and update the local rows;
-//   or the scheduled path (every other step), from the CommSchedule an
-//   Inspector derives once per clause and layout:
+// A clause step has one path. The first execution of a clause at a
+// layout derives its CommSchedule with an Inspector — the paper's point
+// that Reside_p \ Modify_p follows from the data decomposition — and
+// every execution, that one included, runs it. Per clause step, rank p
+// runs
+//   0. fill_halo_row for every overlapped array the clause reads;
 //   1. pack_rank: pack values positionally, in SendPlan order;
 //   2. replay_rank: run the rank's schedule segments — strided runs over
 //      its own rows and per-element records that satisfy each operand by
 //      offset — and evaluate the guard and RHS live.
-// Both paths produce the same stores, counters and message matrix; the
-// conformance oracle pins that.
+// A clause whose elements fault never gets a schedule: the inspector
+// raises the first faulting element's RuntimeFault instead, in the
+// order the sequential reference meets it within the rank.
 //
 // A redistribute step runs the mover: redist_pack_rank on every rank,
 // then redist_unpack_rank, which walk the layouts' local runs
@@ -47,10 +42,8 @@
 
 #include "decomp/array_desc.hpp"
 #include "obs/trace.hpp"
-#include "rt/channel.hpp"
 #include "rt/cost_model.hpp"
 #include "rt/engine_options.hpp"
-#include "rt/fault_plan.hpp"
 #include "rt/store.hpp"
 #include "spmd/clause_plan.hpp"
 #include "spmd/comm_schedule.hpp"
@@ -151,9 +144,8 @@ struct Stretch {
 /// A clause with a Monotone or Opaque subscript goes to `element` one
 /// element at a time. `dense` selects the addressing of fused runs
 /// (spmd::ArrayAddr): the dense row-major image on the shared machine,
-/// rank p's local rows otherwise. The tagged phase 2, the inspector and
-/// the shared machine share this walk, so all see the same element
-/// order and split.
+/// rank p's local rows otherwise. The inspector and the shared machine
+/// share this walk, so both see the same element order and split.
 template <typename Element, typename OnStretch, typename Fused>
 void walk_modify(const spmd::ClausePlan& plan, i64 p, bool dense,
                  gen::EnumStats* es, Element&& element, OnStretch&& stretch,
@@ -316,59 +308,6 @@ void walk_modify(const spmd::ClausePlan& plan, i64 p, bool dense,
       es);
 }
 
-/// walk_modify for a consumer that takes every element one at a time
-/// (the tagged phase 2): each stretch expands back into its elements,
-/// in walk order.
-template <typename Element, typename Fused>
-void walk_modify_elements(const spmd::ClausePlan& plan, i64 p, bool dense,
-                          gen::EnumStats* es, Element&& element,
-                          Fused&& fused) {
-  const auto inner = static_cast<std::size_t>(plan.modify_space(p).dims() - 1);
-  walk_modify(
-      plan, p, dense, es, element,
-      [&](std::vector<i64>& vals, const Stretch& s) {
-        const i64 v0 = vals[inner];
-        for (i64 k = 0; k < s.n; ++k) {
-          vals[inner] = v0 + k * s.vstride;
-          element(vals);
-        }
-      },
-      fused);
-}
-
-// ---- Tagged path ----------------------------------------------------------
-
-/// Phase 1 on site.p: routes every operand in Reside_p that another
-/// rank's update reads (and that rank's halo does not cover) into
-/// out[dst], this rank's row of procs channels, then packs each
-/// non-empty channel as one bulk message.
-void send_rank(const spmd::ClausePlan& plan, const RankSite& site,
-               const RankRows& rr, Channel* out, RankCounters& rc,
-               PathCounters& pc, i64* matrix_row);
-
-/// Applies one armed message fault to the packed channel it names;
-/// returns whether the channel changed.
-bool perturb(Channel& ch, const FaultPlan& f);
-
-/// Receiver-side bulk accounting for site.p, whose channel from src is
-/// in[src * in_stride]: run after faults, since a drop can empty one.
-void count_received(const Channel* in, i64 in_stride, i64 procs,
-                    const RankSite& site, RankCounters& rc);
-
-/// Phase 2 on site.p: walks Modify_p, reading local operands from the
-/// rows, halo operands from the halo rows and remote ones by tag from
-/// in[src * in_stride], and writes the updates into out_row. Runs
-/// bytecode only: a step comes here with an armed fault (JIT off) or to
-/// raise an element's fault.
-void receive_update_rank(const spmd::ClausePlan& plan, const RankSite& site,
-                         const RankRows& rr, std::vector<double>& out_row,
-                         Channel* in, i64 in_stride, RankCounters& rc,
-                         PathCounters& pc);
-
-/// The message-pairing invariant: throws when rank p finished a clause
-/// with messages it never consumed.
-void check_delivered(i64 p, const Channel* in, i64 in_stride, i64 procs);
-
 // ---- Scheduled path -------------------------------------------------------
 
 /// Inspector half of the inspector–executor split: derives a clause's
@@ -388,14 +327,20 @@ class Inspector {
   /// RecvPlan, without visiting its elements; every other element
   /// becomes a record whose operands resolve as local, halo or remote,
   /// a Stretch at a time where the clause allows (stepped by cursors,
-  /// without dividing). The walk's counters, refusal flag and pack
-  /// lists stay in rank-local scratch and are published once, when it
-  /// ends. The span's End carries the elements, element records, runs
-  /// and elements resolved through stretches.
+  /// without dividing). The walk's counters and pack lists stay in
+  /// rank-local scratch and are published once, when it ends. The
+  /// span's End carries the elements, element records, runs and
+  /// elements resolved through stretches.
+  ///
+  /// At the first element that faults it throws that element's
+  /// RuntimeFault, checking the LHS before the refs and the refs in
+  /// order: "write out of bounds on X", "read out of bounds on X",
+  /// "local read out of bounds on X", or a subscript's own fault ("'mod'
+  /// by zero in a subscript"). A caller that inspects several ranks
+  /// rethrows the lowest faulting rank's error and stores nothing.
   void rank(const RankSite& site);
 
-  /// The schedule, or null when some element would fault (the tagged
-  /// path then raises the error).
+  /// The schedule, once every rank was inspected without a fault.
   std::unique_ptr<spmd::CommSchedule> finish();
 
  private:
@@ -403,8 +348,6 @@ class Inspector {
 
   const spmd::ClausePlan& plan_;
   std::unique_ptr<spmd::CommSchedule> sched_;
-  std::vector<char> refused_;
-  std::vector<i64> row_len_;  // [r * procs + q]: ref r's row on rank q
   std::unique_ptr<Locators> locs_;
 };
 

@@ -25,8 +25,6 @@ ErrKind classify(const std::exception& e) {
     return ErrKind::Semantic;
   if (dynamic_cast<const CodegenError*>(&e) != nullptr)
     return ErrKind::Codegen;
-  if (dynamic_cast<const DeadlockError*>(&e) != nullptr)
-    return ErrKind::Deadlock;
   if (dynamic_cast<const RuntimeFault*>(&e) != nullptr)
     return ErrKind::Runtime;
   if (dynamic_cast<const InternalError*>(&e) != nullptr)

@@ -67,7 +67,6 @@ enum class ErrKind : std::uint8_t {
   Semantic = 2,
   Codegen = 3,
   Runtime = 4,
-  Deadlock = 5,
   Internal = 6,
   Other = 7,
 };

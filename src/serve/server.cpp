@@ -81,8 +81,6 @@ std::vector<double> ramp(i64 n) {
 }
 
 ErrKind classify_run(const std::exception& e) {
-  if (dynamic_cast<const DeadlockError*>(&e) != nullptr)
-    return ErrKind::Deadlock;
   if (dynamic_cast<const RuntimeFault*>(&e) != nullptr)
     return ErrKind::Runtime;
   if (dynamic_cast<const CodegenError*>(&e) != nullptr)

@@ -156,6 +156,13 @@ ClausePlan ClausePlan::build(const prog::Clause& clause,
     }
     plan.reside_spaces_.push_back(std::move(rs));
   }
+  plan.row_len_.reserve((plan.refs_.size() + 1) *
+                        static_cast<std::size_t>(plan.procs_));
+  for (i64 q = 0; q < plan.procs_; ++q)
+    plan.row_len_.push_back(lhs.local_capacity(q));
+  for (const RefPlan& rp : plan.refs_)
+    for (i64 q = 0; q < plan.procs_; ++q)
+      plan.row_len_.push_back(rp.desc.local_capacity(q));
 
   plan.kernel_ =
       std::make_shared<const ClauseKernel>(ClauseKernel::compile(clause));
@@ -278,15 +285,6 @@ i64 ClausePlan::lhs_owner(const std::vector<i64>& loop_vals) const {
 
 i64 ClausePlan::ref_owner(int r, const std::vector<i64>& loop_vals) const {
   return ref_desc(r).owner(ref_index(r, loop_vals));
-}
-
-i64 ClausePlan::message_tag(int r, const std::vector<i64>& loop_vals) const {
-  i64 dense = 0;
-  for (std::size_t d = 0; d < clause_.loops.size(); ++d) {
-    const prog::LoopDim& l = clause_.loops[d];
-    dense = dense * (l.hi - l.lo + 1) + (loop_vals[d] - l.lo);
-  }
-  return dense * static_cast<i64>(clause_.refs.size() + 1) + r;
 }
 
 std::string ClausePlan::describe() const {

@@ -225,9 +225,15 @@ class ClausePlan {
   i64 lhs_owner(const std::vector<i64>& loop_vals) const;
   i64 ref_owner(int r, const std::vector<i64>& loop_vals) const;
 
-  /// Tag uniquely naming (ref, loop tuple) for message matching: the
-  /// dense linearization of the loop tuple, offset by the ref id.
-  i64 message_tag(int r, const std::vector<i64>& loop_vals) const;
+  /// Lengths of the local rows on rank q — the descriptors' local
+  /// capacities, which size every store row and copy-in snapshot —
+  /// tabled once per plan, so once per layout: the LHS's, and ref r's.
+  i64 lhs_row_len(i64 q) const noexcept {
+    return row_len_[static_cast<std::size_t>(q)];
+  }
+  i64 ref_row_len(int r, i64 q) const noexcept {
+    return row_len_[static_cast<std::size_t>((r + 1) * procs_ + q)];
+  }
 
   /// Methods chosen for every LHS dimension (reporting/debugging).
   std::string describe() const;
@@ -260,6 +266,7 @@ class ClausePlan {
   // and reside_spaces_[p][r] (nullopt for replicated refs).
   std::vector<IterationSpace> modify_spaces_;
   std::vector<std::vector<std::optional<IterationSpace>>> reside_spaces_;
+  std::vector<i64> row_len_;  // [a * procs_ + q]: a = 0 the LHS, 1 + r ref r
   std::shared_ptr<const ClauseKernel> kernel_;
 };
 

@@ -4,38 +4,37 @@
 // A clause's communication pattern — the set of (src, dst, ref, loop
 // tuple) transfers — depends only on the layouts of the arrays it
 // touches, never on array values; the paper derives it once from the
-// data decomposition. The tagged execution path re-derives that pattern
-// every step — a tag computation per element, a sort of every bulk
-// channel, and a binary search (or hash probe) per remote operand. A
-// CommSchedule is the once-per-(clause, layout) *inspector* result that
-// lets every step run a pure *executor*: each source rank packs values
-// positionally into a contiguous reused buffer (PackOp list per
-// destination), and each destination rank reads every operand as an
-// offset into one of its operand bases — a local row, a halo row, or
-// the packed buffer from one source rank (RecvPlan) — with zero tags,
-// zero sorting, and zero hashing. Per-step receive cost drops from O(m log m) to O(m).
+// data decomposition. A CommSchedule is that once-per-(clause, layout)
+// *inspector* result, and it lets every step run a pure *executor*:
+// each source rank packs values positionally into a contiguous reused
+// buffer (PackOp list per destination), and each destination rank reads
+// every operand as an offset into one of its operand bases — a local
+// row, a halo row, or the packed buffer from one source rank (RecvPlan)
+// — with no tags, no sorting and no hashing.
 //
 // The schedule also carries the step's per-rank RankCounters (all but
 // the halo counters, which the live refresh supplies) and message-matrix
-// increments: a scheduled step replays them verbatim, which is what
-// keeps DistStats, last_step_counters(), message_matrix(), and sim_time
-// bit-identical to the tagged path (the conformance oracle's tagged
-// reference run, rt::reorder_every_step's fault at every clause step,
-// pins this). Guards and right-hand sides are always evaluated
-// live — only the *pattern* is compiled, never values.
+// increments: a step replays them verbatim, which is what keeps
+// DistStats, last_step_counters(), message_matrix(), and sim_time
+// independent of whether the step inspected or replayed (the
+// conformance oracle checks every schedule against a per-element
+// reference, verify/reference_schedule.hpp). Guards and right-hand sides
+// are always evaluated live — only the *pattern* is compiled, never
+// values.
 //
 // Lifecycle: schedules derive from a ClausePlan and ride in that plan's
 // cache entry (spmd::CachedSchedule), which is keyed by the clause and
 // the exact layouts of its arrays (plan_cache.hpp). The inspector
 // (rt::Inspector, rt/rank_step.hpp) builds one receiver-side from the
-// plan, its kernel and the descriptors' local capacities alone when a
-// clean execution finds the entry without one, and that execution
-// already runs it; it never executes the tagged path. Both distributed
+// plan, its kernel and the descriptors' local capacities alone when an
+// execution finds the entry without one, and that execution already
+// runs it; a clause whose elements fault raises instead and stores
+// nothing. Both distributed
 // drivers use it: DistMachine inspects its ranks in parallel, and each
 // proc worker inspects every rank, so all workers hold the same
 // schedule. A rank's walk grows its own RecvPlan (one cache line per
-// rank) and keeps everything else it writes per element — counters,
-// refusal flag, the pack lists it reads from each source — in
+// rank) and keeps everything else it writes per element — counters and
+// the pack lists it reads from each source — in
 // rank-local scratch until it ends; each pack list then moves whole
 // into its source's SendPlan.
 //
@@ -53,9 +52,6 @@
 // vcal_jit_replay). A redistribute moves the clause to
 // another entry, and a return to an earlier layout replays that
 // layout's schedule at once.
-// The tagged path runs only for an armed fault (which is also how tests
-// and the oracle reach it as a reference) or when the inspector refuses
-// a clause whose elements fault.
 //
 // The shared machine keeps its schedules in the same format: its first
 // clean pass at a layout records one while it executes the step (every
@@ -129,9 +125,9 @@ struct RecvSegment {
 /// into ref r's own row.
 ///
 /// A *stretch* holds per-element records: the LHS slot (-1 when the
-/// tagged path would fault on an in-range-guarded write), the loop tuple
-/// and one operand per clause reference as an (operand base, offset)
-/// pair. The bases of a schedule over R refs and P ranks are numbered
+/// write falls outside the rank's row, which faults only if the guard
+/// holds on replay), the loop tuple and one operand per clause
+/// reference as an (operand base, offset) pair. The bases of a schedule over R refs and P ranks are numbered
 ///   r            ref r's pre-clause row (replicated refs fold in here),
 ///   R + s        the packed buffer arriving from source rank s,
 ///   R + P + r    this rank's dense halo row of ref r's array (offset =

@@ -119,20 +119,6 @@ ClauseKernel ClauseKernel::compile(const prog::Clause& clause) {
   k.ref_subs_.reserve(clause.refs.size());
   for (const prog::ArrayRef& r : clause.refs)
     k.ref_subs_.push_back(lower(r.subs));
-
-  // message_tag(r, vals) = dense(vals)*(nrefs+1) + r with dense the
-  // row-major fold over the loop ranges; factor the fold into per-dim
-  // weights so the tag is a dot product.
-  const i64 nrefs1 = static_cast<i64>(clause.refs.size()) + 1;
-  const std::size_t nd = clause.loops.size();
-  k.tag_w_.assign(nd, 0);
-  i64 w = 1;
-  for (std::size_t d = nd; d-- > 0;) {
-    const prog::LoopDim& l = clause.loops[d];
-    k.tag_w_[d] = w * nrefs1;
-    k.tag_base_ -= l.lo * k.tag_w_[d];
-    w *= l.hi - l.lo + 1;
-  }
   return k;
 }
 

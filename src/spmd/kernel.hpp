@@ -17,8 +17,7 @@
 //      record, an AffineMod one an inline {loop, a, c, z, d} record
 //      (which ModSub::piece splits into affine pieces along a run); only
 //      Monotone and Opaque dimensions keep a generic record evaluated
-//      with fn::eval. The message tag is a dot product with precomputed
-//      weights for every clause.
+//      with fn::eval.
 //   3. Strided-local run analysis (affine clauses only): for an
 //      innermost-loop arithmetic progression of global indices, the
 //      maximal k-subrange that is in-bounds, owned by a given rank, and
@@ -279,7 +278,7 @@ i64 in_bounds_prefix(const decomp::ArrayDesc& desc, const i64* g0,
 
 /// The compiled form of one clause. Compilation never fails and covers
 /// every clause: the RHS and guard always lower to bytecode and every
-/// subscript to a record, so subs_into(), tag(), rhs() and guard() are
+/// subscript to a record, so subs_into(), rhs() and guard() are
 /// valid for all clauses. affine() only gates the strided-run analysis
 /// (fill_progression / strided_run over the affine records) and the JIT.
 class ClauseKernel {
@@ -328,14 +327,6 @@ class ClauseKernel {
       out[g.dim] = fn::eval(g.expr, vals[g.loop]);
   }
 
-  /// Identical to ClausePlan::message_tag(r, vals), as a dot product.
-  i64 tag(int r, const i64* vals) const noexcept {
-    i64 t = tag_base_ + r;
-    for (std::size_t d = 0; d < tag_w_.size(); ++d)
-      t += vals[d] * tag_w_[d];
-    return t;
-  }
-
  private:
   CompiledExpr rhs_;
   std::optional<CompiledGuard> guard_;
@@ -344,8 +335,6 @@ class ClauseKernel {
   bool piecewise_ = true;
   SubRecords lhs_subs_;
   std::vector<SubRecords> ref_subs_;
-  std::vector<i64> tag_w_;  // per-loop-dim weight, refs factor included
-  i64 tag_base_ = 0;
 };
 
 /// Thread-safe memo of compiled clause kernels, keyed by clause

@@ -42,17 +42,10 @@ class CodegenError : public Error {
 };
 
 /// A failure while executing a generated program on one of the runtime
-/// substrates (out-of-bounds access, unmatched message, ...).
+/// substrates (out-of-bounds access, transport timeout, ...).
 class RuntimeFault : public Error {
  public:
   using Error::Error;
-};
-
-/// A blocking receive could never be satisfied: the generated program has
-/// a communication bug (or the schedule pair is inconsistent).
-class DeadlockError : public RuntimeFault {
- public:
-  using RuntimeFault::RuntimeFault;
 };
 
 /// Internal invariant violation; always indicates a library bug.

@@ -6,11 +6,14 @@
 #include "proc/proc_machine.hpp"
 #include "rt/dist_machine.hpp"
 #include "rt/native_machine.hpp"
+#include "rt/rank_step.hpp"
 #include "rt/seq_executor.hpp"
 #include "rt/shared_machine.hpp"
 #include "spmd/jit.hpp"
+#include "spmd/plan_cache.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
+#include "verify/reference_schedule.hpp"
 
 namespace vcal::verify {
 
@@ -66,7 +69,8 @@ bool has_sequential_clause(const spmd::Program& program) {
 
 std::string CheckResult::str() const {
   if (ok)
-    return cat("ok (", runs, " machine runs; paths: ",
+    return cat("ok (", runs, " machine runs, ", schedules,
+               " schedules match the per-element reference; paths: ",
                rt::PathCounters{fused, generic, interp, sched, jit}.str(),
                ")");
   return cat("FAIL after ", runs, " machine runs: ", diagnostics);
@@ -76,6 +80,8 @@ std::string OracleReport::str() const {
   if (ok)
     return cat("verify: OK — ", programs, " programs, ", runs,
                " machine runs, all configurations bit-identical\n",
+               "verify schedules: ok (", schedules,
+               " clause steps match the per-element reference)\n",
                "verify paths: ",
                rt::PathCounters{fused, generic, interp, sched, jit}.str(),
                " elements per execution path");
@@ -270,8 +276,41 @@ CheckResult Oracle::check_program(
     fail(cat("aggregation bound violated: ", st.bulk_messages,
              " bulk messages > steps * P * (P-1) = ",
              st.steps * procs * (procs - 1)));
-  if (base.faults_applied() != 0)
-    fail("faults applied on a machine with none armed");
+  if (!res.ok) return res;
+
+  // ---- schedules: every clause step's inspected schedule, at the
+  // layouts the program has reached there, against the per-element
+  // reference (a check, not a machine run) ------------------------------
+  {
+    spmd::ArrayTable layout = program.arrays;
+    spmd::PlanCache plans;
+    for (std::size_t k = 0; k < program.steps.size() && res.ok; ++k) {
+      if (const auto* rs = std::get_if<spmd::RedistStep>(&program.steps[k])) {
+        layout.insert_or_assign(rs->array, rs->new_desc);
+        continue;
+      }
+      try {
+        const spmd::ClausePlan& plan =
+            plans.get(std::get<prog::Clause>(program.steps[k]), layout);
+        rt::Inspector inspector(plan);
+        for (i64 p = 0; p < plan.procs(); ++p)
+          inspector.rank(rt::RankSite{p});
+        const std::unique_ptr<spmd::CommSchedule> got = inspector.finish();
+        const std::unique_ptr<spmd::CommSchedule> want =
+            reference_schedule(plan);
+        if (!want) {
+          fail(cat("step ", k, ": the per-element reference faults"));
+        } else if (std::string d = schedule_diff(*got, *want); !d.empty()) {
+          fail(cat("step ", k, ": inspected schedule diverges from the "
+                   "per-element reference: ", d));
+        } else {
+          ++res.schedules;
+        }
+      } catch (const Error& e) {
+        fail(cat("step ", k, ": inspector threw: ", e.what()));
+      }
+    }
+  }
   if (!res.ok) return res;
 
   // ---- engine matrix: every configuration bit-identical ----------------
@@ -306,50 +345,21 @@ CheckResult Oracle::check_program(
     }
   }
 
-  // ---- tagged reference: an outcome-neutral fault at every clause step
-  // forces the paper's tagged send/receive matching, which must count
-  // and compute exactly what the scheduled baseline did ----------------
-  const std::vector<rt::FaultPlan> tagged = rt::reorder_every_step(program);
-  try {
-    DistMachine m(program, {}, {}, base_engine);
-    load_all(m);
-    for (const rt::FaultPlan& f : tagged) m.inject(f);
-    m.run();
-    ++res.runs;
-    tally(m.path_counters());
-    for (const std::string& n : names)
-      if (m.gather(n) != ref[n])
-        fail(cat("dist[tagged] diverges from seq on ", n));
-    std::string sd = diff_stats(m.stats(), st);
-    if (!sd.empty()) fail(cat("dist[tagged] stats diverge: ", sd));
-    if (m.message_matrix() != base.message_matrix())
-      fail("dist[tagged] message matrix diverges");
-    if (m.comm_stats().sched_builds != 0 || m.comm_stats().sched_hits != 0)
-      fail(cat("dist[tagged] ran a schedule: ", m.comm_stats().str()));
-  } catch (const Error& e) {
-    fail(cat("dist[tagged] threw: ", e.what()));
-  }
-  if (!res.ok) return res;
-
   // ---- multi-process backend: the engine claims extend across real
   // process boundaries — P spawned workers over shared-memory rings
-  // must reproduce the serial simulator bit for bit. The first config
-  // runs the workers' scheduled path, the second their tagged path (the
-  // tagged reference's faults) and trace shipping -----------------------
+  // must reproduce the serial simulator bit for bit, untraced and with
+  // trace shipping --------------------------------------------------------
 #if defined(__linux__)
   if (proc_axis && !source.empty()) {
-    for (bool second : {false, true}) {
+    for (bool traced : {false, true}) {
       EngineOptions e;
       e.threads = 1;
       e.jit = false;
-      e.trace = second;
-      std::string tag =
-          cat("proc[", describe_engine(e), second ? " tagged]" : "]");
+      e.trace = traced;
+      std::string tag = cat("proc[", describe_engine(e), "]");
       try {
         proc::ProcMachine m(source, {}, {}, e);
         load_all(m);
-        if (second)
-          for (const rt::FaultPlan& f : tagged) m.inject(f);
         m.run();
         ++res.runs;
         for (const std::string& n : names)
@@ -507,6 +517,7 @@ OracleReport Oracle::run_corpus(const OracleOptions& opts) {
     }
     ++rep.programs;
     rep.runs += cr.runs;
+    rep.schedules += cr.schedules;
     rep.fused += cr.fused;
     rep.generic += cr.generic;
     rep.interp += cr.interp;
@@ -524,148 +535,6 @@ OracleReport Oracle::run_corpus(const OracleOptions& opts) {
     }
   }
   return rep;
-}
-
-CheckResult Oracle::check_faults() {
-  CheckResult res;
-  auto fail = [&](const std::string& why) {
-    if (res.ok) {
-      res.ok = false;
-      res.diagnostics = why;
-    }
-  };
-  // Block LHS against scatter RHS: every rank exchanges messages with
-  // every other, so any channel is a valid fault target.
-  const std::string src =
-      "processors 4;\n"
-      "array A[0:31];\ndistribute A block;\n"
-      "array B[0:31];\ndistribute B scatter;\n"
-      "forall i in 0:30 do A[i] := B[i + 1]*2 + 1; od\n";
-  spmd::Program program = lang::compile(src);
-  std::vector<double> b(32);
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = static_cast<double>(i) * 0.5;
-
-  auto fresh = [&]() {
-    DistMachine m(program);
-    m.load("B", b);
-    return m;
-  };
-
-  DistMachine baseline = fresh();
-  baseline.run();
-  ++res.runs;
-  std::vector<double> want = baseline.gather("A");
-
-  // Pick a live channel from the observed traffic.
-  i64 fsrc = -1, fdst = -1;
-  for (i64 s = 0; s < 4 && fsrc < 0; ++s)
-    for (i64 d = 0; d < 4 && fsrc < 0; ++d)
-      if (baseline.message_matrix()[static_cast<std::size_t>(s)]
-                                   [static_cast<std::size_t>(d)] > 1) {
-        fsrc = s;
-        fdst = d;
-      }
-  if (fsrc < 0) {
-    fail("fault smoke found no busy channel to perturb");
-    return res;
-  }
-
-  {  // Dropped message -> deadlock detector names rank and element.
-    DistMachine m = fresh();
-    rt::FaultPlan f;
-    f.kind = rt::FaultPlan::Kind::DropMessage;
-    f.step = 0;
-    f.src = fsrc;
-    f.dst = fdst;
-    bool threw = false;
-    m.inject(f);
-    try {
-      m.run();
-    } catch (const DeadlockError& e) {
-      threw = true;
-      std::string msg = e.what();
-      if (!contains(msg, cat("rank ", fdst)) ||
-          !contains(msg, "pending receive") ||
-          !contains(msg, cat("from rank ", fsrc)))
-        fail(cat("deadlock diagnostic not actionable: ", msg));
-    } catch (const Error& e) {
-      fail(cat("drop fault raised the wrong error: ", e.what()));
-    }
-    ++res.runs;
-    if (!threw) fail("dropped message did not trip the deadlock detector");
-    if (res.ok && m.faults_applied() != 1)
-      fail("drop fault did not register as applied");
-  }
-
-  {  // Duplicated message -> pairing invariant reports it undelivered.
-    DistMachine m = fresh();
-    rt::FaultPlan f;
-    f.kind = rt::FaultPlan::Kind::DuplicateMessage;
-    f.step = 0;
-    f.src = fsrc;
-    f.dst = fdst;
-    m.inject(f);
-    bool threw = false;
-    try {
-      m.run();
-    } catch (const DeadlockError&) {
-      fail("duplicate fault misreported as deadlock");
-    } catch (const RuntimeFault& e) {
-      threw = true;
-      if (!contains(e.what(), "undelivered"))
-        fail(cat("pairing diagnostic not actionable: ", e.what()));
-    } catch (const Error& e) {
-      fail(cat("duplicate fault raised the wrong error: ", e.what()));
-    }
-    ++res.runs;
-    if (!threw && res.ok)
-      fail("duplicated message did not trip the pairing invariant");
-  }
-
-  {  // Reordered channel -> absorbed: identical results and stats.
-    DistMachine m = fresh();
-    rt::FaultPlan f;
-    f.kind = rt::FaultPlan::Kind::ReorderChannel;
-    f.step = 0;
-    f.src = fsrc;
-    f.dst = fdst;
-    m.inject(f);
-    try {
-      m.run();
-      ++res.runs;
-      if (m.gather("A") != want) fail("reorder fault changed results");
-      std::string sd = diff_stats(m.stats(), baseline.stats());
-      if (!sd.empty()) fail(cat("reorder fault changed stats: ", sd));
-      if (m.faults_applied() != 1)
-        fail("reorder fault did not register as applied");
-    } catch (const Error& e) {
-      fail(cat("reorder fault threw: ", e.what()));
-    }
-  }
-
-  {  // Stalled rank -> absorbed once the stall releases.
-    DistMachine m = fresh();
-    rt::FaultPlan f;
-    f.kind = rt::FaultPlan::Kind::StallRank;
-    f.step = 0;
-    f.rank = 2;
-    f.rounds = 3;
-    m.inject(f);
-    try {
-      m.run();
-      ++res.runs;
-      if (m.gather("A") != want) fail("stall fault changed results");
-      if (m.stats().messages != baseline.stats().messages)
-        fail("stall fault changed message totals");
-      if (m.stall_rounds_served() != 3)
-        fail(cat("stall served ", m.stall_rounds_served(),
-                 " rounds, expected 3"));
-    } catch (const Error& e) {
-      fail(cat("stall fault threw: ", e.what()));
-    }
-  }
-  return res;
 }
 
 }  // namespace vcal::verify

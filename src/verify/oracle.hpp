@@ -14,16 +14,15 @@
 //   x native jit {off, synchronously compiled} (with the jit axis)
 //   x build {optimized, run-time resolution}
 //
-// plus the tagged reference: a distributed run with an outcome-neutral
-// fault at every clause step (rt::reorder_every_step), which takes the
-// paper's tagged send/receive path instead of a communication schedule
-// and must count and compute exactly what the scheduled run does,
-// and two opt-in axes: the multi-process backend (--proc) and the
+// plus two opt-in axes: the multi-process backend (--proc) and the
 // whole-program native backend (--native: the emitted OpenMP C
 // compiled, dlopened, and run — see rt/native_machine.hpp).
 //
-// and asserts bit-identical result arrays everywhere, bit-identical
-// DistStats / message matrices across engine configurations, and the
+// It asserts bit-identical result arrays everywhere, bit-identical
+// DistStats / message matrices across engine configurations, that the
+// communication schedule the inspector derives for every clause step,
+// at the layouts the program has reached, equals the per-element
+// reference (verify/reference_schedule.hpp) record for record, and the
 // statistics invariants the runtime promises:
 //
 //   * message conservation: matrix diagonal empty, per-(src,dst) totals
@@ -55,6 +54,8 @@ namespace vcal::verify {
 struct CheckResult {
   bool ok = true;
   int runs = 0;             // machine executions performed
+  int schedules = 0;        // clause steps whose inspected schedule
+                            // matched the per-element reference
   std::string diagnostics;  // first divergence / violated invariant
   // Execution-path tally over every machine run: how many elements went
   // through a fused strided kernel loop, the per-element kernel path,
@@ -99,6 +100,7 @@ struct OracleReport {
   bool ok = true;
   int programs = 0;
   int runs = 0;
+  int schedules = 0;
   int failing_iter = -1;           // corpus iteration that failed
   std::uint64_t failing_seed = 0;  // derived seed replaying it alone
   std::string diagnostics;
@@ -141,13 +143,6 @@ class Oracle {
   /// Oracle::run_corpus({.iters = 1, .seed = report.failing_seed}) or
   /// `vcalc --verify --iters 1 --seed <failing_seed>`.
   static OracleReport run_corpus(const OracleOptions& opts);
-
-  /// Fault-injection smoke on a fixed communicating program: a dropped
-  /// message must raise DeadlockError naming the blocked rank and the
-  /// pending element, a duplicated message must trip the pairing
-  /// invariant, and reorder / stall perturbations must leave results
-  /// and message totals bit-identical.
-  static CheckResult check_faults();
 };
 
 }  // namespace vcal::verify

@@ -171,11 +171,13 @@ TEST(Cli, ViewsProgram) {
 }
 
 TEST(Cli, VerifyCorpusAndFile) {
-  // A small corpus run: conformance corpus plus the fault smoke.
+  // A small corpus run: every configuration agrees, and every clause
+  // step's schedule matches the per-element reference.
   RunResult corpus = run("--verify --iters 5 --seed 7");
   EXPECT_EQ(corpus.status, 0) << corpus.text();
   EXPECT_TRUE(has(corpus, "verify: OK")) << corpus.text();
-  EXPECT_TRUE(has(corpus, "verify faults: ok")) << corpus.text();
+  EXPECT_TRUE(has(corpus, "verify schedules: ok (")) << corpus.text();
+  EXPECT_FALSE(has(corpus, "verify schedules: ok (0 ")) << corpus.text();
 
   // File mode checks one program through the whole matrix.
   RunResult file = run("--verify " + programs() + "/rotate.vexl");
@@ -450,17 +452,30 @@ TEST(Cli, SubscriptErrorsAgreeAcrossTargets) {
                     "outside its bounds 0:7 (at 2:30)\n"))
         << target << "\n" << r.err;
   }
-  // A divisor that reaches zero over the loop range is one run-time
-  // fault (it used to surface as an internal invariant).
-  std::string zero = dir + "/zero.vexl";
-  std::ofstream(zero) << decls
-                      << "forall i in 0:7 do A[i] := B[i mod (i - 3)]; od\n";
-  for (const char* target : {"seq", "dist", "shared", "proc"}) {
-    RunResult r = run(std::string("--target=") + target + " --init B " + zero);
-    EXPECT_EQ(r.status, 3) << target << "\n" << r.text();
-    EXPECT_EQ(r.out, "") << target;
-    EXPECT_TRUE(has(r.err, "vcalc: 'mod' by zero in a subscript\n"))
-        << target << "\n" << r.err;
+  // A divisor that reaches zero over the loop range, and a read that
+  // leaves the array, are each one run-time fault (the first used to
+  // surface as an internal invariant); the inspector raises them on
+  // dist and proc.
+  const struct {
+    const char* name;
+    const char* rhs;
+    const char* error;
+  } faults[] = {
+      {"zero", "B[i mod (i - 3)]", "vcalc: 'mod' by zero in a subscript\n"},
+      {"read", "B[i - 1]", "vcalc: read out of bounds on B\n"},
+  };
+  for (const auto& f : faults) {
+    std::string file = dir + "/" + f.name + ".vexl";
+    std::ofstream(file) << decls << "forall i in 0:7 do A[i] := " << f.rhs
+                        << "; od\n";
+    for (const char* target : {"seq", "dist", "shared", "proc"}) {
+      RunResult r =
+          run(std::string("--target=") + target + " --init B " + file);
+      EXPECT_EQ(r.status, 3) << f.rhs << " " << target << "\n" << r.text();
+      EXPECT_EQ(r.out, "") << f.rhs << " " << target;
+      EXPECT_TRUE(has(r.err, f.error))
+          << f.rhs << " " << target << "\n" << r.err;
+    }
   }
 }
 

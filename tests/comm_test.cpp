@@ -1,12 +1,11 @@
 // Tests for compiled communication schedules (src/spmd/comm_schedule):
 // the inspector/executor split on both machines, one schedule per layout
-// across redistributions, fault-forced fallback to the tagged path, the
-// replay accounting surfaced through CommStats, the dist inspector's
-// step-for-step agreement with the tagged path, and the run-level
-// schedule format (strided runs plus per-element records). The tagged
-// reference is
-// a run with an outcome-neutral fault at every clause step
-// (rt::reorder_every_step).
+// across redistributions, the replay accounting surfaced through
+// CommStats, the inspector's faults, and the run-level schedule format
+// (strided runs plus per-element records). Two references stand in for
+// a second execution path: stores must match the sequential executor,
+// and every inspected schedule must match the per-element reference
+// schedule (verify/reference_schedule.hpp) record for record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +14,7 @@
 #include <vector>
 
 #include "lang/translate.hpp"
+#include "proc/proc_machine.hpp"
 #include "rt/dist_machine.hpp"
 #include "rt/rank_step.hpp"
 #include "rt/seq_executor.hpp"
@@ -23,6 +23,7 @@
 #include "support/format.hpp"
 #include "spmd/jit.hpp"
 #include "verify/program_gen.hpp"
+#include "verify/reference_schedule.hpp"
 
 namespace vcal::rt {
 namespace {
@@ -57,20 +58,21 @@ struct DistRun {
   PathCounters paths;
 };
 
-DistRun run_dist(const std::string& src, EngineOptions e,
-                 const std::vector<FaultPlan>& faults = {}) {
+DistRun run_dist(const std::string& src, EngineOptions e) {
   spmd::Program program = lang::compile(src);
   DistMachine m(program, {}, {}, e);
   m.load("B", ramp(32));
-  for (const FaultPlan& f : faults) m.inject(f);
   m.run();
   return {m.gather("A"), m.stats(), m.message_matrix(), m.comm_stats(),
           m.path_counters()};
 }
 
-// The same run with every clause step forced down the tagged path.
-DistRun run_tagged(const std::string& src, EngineOptions e) {
-  return run_dist(src, e, reorder_every_step(lang::compile(src)));
+// A's final store by the sequential reference executor.
+std::vector<double> seq_a(const std::string& src) {
+  SeqExecutor seq(lang::compile(src), /*reference=*/true);
+  seq.load("B", ramp(32));
+  seq.run();
+  return seq.result("A");
 }
 
 void expect_same_observables(const DistRun& x, const DistRun& y) {
@@ -86,27 +88,85 @@ void expect_same_observables(const DistRun& x, const DistRun& y) {
   EXPECT_EQ(x.stats.sim_time, y.stats.sim_time);
 }
 
-TEST(CommSchedule, ReplayIsBitIdenticalToTaggedPath) {
+// The schedule the inspector derives for `plan`, every rank in order.
+std::unique_ptr<spmd::CommSchedule> inspect(const spmd::ClausePlan& plan) {
+  Inspector inspector(plan);
+  for (i64 p = 0; p < plan.procs(); ++p) inspector.rank(RankSite{p});
+  return inspector.finish();
+}
+
+// The schedule the inspector derives for clause step `k` of `program` at
+// its declared layouts.
+std::unique_ptr<spmd::CommSchedule> inspect(const spmd::Program& program,
+                                            std::size_t k,
+                                            spmd::PlanCache& cache) {
+  return inspect(
+      cache.get(std::get<prog::Clause>(program.steps[k]), program.arrays));
+}
+
+// The clause traffic of `program` by the per-element reference: each
+// clause step's reference schedule at the layouts the program has
+// reached there, which the inspector's must match record for record.
+struct Traffic {
+  i64 messages = 0;
+  std::vector<std::vector<i64>> matrix;
+};
+
+Traffic reference_traffic(const spmd::Program& program) {
+  const auto procs = static_cast<std::size_t>(program.procs);
+  Traffic t;
+  t.matrix.assign(procs, std::vector<i64>(procs, 0));
+  spmd::ArrayTable layout = program.arrays;
+  spmd::PlanCache cache;
+  for (std::size_t k = 0; k < program.steps.size(); ++k) {
+    if (const auto* rs = std::get_if<spmd::RedistStep>(&program.steps[k])) {
+      layout.insert_or_assign(rs->array, rs->new_desc);
+      continue;
+    }
+    const spmd::ClausePlan& plan =
+        cache.get(std::get<prog::Clause>(program.steps[k]), layout);
+    std::unique_ptr<spmd::CommSchedule> want =
+        verify::reference_schedule(plan);
+    if (!want) {
+      ADD_FAILURE() << "step " << k << ": the reference faults";
+      continue;
+    }
+    EXPECT_EQ(verify::schedule_diff(*inspect(plan), *want), "")
+        << "step " << k;
+    t.messages += want->packed_ops;
+    for (std::size_t q = 0; q < procs * procs; ++q)
+      t.matrix[q / procs][q % procs] += want->matrix_delta[q];
+  }
+  return t;
+}
+
+TEST(CommSchedule, ReplayMatchesTheReferences) {
+  const std::string src = repeat_src(6);
+  const Traffic want = reference_traffic(lang::compile(src));
+  DistRun serial;
   for (int threads : {1, 4}) {
-    EngineOptions on;
-    on.threads = threads;
-    DistRun r_on = run_dist(repeat_src(6), on);
-    DistRun r_off = run_tagged(repeat_src(6), on);
-    expect_same_observables(r_on, r_off);
-    EXPECT_EQ(r_on.comm.sched_builds, 1) << threads;
-    EXPECT_EQ(r_on.comm.sched_hits, 5) << threads;
-    EXPECT_EQ(r_off.comm.sched_builds, 0) << threads;
-    EXPECT_EQ(r_off.comm.sched_hits, 0) << threads;
-    EXPECT_EQ(r_off.comm.sched_fallbacks, 6) << threads;
+    EngineOptions e;
+    e.threads = threads;
+    DistRun r = run_dist(src, e);
+    EXPECT_EQ(r.a, seq_a(src)) << threads;
+    EXPECT_EQ(r.stats.messages, want.messages) << threads;
+    EXPECT_EQ(r.stats.remote_reads, want.messages) << threads;
+    EXPECT_EQ(r.matrix, want.matrix) << threads;
+    EXPECT_EQ(r.comm.sched_builds, 1) << threads;
+    EXPECT_EQ(r.comm.sched_hits, 5) << threads;
+    EXPECT_EQ(r.comm.sched_fallbacks, 0) << threads;
     // Every packed value is consumed exactly once by a recorded slot.
-    EXPECT_GT(r_on.comm.packed_values, 0);
-    EXPECT_EQ(r_on.comm.packed_values, r_on.comm.unpacked_values);
-    EXPECT_EQ(r_on.comm.packed_bytes,
-              r_on.comm.packed_values * static_cast<i64>(sizeof(double)));
+    EXPECT_GT(r.comm.packed_values, 0);
+    EXPECT_EQ(r.comm.packed_values, r.comm.unpacked_values);
+    EXPECT_EQ(r.comm.packed_bytes,
+              r.comm.packed_values * static_cast<i64>(sizeof(double)));
     // Replayed elements land in the sched path-counter column (or jit,
     // when the background-compiled module swapped in mid-run).
-    EXPECT_GT(r_on.paths.sched + r_on.paths.jit, 0);
-    EXPECT_EQ(r_off.paths.sched, 0);
+    EXPECT_GT(r.paths.sched + r.paths.jit, 0);
+    if (threads == 1)
+      serial = r;
+    else
+      expect_same_observables(r, serial);
   }
 }
 
@@ -121,7 +181,8 @@ TEST(CommSchedule, ScheduleReuseCounts) {
 }
 
 TEST(CommSchedule, EachLayoutRecordsItsOwnSchedule) {
-  spmd::Program program = lang::compile(repeat_src(6, /*redist=*/true));
+  const std::string src = repeat_src(6, /*redistribute_middle=*/true);
+  spmd::Program program = lang::compile(src);
   DistMachine m(program, {}, {}, {});
   m.load("B", ramp(32));
   m.run();
@@ -132,56 +193,17 @@ TEST(CommSchedule, EachLayoutRecordsItsOwnSchedule) {
   EXPECT_EQ(m.comm_stats().sched_hits, 4);
   EXPECT_EQ(m.plan_cache().schedules(), 2);
 
-  // And the run still matches the tagged reference.
-  DistRun r_off = run_tagged(repeat_src(6, true), {});
-  EXPECT_EQ(m.gather("A"), r_off.a);
-  EXPECT_EQ(m.stats().messages, r_off.stats.messages);
-  EXPECT_EQ(m.message_matrix(), r_off.matrix);
-}
-
-TEST(CommSchedule, ArmedFaultForcesTaggedFallback) {
-  // Find a busy channel at the replayed step first.
-  DistRun probe = run_dist(repeat_src(4), {});
-  i64 fsrc = -1, fdst = -1;
-  for (i64 s = 0; s < 4 && fsrc < 0; ++s)
-    for (i64 d = 0; d < 4 && fsrc < 0; ++d)
-      if (probe.matrix[static_cast<std::size_t>(s)]
-                      [static_cast<std::size_t>(d)] > 4) {
-        fsrc = s;
-        fdst = d;
-      }
-  ASSERT_GE(fsrc, 0);
-
-  // A benign perturbation (reorder) on a step that would otherwise
-  // replay: the step must fall back to the real tagged channels, absorb
-  // the fault, and leave every observable bit-identical.
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::ReorderChannel;
-  f.step = 2;
-  f.src = fsrc;
-  f.dst = fdst;
-  DistRun faulted = run_dist(repeat_src(4), {}, {f});
-  expect_same_observables(probe, faulted);
-  EXPECT_EQ(faulted.comm.sched_fallbacks, 1);
-  EXPECT_EQ(faulted.comm.sched_builds, 1);
-  EXPECT_EQ(faulted.comm.sched_hits, 2);  // steps 1 and 3 replay
-
-  // A stalled rank takes the same fallback route.
-  FaultPlan stall;
-  stall.kind = FaultPlan::Kind::StallRank;
-  stall.step = 2;
-  stall.rank = 1;
-  stall.rounds = 2;
-  DistRun stalled = run_dist(repeat_src(4), {}, {stall});
-  expect_same_observables(probe, stalled);
-  EXPECT_EQ(stalled.comm.sched_fallbacks, 1);
+  // And the run matches both references.
+  EXPECT_EQ(m.gather("A"), seq_a(src));
+  EXPECT_EQ(m.stats().messages - m.stats().redist_messages,
+            reference_traffic(program).messages);
 }
 
 TEST(CommSchedule, NonAffineClausesInspectAndReplayThroughTheKernel) {
   // The rotate read is affine-mod: the inspector resolves the kernel's
   // mod records and every execution — the inspected first one included
-  // — runs the schedule with the bytecode RHS. No element takes the
-  // per-element tagged path and none is tree-walked.
+  // — runs the schedule with the bytecode RHS. No element takes a
+  // per-element path and none is tree-walked.
   DistRun r = run_dist(repeat_src(6), {});
   EXPECT_EQ(r.comm.sched_builds, 1);
   EXPECT_EQ(r.comm.sched_hits, 5);
@@ -238,8 +260,8 @@ TEST(CommSchedule, ReturningLayoutReplaysItsSchedule) {
   // One mod-rotate clause across block -> scatter -> block: two
   // executions, one, two. Each layout records on its first execution;
   // back on block the first schedule replays, so 2 builds and 3 hits on
-  // both machines, from 2 plan builds. The result matches the tagged
-  // reference.
+  // both machines, from 2 plan builds. The result matches the
+  // sequential reference, and the traffic the per-element one.
   const std::string rot =
       "forall i in 0:30 do A[i] := B[(i + 5) mod 32] + 1; od\n";
   const std::string src =
@@ -264,60 +286,40 @@ TEST(CommSchedule, ReturningLayoutReplaysItsSchedule) {
   EXPECT_EQ(d.plan_cache().hits(), 3);
   EXPECT_EQ(s.plan_cache().misses(), 2);
 
-  DistRun tagged = run_tagged(src, {});
-  EXPECT_EQ(d.gather("A"), tagged.a);
-  EXPECT_EQ(d.stats().messages, tagged.stats.messages);
-  EXPECT_EQ(d.stats().sim_time, tagged.stats.sim_time);
-  EXPECT_EQ(d.message_matrix(), tagged.matrix);
-  EXPECT_EQ(tagged.comm.sched_builds + tagged.comm.sched_hits, 0);
+  EXPECT_EQ(d.gather("A"), seq_a(src));
+  EXPECT_EQ(d.stats().messages - d.stats().redist_messages,
+            reference_traffic(program).messages);
 }
 
-// The dist inspector derives each step's counters and message-matrix
-// increments without executing the tagged path; every step of a
-// generated corpus must count exactly what the tagged step counts.
-// Programs run prefix by prefix so each step's last_step_counters() and
-// cumulative message_matrix() are compared right after that step.
-TEST(CommSchedule, InspectedStepsMatchTheTaggedPathOnAGeneratedCorpus) {
-  struct Outcome {
-    std::vector<RankCounters> counters;
-    std::vector<std::vector<i64>> matrix;
-    std::string error;
-  };
-  auto run_prefix = [](const spmd::Program& program, std::size_t steps,
-                       bool tagged) {
+// Every clause step of a generated corpus, at the layouts reached there:
+// the inspected schedule matches the per-element reference record for
+// record, and the step the dist machine runs counts exactly what the
+// reference counts. Programs run prefix by prefix so each step's
+// last_step_counters() and message_matrix() increment are compared right
+// after that step.
+TEST(CommSchedule, InspectedStepsMatchTheReferenceOnAGeneratedCorpus) {
+  auto run_prefix = [](const spmd::Program& program, std::size_t steps) {
     spmd::Program prefix = program;
     prefix.steps.resize(steps);
     EngineOptions e;
     e.threads = 1;
     e.jit = false;
     DistMachine m(prefix, {}, {}, e);
-    if (tagged)
-      for (const FaultPlan& f : reorder_every_step(prefix)) m.inject(f);
     for (const auto& [name, desc] : prefix.arrays) {
       std::vector<double> v(static_cast<std::size_t>(desc.total()));
       for (std::size_t k = 0; k < v.size(); ++k)
         v[k] = static_cast<double>(k % 7) * 1.5 - 2.0;
       m.load(name, v);
     }
-    Outcome o;
-    try {
-      m.run();
-    } catch (const Error& err) {
-      o.error = err.what();
-    }
-    o.counters = m.last_step_counters();
-    o.matrix = m.message_matrix();
-    return o;
+    m.run();
+    return std::make_pair(m.last_step_counters(), m.message_matrix());
   };
-  auto same = [](const RankCounters& a, const RankCounters& b) {
-    return a.sends == b.sends && a.receives == b.receives &&
-           a.iterations == b.iterations && a.tests == b.tests &&
-           a.local_reads == b.local_reads &&
-           a.remote_reads == b.remote_reads &&
-           a.bulk_sends == b.bulk_sends &&
-           a.bulk_receives == b.bulk_receives &&
-           a.halo_bulk == b.halo_bulk && a.halo_values == b.halo_values &&
-           a.halo_reads == b.halo_reads;
+  // The counters a step replays from its schedule: all but the halo
+  // exchange's, which the live refresh charges.
+  auto scheduled = [](const RankCounters& c) {
+    return cat(c.sends, ",", c.receives, ",", c.iterations, ",", c.tests,
+               ",", c.local_reads, ",", c.remote_reads, ",", c.bulk_sends,
+               ",", c.bulk_receives, ",", c.halo_reads);
   };
 
   i64 replicated_lhs = 0, halo_refs = 0, guarded = 0, two_d = 0,
@@ -328,28 +330,42 @@ TEST(CommSchedule, InspectedStepsMatchTheTaggedPathOnAGeneratedCorpus) {
     SCOPED_TRACE(cat("seed ", seed, ":\n", src));
     spmd::Program program = lang::compile(src);
     spmd::ArrayTable layout = program.arrays;
+    spmd::PlanCache cache;
+    std::vector<std::vector<i64>> before(
+        static_cast<std::size_t>(program.procs),
+        std::vector<i64>(static_cast<std::size_t>(program.procs), 0));
     for (std::size_t k = 0; k < program.steps.size(); ++k) {
+      const auto [counters, matrix] = run_prefix(program, k + 1);
       if (const auto* rs = std::get_if<spmd::RedistStep>(&program.steps[k])) {
         layout.insert_or_assign(rs->array, rs->new_desc);
         ++redists;
-      } else {
-        const prog::Clause& c = std::get<prog::Clause>(program.steps[k]);
-        replicated_lhs += layout.at(c.lhs_array).is_replicated() ? 1 : 0;
-        for (const prog::ArrayRef& r : c.refs)
-          halo_refs += layout.at(r.array).halo() > 0 ? 1 : 0;
-        guarded += c.guard ? 1 : 0;
-        two_d += c.loops.size() == 2 ? 1 : 0;
-        ++inspected;
+        before = matrix;
+        continue;
       }
-      const Outcome on = run_prefix(program, k + 1, false);
-      const Outcome off = run_prefix(program, k + 1, true);
-      ASSERT_EQ(on.error, off.error) << "step " << k;
-      if (!on.error.empty()) break;  // later prefixes fault the same way
-      ASSERT_EQ(on.counters.size(), off.counters.size()) << "step " << k;
-      for (std::size_t p = 0; p < on.counters.size(); ++p)
-        EXPECT_TRUE(same(on.counters[p], off.counters[p]))
+      const prog::Clause& c = std::get<prog::Clause>(program.steps[k]);
+      replicated_lhs += layout.at(c.lhs_array).is_replicated() ? 1 : 0;
+      for (const prog::ArrayRef& r : c.refs)
+        halo_refs += layout.at(r.array).halo() > 0 ? 1 : 0;
+      guarded += c.guard ? 1 : 0;
+      two_d += c.loops.size() == 2 ? 1 : 0;
+      ++inspected;
+
+      const spmd::ClausePlan& plan = cache.get(c, layout);
+      std::unique_ptr<spmd::CommSchedule> want =
+          verify::reference_schedule(plan);
+      ASSERT_TRUE(want) << "step " << k;
+      EXPECT_EQ(verify::schedule_diff(*inspect(plan), *want), "")
+          << "step " << k;
+      ASSERT_EQ(counters.size(), want->counters.size()) << "step " << k;
+      for (std::size_t p = 0; p < counters.size(); ++p) {
+        EXPECT_EQ(scheduled(counters[p]), scheduled(want->counters[p]))
             << "step " << k << " rank " << p;
-      EXPECT_EQ(on.matrix, off.matrix) << "step " << k;
+        for (std::size_t q = 0; q < counters.size(); ++q)
+          EXPECT_EQ(matrix[p][q] - before[p][q],
+                    want->matrix_delta[p * counters.size() + q])
+              << "step " << k << " " << p << " -> " << q;
+      }
+      before = matrix;
     }
   }
   // The corpus reaches every shape the inspector distinguishes.
@@ -361,84 +377,125 @@ TEST(CommSchedule, InspectedStepsMatchTheTaggedPathOnAGeneratedCorpus) {
   EXPECT_GT(inspected, 100);
 }
 
+std::string proc_worker() { return VCALC_PATH; }
+
 TEST(CommSchedule, FaultingClausesFaultAlikeAndStoreNoSchedule) {
-  // The inspector refuses a clause with a faulting element, so the
-  // tagged path raises exactly the tagged reference's error and no
-  // schedule is stored. B[i - 1] reads outside B at i = 0; C is replicated, so
-  // C[i mod (i - 11)] is first evaluated by the executors (not by plan
-  // construction) and divides by zero at i = 11. With both, rank 0's
-  // out-of-bounds read is the error the tagged path raises, though the
-  // division faults on rank 1. B[(i + 20) mod 40 - 8] stays inside B
-  // until its mod piece wraps at i = 20 (to B[-8]), so only the second
-  // stretch of rank 2's run leaves the array. The shared machine raises
-  // the same text.
+  // The inspector raises a faulting element's own error, and no
+  // schedule is stored; every target raises the same text. B[i - 1]
+  // reads outside B at i = 0; C is replicated, so C[i mod (i - 11)] is
+  // first evaluated by the executors (not by plan construction) and
+  // divides by zero at i = 11. With both, rank 0's out-of-bounds read is
+  // the error raised, though the division faults on rank 1.
+  // B[(i + 20) mod 40 - 8] stays inside B until its mod piece wraps at
+  // i = 20 (to B[-8]), so only the second stretch of rank 2's run leaves
+  // the array; B[(i + 24) mod 40 - 8] leaves it on rank 2 alone (i =
+  // 16..23), and B[i + 4] in the middle of rank 3's stretch, after four
+  // clean elements. C[i + 1] := B[i + 1] leaves both arrays at i = 31,
+  // where the write's fault wins — on the machines that write a
+  // replicated LHS's every element; the sequential executor skips a
+  // write outside its array (docs/language.md), so it raises nothing
+  // there. The last case is a 2-D clause.
+  const std::string decls =
+      "processors 4;\narray A[0:31];\ndistribute A block;\n"
+      "array B[0:31];\ndistribute B scatter;\n"
+      "array C[0:31];\ndistribute C replicated;\n";
+  const std::string grid =
+      "processors 4;\narray M[0:7, 0:7];\ndistribute M (block, *);\n"
+      "array N[0:7, 0:7];\ndistribute N (scatter, *);\n";
   const struct {
-    const char* rhs;
+    std::string src;
     const char* error;
+    const char* seq_error;  // null: the sequential executor runs clean
   } cases[] = {
-      {"B[i - 1]", "read out of bounds on B"},
-      {"C[i mod (i - 11)]", "'mod' by zero in a subscript"},
-      {"B[i - 1] + C[i mod (i - 11)]", "read out of bounds on B"},
-      {"B[(i + 20) mod 40 - 8]", "read out of bounds on B"},
+      {decls + "forall i in 0:31 do A[i] := B[i - 1]; od\n",
+       "read out of bounds on B", "read out of bounds on B"},
+      {decls + "forall i in 0:31 do A[i] := C[i mod (i - 11)]; od\n",
+       "'mod' by zero in a subscript", "'mod' by zero in a subscript"},
+      {decls +
+           "forall i in 0:31 do A[i] := B[i - 1] + C[i mod (i - 11)]; od\n",
+       "read out of bounds on B", "read out of bounds on B"},
+      {decls + "forall i in 0:31 do A[i] := B[(i + 20) mod 40 - 8]; od\n",
+       "read out of bounds on B", "read out of bounds on B"},
+      {decls + "forall i in 0:31 do A[i] := B[(i + 24) mod 40 - 8]; od\n",
+       "read out of bounds on B", "read out of bounds on B"},
+      {decls + "forall i in 0:31 do A[i] := B[i + 4]; od\n",
+       "read out of bounds on B", "read out of bounds on B"},
+      {decls + "forall i in 0:31 do C[i + 1] := B[i + 1]; od\n",
+       "write out of bounds on C", nullptr},
+      {grid + "forall i in 0:7, j in 0:7 do M[i, j] := N[i, j + 1]; od\n",
+       "read out of bounds on N", "read out of bounds on N"},
+  };
+  auto load = [](auto& m, const spmd::Program& program) {
+    for (const auto& [name, desc] : program.arrays)
+      m.load(name, ramp(desc.total()));
+  };
+  // Runs `m`, which must raise `error`.
+  auto expect_fault = [&](auto& m, const spmd::Program& program,
+                          const char* error, const std::string& where) {
+    load(m, program);
+    try {
+      m.run();
+      ADD_FAILURE() << where << ": no fault";
+    } catch (const RuntimeFault& f) {
+      EXPECT_STREQ(f.what(), error) << where;
+    }
+  };
+  // A clean program on the same context and plan scope (one per machine
+  // kind, as the server keeps them) still builds and replays its
+  // schedules.
+  const std::string clean = repeat_src(3);
+  auto expect_clean = [&](auto& m, const std::string& where) {
+    m.load("B", ramp(32));
+    m.run();
+    EXPECT_EQ(m.comm_stats().sched_builds, 1) << where;
+    EXPECT_EQ(m.comm_stats().sched_hits, 2) << where;
   };
   for (const auto& c : cases) {
-    spmd::Program program = lang::compile(cat(
-        "processors 4;\narray A[0:31];\ndistribute A block;\n"
-        "array B[0:31];\ndistribute B scatter;\n"
-        "array C[0:31];\ndistribute C replicated;\n"
-        "forall i in 0:31 do A[i] := ",
-        c.rhs, "; od\n"));
-    for (int threads : {1, 4})
-      for (bool tagged : {false, true}) {
-        EngineOptions e;
-        e.threads = threads;
-        DistMachine m(program, {}, {}, e);
-        m.load("B", ramp(32));
-        m.load("C", ramp(32));
-        if (tagged)
-          for (const FaultPlan& f : reorder_every_step(program)) m.inject(f);
-        try {
-          m.run();
-          ADD_FAILURE() << c.rhs << ": no fault, tagged " << tagged;
-        } catch (const RuntimeFault& f) {
-          EXPECT_STREQ(f.what(), c.error)
-              << c.rhs << ", threads " << threads << ", tagged " << tagged;
-        }
-        EXPECT_EQ(m.plan_cache().schedules(), 0) << c.rhs;
-        EXPECT_EQ(m.comm_stats().sched_builds, 0) << c.rhs;
-        EXPECT_EQ(m.comm_stats().sched_hits, 0) << c.rhs;
-        SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e);
-        sh.load("B", ramp(32));
-        sh.load("C", ramp(32));
-        try {
-          sh.run();
-          ADD_FAILURE() << c.rhs << ": no fault on shared";
-        } catch (const RuntimeFault& f) {
-          EXPECT_STREQ(f.what(), c.error)
-              << c.rhs << " on shared, threads " << threads;
-        }
-        EXPECT_EQ(sh.comm_stats().sched_builds, 0) << c.rhs;
+    SCOPED_TRACE(c.src);
+    spmd::Program program = lang::compile(c.src);
+    for (int threads : {1, 4}) {
+      const std::string where = cat("threads ", threads);
+      EngineOptions e;
+      e.threads = threads;
+      auto ctx = std::make_shared<EngineContext>();
+      {
+        DistMachine m(program, {}, {}, e, ctx, "dist");
+        expect_fault(m, program, c.error, "dist, " + where);
+        EXPECT_EQ(m.plan_cache().schedules(), 0) << where;
+        EXPECT_EQ(m.comm_stats().sched_builds, 0) << where;
+        EXPECT_EQ(m.comm_stats().sched_hits, 0) << where;
       }
+      {
+        DistMachine m(lang::compile(clean), {}, {}, e, ctx, "dist");
+        expect_clean(m, "dist after the fault, " + where);
+        EXPECT_EQ(m.plan_cache().schedules(), 1) << where;
+      }
+      {
+        SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e, ctx,
+                         "shared");
+        expect_fault(sh, program, c.error, "shared, " + where);
+        EXPECT_EQ(sh.comm_stats().sched_builds, 0) << where;
+      }
+      {
+        SharedMachine sh(lang::compile(clean), {}, {},
+                         /*elide_barriers=*/false, e, ctx, "shared");
+        expect_clean(sh, "shared after the fault, " + where);
+      }
+    }
+    EngineOptions e;
+    e.jit = false;
+    proc::ProcOptions po;
+    po.worker_path = proc_worker();
+    proc::ProcMachine pm(c.src, {}, {}, e, po);
+    expect_fault(pm, program, c.error, "proc");
+    SeqExecutor seq(program);
+    if (c.seq_error) {
+      expect_fault(seq, program, c.seq_error, "seq");
+    } else {
+      load(seq, program);
+      EXPECT_NO_THROW(seq.run());
+    }
   }
-}
-
-// The schedule the inspector derives for clause step `k` of `program` at
-// its declared layouts.
-std::unique_ptr<spmd::CommSchedule> inspect(const spmd::Program& program,
-                                            std::size_t k,
-                                            spmd::PlanCache& cache) {
-  const spmd::ClausePlan& plan =
-      cache.get(std::get<prog::Clause>(program.steps[k]), program.arrays);
-  Inspector inspector(plan);
-  for (i64 p = 0; p < plan.procs(); ++p) inspector.rank(RankSite{p});
-  return inspector.finish();
-}
-
-std::string counters_str(const RankCounters& c) {
-  return cat(c.sends, ",", c.receives, ",", c.iterations, ",", c.tests, ",",
-             c.local_reads, ",", c.remote_reads, ",", c.bulk_sends, ",",
-             c.bulk_receives, ",", c.halo_bulk, ",", c.halo_values, ",",
-             c.halo_reads);
 }
 
 i64 run_elements(const spmd::RecvPlan& rv) {
@@ -492,7 +549,7 @@ const char* kMixedSrc =
     "M[i, j] := N[i, j+1] - N[i+8, j]*3 + i*j; od\n"
     "forall i in 0:15, j in 0:15 do T[i, j] := N[j, i] + j; od\n";
 
-TEST(CommSchedule, MixedSchedulesReplayLikeTheTaggedPath) {
+TEST(CommSchedule, MixedSchedulesReplayLikeTheReferences) {
   std::string src = kMixedSrc;
   const std::string clauses = src.substr(src.find("forall"));
   for (int k = 0; k < 2; ++k) src += clauses;  // replays of both clauses
@@ -532,14 +589,10 @@ TEST(CommSchedule, MixedSchedulesReplayLikeTheTaggedPath) {
     m.load("C", v);
     m.load("N", w);
   };
-  EngineOptions ref_opts;
-  ref_opts.threads = 1;
-  ref_opts.jit = false;
-  DistMachine tagged(program, {}, {}, ref_opts);
-  load(tagged);
-  for (const FaultPlan& f : reorder_every_step(program)) tagged.inject(f);
-  tagged.run();
-  ASSERT_EQ(tagged.comm_stats().sched_builds, 0);
+  SeqExecutor seq(program, /*reference=*/true);
+  load(seq);
+  seq.run();
+  const Traffic want = reference_traffic(program);
 
   for (int threads : {1, 4})
     for (bool jit : {false, true}) {
@@ -556,11 +609,11 @@ TEST(CommSchedule, MixedSchedulesReplayLikeTheTaggedPath) {
       load(sh);
       sh.run();
       for (const char* name : {"A", "M", "T"}) {
-        EXPECT_EQ(d.gather(name), tagged.gather(name)) << name;
-        EXPECT_EQ(sh.result(name), tagged.gather(name)) << name;
+        EXPECT_EQ(d.gather(name), seq.result(name)) << name;
+        EXPECT_EQ(sh.result(name), seq.result(name)) << name;
       }
-      EXPECT_EQ(d.stats().messages, tagged.stats().messages);
-      EXPECT_EQ(d.message_matrix(), tagged.message_matrix());
+      EXPECT_EQ(d.stats().messages, want.messages);
+      EXPECT_EQ(d.message_matrix(), want.matrix);
       EXPECT_EQ(d.comm_stats().sched_builds, 3);
       EXPECT_EQ(d.comm_stats().sched_hits, 6);
       EXPECT_EQ(sh.comm_stats().sched_hits, 6);
@@ -569,121 +622,6 @@ TEST(CommSchedule, MixedSchedulesReplayLikeTheTaggedPath) {
         EXPECT_GT(sh.path_counters().jit, 0);
       }
     }
-}
-
-// The schedule of an AffineMod clause, built element by element the way
-// the inspector resolved every element before it stepped stretches:
-// each subscript through ClauseKernel::subs_into, each operand through
-// ArrayDesc::locate, every element a record. Null when some element
-// would fault.
-std::unique_ptr<spmd::CommSchedule> per_element_schedule(
-    const spmd::ClausePlan& plan) {
-  const spmd::ClauseKernel& kern = plan.kernel();
-  const decomp::ArrayDesc& lhs = plan.lhs_desc();
-  const i64 procs = plan.procs();
-  const int nrefs = static_cast<int>(plan.clause().refs.size());
-  auto cs = std::make_unique<spmd::CommSchedule>();
-  cs->init(procs, static_cast<int>(plan.clause().loops.size()), nrefs);
-  for (i64 p = 0; p < procs; ++p) {
-    RankCounters& rc = cs->counters[static_cast<std::size_t>(p)];
-    for (int r = 0; r < nrefs; ++r)
-      if (plan.ref_needs_comm(r)) {
-        const gen::EnumStats c = plan.reside_space(p, r).charge();
-        rc.iterations += c.loop_iters;
-        rc.tests += c.tests;
-      }
-    bool bad = false;
-    std::vector<i64> out_idx, ridx;
-    gen::EnumStats es;
-    plan.modify_space(p).for_each(
-        [&](const std::vector<i64>& vals) {
-          spmd::ClauseKernel::subs_into(kern.lhs_subs(), vals.data(), out_idx);
-          bad = bad || !lhs.in_bounds(out_idx);
-          for (int r = 0; r < nrefs && !bad; ++r) {
-            const decomp::ArrayDesc& rd = plan.ref_desc(r);
-            spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
-            if (!rd.in_bounds(ridx)) {
-              bad = true;
-              break;
-            }
-            const decomp::Location at = rd.locate(ridx);
-            const i64 src = rd.is_replicated() ? p : at.owner;
-            if (src != p && rd.halo() > 0 && rd.in_halo(p, ridx)) {
-              cs->note_halo(p, r, rd.halo_slot(p, ridx[0]));
-              ++rc.halo_reads;
-            } else if (src == p) {
-              cs->note_local(p, r, at.local);
-              ++rc.local_reads;
-            } else {
-              std::vector<spmd::PackOp>& list =
-                  cs->send[static_cast<std::size_t>(src)]
-                      .to[static_cast<std::size_t>(p)];
-              cs->note_remote(p, src, static_cast<i64>(list.size()));
-              list.push_back({static_cast<std::int32_t>(r), at.local});
-              ++rc.receives;
-              ++rc.remote_reads;
-            }
-          }
-          if (bad) return;
-          i64 slot = lhs.locate(out_idx).local;
-          if (!in_range(slot, 0, lhs.local_capacity(p) - 1)) slot = -1;
-          cs->note_element(p, slot, vals.data());
-        },
-        &es);
-    if (bad) return nullptr;
-    rc.iterations += es.loop_iters;
-    rc.tests += es.tests;
-  }
-  for (i64 src = 0; src < procs; ++src)
-    for (i64 dst = 0; dst < procs; ++dst) {
-      const auto m = static_cast<i64>(cs->send[static_cast<std::size_t>(src)]
-                                          .to[static_cast<std::size_t>(dst)]
-                                          .size());
-      if (m == 0) continue;
-      cs->counters[static_cast<std::size_t>(src)].sends += m;
-      ++cs->counters[static_cast<std::size_t>(src)].bulk_sends;
-      ++cs->counters[static_cast<std::size_t>(dst)].bulk_receives;
-      cs->matrix_delta[static_cast<std::size_t>(src * procs + dst)] = m;
-      cs->packed_ops += m;
-    }
-  return cs;
-}
-
-void expect_same_schedule(const spmd::CommSchedule& got,
-                          const spmd::CommSchedule& want) {
-  ASSERT_EQ(got.procs, want.procs);
-  for (std::size_t p = 0; p < got.recv.size(); ++p) {
-    SCOPED_TRACE(cat("rank ", p));
-    const spmd::RecvPlan& g = got.recv[p];
-    const spmd::RecvPlan& w = want.recv[p];
-    EXPECT_EQ(g.n, w.n);
-    EXPECT_EQ(g.runs, w.runs);
-    EXPECT_EQ(g.oob_slot, w.oob_slot);
-    ASSERT_EQ(g.segs.size(), w.segs.size());
-    for (std::size_t k = 0; k < g.segs.size(); ++k) {
-      EXPECT_EQ(g.segs[k].n, w.segs[k].n);
-      EXPECT_EQ(g.segs[k].at, w.segs[k].at);
-      EXPECT_EQ(g.segs[k].run, w.segs[k].run);
-    }
-    EXPECT_EQ(g.lhs_slot, w.lhs_slot);
-    EXPECT_EQ(g.vals, w.vals);
-    EXPECT_EQ(g.ids, w.ids);
-    EXPECT_EQ(g.offs, w.offs);
-    EXPECT_EQ(g.run_vals, w.run_vals);
-    EXPECT_EQ(g.run_addr, w.run_addr);
-    for (std::size_t d = 0; d < got.send[p].to.size(); ++d) {
-      const auto& gl = got.send[p].to[d];
-      const auto& wl = want.send[p].to[d];
-      ASSERT_EQ(gl.size(), wl.size()) << "to " << d;
-      for (std::size_t k = 0; k < gl.size(); ++k) {
-        EXPECT_EQ(gl[k].ref, wl[k].ref);
-        EXPECT_EQ(gl[k].offset, wl[k].offset);
-      }
-    }
-    EXPECT_EQ(counters_str(got.counters[p]), counters_str(want.counters[p]));
-  }
-  EXPECT_EQ(got.matrix_delta, want.matrix_delta);
-  EXPECT_EQ(got.packed_ops, want.packed_ops);
 }
 
 // (a*i + c) mod z + d subscripts over every 1-D layout (and the 2-D
@@ -736,16 +674,14 @@ TEST(CommSchedule, AffineModSchedulesMatchAPerElementReference) {
               std::get<prog::Clause>(program.steps[c]), program.arrays);
           ASSERT_FALSE(plan.kernel().affine());
           std::unique_ptr<spmd::CommSchedule> want =
-              per_element_schedule(plan);
-          std::unique_ptr<spmd::CommSchedule> got =
-              inspect(program, c, cache);
+              verify::reference_schedule(plan);
           ASSERT_TRUE(want) << "clause " << c;
-          ASSERT_TRUE(got) << "clause " << c;
-          SCOPED_TRACE(cat("clause ", c));
-          expect_same_schedule(*got, *want);
+          EXPECT_EQ(verify::schedule_diff(*inspect(plan), *want), "")
+              << "clause " << c;
           ++checked;
         }
-        // 2. Stores equal the tagged reference's, on dist and shared.
+        // 2. Stores equal the sequential reference's, on dist and shared,
+        // and dist's traffic the per-element reference's.
         auto load = [](auto& m) {
           std::vector<double> v(60), w(12 * 12), x(11 * 8);
           for (std::size_t i = 0; i < v.size(); ++i)
@@ -756,14 +692,10 @@ TEST(CommSchedule, AffineModSchedulesMatchAPerElementReference) {
           m.load("M", w);
           m.load("N", x);
         };
-        EngineOptions ref_opts;
-        ref_opts.threads = 1;
-        ref_opts.jit = false;
-        DistMachine tagged(program, {}, {}, ref_opts);
-        load(tagged);
-        for (const FaultPlan& f : reorder_every_step(program))
-          tagged.inject(f);
-        tagged.run();
+        SeqExecutor seq(program, /*reference=*/true);
+        load(seq);
+        seq.run();
+        const Traffic want = reference_traffic(program);
         for (int threads : {1, 4})
           for (bool jit : {false, true}) {
             SCOPED_TRACE(cat("threads ", threads, " jit ", jit));
@@ -779,11 +711,11 @@ TEST(CommSchedule, AffineModSchedulesMatchAPerElementReference) {
             load(sh);
             sh.run();
             for (const char* name : {"A", "N"}) {
-              EXPECT_EQ(d.gather(name), tagged.gather(name)) << name;
-              EXPECT_EQ(sh.result(name), tagged.gather(name)) << name;
+              EXPECT_EQ(d.gather(name), seq.result(name)) << name;
+              EXPECT_EQ(sh.result(name), seq.result(name)) << name;
             }
-            EXPECT_EQ(d.stats().messages, tagged.stats().messages);
-            EXPECT_EQ(d.message_matrix(), tagged.message_matrix());
+            EXPECT_EQ(d.stats().messages, want.messages);
+            EXPECT_EQ(d.message_matrix(), want.matrix);
           }
       }
   EXPECT_EQ(checked, 2 * 6 * 2 * 6);
@@ -805,8 +737,7 @@ TEST(CommSchedule, GuardedOutOfRangeSlotStaysOnBytecode) {
   // Rank 0's schedule, written by hand: a run over its 8 elements, then
   // one record whose write slot lies outside its row (-1). A rank that
   // holds such a slot must replay on bytecode even with jitted entries
-  // at hand, and raise the tagged path's fault only when the guard
-  // holds.
+  // at hand, and raise the write's fault only when the guard holds.
   spmd::Program program = lang::compile(
       "processors 4;\narray A[0:31];\ndistribute A block;\n"
       "array B[0:31];\ndistribute B block;\n"
@@ -858,7 +789,7 @@ TEST(CommSchedule, GuardedOutOfRangeSlotStaysOnBytecode) {
   EXPECT_EQ(pc.jit, 0);
   EXPECT_EQ(out, std::vector<double>(8, 0.0));
 
-  // A guard that holds on the -1 record raises the tagged path's text.
+  // A guard that holds on the -1 record raises the write's fault.
   b[0] = 200.0;
   try {
     replay_rank(oob, plan, RankSite{}, rr, nullptr, 0, out, &fns, pc);

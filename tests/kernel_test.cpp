@@ -349,42 +349,6 @@ TEST(ClauseKernel, GuardCompilesAlongsideRhs) {
   EXPECT_EQ(plain.guard(), nullptr);
 }
 
-// --- message-tag parity ----------------------------------------------
-
-TEST(ClauseKernel, TagMatchesClausePlanMessageTag) {
-  const i64 n0 = 8, n1 = 12;
-  ArrayTable arrays;
-  arrays.emplace("A2", ArrayDesc::distributed(
-                           "A2", {0, 0}, {n0 - 1, n1 - 1},
-                           DecompND({Decomp1D::block(n0, 2),
-                                     Decomp1D::scatter(n1, 3)})));
-  arrays.emplace("B2", ArrayDesc::distributed(
-                           "B2", {0, 0}, {n0 - 1, n1 - 1},
-                           DecompND({Decomp1D::block(n0, 2),
-                                     Decomp1D::scatter(n1, 3)})));
-  prog::Clause c;
-  c.loops = {{"i", 0, n0 - 2}, {"j", 1, n1 - 2}};
-  c.lhs_array = "A2";
-  c.lhs_subs = {{0, fn::var()}, {1, fn::var()}};
-  c.refs.push_back(
-      {"B2", {{0, fn::add(fn::var(), fn::cnst(1))}, {1, fn::var()}}});
-  c.refs.push_back(
-      {"B2", {{0, fn::var()}, {1, fn::sub(fn::var(), fn::cnst(1))}}});
-  c.rhs = prog::add(prog::ref(0), prog::ref(1));
-
-  ClausePlan plan = ClausePlan::build(c, arrays);
-  const ClauseKernel& k = plan.kernel();
-  ASSERT_TRUE(k.affine());
-  for (i64 i = 0; i <= n0 - 2; ++i) {
-    for (i64 j = 1; j <= n1 - 2; ++j) {
-      std::vector<i64> vals = {i, j};
-      for (int r = 0; r < 2; ++r)
-        EXPECT_EQ(k.tag(r, vals.data()), plan.message_tag(r, vals))
-            << "r=" << r << " i=" << i << " j=" << j;
-    }
-  }
-}
-
 // --- strided-run analysis --------------------------------------------
 
 struct RunCheck {
@@ -635,11 +599,11 @@ TEST(IterationSpace, EmptyDimShortCircuitsLaterCharges) {
 TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
   // The fused inner loop performs no per-element allocation, so the
   // total allocation count of a run must not scale with n — only with
-  // the (fixed) rank/plan structure. The fused loop runs on the tagged
-  // path (the tagged reference: a reorder fault at the step); on a clean
-  // run the single execution is inspected and replayed, and the
-  // inspector's bulk-noted runs reserve their schedule up front.
-  auto allocs_for = [](i64 n, bool sched) {
+  // the (fixed) rank/plan structure. The fused loop runs in the shared
+  // machine's recording pass; on dist the single execution is inspected
+  // and replayed, and the inspector's bulk-noted runs reserve their
+  // schedule up front.
+  auto allocs_for = [](i64 n, bool dist) {
     spmd::Program p;
     p.procs = 4;
     p.arrays.emplace("A", ArrayDesc::distributed(
@@ -659,25 +623,30 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
 
     rt::EngineOptions e;
     e.threads = 1;  // inline on the caller: deterministic accounting
-    rt::DistMachine m(p, {}, {}, e);
-    m.load("B", iota(n));
-    if (!sched)
-      for (const rt::FaultPlan& f : rt::reorder_every_step(p)) m.inject(f);
-    g_new_calls = 0;
-    g_count_allocs = true;
-    m.run();
-    g_count_allocs = false;
-    EXPECT_GT(sched ? m.path_counters().sched : m.path_counters().fused, 0)
-        << "n=" << n;
-    EXPECT_EQ(m.path_counters().interp, 0) << "n=" << n;
-    return g_new_calls.load();
+    auto count = [&](auto& m) {
+      m.load("B", iota(n));
+      g_new_calls = 0;
+      g_count_allocs = true;
+      m.run();
+      g_count_allocs = false;
+      EXPECT_GT(dist ? m.path_counters().sched : m.path_counters().fused, 0)
+          << "n=" << n;
+      EXPECT_EQ(m.path_counters().interp, 0) << "n=" << n;
+      return g_new_calls.load();
+    };
+    if (dist) {
+      rt::DistMachine m(p, {}, {}, e);
+      return count(m);
+    }
+    rt::SharedMachine m(p, {}, {}, /*elide_barriers=*/false, e);
+    return count(m);
   };
-  for (bool sched : {false, true}) {
-    long long small = allocs_for(512, sched);
-    long long big = allocs_for(4096, sched);
+  for (bool dist : {false, true}) {
+    long long small = allocs_for(512, dist);
+    long long big = allocs_for(4096, dist);
     EXPECT_LE(std::llabs(big - small), 32)
         << "allocations scale with n: n=512 -> " << small
-        << ", n=4096 -> " << big << " (sched " << sched << ")";
+        << ", n=4096 -> " << big << " (dist " << dist << ")";
   }
 }
 
@@ -688,8 +657,8 @@ TEST(GenericPath, ModularClauseRunsThroughTheKernelOnDistAndShared) {
   // runs, but every element still runs through the kernel's generic
   // records — never a tree walk — and matches the reference executor.
   // On dist the inspector resolves the records and every execution runs
-  // a schedule, so no element takes the per-element tagged path; shared
-  // records its schedule on a kernel pass.
+  // a schedule, so no element takes a per-element path; shared records
+  // its schedule on a kernel pass.
   std::string src =
       "processors 4;\narray A[0:39]; array B[0:39];\n"
       "distribute A block; distribute B scatter;\n";

@@ -81,8 +81,6 @@ TEST(RankTrace, WrapOverwritesOldestAndCountsDrops) {
   std::vector<int> steps;
   ring.for_each([&](const TraceEvent& e) { steps.push_back(e.step); });
   EXPECT_EQ(steps, (std::vector<int>{3, 4, 5, 6}));
-  ASSERT_NE(ring.last(), nullptr);
-  EXPECT_EQ(ring.last()->step, 6);
 }
 
 TEST(RankTrace, SteadyStateRecordingDoesNotAllocate) {
@@ -117,7 +115,6 @@ void check_lane_invariants(const Tracer& tracer) {
       } else {
         switch (e.kind) {
           case EventKind::ClauseEnd:
-          case EventKind::SendEnd:
           case EventKind::HaloEnd:
           case EventKind::RedistEnd:
           case EventKind::BarrierEnd:
@@ -450,54 +447,6 @@ TEST(SchedReplay, SteadyStateReplayDoesNotAllocate) {
                          Source(self_halo)}) {
     EXPECT_EQ(dist(program(4)), dist(program(12)));
     EXPECT_EQ(shared(program(4)), shared(program(12)));
-  }
-}
-
-// --- deadlock diagnostic enrichment -----------------------------------
-
-TEST(TracerEvents, DeadlockDiagnosticNamesLastTracedEvent) {
-  spmd::Program program = lang::compile(kCommSrc);
-  rt::EngineOptions e;
-  e.threads = 1;
-
-  // Find a busy channel first (trace off).
-  rt::DistMachine probe(program, {}, {}, e);
-  probe.load("B", ramp(32));
-  probe.run();
-  i64 fsrc = -1, fdst = -1;
-  for (i64 s = 0; s < 4 && fsrc < 0; ++s)
-    for (i64 d = 0; d < 4 && fsrc < 0; ++d)
-      if (probe.message_matrix()[static_cast<std::size_t>(s)]
-                                [static_cast<std::size_t>(d)] > 1) {
-        fsrc = s;
-        fdst = d;
-      }
-  ASSERT_GE(fsrc, 0);
-
-  e.trace = true;
-  rt::DistMachine m(program, {}, {}, e);
-  m.load("B", ramp(32));
-  rt::FaultPlan f;
-  f.kind = rt::FaultPlan::Kind::DropMessage;
-  f.step = 0;
-  f.src = fsrc;
-  f.dst = fdst;
-  m.inject(f);
-  try {
-    m.run();
-    FAIL() << "dropped message did not trip the deadlock detector";
-  } catch (const DeadlockError& err) {
-    std::string msg = err.what();
-    EXPECT_TRUE(contains(msg, "pending receive")) << msg;
-    EXPECT_TRUE(contains(msg, "last traced event")) << msg;
-    // The RecvWait marker itself lands in the blocked rank's lane for
-    // post-mortem export.
-    ASSERT_NE(m.tracer(), nullptr);
-    bool recv_wait = false;
-    m.tracer()->lane(fdst).for_each([&](const TraceEvent& ev) {
-      if (ev.kind == EventKind::RecvWait) recv_wait = true;
-    });
-    EXPECT_TRUE(recv_wait);
   }
 }
 

@@ -2,8 +2,7 @@
 // spawns real `vcalc --rank N` worker processes (path injected by CMake
 // as VCALC_PATH), so every test here is a genuine cross-process run:
 // conformance against the DistMachine oracle, crash containment, stale
-// channel-dir reclamation, option propagation, and fault-injection
-// parity with the simulator.
+// channel-dir reclamation, option propagation, and the job wire format.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -15,11 +14,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
-#include <memory>
 #include <new>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "proc/job.hpp"
@@ -35,7 +31,6 @@ namespace {
 
 using rt::DistMachine;
 using rt::DistStats;
-using rt::FaultPlan;
 
 std::string worker() { return VCALC_PATH; }
 
@@ -84,18 +79,13 @@ void expect_parity(const std::string& source,
                    const std::vector<std::pair<std::string,
                                                std::vector<double>>>& inputs,
                    const std::vector<std::string>& outputs,
-                   rt::EngineOptions engine = {},
-                   const std::vector<FaultPlan>& faults = {}) {
+                   rt::EngineOptions engine = {}) {
   engine.jit = false;
   DistMachine sim(lang::compile(source), {}, {}, engine);
   ProcMachine real(source, {}, {}, engine, proc_opts());
   for (const auto& [name, data] : inputs) {
     sim.load(name, data);
     real.load(name, data);
-  }
-  for (const FaultPlan& f : faults) {
-    sim.inject(f);
-    real.inject(f);
   }
   sim.run();
   real.run();
@@ -186,89 +176,43 @@ TEST(ProcMachine, GridBlockScatterAndReplicatedParity) {
 }
 
 TEST(ProcMachine, EngineKnobsStayBitIdentical) {
-  // Assorted knobs on the tagged reference: every clause step of both
-  // machines takes the tagged path.
+  // Assorted knobs: a pool the workers never use (each runs its own
+  // rank) and tracing must not change any observable.
   rt::EngineOptions assorted;
   assorted.threads = 3;
-  const std::string source = halo_redist_source(4);
-  expect_parity(source, {{"U", ramp(32)}}, {"U"}, assorted,
-                rt::reorder_every_step(lang::compile(source)));
+  assorted.trace = true;
+  expect_parity(halo_redist_source(4), {{"U", ramp(32)}}, {"U", "V"},
+                assorted);
 }
 
-// Which of the two rank-step paths each clause step of every rank lane
-// took: `scheduled(step)` says which one the test expects. A scheduled
-// step packs and gathers and never sends; a tagged one the reverse.
-void expect_worker_paths(const ProcMachine& m,
-                         const std::vector<i64>& clause_steps,
-                         const std::function<bool(i64)>& scheduled) {
-  ASSERT_EQ(m.rank_traces().size(), static_cast<std::size_t>(m.procs()));
-  for (std::size_t p = 0; p < m.rank_traces().size(); ++p)
-    for (i64 step : clause_steps) {
-      bool send = false, pack = false, gather = false;
-      for (const obs::TraceEvent& e : m.rank_traces()[p].events) {
-        if (e.step != step) continue;
-        send = send || e.kind == obs::EventKind::SendBegin;
-        pack = pack || e.kind == obs::EventKind::PackBegin;
-        gather = gather || e.kind == obs::EventKind::GatherBegin;
-      }
-      const bool want = scheduled(step);
-      SCOPED_TRACE(cat("rank ", p, " step ", step));
-      EXPECT_EQ(pack, want);
-      EXPECT_EQ(gather, want);
-      EXPECT_EQ(send, !want);
-    }
-}
-
-TEST(ProcMachine, WorkerRunsTheSimulatorsScheduledAndTaggedPaths) {
+TEST(ProcMachine, WorkerRunsTheSimulatorsScheduledPath) {
   // Steps 0 and 2 are clauses, step 1 a redistribute. The worker takes
-  // DistMachine's dispatch: schedules on a clean step, the tagged path
-  // with a fault armed for the step — and every observable matches the
-  // simulator either way.
+  // DistMachine's dispatch: at each clause step's first execution at a
+  // layout it inspects every rank (one inspect span per rank on its
+  // lane), then packs and gathers — the one path a clause step has.
   const std::string source = halo_redist_source(4);
-  FaultPlan reorder;
-  reorder.kind = FaultPlan::Kind::ReorderChannel;
-  reorder.step = 0;
-  reorder.src = 0;
-  reorder.dst = 1;
-  struct Case {
-    const char* name;
-    std::vector<FaultPlan> faults;
-    std::function<bool(i64)> scheduled;
-  };
-  const std::vector<Case> cases = {
-      {"schedules", {}, [](i64) { return true; }},
-      {"reorder at every step",
-       rt::reorder_every_step(lang::compile(source)),
-       [](i64) { return false; }},
-      {"fault at step 0", {reorder}, [](i64 s) { return s != 0; }},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    rt::EngineOptions engine;
-    engine.trace = true;
-    engine.jit = false;
-    DistMachine sim(lang::compile(source), {}, {}, engine);
-    ProcMachine real(source, {}, {}, engine, proc_opts());
-    sim.load("U", ramp(32));
-    real.load("U", ramp(32));
-    for (const FaultPlan& f : c.faults) {
-      sim.inject(f);
-      real.inject(f);
+  rt::EngineOptions engine;
+  engine.trace = true;
+  engine.jit = false;
+  expect_parity(source, {{"U", ramp(32)}}, {"U", "V"}, engine);
+  ProcMachine real(source, {}, {}, engine, proc_opts());
+  real.load("U", ramp(32));
+  real.run();
+  ASSERT_EQ(real.rank_traces().size(), 4u);
+  for (std::size_t p = 0; p < 4; ++p)
+    for (i64 step : {0, 2}) {
+      SCOPED_TRACE(cat("rank ", p, " step ", step));
+      i64 inspect = 0, pack = 0, gather = 0;
+      for (const obs::TraceEvent& e : real.rank_traces()[p].events) {
+        if (e.step != step) continue;
+        inspect += e.kind == obs::EventKind::InspectBegin ? 1 : 0;
+        pack += e.kind == obs::EventKind::PackBegin ? 1 : 0;
+        gather += e.kind == obs::EventKind::GatherBegin ? 1 : 0;
+      }
+      EXPECT_EQ(inspect, 4);
+      EXPECT_EQ(pack, 1);
+      EXPECT_EQ(gather, 1);
     }
-    sim.run();
-    real.run();
-    for (const char* name : {"U", "V"})
-      EXPECT_EQ(real.gather(name), sim.gather(name)) << name;
-    EXPECT_EQ(real.stats().str(), sim.stats().str());
-    EXPECT_EQ(real.message_matrix(), sim.message_matrix());
-    ASSERT_EQ(real.last_step_counters().size(),
-              sim.last_step_counters().size());
-    for (std::size_t p = 0; p < sim.last_step_counters().size(); ++p)
-      EXPECT_EQ(counters_str(real.last_step_counters()[p]),
-                counters_str(sim.last_step_counters()[p]))
-          << "rank " << p;
-    expect_worker_paths(real, {0, 2}, c.scheduled);
-  }
 }
 
 TEST(ProcMachine, TraceLanesComeBackFromEveryRank) {
@@ -476,15 +420,6 @@ TEST(ProcJob, RoundTripsEveryField) {
   job.engine.jit_threshold = 7;
   job.engine.jit_sync = true;
   job.engine.jit_cache_dir = "/some/cache";
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::DuplicateMessage;
-  f.step = 2;
-  f.src = 1;
-  f.dst = 3;
-  f.index = 4;
-  f.rank = 2;
-  f.rounds = 6;
-  job.faults.push_back(f);
   job.inputs.emplace_back("B", ramp(20, 0.25));
   job.timeout_ms = 1234;
   job.ring_slots = 256;
@@ -496,33 +431,29 @@ TEST(ProcJob, RoundTripsEveryField) {
   EXPECT_EQ(back.procs, 4);
   EXPECT_EQ(back.engine.threads, 5);
   EXPECT_EQ(back.engine.jit_cache_dir, "/some/cache");
-  ASSERT_EQ(back.faults.size(), 1u);
-  EXPECT_EQ(back.faults[0].kind, FaultPlan::Kind::DuplicateMessage);
-  EXPECT_EQ(back.faults[0].rounds, 6);
   ASSERT_EQ(back.inputs.size(), 1u);
   EXPECT_EQ(back.inputs[0].second, ramp(20, 0.25));
   EXPECT_EQ(back.timeout_ms, 1234);
   EXPECT_EQ(back.ring_slots, 256);
 }
 
-TEST(ProcJob, CorruptFaultCountFailsFastWithoutAllocating) {
-  // A job whose fault count claims 2^28 entries: the decoder must reject
-  // it against the bytes actually present instead of sizing the fault
+TEST(ProcJob, CorruptInputCountFailsFastWithoutAllocating) {
+  // A job whose input count claims 2^28 entries: the decoder must reject
+  // it against the bytes actually present instead of sizing the input
   // table from the count first.
   JobSpec job;
   job.source = rotate_source(2);
   job.procs = 2;
   std::vector<std::uint8_t> bytes = encode_job(job);
-  // The job ends: u32 fault count, u32 input count, i64 timeout, i64
-  // ring slots.
+  // The job ends: u32 input count, i64 timeout, i64 ring slots.
   const std::uint32_t huge = 0x10000000;
-  std::memcpy(bytes.data() + bytes.size() - 24, &huge, sizeof huge);
+  std::memcpy(bytes.data() + bytes.size() - 20, &huge, sizeof huge);
   const auto t0 = std::chrono::steady_clock::now();
   try {
     decode_job(bytes.data(), bytes.size());
-    FAIL() << "a corrupt fault count decoded";
+    FAIL() << "a corrupt input count decoded";
   } catch (const std::bad_alloc&) {
-    FAIL() << "the fault count was trusted before the bytes were checked";
+    FAIL() << "the input count was trusted before the bytes were checked";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("proc wire: truncated payload"),
               std::string::npos)
@@ -582,123 +513,6 @@ TEST(ProcMachine, WorkerResolutionPrecedence) {
   ASSERT_GT(n, 0);
   self[n] = '\0';
   EXPECT_EQ(ProcMachine::resolve_worker(""), std::string(self));
-}
-
-// ---------------------------------------------------------------------
-// Fault injection over the real transport (parity with the simulator)
-
-FaultPlan message_fault(FaultPlan::Kind kind, i64 src, i64 dst) {
-  FaultPlan f;
-  f.kind = kind;
-  f.step = 0;
-  f.src = src;
-  f.dst = dst;
-  return f;
-}
-
-// First (src,dst) pair moving more than one element, as in the
-// simulator's own fault smoke.
-std::pair<i64, i64> busy_channel(const DistMachine& m) {
-  const i64 procs = static_cast<i64>(m.message_matrix().size());
-  for (i64 s = 0; s < procs; ++s)
-    for (i64 d = 0; d < procs; ++d)
-      if (m.message_matrix()[static_cast<std::size_t>(s)]
-                            [static_cast<std::size_t>(d)] > 1)
-        return {s, d};
-  return {-1, -1};
-}
-
-struct FaultFixture {
-  std::string source = rotate_source(4);
-  i64 src = -1, dst = -1;
-  FaultFixture() {
-    DistMachine probe(lang::compile(source));
-    probe.load("B", ramp(20, 0.5));
-    probe.run();
-    std::tie(src, dst) = busy_channel(probe);
-  }
-  std::unique_ptr<ProcMachine> machine(const FaultPlan& f) {
-    auto m = std::make_unique<ProcMachine>(source, gen::BuildOptions{},
-                                           rt::CostModel{},
-                                           rt::EngineOptions{}, proc_opts());
-    m->load("B", ramp(20, 0.5));
-    m->inject(f);
-    return m;
-  }
-};
-
-TEST(ProcFaults, DroppedMessageDeadlocksWithTheSimulatorsDiagnostic) {
-  FaultFixture fx;
-  ASSERT_GE(fx.src, 0);
-  auto m = fx.machine(
-      message_fault(FaultPlan::Kind::DropMessage, fx.src, fx.dst));
-  try {
-    m->run();
-    FAIL() << "dropped message did not deadlock";
-  } catch (const DeadlockError& e) {
-    std::string msg = e.what();
-    EXPECT_TRUE(contains(msg, cat("rank ", fx.dst))) << msg;
-    EXPECT_TRUE(contains(msg, "pending receive")) << msg;
-    EXPECT_TRUE(contains(msg, cat("from rank ", fx.src))) << msg;
-    EXPECT_TRUE(contains(msg, "B[")) << msg;
-  }
-}
-
-TEST(ProcFaults, DuplicatedMessageTripsThePairingInvariant) {
-  FaultFixture fx;
-  ASSERT_GE(fx.src, 0);
-  auto m = fx.machine(
-      message_fault(FaultPlan::Kind::DuplicateMessage, fx.src, fx.dst));
-  EXPECT_THROW(
-      {
-        try {
-          m->run();
-        } catch (const RuntimeFault& e) {
-          EXPECT_TRUE(contains(e.what(), "undelivered")) << e.what();
-          throw;
-        }
-      },
-      RuntimeFault);
-}
-
-TEST(ProcFaults, ReorderedChannelIsAbsorbedBitIdentically) {
-  FaultFixture fx;
-  ASSERT_GE(fx.src, 0);
-  DistMachine clean(lang::compile(fx.source));
-  clean.load("B", ramp(20, 0.5));
-  clean.run();
-  auto m = fx.machine(
-      message_fault(FaultPlan::Kind::ReorderChannel, fx.src, fx.dst));
-  m->run();
-  EXPECT_EQ(m->gather("A"), clean.gather("A"));
-  EXPECT_EQ(m->stats().str(), clean.stats().str());
-  EXPECT_EQ(m->faults_applied(), 1);
-}
-
-TEST(ProcFaults, StalledRankIsAccountedAndOutcomeNeutral) {
-  FaultFixture fx;
-  DistMachine clean(lang::compile(fx.source));
-  clean.load("B", ramp(20, 0.5));
-  clean.run();
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::StallRank;
-  f.step = 0;
-  f.rank = 2;
-  f.rounds = 3;
-  auto m = fx.machine(f);
-  m->run();
-  EXPECT_EQ(m->gather("A"), clean.gather("A"));
-  EXPECT_EQ(m->stats().str(), clean.stats().str());
-  EXPECT_EQ(m->stall_rounds_served(), 3);
-  EXPECT_EQ(m->faults_applied(), 1);
-}
-
-TEST(ProcFaults, FaultOnEmptyChannelDoesNotCountAsApplied) {
-  FaultFixture fx;
-  auto m = fx.machine(
-      message_fault(FaultPlan::Kind::DropMessage, 0, 0));
-  m->run();
-  EXPECT_EQ(m->faults_applied(), 0);
 }
 
 }  // namespace

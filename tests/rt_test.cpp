@@ -851,11 +851,11 @@ TEST(Engine, SharedMachineMatchesAcrossPoolSizes) {
 
 TEST(Engine, FullOptionMatrixIsBitIdentical) {
   // Regression net over the engine-option space: threads in {serial,
-  // shared pool, 4 lanes} x {scheduled, tagged reference} must agree
-  // with the serial baseline on results, statistics, and the message
-  // matrix — on both a plain communicating clause and a
-  // redistribute-mid-program sequence that moves clauses to another
-  // layout's plan.
+  // shared pool, 4 lanes} must agree with the serial baseline on
+  // results, statistics, and the message matrix, and the baseline's
+  // results with the sequential executor — on both a plain
+  // communicating clause and a redistribute-mid-program sequence that
+  // moves clauses to another layout's plan.
   auto scenarios = [] {
     std::vector<Program> ps;
     ps.push_back(shift_program(29, 4, Decomp1D::Kind::Block,
@@ -880,23 +880,23 @@ TEST(Engine, FullOptionMatrixIsBitIdentical) {
     DistMachine base(p, {}, {}, serial);
     base.load("B", iota(n));
     base.run();
+    SeqExecutor seq(p, /*reference=*/true);
+    seq.load("B", iota(n));
+    seq.run();
+    EXPECT_EQ(base.gather("A"), seq.result("A")) << "scenario=" << s;
+    EXPECT_EQ(base.gather("B"), seq.result("B")) << "scenario=" << s;
 
     for (int threads : {0, 1, 4}) {
-      for (bool tagged : {false, true}) {
-        EngineOptions e;
-        e.threads = threads;
-        DistMachine m(p, {}, {}, e);
-        m.load("B", iota(n));
-        if (tagged)
-          for (const FaultPlan& f : reorder_every_step(p)) m.inject(f);
-        m.run();
-        std::string where =
-            cat("scenario=", s, " threads=", threads, " tagged=", tagged);
-        EXPECT_EQ(m.gather("A"), base.gather("A")) << where;
-        EXPECT_EQ(m.gather("B"), base.gather("B")) << where;
-        expect_same_stats(m.stats(), base.stats(), where);
-        EXPECT_EQ(m.message_matrix(), base.message_matrix()) << where;
-      }
+      EngineOptions e;
+      e.threads = threads;
+      DistMachine m(p, {}, {}, e);
+      m.load("B", iota(n));
+      m.run();
+      std::string where = cat("scenario=", s, " threads=", threads);
+      EXPECT_EQ(m.gather("A"), base.gather("A")) << where;
+      EXPECT_EQ(m.gather("B"), base.gather("B")) << where;
+      expect_same_stats(m.stats(), base.stats(), where);
+      EXPECT_EQ(m.message_matrix(), base.message_matrix()) << where;
     }
   }
 }

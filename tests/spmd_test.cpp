@@ -113,17 +113,19 @@ TEST(ClausePlan, ReplicatedRefNeedsNoComm) {
   EXPECT_THROW(plan.reside_space(0, 0), InternalError);
 }
 
-TEST(ClausePlan, MessageTagsAreUniquePerRefAndIndex) {
-  ArrayTable arrays = one_d_arrays(32, 4);
-  prog::Clause c = simple_clause(0, 30);
-  c.refs.push_back({"B", {{0, fn::var()}}});
+TEST(ClausePlan, RowLengthsAreTheDescriptorsLocalCapacities) {
+  ArrayTable arrays = one_d_arrays(30, 4);
+  prog::Clause c = simple_clause(0, 28);
+  c.refs.push_back({"C", {{0, fn::var()}}});
   c.rhs = prog::add(prog::ref(0), prog::ref(1));
   ClausePlan plan = ClausePlan::build(c, arrays);
-  std::set<i64> tags;
-  for (i64 i = 0; i <= 30; ++i) {
-    EXPECT_TRUE(tags.insert(plan.message_tag(0, {i})).second);
-    EXPECT_TRUE(tags.insert(plan.message_tag(1, {i})).second);
+  for (i64 q = 0; q < 4; ++q) {
+    EXPECT_EQ(plan.lhs_row_len(q), plan.lhs_desc().local_capacity(q)) << q;
+    for (int r = 0; r < 2; ++r)
+      EXPECT_EQ(plan.ref_row_len(r, q), plan.ref_desc(r).local_capacity(q))
+          << r << " " << q;
   }
+  EXPECT_EQ(plan.ref_row_len(1, 3), 30);  // the replicated ref's full row
 }
 
 TEST(ClausePlan, TwoDimensionalOwnership) {

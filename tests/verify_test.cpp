@@ -1,22 +1,21 @@
 // Tests for verify/: the differential conformance oracle, the random
-// program generator, seed replay, shrinking, and fault injection.
+// program generator, seed replay, shrinking, and the per-element
+// reference schedule.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "lang/translate.hpp"
-#include "rt/dist_machine.hpp"
+#include "rt/rank_step.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
 #include "support/rng.hpp"
 #include "verify/oracle.hpp"
 #include "verify/program_gen.hpp"
+#include "verify/reference_schedule.hpp"
 
 namespace vcal::verify {
 namespace {
-
-using rt::DistMachine;
-using rt::FaultPlan;
 
 // ---------------------------------------------------------------------
 // Program generator
@@ -66,6 +65,7 @@ TEST(Oracle, AcceptsAWellBehavedProgram) {
       /*input_seed=*/5);
   EXPECT_TRUE(r.ok) << r.diagnostics;
   EXPECT_GT(r.runs, 10);  // seq + shared matrix + dist matrix + extras
+  EXPECT_EQ(r.schedules, 1);  // the one clause step's schedule checked
 }
 
 TEST(Oracle, AcceptsRedistributeMidProgram) {
@@ -192,166 +192,89 @@ TEST(OracleProcAxis, SmallCorpusFuzzesTheRealBackend) {
 #endif  // __linux__
 
 // ---------------------------------------------------------------------
-// Fault injection
+// Reference schedules
 
-spmd::Program fault_program() {
-  return lang::compile(
-      "processors 4;\n"
-      "array A[0:31];\ndistribute A block;\n"
-      "array B[0:31];\ndistribute B scatter;\n"
-      "forall i in 0:30 do A[i] := B[i + 1]*2 + 1; od\n");
+std::unique_ptr<spmd::CommSchedule> inspect(const spmd::ClausePlan& plan) {
+  rt::Inspector inspector(plan);
+  for (i64 p = 0; p < plan.procs(); ++p) inspector.rank(rt::RankSite{p});
+  return inspector.finish();
 }
 
-std::vector<double> fault_input() {
-  std::vector<double> b(32);
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = static_cast<double>(i) * 0.5;
-  return b;
+spmd::ClausePlan plan_of(const std::string& clause) {
+  spmd::Program program = lang::compile(
+      "processors 4;\narray U[0:63];\narray V[0:63];\narray W[0:63];\n"
+      "distribute U block overlap(1);\ndistribute V block;\n"
+      "distribute W scatter;\n" +
+      clause);
+  return spmd::ClausePlan::build(std::get<prog::Clause>(program.steps[0]),
+                                 program.arrays);
 }
 
-// First (src,dst) pair moving more than one element.
-std::pair<i64, i64> busy_channel(const DistMachine& m) {
-  for (i64 s = 0; s < 4; ++s)
-    for (i64 d = 0; d < 4; ++d)
-      if (m.message_matrix()[static_cast<std::size_t>(s)]
-                            [static_cast<std::size_t>(d)] > 1)
-        return {s, d};
-  return {-1, -1};
-}
+const char* kStencil = "forall i in 1:62 do V[i] := (U[i-1] + U[i+1])/2; od\n";
+const char* kScatterRead = "forall i in 0:62 do V[i] := W[i + 1]; od\n";
 
-TEST(FaultInjection, DroppedMessageTripsDeadlockWithDiagnostics) {
-  DistMachine probe(fault_program());
-  probe.load("B", fault_input());
-  probe.run();
-  auto [src, dst] = busy_channel(probe);
-  ASSERT_GE(src, 0);
-
-  DistMachine m(fault_program());
-  m.load("B", fault_input());
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::DropMessage;
-  f.step = 0;
-  f.src = src;
-  f.dst = dst;
-  m.inject(f);
-  try {
-    m.run();
-    FAIL() << "dropped message did not deadlock";
-  } catch (const DeadlockError& e) {
-    // The diagnostic must be actionable: blocked rank, the pending
-    // element, and the rank that failed to send it.
-    std::string msg = e.what();
-    EXPECT_TRUE(contains(msg, cat("rank ", dst))) << msg;
-    EXPECT_TRUE(contains(msg, "pending receive")) << msg;
-    EXPECT_TRUE(contains(msg, cat("from rank ", src))) << msg;
-    EXPECT_TRUE(contains(msg, "B[")) << msg;
+TEST(ReferenceSchedule, MatchesTheInspectorOnRunsAndRecords) {
+  // The stencil's schedule holds strided runs and halo records, the
+  // scatter read's remote records: expanded, the inspector's runs are
+  // exactly the reference's per-element records.
+  for (const char* clause : {kStencil, kScatterRead}) {
+    const spmd::ClausePlan plan = plan_of(clause);
+    std::unique_ptr<spmd::CommSchedule> want = reference_schedule(plan);
+    ASSERT_TRUE(want) << clause;
+    std::unique_ptr<spmd::CommSchedule> got = inspect(plan);
+    EXPECT_EQ(schedule_diff(*got, *want), "") << clause;
+    EXPECT_EQ(want->recv[1].runs, 0) << clause;  // the reference has none
+    if (clause == kStencil) {
+      EXPECT_GT(got->recv[1].runs, 0);
+    } else {
+      EXPECT_GT(got->packed_ops, 0);
+    }
   }
-  EXPECT_EQ(m.faults_applied(), 1);
 }
 
-TEST(FaultInjection, DuplicatedMessageTripsPairingInvariant) {
-  DistMachine probe(fault_program());
-  probe.load("B", fault_input());
-  probe.run();
-  auto [src, dst] = busy_channel(probe);
-  ASSERT_GE(src, 0);
-
-  DistMachine m(fault_program());
-  m.load("B", fault_input());
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::DuplicateMessage;
-  f.step = 0;
-  f.src = src;
-  f.dst = dst;
-  m.inject(f);
-  EXPECT_THROW(
-      {
-        try {
-          m.run();
-        } catch (const RuntimeFault& e) {
-          EXPECT_TRUE(contains(e.what(), "undelivered")) << e.what();
-          throw;
-        }
-      },
-      RuntimeFault);
+TEST(ReferenceSchedule, DiffNamesTheFirstDivergence) {
+  const spmd::ClausePlan scatter = plan_of(kScatterRead);
+  const std::unique_ptr<spmd::CommSchedule> want = reference_schedule(scatter);
+  ASSERT_TRUE(want);
+  auto expect_diff = [&](const spmd::ClausePlan& plan,
+                         const spmd::CommSchedule& reference, auto&& mutate,
+                         const char* names) {
+    std::unique_ptr<spmd::CommSchedule> got = inspect(plan);
+    mutate(*got);
+    const std::string d = schedule_diff(*got, reference);
+    EXPECT_TRUE(contains(d, names)) << names << ": " << d;
+  };
+  expect_diff(scatter, *want,
+              [](spmd::CommSchedule& s) { s.recv[2].offs[0] += 1; },
+              "rank 2: operand offsets[0]");
+  expect_diff(scatter, *want,
+              [](spmd::CommSchedule& s) { s.send[1].to[0][0].offset += 1; },
+              "rank 1: pack op 0 for rank 0");
+  expect_diff(scatter, *want,
+              [](spmd::CommSchedule& s) { s.counters[3].tests += 1; },
+              "rank 3: counters");
+  expect_diff(scatter, *want,
+              [](spmd::CommSchedule& s) { s.matrix_delta[1] += 1; },
+              "message-matrix increments[1]");
+  // A run's offset progression is checked element by element.
+  const spmd::ClausePlan stencil = plan_of(kStencil);
+  const std::unique_ptr<spmd::CommSchedule> halo = reference_schedule(stencil);
+  ASSERT_TRUE(halo);
+  expect_diff(stencil, *halo,
+              [](spmd::CommSchedule& s) { s.recv[1].run_addr[2] += 1; },
+              "rank 1: operand offsets");
 }
 
-TEST(FaultInjection, ReorderedChannelIsAbsorbed) {
-  DistMachine probe(fault_program());
-  probe.load("B", fault_input());
-  probe.run();
-  auto [src, dst] = busy_channel(probe);
-  ASSERT_GE(src, 0);
-
-  DistMachine m(fault_program());
-  m.load("B", fault_input());
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::ReorderChannel;
-  f.step = 0;
-  f.src = src;
-  f.dst = dst;
-  m.inject(f);
-  m.run();
-  EXPECT_EQ(m.gather("A"), probe.gather("A"));
-  EXPECT_EQ(m.stats().messages, probe.stats().messages);
-  EXPECT_EQ(m.stats().remote_reads, probe.stats().remote_reads);
-  EXPECT_EQ(m.faults_applied(), 1);
-}
-
-TEST(FaultInjection, StalledRankReleasesWithIdenticalResults) {
-  DistMachine probe(fault_program());
-  probe.load("B", fault_input());
-  probe.run();
-
-  DistMachine m(fault_program());
-  m.load("B", fault_input());
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::StallRank;
-  f.step = 0;
-  f.rank = 2;
-  f.rounds = 3;
-  m.inject(f);
-  m.run();
-  EXPECT_EQ(m.gather("A"), probe.gather("A"));
-  EXPECT_EQ(m.stats().messages, probe.stats().messages);
-  EXPECT_EQ(m.stall_rounds_served(), 3);
-  EXPECT_EQ(m.faults_applied(), 1);
-}
-
-TEST(FaultInjection, FaultOnEmptyChannelDoesNotCountAsApplied) {
-  // Rank p never sends to itself; a fault armed on the (0,0) channel
-  // must be a no-op and report as not applied.
-  DistMachine m(fault_program());
-  m.load("B", fault_input());
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::DropMessage;
-  f.step = 0;
-  f.src = 0;
-  f.dst = 0;
-  m.inject(f);
-  m.run();
-  EXPECT_EQ(m.faults_applied(), 0);
-  DistMachine clean(fault_program());
-  clean.load("B", fault_input());
-  clean.run();
-  EXPECT_EQ(m.gather("A"), clean.gather("A"));
-}
-
-TEST(FaultInjection, FaultPlanDescribesItself) {
-  FaultPlan f;
-  f.kind = FaultPlan::Kind::DropMessage;
-  f.step = 0;
-  f.src = 1;
-  f.dst = 3;
-  std::string s = f.str();
-  EXPECT_TRUE(contains(s, "drop")) << s;
-  EXPECT_TRUE(contains(s, "1")) << s;
-  EXPECT_TRUE(contains(s, "3")) << s;
-}
-
-TEST(FaultInjection, BuiltInSmokePasses) {
-  CheckResult r = Oracle::check_faults();
-  EXPECT_TRUE(r.ok) << r.diagnostics;
+TEST(ReferenceSchedule, IsNullWhereTheInspectorFaults) {
+  const spmd::ClausePlan plan =
+      plan_of("forall i in 0:63 do V[i] := W[i - 1]; od\n");
+  EXPECT_EQ(reference_schedule(plan), nullptr);
+  try {
+    inspect(plan);
+    ADD_FAILURE() << "the inspector did not fault";
+  } catch (const RuntimeFault& f) {
+    EXPECT_STREQ(f.what(), "read out of bounds on W");
+  }
 }
 
 }  // namespace

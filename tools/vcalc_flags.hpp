@@ -140,8 +140,9 @@ inline const std::vector<FlagSection>& sections() {
             "program) through every machine and\n"
             "engine configuration, checking\n"
             "bit-identical results and statistics\n"
-            "invariants, plus the fault-injection\n"
-            "smoke (docs/testing.md)"},
+            "invariants, and every clause's comm\n"
+            "schedule against a per-element\n"
+            "reference (docs/testing.md)"},
            {"--iters", FlagSpec::kNext, "N",
             "corpus size for --verify (default 100)"},
            {"--seed", FlagSpec::kNext, "S",
