@@ -27,7 +27,7 @@ DistMachine::DistMachine(spmd::Program program, gen::BuildOptions opts,
       cost_(cost),
       engine_(engine),
       ctx_(ctx ? std::move(ctx) : std::make_shared<EngineContext>()),
-      plans_(ctx_, plan_scope),
+      plans_(ctx_, plan_scope, PlanKind::Dist),
       lookup_(*plans_),
       store_(program_.procs) {
   program_.validate();
@@ -201,11 +201,10 @@ void DistMachine::run_clause(const Clause& clause) {
   const i64 procs = plan.procs();
 
   // JIT dispatch: poll the entry's state once per execution (arming
-  // counter, compile status, pointer swap). Requires an affine kernel.
+  // counter, compile status, pointer swap).
   const spmd::JitFns* jfns = nullptr;
-  if (engine_.jit && plan.kernel().affine())
-    jfns = ctx_->poll_jit(entry, clause, plan.kernel(), engine_, jit_,
-                          tr, step_id);
+  if (engine_.jit)
+    jfns = ctx_->poll_jit(entry, clause, engine_, jit_, tr, step_id);
 
   // Communication-schedule dispatch (inspector–executor): the first
   // execution at a layout inspects the plan for a schedule, in parallel

@@ -84,8 +84,9 @@ class DistMachine {
   /// `ctx` owns the plan cache, tracer, and JIT engine this machine
   /// uses; pass null (the one-shot CLI path) and the machine creates a
   /// private context with the same lifetime as itself. `plan_scope`
-  /// names the plan-cache lease pool within the context (see
-  /// EngineContext::acquire_plans); empty means a private cache.
+  /// names the plan-cache lease pool within the context, which keeps
+  /// each machine kind's pool apart (see EngineContext::acquire_plans);
+  /// empty means a private cache.
   explicit DistMachine(spmd::Program program, gen::BuildOptions opts = {},
                        CostModel cost = {}, EngineOptions engine = {},
                        std::shared_ptr<EngineContext> ctx = nullptr,

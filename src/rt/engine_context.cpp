@@ -6,8 +6,8 @@ namespace vcal::rt {
 
 const spmd::JitFns* EngineContext::poll_jit(
     spmd::PlanCache::Entry& entry, const prog::Clause& clause,
-    const spmd::ClauseKernel& kern, const EngineOptions& engine,
-    spmd::JitStats& stats, obs::Tracer* tr, i64 step_id) {
+    const EngineOptions& engine, spmd::JitStats& stats, obs::Tracer* tr,
+    i64 step_id) {
   if (!entry.jit) entry.jit = std::make_shared<spmd::JitState>();
   spmd::JitConfig cfg;
   cfg.enabled = true;
@@ -15,7 +15,7 @@ const spmd::JitFns* EngineContext::poll_jit(
   cfg.sync = engine.jit_sync;
   cfg.cache_dir = engine.jit_cache_dir;
   cfg.engine = &jit_;
-  spmd::JitPoll r = entry.jit->poll(clause, kern, cfg, stats);
+  spmd::JitPoll r = entry.jit->poll(clause, cfg, stats);
   const i64 ctl = tr ? tr->control_lane() : 0;
   if (r.launched)
     VCAL_TRACE(tr, ctl, obs::EventKind::JitBuild, step_id, cfg.sync ? 1 : 0);
@@ -44,11 +44,13 @@ i64 EngineContext::trace_lanes() const {
   return n;
 }
 
-spmd::PlanCache* EngineContext::acquire_plans(const std::string& scope) {
+spmd::PlanCache* EngineContext::acquire_plans(const std::string& scope,
+                                              PlanKind kind) {
   std::lock_guard<std::mutex> lk(m_);
   std::unique_ptr<spmd::PlanCache> cache;
+  PoolKey key{scope, kind};
   if (!scope.empty()) {
-    auto it = plan_pool_.find(scope);
+    auto it = plan_pool_.find(key);
     if (it != plan_pool_.end() && !it->second.empty()) {
       cache = std::move(it->second.back());
       it->second.pop_back();
@@ -56,7 +58,7 @@ spmd::PlanCache* EngineContext::acquire_plans(const std::string& scope) {
   }
   if (!cache) cache = std::make_unique<spmd::PlanCache>();
   spmd::PlanCache* raw = cache.get();
-  live_plans_.emplace(raw, Lease{std::move(cache), scope});
+  live_plans_.emplace(raw, Lease{std::move(cache), std::move(key)});
   return raw;
 }
 
@@ -71,8 +73,8 @@ void EngineContext::release_plans(spmd::PlanCache* cache) noexcept {
   // that tracer dies with this context, but the pooled cache may serve
   // a machine with a different (or no) tracer next — detach it.
   lease.cache->set_tracer(nullptr, 0);
-  if (!lease.scope.empty())
-    plan_pool_[lease.scope].push_back(std::move(lease.cache));
+  if (!lease.key.first.empty())
+    plan_pool_[lease.key].push_back(std::move(lease.cache));
 }
 
 void EngineContext::metric_add(const std::string& name, i64 delta) {

@@ -18,7 +18,7 @@
 //     alive past the machines so served traces can be inspected after
 //     a request completes;
 //   - a pool of PlanCaches leased to machines by scope (the compile
-//     fingerprint plus the target): two concurrent executions of the
+//     fingerprint) and machine kind: two concurrent executions of the
 //     same program get two caches (PlanCache is single-machine by
 //     contract), but a release returns the warm cache to the pool so
 //     the session's next request for that program starts with every
@@ -31,6 +31,7 @@
 // internally.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,6 +45,9 @@
 #include "spmd/plan_cache.hpp"
 
 namespace vcal::rt {
+
+/// The machine a leased plan cache serves (EngineContext::acquire_plans).
+enum class PlanKind { Dist, Shared };
 
 class EngineContext {
  public:
@@ -65,7 +69,6 @@ class EngineContext {
   /// keeps running.
   const spmd::JitFns* poll_jit(spmd::PlanCache::Entry& entry,
                                const prog::Clause& clause,
-                               const spmd::ClauseKernel& kern,
                                const EngineOptions& engine,
                                spmd::JitStats& stats, obs::Tracer* tr,
                                i64 step_id);
@@ -80,16 +83,18 @@ class EngineContext {
   i64 trace_events() const;
   i64 trace_lanes() const;
 
-  /// Leases a PlanCache to one machine. A non-empty scope names the
-  /// program family and machine kind (the serve layer passes the
-  /// compile-cache fingerprint plus the target): release() parks the
-  /// cache for warm reuse by the next machine with the same scope, and
-  /// concurrent leases of one scope get distinct caches (a PlanCache
-  /// serves one machine at a time). Entries are keyed by layout, so a
-  /// warm cache serves each run the plans, schedules and JIT state of
-  /// the layouts it actually reaches. An empty scope is a private cache
-  /// destroyed on release.
-  spmd::PlanCache* acquire_plans(const std::string& scope);
+  /// Leases a PlanCache to one machine of kind `kind`. A non-empty
+  /// scope names the program family (the serve layer passes the
+  /// compile-cache fingerprint): release() parks the cache for warm
+  /// reuse by the next machine of the same kind with the same scope,
+  /// and concurrent leases of one (scope, kind) get distinct caches (a
+  /// PlanCache serves one machine at a time). The kind keeps the pools
+  /// apart because the schedules differ: dist's address local rows and
+  /// packed buffers, shared's the dense image. Entries are keyed by
+  /// layout, so a warm cache serves each run the plans, schedules and
+  /// JIT state of the layouts it actually reaches. An empty scope is a
+  /// private cache destroyed on release.
+  spmd::PlanCache* acquire_plans(const std::string& scope, PlanKind kind);
   void release_plans(spmd::PlanCache* cache) noexcept;
 
   /// Session-lifetime metrics. The owner records; machines never write
@@ -106,13 +111,13 @@ class EngineContext {
   mutable std::mutex m_;
   std::vector<std::unique_ptr<obs::Tracer>> tracers_;
 
+  using PoolKey = std::pair<std::string, PlanKind>;  // (scope, kind)
   struct Lease {
     std::unique_ptr<spmd::PlanCache> cache;
-    std::string scope;
+    PoolKey key;
   };
   std::unordered_map<spmd::PlanCache*, Lease> live_plans_;
-  std::unordered_map<std::string,
-                     std::vector<std::unique_ptr<spmd::PlanCache>>>
+  std::map<PoolKey, std::vector<std::unique_ptr<spmd::PlanCache>>>
       plan_pool_;
 
   obs::MetricsRegistry metrics_;
@@ -125,8 +130,9 @@ class EngineContext {
 class PlanLease {
  public:
   PlanLease() = default;
-  PlanLease(std::shared_ptr<EngineContext> ctx, const std::string& scope)
-      : ctx_(std::move(ctx)), cache_(ctx_->acquire_plans(scope)) {}
+  PlanLease(std::shared_ptr<EngineContext> ctx, const std::string& scope,
+            PlanKind kind)
+      : ctx_(std::move(ctx)), cache_(ctx_->acquire_plans(scope, kind)) {}
   ~PlanLease() { reset(); }
   PlanLease(PlanLease&& o) noexcept
       : ctx_(std::move(o.ctx_)), cache_(o.cache_) {

@@ -29,7 +29,7 @@ SharedMachine::SharedMachine(spmd::Program program, gen::BuildOptions opts,
       elide_barriers_(elide_barriers),
       engine_(engine),
       ctx_(ctx ? std::move(ctx) : std::make_shared<EngineContext>()),
-      plans_(ctx_, plan_scope),
+      plans_(ctx_, plan_scope, PlanKind::Shared),
       lookup_(*plans_) {
   program_.validate();
   if (engine_.threads > 1)
@@ -103,12 +103,11 @@ void SharedMachine::run() {
         const ClausePlan& plan = entry.plan;
         resolve_pending(&plan);
         // JIT dispatch: poll the entry's state once per execution
-        // (arming counter, compile status, pointer swap). Requires an
-        // affine kernel.
+        // (arming counter, compile status, pointer swap).
         const spmd::JitFns* jfns = nullptr;
-        if (engine_.jit && plan.kernel().affine())
-          jfns = ctx_->poll_jit(entry, *clause, plan.kernel(), engine_,
-                                jit_, tr, trace_step_);
+        if (engine_.jit)
+          jfns = ctx_->poll_jit(entry, *clause, engine_, jit_, tr,
+                                trace_step_);
         run_clause(*clause, entry, jfns);
         pending = &plan;
         pending_exists = true;
@@ -237,8 +236,9 @@ void SharedMachine::run_clause(const Clause& clause,
 // Rank p's share of a recording step over the dense image: the element
 // body (bounds checks, dense operand reads, guard, RHS, dense write),
 // noting each element into `rec`, and the fused body (a check-free
-// bytecode loop), noting its run as one. Guards are evaluated on
-// replay, so guarded-off elements are noted too.
+// bytecode loop), noting its run as one — the walk's strided runs and
+// the in-bounds prefix of every piecewise-affine stretch alike. Guards
+// are evaluated on replay, so guarded-off elements are noted too.
 void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
                               spmd::CommSchedule& rec,
                               std::vector<double>& out, i64 step_id) {
@@ -265,8 +265,9 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
   const spmd::CompiledGuard* guard = kern.guard();
   const spmd::CompiledExpr& rhs = kern.rhs();
   std::vector<i64> out_idx, idx;  // per-rank scratch
-  // A non-affine clause has no strided runs: every element is a record.
-  if (!kern.affine()) rec.reserve(p, plan.modify_space(p).count());
+  // A clause that is not piecewise affine has no runs: every element is
+  // a record.
+  if (!kern.piecewise()) rec.reserve(p, plan.modify_space(p).count());
 
   auto element = [&](const std::vector<i64>& vals) {
     ++pc.generic;
@@ -288,12 +289,28 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
     if (guard && !guard->holds(refs, vals.data(), stack)) return;
     out[static_cast<std::size_t>(slot)] = rhs.eval(refs, vals.data(), stack);
   };
-  // A stretch runs the element body with every access affine along it:
-  // each access leaves its array first at the end of its in-bounds
-  // prefix (the LHS checked before the refs, as the element body does),
-  // and its dense offset is a progression, so the elements ahead of the
-  // first fault run without subscripts or bounds checks. The dense
-  // weights are laid out at the rank's first stretch, in its order.
+  auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
+    rec.note_run(p, vals.data(), f);
+    i64 la = f.la, v = f.v0;
+    for (i64 k = 0; k < f.n; ++k) {
+      vals[static_cast<std::size_t>(inner)] = v;
+      for (int r = 0; r < nrefs; ++r) {
+        refs[r] = rr.bases[static_cast<std::size_t>(r)][f.raddr[r]];
+        f.raddr[r] += f.rstride[r];
+      }
+      if (!guard || guard->holds(refs, vals.data(), stack))
+        out[static_cast<std::size_t>(la)] = rhs.eval(refs, vals.data(), stack);
+      la += f.lstride;
+      v += f.vstride;
+    }
+    pc.fused += f.n;
+  };
+  // Every access is affine along a stretch: each leaves its array first
+  // at the end of its in-bounds prefix (the LHS checked before the refs,
+  // as the element body does), and its dense offset is a progression,
+  // so the elements ahead of the first fault are a strided run over the
+  // dense image and go through the fused body. The dense weights are
+  // laid out at the rank's first stretch, in its order.
   const auto accesses = static_cast<std::size_t>(nrefs + 1);
   auto desc = [&](std::size_t a) -> const decomp::ArrayDesc& {
     return a == 0 ? lhs : plan.ref_desc(static_cast<int>(a) - 1);
@@ -330,48 +347,22 @@ void SharedMachine::walk_rank(const ClausePlan& plan, i64 p,
         step[a] += dg[k] * w[k];
       }
     }
-    const spmd::CommSchedule::Records notes = rec.append(p, clean);
-    i64* ids = notes.ids;
-    i64* offs = notes.offs;
-    const i64* vs = vals.data();
-    for (i64 k = 0; k < clean; ++k) {
-      for (int r = 0; r < nrefs; ++r, ++ids, ++offs) {
-        const auto a = static_cast<std::size_t>(r + 1);
-        refs[r] = rr.bases[static_cast<std::size_t>(r)][off[a]];
-        *ids = r;
-        *offs = off[a];
-        off[a] += step[a];
-      }
-      const i64 slot = off[0];
-      off[0] += step[0];
-      notes.slot[k] = slot;
-      for (int d = 0; d < nloops; ++d) notes.vals[k * nloops + d] = vs[d];
-      if (!guard || guard->holds(refs, vs, stack))
-        out[static_cast<std::size_t>(slot)] = rhs.eval(refs, vs, stack);
-      vals[static_cast<std::size_t>(inner)] += s.vstride;
+    if (clean > 0) {
+      spmd::FusedRun f;
+      f.v0 = vals[static_cast<std::size_t>(inner)];
+      f.vstride = s.vstride;
+      f.n = clean;
+      f.la = off[0];
+      f.lstride = step[0];
+      f.raddr = off.data() + 1;
+      f.rstride = step.data() + 1;
+      fused(vals, f);
     }
-    pc.generic += clean;
     if (fault == 0)
       throw RuntimeFault("write out of bounds on " + clause.lhs_array);
     if (fault > 0)
       throw RuntimeFault("read out of bounds on " +
                          clause.refs[static_cast<std::size_t>(fault - 1)].array);
-  };
-  auto fused = [&](std::vector<i64>& vals, const spmd::FusedRun& f) {
-    rec.note_run(p, vals.data(), f);
-    i64 la = f.la, v = f.v0;
-    for (i64 k = 0; k < f.n; ++k) {
-      vals[static_cast<std::size_t>(inner)] = v;
-      for (int r = 0; r < nrefs; ++r) {
-        refs[r] = rr.bases[static_cast<std::size_t>(r)][f.raddr[r]];
-        f.raddr[r] += f.rstride[r];
-      }
-      if (!guard || guard->holds(refs, vals.data(), stack))
-        out[static_cast<std::size_t>(la)] = rhs.eval(refs, vals.data(), stack);
-      la += f.lstride;
-      v += f.vstride;
-    }
-    pc.fused += f.n;
   };
   gen::EnumStats es;
   walk_modify(plan, p, /*dense=*/true, &es, element, stretch, fused);

@@ -408,13 +408,10 @@ RunResult Server::execute(Session& session, const RunRequest& req) {
     return res;
   }
 
-  // The compile fingerprint and the target name the plan-cache lease
-  // scope, so every served execution of one program on one machine kind
-  // shares (serially) one warm cache. The target keeps dist and shared
-  // apart: their cache entries carry different schedule types.
-  const std::string scope =
-      hex_key(out.entry->key) + "/" +
-      std::to_string(static_cast<int>(req.target));
+  // The compile fingerprint names the plan-cache lease scope, so every
+  // served execution of one program on one machine kind shares
+  // (serially) one warm cache; the context keeps each kind's pool apart.
+  const std::string scope = hex_key(out.entry->key);
   try {
     auto load_inputs = [&](auto& machine) {
       for (const RunRequest::Input& in : req.inputs) {

@@ -45,7 +45,8 @@
 // and slot progressions plus an offset start and stride per ref — so
 // neither the walk nor the replay touches its elements one by one; only
 // the elements outside such runs (halo, remote, guarded out-of-range,
-// non-affine) are noted per element. A 1-D block overlap(1) stencil's
+// and on the distributed machines every element of a mod clause) are
+// noted per element. A 1-D block overlap(1) stencil's
 // rank holds one run and two element records. The replay runs the
 // segments in walk order: runs through a strided loop (or the jitted
 // vcal_jit_fused), element stretches through the per-element loop (or
@@ -57,8 +58,13 @@
 // clean pass at a layout records one while it executes the step (every
 // operand local, addressed in the dense image), and later steps replay
 // it through the same executor with no packed buffers and no halo rows.
+// On the dense image every in-bounds piecewise-affine stretch (the
+// pieces Section 3.3 splits a mod subscript into) is a strided run, so
+// a shared schedule holds runs for those too: one per piece, element
+// records only for pieces shorter than kMinRun.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -253,14 +259,19 @@ class CommSchedule : public CachedSchedule {
   }
   /// A run whose every ref reads its own row, at the outer loop values
   /// of vals_ (f.raddr is left as it was). Sets vals_'s innermost value.
+  /// A run shorter than kMinRun becomes its element records.
   void note_run(i64 p, i64* vals_, const FusedRun& f) {
     const int inner = nloops - 1;
     if (f.n < kMinRun) {
+      const Records out = append(p, f.n);
       for (i64 k = 0; k < f.n; ++k) {
         vals_[inner] = f.v0 + k * f.vstride;
-        note_element(p, f.la + k * f.lstride, vals_);
-        for (int r = 0; r < nrefs; ++r)
-          note_local(p, r, f.raddr[r] + k * f.rstride[r]);
+        out.slot[k] = f.la + k * f.lstride;
+        std::copy_n(vals_, nloops, out.vals + k * nloops);
+        for (int r = 0; r < nrefs; ++r) {
+          out.ids[k * nrefs + r] = r;
+          out.offs[k * nrefs + r] = f.raddr[r] + k * f.rstride[r];
+        }
       }
       return;
     }

@@ -152,8 +152,8 @@ std::string jit_fingerprint(const std::string& source) {
 
 // ---- arming / dispatch ----------------------------------------------
 
-JitPoll JitState::poll(const prog::Clause& clause, const ClauseKernel& kern,
-                       const JitConfig& cfg, JitStats& stats) {
+JitPoll JitState::poll(const prog::Clause& clause, const JitConfig& cfg,
+                       JitStats& stats) {
   JitPoll r;
   bool submit_sync = false, submit_async = false;
   {
@@ -161,12 +161,9 @@ JitPoll JitState::poll(const prog::Clause& clause, const ClauseKernel& kern,
     if (!cfg.enabled || cfg.engine == nullptr) return r;
     ++seen_;
     if (status_ == Status::Idle && seen_ >= cfg.threshold) {
-      if (!kern.affine()) {
-        // Non-affine clauses run the per-element kernel path; there is
-        // no fused/replay loop to compile. Silent: never armed, so never
-        // a fallback.
-        status_ = Status::Ineligible;
-      } else if (!cfg.engine->available()) {
+      // Every clause step replays a schedule, and the module reads no
+      // subscript, so every clause is eligible where a compiler is.
+      if (!cfg.engine->available()) {
         // No toolchain on this host: never arm (a compile job could
         // only fail). One fallback records that the JIT was due but
         // cannot happen here. Probing only now keeps runs whose clauses

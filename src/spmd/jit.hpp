@@ -32,7 +32,12 @@
 // segment straight to its entry point: the common interior of a stencil
 // is one vectorizable fused call, only the irregular boundary elements
 // go through the gather entry, and swapping a module in costs no pass
-// over the schedule.
+// over the schedule. Every clause is eligible, whatever its subscripts:
+// each clause step replays a schedule and the module reads no
+// subscript. The shared machine records each piece of a mod clause
+// between its wraps (the paper's Section 3.3 split) as a run, so those
+// pieces reach the fused entry too; the distributed machines' mod
+// clauses are element records and go through the gather entry.
 //
 // Correctness contract: results are bit-identical to the bytecode
 // kernel. Compilation runs on a background worker so no step ever
@@ -142,8 +147,8 @@ struct JitPoll {
 /// concurrently.
 class JitState : public std::enable_shared_from_this<JitState> {
  public:
-  JitPoll poll(const prog::Clause& clause, const ClauseKernel& kern,
-               const JitConfig& cfg, JitStats& stats);
+  JitPoll poll(const prog::Clause& clause, const JitConfig& cfg,
+               JitStats& stats);
 
  private:
   friend class JitEngine;

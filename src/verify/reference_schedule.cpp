@@ -40,13 +40,18 @@ bool note_operand(const spmd::ClausePlan& plan, int r, i64 p,
   return true;
 }
 
-// Rank p's records, false when some element faults.
-bool reference_rank(const spmd::ClausePlan& plan, i64 p, CommSchedule& cs) {
+// Rank p's records, false when some element faults. Dense addressing
+// notes every operand local at its offset in the dense image and the
+// write at its dense slot, and charges only the Modify_p walk, as the
+// shared machine's recording pass does.
+bool reference_rank(const spmd::ClausePlan& plan, i64 p, Addressing mode,
+                    CommSchedule& cs) {
   const spmd::ClauseKernel& kern = plan.kernel();
   const decomp::ArrayDesc& lhs = plan.lhs_desc();
   const int nrefs = cs.nrefs;
+  const bool dense = mode == Addressing::Dense;
   rt::RankCounters& rc = cs.counters[static_cast<std::size_t>(p)];
-  for (int r = 0; r < nrefs; ++r)
+  for (int r = 0; r < nrefs && !dense; ++r)
     if (plan.ref_needs_comm(r)) {
       const gen::EnumStats c = plan.reside_space(p, r).charge();
       rc.iterations += c.loop_iters;
@@ -64,13 +69,23 @@ bool reference_rank(const spmd::ClausePlan& plan, i64 p, CommSchedule& cs) {
           return;
         }
         for (int r = 0; r < nrefs && !bad; ++r) {
+          const decomp::ArrayDesc& rd = plan.ref_desc(r);
           spmd::ClauseKernel::subs_into(kern.ref_subs(r), vals.data(), ridx);
-          bad = !plan.ref_desc(r).in_bounds(ridx) ||
-                !note_operand(plan, r, p, ridx, cs, rc);
+          if (!rd.in_bounds(ridx))
+            bad = true;
+          else if (dense)
+            cs.note_local(p, r, rd.dense_linear(ridx));
+          else
+            bad = !note_operand(plan, r, p, ridx, cs, rc);
         }
         if (bad) return;
-        i64 slot = lhs.locate(out_idx).local;
-        if (!in_range(slot, 0, lhs.local_capacity(p) - 1)) slot = -1;
+        i64 slot;
+        if (dense) {
+          slot = lhs.dense_linear(out_idx);
+        } else {
+          slot = lhs.locate(out_idx).local;
+          if (!in_range(slot, 0, lhs.local_capacity(p) - 1)) slot = -1;
+        }
         cs.note_element(p, slot, vals.data());
       },
       &es);
@@ -142,14 +157,14 @@ std::string first_diff(const char* what, const std::vector<i64>& got,
 }  // namespace
 
 std::unique_ptr<CommSchedule> reference_schedule(
-    const spmd::ClausePlan& plan) {
+    const spmd::ClausePlan& plan, Addressing mode) {
   const i64 procs = plan.procs();
   auto cs = std::make_unique<CommSchedule>();
   cs->init(procs, static_cast<int>(plan.clause().loops.size()),
            static_cast<int>(plan.clause().refs.size()));
   try {
     for (i64 p = 0; p < procs; ++p)
-      if (!reference_rank(plan, p, *cs)) return nullptr;
+      if (!reference_rank(plan, p, mode, *cs)) return nullptr;
   } catch (const RuntimeFault&) {
     return nullptr;  // a subscript faulted as it evaluated
   }

@@ -202,15 +202,17 @@ TEST(CommSchedule, EachLayoutRecordsItsOwnSchedule) {
 TEST(CommSchedule, NonAffineClausesInspectAndReplayThroughTheKernel) {
   // The rotate read is affine-mod: the inspector resolves the kernel's
   // mod records and every execution — the inspected first one included
-  // — runs the schedule with the bytecode RHS. No element takes a
-  // per-element path and none is tree-walked.
+  // — runs the schedule, with the bytecode RHS or, once the clause's
+  // module is in, jitted. No element takes a per-element path and none
+  // is tree-walked.
   DistRun r = run_dist(repeat_src(6), {});
   EXPECT_EQ(r.comm.sched_builds, 1);
   EXPECT_EQ(r.comm.sched_hits, 5);
   EXPECT_EQ(r.paths.interp, 0);
   EXPECT_EQ(r.paths.generic, 0);
   EXPECT_EQ(r.paths.fused, 0);
-  EXPECT_EQ(r.paths.sched, 6 * 31);  // six executions over i in 0:30
+  // Six executions over i in 0:30.
+  EXPECT_EQ(r.paths.sched + r.paths.jit, 6 * 31);
 }
 
 TEST(CommSchedule, SharedGatherReplayMatchesEnumeration) {
@@ -624,6 +626,218 @@ TEST(CommSchedule, MixedSchedulesReplayLikeTheReferences) {
     }
 }
 
+// The schedules a SharedMachine recorded for `program`. It runs on a
+// plan cache leased from a context of our own under one scope; the warm
+// cache it hands back is leased again, so entry(k) is clause step k's
+// entry at the layouts the program has reached there.
+class SharedRecording {
+ public:
+  template <typename Load>
+  SharedRecording(const spmd::Program& program, Load&& load)
+      : program_(program), ctx_(std::make_shared<EngineContext>()) {
+    {
+      EngineOptions e;
+      e.threads = 1;
+      e.jit = false;
+      SharedMachine m(program_, {}, {}, /*elide_barriers=*/false, e, ctx_,
+                      "recorded");
+      load(m);
+      m.run();
+    }
+    cache_ = ctx_->acquire_plans("recorded", PlanKind::Shared);
+    spmd::ArrayTable layout = program_.arrays;
+    for (const spmd::Step& step : program_.steps) {
+      if (const auto* rs = std::get_if<spmd::RedistStep>(&step)) {
+        layout.insert_or_assign(rs->array, rs->new_desc);
+        entries_.push_back(nullptr);
+        continue;
+      }
+      entries_.push_back(&spmd::PlanLookup(*cache_).get(
+          std::get<prog::Clause>(step), layout, {}));
+    }
+  }
+  ~SharedRecording() { ctx_->release_plans(cache_); }
+  SharedRecording(const SharedRecording&) = delete;
+  SharedRecording& operator=(const SharedRecording&) = delete;
+
+  /// Clause step k's entry (null for a redistribute).
+  spmd::PlanCache::Entry* entry(std::size_t k) const { return entries_[k]; }
+  const spmd::CommSchedule* schedule(std::size_t k) const {
+    return static_cast<const spmd::CommSchedule*>(entries_[k]->sched.get());
+  }
+
+  /// Every parallel clause step's schedule equals the per-element
+  /// reference in dense addressing, runs expanded. Returns the steps
+  /// compared.
+  i64 expect_dense_reference() const {
+    i64 checked = 0;
+    for (std::size_t k = 0; k < entries_.size(); ++k) {
+      if (!entries_[k] || entries_[k]->plan.clause().ord == prog::Ordering::Seq)
+        continue;
+      const spmd::CommSchedule* got = schedule(k);
+      const std::unique_ptr<spmd::CommSchedule> want =
+          verify::reference_schedule(entries_[k]->plan,
+                                     verify::Addressing::Dense);
+      if (!got || !want) {
+        ADD_FAILURE() << "step " << k << ": no schedule recorded ("
+                      << (got != nullptr) << ") or the reference faults";
+        continue;
+      }
+      EXPECT_EQ(verify::schedule_diff(*got, *want), "") << "step " << k;
+      ++checked;
+    }
+    return checked;
+  }
+
+ private:
+  spmd::Program program_;  // entries key steps by address
+  std::shared_ptr<EngineContext> ctx_;
+  spmd::PlanCache* cache_ = nullptr;
+  std::vector<spmd::PlanCache::Entry*> entries_;
+};
+
+// The benchmark's remap shape at a small extent: mod-rotate and strided
+// remaps between scatter, block and blockscatter(16) arrays, a 2-D
+// transpose, a 2-D read with a mod on its inner loop, and B moving
+// block -> scatter -> block.
+std::string remap_src(i64 n, i64 r, i64 rounds) {
+  std::string s = cat(
+      "processors 4;\narray A[0:", n - 1, "];\narray B[0:", n - 1,
+      "];\narray C[0:", n - 1, "];\narray M[0:", r - 1, ", 0:", r - 1,
+      "];\ndistribute A scatter;\ndistribute B block;\n"
+      "distribute C blockscatter(16);\ndistribute M (block, scatter);\n");
+  for (i64 k = 0; k < rounds; ++k) {
+    s += cat("forall i in 0:", n - 1, " do A[i] := (B[(i + ", n / 3 + 1,
+             ") mod ", n, "] + C[i])/2; od\n");
+    s += cat("forall i in 0:", n - 1, " do C[i] := (A[(3*i + 4) mod ", n,
+             "] + B[i])/2; od\n");
+    s += cat("forall i in 0:", n - 1, " do B[i] := (C[(i + ", n / 2 + 5,
+             ") mod ", n, "] + A[i])/2; od\n");
+    s += cat("forall i in 0:", r - 1, ", j in 0:", r - 1,
+             " do M[i, j] := (M[j, i] + B[i])/2; od\n");
+    s += cat("forall i in 0:", r - 1, " do A[i] := (A[i] + M[i, (i + 5) mod ",
+             r, "])/2; od\n");
+    if (k % 3 == 2)
+      s += cat("redistribute B ", (k / 3) % 2 == 0 ? "scatter" : "block",
+               ";\n");
+  }
+  return s;
+}
+
+// Fills every array of a program with a fixed pattern.
+template <typename Machine>
+void load_pattern(const spmd::Program& program, Machine& m) {
+  for (const auto& [name, desc] : program.arrays) {
+    std::vector<double> v(static_cast<std::size_t>(desc.total()));
+    for (std::size_t k = 0; k < v.size(); ++k)
+      v[k] = static_cast<double>(k % 7) * 1.5 - 2.0;
+    m.load(name, v);
+  }
+}
+
+TEST(CommSchedule, SharedSchedulesMatchADenseReference) {
+  // The generated corpus (whose reads wrap with mod) and the remap
+  // shape: every schedule the shared machine records is the
+  // per-element derivation over the dense image, record for record once
+  // its runs are expanded.
+  i64 checked = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const std::string src = verify::ProgramGen(seed).next().source();
+    SCOPED_TRACE(cat("seed ", seed, ":\n", src));
+    const spmd::Program program = lang::compile(src);
+    SharedRecording rec(program,
+                        [&](SharedMachine& m) { load_pattern(program, m); });
+    checked += rec.expect_dense_reference();
+  }
+  EXPECT_GT(checked, 100);
+
+  const spmd::Program remap = lang::compile(remap_src(4096, 16, 6));
+  SharedRecording rec(remap, [&](SharedMachine& m) { load_pattern(remap, m); });
+  EXPECT_EQ(rec.expect_dense_reference(), 6 * 5);
+  // Its 1-D mod clauses record runs. (C's Modify_p steps by a cycle of
+  // its blockscatter(16) layout, 64, so 3*i advances the rotate by 192
+  // per element: its pieces are about 4096/192 elements long.)
+  for (std::size_t k : {0, 1, 2}) {
+    i64 runs = 0;
+    for (const spmd::RecvPlan& rv : rec.schedule(k)->recv) runs += rv.runs;
+    EXPECT_GT(runs, 0) << "step " << k;
+  }
+}
+
+// A 4096-element clause whose two reads wrap at different points: (3*i +
+// 5) mod 4096 three times, (i + 1000) mod 4096 once.
+const char* kRotate4096 =
+    "processors 4;\narray A[0:4095];\narray B[0:4095];\narray C[0:4095];\n"
+    "distribute A scatter;\ndistribute B block;\n"
+    "distribute C blockscatter(16);\n"
+    "forall i in 0:4095 do A[i] := B[(3*i + 5) mod 4096] * 2 + "
+    "C[(i + 1000) mod 4096] + i; od\n";
+
+TEST(CommSchedule, SharedModRotateSchedulesHoldARunPerPiece) {
+  // Rank p's Modify_p is one run, i = p, p + 4, ..., which the reads'
+  // wraps cut into pieces. Each piece of at least kMinRun elements is
+  // one run of the recorded schedule; only the shorter pieces are
+  // element records.
+  const spmd::Program program = lang::compile(kRotate4096);
+  SharedRecording rec(program,
+                      [&](SharedMachine& m) { load_pattern(program, m); });
+  const spmd::CommSchedule& s = *rec.schedule(0);
+  i64 short_pieces = 0;
+  for (i64 p = 0; p < 4; ++p) {
+    // The pieces, from where either read's wrap count changes.
+    std::vector<i64> pieces;
+    i64 wraps = -1;
+    for (i64 i = p; i < 4096; i += 4) {
+      const i64 w = (3 * i + 5) / 4096 * 8 + (i + 1000) / 4096;
+      if (w != wraps) pieces.push_back(0);
+      ++pieces.back();
+      wraps = w;
+    }
+    i64 runs = 0, records = 0;
+    for (i64 len : pieces) {
+      runs += len >= spmd::CommSchedule::kMinRun ? 1 : 0;
+      records += len < spmd::CommSchedule::kMinRun ? len : 0;
+    }
+    short_pieces += static_cast<i64>(pieces.size()) - runs;
+    const spmd::RecvPlan& rv = s.recv[static_cast<std::size_t>(p)];
+    EXPECT_EQ(rv.n, 1024) << "rank " << p;
+    EXPECT_EQ(rv.runs, runs) << "rank " << p;
+    EXPECT_LE(rv.runs, 5) << "rank " << p;
+    EXPECT_EQ(rv.records(), records) << "rank " << p;
+    EXPECT_EQ(run_elements(rv) + rv.records(), rv.n) << "rank " << p;
+  }
+  EXPECT_GT(short_pieces, 0);  // i = 4095 alone past the third wrap
+  EXPECT_EQ(rec.expect_dense_reference(), 1);
+}
+
+TEST(CommSchedule, MachinesSharingAScopeKeepTheirOwnCaches) {
+  // One context and one scope name for dist and shared in turn: each
+  // kind leases from a pool of its own, so every machine after the first
+  // of its kind replays what its own kind stored. (A shared machine
+  // handed dist's schedules would read their packed-buffer operands
+  // through null bases.)
+  const std::string src = repeat_src(6, /*redistribute_middle=*/true);
+  spmd::Program program = lang::compile(src);
+  const std::vector<double> want = seq_a(src);
+  auto ctx = std::make_shared<EngineContext>();
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE(cat("round ", round));
+    EngineOptions e;
+    e.threads = 4;
+    DistMachine d(program, {}, {}, e, ctx, "one");
+    d.load("B", ramp(32));
+    d.run();
+    EXPECT_EQ(d.gather("A"), want);
+    EXPECT_EQ(d.comm_stats().sched_builds, round == 0 ? 2 : 0);
+    SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e, ctx,
+                     "one");
+    sh.load("B", ramp(32));
+    sh.run();
+    EXPECT_EQ(sh.result("A"), want);
+    EXPECT_EQ(sh.comm_stats().sched_builds, round == 0 ? 2 : 0);
+  }
+}
+
 // (a*i + c) mod z + d subscripts over every 1-D layout (and the 2-D
 // ones), reads and writes: z = 13 does not divide the 47-element loop
 // range and a*47 wraps it several times; the writes wrap once, and a
@@ -707,30 +921,88 @@ TEST(CommSchedule, AffineModSchedulesMatchAPerElementReference) {
             DistMachine d(program, {}, {}, e);
             load(d);
             d.run();
-            SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e);
-            load(sh);
-            sh.run();
-            for (const char* name : {"A", "N"}) {
+            for (const char* name : {"A", "N"})
               EXPECT_EQ(d.gather(name), seq.result(name)) << name;
-              EXPECT_EQ(sh.result(name), seq.result(name)) << name;
-            }
             EXPECT_EQ(d.stats().messages, want.messages);
             EXPECT_EQ(d.message_matrix(), want.matrix);
+            // Two shared machines on one scope: the second replays the
+            // schedules the first recorded.
+            auto ctx = std::make_shared<EngineContext>();
+            for (int pass = 0; pass < 2; ++pass) {
+              SharedMachine sh(program, {}, {}, /*elide_barriers=*/false, e,
+                               ctx, "mod");
+              load(sh);
+              sh.run();
+              for (const char* name : {"A", "N"})
+                EXPECT_EQ(sh.result(name), seq.result(name)) << name;
+              // Mod clauses are jitted like any other clause: every
+              // replayed element runs through the module.
+              if (pass == 1 && jit && spmd::jit_toolchain_available()) {
+                EXPECT_EQ(sh.path_counters().sched, 0);
+                EXPECT_GT(sh.path_counters().jit, 0);
+              }
+            }
+            if (jit && spmd::jit_toolchain_available()) {
+              EXPECT_GT(d.path_counters().jit, 0);
+            }
           }
+        // 3. The schedules shared recorded equal the per-element
+        // reference in its dense addressing.
+        SharedRecording rec(program, load);
+        rec.expect_dense_reference();
       }
   EXPECT_EQ(checked, 2 * 6 * 2 * 6);
 }
 
 // Stand-ins for a jitted module's entry points: count calls, write
 // nothing.
-int g_jit_calls = 0;
+int g_fused_calls = 0, g_replay_calls = 0;
 void count_fused(double*, i64, i64, const double* const*, const i64*,
                  const i64*, const i64*, i64, i64, i64) {
-  ++g_jit_calls;
+  ++g_fused_calls;
 }
 void count_replay(double*, const double* const*, const i64*, const i64*,
                   const i64*, const i64*, i64) {
-  ++g_jit_calls;
+  ++g_replay_calls;
+}
+
+TEST(CommSchedule, ModClauseReplaysDispatchTheJitEntries) {
+  // kRotate4096's schedules as each machine builds them, replayed with
+  // the stand-ins at hand: every run goes to `fused`, every element
+  // stretch to `replay`, and each element counts as jitted. Shared's
+  // schedule holds a run per long piece and records for the short
+  // ones, so it calls both; dist's inspector notes every element of a
+  // mod clause as a record (its remote operands interleave owners), so
+  // it calls `replay` alone.
+  const spmd::Program program = lang::compile(kRotate4096);
+  SharedRecording rec(program,
+                      [&](SharedMachine& m) { load_pattern(program, m); });
+  const spmd::ClausePlan& plan = rec.entry(0)->plan;
+  const std::unique_ptr<spmd::CommSchedule> dist = inspect(plan);
+  const spmd::JitFns fns{count_fused, count_replay};
+  std::vector<double> row(4096, 0.0), out(4096, 0.0);
+  RankRows rr;
+  rr.rows = {&row, &row};
+  rr.halo = {nullptr, nullptr};
+  const spmd::CommSchedule* const both[] = {rec.schedule(0), dist.get()};
+  for (const spmd::CommSchedule* s : both) {
+    const bool shared = s == rec.schedule(0);
+    SCOPED_TRACE(shared ? "shared" : "dist");
+    int runs = 0, stretches = 0;
+    g_fused_calls = g_replay_calls = 0;
+    for (i64 p = 0; p < 4; ++p) {
+      const spmd::RecvPlan& rv = s->recv[static_cast<std::size_t>(p)];
+      for (const spmd::RecvSegment& sg : rv.segs) (sg.run ? runs : stretches)++;
+      PathCounters pc;
+      replay_rank(*s, plan, RankSite{p}, rr, nullptr, 0, out, &fns, pc);
+      EXPECT_EQ(pc.jit, 1024);
+      EXPECT_EQ(pc.sched, 0);
+    }
+    EXPECT_EQ(g_fused_calls, runs);
+    EXPECT_EQ(g_replay_calls, stretches);
+    EXPECT_GT(g_replay_calls, 0);
+    EXPECT_EQ(g_fused_calls > 0, shared);
+  }
 }
 
 TEST(CommSchedule, GuardedOutOfRangeSlotStaysOnBytecode) {
@@ -772,9 +1044,10 @@ TEST(CommSchedule, GuardedOutOfRangeSlotStaysOnBytecode) {
   // Without the -1 slot the jitted entries run every segment.
   spmd::CommSchedule clean = schedule(false);
   PathCounters pc;
-  g_jit_calls = 0;
+  g_fused_calls = g_replay_calls = 0;
   replay_rank(clean, plan, RankSite{}, rr, nullptr, 0, out, &fns, pc);
-  EXPECT_EQ(g_jit_calls, 2);
+  EXPECT_EQ(g_fused_calls, 1);
+  EXPECT_EQ(g_replay_calls, 1);
   EXPECT_EQ(pc.jit, 9);
   EXPECT_EQ(pc.sched, 0);
 
@@ -782,9 +1055,9 @@ TEST(CommSchedule, GuardedOutOfRangeSlotStaysOnBytecode) {
   spmd::CommSchedule oob = schedule(true);
   EXPECT_TRUE(oob.recv[0].oob_slot);
   pc = PathCounters{};
-  g_jit_calls = 0;
+  g_fused_calls = g_replay_calls = 0;
   replay_rank(oob, plan, RankSite{}, rr, nullptr, 0, out, &fns, pc);
-  EXPECT_EQ(g_jit_calls, 0);
+  EXPECT_EQ(g_fused_calls + g_replay_calls, 0);
   EXPECT_EQ(pc.sched, 9);
   EXPECT_EQ(pc.jit, 0);
   EXPECT_EQ(out, std::vector<double>(8, 0.0));
@@ -797,7 +1070,7 @@ TEST(CommSchedule, GuardedOutOfRangeSlotStaysOnBytecode) {
   } catch (const RuntimeFault& f) {
     EXPECT_STREQ(f.what(), "local write out of bounds on A");
   }
-  EXPECT_EQ(g_jit_calls, 0);
+  EXPECT_EQ(g_fused_calls + g_replay_calls, 0);
   EXPECT_EQ(out[0], 201.0);  // the run ahead of it stored
 }
 

@@ -654,11 +654,12 @@ TEST(FusedPath, SteadyStateAllocationsAreIndependentOfProblemSize) {
 
 TEST(GenericPath, ModularClauseRunsThroughTheKernelOnDistAndShared) {
   // A rotate read B[(i+k) mod n] is affine-mod, not affine: no strided
-  // runs, but every element still runs through the kernel's generic
+  // runs on dist, but every element still runs through the kernel's
   // records — never a tree walk — and matches the reference executor.
   // On dist the inspector resolves the records and every execution runs
   // a schedule, so no element takes a per-element path; shared records
-  // its schedule on a kernel pass.
+  // its schedule on a kernel pass that runs each piece between the
+  // rotate's wraps as a strided run over the dense image (fused).
   std::string src =
       "processors 4;\narray A[0:39]; array B[0:39];\n"
       "distribute A block; distribute B scatter;\n";
@@ -685,7 +686,8 @@ TEST(GenericPath, ModularClauseRunsThroughTheKernelOnDistAndShared) {
   shared.run();
   EXPECT_EQ(shared.result("A"), ref.result("A"));
   EXPECT_EQ(shared.path_counters().interp, 0);
-  EXPECT_GT(shared.path_counters().generic, 0);
+  EXPECT_EQ(shared.path_counters().generic, 0);
+  EXPECT_EQ(shared.path_counters().fused, 40);  // the recording pass
   EXPECT_GT(shared.path_counters().sched, 0);
 }
 

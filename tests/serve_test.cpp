@@ -233,11 +233,11 @@ TEST(EngineContext, PlanCachesAndTracersDoNotBleedAcrossContexts) {
 
 TEST(EngineContext, ConcurrentLeasesOfOneScopeGetDistinctCaches) {
   auto ctx = std::make_shared<rt::EngineContext>();
-  spmd::PlanCache* a = ctx->acquire_plans("s");
-  spmd::PlanCache* b = ctx->acquire_plans("s");
+  spmd::PlanCache* a = ctx->acquire_plans("s", rt::PlanKind::Dist);
+  spmd::PlanCache* b = ctx->acquire_plans("s", rt::PlanKind::Dist);
   EXPECT_NE(a, b);  // a PlanCache serves one machine at a time
   ctx->release_plans(a);
-  spmd::PlanCache* c = ctx->acquire_plans("s");
+  spmd::PlanCache* c = ctx->acquire_plans("s", rt::PlanKind::Dist);
   EXPECT_EQ(c, a);  // released lease comes back warm
   ctx->release_plans(b);
   ctx->release_plans(c);
